@@ -7,8 +7,9 @@ abstract litmus programs; ``worked-examples`` reproduces the classic register,
 queue, and transaction classifications.
 
 Exit codes: 0 all expectations met, 1 expectation failed or counterexample
-found, 2 usage or parse error.  Reports are deterministic; the seed flag
-affects corpus generation only, never verdicts.
+found, 2 usage or parse error, 3 (``check``) no expectation failed but some
+ran out of budget before a verdict (reported ``UNKNOWN``).  Reports are
+deterministic; the seed flag affects corpus generation only, never verdicts.
 """
 
 from __future__ import annotations
@@ -115,31 +116,36 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
         outcome_regs=regs,
         budget=cfg.budget,
     )
-    ok = True
+    statuses = set()
     if not lit.expectations:
+        undecided = f", {len(outcomes.undecided)} undecided" if outcomes.undecided else ""
         record = {
             "what": f"{lit.name}: no expectations",
             "status": "INFO",
-            "detail": f"{len(outcomes)} consistent outcome(s)",
+            "detail": f"{len(outcomes)} consistent outcome(s){undecided}",
             "outcomes": sorted(repr(o) for o in outcomes),
         }
         _emit(record, cfg)
     for ex in lit.expectations:
-        if ex.outcome is None:
-            got = bool(outcomes)
+        want = dict(ex.outcome or ())
+
+        def matches(o) -> bool:
+            return all(dict(o).get(r) == v for r, v in want.items())
+
+        got = any(matches(o) for o in outcomes)
+        if not got and any(matches(o) for o in outcomes.undecided):
+            status, detail = "UNKNOWN", "budget exceeded before a verdict"
+        elif got == ex.consistent:
+            status, detail = "PASS", ""
         else:
-            want = dict(ex.outcome)
-            got = any(
-                all(dict(o).get(r) == v for r, v in want.items()) for o in outcomes
-            )
-        passed = got == ex.consistent
-        ok = ok and passed
+            status, detail = "FAIL", f"observed {'consistent' if got else 'inconsistent'}"
+        statuses.add(status)
         shown = "" if ex.outcome is None else " outcome " + ",".join(f"{r}={v}" for r, v in ex.outcome)
         _emit(
             {
                 "what": f"{lit.name}: expect {'consistent' if ex.consistent else 'inconsistent'}{shown}",
-                "status": "PASS" if passed else "FAIL",
-                "detail": "" if passed else f"observed {'consistent' if got else 'inconsistent'}",
+                "status": status,
+                "detail": detail,
             },
             cfg,
         )
@@ -151,7 +157,7 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
 
                 Path(cfg.dot_path).write_text(execution_to_dot(Execution(g)), encoding="utf-8")
                 break
-    return 0 if ok else 1
+    return 1 if "FAIL" in statuses else 3 if "UNKNOWN" in statuses else 0
 
 
 def _sc_collection(names: Sequence[str]) -> bool:

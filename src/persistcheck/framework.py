@@ -379,7 +379,10 @@ def check_hereditarily_consistent(
 
     For histories, every prefix h[1..k] is checked (SC mode); for executions,
     the search walks immediate prefixes (one hb-maximal event removed),
-    memoizing verdicts by canonical iso-hash.  The witness is the chain.
+    memoizing verdicts by the subset of ``x``'s event ids each prefix keeps.
+    The witness is the chain.  A prefix whose consistency check runs out of
+    budget is neither consistent nor refuted: unless a chain avoids it, the
+    verdict is budget-exceeded.
     """
     if isinstance(x, History):
         chain: List[History] = []
@@ -394,12 +397,16 @@ def check_hereditarily_consistent(
     x = _as_execution(x)
     memo: Dict[FrozenSet[int], Optional[List[FrozenSet[int]]]] = {}
     explored = 0
+    stalled: List[Verdict] = []
 
     def sub(ids: FrozenSet[int]) -> Execution:
         return x.restrict_events(ids)
 
+    hb_rows = x.hb_order.rows
+
     def max_events(ids: FrozenSet[int]) -> List[int]:
-        return [e for e in sorted(ids) if not any(a == e and b in ids for (a, b) in x.hb)]
+        mask = sum(1 << e for e in ids)
+        return [e for e in sorted(ids) if not hb_rows[e] & mask]
 
     def search(ids: FrozenSet[int]) -> Optional[List[FrozenSet[int]]]:
         nonlocal explored
@@ -411,7 +418,10 @@ def check_hereditarily_consistent(
         if explored > budget:
             raise BudgetExceeded({"explored": explored})
         result: Optional[List[FrozenSet[int]]] = None
-        if check_consistent(coll, sub(ids)):
+        v = check_consistent(coll, sub(ids))
+        if v.is_budget:
+            stalled.append(v)
+        if v:
             for e in max_events(ids):
                 res = search(ids - {e})
                 if res is not None:
@@ -425,6 +435,8 @@ def check_hereditarily_consistent(
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
     if subsets is None:
+        if stalled:
+            return stalled[0]
         return Verdict.fail("no consistent immediate-prefix chain", witness=None)
     chain2 = [sub(s) for s in subsets]
     return Verdict.ok(witness=HereditaryChain(chain2, subsets))

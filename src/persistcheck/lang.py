@@ -622,7 +622,7 @@ def _glue_crash(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
     for e in g2.events:
         if e not in not_min:
             edges.add((crash_id, e + off))
-    return PlainExecution.from_reduced(labels, edges)
+    return PlainExecution(labels, edges)
 
 
 def interpret_phases(
@@ -970,7 +970,7 @@ def apply_tags(g: PlainExecution, tags: Mapping[int, FrozenSet[str]]) -> PlainEx
         (l.with_tags(tags[e]) if e in tags and l.is_call else l)
         for e, l in enumerate(g.labels())
     ]
-    return PlainExecution(labels, g.po_reduced)
+    return PlainExecution(labels, g.po_order)
 
 
 def candidate_refinements(coll: Collection, g: PlainExecution):
@@ -984,6 +984,18 @@ def candidate_refinements(coll: Collection, g: PlainExecution):
                 continue
 
 
+class Behaviors(set):
+    """The outcomes justified by a (hereditarily) consistent refinement.
+
+    ``undecided`` holds the outcomes that no refinement justified but whose
+    check ran out of budget on some refinement; every other outcome of a
+    complete run was refuted."""
+
+    def __init__(self):
+        super().__init__()
+        self.undecided: Set[Tuple[Tuple[str, object], ...]] = set()
+
+
 def behaviors(
     prog_or_phases,
     coll: Collection,
@@ -992,7 +1004,7 @@ def behaviors(
     outcome_regs: Optional[Sequence[str]] = None,
     hereditary: bool = True,
     budget: int = 10_000,
-) -> Set[Tuple[Tuple[str, object], ...]]:
+) -> Behaviors:
     """Outcomes justified by a (hereditarily) consistent refinement."""
     from .framework import check_consistent, check_hereditarily_consistent
 
@@ -1000,8 +1012,7 @@ def behaviors(
         runs = interpret_toplevel(prog_or_phases, coll, max_crashes, config, complete_only=True)
     else:
         runs = interpret_phases(list(prog_or_phases), coll, config, complete_only=True)
-    out: Set[Tuple[Tuple[str, object], ...]] = set()
-    seen_outcomes: Set = set()
+    out = Behaviors()
     for env, g in runs:
         if env is None:
             continue
@@ -1009,20 +1020,19 @@ def behaviors(
             outcome = tuple((r, env.get(r)) for r in outcome_regs)
         else:
             outcome = tuple(sorted(env.items(), key=lambda kv: kv[0]))
-        if outcome in seen_outcomes:
+        if outcome in out:
             continue
-        justified = False
         for x in candidate_refinements(coll, g):
             if hereditary:
                 v = check_hereditarily_consistent(coll, x, budget=budget)
             else:
                 v = check_consistent(coll, x)
             if v:
-                justified = True
+                out.add(outcome)
+                out.undecided.discard(outcome)
                 break
-        if justified:
-            seen_outcomes.add(outcome)
-            out.add(outcome)
+            if v.is_budget:
+                out.undecided.add(outcome)
     return out
 
 

@@ -342,75 +342,140 @@ class History:
         return sum(1 for e in self.events if isinstance(e, CrashEv))
 
 
-def history_era_before(h: History) -> Set[Tuple[int, int]]:
-    """eb on event indices: pairs separated by at least one crash."""
-    crash_at = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
-    eb: Set[Tuple[int, int]] = set()
-    for i in range(len(h.events)):
-        for j in range(i + 1, len(h.events)):
-            if any(i < c < j for c in crash_at):
-                eb.add((i, j))
-    return eb
+# --------------------------------------------------------------------------
+# Relation helpers: closed orders as bit rows
+# --------------------------------------------------------------------------
 
 
-# --------------------------------------------------------------------------
-# Relation helpers
-# --------------------------------------------------------------------------
+def _bits(row: int) -> Iterator[int]:
+    """Positions of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _pairs(rows: Sequence[int], ids: Optional[Sequence] = None) -> Relation:
+    ids = range(len(rows)) if ids is None else ids
+    return frozenset((ids[a], ids[b]) for a, row in enumerate(rows) for b in _bits(row))
+
+
+class Order:
+    """A transitively closed relation on the events ``0..n-1``, one Python
+    int per event: bit ``b`` of ``rows[a]`` is set iff ``(a, b)`` is related.
+
+    Orders are only made closed: ``close``/``extend`` run Warshall's
+    algorithm over the rows, and ``restrict`` masks and compacts the rows of
+    an order that is already closed (the restriction of a closed relation is
+    closed, so it is never closed again).  The pair set and the transitive
+    reduction are built on first use and cached.
+    """
+
+    __slots__ = ("rows", "_pairs", "_reduced")
+
+    def __init__(self, rows: Sequence[int]):
+        self.rows = tuple(rows)
+        self._pairs: Optional[Relation] = None
+        self._reduced: Optional[Relation] = None
+
+    @classmethod
+    def close(cls, n: int, edges: Iterable[Edge], what: str = "order") -> "Order":
+        """The closure of ``edges`` over the events ``0..n-1``."""
+        return cls((0,) * n).extend(edges, what)
+
+    def extend(self, edges: Iterable[Edge], what: str = "order") -> "Order":
+        """The closure of this order together with ``edges``; an edge that
+        names an event outside ``0..n-1`` raises ``ValueError``."""
+        rows = list(self.rows)
+        n = len(rows)
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"{what} mentions unknown event")
+            rows[a] |= 1 << b
+        if rows == list(self.rows):
+            return self
+        for k in range(n):
+            row_k = rows[k]
+            if row_k:
+                bit = 1 << k
+                rows = [row | row_k if row & bit else row for row in rows]
+        return Order(rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def is_acyclic(self) -> bool:
+        return not any(row >> a & 1 for a, row in enumerate(self.rows))
+
+    def covers(self, a: int) -> int:
+        """Row of the immediate successors of ``a`` (acyclic orders only)."""
+        rows = self.rows
+        later = 0
+        rest = rows[a]
+        while rest:
+            low = rest & -rest
+            later |= rows[low.bit_length() - 1]
+            rest &= ~(later | low)
+        return rows[a] & ~later
+
+    def maximal(self) -> List[int]:
+        return [a for a, row in enumerate(self.rows) if not row]
+
+    def restrict(self, keep: Sequence[int]) -> "Order":
+        """The order on the ascending events ``keep``, renumbered densely."""
+        runs: List[List[int]] = []  # [old start, width, new start] of kept blocks
+        for new, old in enumerate(keep):
+            if runs and runs[-1][0] + runs[-1][1] == old:
+                runs[-1][1] += 1
+            else:
+                runs.append([old, 1, new])
+        blocks = [(start, (1 << width) - 1, to) for start, width, to in runs]
+        rows = []
+        for a in keep:
+            row = self.rows[a]
+            out = 0
+            for start, mask, to in blocks:
+                out |= (row >> start & mask) << to
+            rows.append(out)
+        return Order(rows)
+
+    @property
+    def pairs(self) -> Relation:
+        if self._pairs is None:
+            self._pairs = _pairs(self.rows)
+        return self._pairs
+
+    @property
+    def reduced(self) -> Relation:
+        """The transitive reduction, as pairs (acyclic orders only)."""
+        if self._reduced is None:
+            self._reduced = _pairs([self.covers(a) for a in range(len(self.rows))])
+        return self._reduced
+
+
+def _dense_order(edges: Iterable[Edge]) -> Tuple[List, Order]:
+    """The closure of a relation on arbitrary hashable ids, with the ids in
+    the order of first appearance."""
+    idx: Dict = {}
+    dense = [(idx.setdefault(a, len(idx)), idx.setdefault(b, len(idx))) for a, b in edges]
+    return list(idx), Order.close(len(idx), dense)
 
 
 def closure(edges: Iterable[Edge]) -> Relation:
-    """Transitive closure of a relation (Floyd-Warshall on successor sets)."""
-    succ: Dict[int, Set[int]] = {}
-    nodes: Set[int] = set()
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-        nodes.add(a)
-        nodes.add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(succ):
-            new = set()
-            for b in succ[a]:
-                new |= succ.get(b, set())
-            if not new <= succ[a]:
-                succ[a] |= new
-                changed = True
-    return frozenset((a, b) for a, bs in succ.items() for b in bs)
+    """Transitive closure of a relation (Warshall on bit rows)."""
+    ids, order = _dense_order(edges)
+    return _pairs(order.rows, ids)
 
 
 def is_irreflexive(rel: Iterable[Edge]) -> bool:
     return all(a != b for a, b in rel)
 
 
-def is_strict_order(rel: Relation) -> bool:
-    return is_irreflexive(rel) and closure(rel) == rel
-
-
 def transitive_reduction(edges: Iterable[Edge]) -> Relation:
-    clo = closure(edges)
-    if not is_irreflexive(clo):
+    ids, order = _dense_order(edges)
+    if not order.is_acyclic():
         raise ValueError("relation is cyclic")
-    succ: Dict[int, Set[int]] = {}
-    for a, b in clo:
-        succ.setdefault(a, set()).add(b)
-    red = set()
-    for a, bs in succ.items():
-        for b in bs:
-            if not any((c, b) in clo for c in bs if c != b):
-                red.add((a, b))
-    return frozenset(red)
-
-
-def compose(r1: Iterable[Edge], r2: Iterable[Edge]) -> Relation:
-    by_src: Dict[int, Set[int]] = {}
-    for a, b in r2:
-        by_src.setdefault(a, set()).add(b)
-    return frozenset((a, c) for a, b in r1 for c in by_src.get(b, ()))
-
-
-def restrict_relation(rel: Iterable[Edge], keep: Set[int]) -> Relation:
-    return frozenset((a, b) for a, b in rel if a in keep and b in keep)
+    return _pairs([order.covers(a) for a in range(len(ids))], ids)
 
 
 # --------------------------------------------------------------------------
@@ -425,19 +490,16 @@ class Pomset:
     nose is deliberately not defined beyond identity of representation.
     """
 
-    __slots__ = ("events", "lab", "_po_red", "_po", "_hash")
+    __slots__ = ("events", "lab", "_order")
 
     def __init__(self, labels: Sequence, order: Iterable[Edge]):
         lab = {i: l for i, l in enumerate(labels)}
-        red = transitive_reduction((a, b) for a, b in order)
-        for a, b in red:
-            if a not in lab or b not in lab:
-                raise ValueError("order mentions unknown event")
+        closed = Order.close(len(labels), order)
+        if not closed.is_acyclic():
+            raise ValueError("relation is cyclic")
         object.__setattr__(self, "events", tuple(range(len(labels))))
         object.__setattr__(self, "lab", lab)
-        object.__setattr__(self, "_po_red", red)
-        object.__setattr__(self, "_po", None)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_order", closed)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Pomset is immutable")
@@ -447,13 +509,11 @@ class Pomset:
 
     @property
     def order(self) -> Relation:
-        if self._po is None:
-            object.__setattr__(self, "_po", closure(self._po_red))
-        return self._po
+        return self._order.pairs
 
     @property
     def reduced(self) -> Relation:
-        return self._po_red
+        return self._order.reduced
 
     def labels(self) -> List:
         return [self.lab[e] for e in self.events]
@@ -554,39 +614,32 @@ def find_isomorphism(p, q) -> Optional[Dict[int, int]]:
 class PlainExecution:
     """A crash-aware pomset of labels: events, program order, labelling.
 
-    The program order is stored transitively reduced and queried through a
-    cached closure.  Construction enforces that every po-immediate successor
-    of an incomplete call is a crash event.
+    The program order ``po_order`` is an :class:`Order`: given as edges it is
+    closed at construction, given as an ``Order`` (already closed) it is
+    taken as is.  Construction rejects a cyclic ``po`` and enforces that
+    every po-immediate successor of an incomplete call is a crash event.
     """
 
-    __slots__ = ("events", "lab", "_po_red", "_po", "_hash")
+    __slots__ = ("events", "lab", "po_order")
 
-    def __init__(self, labels: Sequence[Label], po: Iterable[Edge], _reduced: bool = False):
+    def __init__(self, labels: Sequence[Label], po: Iterable[Edge] | Order):
         lab: Dict[int, Label] = {}
         for i, l in enumerate(labels):
             if not isinstance(l, Label):
                 raise TypeError(f"not a label: {l!r}")
             lab[i] = l
-        red = frozenset(po) if _reduced else transitive_reduction(po)
-        for a, b in red:
-            if a not in lab or b not in lab:
-                raise ValueError("po mentions unknown event")
-        for a, b in red:
-            if lab[a].is_call and not lab[a].is_complete and not lab[b].is_crash:
-                raise ValueError(
-                    f"incomplete call {lab[a]!r} has non-crash immediate successor"
-                )
+        order = po if isinstance(po, Order) else Order.close(len(lab), po, "po")
+        if len(order) != len(lab):
+            raise ValueError("po mentions unknown event")
+        if not order.is_acyclic():
+            raise ValueError("relation is cyclic")
+        crashes = sum(1 << e for e, l in lab.items() if l.is_crash)
+        for a, l in lab.items():
+            if not l.is_complete and order.covers(a) & ~crashes:
+                raise ValueError(f"incomplete call {l!r} has non-crash immediate successor")
         object.__setattr__(self, "events", tuple(range(len(labels))))
         object.__setattr__(self, "lab", lab)
-        object.__setattr__(self, "_po_red", red)
-        object.__setattr__(self, "_po", None)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def from_reduced(cls, labels: Sequence[Label], reduced_po: Iterable[Edge]) -> "PlainExecution":
-        """Trusted fast path: the caller vouches that ``reduced_po`` is the
-        transitive reduction of an acyclic relation."""
-        return cls(labels, reduced_po, _reduced=True)
+        object.__setattr__(self, "po_order", order)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PlainExecution is immutable")
@@ -596,13 +649,11 @@ class PlainExecution:
 
     @property
     def po(self) -> Relation:
-        if self._po is None:
-            object.__setattr__(self, "_po", closure(self._po_red))
-        return self._po
+        return self.po_order.pairs
 
     @property
     def po_reduced(self) -> Relation:
-        return self._po_red
+        return self.po_order.reduced
 
     def labels(self) -> List[Label]:
         return [self.lab[e] for e in self.events]
@@ -614,35 +665,27 @@ class PlainExecution:
         return sorted({l.thread for l in self.lab.values() if l.thread is not None})
 
     def maximal_events(self) -> List[int]:
-        not_max = {a for a, b in self._po_red}
-        return [e for e in self.events if e not in not_max]
+        return self.po_order.maximal()
 
     def crash_events(self) -> List[int]:
         return [e for e in self.events if self.lab[e].is_crash]
 
     def era_of(self) -> Dict[int, int]:
         """Era index of each event: the number of crashes strictly po-before it."""
-        crashes = set(self.crash_events())
-        po = self.po
-        return {e: sum(1 for c in crashes if (c, e) in po) for e in self.events}
+        rows = [self.po_order.rows[c] for c in self.crash_events()]
+        return {e: sum(row >> e & 1 for row in rows) for e in self.events}
 
     def restrict_events(self, keep: Iterable[int]) -> "PlainExecution":
         """Sub-execution on a subset of events (ids renumbered densely)."""
         keep_sorted = sorted(set(keep))
-        idx = {old: new for new, old in enumerate(keep_sorted)}
         labels = [self.lab[e] for e in keep_sorted]
-        po = [(idx[a], idx[b]) for a, b in self.po if a in idx and b in idx]
-        return PlainExecution(labels, po)
+        return PlainExecution(labels, self.po_order.restrict(keep_sorted))
 
     def to_pomset(self) -> Pomset:
         return Pomset(self.labels(), self.po_reduced)
 
     def __repr__(self) -> str:
         return f"PlainExecution({self.labels()!r}, po={sorted(self.po_reduced)!r})"
-
-
-def from_pomset(p: Pomset) -> PlainExecution:
-    return PlainExecution(p.labels(), p.reduced)
 
 
 def thread_chains(labels: Sequence[Label]) -> List[Edge]:
@@ -754,14 +797,13 @@ def era_split(g: PlainExecution) -> List[PlainExecution]:
 
 def era_before(g: PlainExecution) -> Relation:
     """eb = po ; [Crash] ; po."""
-    po = g.po
-    crashes = g.crash_events()
-    return frozenset(
-        (a, b)
-        for a in g.events
-        for b in g.events
-        if any((a, c) in po and (c, b) in po for c in crashes)
-    )
+    rows = g.po_order.rows
+    later = [0] * len(rows)
+    for c in g.crash_events():
+        for a, row in enumerate(rows):
+            if row >> c & 1:
+                later[a] |= rows[c]
+    return _pairs(later)
 
 
 def same_era(g: PlainExecution) -> Relation:
@@ -792,28 +834,35 @@ class Execution:
     """A plain execution with synchronizes-with and happens-before.
 
     ``hb`` must be a strict order containing ``po ∪ sw``; violations are
-    rejected at construction.
+    rejected at construction.  It is held as an :class:`Order` (``hb_order``):
+    given as edges it is closed, given as an ``Order`` it is taken as is, and
+    by default it is the closure of ``po ∪ sw``.
     """
 
-    __slots__ = ("plain", "sw", "hb")
+    __slots__ = ("plain", "sw", "hb_order")
 
-    def __init__(self, plain: PlainExecution, sw: Iterable[Edge] = (), hb: Optional[Iterable[Edge]] = None):
+    def __init__(self, plain: PlainExecution, sw: Iterable[Edge] = (), hb: Iterable[Edge] | Order | None = None):
         swf = frozenset(sw)
         for a, b in swf:
             if a not in plain.lab or b not in plain.lab:
                 raise ValueError("sw mentions unknown event")
         if hb is None:
-            hbf = closure(set(plain.po) | set(swf))
+            order = plain.po_order.extend(swf)
         else:
-            hbf = closure(hb)
-        if not is_irreflexive(hbf):
+            order = hb if isinstance(hb, Order) else Order.close(len(plain), hb, "hb")
+        if len(order) != len(plain):
+            raise ValueError("hb mentions unknown event")
+        if not order.is_acyclic():
             raise ValueError("hb is cyclic")
-        missing = (set(plain.po) | set(swf)) - set(hbf)
-        if missing:
+        rows = order.rows
+        if any(p & ~h for p, h in zip(plain.po_order.rows, rows)) or any(
+            not rows[a] >> b & 1 for a, b in swf
+        ):
+            missing = (plain.po | swf) - order.pairs
             raise ValueError(f"po ∪ sw ⊄ hb (missing {sorted(missing)[:3]}...)")
         object.__setattr__(self, "plain", plain)
         object.__setattr__(self, "sw", swf)
-        object.__setattr__(self, "hb", hbf)
+        object.__setattr__(self, "hb_order", order)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Execution is immutable")
@@ -830,6 +879,10 @@ class Execution:
     def po(self) -> Relation:
         return self.plain.po
 
+    @property
+    def hb(self) -> Relation:
+        return self.hb_order.pairs
+
     def is_empty(self) -> bool:
         return self.plain.is_empty()
 
@@ -841,12 +894,11 @@ class Execution:
         idx = {old: new for new, old in enumerate(keep_sorted)}
         sub = self.plain.restrict_events(keep_sorted)
         sw = [(idx[a], idx[b]) for a, b in self.sw if a in idx and b in idx]
-        hb = [(idx[a], idx[b]) for a, b in self.hb if a in idx and b in idx]
-        return Execution(sub, sw, hb)
+        return Execution(sub, sw, self.hb_order.restrict(keep_sorted))
 
     def maximal_events(self) -> List[int]:
         """hb-maximal events (prefixes of executions remove these)."""
-        return [e for e in self.events if not any(a == e for a, _ in self.hb)]
+        return self.hb_order.maximal()
 
     def __repr__(self) -> str:
         return (
@@ -856,12 +908,7 @@ class Execution:
 
 
 def immediate_prefixes_execution(x: Execution) -> List[Execution]:
-    out = []
-    for e in x.events:
-        if any(a == e for (a, _b) in x.hb):
-            continue
-        out.append(x.restrict_events(set(x.events) - {e}))
-    return out
+    return [x.restrict_events(set(x.events) - {e}) for e in x.maximal_events()]
 
 
 def restrict(x: Execution, owns: Callable[[Label], bool]) -> Execution:
@@ -884,14 +931,12 @@ def anonymize(owns: Callable[[Label], bool], x: Execution) -> Execution:
     keep_sorted = sorted(keep)
     idx = {old: new for new, old in enumerate(keep_sorted)}
     labels = [relabel.get(e, x.lab[e]) for e in keep_sorted]
-    po = [(idx[a], idx[b]) for a, b in x.po if a in idx and b in idx]
     sw = [(idx[a], idx[b]) for a, b in x.sw if a in idx and b in idx]
-    hb = [(idx[a], idx[b]) for a, b in x.hb if a in idx and b in idx]
     # Anonymization may break the incomplete-call invariant of the underlying
     # plain execution (a dropped crash cannot happen: crashes are kept), so
     # the plain execution is rebuilt directly.
-    plain = PlainExecution(labels, po)
-    return Execution(plain, sw, hb)
+    plain = PlainExecution(labels, x.plain.po_order.restrict(keep_sorted))
+    return Execution(plain, sw, x.hb_order.restrict(keep_sorted))
 
 
 def execution_iso_eq(x: Execution, y: Execution) -> bool:
@@ -992,9 +1037,8 @@ def history_to_execution(h: History) -> Execution:
             crash_pair = threads[i] is None or threads[j] is None
             if (same_thread or crash_pair) and spans[i][1] < spans[j][0]:
                 po.add((i, j))
-    po = closure(po)
     plain = PlainExecution(labels, po)
-    return Execution(plain, sw=(), hb=closure(hb | po))
+    return Execution(plain, sw=(), hb=hb | po)
 
 
 # --------------------------------------------------------------------------
@@ -1058,8 +1102,7 @@ def execution_to_dot(x: Execution, name: str = "execution") -> str:
         l = x.lab[e]
         shape = "box" if l.is_crash else "ellipse"
         lines.append(f'  e{e} [label="{e}: {l!r}", shape={shape}];')
-    red = transitive_reduction(x.po) if x.po else frozenset()
-    for a, b in sorted(red):
+    for a, b in sorted(x.plain.po_reduced):
         lines.append(f"  e{a} -> e{b};")
     for a, b in sorted(x.sw):
         lines.append(f'  e{a} -> e{b} [style=dashed, label="sw", constraint=false];')

@@ -38,6 +38,21 @@ expect consistent outcome r=0
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_check_budget_exhaustion_is_unknown_exit_three(capsys):
+    # With a budget of one node, the consistent outcomes cannot be justified
+    # (the px86 witness search stops after one rf choice), so they are
+    # UNKNOWN rather than FAIL "observed inconsistent".  The r1=1,r2=0 run is
+    # refuted by the first rf choice of the whole execution, within budget.
+    assert run_cli(["check", str(LITMUS / "mp.lit"), "--budget", "1", "--json"]) == 3
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.strip()]
+    status = {rec["what"]: rec["status"] for rec in records}
+    assert status == {
+        "mp.lit: expect inconsistent outcome r1=1,r2=0": "PASS",
+        "mp.lit: expect consistent outcome r1=1,r2=1": "UNKNOWN",
+        "mp.lit: expect consistent outcome r1=0,r2=0": "UNKNOWN",
+    }
+
+
 def test_check_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "broken.lit"
     bad.write_text("collection px86\nprogram\n t0: r := := load(x)\n")

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistcheck.model import (
     BOT,
@@ -23,6 +25,7 @@ from persistcheck.model import (
     Ret,
     anonymize,
     canonical_hash,
+    closure,
     down_sets,
     era_before,
     era_split,
@@ -40,6 +43,7 @@ from persistcheck.model import (
     sequence_execution,
     tag_set,
     thread_chains,
+    transitive_reduction,
 )
 
 # --------------------------------------------------------------------------
@@ -55,6 +59,37 @@ def oracle_closure(edges):
         if extra <= rel:
             return rel
         rel |= extra
+
+
+def reference_closure(edges):
+    """The frozenset-of-pairs closure the bit-row kernel replaced."""
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(succ):
+            new = set()
+            for b in succ[a]:
+                new |= succ.get(b, set())
+            if not new <= succ[a]:
+                succ[a] |= new
+                changed = True
+    return frozenset((a, b) for a, bs in succ.items() for b in bs)
+
+
+def reference_reduction(edges):
+    """The frozenset-of-pairs transitive reduction the kernel replaced."""
+    clo = reference_closure(edges)
+    if any(a == b for a, b in clo):
+        raise ValueError("relation is cyclic")
+    succ = {}
+    for a, b in clo:
+        succ.setdefault(a, set()).add(b)
+    return frozenset(
+        (a, b) for a, bs in succ.items() for b in bs if not any((c, b) in clo for c in bs if c != b)
+    )
 
 
 def oracle_down_sets(events, po):
@@ -507,3 +542,83 @@ def test_era_split_reconcat_superset():
     original_po = set(g.po)
     glued_po = {(mapping[a], mapping[b]) for a, b in glued.po}
     assert original_po <= glued_po
+
+
+# --------------------------------------------------------------------------
+# Bit-row order kernel against the frozenset reference
+# --------------------------------------------------------------------------
+
+# Non-dense ids, negative ids, and ids past one machine word.
+KERNEL_IDS = st.sampled_from([-7, -1, 0, 1, 2, 3, 5, 8, 63, 64, 200])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(KERNEL_IDS, KERNEL_IDS), max_size=20))
+def test_kernel_matches_reference_on_random_relations(edges):
+    assert closure(iter(edges)) == reference_closure(edges)
+    try:
+        want = reference_reduction(edges)
+    except ValueError:
+        with pytest.raises(ValueError):
+            transitive_reduction(edges)
+    else:
+        assert transitive_reduction(iter(edges)) == want
+
+
+_KINDS = {
+    "own": lambda i: Label("qpush", (1, i), None, frozenset(), 0),
+    "tagged": lambda i: Label("foreign", (i,), None, frozenset({"T"}), 1),
+    "plain": lambda i: Label("plain", (i,), None, frozenset(), 2),
+    "crash": lambda i: CRASH,
+}
+
+
+@st.composite
+def random_executions(draw):
+    """An execution on up to 9 events whose po, sw and extra hb edges all
+    run forward in one random total order, plus a random subset of events."""
+    n = draw(st.integers(0, 9))
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=n, max_size=n))
+    labels = [_KINDS[k](i) for i, k in enumerate(kinds)]
+    rank = draw(st.permutations(range(n)))
+    forward = [(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n)]
+    edges = st.lists(st.sampled_from(forward), max_size=12) if forward else st.just([])
+    po, sw, extra = draw(edges), draw(edges), draw(edges)
+    keep = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return labels, po, sw, extra, keep
+
+
+def _cut(rel, keep):
+    idx = {old: new for new, old in enumerate(sorted(keep))}
+    return {(idx[a], idx[b]) for a, b in rel if a in idx and b in idx}
+
+
+def _assert_relations(x, po, sw, hb):
+    """x carries the closures of ``po`` and ``hb`` built from scratch, and
+    the era-before relation of its po."""
+    assert x.po == reference_closure(po)
+    assert x.plain.po_reduced == reference_reduction(po)
+    assert x.sw == frozenset(sw)
+    assert x.hb == reference_closure(hb)
+    assert era_before(x.plain) == frozenset(oracle_eb(x.plain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_executions(), st.booleans())
+def test_restrict_and_anonymize_match_closing_from_scratch(case, explicit_hb):
+    labels, po, sw, extra, keep = case
+    hb = set(po) | set(sw) | set(extra) if explicit_hb else set(po) | set(sw)
+    x = Execution(PlainExecution(labels, po), sw, hb if explicit_hb else None)
+    _assert_relations(x, po, sw, hb)
+    po_c, hb_c = reference_closure(po), reference_closure(hb)
+
+    sub = x.restrict_events(keep)
+    assert sub.plain.labels() == [labels[e] for e in sorted(keep)]
+    _assert_relations(sub, _cut(po_c, keep), _cut(sw, keep), _cut(hb_c, keep))
+
+    ax = anonymize(owns_queue, x)
+    kept = [e for e, l in enumerate(labels) if l.is_crash or owns_queue(l) or l.tags]
+    assert [l.method for l in ax.plain.labels()] == [
+        "⋆" if labels[e].tags else labels[e].method for e in kept
+    ]
+    _assert_relations(ax, _cut(po_c, kept), _cut(sw, kept), _cut(hb_c, kept))
