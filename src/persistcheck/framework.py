@@ -14,12 +14,13 @@ of them hide existential witness searches that may hit a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     Execution,
     History,
     Label,
+    Order,
     PlainExecution,
     anonymize,
     execution_canonical_hash,
@@ -51,6 +52,56 @@ class BudgetExceeded(Exception):
     def __init__(self, stats: Optional[Mapping] = None):
         super().__init__("budget exceeded")
         self.stats = dict(stats or {})
+
+
+def linear_extensions(
+    order: Order,
+    eras: Optional[Sequence[int]] = None,
+    step: Optional[Callable[[object, int], object]] = None,
+    state: object = None,
+    budget: Optional[List[int]] = None,
+    stage: str = "linear extensions",
+) -> Iterator[Tuple[int, ...]]:
+    """The linear extensions of ``order`` on the events ``0..n-1``, in
+    lexicographic order (at each position the smallest placeable event first).
+
+    ``eras[i]`` places event ``i`` after every event of an earlier era.
+    ``step(state, i)`` gives the state after appending ``i`` to a prefix whose
+    state is ``state`` (the empty prefix has ``state``); ``None`` cuts every
+    extension of the longer prefix.  ``budget`` is a one-element list charged
+    one unit per prefix extended, before ``step`` runs; once it goes below
+    zero, ``BudgetExceeded`` is raised with ``stage`` as its stage.
+    """
+    n = len(order)
+    preds = order.preds()
+    if eras is not None:
+        for i in range(n):
+            preds[i] |= sum(1 << j for j in range(n) if eras[j] < eras[i])
+    full = (1 << n) - 1
+    placed: List[int] = []
+
+    def rec(done: int, st) -> Iterator[Tuple[int, ...]]:
+        if done == full:
+            yield tuple(placed)
+            return
+        for i in range(n):
+            bit = 1 << i
+            if done & bit or preds[i] & ~done:
+                continue
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetExceeded({"stage": stage})
+            nxt = st
+            if step is not None:
+                nxt = step(st, i)
+                if nxt is None:
+                    continue
+            placed.append(i)
+            yield from rec(done | bit, nxt)
+            placed.pop()
+
+    return rec(0, state)
 
 
 @dataclass(frozen=True)
@@ -296,10 +347,6 @@ class Collection:
         return [self._specs[n] for n in sorted(names) if n in self._specs]
 
 
-def register_spec(coll: Collection, spec: LibrarySpec) -> Collection:
-    return coll.register(spec)
-
-
 # --------------------------------------------------------------------------
 # Consistency
 # --------------------------------------------------------------------------
@@ -510,11 +557,17 @@ def check_immediately_wellformed(coll: Collection, x) -> Verdict:
 
 def check_wellformed(coll: Collection, x, budget: int = 10_000) -> Verdict:
     """For all G'' ⊏_imm G' ⊑ X: if G'' is consistent then G' is immediately
-    well-formed.  Walks the prefix lattice with iso-hash memoization."""
+    well-formed.  Walks the prefix lattice with iso-hash memoization.
+
+    A prefix none of whose immediate prefixes is consistent, but one of which
+    ran out of budget, may still owe well-formedness: if it is not immediately
+    well-formed, the verdict is budget-exceeded unless a definite failure is
+    found elsewhere."""
     x = _as_execution(x)
     seen: Dict[int, List[Execution]] = {}
     explored = 0
     stack: List[Execution] = [x]
+    stalled: List[Verdict] = []
     while stack:
         cur = stack.pop()
         h = execution_canonical_hash(cur)
@@ -525,9 +578,21 @@ def check_wellformed(coll: Collection, x, budget: int = 10_000) -> Verdict:
         if explored > budget:
             return Verdict.budget({"explored": explored})
         prevs = immediate_prefixes_execution(cur)
-        if any(check_consistent(coll, p) for p in prevs) or cur.is_empty():
+        owed = cur.is_empty()
+        undecided: Optional[Verdict] = None
+        for p in prevs:
+            pv = check_consistent(coll, p)
+            if pv:
+                owed = True
+                break
+            if pv.is_budget and undecided is None:
+                undecided = pv
+        if owed or undecided is not None:
             v = check_immediately_wellformed(coll, cur)
             if not v:
-                return Verdict(v.status, f"prefix of size {len(cur)}: {v.reason}", cur, v.stats)
+                reason = f"prefix of size {len(cur)}: {v.reason}"
+                if owed:
+                    return Verdict(v.status, reason, cur, v.stats)
+                stalled.append(Verdict(BUDGET, f"{reason}; an immediate prefix ran out of budget", cur, undecided.stats))
         stack.extend(prevs)
-    return Verdict.ok()
+    return stalled[0] if stalled else Verdict.ok()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict
+from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, linear_extensions
 from .lang import CallCmd, If, Return, Seq, SyntacticImpl, While, parse_statements
 from .model import (
     BOT,
@@ -52,35 +52,6 @@ E_TAG = "E"
 # --------------------------------------------------------------------------
 # Shared helpers
 # --------------------------------------------------------------------------
-
-
-def _era_monotone_lins(order: Sequence[int], era: Mapping[int, int], hb: Set[Tuple[int, int]], budget: List[int]):
-    """Linear extensions of hb over ``order``, never moving an event before
-    an earlier era (generated directly, not filtered from permutations)."""
-    items = list(order)
-    preds: Dict[int, Set[int]] = {i: set() for i in items}
-    for a, b in hb:
-        if a in preds and b in preds:
-            preds[b].add(a)
-
-    def rec(placed: List[int], remaining: Set[int]):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded({"stage": "linearization enumeration"})
-        if not remaining:
-            yield tuple(placed)
-            return
-        min_era = min(era[i] for i in remaining)
-        for i in sorted(remaining):
-            if era[i] != min_era or (preds[i] & remaining):
-                continue
-            placed.append(i)
-            remaining.discard(i)
-            yield from rec(placed, remaining)
-            remaining.add(i)
-            placed.pop()
-
-    yield from rec([], set(items))
 
 
 def execution_linearizable(
@@ -132,6 +103,8 @@ def execution_linearizable(
         itertools.combinations(optional, r) for r in range(len(optional) + 1)
     ):
         members = sorted(set(chosen_base) | set(included))
+        hb_local = x.hb_order.restrict(members)
+        eras = [era[e] for e in members] if era_monotone else None
         # return-value choices for included incomplete calls
         pend = [e for e in members if not x.lab[e].is_complete]
         ret_choices: List[Sequence] = []
@@ -142,17 +115,21 @@ def execution_linearizable(
                 ret_choices.append(list(domain))
         for rets in itertools.product(*ret_choices):
             retmap = dict(zip(pend, rets))
-            hb_local = {(a, b) for (a, b) in x.hb if a in members and b in members}
-            era_key = era if era_monotone else {e: 0 for e in members}
+            calls = []
+            for e in members:
+                l = x.lab[e]
+                ret = retmap.get(e, l.ret)
+                calls.append(Call(l.method, l.args, None if ret is BOT else ret, l.thread, l.tags, e, e))
             try:
-                for perm in _era_monotone_lins(members, era_key, hb_local, spent):
-                    seq = []
-                    for e in perm:
-                        l = x.lab[e]
-                        ret = retmap.get(e, l.ret)
-                        seq.append(Call(l.method, l.args, None if ret is BOT else ret, l.thread, l.tags, e, e))
-                    if spec.accepts(seq):
-                        return Verdict.ok(witness=list(perm))
+                for lin in linear_extensions(
+                    hb_local,
+                    eras,
+                    step=lambda st, i: spec.step(st, calls[i]),
+                    state=spec.init(),
+                    budget=spent,
+                    stage="linearization enumeration",
+                ):
+                    return Verdict.ok(witness=[members[i] for i in lin])
             except BudgetExceeded as exc:
                 return Verdict.budget(exc.stats)
     return Verdict.fail(f"no linearization into {spec.name}")
@@ -368,11 +345,13 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
 
     explicit = frozenset(e for e in ids if P_TAG in lab[e].tags)
     has_explicit = any(P_TAG in lab[e].tags for e in x.events)
-    hb = {(a, b) for (a, b) in x.hb if a in set(ids) and b in set(ids)}
     po_se = {(a, b) for (a, b) in x.po if era.get(a) == era.get(b)}
     spent = [budget]
     try:
-        for lin in _era_monotone_lins(sorted(ids), era, hb, spent):
+        for ext in linear_extensions(
+            x.hb_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
+        ):
+            lin = tuple(ids[i] for i in ext)
             pos = {e: i for i, e in enumerate(lin)}
             p_cands = (
                 [explicit]
@@ -600,11 +579,14 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
         return l.args[0] if l.args else None
 
     P = frozenset(w for w in W if lab[w].is_complete)
-    hb = {(a, b) for (a, b) in x.hb if a in set(ids) and b in set(ids)}
-    hb |= {(a, b) for (a, b) in x.po if a in set(ids) and b in set(ids)}
+    idset, wset = set(ids), set(W)
     spent = [budget]
     try:
-        for lin in _era_monotone_lins(sorted(ids), era, hb, spent):
+        # po ⊆ hb holds by construction
+        for ext in linear_extensions(
+            x.hb_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
+        ):
+            lin = tuple(ids[i] for i in ext)
             pos = {e: i for i, e in enumerate(lin)}
 
             def visible(w, r):
@@ -644,13 +626,9 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
                 continue
             if set(x.sw) != sw_derived:
                 continue
-            po_sw_se = {
-                (a, b)
-                for (a, b) in (set(x.po) | set(x.sw))
-                if a in set(ids) and b in set(ids) and era[a] == era[b]
-            }
+            po_sw_se = {(a, b) for (a, b) in (set(x.po) | set(x.sw)) if a in idset and b in idset and era[a] == era[b]}
             chain = closure(po_sw_se)
-            nvo = closure({(a, b) for (a, b) in chain if a in set(W) and b in set(W)})
+            nvo = closure({(a, b) for (a, b) in chain if a in wset and b in wset})
             if not is_irreflexive(nvo):
                 continue
             if any(b in P and a not in P for (a, b) in nvo):
@@ -674,10 +652,12 @@ def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
         return lab[e].args[0] if lab[e].args else None
 
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
-    hb = {(a, b) for (a, b) in g.po if a in set(ids) and b in set(ids)}
     spent = [2_000]
     try:
-        for lin in _era_monotone_lins(sorted(ids), era, hb, spent):
+        for ext in linear_extensions(
+            g.po_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
+        ):
+            lin = tuple(ids[i] for i in ext)
             pos = {e: i for i, e in enumerate(lin)}
             sw = set()
             for r in R:
@@ -1239,10 +1219,6 @@ def lstrans_impl() -> SyntacticImpl:
     )
 
 
-def lstrans_spec_and_impl() -> Tuple[LibrarySpec, SyntacticImpl]:
-    return lstrans_spec(), lstrans_impl()
-
-
 # --------------------------------------------------------------------------
 # Counters over transactions
 # --------------------------------------------------------------------------
@@ -1301,10 +1277,6 @@ def counter_impl() -> SyntacticImpl:
             "cread": (("c",), parse_statements("v := pt_read(c); return v")),
         },
     )
-
-
-def counter_spec_and_impl() -> Tuple[LibrarySpec, SyntacticImpl]:
-    return counter_spec(), counter_impl()
 
 
 def mmcounter_interface() -> LibraryInterface:
@@ -1395,10 +1367,6 @@ def mmcounter_impl() -> SyntacticImpl:
             "mmmax": (("x",), parse_statements("v := pt_read(x + 1); return v")),
         },
     )
-
-
-def mmcounter_spec_and_impl() -> Tuple[LibrarySpec, SyntacticImpl]:
-    return mmcounter_spec(), mmcounter_impl()
 
 
 def mmcounter_impl_broken() -> SyntacticImpl:

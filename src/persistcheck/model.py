@@ -421,6 +421,15 @@ class Order:
     def maximal(self) -> List[int]:
         return [a for a, row in enumerate(self.rows) if not row]
 
+    def preds(self) -> List[int]:
+        """Row of the predecessors of each event (the converse order)."""
+        cols = [0] * len(self.rows)
+        for a, row in enumerate(self.rows):
+            bit = 1 << a
+            for b in _bits(row):
+                cols[b] |= bit
+        return cols
+
     def restrict(self, keep: Sequence[int]) -> "Order":
         """The order on the ascending events ``keep``, renumbered densely."""
         runs: List[List[int]] = []  # [old start, width, new start] of kept blocks
@@ -522,11 +531,12 @@ class Pomset:
         return f"Pomset({self.labels()!r}, {sorted(self.reduced)!r})"
 
 
-def _iso_signatures(events, order, lab) -> Dict[int, tuple]:
+def _iso_signatures(events, order: Order, lab) -> Dict[int, tuple]:
     """Stable refinement signature per event (label, pred/succ multisets)."""
     sig = {e: (repr(lab[e]),) for e in events}
-    preds = {e: [a for a, b in order if b == e] for e in events}
-    succs = {e: [b for a, b in order if a == e] for e in events}
+    cols = order.preds()
+    preds = {e: list(_bits(cols[e])) for e in events}
+    succs = {e: list(_bits(order.rows[e])) for e in events}
     for _ in range(max(1, len(events))):
         new = {
             e: (
@@ -543,8 +553,9 @@ def _iso_signatures(events, order, lab) -> Dict[int, tuple]:
     return sig
 
 
-def _find_isomorphism(ev1, ord1, lab1, ev2, ord2, lab2) -> Optional[Dict[int, int]]:
-    if len(ev1) != len(ev2) or len(ord1) != len(ord2):
+def _find_isomorphism(ev1, ord1: Order, lab1, ev2, ord2: Order, lab2) -> Optional[Dict[int, int]]:
+    rows1, rows2 = ord1.rows, ord2.rows
+    if len(ev1) != len(ev2) or sum(r.bit_count() for r in rows1) != sum(r.bit_count() for r in rows2):
         return None
     if len(ev1) > ISO_LIMIT:
         raise ValueError(f"isomorphism check limited to {ISO_LIMIT} events")
@@ -552,7 +563,6 @@ def _find_isomorphism(ev1, ord1, lab1, ev2, ord2, lab2) -> Optional[Dict[int, in
     sig2 = _iso_signatures(ev2, ord2, lab2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
-    order2 = set(ord2)
     candidates = {e: [f for f in ev2 if sig2[f] == sig1[e]] for e in ev1}
     ordered = sorted(ev1, key=lambda e: len(candidates[e]))
     mapping: Dict[int, int] = {}
@@ -560,11 +570,7 @@ def _find_isomorphism(ev1, ord1, lab1, ev2, ord2, lab2) -> Optional[Dict[int, in
 
     def ok(e: int, f: int) -> bool:
         for a, b in mapping.items():
-            fwd = (a, e) in ord1
-            if fwd != ((b, f) in order2):
-                return False
-            bwd = (e, a) in ord1
-            if bwd != ((f, b) in order2):
+            if rows1[a] >> e & 1 != rows2[b] >> f & 1 or rows1[e] >> a & 1 != rows2[f] >> b & 1:
                 return False
         return True
 
@@ -586,24 +592,23 @@ def _find_isomorphism(ev1, ord1, lab1, ev2, ord2, lab2) -> Optional[Dict[int, in
     return dict(mapping) if rec(0) else None
 
 
+def _order_of(p) -> Order:
+    return p._order if isinstance(p, Pomset) else p.po_order
+
+
 def canonical_hash(p) -> int:
     """Iso-invariant hash (refinement signatures; exact check via iso_eq)."""
-    order = p.order if isinstance(p, Pomset) else p.po
-    sig = _iso_signatures(p.events, order, p.lab)
+    sig = _iso_signatures(p.events, _order_of(p), p.lab)
     return hash(tuple(sorted(sig.values())))
 
 
 def iso_eq(p, q) -> bool:
     """Label-preserving order-isomorphism between two pomset-like values."""
-    o1 = p.order if isinstance(p, Pomset) else p.po
-    o2 = q.order if isinstance(q, Pomset) else q.po
-    return _find_isomorphism(p.events, o1, p.lab, q.events, o2, q.lab) is not None
+    return find_isomorphism(p, q) is not None
 
 
 def find_isomorphism(p, q) -> Optional[Dict[int, int]]:
-    o1 = p.order if isinstance(p, Pomset) else p.po
-    o2 = q.order if isinstance(q, Pomset) else q.po
-    return _find_isomorphism(p.events, o1, p.lab, q.events, o2, q.lab)
+    return _find_isomorphism(p.events, _order_of(p), p.lab, q.events, _order_of(q), q.lab)
 
 
 # --------------------------------------------------------------------------
@@ -954,8 +959,9 @@ def execution_iso_eq(x: Execution, y: Execution) -> bool:
 
     if respects(m):
         return True
-    sig_x = _iso_signatures(x.events, frozenset(set(x.po) | set(x.sw) | set(x.hb)), x.lab)
-    sig_y = _iso_signatures(y.events, frozenset(set(y.po) | set(y.sw) | set(y.hb)), y.lab)
+    # po ∪ sw ⊆ hb holds by construction, so hb alone carries all three
+    sig_x = _iso_signatures(x.events, x.hb_order, x.lab)
+    sig_y = _iso_signatures(y.events, y.hb_order, y.lab)
     if sorted(sig_x.values()) != sorted(sig_y.values()):
         return False
     cands = {e: [f for f in y.events if sig_y[f] == sig_x[e]] for e in x.events}
@@ -991,11 +997,7 @@ def _bijections(events: List[int], cands: Dict[int, List[int]]) -> Iterator[Opti
 
 
 def execution_canonical_hash(x: Execution) -> int:
-    sig = _iso_signatures(
-        x.events,
-        frozenset(set(x.po) | set(x.sw) | set(x.hb)),
-        x.lab,
-    )
+    sig = _iso_signatures(x.events, x.hb_order, x.lab)
     return hash(tuple(sorted(sig.values())))
 
 

@@ -25,11 +25,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict
+from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, linear_extensions
 from .model import (
     BOT,
     Execution,
     Label,
+    Order,
     PlainExecution,
     closure,
     era_before,
@@ -431,6 +432,7 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
         return None
     reads = sorted(cands or {})
     wu = sorted(ds.WU)
+    wu_eras = [era[e] for e in wu]
     steps = [0]
 
     def spend(n: int = 1):
@@ -445,19 +447,17 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
         if any((w, r) not in x.po and (w, r) in ds.eb for (w, r) in rf):
             continue
         forced = _forced_tso(x, ds, rf)
-        base = closure(forced)
-        if not is_irreflexive(base):
+        base = Order.close(len(x.events), forced)
+        if not base.is_acyclic():
             continue
-        base_wu = {(a, b) for (a, b) in base if a in ds.WU and b in ds.WU}
-        for perm in itertools.permutations(wu):
+        base_wu = base.restrict(wu)
+        # a forced edge among writes that points back in era order leaves no
+        # era-monotone write order
+        if any(wu_eras[a] > wu_eras[b] for a, b in base_wu.pairs):
+            continue
+        for ext in linear_extensions(base_wu, wu_eras):
             spend()
-            pos = {e: i for i, e in enumerate(perm)}
-            if any(pos[a] > pos[b] for (a, b) in base_wu):
-                continue
-            if any(
-                era[perm[i]] > era[perm[j]] for i in range(len(perm)) for j in range(i + 1, len(perm))
-            ):
-                continue
+            perm = [wu[i] for i in ext]
             chain = [(perm[i], perm[i + 1]) for i in range(len(perm) - 1)]
             tso = closure(set(forced) | set(chain))
             if not is_irreflexive(tso):

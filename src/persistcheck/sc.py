@@ -13,11 +13,12 @@ spec.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .framework import BudgetExceeded, Verdict
-from .model import BOT, Call, History, Inv, Ret
+from .framework import BudgetExceeded, Verdict, linear_extensions
+from .model import BOT, Call, History, Inv, Order, Ret
 
 PFENCE = "pfence"
 
@@ -30,17 +31,20 @@ QUEUE_METHODS = {"qnew": 0, "qpush": 2, "qpop": 1}
 # --------------------------------------------------------------------------
 
 
+def _returns_before_invokes(calls: Sequence[Call]) -> Order:
+    """Call i before call j iff i returns before j is invoked, over calls in
+    invocation order.  Such an interval order is transitive, and the calls
+    invoked after i returns are a suffix of ``calls``, so each row is one mask."""
+    starts = [c.start for c in calls]
+    full = (1 << len(calls)) - 1
+    return Order([full >> k << k for k in (bisect_right(starts, c.end) for c in calls)])
+
+
 def happens_before(h: History) -> FrozenSet[Tuple[int, int]]:
     """(i, j) pairs of call indices with call i returning before call j is
     invoked.  Crash markers act as both invocation and return, but add no
     call-to-call edges beyond direct index comparison."""
-    calls = h.calls()
-    out = set()
-    for i, a in enumerate(calls):
-        for j, b in enumerate(calls):
-            if i != j and a.end < b.start:
-                out.add((i, j))
-    return frozenset(out)
+    return _returns_before_invokes(h.calls()).pairs
 
 
 # --------------------------------------------------------------------------
@@ -52,13 +56,12 @@ def happens_before(h: History) -> FrozenSet[Tuple[int, int]]:
 class SequentialSpec:
     """A recognizer over sequences of complete calls, given as an initial
     state and a step function returning the next state or None (reject).
-    Step-wise evaluation doubles as the pruning hook for linearization
-    search on prefix-closed specs."""
+    A rejected prefix rejects all its extensions, so step-wise evaluation
+    doubles as the pruning hook for linearization search."""
 
     name: str
     init: Callable[[], object]
     step: Callable[[object, Call], Optional[object]]
-    prefix_closed: bool = True
 
     def accepts(self, seq: Iterable[Call]) -> bool:
         st = self.init()
@@ -200,42 +203,6 @@ def completions_and_truncations(
 # --------------------------------------------------------------------------
 
 
-def _linearizations_into(
-    spec: SequentialSpec, calls: List[Call], hb: FrozenSet[Tuple[int, int]], budget: List[int]
-) -> Optional[List[Call]]:
-    """First linearization of hb accepted by the spec, with step pruning."""
-    n = len(calls)
-    preds = {i: {a for (a, b) in hb if b == i} for i in range(n)}
-
-    def rec(placed: List[int], state) -> Optional[List[int]]:
-        if len(placed) == n:
-            return placed
-        placed_set = set(placed)
-        for i in range(n):
-            if i in placed_set or not preds[i] <= placed_set:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded({"nodes": "linearization search"})
-            nxt = spec.step(state, calls[i])
-            if nxt is None and spec.prefix_closed:
-                continue
-            if nxt is None:
-                nxt = state  # cannot prune; re-check at the end
-            res = rec(placed + [i], nxt)
-            if res is not None:
-                return res
-        return None
-
-    order = rec([], spec.init())
-    if order is None:
-        return None
-    seq = [calls[i] for i in order]
-    if not spec.prefix_closed and not spec.accepts(seq):
-        return None
-    return seq
-
-
 def check_linearizable(
     h: History,
     spec: SequentialSpec,
@@ -249,10 +216,14 @@ def check_linearizable(
     try:
         for hh in iter_completions(h, domain):
             calls = hh.calls()
-            hb = happens_before(hh)
-            seq = _linearizations_into(spec, calls, hb, remaining)
-            if seq is not None:
-                return Verdict.ok(witness=seq)
+            for lin in linear_extensions(
+                _returns_before_invokes(calls),
+                step=lambda st, i: spec.step(st, calls[i]),
+                state=spec.init(),
+                budget=remaining,
+                stage="linearization search",
+            ):
+                return Verdict.ok(witness=[calls[i] for i in lin])
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
     return Verdict.fail(f"no sequentialization in {spec.name}")
@@ -298,10 +269,6 @@ def _is_write(c: Call) -> bool:
     return c.method == "rwrite"
 
 
-def _is_read(c: Call) -> bool:
-    return c.method == "rread"
-
-
 def _is_fence(c: Call) -> bool:
     return c.method == PFENCE
 
@@ -337,7 +304,7 @@ def check_weakreg_consistent(
     enables additional behaviour).
     """
     calls = h.calls()
-    hb = happens_before(h)
+    hb = _returns_before_invokes(calls)
     eras_hist = h.eras()
     era_calls: List[List[int]] = []
     seen = 0
@@ -362,14 +329,13 @@ def weakreg_consistent_execution(x, with_pfence: bool = False, budget: int = 500
     era_calls = [[] for _ in range(n_eras)]
     for e in ids:
         era_calls[era_of[e]].append(idx[e])
-    hb = frozenset((idx[a], idx[b]) for (a, b) in x.hb if a in idx and b in idx)
-    return _weakreg_search(calls, era_calls, hb, with_pfence, budget)
+    return _weakreg_search(calls, era_calls, x.hb_order.restrict(ids), with_pfence, budget)
 
 
 def _weakreg_search(
     calls: List[Call],
     era_calls: List[List[int]],
-    hb: FrozenSet[Tuple[int, int]],
+    hb: Order,
     with_pfence: bool,
     budget: int,
 ) -> Verdict:
@@ -380,31 +346,7 @@ def _weakreg_search(
             raise ValueError("history uses PFENCE but the fence rule is disabled")
     n = len(era_calls)
     counter = [budget]
-
-    def extensions(items: List[int], pairs: Set[Tuple[int, int]]):
-        """Linear extensions of a strict partial order, smallest-first."""
-        preds: Dict[int, Set[int]] = {i: set() for i in items}
-        for a, b in pairs:
-            if a in preds and b in preds:
-                preds[b].add(a)
-
-        def rec(placed: List[int], remaining: Set[int]):
-            counter[0] -= 1
-            if counter[0] < 0:
-                raise BudgetExceeded({"stage": "weakreg lin/nvo search"})
-            if not remaining:
-                yield list(placed)
-                return
-            for i in sorted(remaining):
-                if preds[i] & remaining:
-                    continue
-                placed.append(i)
-                remaining.discard(i)
-                yield from rec(placed, remaining)
-                remaining.add(i)
-                placed.pop()
-
-        yield from rec([], set(items))
+    stage = "weakreg lin/nvo search"
 
     def wloc(j):
         c = calls[j]
@@ -419,8 +361,8 @@ def _weakreg_search(
             itertools.combinations(inc_writes, r) for r in range(len(inc_writes) + 1)
         ):
             a_set = sorted(set(complete) | set(included))
-            hb_local = {(a, b) for (a, b) in hb if a in a_set and b in a_set}
-            for lin_i in extensions(a_set, hb_local):
+            for ext in linear_extensions(hb.restrict(a_set), budget=counter, stage=stage):
+                lin_i = [a_set[k] for k in ext]
                 pos = {j: p for p, j in enumerate(lin_i)}
                 if not need_persist:
                     yield a_set, lin_i, frozenset(), ()
@@ -467,8 +409,11 @@ def _weakreg_search(
                     # hold no reads, so any k-sequentialization verdict only
                     # depends on the per-location last persisted write, which
                     # mo pins identically in every extension
-                    for nvo_perm in extensions(members, nvo_pairs):
-                        yield a_set, lin_i, p_set, tuple(nvo_perm)
+                    ordered = sorted(members)
+                    ix = {j: k for k, j in enumerate(ordered)}
+                    nvo = Order.close(len(ordered), [(ix[a], ix[b]) for a, b in nvo_pairs])
+                    for nvo_ext in linear_extensions(nvo, budget=counter, stage=stage):
+                        yield a_set, lin_i, p_set, tuple(ordered[k] for k in nvo_ext)
                         break
 
     def seq_for(indices: Iterable[int]) -> List[Call]:

@@ -280,6 +280,36 @@ def test_vacuous_wellformedness_of_unreachable_executions():
     assert check_wellformed(coll, two)  # vacuously
 
 
+def test_wellformedness_after_an_undecided_prefix_is_not_ok():
+    # the 1-event execution's consistency check runs out of budget, so the
+    # ill-formed 2-event execution may owe well-formedness: nothing is decided
+    spec = LibrarySpec(
+        interface=mk_iface("V", {"v": 0}),
+        local_consistent=lambda x: Verdict.ok() if len(x) != 1 else Verdict.budget({"stage": "toy"}),
+        local_wellformed=lambda x: Verdict.ok() if len(x) < 2 else Verdict.fail("big"),
+    )
+    coll = Collection([spec])
+    two = chain_exec([Label("v", (), None, thread=0), Label("v", (), None, thread=0)])
+    v = check_wellformed(coll, two)
+    assert v.is_budget
+    assert "big" in v.reason and dict(v.stats) == {"stage": "toy"}
+
+
+def test_wellformedness_failure_found_past_an_undecided_prefix():
+    # one prefix is undecided, but the 2-event execution below it has a
+    # consistent immediate prefix and is ill-formed: a definite failure
+    spec = LibrarySpec(
+        interface=mk_iface("V", {"v": 0}),
+        local_consistent=lambda x: Verdict.budget({"stage": "toy"}) if len(x) == 2 else Verdict.ok(),
+        local_wellformed=lambda x: Verdict.ok() if len(x) != 2 else Verdict.fail("two"),
+    )
+    coll = Collection([spec])
+    three = chain_exec([Label("v", (), None, thread=0)] * 3)
+    v = check_wellformed(coll, three)
+    assert not v and not v.is_budget
+    assert "prefix of size 2: V.wellformed: two" in v.reason
+
+
 def test_global_wellformedness_sees_anonymized_events():
     # library G requires every T-tagged event to be po-preceded by a "begin"
     def gwf(x):

@@ -29,6 +29,7 @@ from persistcheck.model import (
     down_sets,
     era_before,
     era_split,
+    execution_canonical_hash,
     execution_from_json,
     execution_to_dot,
     execution_to_json,
@@ -45,6 +46,7 @@ from persistcheck.model import (
     thread_chains,
     transitive_reduction,
 )
+from persistcheck.model import _iso_signatures
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -90,6 +92,27 @@ def reference_reduction(edges):
     return frozenset(
         (a, b) for a, bs in succ.items() for b in bs if not any((c, b) in clo for c in bs if c != b)
     )
+
+
+def reference_iso_signatures(events, order, lab):
+    """The pair-scan refinement signatures the row-based ones replaced."""
+    sig = {e: (repr(lab[e]),) for e in events}
+    preds = {e: [a for a, b in order if b == e] for e in events}
+    succs = {e: [b for a, b in order if a == e] for e in events}
+    for _ in range(max(1, len(events))):
+        new = {
+            e: (
+                sig[e],
+                tuple(sorted(sig[p] for p in preds[e])),
+                tuple(sorted(sig[s] for s in succs[e])),
+            )
+            for e in events
+        }
+        if len(set(new.values())) == len(set(sig.values())):
+            sig = new
+            break
+        sig = new
+    return sig
 
 
 def oracle_down_sets(events, po):
@@ -601,6 +624,12 @@ def _assert_relations(x, po, sw, hb):
     assert x.sw == frozenset(sw)
     assert x.hb == reference_closure(hb)
     assert era_before(x.plain) == frozenset(oracle_eb(x.plain))
+    # iso signatures and hashes read off the rows equal the pair-scan ones
+    assert _iso_signatures(x.events, x.plain.po_order, x.lab) == reference_iso_signatures(x.events, x.po, x.lab)
+    union = reference_iso_signatures(x.events, set(x.po) | set(x.sw) | set(x.hb), x.lab)
+    assert _iso_signatures(x.events, x.hb_order, x.lab) == union
+    assert execution_canonical_hash(x) == hash(tuple(sorted(union.values())))
+    assert canonical_hash(x.plain) == hash(tuple(sorted(reference_iso_signatures(x.events, x.po, x.lab).values())))
 
 
 @settings(max_examples=200, deadline=None)
