@@ -89,14 +89,12 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
     except (OSError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    names = cfg.models or lit.collection
     manifest_opts = {}
     try:
         if cfg.manifest:
             coll, manifest_opts = load_manifest(cfg.manifest)
-            names = [s.name for s in coll.specs()]
         else:
-            coll = _collection_for(names, cfg.budget)
+            coll = _collection_for(cfg.models or lit.collection, cfg.budget)
     except (KeyError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -106,7 +104,7 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
         domain=domain,
         unroll=unroll,
         max_runs=max(cfg.budget, 10_000),
-        prune_factory=sc_prune_factory() if _sc_collection(names) else None,
+        prune_factory=sc_prune_factory(),
     )
     regs = sorted({r for ex in lit.expectations if ex.outcome for r, _ in ex.outcome})
     outcomes = behaviors(
@@ -158,11 +156,6 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
                 Path(cfg.dot_path).write_text(execution_to_dot(Execution(g)), encoding="utf-8")
                 break
     return 1 if "FAIL" in statuses else 3 if "UNKNOWN" in statuses else 0
-
-
-def _sc_collection(names: Sequence[str]) -> bool:
-    sc_names = {"weakreg", "durqueue", "ltrans", "lstrans", "lock", "counter", "mmcounter"}
-    return bool(set(names) & sc_names)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ of them hide existential witness searches that may hit a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     Execution,
@@ -28,6 +28,9 @@ from .model import (
     immediate_prefixes_execution,
     restrict,
 )
+
+if TYPE_CHECKING:
+    from .sc import SequentialSpec
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -223,6 +226,12 @@ class LibrarySpec:
     synchronizes-with edge sets for this library's events, the latter
     proposes extra event taggings (e.g. persisted-set markers), applied to
     the whole execution so local and global predicates see one joint choice.
+
+    ``seq`` is the library's sequential spec, or ``None``.  Setting it states
+    a contract that prefix pruning (``libs.sc_prune_factory``) relies on:
+    each object (calls with one ``interface.locations``) accepts the calls
+    of a totally ordered run in run order, and after a crash each object
+    keeps a state it held before the crash.
     """
 
     interface: LibraryInterface
@@ -233,6 +242,7 @@ class LibrarySpec:
     global_wellformed: CheckFn = _always_ok
     sw_candidates: SwHook = _default_sw_hook
     tag_candidates: TagHook = _default_tag_hook
+    seq: Optional["SequentialSpec"] = None
 
     @property
     def name(self) -> str:

@@ -263,10 +263,10 @@ class InterpConfig:
     unroll: int = 8
     max_runs: int = 20_000
     loc_base: int = 100
-    #: optional sound prefix pruning: (phase_index, earlier Interpretations)
-    #: -> prune(trace) or None; a False from prune abandons the branch.
-    #: Only consulted for single-threaded phases (prefix traces are total
-    #: orders there, so sequential infeasibility is final).
+    #: optional sound prefix pruning: (collection, the Interpretations of the
+    #: earlier phases) -> prune(trace) or None; a False from prune abandons
+    #: the branch.  Only consulted for single-threaded phases (prefix traces
+    #: are total orders there, so sequential infeasibility is final).
     prune_factory: Optional[Callable] = None
 
     def with_domain(self, extra: Iterable) -> "InterpConfig":
@@ -639,19 +639,15 @@ def interpret_phases(
     partial tail of the top-level semantics is skipped)."""
     interps: List[Interpretation] = []
 
-    def prune_for(i: int):
-        if config.prune_factory is None:
-            return None
-        return config.prune_factory(i, list(interps))
-
+    factory = config.prune_factory or (lambda coll, earlier: None)
     if restart:
-        for i, p in enumerate(phases):
-            interps.append(Interpretation(p, coll, config, prune=prune_for(i)))
+        for p in phases:
+            interps.append(Interpretation(p, coll, config, prune=factory(coll, interps[:])))
     else:
-        first = Interpretation(phases[0], coll, config, prune=prune_for(0))
+        first = Interpretation(phases[0], coll, config, prune=factory(coll, []))
         interps.append(first)
         later_config = config.with_domain(first.domain)
-        for i, p in enumerate(phases[1:], start=1):
+        for p in phases[1:]:
             if p.globals:
                 raise ParseError("only the first phase may declare globals")
             interps.append(
@@ -661,7 +657,7 @@ def interpret_phases(
                     later_config,
                     globals_env=dict(first.globals_env),
                     loc_start=first.loc_after_globals,
-                    prune=prune_for(i),
+                    prune=factory(coll, interps[:]),
                 )
             )
     out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []

@@ -16,9 +16,9 @@ tagged).  Reads with no visible prior write return 0.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, linear_extensions
+from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, linear_extensions
 from .lang import CallCmd, If, Return, Seq, SyntacticImpl, While, parse_statements
 from .model import (
     BOT,
@@ -35,6 +35,7 @@ from .sc import (
     QUEUE_METHODS,
     S_QUEUE,
     S_REGISTER,
+    S_WEAKREG,
     SequentialSpec,
     WEAKREG_METHODS,
     weakreg_consistent_execution,
@@ -57,13 +58,15 @@ E_TAG = "E"
 def execution_linearizable(
     x: Execution,
     spec: SequentialSpec,
+    interface: LibraryInterface,
     keep: Optional[Callable[[Label, int, bool], str]] = None,
     domain: Optional[Sequence] = None,
     budget: int = 200_000,
     era_monotone: bool = False,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
-    sequential spec.
+    sequential spec.  Incomplete calls of methods ``interface`` declares void
+    are completed with null only.
 
     ``keep(label, era, is_last_era)`` returns "keep", "drop", or "optional"
     per event (default: complete events kept, incomplete optional).  Dropped
@@ -109,7 +112,7 @@ def execution_linearizable(
         pend = [e for e in members if not x.lab[e].is_complete]
         ret_choices: List[Sequence] = []
         for e in pend:
-            if x.lab[e].method in _VOID_METHODS_ALL:
+            if interface.returns.get(x.lab[e].method) == "void":
                 ret_choices.append([None])
             else:
                 ret_choices.append(list(domain))
@@ -133,12 +136,6 @@ def execution_linearizable(
             except BudgetExceeded as exc:
                 return Verdict.budget(exc.stats)
     return Verdict.fail(f"no linearization into {spec.name}")
-
-
-_VOID_METHODS_ALL = frozenset(
-    {"rwrite", "qappend", "qpush", PFENCE, "pt_write", "pt_begin", "pt_end", "pt_recover",
-     "lacq", "lrel", "cinc", "mmadd", "fwrite_p", "fwrite_v", "ffinish", "mwr"}
-)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +168,7 @@ def weakreg_spec(with_pfence: bool = True, budget: int = 500_000) -> LibrarySpec
     def check(x: Execution) -> Verdict:
         return weakreg_consistent_execution(x, with_pfence=with_pfence, budget=budget)
 
-    return LibrarySpec(interface=weakreg_interface(with_pfence), local_consistent=check)
+    return LibrarySpec(interface=weakreg_interface(with_pfence), local_consistent=check, seq=S_WEAKREG)
 
 
 def _queue_loc(l: Label) -> FrozenSet[int]:
@@ -217,9 +214,9 @@ def make_lin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget:
     def check(x: Execution) -> Verdict:
         if x.plain.crash_events():
             return Verdict.fail("crash in a Lin(S) execution")
-        return execution_linearizable(x, seq_spec, budget=budget)
+        return execution_linearizable(x, seq_spec, interface, budget=budget)
 
-    return LibrarySpec(interface=interface, local_consistent=check)
+    return LibrarySpec(interface=interface, local_consistent=check, seq=seq_spec)
 
 
 def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget: int = 200_000) -> LibrarySpec:
@@ -228,9 +225,9 @@ def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budg
     completed."""
 
     def check(x: Execution) -> Verdict:
-        return execution_linearizable(x, seq_spec, budget=budget)
+        return execution_linearizable(x, seq_spec, interface, budget=budget)
 
-    return LibrarySpec(interface=interface, local_consistent=check)
+    return LibrarySpec(interface=interface, local_consistent=check, seq=seq_spec)
 
 
 def durqueue_spec(budget: int = 200_000) -> LibrarySpec:
@@ -1336,7 +1333,7 @@ def mmcounter_consistent(x: Execution, budget: int = 100_000) -> Verdict:
             return "keep" if l.is_complete else "optional"
         return "drop"
 
-    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True)
+    return execution_linearizable(x, S_MMCOUNTER, mmcounter_interface(), keep=keep, budget=budget, era_monotone=True)
 
 
 def mmcounter_spec() -> LibrarySpec:
@@ -1387,136 +1384,66 @@ def mmcounter_impl_broken() -> SyntacticImpl:
 
 
 # --------------------------------------------------------------------------
-# Sound prefix pruning for SC-mode interpretation
+# Sound prefix pruning from the declared sequential specs
 # --------------------------------------------------------------------------
 
 
-def sc_prune_factory(first_phase_exact: bool = True):
-    """Prefix pruning for single-threaded programs over the weak registers
-    and the durable queue.
+def sc_prune_factory():
+    """Prefix pruning from each library's declared sequential spec
+    (``LibrarySpec.seq``), as an ``InterpConfig.prune_factory``.
 
-    First phase: totally ordered crash-free prefixes must satisfy the
-    sequential register/queue semantics outright, so infeasible call results
-    are cut immediately.  Later phases only enforce value membership (a pop
-    can return null or a value some phase ever appended; a read can return
-    0, null, or a value some phase ever wrote to that register), which is
-    sound under any persisted-set choice.
+    The complete calls of a trace are grouped per object (library, call
+    locations) and stepped through their library's ``seq``; a trace is cut
+    once some object has no start state from which its calls are accepted.
+    In the first phase each object starts from ``seq.init()``.  In a later
+    phase it starts from any state it held after any step of any run of the
+    earlier phases, chained phase by phase: a crash can land after any step,
+    and each object keeps a state it held before the crash (Izraelevitz,
+    Mendes & Scott, DISC 2016).  The runs of a multi-threaded phase
+    interleave into states no per-thread run holds, so no phase after one
+    is pruned.
     """
 
-    def factory(phase_index: int, earlier):
-        if phase_index == 0 and first_phase_exact:
+    def factory(coll: Collection, earlier):
+        if any(len(it.prog.threads) > 1 for it in earlier) or all(s.seq is None for s in coll.specs()):
+            return None
+        held: Dict[Tuple, Dict[str, object]] = {}  # object -> its states at a crash, keyed by repr
 
-            def prune_first(trace) -> bool:
-                queues: Dict[int, List] = {}
-                regs: Dict[int, object] = {}
-                for l in trace:
-                    if l.is_crash or not l.is_complete:
-                        continue
-                    m = l.method
-                    if m == "qnew":
-                        queues[l.ret] = []
-                    elif m in ("qappend", "qpush"):
-                        queues.setdefault(l.args[0], []).append(l.args[1])
-                    elif m == "qpop":
-                        q = queues.setdefault(l.args[0], [])
-                        want = q.pop(0) if q else None
-                        if l.ret != want:
-                            return False
-                    elif m == "rnew":
-                        regs[l.ret] = 0
-                    elif m == "rwrite":
-                        regs[l.args[0]] = l.args[1]
-                    elif m == "rread":
-                        if l.ret != regs.get(l.args[0], 0):
-                            return False
-                return True
+        def start(obj) -> Dict[str, object]:
+            init = coll.lookup(obj[0]).seq.init()
+            return held.get(obj) or {repr(init): init}
 
-            return prune_first
+        def step(states: Dict[Tuple, List], l: Label):
+            """(the object of ``l`` or None, ``states`` after ``l``), where
+            ``states`` maps each object to the states it can be in."""
+            spec = coll.owner_of(l)
+            if spec is None or spec.seq is None or not l.is_complete:
+                return None, states
+            obj = (spec.name, spec.interface.locations(l))
+            call = Call(l.method, l.args, l.ret, l.thread, l.tags, 0, 0)
+            before = states[obj] if obj in states else start(obj).values()
+            return obj, {**states, obj: [t for t in (spec.seq.step(s, call) for s in before) if t is not None]}
 
-        # possible surviving queue contents and register values, per prior run
-        contents: Dict[int, Set[Tuple]] = {}
-        written: Dict[int, Set] = {}
-        prior = earlier[-1] if earlier else None
-        if prior is not None:
-            run_traces = []
-            thread_traces = [
-                r.trace for runs in prior.thread_runs.values() for r in runs
-            ] or [()]
-            for tr in thread_traces:
-                run_traces.append(tuple(prior.globals_trace) + tuple(tr))
-            for tr in run_traces:
-                qs: Dict[int, List] = {}
+        for it in earlier:
+            reached: Dict[Tuple, Dict[str, object]] = {}
+            for tr in [r.trace for rs in it.thread_runs.values() for r in rs] or [()]:
+                states: Dict[Tuple, List] = {}
+                for l in it.globals_trace + tr:
+                    obj, states = step(states, l)
+                    if obj is not None:
+                        into = reached.setdefault(obj, dict(start(obj)))
+                        into.update((repr(s), s) for s in states[obj])
+            held.update(reached)
+        # the interpreter prunes a trace only after its prefix passed, so
+        # with every checked trace memoized each check steps one label
+        after: Dict[Tuple[Label, ...], Dict[Tuple, List]] = {(): {}}
 
-                def snapshot():
-                    for q, content in qs.items():
-                        contents.setdefault(q, set()).add(tuple(content))
+        def states_after(trace):
+            if trace not in after:
+                after[trace] = step(states_after(trace[:-1]), trace[-1])[1]
+            return after[trace]
 
-                snapshot()
-                for l in tr:
-                    if l.is_crash:
-                        continue
-                    if l.method == "qnew" and l.ret is not None:
-                        qs[l.ret] = []
-                    elif l.method in ("qappend", "qpush"):
-                        qs.setdefault(l.args[0], []).append(l.args[1])
-                    elif l.method == "qpop" and l.ret is not None:
-                        q = qs.setdefault(l.args[0], [])
-                        if q:
-                            q.pop(0)
-                    elif l.method == "rwrite":
-                        written.setdefault(l.args[0], set()).add(l.args[1])
-                    snapshot()  # the crash can land after any step
-
-        def prune_later(trace) -> bool:
-            own_queues: Dict[int, List] = {}
-            popped: Dict[int, List] = {}
-            own_regs: Dict[int, object] = {}
-            for l in trace:
-                if l.is_crash or not l.is_complete:
-                    continue
-                m = l.method
-                if m == "qnew":
-                    own_queues[l.ret] = []
-                elif m in ("qappend", "qpush"):
-                    if l.args[0] in own_queues:
-                        own_queues[l.args[0]].append(l.args[1])
-                elif m == "qpop":
-                    q = l.args[0]
-                    if q in own_queues:
-                        want = own_queues[q].pop(0) if own_queues[q] else None
-                        if l.ret != want:
-                            return False
-                    else:
-                        popped.setdefault(q, []).append(l.ret)
-                        seq = popped[q]
-                        vals = [v for v in seq if v is not None]
-                        # after the first null the queue stays empty
-                        first_null = next((i for i, v in enumerate(seq) if v is None), None)
-                        if first_null is not None and any(
-                            v is not None for v in seq[first_null:]
-                        ):
-                            return False
-                        cands = contents.get(q, {()})
-                        ok = any(
-                            tuple(vals) == c[: len(vals)]
-                            and (first_null is None or len(vals) == len(c))
-                            for c in cands
-                        )
-                        if not ok:
-                            return False
-                elif m == "rwrite":
-                    own_regs[l.args[0]] = l.args[1]
-                elif m == "rread":
-                    x = l.args[0]
-                    if x in own_regs:
-                        if l.ret != own_regs[x]:
-                            return False
-                    else:
-                        if l.ret not in ({0} | written.get(x, set())):
-                            return False
-            return True
-
-        return prune_later
+        return lambda trace: all(states_after(trace).values())
 
     return factory
 
@@ -1598,7 +1525,7 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     )
 
     def check(x: Execution) -> Verdict:
-        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True)
+        return execution_linearizable(x, S_MEM, iface, budget=budget, era_monotone=True)
 
     return LibrarySpec(interface=iface, local_consistent=check)
 
@@ -1612,8 +1539,6 @@ def load_manifest(path) -> Tuple["Collection", dict]:
     """
     import json
     from pathlib import Path
-
-    from .framework import Collection
 
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     coll = Collection()

@@ -147,6 +147,8 @@ class SemanticImpl:
             m for s in coll_low.specs() for m in s.interface.constructors
         )
         self._cache: Dict[Tuple, List[PlainExecution]] = {}
+        #: the same executions with their threads stripped, for ``contains``
+        self._stripped: Dict[Tuple, List[PlainExecution]] = {}
 
     def owns(self, label: Label) -> bool:
         return label.is_call and label.method in self.methods
@@ -187,7 +189,7 @@ class SemanticImpl:
 
     def contains(self, label: Label, g: PlainExecution) -> bool:
         """Membership of g (any thread labelling) in I(label), up to iso."""
-        norm = PlainExecution([_strip_thread(l) for l in g.labels()], g.po_reduced)
+        norm = PlainExecution([_strip_thread(l) for l in g.labels()], g.po_order)
         allocs = sorted(
             g.lab[e].ret for e in g.events if g.lab[e].method in self._alloc_methods
         )
@@ -195,11 +197,14 @@ class SemanticImpl:
             loc_start = min(a for a in allocs if isinstance(a, int)) - 1
         else:
             loc_start = self.config.loc_base
-        for cand in self.executions(_strip_thread(label), loc_start):
-            norm_cand = PlainExecution([_strip_thread(l) for l in cand.labels()], cand.po_reduced)
-            if iso_eq(norm, norm_cand):
-                return True
-        return False
+        label = _strip_thread(label)
+        key = (label.method, label.args, label.ret, loc_start)
+        if key not in self._stripped:
+            self._stripped[key] = [
+                PlainExecution([_strip_thread(l) for l in cand.labels()], cand.po_order)
+                for cand in self.executions(label, loc_start)
+            ]
+        return any(iso_eq(norm, cand) for cand in self._stripped[key])
 
 
 class IdentityImpl(SemanticImpl):
@@ -214,6 +219,7 @@ class IdentityImpl(SemanticImpl):
             m for s in coll.specs() for m in s.interface.constructors
         )
         self._cache = {}
+        self._stripped = {}
 
     def executions(self, label: Label, loc_start: int = 100) -> List[PlainExecution]:
         return [PlainExecution([_strip_thread(label)], [])]

@@ -1,6 +1,8 @@
 """Built-in library specs and implementations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistcheck.framework import Collection
 from persistcheck.lang import (
@@ -60,6 +62,7 @@ from persistcheck.libs import (
     queue_interface,
     reg_durlin_spec,
     same_transaction,
+    sc_prune_factory,
     weakreg_spec,
     MIRROR_K,
 )
@@ -511,6 +514,97 @@ program
     assert all(env["r"] == 7 for env in committed)
     # and an early crash legitimately loses the uncommitted write
     assert any(env["r"] == 0 for env, g in runs if not _committed_before_crash(g))
+
+
+# --------------------------------------------------------------------------
+# Prefix pruning from the declared sequential specs: pruned behaviors equal
+# unpruned ones
+# --------------------------------------------------------------------------
+
+
+def _prune_agrees(text):
+    phases = list(parse_litmus(text).phases)
+    got = [
+        behaviors(phases, LTRANS_LOW, config=InterpConfig(unroll=2, prune_factory=f), budget=4_000)
+        for f in (None, sc_prune_factory())
+    ]
+    assert got[1] == got[0]
+    assert got[1].undecided == got[0].undecided
+    return got[1]
+
+
+PRUNE_REGRESSIONS = {
+    # a crash between phases may keep the write the middle phase never touches
+    "weakreg_three_phases": (
+        "x := rnew()",
+        ["rwrite(x, 1); pfence()", "skip", "r := rread(x)"],
+        {(("r", 1),)},
+    ),
+    "durqueue_three_phases": ("q := qnew()", ["qpush(q, 1)", "skip", "r := qpop(q)"], {(("r", 1),)}),
+    # a later phase's own push, then pop, on a queue of an earlier phase
+    "push_then_pop": ("q := qnew()", ["skip", "qpush(q, 2); r := qpop(q)"], {(("r", 2),)}),
+    # a crash before a later phase allocates a queue leaves it unallocated
+    "queue_allocated_after_crash": (
+        "x := rnew()",
+        ["skip", "p := qnew(); qpush(p, 1)", "p := qnew(); r := qpop(p)"],
+        {(("p", 102), ("r", None))},
+    ),
+    # interleavings of an earlier phase hold states no per-thread run holds
+    "two_threads_before_crash": (
+        "q := qnew()",
+        ["qpush(q, 1) || qpush(q, 2)", "a := qpop(q); b := qpop(q)"],
+        {(("a", 1), ("b", 2)), (("a", 2), ("b", 1))},
+    ),
+}
+
+
+def _phase_program(globals_, phases):
+    """A litmus program: one ``program`` block per phase, its threads
+    separated by ``||``, the phases separated by crashes."""
+    blocks = []
+    tid = 0
+    for phase in phases:
+        threads = []
+        for body in phase.split(" || "):
+            threads.append(f"  t{tid}: {body}")
+            tid += 1
+        blocks.append("program\n" + "\n".join(threads))
+    return f"collection weakreg durqueue\nglobals\n  {globals_}\n" + "\ncrash\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_REGRESSIONS))
+def test_sc_prune_keeps_every_behavior(name):
+    globals_, phases, must_see = PRUNE_REGRESSIONS[name]
+    assert must_see <= _prune_agrees(_phase_program(globals_, phases))
+
+
+_PRUNE_READS = ["{r} := rread(x)", "{r} := qpop(q)"]
+_PRUNE_OPS = ["skip", "rwrite(x, 1)", "rwrite(x, 2)", "pfence()", "qpush(q, 1)", "qpush(q, 2)"] + _PRUNE_READS
+
+
+@st.composite
+def _pruned_programs(draw):
+    """1-3 phases over one weak register and one durable queue, 1-2
+    threads per phase, 1-2 calls per thread, at most four calls in all; the
+    last phase only reads."""
+    n = draw(st.integers(1, 3))
+    phases = []
+    calls = 0
+    for i in range(n):
+        ops = st.sampled_from(_PRUNE_READS if i == n - 1 else _PRUNE_OPS)
+        threads = []
+        for _ in range(draw(st.integers(1, 2))):
+            body = draw(st.lists(ops, min_size=1, max_size=min(2, 4 - calls))) if calls < 4 else ["skip"]
+            threads.append("; ".join(op.format(r=f"r{calls + j}") for j, op in enumerate(body)))
+            calls += len(body)
+        phases.append(" || ".join(threads))
+    return _phase_program("x := rnew()\n  q := qnew()", phases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pruned_programs())
+def test_sc_prune_differential(text):
+    _prune_agrees(text)
 
 
 # --------------------------------------------------------------------------
