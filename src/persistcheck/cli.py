@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .framework import Collection
+from .framework import Collection, SpecError
 from .lang import (
     InterpConfig,
     ParseError,
@@ -107,13 +107,11 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
         prune_factory=sc_prune_factory(),
     )
     regs = sorted({r for ex in lit.expectations if ex.outcome for r, _ in ex.outcome})
-    outcomes = behaviors(
-        list(lit.phases),
-        coll,
-        config=iconfig,
-        outcome_regs=regs,
-        budget=cfg.budget,
-    )
+    try:
+        outcomes = behaviors(list(lit.phases), coll, config=iconfig, outcome_regs=regs, budget=cfg.budget)
+    except SpecError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     statuses = set()
     if not lit.expectations:
         undecided = f", {len(outcomes.undecided)} undecided" if outcomes.undecided else ""
@@ -193,13 +191,17 @@ def cmd_verify_impl(
                 max_runs=max(cfg.budget, 10_000),
             )
             lit_coll = _collection_for(lit.collection, cfg.budget)
-            if len(lit.phases) == 1:
-                # single-phase programs get restart-semantics crash variants
-                runs = []
-                for crashes in range(cfg.max_crashes + 1):
-                    runs.extend(interpret_toplevel(lit.phases[0], lit_coll, crashes, lcfg))
-            else:
-                runs = interpret_phases(list(lit.phases), lit_coll, lcfg)
+            try:
+                if len(lit.phases) == 1:
+                    # single-phase programs get restart-semantics crash variants
+                    runs = []
+                    for crashes in range(cfg.max_crashes + 1):
+                        runs.extend(interpret_toplevel(lit.phases[0], lit_coll, crashes, lcfg))
+                else:
+                    runs = interpret_phases(list(lit.phases), lit_coll, lcfg)
+            except SpecError as e:
+                print(f"error: {p.name}: {e}", file=sys.stderr)
+                return 2
             for env, g in runs:
                 if env is not None and len(g) <= cfg.max_events:
                     corpus.append(g)
@@ -211,7 +213,11 @@ def cmd_verify_impl(
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    report = verify_impl_bounded(impl, high, low, corpus, budget=cfg.budget)
+    try:
+        report = verify_impl_bounded(impl, high, low, corpus, budget=cfg.budget)
+    except SpecError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     for rec in report.records:
         print(rec.to_json())
     print(

@@ -186,12 +186,6 @@ class LibraryInterface:
             return False
         return arity is None or len(label.args) == arity
 
-    def owns_method(self, method: str) -> bool:
-        return method in self.methods
-
-    def tags_of(self) -> FrozenSet[str]:
-        return self.tags_introduced | self.tags_used
-
     def decorate(self, label: Label) -> Label:
         """Attach the interface's method tags to a call label."""
         extra = self.method_tags.get(label.method, frozenset())

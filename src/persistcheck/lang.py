@@ -8,10 +8,11 @@ traces is produced, and consistency filtering happens downstream against
 library specifications.  Loops are bounded by an unrolling budget; runs cut
 at the budget contribute partial executions only.
 
-Top-level crash semantics restarts the program from scratch after each
-crash (with the allocation counter reset, so re-allocation is stable), or a
-litmus file can give explicit crash-separated phases that share the first
-phase's global bindings.
+Top-level crash semantics restarts the threads after each crash: the
+globals run once, before the first era, and every era shares their bindings
+(the objects they allocated persist across crashes).  A litmus file can
+instead give explicit crash-separated phases, which share the first phase's
+global bindings in the same way.
 """
 
 from __future__ import annotations
@@ -596,11 +597,13 @@ def interpret_toplevel(
     complete_only: bool = False,
 ) -> List[Tuple[Optional[Dict[str, object]], PlainExecution]]:
     """Crash-restart semantics: G1 · Crash · … · Crash · Gn with every Gi a
-    partial run of the program and Gn complete (its outcome is reported) or
-    partial (outcome None).  The program restarts from scratch; allocation is
-    deterministic, so every era sees the same locations."""
+    partial run of the program's threads and Gn complete (its outcome is
+    reported) or partial (outcome None).  The globals run once, before G1;
+    later eras restart the threads with the globals' bindings, so an object
+    allocated there survives every crash."""
+    restarted = Prog(threads=prog.threads)
     return interpret_phases(
-        [prog] * (max_crashes + 1), coll, config, restart=True, complete_only=complete_only
+        [prog] + [restarted] * max_crashes, coll, config, complete_only=complete_only
     )
 
 
@@ -629,37 +632,29 @@ def interpret_phases(
     phases: Sequence[Prog],
     coll: Collection,
     config: InterpConfig = InterpConfig(),
-    restart: bool = False,
     complete_only: bool = False,
 ) -> List[Tuple[Optional[Dict[str, object]], PlainExecution]]:
     """Explicit crash-separated phases.  Later phases share the first phase's
-    global bindings (initializers run once) unless ``restart`` is set, in
-    which case each phase is the same program run from scratch.  With
-    ``complete_only`` the final era contributes only complete runs (the
-    partial tail of the top-level semantics is skipped)."""
-    interps: List[Interpretation] = []
-
+    global bindings (initializers run once).  With ``complete_only`` the
+    final era contributes only complete runs (the partial tail of the
+    top-level semantics is skipped)."""
     factory = config.prune_factory or (lambda coll, earlier: None)
-    if restart:
-        for p in phases:
-            interps.append(Interpretation(p, coll, config, prune=factory(coll, interps[:])))
-    else:
-        first = Interpretation(phases[0], coll, config, prune=factory(coll, []))
-        interps.append(first)
-        later_config = config.with_domain(first.domain)
-        for p in phases[1:]:
-            if p.globals:
-                raise ParseError("only the first phase may declare globals")
-            interps.append(
-                Interpretation(
-                    p,
-                    coll,
-                    later_config,
-                    globals_env=dict(first.globals_env),
-                    loc_start=first.loc_after_globals,
-                    prune=factory(coll, interps[:]),
-                )
+    first = Interpretation(phases[0], coll, config, prune=factory(coll, []))
+    interps: List[Interpretation] = [first]
+    later_config = config.with_domain(first.domain)
+    for p in phases[1:]:
+        if p.globals:
+            raise ParseError("only the first phase may declare globals")
+        interps.append(
+            Interpretation(
+                p,
+                coll,
+                later_config,
+                globals_env=dict(first.globals_env),
+                loc_start=first.loc_after_globals,
+                prune=factory(coll, interps[:]),
             )
+        )
     out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []
     n = len(interps)
 

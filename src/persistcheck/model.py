@@ -253,9 +253,6 @@ class History:
         """The history h[1..k] of the first k events."""
         return History(self.events[:k])
 
-    def concat(self, other: "History") -> "History":
-        return History(self.events + other.events)
-
     # -- projections -------------------------------------------------------
 
     def project_thread(self, thread: int) -> "History":
@@ -347,7 +344,7 @@ class History:
 # --------------------------------------------------------------------------
 
 
-def _bits(row: int) -> Iterator[int]:
+def bits(row: int) -> Iterator[int]:
     """Positions of the set bits of ``row``, lowest first."""
     while row:
         low = row & -row
@@ -355,9 +352,9 @@ def _bits(row: int) -> Iterator[int]:
         row ^= low
 
 
-def _pairs(rows: Sequence[int], ids: Optional[Sequence] = None) -> Relation:
+def row_pairs(rows: Sequence[int], ids: Optional[Sequence] = None) -> Relation:
     ids = range(len(rows)) if ids is None else ids
-    return frozenset((ids[a], ids[b]) for a, row in enumerate(rows) for b in _bits(row))
+    return frozenset((ids[a], ids[b]) for a, row in enumerate(rows) for b in bits(row))
 
 
 class Order:
@@ -383,6 +380,17 @@ class Order:
         """The closure of ``edges`` over the events ``0..n-1``."""
         return cls((0,) * n).extend(edges, what)
 
+    @classmethod
+    def close_rows(cls, rows: Sequence[int]) -> "Order":
+        """The closure of the relation whose bit rows are ``rows``."""
+        rows = list(rows)
+        for k in range(len(rows)):
+            row_k = rows[k]
+            if row_k:
+                bit = 1 << k
+                rows = [row | row_k if row & bit else row for row in rows]
+        return cls(rows)
+
     def extend(self, edges: Iterable[Edge], what: str = "order") -> "Order":
         """The closure of this order together with ``edges``; an edge that
         names an event outside ``0..n-1`` raises ``ValueError``."""
@@ -394,12 +402,7 @@ class Order:
             rows[a] |= 1 << b
         if rows == list(self.rows):
             return self
-        for k in range(n):
-            row_k = rows[k]
-            if row_k:
-                bit = 1 << k
-                rows = [row | row_k if row & bit else row for row in rows]
-        return Order(rows)
+        return Order.close_rows(rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -426,7 +429,7 @@ class Order:
         cols = [0] * len(self.rows)
         for a, row in enumerate(self.rows):
             bit = 1 << a
-            for b in _bits(row):
+            for b in bits(row):
                 cols[b] |= bit
         return cols
 
@@ -451,14 +454,14 @@ class Order:
     @property
     def pairs(self) -> Relation:
         if self._pairs is None:
-            self._pairs = _pairs(self.rows)
+            self._pairs = row_pairs(self.rows)
         return self._pairs
 
     @property
     def reduced(self) -> Relation:
         """The transitive reduction, as pairs (acyclic orders only)."""
         if self._reduced is None:
-            self._reduced = _pairs([self.covers(a) for a in range(len(self.rows))])
+            self._reduced = row_pairs([self.covers(a) for a in range(len(self.rows))])
         return self._reduced
 
 
@@ -473,7 +476,7 @@ def _dense_order(edges: Iterable[Edge]) -> Tuple[List, Order]:
 def closure(edges: Iterable[Edge]) -> Relation:
     """Transitive closure of a relation (Warshall on bit rows)."""
     ids, order = _dense_order(edges)
-    return _pairs(order.rows, ids)
+    return row_pairs(order.rows, ids)
 
 
 def is_irreflexive(rel: Iterable[Edge]) -> bool:
@@ -484,7 +487,7 @@ def transitive_reduction(edges: Iterable[Edge]) -> Relation:
     ids, order = _dense_order(edges)
     if not order.is_acyclic():
         raise ValueError("relation is cyclic")
-    return _pairs([order.covers(a) for a in range(len(ids))], ids)
+    return row_pairs([order.covers(a) for a in range(len(ids))], ids)
 
 
 # --------------------------------------------------------------------------
@@ -535,8 +538,8 @@ def _iso_signatures(events, order: Order, lab) -> Dict[int, tuple]:
     """Stable refinement signature per event (label, pred/succ multisets)."""
     sig = {e: (repr(lab[e]),) for e in events}
     cols = order.preds()
-    preds = {e: list(_bits(cols[e])) for e in events}
-    succs = {e: list(_bits(order.rows[e])) for e in events}
+    preds = {e: list(bits(cols[e])) for e in events}
+    succs = {e: list(bits(order.rows[e])) for e in events}
     for _ in range(max(1, len(events))):
         new = {
             e: (
@@ -686,9 +689,6 @@ class PlainExecution:
         labels = [self.lab[e] for e in keep_sorted]
         return PlainExecution(labels, self.po_order.restrict(keep_sorted))
 
-    def to_pomset(self) -> Pomset:
-        return Pomset(self.labels(), self.po_reduced)
-
     def __repr__(self) -> str:
         return f"PlainExecution({self.labels()!r}, po={sorted(self.po_reduced)!r})"
 
@@ -800,26 +800,20 @@ def era_split(g: PlainExecution) -> List[PlainExecution]:
     return [g.restrict_events(p) for p in parts[:n_eras]]
 
 
-def era_before(g: PlainExecution) -> Relation:
-    """eb = po ; [Crash] ; po."""
+def era_order(g: PlainExecution) -> Order:
+    """eb = po ; [Crash] ; po, as a closed order (po is closed, so eb is)."""
     rows = g.po_order.rows
     later = [0] * len(rows)
     for c in g.crash_events():
         for a, row in enumerate(rows):
             if row >> c & 1:
                 later[a] |= rows[c]
-    return _pairs(later)
+    return Order(later)
 
 
-def same_era(g: PlainExecution) -> Relation:
-    """se: the complement of eb ∪ eb⁻¹."""
-    eb = era_before(g)
-    return frozenset(
-        (a, b)
-        for a in g.events
-        for b in g.events
-        if (a, b) not in eb and (b, a) not in eb
-    )
+def era_before(g: PlainExecution) -> Relation:
+    """eb = po ; [Crash] ; po, as pairs."""
+    return era_order(g).pairs
 
 
 def tag_set(x, tag: str) -> FrozenSet[int]:

@@ -10,6 +10,13 @@ jointly satisfying the axioms A1..A9 plus the cross-era reads-from axiom
 The witness search is deterministic: reads-from candidates, write orders,
 and persisted sets are explored in a fixed order and the first witness wins.
 
+Relations are held as bit rows, one Python int per event (bit ``b`` of
+``row[a]`` set iff ``(a, b)`` is related), and event sets as single rows:
+era-before is a closed :class:`~persistcheck.model.Order`, the search's tso
+and nvo are closed orders, and the axiom report reads a given witness's
+pairs as unclosed rows.  Each axiom is written once for both callers; pairs
+are built only for the returned :class:`Px86Witness`.
+
 Two engineering refinements over the displayed axioms (see the project
 notes): allocation events are durable constructors but do not participate in
 per-location coherence or serve reads, and the persisted set is forced to
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, linear_extensions
 from .model import (
@@ -32,10 +39,9 @@ from .model import (
     Label,
     Order,
     PlainExecution,
-    closure,
-    era_before,
-    is_irreflexive,
-    same_era,
+    bits,
+    era_order,
+    row_pairs,
 )
 
 D_TAG = "D"
@@ -167,61 +173,70 @@ def px86_interface() -> LibraryInterface:
 # -- derived sets ------------------------------------------------------------
 
 
+def _mask(events: Iterable[int]) -> int:
+    """The row holding exactly ``events``."""
+    return sum(1 << e for e in set(events))
+
+
 @dataclass(frozen=True)
 class DerivedSets:
-    R: FrozenSet[int]
-    W: FrozenSet[int]
-    U: FrozenSet[int]
-    FL: FrozenSet[int]
-    FO: FrozenSet[int]
-    MF: FrozenSet[int]
-    SF: FrozenSet[int]
-    D: FrozenSet[int]
-    ALLOC: FrozenSet[int]
+    """The event classes and era relations of a Px86 execution, as rows.
+
+    A class is one row (bit ``e`` set iff event ``e`` is in it), a relation
+    one row per event (bit ``b`` of ``rel[a]`` set iff ``(a, b)`` is in it).
+    ``eb`` is era-before, a closed :class:`Order`, and ``before`` its
+    converse; ``se`` is same-era (era-before neither way, so reflexive),
+    ``ehb`` external happens-before (hb without po), and ``same_loc[e]`` the
+    events at ``loc.get(e)`` (``None`` for events without a location).
+    """
+
+    R: int
+    W: int
+    U: int
+    FL: int
+    FO: int
+    MF: int
+    SF: int
+    D: int
+    ALLOC: int
     loc: Mapping[int, Optional[int]]
-    eb: FrozenSet[Tuple[int, int]]
-    se: FrozenSet[Tuple[int, int]]
-    ehb: FrozenSet[Tuple[int, int]]
-
-    def dx(self, x: int) -> FrozenSet[int]:
-        return frozenset(e for e in self.D if self.loc.get(e) == x)
-
-    def wux(self, x: int) -> FrozenSet[int]:
-        return frozenset(e for e in (self.W | self.U) if self.loc.get(e) == x)
+    eb: Order
+    before: Tuple[int, ...]
+    se: Tuple[int, ...]
+    ehb: Tuple[int, ...]
+    same_loc: Tuple[int, ...]
 
     @property
-    def WU(self) -> FrozenSet[int]:
+    def WU(self) -> int:
         return self.W | self.U
 
 
 def derive_sets(x: Execution) -> DerivedSets:
     g = x.plain
-    by_method: Dict[str, Set[int]] = {m: set() for m in PX86_METHODS}
+    by_method = dict.fromkeys(PX86_METHODS, 0)
     loc: Dict[int, Optional[int]] = {}
+    at: Dict[Optional[int], int] = {}
     for e in g.events:
         l = g.lab[e]
         if l.is_crash:
             continue
         if l.method not in PX86_METHODS:
             raise ValueError(f"not a px86 label: {l!r}")
-        by_method[l.method].add(e)
+        by_method[l.method] |= 1 << e
         ls = _px86_loc(l)
-        loc[e] = next(iter(ls)) if ls else None
-    R = frozenset(by_method["load"])
-    W = frozenset(by_method["store"])
-    U = frozenset(by_method["upd"])
-    FL = frozenset(by_method["flush"])
-    FO = frozenset(by_method["fo"])
-    MF = frozenset(by_method["mfence"])
-    SF = frozenset(by_method["sfence"])
-    AL = frozenset(by_method["alloc"])
-    D = W | U | FL | FO | AL
-    eb = era_before(g)
-    se = same_era(g)
-    ehb = frozenset(
-        (a, b) for (a, b) in x.hb if (a, b) not in x.po and (b, a) not in x.po
+        loc[e] = lx = next(iter(ls)) if ls else None
+        at[lx] = at.get(lx, 0) | 1 << e
+    R, W, U, FL, FO, MF, SF, AL = (
+        by_method[m] for m in ("load", "store", "upd", "flush", "fo", "mfence", "sfence", "alloc")
     )
-    return DerivedSets(R, W, U, FL, FO, MF, SF, D, AL, loc, eb, se, ehb)
+    eb = era_order(g)
+    before = tuple(eb.preds())
+    full = (1 << len(g)) - 1
+    se = tuple(full & ~(row | col) for row, col in zip(eb.rows, before))
+    # hb is acyclic and contains po, so no hb edge runs against po
+    ehb = tuple(h & ~p for h, p in zip(x.hb_order.rows, g.po_order.rows))
+    same_loc = tuple(at.get(loc.get(e), 0) for e in g.events)
+    return DerivedSets(R, W, U, FL, FO, MF, SF, W | U | FL | FO | AL, AL, loc, eb, before, se, ehb, same_loc)
 
 
 def value_written(l: Label):
@@ -259,161 +274,138 @@ class Px86Witness:
         }
 
 
-def _forced_tso(x: Execution, ds: DerivedSets, rf: FrozenSet[Tuple[int, int]]) -> Set[Tuple[int, int]]:
-    po_se = {(a, b) for (a, b) in x.po if (a, b) in ds.se}
-    E = set(x.events)
-    forced: Set[Tuple[int, int]] = set()
-    mf_u = ds.MF | ds.U
-    for a, b in po_se:
-        if b in mf_u or a in (mf_u | ds.R):
-            forced.add((a, b))  # A3
-        if b in ds.SF or (a in ds.SF and b not in ds.R):
-            forced.add((a, b))  # A4
-        if a in (ds.W | ds.FL) and b in (ds.W | ds.FL):
-            forced.add((a, b))  # A5
-        if ds.loc.get(a) is not None and ds.loc.get(a) == ds.loc.get(b):
-            if (a in ds.FL and b in ds.FO) or (a in ds.FO and b in ds.FL) or (a in ds.W and b in ds.FO):
-                forced.add((a, b))  # A6
-    for w, r in rf:
-        if (w, r) not in x.po:
-            forced.add((w, r))  # A1: rf ⊆ tsoSE ∪ po
+# The axiom helpers take tso and nvo as rows: closed orders from the search,
+# a given witness's pairs unclosed from the axiom report.
+
+
+def _forced_tso(x: Execution, ds: DerivedSets) -> List[int]:
+    """Rows of the tso edges that A3-A6 force on same-era program order (the
+    reads-from edges of A1 depend on rf and are added by the search)."""
+    fences = ds.MF | ds.U
+    forced = []
+    for a, (po_a, se_a) in enumerate(zip(x.plain.po_order.rows, ds.se)):
+        after, bit = po_a & se_a, 1 << a
+        row = after & (fences | ds.SF)  # A3, A4: into fences and updates
+        if bit & (fences | ds.R):
+            row |= after  # A3
+        if bit & ds.SF:
+            row |= after & ~ds.R  # A4
+        if bit & (ds.W | ds.FL):
+            row |= after & (ds.W | ds.FL)  # A5
+        if ds.loc.get(a) is not None:  # A6
+            if bit & (ds.W | ds.FL):
+                row |= after & ds.same_loc[a] & ds.FO
+            elif bit & ds.FO:
+                row |= after & ds.same_loc[a] & ds.FL
+        forced.append(row)
     return forced
 
 
-def _axiom_a2(x: Execution, ds: DerivedSets, rf, tso) -> Optional[Tuple]:
+def _axiom_a2(x: Execution, ds: DerivedSets, rf, tso: Sequence[int]) -> Optional[Tuple]:
     # Coherence: the hypothesis is same-era (cross-era visibility is governed
     # by the persisted set via the cross-era axiom, not by po/tso), while the
     # conclusion spans eras (tso is total and era-monotone on writes, so a
     # post-crash overwrite forbids reading anything tso-older).
-    tso_se = {(a, b) for (a, b) in tso if (a, b) in ds.se}
-    po_se = {(a, b) for (a, b) in x.po if (a, b) in ds.se}
+    po = x.plain.po_order.rows
     for w, r in sorted(rf):
-        lx = ds.loc.get(w)
-        for w2 in sorted(ds.wux(lx)):
-            if ((w2, r) in tso_se or (w2, r) in po_se) and (w, w2) in tso:
+        for w2 in bits(tso[w] & ds.WU & ds.same_loc[w]):
+            if ((tso[w2] | po[w2]) & ds.se[w2]) >> r & 1:
                 return (w, r, w2)
     return None
 
 
-def _nvo_required(x: Execution, ds: DerivedSets, tso) -> Set[Tuple[int, int]]:
-    tso_se = {(a, b) for (a, b) in tso if (a, b) in ds.se}
-    req: Set[Tuple[int, int]] = set()
-    # A7: per-location same-era tso between durable events
-    for a, b in tso_se:
-        if a in ds.D and b in ds.D and ds.loc.get(a) is not None and ds.loc.get(a) == ds.loc.get(b):
-            req.add((a, b))
-    # A8: durable-to-flush on the same location via same-era tso or external hb
-    rel = {(a, b) for (a, b) in (set(tso) | set(ds.ehb)) if (a, b) in ds.se}
-    for a, b in rel:
-        if a in ds.D and (b in ds.FO or b in ds.FL) and ds.loc.get(a) == ds.loc.get(b):
-            req.add((a, b))
-    # A9: flushes propagate persistence ordering to later durables
-    for f in sorted(ds.FL):
-        for d in sorted(ds.D):
-            if (f, d) in tso_se:
-                req.add((f, d))
-    for f in sorted(ds.FO):
-        for g_ in sorted(ds.MF | ds.SF | ds.U):
-            if (f, g_) in x.po and (f, g_) in ds.se:
-                for d in sorted(ds.D):
-                    if (g_, d) in tso_se:
-                        req.add((f, d))
+def _nvo_required(x: Execution, ds: DerivedSets, tso: Sequence[int]) -> List[int]:
+    """Rows of the nvo edges that A7-A9 require of ``tso``."""
+    po = x.plain.po_order.rows
+    tso_se = [t & s for t, s in zip(tso, ds.se)]
+    req = []
+    for a, row_se in enumerate(tso_se):
+        bit, row = 1 << a, 0
+        if bit & ds.D:
+            if ds.loc.get(a) is not None:
+                row = row_se & ds.D & ds.same_loc[a]  # A7: per-location same-era tso
+            # A8: durable-to-flush on the same location via same-era tso or external hb
+            row |= (tso[a] | ds.ehb[a]) & ds.se[a] & (ds.FL | ds.FO) & ds.same_loc[a]
+        # A9: flushes propagate persistence ordering to later durables
+        if bit & ds.FL:
+            row |= row_se & ds.D
+        elif bit & ds.FO:
+            for g_ in bits(po[a] & ds.se[a] & (ds.MF | ds.SF | ds.U)):
+                row |= tso_se[g_] & ds.D
+        req.append(row)
     return req
 
 
-def _forced_persists(x: Execution, ds: DerivedSets) -> Set[int]:
+def _forced_persists(x: Execution, ds: DerivedSets) -> int:
     """Completed flushes persist; completed-fence-covered fo's persist."""
-    out: Set[int] = set()
-    for f in ds.FL:
-        if x.lab[f].is_complete:
-            out.add(f)
-    for f in ds.FO:
-        for g_ in ds.MF | ds.SF | ds.U:
-            if (f, g_) in x.po and (f, g_) in ds.se and x.lab[g_].is_complete:
-                out.add(f)
-                break
-    return out
+    po = x.plain.po_order.rows
+    complete = _mask(e for e in x.events if x.lab[e].is_complete)
+    covered = (f for f in bits(ds.FO) if po[f] & ds.se[f] & (ds.MF | ds.SF | ds.U) & complete)
+    return ds.FL & complete | _mask(covered)
+
+
+def _cross_era(ds: DerivedSets, rf, nvo: Sequence[int], persisted: int) -> Optional[Tuple]:
+    """The first cross-era read whose source is not persisted, or is followed
+    in nvo by a persisted same-location write era-before the read (``new``)."""
+    eb = ds.eb.rows
+    for w, r in sorted(rf):
+        if eb[w] >> r & 1:
+            if not persisted >> w & 1:
+                return (w, r, "source not persisted")
+            for w2 in bits(ds.WU & ds.same_loc[w] & persisted & nvo[w]):
+                if eb[w2] >> r & 1:
+                    return (w, r, f"persisted {w2} intervenes")
+    return None
+
+
+def _against_eras(ds: DerivedSets, rows: Sequence[int]) -> bool:
+    """Whether the relation has an edge pointing back in era order."""
+    return any(row & col for row, col in zip(rows, ds.before))
 
 
 def check_px86_axioms(x: Execution, w: Px86Witness) -> Dict[str, Verdict]:
     """Evaluate each axiom for a given witness; counterexample edge in the
     failure reason."""
     ds = derive_sets(x)
-    tso = w.tso
-    nvo = w.nvo
+    po = x.plain.po_order.rows
+    # the witness's relations as rows, not closed
+    tso, nvo = ([_mask(b for a, b in rel if a == e) for e in x.events] for rel in (w.tso, w.nvo))
     rf = w.rf
-    P = w.persisted
+    P = _mask(w.persisted)
     out: Dict[str, Verdict] = {}
 
-    hb_tso = closure(set(x.hb) | set(tso))
-    rf_ok = all(((a, b) in tso and (a, b) in ds.se) or (a, b) in x.po for (a, b) in rf)
-    out["A1"] = (
-        Verdict.ok()
-        if is_irreflexive(hb_tso) and rf_ok
-        else Verdict.fail("hb ∪ tso cyclic or rf ⊄ tsoSE ∪ po")
-    )
+    def axiom(name: str, ok: bool, reason: str) -> None:
+        out[name] = Verdict.ok() if ok else Verdict.fail(reason)
+
+    hb_tso = Order.close_rows([h | t for h, t in zip(x.hb_order.rows, tso)])
+    rf_ok = all(((tso[a] & ds.se[a]) | po[a]) >> b & 1 for (a, b) in rf)
+    axiom("A1", hb_tso.is_acyclic() and rf_ok, "hb ∪ tso cyclic or rf ⊄ tsoSE ∪ po")
     bad = _axiom_a2(x, ds, rf, tso)
-    out["A2"] = Verdict.ok() if bad is None else Verdict.fail(f"coherence violation {bad}")
-    forced = _forced_tso(x, ds, frozenset())
-    missing = [e for e in forced if e not in tso]
-    out["A3-A6"] = (
-        Verdict.ok() if not missing else Verdict.fail(f"missing tso edges {sorted(missing)[:4]}")
-    )
-    req = _nvo_required(x, ds, tso)
-    missing_nvo = [e for e in req if e not in nvo]
-    out["A7-A9"] = (
-        Verdict.ok()
-        if not missing_nvo
-        else Verdict.fail(f"missing nvo edges {sorted(missing_nvo)[:4]}")
-    )
+    axiom("A2", bad is None, f"coherence violation {bad}")
+    missing = row_pairs([f & ~t for f, t in zip(_forced_tso(x, ds), tso)])
+    axiom("A3-A6", not missing, f"missing tso edges {sorted(missing)[:4]}")
+    missing = row_pairs([r & ~v for r, v in zip(_nvo_required(x, ds, tso), nvo)])
+    axiom("A7-A9", not missing, f"missing nvo edges {sorted(missing)[:4]}")
     # persist-order discipline and forcing
-    closed = all((a in P) for (a, b) in nvo if b in P)
-    out["P-closure"] = Verdict.ok() if closed else Verdict.fail("dom(nvo;[P]) ⊄ P")
-    forced_p = _forced_persists(x, ds)
-    out["P-forcing"] = (
-        Verdict.ok()
-        if forced_p <= P
-        else Verdict.fail(f"unpersisted completed flush {sorted(forced_p - P)}")
-    )
-    new_bad = None
-    for (wr, r) in sorted(rf):
-        if (wr, r) not in ds.eb:
-            continue
-        if wr not in P:
-            new_bad = (wr, r, "source not persisted")
-            break
-        lx = ds.loc.get(wr)
-        for w2 in sorted(ds.wux(lx)):
-            if w2 in P and (wr, w2) in nvo and (w2, r) in ds.eb:
-                new_bad = (wr, r, f"persisted {w2} intervenes")
-                break
-        if new_bad:
-            break
-    out["new"] = Verdict.ok() if new_bad is None else Verdict.fail(f"cross-era read {new_bad}")
-    era_ok = all(
-        (b, a) not in ds.eb for rel in (rf, tso, nvo) for (a, b) in rel
-    )
-    out["era"] = Verdict.ok() if era_ok else Verdict.fail("relation points backwards in era order")
+    closed = not any(row & P for a, row in enumerate(nvo) if not P >> a & 1)
+    axiom("P-closure", closed, "dom(nvo;[P]) ⊄ P")
+    unpersisted = _forced_persists(x, ds) & ~P
+    axiom("P-forcing", not unpersisted, f"unpersisted completed flush {list(bits(unpersisted))}")
+    bad = _cross_era(ds, rf, nvo, P)
+    axiom("new", bad is None, f"cross-era read {bad}")
+    rf_back = any(ds.eb.rows[b] >> a & 1 for a, b in rf)
+    era_ok = not (rf_back or _against_eras(ds, tso) or _against_eras(ds, nvo))
+    axiom("era", era_ok, "relation points backwards in era order")
     return out
 
 
 def _read_candidates(x: Execution, ds: DerivedSets) -> Optional[Dict[int, List[int]]]:
     cands: Dict[int, List[int]] = {}
-    for r in sorted(ds.R | ds.U):
-        lx = ds.loc.get(r)
+    for r in bits(ds.R | ds.U):
         v = value_read(x.lab[r])
-        if v is BOT:
-            # unreturned load: value unconstrained, reads-from any same-loc write
-            opts = [w for w in sorted(ds.WU) if w != r and ds.loc.get(w) == lx and (r, w) not in ds.eb]
-        else:
-            opts = [
-                w
-                for w in sorted(ds.WU)
-                if w != r
-                and ds.loc.get(w) == lx
-                and value_written(x.lab[w]) == v
-                and (r, w) not in ds.eb
-            ]
+        # an unreturned load's value is unconstrained: any same-loc write
+        same = ds.WU & ds.same_loc[r] & ~(1 << r) & ~ds.eb.rows[r]
+        opts = [w for w in bits(same) if v is BOT or value_written(x.lab[w]) == v]
         if not opts:
             return None
         cands[r] = opts
@@ -424,15 +416,20 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
     """Deterministic backtracking search for a consistent witness."""
     ds = derive_sets(x)
     era = x.plain.era_of()
-    explicit_p = frozenset(e for e in x.events if P_TAG in x.lab[e].tags)
-    has_explicit = bool(explicit_p)
+    po = x.plain.po_order.rows
+    eb = ds.eb.rows
+    explicit_p = _mask(e for e in x.events if P_TAG in x.lab[e].tags)
 
     cands = _read_candidates(x, ds)
-    if cands is None and (ds.R | ds.U):
+    if cands is None:
         return None
-    reads = sorted(cands or {})
-    wu = sorted(ds.WU)
+    reads = sorted(cands)
+    wu = list(bits(ds.WU))
     wu_eras = [era[e] for e in wu]
+    # per write, the row of the writes (by index in wu) of an earlier era
+    earlier = [_mask(j for j, ej in enumerate(wu_eras) if ej < ei) for ei in wu_eras]
+    forced = Order.close_rows(_forced_tso(x, ds))
+    forced_p = _forced_persists(x, ds)
     steps = [0]
 
     def spend(n: int = 1):
@@ -440,71 +437,44 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
         if steps[0] > budget:
             raise BudgetExceeded({"steps": steps[0]})
 
-    for rf_combo in itertools.product(*(cands[r] for r in reads)) if reads else [()]:
+    for rf_combo in itertools.product(*(cands[r] for r in reads)):
         spend()
         rf = frozenset((w, r) for r, w in zip(reads, rf_combo))
-        # A1: cross-era rf edges must be po edges
-        if any((w, r) not in x.po and (w, r) in ds.eb for (w, r) in rf):
+        # A1: cross-era rf edges must be po edges, the others are in tso or po
+        if any(eb[w] >> r & 1 and not po[w] >> r & 1 for w, r in rf):
             continue
-        forced = _forced_tso(x, ds, rf)
-        base = Order.close(len(x.events), forced)
+        base = forced.extend((w, r) for w, r in rf if not po[w] >> r & 1)
         if not base.is_acyclic():
             continue
         base_wu = base.restrict(wu)
         # a forced edge among writes that points back in era order leaves no
         # era-monotone write order
-        if any(wu_eras[a] > wu_eras[b] for a, b in base_wu.pairs):
+        if any(row & earlier[i] for i, row in enumerate(base_wu.rows)):
             continue
+        needed = _mask(w for w, r in rf if eb[w] >> r & 1) | forced_p
         for ext in linear_extensions(base_wu, wu_eras):
             spend()
             perm = [wu[i] for i in ext]
-            chain = [(perm[i], perm[i + 1]) for i in range(len(perm) - 1)]
-            tso = closure(set(forced) | set(chain))
-            if not is_irreflexive(tso):
+            tso = base.extend(zip(perm, perm[1:]))
+            if not tso.is_acyclic() or _against_eras(ds, tso.rows):
                 continue
-            if any((b, a) in ds.eb for (a, b) in tso):
+            hb_tso = Order.close_rows([h | t for h, t in zip(x.hb_order.rows, tso.rows)])
+            if not hb_tso.is_acyclic() or _axiom_a2(x, ds, rf, tso.rows) is not None:
                 continue
-            if not is_irreflexive(closure(set(x.hb) | set(tso))):
+            nvo = Order.close_rows(_nvo_required(x, ds, tso.rows))
+            if not nvo.is_acyclic() or _against_eras(ds, nvo.rows):
                 continue
-            if _axiom_a2(x, ds, rf, tso) is not None:
+            if explicit_p and needed & ~explicit_p:
                 continue
-            req = _nvo_required(x, ds, tso)
-            nvo = closure(req)
-            if not is_irreflexive(nvo) or any((b, a) in ds.eb for (a, b) in nvo):
+            # close P downward under nvo (closed, so one pass suffices)
+            p = explicit_p or needed
+            for a, row in enumerate(nvo.rows):
+                if row & p:
+                    p |= 1 << a
+            if (explicit_p and p != explicit_p) or p & ~ds.D:
                 continue
-            needed = {w for (w, r) in rf if (w, r) in ds.eb} | _forced_persists(x, ds)
-            if has_explicit:
-                p_set = set(explicit_p)
-                if not needed <= p_set:
-                    continue
-            else:
-                p_set = set(needed)
-            # close downward under nvo
-            changed = True
-            while changed:
-                changed = False
-                for a, b in nvo:
-                    if b in p_set and a not in p_set:
-                        p_set.add(a)
-                        changed = True
-            if has_explicit and p_set != set(explicit_p):
-                continue
-            if not p_set <= ds.D:
-                continue
-            ok = True
-            for (w, r) in rf:
-                if (w, r) not in ds.eb:
-                    continue
-                lx = ds.loc.get(w)
-                for w2 in ds.wux(lx):
-                    if w2 in p_set and (w, w2) in nvo and (w2, r) in ds.eb:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            return Px86Witness(rf, frozenset(tso), frozenset(nvo), frozenset(p_set))
+            if _cross_era(ds, rf, nvo.rows, p) is None:
+                return Px86Witness(rf, tso.pairs, nvo.pairs, frozenset(bits(p)))
     return None
 
 

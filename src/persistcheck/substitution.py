@@ -346,6 +346,7 @@ def find_plain_matching(
         return None
     if set(groups_a) - set(groups_c):
         return None
+    era = gc.era_of()
     spent = [0]
 
     def spend():
@@ -373,6 +374,11 @@ def find_plain_matching(
             ok = True
             for j, a in enumerate(as_):
                 block_ids = cs[bounds[j] : bounds[j + 1]]
+                # a block across a crash cannot project onto po; restricting
+                # to it would also cut an incomplete call from its crash
+                if era[block_ids[0]] != era[block_ids[-1]]:
+                    ok = False
+                    break
                 block = gc.restrict_events(block_ids)
                 lab = ga.lab[a]
                 if impl.owns(lab):

@@ -97,6 +97,20 @@ def test_verify_impl_unknown_name(capsys):
     assert run_cli(["verify-impl", "nope", "flit", "--over", "px86"]) == 2
 
 
+def test_check_unknown_method_exit_two(tmp_path, capsys):
+    path = tmp_path / "q.lit"
+    path.write_text("collection px86\nprogram\n  t0: qpush(1, 2)\n")
+    assert run_cli(["check", str(path)]) == 2
+    assert "error: method qpush" in capsys.readouterr().err
+
+
+def test_verify_impl_unknown_method_exit_two(capsys):
+    # the reg corpus calls regnew, which no interface of px86 or flit declares
+    code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(LITMUS / "reg_flit")])
+    assert code == 2
+    assert "error: event 0 with label regnew()" in capsys.readouterr().err
+
+
 def test_verify_impl_empty_corpus(tmp_path, capsys):
     assert (
         run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path)])

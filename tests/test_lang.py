@@ -29,6 +29,7 @@ from persistcheck.lang import (
     parse_litmus,
     parse_statements,
 )
+from persistcheck.libs import builtin_spec
 from persistcheck.model import prefix_immediate
 from persistcheck.px86 import px86_spec
 
@@ -209,6 +210,28 @@ program
     for env, g in runs:
         allocs = [e for e in g.events if g.lab[e].method == "alloc"]
         assert len(allocs) <= 1
+
+
+@pytest.mark.parametrize(
+    "lib, init, body, want",
+    [
+        # the queue allocated once survives the crash, so the re-run pop can
+        # see the push of the era before (it used to give no outcome at all)
+        ("durqueue", "q := qnew()", "r := qpop(q); qpush(q, 1)", {None, 1}),
+        # a persisted write is read back after the crash (a re-run rnew or
+        # alloc used to reset the location to 0)
+        ("weakreg", "x := rnew()", "r := rread(x); rwrite(x, 1); pfence()", {0, 1}),
+        ("px86", "x := alloc()", "r := load(x); store(x, 1); flush(x)", {0, 1}),
+    ],
+)
+def test_toplevel_crash_keeps_globals(lib, init, body, want):
+    text = f"collection {lib}\nglobals\n {init}\nprogram\n t0: {body}\n"
+    prog = parse_litmus(text).phases[0]
+    coll = Collection([builtin_spec(lib)])
+    got = behaviors(prog, coll, max_crashes=1, outcome_regs=["r"])
+    assert {dict(o)["r"] for o in got} == want
+    for _, g in interpret_toplevel(prog, coll, max_crashes=1, config=CFG):
+        assert sum(1 for l in g.labels() if l.method in ("qnew", "rnew", "alloc")) <= 1
 
 
 # --------------------------------------------------------------------------

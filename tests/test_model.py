@@ -39,7 +39,6 @@ from persistcheck.model import (
     prefix_immediate,
     prefixes,
     restrict,
-    same_era,
     seq_compose,
     sequence_execution,
     tag_set,
@@ -47,6 +46,7 @@ from persistcheck.model import (
     transitive_reduction,
 )
 from persistcheck.model import _iso_signatures
+from persistcheck.px86 import derive_sets, load, store
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -385,8 +385,10 @@ def test_era_before_oracle_three_eras():
     labels = [w(1, thread=0), CRASH, w(2, thread=1), CRASH, r(2, thread=2)]
     g = sequence_execution(labels)
     assert era_before(g) == frozenset(oracle_eb(g))
-    se = same_era(g)
-    assert (0, 0) in se and (0, 2) not in se
+    # same-era, as px86 derives it, on the same shape with px86 labels
+    px = sequence_execution([store(1, 1, thread=0), CRASH, store(1, 2, thread=1), CRASH, load(1, 2, thread=2)])
+    se = derive_sets(Execution(px)).se
+    assert se[0] & 1 and not se[0] >> 2 & 1
 
 
 def test_tag_set():

@@ -11,15 +11,22 @@ Two independent oracles validate the axiomatic checker:
 
 import itertools
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded
+from persistcheck.framework import BudgetExceeded, linear_extensions
 from persistcheck.model import (
     BOT,
     CRASH,
     Execution,
+    Order,
     PlainExecution,
+    bits,
     closure,
+    era_before,
     is_irreflexive,
     seq_compose,
     sequence_execution,
@@ -224,10 +231,10 @@ def test_iriw_matches_simulator():
 def test_derived_sets_crash_free():
     x = build_execution([[store(X, 1, thread=0)]], locs=(X,))
     ds = derive_sets(x)
-    assert ds.eb == frozenset()
-    assert len(ds.W) == 2  # init store + the store
-    assert ds.R == frozenset()
-    assert ds.ALLOC and ds.D >= ds.W
+    assert not any(ds.eb.rows)
+    assert bin(ds.W).count("1") == 2  # init store + the store
+    assert ds.R == 0
+    assert ds.ALLOC and ds.D & ds.W == ds.W
 
 
 def test_derived_sets_two_eras():
@@ -238,7 +245,7 @@ def test_derived_sets_two_eras():
     pre = [e for e in x.events if x.lab[e].method in ("store", "alloc")]
     for a in pre:
         for b in post:
-            assert (a, b) in ds.eb
+            assert ds.eb.rows[a] >> b & 1
 
 
 # --------------------------------------------------------------------------
@@ -340,11 +347,11 @@ def test_a7_reverified_on_found_witnesses():
     ds = derive_sets(x)
     for a, b in w.tso:
         if (
-            a in ds.D
-            and b in ds.D
+            ds.D >> a & 1
+            and ds.D >> b & 1
             and ds.loc.get(a) is not None
             and ds.loc.get(a) == ds.loc.get(b)
-            and (a, b) in ds.se
+            and ds.se[a] >> b & 1
         ):
             assert (a, b) in w.nvo
 
@@ -571,3 +578,290 @@ def test_axiom_report_names_failure():
     rep = check_px86_axioms(x, bad)
     assert not rep["A2"]
     assert "coherence" in rep["A2"].reason and str(init) in rep["A2"].reason
+
+
+# --------------------------------------------------------------------------
+# Differential test: the bit-row search and axiom report against the
+# pair-set implementation they replaced
+# --------------------------------------------------------------------------
+
+
+def _ref_sets(x):
+    """The derived sets with eb, se and ehb as pair sets, as the pair-set
+    implementation held them."""
+    ds = derive_sets(x)
+    classes = {k: frozenset(bits(getattr(ds, k))) for k in ("R", "W", "U", "FL", "FO", "MF", "SF", "D", "WU")}
+    eb = era_before(x.plain)
+    se = frozenset(
+        (a, b) for a in x.events for b in x.events if (a, b) not in eb and (b, a) not in eb
+    )
+    ehb = frozenset((a, b) for (a, b) in x.hb if (a, b) not in x.po and (b, a) not in x.po)
+    return SimpleNamespace(
+        loc=ds.loc,
+        eb=eb,
+        se=se,
+        ehb=ehb,
+        wux=lambda lx: frozenset(e for e in classes["WU"] if ds.loc.get(e) == lx),
+        **classes,
+    )
+
+
+def _ref_forced_tso(x, ds, rf):
+    po_se = {(a, b) for (a, b) in x.po if (a, b) in ds.se}
+    forced = set()
+    mf_u = ds.MF | ds.U
+    for a, b in po_se:
+        if b in mf_u or a in (mf_u | ds.R):
+            forced.add((a, b))  # A3
+        if b in ds.SF or (a in ds.SF and b not in ds.R):
+            forced.add((a, b))  # A4
+        if a in (ds.W | ds.FL) and b in (ds.W | ds.FL):
+            forced.add((a, b))  # A5
+        if ds.loc.get(a) is not None and ds.loc.get(a) == ds.loc.get(b):
+            if (a in ds.FL and b in ds.FO) or (a in ds.FO and b in ds.FL) or (a in ds.W and b in ds.FO):
+                forced.add((a, b))  # A6
+    for w, r in rf:
+        if (w, r) not in x.po:
+            forced.add((w, r))  # A1
+    return forced
+
+
+def _ref_axiom_a2(x, ds, rf, tso):
+    tso_se = {(a, b) for (a, b) in tso if (a, b) in ds.se}
+    po_se = {(a, b) for (a, b) in x.po if (a, b) in ds.se}
+    for w, r in sorted(rf):
+        for w2 in sorted(ds.wux(ds.loc.get(w))):
+            if ((w2, r) in tso_se or (w2, r) in po_se) and (w, w2) in tso:
+                return (w, r, w2)
+    return None
+
+
+def _ref_nvo_required(x, ds, tso):
+    tso_se = {(a, b) for (a, b) in tso if (a, b) in ds.se}
+    req = set()
+    for a, b in tso_se:  # A7
+        if a in ds.D and b in ds.D and ds.loc.get(a) is not None and ds.loc.get(a) == ds.loc.get(b):
+            req.add((a, b))
+    for a, b in {(a, b) for (a, b) in (set(tso) | set(ds.ehb)) if (a, b) in ds.se}:  # A8
+        if a in ds.D and (b in ds.FO or b in ds.FL) and ds.loc.get(a) == ds.loc.get(b):
+            req.add((a, b))
+    for f in ds.FL:  # A9
+        req |= {(f, d) for d in ds.D if (f, d) in tso_se}
+    for f in ds.FO:
+        for g_ in ds.MF | ds.SF | ds.U:
+            if (f, g_) in x.po and (f, g_) in ds.se:
+                req |= {(f, d) for d in ds.D if (g_, d) in tso_se}
+    return req
+
+
+def _ref_forced_persists(x, ds):
+    out = {f for f in ds.FL if x.lab[f].is_complete}
+    for f in ds.FO:
+        if any(
+            (f, g_) in x.po and (f, g_) in ds.se and x.lab[g_].is_complete
+            for g_ in ds.MF | ds.SF | ds.U
+        ):
+            out.add(f)
+    return out
+
+
+def ref_check_px86_axioms(x, w):
+    ds = _ref_sets(x)
+    tso, nvo, rf, P = w.tso, w.nvo, w.rf, w.persisted
+    out = {}
+    hb_tso = closure(set(x.hb) | set(tso))
+    rf_ok = all(((a, b) in tso and (a, b) in ds.se) or (a, b) in x.po for (a, b) in rf)
+    out["A1"] = (bool(is_irreflexive(hb_tso) and rf_ok), "hb ∪ tso cyclic or rf ⊄ tsoSE ∪ po")
+    bad = _ref_axiom_a2(x, ds, rf, tso)
+    out["A2"] = (bad is None, f"coherence violation {bad}")
+    missing = [e for e in _ref_forced_tso(x, ds, frozenset()) if e not in tso]
+    out["A3-A6"] = (not missing, f"missing tso edges {sorted(missing)[:4]}")
+    missing_nvo = [e for e in _ref_nvo_required(x, ds, tso) if e not in nvo]
+    out["A7-A9"] = (not missing_nvo, f"missing nvo edges {sorted(missing_nvo)[:4]}")
+    out["P-closure"] = (all(a in P for (a, b) in nvo if b in P), "dom(nvo;[P]) ⊄ P")
+    forced_p = _ref_forced_persists(x, ds)
+    out["P-forcing"] = (forced_p <= P, f"unpersisted completed flush {sorted(forced_p - P)}")
+    new_bad = None
+    for wr, r in sorted(rf):
+        if (wr, r) not in ds.eb:
+            continue
+        if wr not in P:
+            new_bad = (wr, r, "source not persisted")
+            break
+        for w2 in sorted(ds.wux(ds.loc.get(wr))):
+            if w2 in P and (wr, w2) in nvo and (w2, r) in ds.eb:
+                new_bad = (wr, r, f"persisted {w2} intervenes")
+                break
+        if new_bad:
+            break
+    out["new"] = (new_bad is None, f"cross-era read {new_bad}")
+    era_ok = all((b, a) not in ds.eb for rel in (rf, tso, nvo) for (a, b) in rel)
+    out["era"] = (era_ok, "relation points backwards in era order")
+    # a passing axiom carries no reason
+    return {k: (ok, "" if ok else reason) for k, (ok, reason) in out.items()}
+
+
+def ref_search_px86_witness(x, budget=200_000):
+    ds = _ref_sets(x)
+    era = x.plain.era_of()
+    explicit_p = frozenset(e for e in x.events if P_TAG in x.lab[e].tags)
+    cands = {}
+    for r in sorted(ds.R | ds.U):
+        v = value_read(x.lab[r])
+        opts = [
+            w
+            for w in sorted(ds.WU)
+            if w != r
+            and ds.loc.get(w) == ds.loc.get(r)
+            and (v is BOT or value_written(x.lab[w]) == v)
+            and (r, w) not in ds.eb
+        ]
+        if not opts:
+            return None
+        cands[r] = opts
+    reads = sorted(cands)
+    wu = sorted(ds.WU)
+    wu_eras = [era[e] for e in wu]
+    steps = [0]
+
+    def spend():
+        steps[0] += 1
+        if steps[0] > budget:
+            raise BudgetExceeded({"steps": steps[0]})
+
+    for rf_combo in itertools.product(*(cands[r] for r in reads)):
+        spend()
+        rf = frozenset((w, r) for r, w in zip(reads, rf_combo))
+        if any((w, r) not in x.po and (w, r) in ds.eb for (w, r) in rf):
+            continue
+        forced = _ref_forced_tso(x, ds, rf)
+        base = Order.close(len(x.events), forced)
+        if not base.is_acyclic():
+            continue
+        base_wu = base.restrict(wu)
+        if any(wu_eras[a] > wu_eras[b] for a, b in base_wu.pairs):
+            continue
+        for ext in linear_extensions(base_wu, wu_eras):
+            spend()
+            perm = [wu[i] for i in ext]
+            tso = closure(set(forced) | set(zip(perm, perm[1:])))
+            if not is_irreflexive(tso) or any((b, a) in ds.eb for (a, b) in tso):
+                continue
+            if not is_irreflexive(closure(set(x.hb) | set(tso))):
+                continue
+            if _ref_axiom_a2(x, ds, rf, tso) is not None:
+                continue
+            nvo = closure(_ref_nvo_required(x, ds, tso))
+            if not is_irreflexive(nvo) or any((b, a) in ds.eb for (a, b) in nvo):
+                continue
+            needed = {w for (w, r) in rf if (w, r) in ds.eb} | _ref_forced_persists(x, ds)
+            if explicit_p and not needed <= explicit_p:
+                continue
+            p_set = set(explicit_p or needed)
+            changed = True
+            while changed:
+                changed = False
+                for a, b in nvo:
+                    if b in p_set and a not in p_set:
+                        p_set.add(a)
+                        changed = True
+            if explicit_p and p_set != explicit_p:
+                continue
+            if not p_set <= ds.D:
+                continue
+            if any(
+                w2 in p_set and (w, w2) in nvo and (w2, r) in ds.eb
+                for (w, r) in rf
+                if (w, r) in ds.eb
+                for w2 in ds.wux(ds.loc.get(w))
+            ):
+                continue
+            return Px86Witness(rf, frozenset(tso), frozenset(nvo), frozenset(p_set))
+    return None
+
+
+_DURABLE = ("store", "upd", "flush", "fo", "alloc")
+
+
+@st.composite
+def _px86_label(draw, thread):
+    kind = draw(st.sampled_from(("store", "store", "load", "load", "upd", "flush", "fo", "mfence", "sfence", "alloc")))
+    x = draw(st.sampled_from((X, Y)))
+    v, v2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    l = {
+        "store": lambda: store(x, v, thread),
+        "load": lambda: load(x, v, thread),
+        "upd": lambda: upd(x, v, v2, thread),
+        "flush": lambda: flush(x, thread),
+        "fo": lambda: fo(x, thread),
+        "mfence": lambda: mfence(thread),
+        "sfence": lambda: sfence(thread),
+        "alloc": lambda: alloc(x, thread),
+    }[kind]()
+    if kind in _DURABLE and draw(st.integers(0, 3)) == 0:
+        l = l.with_tags({P_TAG})
+    return l
+
+
+@st.composite
+def small_px86_executions(draw):
+    """At most 7 events, 0-1 crash, locations X and Y, random P tags; the
+    last call of a thread may be incomplete, and one sw edge between two
+    threads may be added."""
+    crash = draw(st.booleans())
+    eras = [[[], []], [[]]] if crash else [[[], []]]
+    for _ in range(draw(st.integers(1, 6 if crash else 7))):
+        era = draw(st.integers(0, len(eras) - 1))
+        t = draw(st.integers(0, len(eras[era]) - 1))
+        eras[era][t].append(draw(_px86_label(thread=2 * era + t)))
+    for chains in eras:
+        for chain in chains:
+            if chain and draw(st.integers(0, 3)) == 0:
+                chain[-1] = replace(chain[-1], ret=BOT)
+    g = parallel_execution(*eras[0])
+    if crash:
+        g = seq_compose(seq_compose(g, sequence_execution([CRASH])), parallel_execution(*eras[1]))
+    sw = [
+        (a, b)
+        for a in g.events
+        for b in g.events
+        if g.lab[a].is_call and g.lab[b].is_call and g.lab[a].thread != g.lab[b].thread and (b, a) not in g.po
+    ]
+    return Execution(g, sw=[draw(st.sampled_from(sw))] if sw and draw(st.booleans()) else [])
+
+
+def _outcome(search, x, budget):
+    try:
+        w = search(x, budget)
+    except BudgetExceeded:
+        return "budget"
+    return None if w is None else (w.rf, w.tso, w.nvo, w.persisted)
+
+
+def _report(x, w):
+    return {k: (bool(v), v.reason) for k, v in check_px86_axioms(x, w).items()}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(small_px86_executions())
+# shapes the generator rarely draws: fo before a flush elsewhere (A6), a
+# post-crash read of a write overwritten before the crash (A2 is same-era),
+# a store synchronizing with another thread's flush (A8 on external hb), and
+# two post-crash reads of one store
+@example(Execution(sequence_execution([store(X, 1, thread=0), fo(X, thread=0), flush(Y, thread=0)])))
+@example(Execution(sequence_execution([store(X, 0, thread=0), store(X, 1, thread=0), CRASH, load(X, 0, thread=1)])))
+@example(Execution(parallel_execution([store(X, 1, thread=0)], [flush(X, thread=1)]), sw=[(0, 1)]))
+@example(Execution(sequence_execution([store(X, 0, thread=0), store(X, 1, thread=0), CRASH, load(X, 1, thread=1), load(X, 1, thread=1)])))
+def test_row_search_matches_pair_set_reference(x):
+    got = _outcome(search_px86_witness, x, 200_000)
+    assert got == _outcome(ref_search_px86_witness, x, 200_000)
+    assert _outcome(search_px86_witness, x, 1) == _outcome(ref_search_px86_witness, x, 1)
+    if got is None or got == "budget":
+        return
+    w = Px86Witness(*got)
+    mutants = [w]
+    mutants += [replace(w, tso=w.tso - {e}) for e in w.tso]
+    mutants += [replace(w, nvo=w.nvo - {e}) for e in w.nvo]
+    mutants += [replace(w, persisted=w.persisted - {e}) for e in w.persisted]
+    for m in mutants:
+        assert _report(x, m) == ref_check_px86_axioms(x, m)
