@@ -146,13 +146,11 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
             cfg,
         )
     if cfg.dot_path:
-        runs = interpret_phases(list(lit.phases), coll, iconfig)
-        for env, g in runs:
-            if env is not None:
-                from .model import Execution
-
-                Path(cfg.dot_path).write_text(execution_to_dot(Execution(g)), encoding="utf-8")
-                break
+        if outcomes:
+            first = min(outcomes, key=repr)
+            Path(cfg.dot_path).write_text(execution_to_dot(outcomes.witness[first]), encoding="utf-8")
+        else:
+            print(f"note: {lit.name}: no consistent execution, no DOT file written", file=sys.stderr)
     return 1 if "FAIL" in statuses else 3 if "UNKNOWN" in statuses else 0
 
 
@@ -184,7 +182,11 @@ def cmd_verify_impl(
         from .lang import interpret_toplevel
 
         for p in sorted(Path(corpus_dir).glob("*.lit")):
-            lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
+            try:
+                lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
+            except (OSError, ParseError) as e:
+                print(f"error: {p.name}: {e}", file=sys.stderr)
+                return 2
             lcfg = InterpConfig(
                 domain=tuple(lit.domain) + tuple(cfg.domain),
                 unroll=lit.unroll if lit.unroll is not None else cfg.unroll,
@@ -338,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--unroll", type=int, default=4, help="loop unrolling bound")
         p.add_argument("--domain", type=int, action="append", default=[], help="extra candidate values")
         p.add_argument("--json", action="store_true", help="JSON-lines report")
-        p.add_argument("--dot", default=None, help="write a DOT dump of a consistent execution")
+        p.add_argument("--dot", default=None, help="write a DOT dump of the consistent execution justifying the first outcome")
         p.add_argument("--manifest", default=None, help="JSON registry manifest (spec names, budgets, domain)")
         p.add_argument("--seed", type=int, default=0, help="corpus generation seed (never affects verdicts)")
 

@@ -173,6 +173,14 @@ class LibraryInterface:
     #: optional interpreter hook: (method, argvalues, ctx) -> [(labels, ret)]
     #: where labels is a tuple of Label templates (thread filled in later).
     call_semantics: Optional[Callable] = None
+    #: optional value flow: label -> (read, write), each a ``(loc, value)``
+    #: pair or ``None``; a read value of ``BOT`` leaves the value open.
+    #: Declaring it is a contract that ``lang.interpret_phases`` relies on to
+    #: drop runs before they are checked: local consistency requires every
+    #: read to have a write at the same ``loc`` with the same value (any
+    #: value for ``BOT``), made by another event of this library in the
+    #: same era or an earlier one.
+    value_flow: Optional[Callable[[Label], Tuple[Optional[Tuple], Optional[Tuple]]]] = None
 
     def __post_init__(self):
         if not set(self.constructors) <= set(self.methods):

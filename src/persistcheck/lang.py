@@ -1,12 +1,17 @@
 """The small concurrent language: parsing, interpretation, linking.
 
 Programs are finite maps from thread ids to sequential commands, plus a
-globals block of initializer calls.  The semantics is generate-and-filter:
-calls return candidate values drawn from the configured domain (void and
-allocating methods aside), every interleaving-free pomset of the per-thread
-traces is produced, and consistency filtering happens downstream against
-library specifications.  Loops are bounded by an unrolling budget; runs cut
-at the budget contribute partial executions only.
+globals block of initializer calls.  Each thread's runs are enumerated on
+their own: calls return candidate values drawn from the configured domain
+(void and allocating methods aside).  Every interleaving-free pomset of the
+per-thread traces is produced, and consistency filtering happens downstream
+against library specifications.  Loops are bounded by an unrolling budget;
+runs cut at the budget contribute partial executions only.
+
+Reads of a library that declares its value flow (px86) are not left to the
+downstream filter when only complete runs are asked for: where the thread
+runs meet, a run is built only if each such read has a write of its
+location and value in its era or an earlier one (:class:`ValueFlow`).
 
 Top-level crash semantics restarts the threads after each crash: the
 globals run once, before the first era, and every era shares their bindings
@@ -522,13 +527,40 @@ class Interpretation:
 
     # -- plain executions ---------------------------------------------------
 
-    def _build(self, per_thread: Mapping[int, Tuple[Label, ...]]) -> PlainExecution:
+    def thread_choices(self, complete: bool) -> List[List[ThreadRun]]:
+        """Per thread, in thread-id order, the runs an execution picks one of:
+        the complete runs, or (``complete=False``) every prefix of every run,
+        its last call optionally pending."""
+        tids = self.prog.thread_ids()
+        if complete:
+            return [[r for r in self.thread_runs[t] if r.status in (DONE, RETURNED)] for t in tids]
+        return [
+            [ThreadRun(tr, (), CUT) for tr in sorted(_prefix_traces({r.trace for r in self.thread_runs[t]}), key=repr)]
+            for t in tids
+        ]
+
+    def outcome(self, combo: Sequence[ThreadRun]) -> Dict[str, object]:
+        """The registers a complete run reports."""
+        env: Dict[str, object] = {}
+        for run in combo:
+            for k, v in run.env:
+                if not k.startswith("__") and k not in self._outcome_exclude:
+                    env[k] = v
+        return env
+
+    def labels(self, combo: Sequence[ThreadRun]) -> Tuple[Label, ...]:
+        """The labels of the execution :meth:`build` makes, in its order."""
+        return self.globals_trace + tuple(l for run in combo for l in run.trace)
+
+    def build(self, combo: Sequence[ThreadRun]) -> PlainExecution:
+        """The execution of one run per thread (in thread-id order), after the
+        globals trace."""
         labels: List[Label] = list(self.globals_trace)
         edges: List[Tuple[int, int]] = [(i, i + 1) for i in range(len(labels) - 1)]
         base_end = len(labels)
-        for t in sorted(per_thread):
+        for run in combo:
             start = len(labels)
-            labels.extend(per_thread[t])
+            labels.extend(run.trace)
             edges.extend((i, i + 1) for i in range(start, len(labels) - 1))
             for g in range(base_end):
                 if labels[g].is_complete and start < len(labels):
@@ -537,38 +569,12 @@ class Interpretation:
 
     def complete_executions(self) -> List[Tuple[Dict[str, object], PlainExecution]]:
         """(outcome env, execution) for every all-threads-complete run."""
-        out = []
-        per_thread_choices: List[List[ThreadRun]] = []
-        tids = self.prog.thread_ids()
-        for t in tids:
-            choices = [r for r in self.thread_runs[t] if r.status in (DONE, RETURNED)]
-            per_thread_choices.append(choices)
-        for combo in itertools.product(*per_thread_choices):
-            env: Dict[str, object] = {}
-            for t, run in zip(tids, combo):
-                for k, v in run.env:
-                    if not k.startswith("__") and k not in self._outcome_exclude:
-                        env[k] = v
-            g = self._build({t: run.trace for t, run in zip(tids, combo)})
-            out.append((env, g))
-        return out
+        combos = itertools.product(*self.thread_choices(True))
+        return [(self.outcome(c), self.build(c)) for c in combos]
 
     def partial_executions(self) -> List[PlainExecution]:
         """⟦P⟧^⊥: every per-thread cut of every run (downward closed)."""
-        tids = self.prog.thread_ids()
-        per_thread: List[List[Tuple[Label, ...]]] = []
-        for t in tids:
-            traces = {r.trace for r in self.thread_runs[t]}
-            per_thread.append(sorted(_prefix_traces(traces), key=repr))
-        out = []
-        seen = set()
-        for combo in itertools.product(*per_thread):
-            key = tuple(combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(self._build({t: tr for t, tr in zip(tids, combo)}))
-        return out
+        return [self.build(c) for c in itertools.product(*self.thread_choices(False))]
 
     def return_values(self) -> Dict[object, List[PlainExecution]]:
         """⟦P⟧^v for single-threaded method bodies: v is the return value."""
@@ -581,7 +587,7 @@ class Interpretation:
             if r.status == CUT:
                 continue
             v = r.retval if r.status == RETURNED else None
-            out.setdefault(v, []).append(self._build({t: r.trace}))
+            out.setdefault(v, []).append(self.build([r]))
         return out
 
 
@@ -628,6 +634,58 @@ def _glue_crash(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
     return PlainExecution(labels, edges)
 
 
+class ValueFlow:
+    """The reads and writes that a collection's libraries declare
+    (``LibraryInterface.value_flow``), as keys: a write of ``value`` at
+    ``loc`` by library ``lib`` gives ``(lib, loc, value)`` and ``(lib, loc)``;
+    a read needs the first, or the second if its value is ``BOT``."""
+
+    def __init__(self, coll: Collection):
+        self.coll = coll
+        self._memo: Dict[Label, Tuple[Optional[tuple], Tuple[tuple, ...]]] = {}
+
+    def of(self, l: Label) -> Tuple[Optional[tuple], Tuple[tuple, ...]]:
+        """The key ``l`` reads (or ``None``) and the keys it writes."""
+        got = self._memo.get(l)
+        if got is None:
+            read, writes = None, ()
+            spec = self.coll.owner_of(l)
+            if spec is not None and spec.interface.value_flow is not None:
+                r, w = spec.interface.value_flow(l)
+                if r is not None:
+                    read = (spec.name, r[0]) if r[1] is BOT else (spec.name,) + tuple(r)
+                if w is not None:
+                    writes = ((spec.name,) + tuple(w), (spec.name, w[0]))
+            got = self._memo[l] = (read, writes)
+        return got
+
+    def writes(self, traces: Iterable[Sequence[Label]]) -> Set[tuple]:
+        return {w for tr in traces for l in tr for w in self.of(l)[1]}
+
+    def reads_within(self, trace: Sequence[Label], written: Set[tuple]) -> bool:
+        """Whether ``written`` holds every key that ``trace`` reads."""
+        return all(r is None or r in written for r, _ in map(self.of, trace))
+
+    def sourced(self, labels: Sequence[Label]) -> bool:
+        """Whether every read has a write of its key by another event of its
+        era or an earlier one; the crash labels split the eras, in label
+        order."""
+        count: Dict[tuple, int] = {}  # writes of this era and earlier ones
+        pending: List[Tuple[tuple, bool]] = []  # this era's reads, own write
+        for l in labels:
+            if l.is_crash:
+                if not all(count.get(r, 0) > own for r, own in pending):
+                    return False
+                pending = []
+                continue
+            r, ws = self.of(l)
+            for w in ws:
+                count[w] = count.get(w, 0) + 1
+            if r is not None:
+                pending.append((r, r in ws))
+        return all(count.get(r, 0) > own for r, own in pending)
+
+
 def interpret_phases(
     phases: Sequence[Prog],
     coll: Collection,
@@ -637,7 +695,13 @@ def interpret_phases(
     """Explicit crash-separated phases.  Later phases share the first phase's
     global bindings (initializers run once).  With ``complete_only`` the
     final era contributes only complete runs (the partial tail of the
-    top-level semantics is skipped)."""
+    top-level semantics is skipped).
+
+    With ``complete_only``, if some library of ``coll`` declares its value
+    flow, only sourced runs are built: a thread run of era ``i`` is dropped
+    before the product if one of its reads is written by no trace of the
+    globals or of an era up to ``i``, and each assembled run must pass
+    :meth:`ValueFlow.sourced` before it is glued."""
     factory = config.prune_factory or (lambda coll, earlier: None)
     first = Interpretation(phases[0], coll, config, prune=factory(coll, []))
     interps: List[Interpretation] = [first]
@@ -655,30 +719,43 @@ def interpret_phases(
                 prune=factory(coll, interps[:]),
             )
         )
-    out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []
     n = len(interps)
-
-    def era_graphs(i: int, final: bool):
-        it = interps[i]
-        if final:
-            for env, g in it.complete_executions():
-                yield env, g
-            if not complete_only:
-                for g in it.partial_executions():
-                    yield None, g
-        else:
-            for g in it.partial_executions():
-                yield None, g
-
-    def rec(i: int, acc: Optional[PlainExecution]):
+    declared = any(s.interface.value_flow is not None for s in coll.specs())
+    flow = ValueFlow(coll) if complete_only and declared else None
+    written = flow.writes([first.globals_trace]) if flow else set()
+    # per era: (outcome env or None, the chosen thread runs)
+    eras: List[List[Tuple[Optional[Dict[str, object]], Tuple[ThreadRun, ...]]]] = []
+    for i, it in enumerate(interps):
         final = i == n - 1
-        for env, g in era_graphs(i, final):
-            if final:
-                out.append((env, g if acc is None else _glue_crash(acc, g)))
-            else:
-                rec(i + 1, g if acc is None else _glue_crash(acc, g))
+        runs: List[Tuple[Optional[Dict[str, object]], Tuple[ThreadRun, ...]]] = []
+        kinds = ((True,) if complete_only else (True, False)) if final else (False,)
+        for complete in kinds:
+            choices = it.thread_choices(complete)
+            if flow:
+                written |= flow.writes(r.trace for rs in choices for r in rs)
+                choices = [[r for r in rs if flow.reads_within(r.trace, written)] for rs in choices]
+            runs.extend((it.outcome(c) if complete else None, c) for c in itertools.product(*choices))
+        eras.append(runs)
+    graphs: Dict[Tuple[int, int], PlainExecution] = {}
+    out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []
 
-    rec(0, None)
+    def rec(i: int, acc: Optional[PlainExecution], acc_labels: Tuple[Label, ...]):
+        for j, (env, combo) in enumerate(eras[i]):
+            labels = acc_labels
+            if flow:
+                labels += ((CRASH,) if i else ()) + interps[i].labels(combo)
+                if not flow.sourced(labels):
+                    continue
+            if (i, j) not in graphs:
+                graphs[i, j] = interps[i].build(combo)
+            g = graphs[i, j]
+            g = g if acc is None else _glue_crash(acc, g)
+            if i == n - 1:
+                out.append((env, g))
+            else:
+                rec(i + 1, g, labels)
+
+    rec(0, None, ())
     # deduplicate identical executions (same labels and po)
     seen = {}
     uniq = []
@@ -980,11 +1057,13 @@ class Behaviors(set):
 
     ``undecided`` holds the outcomes that no refinement justified but whose
     check ran out of budget on some refinement; every other outcome of a
-    complete run was refuted."""
+    complete run was refuted.  ``witness`` maps each justified outcome to
+    the refinement that justified it."""
 
     def __init__(self):
         super().__init__()
         self.undecided: Set[Tuple[Tuple[str, object], ...]] = set()
+        self.witness: Dict[Tuple[Tuple[str, object], ...], Execution] = {}
 
 
 def behaviors(
@@ -1020,6 +1099,7 @@ def behaviors(
                 v = check_consistent(coll, x)
             if v:
                 out.add(outcome)
+                out.witness[outcome] = x
                 out.undecided.discard(outcome)
                 break
             if v.is_budget:

@@ -1514,6 +1514,7 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     from .px86 import px86_interface
 
     iface = px86_interface()
+    # no value_flow: under SC a load of a location nothing wrote returns 0
     iface = LibraryInterface(
         name="scmem",
         methods=iface.methods,

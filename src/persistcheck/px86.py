@@ -167,6 +167,7 @@ def px86_interface() -> LibraryInterface:
             "alloc": "loc",
         },
         call_semantics=px86_call_semantics,
+        value_flow=px86_value_flow,
     )
 
 
@@ -253,6 +254,16 @@ def value_read(l: Label):
     if l.method == "upd":
         return l.args[1]
     return None
+
+
+def px86_value_flow(l: Label) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+    """The ``(loc, value)`` a label reads and the one it writes, or ``None``
+    each: loads and updates read, stores and updates write.  An unreturned
+    load reads ``BOT``, which any write at its location can source."""
+    loc = next(iter(_px86_loc(l)), None)
+    read = (loc, value_read(l)) if l.method in ("load", "upd") else None
+    write = (loc, value_written(l)) if l.method in ("store", "upd") else None
+    return read, write
 
 
 # -- witness -----------------------------------------------------------------
@@ -400,12 +411,16 @@ def check_px86_axioms(x: Execution, w: Px86Witness) -> Dict[str, Verdict]:
 
 
 def _read_candidates(x: Execution, ds: DerivedSets) -> Optional[Dict[int, List[int]]]:
+    """Per read, the writes that may source it, or ``None`` if some read has
+    none.  It reads the declared value flow, as the interpreter's sourcing
+    check does, so the two cannot disagree on which runs are unsourced."""
+    flow = [px86_value_flow(l) for l in x.plain.labels()]
     cands: Dict[int, List[int]] = {}
     for r in bits(ds.R | ds.U):
-        v = value_read(x.lab[r])
+        _, v = flow[r][0]
         # an unreturned load's value is unconstrained: any same-loc write
         same = ds.WU & ds.same_loc[r] & ~(1 << r) & ~ds.eb.rows[r]
-        opts = [w for w in bits(same) if v is BOT or value_written(x.lab[w]) == v]
+        opts = [w for w in bits(same) if v is BOT or flow[w][1][1] == v]
         if not opts:
             return None
         cands[r] = opts

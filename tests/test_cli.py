@@ -7,6 +7,8 @@ from pathlib import Path
 
 
 from persistcheck.cli import main
+from persistcheck.framework import Collection
+from persistcheck.lang import InterpConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 LITMUS = ROOT / "litmus"
@@ -87,6 +89,36 @@ def test_check_dot_dump(tmp_path, capsys):
     assert dot.exists() and "digraph" in dot.read_text()
 
 
+def test_check_dot_draws_a_consistent_execution(tmp_path, capsys):
+    # the first complete run of lb.lit reads r1=1, r2=1, which the file
+    # expects to be inconsistent; --dot draws the witness of the first
+    # justified outcome instead
+    from persistcheck.framework import check_hereditarily_consistent
+    from persistcheck.lang import behaviors, parse_litmus
+    from persistcheck.libs import builtin_spec
+    from persistcheck.model import execution_to_dot
+
+    dot = tmp_path / "lb.dot"
+    assert run_cli(["check", str(LITMUS / "lb.lit"), "--dot", str(dot)]) == 0
+    lit = parse_litmus((LITMUS / "lb.lit").read_text())
+    coll = Collection([builtin_spec("px86")])
+    got = behaviors(list(lit.phases), coll, config=InterpConfig(unroll=4), outcome_regs=["r1", "r2"])
+    first = min(got, key=repr)
+    assert first == (("r1", 0), ("r2", 0))
+    x = got.witness[first]
+    assert dot.read_text() == execution_to_dot(x)
+    assert check_hereditarily_consistent(coll, x)
+
+
+def test_check_dot_without_consistent_outcome_writes_nothing(tmp_path, capsys):
+    f = tmp_path / "none.lit"
+    f.write_text("collection px86\nprogram\n  t0: r := load(7)\nexpect inconsistent outcome r=0\n")
+    dot = tmp_path / "none.dot"
+    assert run_cli(["check", str(f), "--dot", str(dot)]) == 0
+    assert not dot.exists()
+    assert "no consistent execution" in capsys.readouterr().err
+
+
 def test_worked_examples_exit_zero(capsys):
     assert run_cli(["worked-examples"]) == 0
     out = capsys.readouterr().out
@@ -109,6 +141,13 @@ def test_verify_impl_unknown_method_exit_two(capsys):
     code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(LITMUS / "reg_flit")])
     assert code == 2
     assert "error: event 0 with label regnew()" in capsys.readouterr().err
+
+
+def test_verify_impl_corpus_parse_error_exit_two(tmp_path, capsys):
+    (tmp_path / "broken.lit").write_text("collection flit\nprogram\n  t0: r := := load(x)\n")
+    code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: broken.lit: ")
 
 
 def test_verify_impl_empty_corpus(tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Parser, interpreter, crash-restart semantics, linking, and behaviors."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from persistcheck.framework import Collection
 from persistcheck.lang import (
@@ -32,6 +37,8 @@ from persistcheck.lang import (
 from persistcheck.libs import builtin_spec
 from persistcheck.model import prefix_immediate
 from persistcheck.px86 import px86_spec
+
+LITMUS = Path(__file__).resolve().parent.parent / "litmus"
 
 PX = Collection([px86_spec()])
 CFG = InterpConfig(unroll=4, max_runs=50_000)
@@ -331,3 +338,108 @@ def test_behaviors_sb_includes_00():
     assert (("r1", 0), ("r2", 0)) in outs
     assert (("r1", 1), ("r2", 1)) in outs
     assert (("r1", 0), ("r2", 1)) in outs
+
+
+# --------------------------------------------------------------------------
+# Sourced runs (declared value flow)
+# --------------------------------------------------------------------------
+
+
+def _without_value_flow(spec):
+    return dataclasses.replace(spec, interface=dataclasses.replace(spec.interface, value_flow=None))
+
+
+PX_UNSOURCED = Collection([_without_value_flow(px86_spec())])
+
+
+def _litmus_runs(name, coll, complete_only):
+    lit = parse_litmus((LITMUS / name).read_text())
+    cfg = InterpConfig(domain=lit.domain, unroll=4, max_runs=50_000)
+    return interpret_phases(list(lit.phases), coll, cfg, complete_only=complete_only)
+
+
+def _same_runs(a, b):
+    return [(env, g.labels(), g.po_reduced) for env, g in a] == [(env, g.labels(), g.po_reduced) for env, g in b]
+
+
+def test_iriw_builds_only_sourced_runs():
+    assert len(_litmus_runs("iriw.lit", PX, complete_only=True)) == 16
+    assert len(_litmus_runs("iriw.lit", PX_UNSOURCED, complete_only=True)) == 625
+    everything = _litmus_runs("iriw.lit", PX, complete_only=False)
+    assert sum(1 for env, _ in everything if env is not None) == 625
+    assert _same_runs(everything, _litmus_runs("iriw.lit", PX_UNSOURCED, complete_only=False))
+
+
+def test_sourced_runs_are_the_sourced_subsequence():
+    # on a crash file, complete_only keeps exactly the runs whose reads are
+    # sourced, in the order the undeclared interpretation gives them
+    from persistcheck.lang import ValueFlow
+
+    flow = ValueFlow(PX)
+    kept = _litmus_runs("crash_flush.lit", PX, complete_only=True)
+    every = _litmus_runs("crash_flush.lit", PX_UNSOURCED, complete_only=True)
+    assert _same_runs(kept, [(env, g) for env, g in every if flow.sourced(g.labels())])
+    assert 0 < len(kept) < len(every)
+
+
+def test_corpus_runs_do_not_depend_on_value_flow():
+    # the flit corpus and the verify-impl corpora are built without
+    # complete_only, so the declaration must not touch them
+    for p in sorted((LITMUS / "flit").glob("*.lit")):
+        lit = parse_litmus(p.read_text())
+        names = [n for n in lit.collection]
+        with_flow = Collection([builtin_spec(n) for n in names] + [px86_spec()] * ("px86" not in names))
+        without = Collection(
+            [builtin_spec(n) for n in names] + [_without_value_flow(px86_spec())] * ("px86" not in names)
+        )
+        cfg = InterpConfig(domain=tuple(lit.domain) + (0, 1), unroll=2, max_runs=50_000)
+        assert _same_runs(interpret_phases(list(lit.phases), with_flow, cfg), interpret_phases(list(lit.phases), without, cfg))
+        for crashes in (0, 1):
+            a = interpret_toplevel(lit.phases[0], with_flow, crashes, cfg)
+            assert _same_runs(a, interpret_toplevel(lit.phases[0], without, crashes, cfg))
+
+
+def test_scmem_declares_no_value_flow():
+    # scmem loads 0 from a location nothing wrote, which a declared value
+    # flow would drop
+    spec = builtin_spec("scmem")
+    assert spec.interface.value_flow is None
+    prog = parse_litmus("collection scmem\nprogram\n t0: r := load(7)\n").phases[0]
+    assert behaviors(prog, Collection([spec]), outcome_regs=["r"]) == {(("r", 0),)}
+    assert behaviors(prog, PX, outcome_regs=["r"]) == set()
+
+
+_FLOW_READS = ["{r} := load(x)", "{r} := load(y)", "{r} := faa(x, 1)", "{r} := cas(x, 0, 1)"]
+_FLOW_OPS = _FLOW_READS + ["store(x, 1)", "store(y, 1)", "flush(x)"]
+
+
+@st.composite
+def _px86_programs(draw):
+    """0-1 crash, 1-3 threads in all over locations x and y, 1-2 calls per
+    thread and at most four in all; thread ids and registers are distinct
+    across the phases."""
+    crashes = draw(st.integers(0, 1))
+    phases = []
+    tid = calls = 0
+    for i in range(crashes + 1):
+        threads = []
+        for _ in range(draw(st.integers(1, 3 - tid - (crashes - i)))):
+            body = draw(st.lists(st.sampled_from(_FLOW_OPS), min_size=1, max_size=min(2, 4 - calls))) if calls < 4 else ["skip"]
+            threads.append(f"  t{tid}: " + "; ".join(op.format(r=f"r{calls + j}") for j, op in enumerate(body)))
+            calls += len(body)
+            tid += 1
+        phases.append("program\n" + "\n".join(threads))
+    return "collection px86\nglobals\n  x := alloc()\n  y := alloc()\n" + "\ncrash\n".join(phases) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_px86_programs())
+@example("collection px86\nglobals\n  x := alloc()\nprogram\n  t0: r0 := load(x)\ncrash\nprogram\n  t1: store(x, 1)\n")
+@example("collection px86\nglobals\n  x := alloc()\nprogram\n  t0: store(x, 1); flush(x)\ncrash\nprogram\n  t1: r0 := cas(x, 1, 0); r1 := load(x)\n")
+def test_sourced_behaviors_differential(text):
+    # dropping unsourced runs changes no justified or undecided outcome
+    phases = list(parse_litmus(text).phases)
+    got = behaviors(phases, PX, config=CFG)
+    want = behaviors(phases, PX_UNSOURCED, config=CFG)
+    assert got == want
+    assert got.undecided == want.undecided

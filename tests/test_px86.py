@@ -35,6 +35,7 @@ from persistcheck.model import (
 from persistcheck.px86 import (
     P_TAG,
     Px86Witness,
+    _read_candidates,
     alloc,
     check_px86_axioms,
     derive_sets,
@@ -43,6 +44,8 @@ from persistcheck.px86 import (
     load,
     mfence,
     px86_consistent,
+    px86_spec,
+    px86_value_flow,
     search_px86_witness,
     sfence,
     store,
@@ -865,3 +868,35 @@ def test_row_search_matches_pair_set_reference(x):
     mutants += [replace(w, persisted=w.persisted - {e}) for e in w.persisted]
     for m in mutants:
         assert _report(x, m) == ref_check_px86_axioms(x, m)
+
+
+# --------------------------------------------------------------------------
+# Declared value flow
+# --------------------------------------------------------------------------
+
+
+def test_value_flow_declaration():
+    assert px86_value_flow(store(X, 1)) == (None, (X, 1))
+    assert px86_value_flow(load(X, 1)) == ((X, 1), None)
+    assert px86_value_flow(load(X, BOT)) == ((X, BOT), None)
+    assert px86_value_flow(upd(X, 0, 1, ret=BOT)) == ((X, 0), (X, 1))
+    for l in (alloc(X), flush(X), fo(X), mfence(), sfence(), CRASH):
+        assert px86_value_flow(l) == (None, None)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(small_px86_executions())
+# a pending load reads BOT; an update cannot source its own read; a read of
+# a write of the next era has no source
+@example(Execution(sequence_execution([store(X, 1, thread=0), load(X, BOT, thread=0)])))
+@example(Execution(sequence_execution([upd(X, 1, 1, thread=0)])))
+@example(Execution(sequence_execution([upd(X, 1, 1, thread=0, ret=BOT), store(X, 1, thread=0)])))
+@example(Execution(sequence_execution([load(X, 1, thread=0), CRASH, store(X, 1, thread=1)])))
+def test_interpreter_sourcing_matches_read_candidates(x):
+    # the interpreter drops exactly the runs whose reads the witness search
+    # finds no candidate write for
+    from persistcheck.framework import Collection
+    from persistcheck.lang import ValueFlow
+
+    flow = ValueFlow(Collection([px86_spec()]))
+    assert flow.sourced(x.plain.labels()) == (_read_candidates(x, derive_sets(x)) is not None)
