@@ -7,8 +7,9 @@ abstract litmus programs; ``worked-examples`` reproduces the classic register,
 queue, and transaction classifications.
 
 Exit codes: 0 all expectations met, 1 expectation failed or counterexample
-found, 2 usage or parse error, 3 (``check``) no expectation failed but some
-ran out of budget before a verdict (reported ``UNKNOWN``).  Reports are
+found, 2 usage or parse error, 3 no expectation failed (no counterexample
+found) but some search ran out of budget before a verdict (``UNKNOWN`` in
+``check``, summary ``unknown`` in ``verify-impl``).  Reports are
 deterministic; the seed flag affects corpus generation only, never verdicts.
 """
 
@@ -222,17 +223,18 @@ def cmd_verify_impl(
         return 2
     for rec in report.records:
         print(rec.to_json())
+    summary = "counterexample" if not report.ok else "unknown" if report.undecided() else "ok"
     print(
         json.dumps(
             {
-                "summary": "ok" if report.ok else "counterexample",
+                "summary": summary,
                 "records": len(report.records),
                 "budget_hits": report.budget_hits,
                 "bound": report.bound_note,
             }
         )
     )
-    return 0 if report.ok else 1
+    return {"counterexample": 1, "unknown": 3, "ok": 0}[summary]
 
 
 # --------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class Verdict:
     status: str
     reason: str = ""
     witness: object = None
-    stats: Tuple[Tuple[str, int], ...] = ()
+    stats: Tuple[Tuple[str, object], ...] = ()
 
     def __bool__(self) -> bool:
         return self.status == CONSISTENT
@@ -122,12 +122,12 @@ class Verdict:
         return self.status == BUDGET
 
     @staticmethod
-    def ok(witness: object = None) -> "Verdict":
-        return Verdict(CONSISTENT, witness=witness)
+    def ok(witness: object = None, stats: Optional[Mapping] = None) -> "Verdict":
+        return Verdict(CONSISTENT, witness=witness, stats=tuple(sorted((stats or {}).items())))
 
     @staticmethod
-    def fail(reason: str, witness: object = None) -> "Verdict":
-        return Verdict(INCONSISTENT, reason=reason, witness=witness)
+    def fail(reason: str, witness: object = None, stats: Optional[Mapping] = None) -> "Verdict":
+        return Verdict(INCONSISTENT, reason=reason, witness=witness, stats=tuple(sorted((stats or {}).items())))
 
     @staticmethod
     def budget(stats: Optional[Mapping] = None) -> "Verdict":

@@ -38,6 +38,7 @@ from .sc import (
     S_WEAKREG,
     SequentialSpec,
     WEAKREG_METHODS,
+    linearize,
     weakreg_consistent_execution,
 )
 
@@ -75,67 +76,38 @@ def execution_linearizable(
     events of earlier eras before later ones (the persisted-prefix
     concatenation shape); plain durable linearizability erases crashes, so
     only happens-before constrains incomplete stragglers there.
+
+    One ``sc.linearize`` search over the kept and optional events decides
+    it; the budget counts candidate calls tried.
     """
     n_eras = len(x.plain.crash_events()) + 1
     era = x.plain.era_of()
     ids = [e for e in x.events if not x.lab[e].is_crash]
+    labs = [x.lab[e] for e in ids]
     if domain is None:
-        vals = []
-        for e in ids:
-            l = x.lab[e]
-            vals.extend(a for a in l.args)
-            if l.ret not in (BOT, None):
-                vals.append(l.ret)
-        domain = []
-        for v in vals + [0, None]:
-            if v not in domain:
-                domain.append(v)
-
-    modes = {}
-    for e in ids:
+        returned = [l.ret for l in labs if l.ret not in (BOT, None)]
+        domain = list(dict.fromkeys([a for l in labs for a in l.args] + returned + [0, None]))
+    modes = {
+        e: keep(l, era[e], era[e] == n_eras - 1) if keep else "keep" if l.is_complete else "optional"
+        for e, l in zip(ids, labs)
+    }
+    members = [e for e in ids if modes[e] != "drop"]
+    must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
+    preds = x.hb_order.restrict(members).preds()
+    if era_monotone:
+        preds = [p | sum(1 << j for j, f in enumerate(members) if era[f] < era[e]) for p, e in zip(preds, members)]
+    options = []
+    for e in members:
         l = x.lab[e]
-        mode = keep(l, era[e], era[e] == n_eras - 1) if keep else (
-            "keep" if l.is_complete else "optional"
-        )
-        modes[e] = mode
-    chosen_base = [e for e in ids if modes[e] == "keep"]
-    optional = [e for e in ids if modes[e] == "optional"]
-    spent = [budget]
-
-    for included in itertools.chain.from_iterable(
-        itertools.combinations(optional, r) for r in range(len(optional) + 1)
-    ):
-        members = sorted(set(chosen_base) | set(included))
-        hb_local = x.hb_order.restrict(members)
-        eras = [era[e] for e in members] if era_monotone else None
-        # return-value choices for included incomplete calls
-        pend = [e for e in members if not x.lab[e].is_complete]
-        ret_choices: List[Sequence] = []
-        for e in pend:
-            if interface.returns.get(x.lab[e].method) == "void":
-                ret_choices.append([None])
-            else:
-                ret_choices.append(list(domain))
-        for rets in itertools.product(*ret_choices):
-            retmap = dict(zip(pend, rets))
-            calls = []
-            for e in members:
-                l = x.lab[e]
-                ret = retmap.get(e, l.ret)
-                calls.append(Call(l.method, l.args, None if ret is BOT else ret, l.thread, l.tags, e, e))
-            try:
-                for lin in linear_extensions(
-                    hb_local,
-                    eras,
-                    step=lambda st, i: spec.step(st, calls[i]),
-                    state=spec.init(),
-                    budget=spent,
-                    stage="linearization enumeration",
-                ):
-                    return Verdict.ok(witness=[members[i] for i in lin])
-            except BudgetExceeded as exc:
-                return Verdict.budget(exc.stats)
-    return Verdict.fail(f"no linearization into {spec.name}")
+        rets = [l.ret] if l.is_complete else [None] if interface.returns.get(l.method) == "void" else domain
+        options.append([Call(l.method, l.args, r, l.thread, l.tags, e, e) for r in rets])
+    try:
+        lin, stats = linearize(preds, options, must, spec, budget, "linearization enumeration")
+    except BudgetExceeded as exc:
+        return Verdict.budget(exc.stats)
+    if lin is None:
+        return Verdict.fail(f"no linearization into {spec.name}", stats=stats)
+    return Verdict.ok(witness=[members[i] for i, _ in lin], stats=stats)
 
 
 # --------------------------------------------------------------------------

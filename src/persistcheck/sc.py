@@ -8,13 +8,18 @@ rule.  Consistency of the weak register demands, for every k up to the
 number of eras, a k-sequentialization (persisted prefixes of earlier eras in
 persist order, era k in volatile order) accepted by the sequential register
 spec.
+
+Linearizability of histories and of executions is one lazy search,
+:func:`linearize`, in which a pending call is an optional event and the budget
+counts candidate calls tried; the eager :func:`iter_completions` is kept as
+the reference the tests compare it with.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .framework import BudgetExceeded, Verdict, linear_extensions
@@ -57,7 +62,8 @@ class SequentialSpec:
     """A recognizer over sequences of complete calls, given as an initial
     state and a step function returning the next state or None (reject).
     A rejected prefix rejects all its extensions, so step-wise evaluation
-    doubles as the pruning hook for linearization search."""
+    doubles as the pruning hook for linearization search.  States are dicts
+    with hashable values, which :func:`linearize` memoizes."""
 
     name: str
     init: Callable[[], object]
@@ -143,11 +149,7 @@ def mentioned_values(h: History) -> List:
             vals.extend(e.args)
         elif isinstance(e, Ret) and e.value is not None:
             vals.append(e.value)
-    out = []
-    for v in vals + [0, None]:
-        if v not in out:
-            out.append(v)
-    return out
+    return list(dict.fromkeys(vals + [0, None]))
 
 
 #: Methods whose completions can only return null; completing them with any
@@ -203,30 +205,75 @@ def completions_and_truncations(
 # --------------------------------------------------------------------------
 
 
+def linearize(
+    preds: Sequence[int], options: Sequence[Sequence[Call]], must: int, spec: SequentialSpec, budget: int, stage: str
+):
+    """Depth-first search for a sequence in ``spec`` placing every event of the
+    mask ``must`` and any others of ``0..n-1``, each at most once and as one
+    of its candidate calls ``options[i]``.  An event is placeable once the
+    ``must`` events of its predecessor mask ``preds[i]`` are placed; placing
+    it drops its unplaced predecessors.  Failed (placed-or-dropped mask, spec
+    state) pairs are memoized (Wing & Gong 1993; Lowe 2017).  Returns
+    ``(lin, stats)``: the placed ``(event, call)`` pairs or ``None``, and the
+    ``nodes`` (candidate calls tried, one budget unit each) and ``memo_hits``;
+    past the budget, ``BudgetExceeded`` carries the stats."""
+    stats = {"stage": stage, "nodes": 0, "memo_hits": 0}
+    failed = set()
+    lin: List[Tuple[int, Call]] = []
+
+    def rec(done: int, st) -> bool:
+        if done & must == must:
+            return True
+        key = (done, frozenset(st.items()))
+        if key in failed:
+            stats["memo_hits"] += 1
+            return False
+        for i, cands in enumerate(options):
+            if done >> i & 1 or preds[i] & must & ~done:
+                continue
+            for c in cands:
+                stats["nodes"] += 1
+                if stats["nodes"] > budget:
+                    raise BudgetExceeded(stats)
+                nxt = spec.step(st, c)
+                if nxt is not None:
+                    lin.append((i, c))
+                    if rec(done | 1 << i | preds[i], nxt):
+                        return True
+                    lin.pop()
+        failed.add(key)
+        return False
+
+    return (lin if rec(0, spec.init()) else None), stats
+
+
 def check_linearizable(
     h: History,
     spec: SequentialSpec,
     domain: Optional[Sequence] = None,
     budget: int = 200_000,
 ) -> Verdict:
-    """Some sequentialization of h belongs to the sequential spec."""
+    """Some sequentialization of h belongs to the sequential spec: one
+    :func:`linearize` search in which a pending call may be left out or placed
+    with any return (null for ``VOID_METHODS``, else a ``domain`` value).  The
+    budget counts candidate calls tried."""
     if h.crash_count():
         raise ValueError("linearizability is defined on crash-free histories")
-    remaining = [budget]
+    calls = h.calls()
+    domain = list(domain) if domain is not None else mentioned_values(h)
+    options = [
+        [c] if c.is_complete else [replace(c, ret=r) for r in ([None] if c.method in VOID_METHODS else domain)]
+        for c in calls
+    ]
+    must = sum(1 << i for i, c in enumerate(calls) if c.is_complete)
+    preds = _returns_before_invokes(calls).preds()
     try:
-        for hh in iter_completions(h, domain):
-            calls = hh.calls()
-            for lin in linear_extensions(
-                _returns_before_invokes(calls),
-                step=lambda st, i: spec.step(st, calls[i]),
-                state=spec.init(),
-                budget=remaining,
-                stage="linearization search",
-            ):
-                return Verdict.ok(witness=[calls[i] for i in lin])
+        lin, stats = linearize(preds, options, must, spec, budget, "linearization search")
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
-    return Verdict.fail(f"no sequentialization in {spec.name}")
+    if lin is None:
+        return Verdict.fail(f"no sequentialization in {spec.name}", stats=stats)
+    return Verdict.ok(witness=[c for _, c in lin], stats=stats)
 
 
 def check_durably_linearizable(

@@ -617,11 +617,17 @@ def check_global_preservation(
 class VerifyRecord:
     abstract_index: int
     concrete_index: int
-    matching_found: bool
+    matching_found: Optional[bool]  # None: the search hit its budget
     lifted: Optional[bool] = None
     wellformed_downward: Optional[bool] = None
     detail: str = ""
     witness_chain: Optional[int] = None  # length of the lifted chain
+    #: a search ran out of budget, so a counterexample may have been missed
+    undecided: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return self.matching_found is False or self.lifted is False or self.wellformed_downward is False
 
     def to_json(self) -> str:
         return json.dumps(
@@ -633,6 +639,7 @@ class VerifyRecord:
                 "wf_downward": self.wellformed_downward,
                 "witness_chain": self.witness_chain,
                 "detail": self.detail,
+                "undecided": self.undecided,
             }
         )
 
@@ -645,17 +652,14 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            r.matching_found and r.lifted is not False and r.wellformed_downward is not False
-            for r in self.records
-        )
+        """No counterexample; undecided records do not count against it."""
+        return not self.counterexamples()
 
     def counterexamples(self) -> List[VerifyRecord]:
-        return [
-            r
-            for r in self.records
-            if not r.matching_found or r.lifted is False or r.wellformed_downward is False
-        ]
+        return [r for r in self.records if r.failed]
+
+    def undecided(self) -> List[VerifyRecord]:
+        return [r for r in self.records if r.undecided and not r.failed]
 
     def to_json_lines(self) -> str:
         return "\n".join(r.to_json() for r in self.records)
@@ -696,6 +700,7 @@ def verify_impl_bounded(
                 f = find_plain_matching(gc, ga, impl, budget=budget)
             except BudgetExceeded:
                 report.budget_hits += 1
+                rec.matching_found, rec.undecided = None, True
                 rec.detail = "matching search hit budget"
                 report.records.append(rec)
                 continue
@@ -705,12 +710,13 @@ def verify_impl_bounded(
                 continue
             rec.matching_found = True
             # hereditary consistency upward
-            lifted_all = True
             found_consistent_low = False
             for xc in _refinements(coll_low, gc):
                 v = check_hereditarily_consistent(coll_low, xc, budget=budget)
                 if v.is_budget:
                     report.budget_hits += 1
+                    rec.undecided = True
+                    rec.detail = rec.detail or "hereditary consistency check hit budget"
                     continue
                 if not v:
                     continue
@@ -720,18 +726,19 @@ def verify_impl_bounded(
                     chain = lift_chain(xc, v.witness.subsets, f, ga, coll_high, budget=budget, failure=why)
                 except BudgetExceeded:
                     report.budget_hits += 1
-                    rec.detail = "lifting hit budget"
-                    chain = None
+                    rec.undecided = True
+                    rec.detail = rec.detail or "lifting hit budget"
+                    continue
                 if chain is None:
-                    lifted_all = False
-                    if not rec.detail:
-                        rec.detail = "no consistent abstract refinement lifts the chain" + (
-                            f" (last failure: {why[0]})" if why else ""
-                        )
+                    rec.lifted = False
+                    rec.detail = "no consistent abstract refinement lifts the chain" + (
+                        f" (last failure: {why[0]})" if why else ""
+                    )
                     break
                 rec.witness_chain = len(chain)
-            rec.lifted = lifted_all if found_consistent_low else None
-            if rec.lifted is None and not rec.detail:
+            if rec.lifted is None and found_consistent_low and not rec.undecided:
+                rec.lifted = True
+            if not found_consistent_low and not rec.detail:
                 rec.detail = "no hereditarily consistent concrete refinement"
             # well-formedness downward
             if check_wf:

@@ -176,6 +176,27 @@ program
     assert summary["summary"] == "ok"
 
 
+def test_verify_impl_out_of_budget_is_unknown(tmp_path, capsys):
+    # at budget 3 every matching search runs out: no verdict, not a
+    # counterexample
+    (tmp_path / "a.lit").write_text(
+        """
+collection flit
+globals
+  l := fnew()
+program
+  t0: fwrite_p(l, 1); r := fread_p(l)
+"""
+    )
+    code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path), "--budget", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert code == 3
+    assert summary["summary"] == "unknown"
+    assert summary["budget_hits"] == summary["records"] > 0
+    assert all(json.loads(line)["undecided"] for line in lines[:-1])
+
+
 def test_bad_budget_flag(capsys):
     assert run_cli(["check", str(LITMUS / "sb.lit"), "--budget", "-5"]) == 2
 

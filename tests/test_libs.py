@@ -1,10 +1,12 @@
 """Built-in library specs and implementations."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persistcheck.framework import Collection
+from persistcheck.framework import BudgetExceeded, Collection, linear_extensions
 from persistcheck.lang import (
     InterpConfig,
     behaviors,
@@ -16,6 +18,7 @@ from persistcheck.lang import (
 from persistcheck.model import (
     BOT,
     CRASH,
+    Call,
     CRASH_EV,
     Execution,
     History,
@@ -35,6 +38,8 @@ from persistcheck.libs import (
     E_TAG,
     PTR_TAG,
     S_MMCOUNTER,
+    S_QUEUE_ALIASED,
+    S_REG_ABSTRACT,
     T_TAG,
     builtin_impl,
     builtin_spec,
@@ -43,6 +48,7 @@ from persistcheck.libs import (
     counter_consistent,
     counter_impl,
     durqueue_spec,
+    execution_linearizable,
     flit_impl,
     flit_impl_mutated_no_fo,
     lock_consistent,
@@ -61,6 +67,7 @@ from persistcheck.libs import (
     persistify_flit_mutated,
     queue_interface,
     reg_durlin_spec,
+    _register_iface,
     same_transaction,
     sc_prune_factory,
     weakreg_spec,
@@ -347,6 +354,174 @@ def test_durlin_queue_completed_push_survives():
     assert durqueue_spec().local_consistent(Execution(sequence_execution(labels3)))
     labels4 = [qn(X), pend, CRASH, qpop_(X, 1, thread=5)]
     assert durqueue_spec().local_consistent(Execution(sequence_execution(labels4)))
+
+
+def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000, era_monotone=False):
+    """The eager search that execution_linearizable replaced: every subset
+    of the optional events, times every choice of returns for the incomplete
+    ones, each with its own linear-extension search.  Returns True, False,
+    or None (budget exceeded)."""
+    n_eras = len(x.plain.crash_events()) + 1
+    era = x.plain.era_of()
+    ids = [e for e in x.events if not x.lab[e].is_crash]
+    values = [a for e in ids for a in x.lab[e].args] + [x.lab[e].ret for e in ids if x.lab[e].ret not in (BOT, None)]
+    domain = []
+    for v in values + [0, None]:
+        if v not in domain:
+            domain.append(v)
+    modes = {}
+    for e in ids:
+        l = x.lab[e]
+        modes[e] = keep(l, era[e], era[e] == n_eras - 1) if keep else ("keep" if l.is_complete else "optional")
+    base = [e for e in ids if modes[e] == "keep"]
+    optional = [e for e in ids if modes[e] == "optional"]
+    spent = [budget]
+    for r in range(len(optional) + 1):
+        for included in itertools.combinations(optional, r):
+            members = sorted(set(base) | set(included))
+            hb_local = x.hb_order.restrict(members)
+            eras = [era[e] for e in members] if era_monotone else None
+            pend = [e for e in members if not x.lab[e].is_complete]
+            choices = [[None] if interface.returns.get(x.lab[e].method) == "void" else domain for e in pend]
+            for rets in itertools.product(*choices):
+                retmap = dict(zip(pend, rets))
+                calls = []
+                for e in members:
+                    l = x.lab[e]
+                    calls.append(Call(l.method, l.args, retmap.get(e, l.ret), l.thread, l.tags, e, e))
+                try:
+                    for _ in linear_extensions(
+                        hb_local, eras, step=lambda st, i: spec.step(st, calls[i]), state=spec.init(), budget=spent
+                    ):
+                        return True
+                except BudgetExceeded:
+                    return None
+    return False
+
+
+def _mmcounter_keep(l, era, last):
+    # mmcounter_consistent's rule: before the last era only constructors and
+    # Ptr-tagged calls count
+    if last or PTR_TAG in l.tags or l.method in ("regnew", "qnew"):
+        return "keep" if l.is_complete else "optional"
+    return "drop"
+
+
+def _prefix_keep(l, era, last):
+    # every call of an earlier era may be left out, complete or not
+    return "keep" if last and l.is_complete else "optional"
+
+
+_LIN_LIBS = {
+    "reg": (S_REG_ABSTRACT, _register_iface(), "regnew", "regwrite", "regread", 101),
+    "queue": (S_QUEUE_ALIASED, queue_interface(), "qnew", "qpush", "qpop", 201),
+}
+_LIN_KEEPS = {"default": None, "mmcounter": _mmcounter_keep, "prefix": _prefix_keep}
+
+
+@st.composite
+def _lin_executions(draw):
+    """Register or queue executions of 1-2 eras (0-1 crash), 1-2 threads per
+    era with 1-2 calls each, at most six calls; a thread's last call may be
+    pending, and up to three extra hb edges run forward, so pending calls can
+    be hb-before complete ones (always so across the crash)."""
+    lib = draw(st.sampled_from(sorted(_LIN_LIBS)))
+    _, _, new, write, read, loc = _LIN_LIBS[lib]
+    crashes = draw(st.integers(0, 1))
+    labels, po = [], []
+    tid = 0
+    for era in range(crashes + 1):
+        if era:
+            labels.append(CRASH)
+            po += [(e, len(labels) - 1) for e in range(len(labels) - 1)]
+        first = len(labels)
+        for _ in range(draw(st.integers(1, 2))):
+            length = draw(st.integers(1, 2)) if len(labels) < 5 + era else 0
+            for k in range(length):
+                method = draw(st.sampled_from([new, write, read, read]))
+                tags = {PTR_TAG} if draw(st.booleans()) else set()
+                done = k < length - 1 or draw(st.booleans())
+                if method == new:
+                    ret = loc
+                    args = ()
+                elif method == write:
+                    ret, args = None, (loc, draw(st.sampled_from([1, 2])))
+                else:
+                    ret, args = draw(st.sampled_from([0, 1, 2, None])), (loc,)
+                if k:
+                    po.append((len(labels) - 1, len(labels)))
+                labels.append(Label(method, args, ret if done else BOT, tags, tid))
+            tid += 1
+        if era:
+            po += [(first - 1, e) for e in range(first, len(labels))]
+    n = len(labels)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    sw = [(a, b) for a, b in edges if a < b]
+    return lib, labels, po, sw
+
+
+def _trap(lib):
+    # regnew():101, a pending regwrite(101,1), a crash, then regread(101):0;
+    # leaving the write out means placing the read drops it
+    _, _, new, write, read, loc = _LIN_LIBS[lib]
+    labels = [
+        Label(new, (), loc, frozenset(), 0),
+        Label(write, (loc, 1), BOT, frozenset(), 0),
+        CRASH,
+        Label(read, (loc,), 0 if lib == "reg" else None, frozenset(), 1),
+    ]
+    return lib, labels, [(0, 1), (0, 2), (1, 2), (2, 3)], []
+
+
+def _regwrite(v, thread, ret=None):
+    return Label("regwrite", (101, v), ret, frozenset(), thread)
+
+
+def _regread(v, thread):
+    return Label("regread", (101,), v, frozenset(), thread)
+
+
+# a pending write left out before a crash must stay out: it cannot come
+# between the two later reads
+_DROPPED_STAYS_OUT = (
+    "reg",
+    [_regwrite(1, 0, BOT), CRASH, _regread(0, 1), _regread(1, 1)],
+    [(0, 1), (1, 2), (1, 3), (2, 3)],
+    [],
+)
+# w1 w2 and w2 w1 reach the same placed set in different register states
+_SAME_SET_OTHER_STATE = ("reg", [_regwrite(1, 0), _regwrite(2, 1), _regread(1, 1)], [(1, 2)], [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lin_executions(), st.sampled_from(sorted(_LIN_KEEPS)), st.booleans())
+@example(_DROPPED_STAYS_OUT, "default", False)
+@example(_SAME_SET_OTHER_STATE, "default", False)
+@example(_trap("reg"), "default", False)
+@example(_trap("reg"), "mmcounter", True)
+@example(_trap("queue"), "default", False)
+def test_lazy_execution_linearizable_differential(case, keep, era_monotone):
+    lib, labels, po, sw = case
+    spec, iface = _LIN_LIBS[lib][:2]
+    x = Execution(PlainExecution(labels, po), sw)
+    args = dict(keep=_LIN_KEEPS[keep], era_monotone=era_monotone)
+    v = execution_linearizable(x, spec, iface, **args)
+    assert not v.is_budget
+    assert bool(v) == _eager_execution_linearizable(x, spec, iface, **args), (labels, po, sw)
+
+
+def test_trap_shape_is_durably_linearizable():
+    assert reg_durlin_spec().local_consistent(Execution(PlainExecution(*_trap("reg")[1:3])))
+
+
+def test_execution_linearizable_stats_on_every_verdict():
+    for ret, want in ((1, True), (2, False)):
+        x = chain_exec([qn(X), qpush_(X, 1), qpop_(X, ret)])
+        v = durqueue_spec().local_consistent(x)
+        assert bool(v) is want
+        stats = dict(v.stats)
+        assert stats["stage"] == "linearization enumeration"
+        assert stats["nodes"] == 3 and stats["memo_hits"] == 0
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,10 @@ oracle; derived expected values come from that oracle.
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from persistcheck.framework import BudgetExceeded, linear_extensions
 
 from persistcheck.model import CRASH_EV, History, Inv, Ret
 from persistcheck.sc import (
@@ -17,8 +21,10 @@ from persistcheck.sc import (
     check_durably_linearizable,
     check_linearizable,
     check_weakreg_consistent,
+    _returns_before_invokes,
     completions_and_truncations,
     happens_before,
+    iter_completions,
     s_queue,
     s_weakreg,
 )
@@ -45,8 +51,6 @@ def oracle_linearizable(h, spec, domain=None):
                 continue
             for rest in extensions(remaining - {i}, hb):
                 yield [i] + rest
-
-    from persistcheck.sc import iter_completions
 
     for hh in iter_completions(h, domain):
         calls = hh.calls()
@@ -151,9 +155,16 @@ def test_completions_two_incomplete_product():
 
 
 def test_completions_budget():
+    # eight pending reads: each may be left out, so the history is
+    # linearizable however many calls are pending
     events = [Inv("rread", (X,), t) for t in range(8)]
-    v = check_linearizable(History(events), S_WEAKREG, domain=[0])
+    assert check_linearizable(History(events), S_WEAKREG, domain=[0])
+    # two complete calls need two candidate calls tried; a budget of one
+    # stops the search
+    events += [Inv("rread", (X,), 8), Ret(0, 8), Inv("rread", (Y,), 9), Ret(0, 9)]
+    v = check_linearizable(History(events), S_WEAKREG, domain=[0], budget=1)
     assert v.is_budget
+    assert dict(v.stats)["stage"] == "linearization search"
 
 
 # --------------------------------------------------------------------------
@@ -269,6 +280,87 @@ def test_linearizable_agrees_with_oracle_on_random_histories():
         got = bool(check_linearizable(h, S_WEAKREG))
         want = oracle_linearizable(h, S_WEAKREG)
         assert got == want, f"disagreement on {h!r}"
+
+
+def _eager_linearizable(h, spec, domain=None, budget=200_000):
+    """The eager search that check_linearizable replaced: every completion
+    and truncation of h built as a History, then a linear-extension search
+    of each.  Returns True, False, or None (budget exceeded)."""
+    remaining = [budget]
+    try:
+        for hh in iter_completions(h, domain, limit=10):
+            calls = hh.calls()
+            for _ in linear_extensions(
+                _returns_before_invokes(calls),
+                step=lambda st, i: spec.step(st, calls[i]),
+                state=spec.init(),
+                budget=remaining,
+            ):
+                return True
+    except BudgetExceeded:
+        return None
+    return False
+
+
+_HISTORY_OPS = {
+    "register": [("rread", 1, True), ("rwrite", 2, False)],
+    "queue": [("qpop", 1, True), ("qpush", 2, False)],
+}
+
+
+@st.composite
+def _pending_histories(draw):
+    """A register or queue history on X (a queue made by a complete qnew
+    first) with up to nine calls, up to eight of them left pending."""
+    kind = draw(st.sampled_from(sorted(_HISTORY_OPS)))
+    events = [Inv("qnew", (), 0), Ret(X, 0)] if kind == "queue" else []
+    tid = 1
+    open_calls = {}
+    for _ in range(draw(st.integers(1, 9))):
+        if open_calls and draw(st.booleans()):
+            t = draw(st.sampled_from(sorted(open_calls)))
+            events.append(Ret(draw(st.sampled_from([0, 1, 2, None])) if open_calls.pop(t) else None, t))
+        method, arity, returns = draw(st.sampled_from(_HISTORY_OPS[kind]))
+        events.append(Inv(method, (X, draw(st.sampled_from([1, 2])))[:arity], tid))
+        open_calls[tid] = returns
+        tid += 1
+    while len(open_calls) > 8 or (open_calls and draw(st.booleans())):
+        t = min(open_calls)
+        events.append(Ret(draw(st.sampled_from([0, 1, 2, None])) if open_calls.pop(t) else None, t))
+    return kind, History(events)
+
+
+# a complete read of X returning 0, and one returning 1
+_READ_0, _READ_1 = ([Inv("rread", (X,), 2), Ret(v, 2)] for v in (0, 1))
+# w1 w2 and w2 w1 place the same calls but leave 2 and 1 in X
+_SAME_SET_OTHER_STATE = History([Inv("rwrite", (X, 1), 0), Inv("rwrite", (X, 2), 1), Ret(None, 0), Ret(None, 1)] + _READ_1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pending_histories())
+@example(("register", History([Inv("rread", (X,), t) for t in range(8)])))
+@example(("register", _SAME_SET_OTHER_STATE))
+@example(("queue", History([Inv("qnew", (), 0), Ret(X, 0)] + [Inv("qpop", (X,), t) for t in range(1, 9)])))
+def test_lazy_linearizable_differential(case):
+    """The lazy search gives the eager search's verdict, pending calls of
+    non-void methods ranging over a two-value domain."""
+    kind, h = case
+    spec = S_QUEUE if kind == "queue" else S_WEAKREG
+    v = check_linearizable(h, spec, domain=[0, 1])
+    assert not v.is_budget
+    assert bool(v) == _eager_linearizable(h, spec, domain=[0, 1]), h
+
+
+def test_linearizable_stats_on_every_verdict():
+    # the pending rwrite (one candidate), then rread:1; the pending rread is
+    # left out
+    ok = History([Inv("rwrite", (X, 1), 0), Inv("rread", (X,), 1), Ret(1, 1), Inv("rread", (X,), 2)])
+    # w0 w1 r fails, and w1 w0 reaches the same (placed, state) pair
+    bad = History([Inv("rwrite", (X, 1), 0), Inv("rwrite", (X, 1), 1), Ret(None, 0), Ret(None, 1)] + _READ_0)
+    v, w = check_linearizable(ok, S_WEAKREG), check_linearizable(bad, S_WEAKREG)
+    assert v and not w
+    assert dict(v.stats) == {"stage": "linearization search", "nodes": 2, "memo_hits": 0}
+    assert dict(w.stats) == {"stage": "linearization search", "nodes": 5, "memo_hits": 1}
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from persistcheck.framework import Collection, LibraryInterface, LibrarySpec, Verdict
+from persistcheck.framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict
 from persistcheck.lang import InterpConfig, SyntacticImpl, parse_statements
 from persistcheck.model import (
     BOT,
@@ -438,6 +438,26 @@ def test_verify_toy_impl_over_px86():
     ]
     report = verify_impl_bounded(impl, TOY, PX, corpus, check_wf=False)
     assert report.ok, [r.detail for r in report.counterexamples()]
+
+
+def test_verify_lifting_budget_is_undecided(monkeypatch):
+    import persistcheck.substitution as sub
+
+    impl = SemanticImpl(toy_impl(), PX, CFG)
+    corpus = [sequence_execution([tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)])]
+
+    def out_of_budget(*args, **kwargs):
+        raise BudgetExceeded({"stage": "lifting"})
+
+    monkeypatch.setattr(sub, "lift_chain", out_of_budget)
+    report = verify_impl_bounded(impl, TOY, PX, corpus, check_wf=False)
+    assert report.ok and not report.counterexamples()
+    assert report.undecided() == report.records and report.budget_hits
+    assert all(r.lifted is None and r.detail == "lifting hit budget" for r in report.records)
+    # a chain that does not lift is still a counterexample
+    monkeypatch.setattr(sub, "lift_chain", lambda *args, **kwargs: None)
+    report = verify_impl_bounded(impl, TOY, PX, corpus, check_wf=False)
+    assert not report.ok and report.counterexamples() and not report.undecided()
 
 
 def test_linking_semantics_proposition_instance():
