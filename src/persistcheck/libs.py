@@ -25,9 +25,8 @@ from .model import (
     Call,
     Execution,
     Label,
+    Order,
     PlainExecution,
-    closure,
-    is_irreflexive,
 )
 from .px86 import P_TAG, px86_spec
 from .sc import (
@@ -364,26 +363,26 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
                     for r in RP:
                         if locof(w) == locof(r) and pos[w] < pos[r] and visible(w, r):
                             dep_edges.add((w, r))
-                dep = closure(dep_edges)
+                dep = Order.close(len(x), dep_edges).rows
                 nvo_req = {
-                    (w1, w2) for w1 in WP for w2 in W if (w1, w2) in dep
+                    (w1, w2) for w1 in WP for w2 in W if dep[w1] >> w2 & 1
                 }
-                nvo = closure(nvo_req)
-                if not is_irreflexive(nvo):
+                nvo = Order.close(len(x), nvo_req)
+                if not nvo.is_acyclic():
                     continue
-                if any(era[a] > era[b] for (a, b) in nvo):
+                if any(era[a] > era[b] for (a, b) in nvo.pairs):
                     continue
                 # persistent writes before a finish-op persist
                 need_p = {
-                    w for w in WP if any((w, f) in dep for f in F)
+                    w for w in WP if any(dep[w] >> f & 1 for f in F)
                 }
                 if not need_p <= P:
                     continue
                 # nvo is a persist order
-                if any(b in P and a not in P for (a, b) in nvo):
+                if any(b in P and a not in P for (a, b) in nvo.pairs):
                     continue
                 return Verdict.ok(
-                    witness={"lin": list(lin), "nvo": sorted(nvo), "P": sorted(P)}
+                    witness={"lin": list(lin), "nvo": sorted(nvo.pairs), "P": sorted(P)}
                 )
     except BudgetExceeded as exc:
         return Verdict.budget(exc.stats)
@@ -548,7 +547,8 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
         return l.args[0] if l.args else None
 
     P = frozenset(w for w in W if lab[w].is_complete)
-    idset, wset = set(ids), set(W)
+    idset = set(ids)
+    writes = sum(1 << w for w in W)
     spent = [budget]
     try:
         # po ⊆ hb holds by construction
@@ -596,13 +596,14 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
             if set(x.sw) != sw_derived:
                 continue
             po_sw_se = {(a, b) for (a, b) in (set(x.po) | set(x.sw)) if a in idset and b in idset and era[a] == era[b]}
-            chain = closure(po_sw_se)
-            nvo = closure({(a, b) for (a, b) in chain if a in wset and b in wset})
-            if not is_irreflexive(nvo):
+            chain = Order.close(len(x), po_sw_se).rows
+            # the restriction of a closed order to the writes is closed
+            nvo = Order([row & writes if writes >> a & 1 else 0 for a, row in enumerate(chain)])
+            if not nvo.is_acyclic():
                 continue
-            if any(b in P and a not in P for (a, b) in nvo):
+            if any(b in P and a not in P for (a, b) in nvo.pairs):
                 continue
-            return Verdict.ok(witness={"lin": list(lin), "nvo": sorted(nvo), "P": sorted(P)})
+            return Verdict.ok(witness={"lin": list(lin), "nvo": sorted(nvo.pairs), "P": sorted(P)})
     except BudgetExceeded as exc:
         return Verdict.budget(exc.stats)
     return Verdict.fail("no mirror witness (lin/nvo)")
@@ -937,10 +938,10 @@ def ltrans_global_consistent(x: Execution) -> Verdict:
     nvo_req = {
         (e, b) for e in e_tagged for b in b_tagged if (e, b) in hb
     }
-    nvo = closure(nvo_req)
-    if not is_irreflexive(nvo):
+    nvo = Order.close(len(x), nvo_req)
+    if not nvo.is_acyclic():
         return Verdict.fail("cond 11: cyclic transaction order")
-    if any(b in ptr and a not in ptr for (a, b) in nvo):
+    if any(b in ptr and a not in ptr for (a, b) in nvo.pairs):
         return Verdict.fail("cond 12: persisted set is not an nvo prefix")
     for (a, b) in st:
         if a in ptr and b in t_tagged and b not in ptr:

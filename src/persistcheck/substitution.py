@@ -31,12 +31,12 @@ from .model import (
     BOT,
     Execution,
     Label,
+    Order,
     PlainExecution,
     Pomset,
     anonymize,
+    bits,
     canonical_hash,
-    closure,
-    is_irreflexive,
     iso_eq,
 )
 
@@ -55,6 +55,18 @@ def existproj(f: Mapping[int, int], r: Iterable[Edge]) -> FrozenSet[Edge]:
         if a in f and b in f and f[a] != f[b]:
             out.add((f[a], f[b]))
     return frozenset(out)
+
+
+def _project_rows(rows: Sequence[int], img: Sequence[int], k: int) -> List[int]:
+    """∃f⟨r⟩ on bit rows: event c maps to ``img[c]`` in ``0..k-1``."""
+    out = [0] * k
+    for a, row in enumerate(rows):
+        if row:
+            to = 0
+            for b in bits(row):
+                to |= 1 << img[b]
+            out[img[a]] |= to
+    return [row & ~(1 << y) for y, row in enumerate(out)]
 
 
 def pomset_bind(p: Pomset, g: Callable[[object], Pomset]) -> Pomset:
@@ -125,6 +137,11 @@ def _strip_thread(l: Label) -> Label:
     return replace(l, thread=None) if l.thread is not None else l
 
 
+def _unthreaded(l: Label) -> Tuple:
+    """What identifies ``_strip_thread(l)``, without building it."""
+    return (l.method, l.args, l.ret, l.tags)
+
+
 class SemanticImpl:
     """A map from method-call labels to sets of plain executions, downward
     closed, realized by interpreting a syntactic implementation's bodies.
@@ -149,6 +166,8 @@ class SemanticImpl:
         self._cache: Dict[Tuple, List[PlainExecution]] = {}
         #: the same executions with their threads stripped, for ``contains``
         self._stripped: Dict[Tuple, List[PlainExecution]] = {}
+        #: ``contains`` answers by (label, block labels, block po rows)
+        self._member: Dict[Tuple, bool] = {}
 
     def owns(self, label: Label) -> bool:
         return label.is_call and label.method in self.methods
@@ -189,15 +208,27 @@ class SemanticImpl:
 
     def contains(self, label: Label, g: PlainExecution) -> bool:
         """Membership of g (any thread labelling) in I(label), up to iso."""
-        norm = PlainExecution([_strip_thread(l) for l in g.labels()], g.po_order)
+        return self._contains(label, g.labels(), g.po_order)
+
+    def _contains(self, label: Label, labels: Sequence[Label], po: Order) -> bool:
+        """``contains`` on a block given by its labels and po, memoized on
+        the exact block: the call label and block labels without threads,
+        and the po rows."""
+        key = (_unthreaded(label), tuple(map(_unthreaded, labels)), po.rows)
+        hit = self._member.get(key)
+        if hit is None:
+            norm = PlainExecution([_strip_thread(l) for l in labels], po)
+            hit = self._member[key] = self._iso_member(_strip_thread(label), norm)
+        return hit
+
+    def _iso_member(self, label: Label, norm: PlainExecution) -> bool:
         allocs = sorted(
-            g.lab[e].ret for e in g.events if g.lab[e].method in self._alloc_methods
+            l.ret for l in norm.labels() if l.method in self._alloc_methods
         )
         if allocs:
             loc_start = min(a for a in allocs if isinstance(a, int)) - 1
         else:
             loc_start = self.config.loc_base
-        label = _strip_thread(label)
         key = (label.method, label.args, label.ret, loc_start)
         if key not in self._stripped:
             self._stripped[key] = [
@@ -220,6 +251,7 @@ class IdentityImpl(SemanticImpl):
         )
         self._cache = {}
         self._stripped = {}
+        self._member = {}
 
     def executions(self, label: Label, loc_start: int = 100) -> List[PlainExecution]:
         return [PlainExecution([_strip_thread(label)], [])]
@@ -300,11 +332,10 @@ def _chains_by_thread(g: PlainExecution) -> Dict[object, List[int]]:
         l = g.lab[e]
         key = "crash" if l.is_crash else ("none" if l.thread is None else l.thread)
         groups.setdefault(key, []).append(e)
-    po = g.po
+    po = g.po_order.rows
     for key, evs in groups.items():
-        evs.sort()
-        for i in range(len(evs) - 1):
-            if (evs[i], evs[i + 1]) not in po:
+        for a, b in zip(evs, evs[1:]):
+            if not po[a] >> b & 1:
                 raise ValueError(f"events of thread {key} are not totally ordered")
     return groups
 
@@ -354,6 +385,17 @@ def find_plain_matching(
         if spent[0] > budget:
             raise BudgetExceeded({"partitions": spent[0]})
 
+    def fits(a: int, block_ids: List[int]) -> bool:
+        """Whether the concrete block can implement the abstract event."""
+        # a block across a crash cannot project onto po; restricting to it
+        # would also cut an incomplete call from its crash
+        if era[block_ids[0]] != era[block_ids[-1]]:
+            return False
+        lab = ga.lab[a]
+        if impl.owns(lab):
+            return impl._contains(lab, [gc.lab[c] for c in block_ids], gc.po_order.restrict(block_ids))
+        return len(block_ids) == 1 and _strip_thread(gc.lab[block_ids[0]]) == _strip_thread(lab)
+
     def thread_assignments(key) -> Optional[List[Dict[int, int]]]:
         cs = groups_c.get(key, [])
         as_ = groups_a.get(key, [])
@@ -366,33 +408,22 @@ def find_plain_matching(
         k, m = len(as_), len(cs)
         if m < k:
             return None
+        # each (abstract event, block start, block end) is decided once,
+        # whichever cuts share it
+        decided: List[Dict[Tuple[int, int], bool]] = [{} for _ in as_]
         options: List[Dict[int, int]] = []
         for cut in itertools.combinations(range(1, m), k - 1):
             spend()
-            bounds = [0] + list(cut) + [m]
-            assignment: Dict[int, int] = {}
-            ok = True
+            bounds = (0,) + cut + (m,)
             for j, a in enumerate(as_):
-                block_ids = cs[bounds[j] : bounds[j + 1]]
-                # a block across a crash cannot project onto po; restricting
-                # to it would also cut an incomplete call from its crash
-                if era[block_ids[0]] != era[block_ids[-1]]:
-                    ok = False
+                span = bounds[j : j + 2]
+                fit = decided[j].get(span)
+                if fit is None:
+                    fit = decided[j][span] = fits(a, cs[span[0] : span[1]])
+                if not fit:
                     break
-                block = gc.restrict_events(block_ids)
-                lab = ga.lab[a]
-                if impl.owns(lab):
-                    if not impl.contains(lab, block):
-                        ok = False
-                        break
-                else:
-                    if len(block_ids) != 1 or _strip_thread(gc.lab[block_ids[0]]) != _strip_thread(lab):
-                        ok = False
-                        break
-                for c in block_ids:
-                    assignment[c] = a
-            if ok:
-                options.append(assignment)
+            else:
+                options.append({c: a for j, a in enumerate(as_) for c in cs[bounds[j] : bounds[j + 1]]})
         return options if options else None
 
     keys = sorted(set(groups_c) | set(groups_a), key=repr)
@@ -406,7 +437,7 @@ def find_plain_matching(
         f: Dict[int, int] = {}
         for part in combo:
             f.update(part)
-        if existproj(f, gc.po) == ga.po:
+        if _project_rows(gc.po_order.rows, [f[c] for c in gc.events], len(ga)) == list(ga.po_order.rows):
             return f
     return None
 
@@ -414,6 +445,18 @@ def find_plain_matching(
 # --------------------------------------------------------------------------
 # Refined matchings and lifting
 # --------------------------------------------------------------------------
+
+
+def _projected_hb(xc: Execution, img: Sequence[int], k: int) -> Tuple[List[int], List[int]]:
+    """The projections of hb and of its external part hb \\ (po ∪ sw)⁺."""
+    hb = xc.hb_order.rows
+    inner = xc.plain.po_order.extend(xc.sw).rows
+    external = [h & ~i for h, i in zip(hb, inner)]
+    return _project_rows(hb, img, k), _project_rows(external, img, k)
+
+
+def _within(rows: Sequence[int], bound: Sequence[int]) -> bool:
+    return not any(row & ~b for row, b in zip(rows, bound))
 
 
 def is_refined_matching(
@@ -431,13 +474,11 @@ def is_refined_matching(
         report["consistency"] = "unknown"
     else:
         report["consistency"] = bool(v_low) and bool(v_high)
-    proj_hb = existproj(f, xc.hb)
-    sw_plus = closure(xa.sw)
-    report["sw-justified"] = sw_plus <= proj_hb
-    ext = closure(set(xc.sw) | set(xc.po))
-    external = frozenset((a, b) for (a, b) in xc.hb if (a, b) not in ext)
-    want_hb = closure(set(existproj(f, external)) | set(xa.po) | set(xa.sw))
-    report["hb-determined"] = want_hb == xa.hb
+    k = len(xa)
+    proj_hb, proj_external = _projected_hb(xc, [f[c] for c in xc.events], k)
+    report["sw-justified"] = _within(Order.close(k, xa.sw).rows, proj_hb)
+    base = [e | p for e, p in zip(proj_external, xa.plain.po_order.rows)]
+    report["hb-determined"] = Order.close_rows(base).extend(xa.sw).rows == xa.hb_order.rows
     ok = report["consistency"] is True and report["sw-justified"] and report["hb-determined"]
     return ok, report
 
@@ -459,58 +500,59 @@ def lift_step(
     All ids are original: xc over the full concrete id space, ga the full
     abstract plain execution, prev_ids the abstract id subset of the previous
     step.  The returned execution is over ga ids restricted to the image
-    (renumbered densely over sorted ids)."""
+    (renumbered densely over sorted ids).  Returns None when every candidate
+    is refuted; raises ``BudgetExceeded`` when none lifts and the abstract
+    consistency check of one of them ran out of budget."""
     image = sorted({f[c] for c in xc.events})
     ren = {old: new for new, old in enumerate(image)}
     g_sub = ga.restrict_events(image)
-    f_dense = {c: ren[f[c]] for c in xc.events}
-    proj_hb = existproj(f_dense, xc.hb)
-    ext_rel = closure(set(xc.sw) | set(xc.po))
-    external = frozenset((a, b) for (a, b) in xc.hb if (a, b) not in ext_rel)
-    proj_external = existproj(f_dense, external)
+    k = len(image)
+    f_dense = [ren[f[c]] for c in xc.events]
+    proj_hb, proj_external = _projected_hb(xc, f_dense, k)
+    po = g_sub.po_order.rows
+    # every candidate hb is this closed base extended by its sw edges
+    base = Order.close_rows([e | p for e, p in zip(proj_external, po)])
     # candidate sw edges must each be justified by a projected hb edge
     # (po pairs stay eligible: some specs derive sw from reads-from, which
     # may relate same-thread events)
-    cands = sorted(proj_hb)
+    cands = [(a, b) for a in range(k) for b in bits(proj_hb[a])]
     if len(cands) > 14:
-        cands = sorted((a, b) for (a, b) in proj_hb if (a, b) not in g_sub.po)
-    spent = [0]
-    prev_ren = {old: new for new, old in enumerate(sorted(prev_ids))}
+        cands = [(a, b) for a in range(k) for b in bits(proj_hb[a] & ~po[a])]
+    if prev_abs is not None:
+        # the new abstract execution must extend the previous one
+        keep = [ren[i] for i in sorted(prev_ids)]
+        at = {old: new for new, old in enumerate(keep)}
+        plain_kept = (
+            [g_sub.lab[e] for e in keep] == prev_abs.plain.labels()
+            and g_sub.po_order.restrict(keep).rows == prev_abs.plain.po_order.rows
+        )
+    spent = 0
+    budgeted = False
     for r in range(len(cands) + 1):
         for combo in itertools.combinations(cands, r):
-            spent[0] += 1
-            if spent[0] > budget:
-                raise BudgetExceeded({"sw-subsets": spent[0]})
-            sw = frozenset(combo)
-            hb = closure(set(proj_external) | set(g_sub.po) | set(sw))
-            if not is_irreflexive(hb):
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded({"sw-subsets": spent})
+            hb = base.extend(combo)
+            if not hb.is_acyclic():
                 continue
-            missing = (set(g_sub.po) | set(sw)) - set(hb)
-            if missing:
+            if prev_abs is not None and not (
+                plain_kept
+                and hb.restrict(keep).rows == prev_abs.hb_order.rows
+                and {(at[a], at[b]) for a, b in combo if a in at and b in at} == prev_abs.sw
+            ):
                 continue
-            try:
-                xa = Execution(g_sub, sw, hb)
-            except ValueError:
+            if not _within(Order.close(k, combo).rows, proj_hb):
                 continue
-            # the new abstract execution must extend the previous one
-            if prev_abs is not None:
-                keep = [ren[i] for i in sorted(prev_ids)]
-                sub = xa.restrict_events(keep)
-                if not (
-                    sub.plain.labels() == prev_abs.plain.labels()
-                    and sub.plain.po == prev_abs.plain.po
-                    and sub.sw == prev_abs.sw
-                    and sub.hb == prev_abs.hb
-                ):
-                    continue
-            if closure(sw) - proj_hb:
-                continue
+            xa = Execution(g_sub, combo, hb)
             v = check_consistent(coll_high, xa)
-            if not v:
-                if failure is not None:
-                    failure[:] = [v.reason]
-                continue
-            return xa
+            if v:
+                return xa
+            budgeted = budgeted or v.is_budget
+            if failure is not None:
+                failure[:] = [v.reason]
+    if budgeted:
+        raise BudgetExceeded({"stage": "lifting"})
     return None
 
 
@@ -692,16 +734,23 @@ def verify_impl_bounded(
     report = VerifyReport(
         bound_note=f"corpus={len(corpus)} graphs, max_concrete={max_concrete}, budget={budget}"
     )
+
+    def undecided(rec: VerifyRecord, why: str) -> None:
+        report.budget_hits += 1
+        rec.undecided = True
+        rec.detail = rec.detail or why
+
     for gi, ga in enumerate(corpus):
         concretes = exec_bind(ga, impl, max_results=max_concrete)
+        # the abstract side of well-formedness transport, once per graph
+        wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
         for ci, gc in enumerate(concretes):
             rec = VerifyRecord(gi, ci, matching_found=False)
             try:
                 f = find_plain_matching(gc, ga, impl, budget=budget)
             except BudgetExceeded:
-                report.budget_hits += 1
-                rec.matching_found, rec.undecided = None, True
-                rec.detail = "matching search hit budget"
+                rec.matching_found = None
+                undecided(rec, "matching search hit budget")
                 report.records.append(rec)
                 continue
             if f is None:
@@ -709,14 +758,13 @@ def verify_impl_bounded(
                 report.records.append(rec)
                 continue
             rec.matching_found = True
+            refinements = _refinements(coll_low, gc)
             # hereditary consistency upward
             found_consistent_low = False
-            for xc in _refinements(coll_low, gc):
+            for xc in refinements:
                 v = check_hereditarily_consistent(coll_low, xc, budget=budget)
                 if v.is_budget:
-                    report.budget_hits += 1
-                    rec.undecided = True
-                    rec.detail = rec.detail or "hereditary consistency check hit budget"
+                    undecided(rec, "hereditary consistency check hit budget")
                     continue
                 if not v:
                     continue
@@ -725,9 +773,7 @@ def verify_impl_bounded(
                 try:
                     chain = lift_chain(xc, v.witness.subsets, f, ga, coll_high, budget=budget, failure=why)
                 except BudgetExceeded:
-                    report.budget_hits += 1
-                    rec.undecided = True
-                    rec.detail = rec.detail or "lifting hit budget"
+                    undecided(rec, "lifting hit budget")
                     continue
                 if chain is None:
                     rec.lifted = False
@@ -740,19 +786,23 @@ def verify_impl_bounded(
                 rec.lifted = True
             if not found_consistent_low and not rec.detail:
                 rec.detail = "no hereditarily consistent concrete refinement"
-            # well-formedness downward
-            if check_wf:
-                xa0 = Execution(ga)
-                if check_immediately_wellformed(coll_high, xa0):
-                    wf_ok = False
-                    for xc0 in _refinements(coll_low, gc):
-                        if check_immediately_wellformed(coll_low, xc0):
-                            wf_ok = True
-                            break
-                    rec.wellformed_downward = wf_ok
-                    if not wf_ok and not rec.detail:
-                        rec.detail = "immediate well-formedness does not transport"
+            # well-formedness downward: an out-of-budget check on either
+            # level leaves the transport undecided
+            if wf_high is not None and wf_high.is_budget:
+                undecided(rec, "well-formedness check hit budget")
+            elif wf_high:
+                unknown = False
+                for xc0 in refinements:
+                    v = check_immediately_wellformed(coll_low, xc0)
+                    if v:
+                        rec.wellformed_downward = True
+                        break
+                    unknown = unknown or v.is_budget
                 else:
-                    rec.wellformed_downward = None
+                    if unknown:
+                        undecided(rec, "well-formedness check hit budget")
+                    else:
+                        rec.wellformed_downward = False
+                        rec.detail = rec.detail or "immediate well-formedness does not transport"
             report.records.append(rec)
     return report

@@ -2,15 +2,41 @@
 
 Monad laws are checked on seeded random pomsets; bind expansions are checked
 against hand-built oracles; the matching existence property is instanced on
-bind outputs.
+bind outputs.  The memoized, row-based matching and lifting are checked
+against pair-set reference copies on the litmus corpora.
 """
 
+import itertools
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict
-from persistcheck.lang import InterpConfig, SyntacticImpl, parse_statements
+from persistcheck.framework import (
+    BudgetExceeded,
+    Collection,
+    LibraryInterface,
+    LibrarySpec,
+    Verdict,
+    check_consistent,
+    linear_extensions,
+)
+from persistcheck.lang import InterpConfig, SyntacticImpl, interpret_phases, parse_litmus, parse_statements
+from persistcheck.libs import (
+    builtin_spec,
+    flit_impl,
+    flit_impl_mutated_no_fo,
+    flit_spec,
+    mirror_spec,
+    persistify_flit,
+    persistify_flit_mutated,
+    persistify_mirror,
+    persistify_mirror_mutated,
+    reg_durlin_spec,
+)
 from persistcheck.model import (
     BOT,
     CRASH,
@@ -18,11 +44,14 @@ from persistcheck.model import (
     Label,
     PlainExecution,
     Pomset,
+    closure,
+    is_irreflexive,
     iso_eq,
     parallel_execution,
     sequence_execution,
 )
 from persistcheck.px86 import px86_spec, store, load
+import persistcheck.substitution as sub
 from persistcheck.substitution import (
     SemanticImpl,
     check_global_preservation,
@@ -441,8 +470,6 @@ def test_verify_toy_impl_over_px86():
 
 
 def test_verify_lifting_budget_is_undecided(monkeypatch):
-    import persistcheck.substitution as sub
-
     impl = SemanticImpl(toy_impl(), PX, CFG)
     corpus = [sequence_execution([tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)])]
 
@@ -497,3 +524,381 @@ def test_linking_semantics_proposition_instance():
     for h in rm:
         for g in rm[h]:
             assert any(iso_eq(g, g2) for g2 in lm[h])
+
+
+# --------------------------------------------------------------------------
+# Three-valued verification: out-of-budget checks are undecided
+# --------------------------------------------------------------------------
+
+LITMUS = Path(__file__).resolve().parent.parent / "litmus"
+
+
+def _litmus_corpus(directory, max_events, max_graphs):
+    """Distinct-label runs (partial ones too) of the corpus programs, as
+    acceptance 5 and 6 and the flit_verify benchmark build them."""
+    out, seen = [], set()
+    for p in sorted((LITMUS / directory).glob("*.lit")):
+        lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
+        coll = Collection([builtin_spec(n) for n in lit.collection])
+        cfg = InterpConfig(domain=tuple(lit.domain) + (0, 1), unroll=2, max_runs=50_000)
+        for env, g in interpret_phases(list(lit.phases), coll, cfg):
+            key = tuple(repr(l) for l in g.labels())
+            if len(g) > max_events or key in seen:
+                continue
+            seen.add(key)
+            out.append(g)
+            if len(out) >= max_graphs:
+                return out
+    return out
+
+
+FLIT_CFG = InterpConfig(domain=(0, 1), unroll=2)
+
+
+def test_lifting_out_of_budget_is_undecided_not_refuted():
+    # with a flit spec of budget 1 some abstract consistency checks of the
+    # lifting run out; no lifted candidate then means "undecided"
+    ga = _litmus_corpus("flit", 8, 2)[1]
+    impl = SemanticImpl(flit_impl(), PX, FLIT_CFG)
+    report = verify_impl_bounded(impl, Collection([flit_spec(budget=1)]), PX, [ga], budget=20_000)
+    assert report.ok and not report.counterexamples()
+    undecided = report.undecided()
+    assert undecided and report.budget_hits == len(undecided)
+    assert all(r.lifted is None and r.detail == "lifting hit budget" for r in undecided)
+
+
+def _budgeted_wellformed(budget):
+    # a well-formedness check that may look at ``budget`` events
+    def wf(x):
+        return Verdict.budget({"events": len(x)}) if len(x) > budget else Verdict.ok()
+
+    return wf
+
+
+def test_abstract_wellformedness_out_of_budget_is_undecided():
+    high = Collection([replace(toy_spec(), local_wellformed=_budgeted_wellformed(0))])
+    impl = SemanticImpl(toy_impl(), PX, CFG)
+    corpus = [sequence_execution([tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)])]
+    report = verify_impl_bounded(impl, high, PX, corpus)
+    assert report.records and report.ok
+    assert report.undecided() == report.records
+    assert report.budget_hits == len(report.records)
+    for r in report.records:
+        assert r.lifted is True and r.wellformed_downward is None
+        assert r.detail == "well-formedness check hit budget"
+
+
+def test_concrete_wellformedness_out_of_budget_is_undecided():
+    low = Collection([replace(toy_spec(), local_wellformed=_budgeted_wellformed(0))])
+    iid = identity_impl(low, ["tset", "tget"])
+    corpus = [sequence_execution([tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)])]
+    report = verify_impl_bounded(iid, TOY, low, corpus)
+    assert report.records and report.ok and not report.counterexamples()
+    assert report.undecided() == report.records
+    assert all(r.wellformed_downward is None for r in report.records)
+    # with room for every event the transport is decided again
+    low = Collection([replace(toy_spec(), local_wellformed=_budgeted_wellformed(10))])
+    report = verify_impl_bounded(identity_impl(low, ["tset", "tget"]), TOY, low, corpus)
+    assert report.ok and not report.undecided()
+    assert all(r.wellformed_downward is True for r in report.records)
+
+
+# --------------------------------------------------------------------------
+# Differential tests: memoized, row-based matching and lifting against
+# pair-set reference copies of the code they replaced
+# --------------------------------------------------------------------------
+
+
+def _unthread(l):
+    return replace(l, thread=None) if l.thread is not None else l
+
+
+def ref_contains(impl, label, g):
+    """Membership without a memo: strip the threads, then test iso against
+    every interpretation of the label."""
+    norm = PlainExecution([_unthread(l) for l in g.labels()], g.po)
+    allocs = sorted(g.lab[e].ret for e in g.events if g.lab[e].method in impl._alloc_methods)
+    loc_start = min(a for a in allocs if isinstance(a, int)) - 1 if allocs else impl.config.loc_base
+    cands = impl.executions(_unthread(label), loc_start)
+    return any(iso_eq(norm, PlainExecution([_unthread(l) for l in c.labels()], c.po)) for c in cands)
+
+
+def ref_find_plain_matching(gc, ga, impl, budget=50_000):
+    """Every cut of every thread, each block restricted and tested anew."""
+
+    def chains(g):
+        groups = {}
+        for e in g.events:
+            l = g.lab[e]
+            groups.setdefault("crash" if l.is_crash else ("none" if l.thread is None else l.thread), []).append(e)
+        if any((a, b) not in g.po for evs in groups.values() for a, b in zip(evs, evs[1:])):
+            return None
+        return groups
+
+    groups_c, groups_a = chains(gc), chains(ga)
+    if groups_c is None or groups_a is None or set(groups_a) - set(groups_c):
+        return None
+    era = gc.era_of()
+    spent = [0]
+
+    def thread_assignments(key):
+        cs = groups_c.get(key, [])
+        as_ = groups_a.get(key, [])
+        if not as_:
+            return None if cs else [dict()]
+        if key == "crash":
+            return [dict(zip(cs, as_))] if len(cs) == len(as_) else None
+        k, m = len(as_), len(cs)
+        if m < k:
+            return None
+        options = []
+        for cut in itertools.combinations(range(1, m), k - 1):
+            spent[0] += 1
+            if spent[0] > budget:
+                raise BudgetExceeded({"partitions": spent[0]})
+            bounds = [0] + list(cut) + [m]
+            assignment = {}
+            ok = True
+            for j, a in enumerate(as_):
+                block_ids = cs[bounds[j] : bounds[j + 1]]
+                if era[block_ids[0]] != era[block_ids[-1]]:
+                    ok = False
+                    break
+                block = gc.restrict_events(block_ids)
+                lab = ga.lab[a]
+                if impl.owns(lab):
+                    ok = ref_contains(impl, lab, block)
+                else:
+                    ok = len(block_ids) == 1 and _unthread(gc.lab[block_ids[0]]) == _unthread(lab)
+                if not ok:
+                    break
+                for c in block_ids:
+                    assignment[c] = a
+            if ok:
+                options.append(assignment)
+        return options or None
+
+    per_key = []
+    for key in sorted(set(groups_c) | set(groups_a), key=repr):
+        opts = thread_assignments(key)
+        if opts is None:
+            return None
+        per_key.append(opts)
+    for combo in itertools.product(*per_key):
+        f = {}
+        for part in combo:
+            f.update(part)
+        if existproj(f, gc.po) == ga.po:
+            return f
+    return None
+
+
+def ref_lift_step(xc, f, ga, prev_abs, prev_ids, coll_high, budget=4_000, failure=None):
+    """Every sw subset closed as a pair set."""
+    image = sorted({f[c] for c in xc.events})
+    ren = {old: new for new, old in enumerate(image)}
+    g_sub = ga.restrict_events(image)
+    f_dense = {c: ren[f[c]] for c in xc.events}
+    proj_hb = existproj(f_dense, xc.hb)
+    inner = closure(set(xc.sw) | set(xc.po))
+    proj_external = existproj(f_dense, frozenset(p for p in xc.hb if p not in inner))
+    cands = sorted(proj_hb)
+    if len(cands) > 14:
+        cands = sorted(p for p in proj_hb if p not in g_sub.po)
+    spent = 0
+    for r in range(len(cands) + 1):
+        for combo in itertools.combinations(cands, r):
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded({"sw-subsets": spent})
+            sw = frozenset(combo)
+            hb = closure(set(proj_external) | set(g_sub.po) | set(sw))
+            if not is_irreflexive(hb):
+                continue
+            xa = Execution(g_sub, sw, hb)
+            if prev_abs is not None:
+                part = xa.restrict_events([ren[i] for i in sorted(prev_ids)])
+                if not (
+                    part.plain.labels() == prev_abs.plain.labels()
+                    and part.plain.po == prev_abs.plain.po
+                    and part.sw == prev_abs.sw
+                    and part.hb == prev_abs.hb
+                ):
+                    continue
+            if closure(sw) - proj_hb:
+                continue
+            v = check_consistent(coll_high, xa)
+            if v:
+                return xa
+            if failure is not None:
+                failure[:] = [v.reason]
+    return None
+
+
+def _register_impl():
+    return SyntacticImpl(
+        name="reg",
+        methods={
+            "regnew": ((), parse_statements("r := alloc(); return r")),
+            "regwrite": (("l", "v"), parse_statements("store(l, v)")),
+            "regread": (("l",), parse_statements("v := load(l); return v")),
+        },
+    )
+
+
+FLIT_LOW = Collection([flit_spec()])
+MIRROR_LOW = Collection([mirror_spec()])
+REG_HIGH = Collection([reg_durlin_spec()])
+
+#: name -> (implementation, low collection, high collection, corpus, check_wf)
+DIFF_CASES = {
+    "flit": (flit_impl, PX, Collection([flit_spec()]), ("flit", 8, 40), True),
+    "flit_no_fo": (flit_impl_mutated_no_fo, PX, Collection([flit_spec()]), ("flit", 8, 40), False),
+    "reg_flit": (lambda: persistify_flit(_register_impl()), FLIT_LOW, REG_HIGH, ("reg_flit", 6, 30), False),
+    "reg_flit_mut": (lambda: persistify_flit_mutated(_register_impl()), FLIT_LOW, REG_HIGH, ("reg_flit", 6, 30), False),
+    "reg_mirror": (lambda: persistify_mirror(_register_impl()), MIRROR_LOW, REG_HIGH, ("reg_mirror", 6, 30), False),
+    "reg_mirror_mut": (
+        lambda: persistify_mirror_mutated(_register_impl()),
+        MIRROR_LOW,
+        REG_HIGH,
+        ("reg_mirror", 6, 30),
+        False,
+    ),
+}
+
+_CORPORA = {}
+
+
+def _cached_corpus(spec):
+    if spec not in _CORPORA:
+        _CORPORA[spec] = _litmus_corpus(*spec)
+    return _CORPORA[spec]
+
+
+def _matching_outcome(find, gc, ga, impl, budget):
+    try:
+        return find(gc, ga, impl, budget=budget)
+    except BudgetExceeded as e:
+        return ("budget", e.stats)
+
+
+@pytest.mark.parametrize("budget", [20_000, 7])
+@pytest.mark.parametrize("case", sorted(DIFF_CASES))
+def test_matching_and_lifting_match_pair_set_reference(case, budget, monkeypatch):
+    make, low, high, corpus_spec, check_wf = DIFF_CASES[case]
+    corpus = _cached_corpus(corpus_spec)
+    assert corpus
+
+    def verify(find, lift):
+        monkeypatch.setattr(sub, "find_plain_matching", find)
+        monkeypatch.setattr(sub, "lift_step", lift)
+        impl = SemanticImpl(make(), low, FLIT_CFG)
+        reports = [verify_impl_bounded(impl, high, low, [ga], budget=budget, check_wf=check_wf) for ga in corpus]
+        return impl, [([vars(r) for r in rep.records], rep.budget_hits) for rep in reports]
+
+    impl, got = verify(find_plain_matching, sub.lift_step)
+    _, want = verify(ref_find_plain_matching, ref_lift_step)
+    assert got == want
+    matchings = 0
+    for ga in corpus:
+        for gc in exec_bind(ga, impl):
+            f = _matching_outcome(find_plain_matching, gc, ga, impl, budget)
+            assert f == _matching_outcome(ref_find_plain_matching, gc, ga, impl, budget)
+            matchings += isinstance(f, dict)
+    assert matchings
+
+
+_FLIT_MEMBER = SemanticImpl(flit_impl(), PX, FLIT_CFG)
+_FLIT_CALLS = [
+    Label("fnew", (), 101),
+    Label("fwrite_p", (101, 1), None),
+    Label("fwrite_v", (101, 1), None),
+    Label("fread_p", (101,), 0),
+    Label("fread_p", (101,), 1),
+    Label("fread_p", (101,), BOT),
+    Label("fread_v", (101,), 1),
+    Label("ffinish", (), None),
+]
+
+
+@st.composite
+def _blocks(draw):
+    """A run implementing some flit call, perhaps with threads set, po
+    edges dropped or events swapped, so that both members and non-members
+    of each call come up."""
+    run = draw(st.sampled_from(_FLIT_MEMBER.executions(draw(st.sampled_from(_FLIT_CALLS)))))
+    labels = run.labels()
+    thread = draw(st.sampled_from([None, 0, 1]))
+    labels = [replace(l, thread=thread) for l in labels]
+    edges = sorted(run.po_reduced)
+    edges = [e for e in edges if draw(st.booleans()) or draw(st.booleans())]
+    if len(labels) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(labels) - 2))
+        labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    try:
+        return PlainExecution(labels, edges)
+    except ValueError:
+        return run
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_FLIT_CALLS), _blocks())
+def test_memoized_contains_matches_iso_path(call, block):
+    # the memo lives on the instance, so later examples hit it
+    want = ref_contains(_FLIT_MEMBER, call, block)
+    assert _FLIT_MEMBER.contains(call, block) == want
+    assert _FLIT_MEMBER.contains(replace(call, thread=3), block) == want
+
+
+def _chain_key(chain):
+    if not isinstance(chain, list):
+        return chain
+    return [(x.plain.labels(), x.plain.po_order.rows, x.sw, x.hb_order.rows) for x in chain]
+
+
+def _lift_outcome(xc, subsets, f, ga, high):
+    why = []
+    try:
+        return _chain_key(lift_chain(xc, subsets, f, ga, high, budget=20_000, failure=why)), why
+    except BudgetExceeded as e:
+        return ("budget", e.stats), why
+
+
+def _hb_chains(xc, limit):
+    """``limit`` chains of hb-down-sets from the empty set to all of xc,
+    spread over the first 64 orders in which the events can be added."""
+    exts = list(itertools.islice(linear_extensions(xc.hb_order), 64))
+    picked = exts[:: max(1, len(exts) // limit)][:limit]
+    return [[frozenset(ext[:i]) for i in range(len(ext) + 1)] for ext in picked]
+
+
+def test_lift_chain_matches_reference_in_every_event_order(monkeypatch):
+    # the hereditary witness adds events roughly by id, so its images are
+    # dense id prefixes; here events are added in every order, so a step's
+    # image is often a sparse subset of the abstract ids
+    toy = SemanticImpl(toy_impl(), PX, CFG)
+    two = [g for g in _cached_corpus(("flit", 8, 40)) if len(g.threads()) == 2][:3]
+    cases = [
+        (toy, TOY, parallel_execution([tlabel("tset", (1,), None, thread=0)], [tlabel("tget", (), 1, thread=1)])),
+        (
+            toy,
+            TOY,
+            parallel_execution(
+                [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)],
+                [tlabel("tget", (), 0, thread=1), tlabel("tset", (0,), None, thread=1)],
+            ),
+        ),
+    ] + [(SemanticImpl(flit_impl(), PX, FLIT_CFG), Collection([flit_spec()]), g) for g in two]
+    sparse = 0
+    for impl, high, ga in cases:
+        for gc in exec_bind(ga, impl)[:4]:
+            f = find_plain_matching(gc, ga, impl)
+            assert f is not None
+            for xc in sub._refinements(PX, gc)[:6]:
+                for subsets in _hb_chains(xc, 8):
+                    sparse += any(sorted({f[c] for c in s}) != list(range(len({f[c] for c in s}))) for s in subsets)
+                    got = _lift_outcome(xc, subsets, f, ga, high)
+                    with monkeypatch.context() as m:
+                        m.setattr(sub, "lift_step", ref_lift_step)
+                        assert got == _lift_outcome(xc, subsets, f, ga, high)
+    assert sparse
