@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
+    BOT,
     Execution,
     History,
     Label,
     Order,
     PlainExecution,
     anonymize,
-    execution_canonical_hash,
+    bits,
     history_to_execution,
-    immediate_prefixes_execution,
     restrict,
 )
 
@@ -203,6 +203,28 @@ class LibraryInterface:
         if label.is_crash or label.method == "⋆":
             return frozenset()
         return self.loc(label)
+
+
+def cell_loc(
+    constructor: str, accessors: Iterable[str], constructor_cells: int = 1, accessor_cells: int = 1
+) -> Callable[[Label], FrozenSet[int]]:
+    """A ``LibraryInterface.loc``: a ``constructor`` call gives the
+    ``constructor_cells`` consecutive cells from its return (none while that
+    is ``None`` or ⊥), an ``accessors`` call the ``accessor_cells`` cells
+    from its first argument, and any other call none."""
+    accessors = frozenset(accessors)
+
+    def loc(l: Label) -> FrozenSet[int]:
+        if l.method in accessors:
+            start, cells = l.args[0], accessor_cells
+        elif l.method == constructor and l.ret is not None and l.ret is not BOT:
+            start, cells = l.ret, constructor_cells
+        else:
+            return frozenset()
+        # a single cell needs no arithmetic, so any value can name it
+        return frozenset((start,)) if cells == 1 else frozenset(range(start, start + cells))
+
+    return loc
 
 
 CheckFn = Callable[[Execution], Verdict]
@@ -454,57 +476,52 @@ def check_hereditarily_consistent(
         return Verdict.ok(witness=HereditaryChain(chain))
 
     x = _as_execution(x)
-    memo: Dict[FrozenSet[int], Optional[List[FrozenSet[int]]]] = {}
+    hb_rows = x.hb_order.rows
+    memo: Dict[int, Optional[List[int]]] = {}
     explored = 0
     stalled: List[Verdict] = []
 
-    def sub(ids: FrozenSet[int]) -> Execution:
-        return x.restrict_events(ids)
+    def sub(mask: int) -> Execution:
+        return x.restrict_events(bits(mask))
 
-    hb_rows = x.hb_order.rows
-
-    def max_events(ids: FrozenSet[int]) -> List[int]:
-        mask = sum(1 << e for e in ids)
-        return [e for e in sorted(ids) if not hb_rows[e] & mask]
-
-    def search(ids: FrozenSet[int]) -> Optional[List[FrozenSet[int]]]:
+    def search(mask: int) -> Optional[List[int]]:
         nonlocal explored
-        if not ids:
-            return [ids]
-        if ids in memo:
-            return memo[ids]
+        if not mask:
+            return [mask]
+        if mask in memo:
+            return memo[mask]
         explored += 1
         if explored > budget:
             raise BudgetExceeded({"explored": explored})
-        result: Optional[List[FrozenSet[int]]] = None
-        v = check_consistent(coll, sub(ids))
+        result: Optional[List[int]] = None
+        v = check_consistent(coll, sub(mask))
         if v.is_budget:
             stalled.append(v)
         if v:
-            for e in max_events(ids):
-                res = search(ids - {e})
+            for smaller in _immediate_prefixes(hb_rows, mask):
+                res = search(smaller)
                 if res is not None:
-                    result = res + [ids]
+                    result = res + [mask]
                     break
-        memo[ids] = result
+        memo[mask] = result
         return result
 
     try:
-        subsets = search(frozenset(x.events))
+        masks = search((1 << len(x)) - 1)
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
-    if subsets is None:
+    if masks is None:
         if stalled:
             return stalled[0]
         return Verdict.fail("no consistent immediate-prefix chain", witness=None)
-    chain2 = [sub(s) for s in subsets]
-    return Verdict.ok(witness=HereditaryChain(chain2, subsets))
+    subsets = [frozenset(bits(m)) for m in masks]
+    return Verdict.ok(witness=HereditaryChain([sub(m) for m in masks], subsets))
 
 
-def _same_execution(a: Execution, b: Execution) -> bool:
-    from .model import execution_iso_eq
-
-    return execution_iso_eq(a, b)
+def _immediate_prefixes(hb_rows: Sequence[int], mask: int) -> List[int]:
+    """The immediate prefixes of the events in ``mask``, as masks: each drops
+    one hb-maximal event, taken in ascending id order."""
+    return [mask & ~(1 << e) for e in bits(mask) if not hb_rows[e] & mask]
 
 
 # --------------------------------------------------------------------------
@@ -569,42 +586,47 @@ def check_immediately_wellformed(coll: Collection, x) -> Verdict:
 
 def check_wellformed(coll: Collection, x, budget: int = 10_000) -> Verdict:
     """For all G'' ⊏_imm G' ⊑ X: if G'' is consistent then G' is immediately
-    well-formed.  Walks the prefix lattice with iso-hash memoization.
+    well-formed.  Walks the prefix lattice depth first, naming each prefix
+    by the subset of ``x``'s event ids it keeps; ``budget`` bounds the number
+    of distinct subsets visited, and each prefix's consistency is checked
+    once per walk.
 
     A prefix none of whose immediate prefixes is consistent, but one of which
     ran out of budget, may still owe well-formedness: if it is not immediately
     well-formed, the verdict is budget-exceeded unless a definite failure is
     found elsewhere."""
     x = _as_execution(x)
-    seen: Dict[int, List[Execution]] = {}
-    explored = 0
-    stack: List[Execution] = [x]
+    hb_rows = x.hb_order.rows
+    consistent: Dict[int, Verdict] = {}
+    seen = set()
+    stack = [(1 << len(x)) - 1]
     stalled: List[Verdict] = []
     while stack:
         cur = stack.pop()
-        h = execution_canonical_hash(cur)
-        if any(len(o) == len(cur) and _same_execution(o, cur) for o in seen.get(h, [])):
+        if cur in seen:
             continue
-        seen.setdefault(h, []).append(cur)
-        explored += 1
-        if explored > budget:
-            return Verdict.budget({"explored": explored})
-        prevs = immediate_prefixes_execution(cur)
-        owed = cur.is_empty()
+        seen.add(cur)
+        if len(seen) > budget:
+            return Verdict.budget({"explored": len(seen)})
+        prevs = _immediate_prefixes(hb_rows, cur)
+        owed = not cur
         undecided: Optional[Verdict] = None
         for p in prevs:
-            pv = check_consistent(coll, p)
+            pv = consistent.get(p)
+            if pv is None:
+                pv = consistent[p] = check_consistent(coll, x.restrict_events(bits(p)))
             if pv:
                 owed = True
                 break
             if pv.is_budget and undecided is None:
                 undecided = pv
         if owed or undecided is not None:
-            v = check_immediately_wellformed(coll, cur)
+            g = x.restrict_events(bits(cur))
+            v = check_immediately_wellformed(coll, g)
             if not v:
-                reason = f"prefix of size {len(cur)}: {v.reason}"
+                reason = f"prefix of size {len(g)}: {v.reason}"
                 if owed:
-                    return Verdict(v.status, reason, cur, v.stats)
-                stalled.append(Verdict(BUDGET, f"{reason}; an immediate prefix ran out of budget", cur, undecided.stats))
+                    return Verdict(v.status, reason, g, v.stats)
+                stalled.append(Verdict(BUDGET, f"{reason}; an immediate prefix ran out of budget", g, undecided.stats))
         stack.extend(prevs)
     return stalled[0] if stalled else Verdict.ok()

@@ -1116,18 +1116,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>:=|==|!=|<=|>=|&&|\|\||[-+*/%<>!(){},;=]))"
 )
 
-_KEYWORDS = {
-    "collection",
-    "globals",
-    "program",
-    "crash",
-    "expect",
-    "domain",
-    "unroll",
-    "method",
-    "impl",
-}
-
 
 class _Tokens:
     def __init__(self, text: str, line: int):

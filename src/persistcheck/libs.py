@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, linear_extensions
+from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc, linear_extensions
 from .lang import CallCmd, If, Return, Seq, SyntacticImpl, While, parse_statements
 from .model import (
     BOT,
@@ -114,14 +114,6 @@ def execution_linearizable(
 # --------------------------------------------------------------------------
 
 
-def _weakreg_loc(l: Label) -> FrozenSet[int]:
-    if l.method == "rnew":
-        return frozenset() if l.ret in (None, BOT) else frozenset({l.ret})
-    if l.method in ("rwrite", "rread"):
-        return frozenset({l.args[0]})
-    return frozenset()
-
-
 def weakreg_interface(with_pfence: bool = True) -> LibraryInterface:
     methods = dict(WEAKREG_METHODS)
     if not with_pfence:
@@ -130,7 +122,7 @@ def weakreg_interface(with_pfence: bool = True) -> LibraryInterface:
         name="weakreg",
         methods=methods,
         constructors=frozenset({"rnew"}),
-        loc=_weakreg_loc,
+        loc=cell_loc("rnew", ("rwrite", "rread")),
         returns={"rnew": "loc", "rwrite": "void", PFENCE: "void", "rread": "value"},
     )
 
@@ -142,14 +134,6 @@ def weakreg_spec(with_pfence: bool = True, budget: int = 500_000) -> LibrarySpec
     return LibrarySpec(interface=weakreg_interface(with_pfence), local_consistent=check, seq=S_WEAKREG)
 
 
-def _queue_loc(l: Label) -> FrozenSet[int]:
-    if l.method == "qnew":
-        return frozenset() if l.ret in (None, BOT) else frozenset({l.ret})
-    if l.method in ("qpush", "qappend", "qpop"):
-        return frozenset({l.args[0]})
-    return frozenset()
-
-
 def queue_interface(name: str = "durqueue") -> LibraryInterface:
     methods = dict(QUEUE_METHODS)
     methods["qappend"] = 2  # alias used by the undo-log figure
@@ -157,7 +141,7 @@ def queue_interface(name: str = "durqueue") -> LibraryInterface:
         name=name,
         methods=methods,
         constructors=frozenset({"qnew"}),
-        loc=_queue_loc,
+        loc=cell_loc("qnew", ("qpush", "qappend", "qpop")),
         returns={"qnew": "loc", "qpush": "void", "qappend": "void", "qpop": "value"},
     )
 
@@ -210,11 +194,7 @@ def _register_iface(name: str = "reg") -> LibraryInterface:
         name=name,
         methods={"regnew": 0, "regwrite": 2, "regread": 1},
         constructors=frozenset({"regnew"}),
-        loc=lambda l: (
-            frozenset({l.ret}) if l.method == "regnew" and l.ret not in (None, BOT) else (
-                frozenset({l.args[0]}) if l.method in ("regwrite", "regread") else frozenset()
-            )
-        ),
+        loc=cell_loc("regnew", ("regwrite", "regread")),
         returns={"regnew": "loc", "regwrite": "void", "regread": "value"},
     )
 
@@ -253,14 +233,6 @@ FLIT_METHODS = {
 }
 
 
-def _flit_loc(l: Label) -> FrozenSet[int]:
-    if l.method == "fnew":
-        return frozenset() if l.ret in (None, BOT) else frozenset({l.ret, l.ret + 1})
-    if l.method in ("fread_p", "fread_v", "fwrite_p", "fwrite_v"):
-        return frozenset({l.args[0]})
-    return frozenset()
-
-
 def _flit_call_semantics(method: str, args: Tuple, ctx):
     if method == "fnew":
         x = ctx.fresh_loc()
@@ -277,7 +249,7 @@ def flit_interface() -> LibraryInterface:
         name="flit",
         methods=FLIT_METHODS,
         constructors=frozenset({"fnew"}),
-        loc=_flit_loc,
+        loc=cell_loc("fnew", ("fread_p", "fread_v", "fwrite_p", "fwrite_v"), 2),
         tags_used=frozenset({P_TAG}),
         method_tags={m: frozenset({"D"}) for m in ("fwrite_p", "fwrite_v", "ffinish", "fnew")},
         returns={
@@ -481,14 +453,6 @@ MIRROR_METHODS = {"mnew": 0, "mrd": 1, "mwr": 2, "mcas": 3}
 MIRROR_K = 16
 
 
-def _mirror_loc(l: Label) -> FrozenSet[int]:
-    if l.method == "mnew":
-        return frozenset() if l.ret in (None, BOT) else frozenset({l.ret, l.ret + 1})
-    if l.method in ("mrd", "mwr", "mcas"):
-        return frozenset({l.args[0]})
-    return frozenset()
-
-
 def _mirror_call_semantics(method: str, args: Tuple, ctx):
     if method == "mnew":
         x = ctx.fresh_loc()
@@ -508,7 +472,7 @@ def mirror_interface() -> LibraryInterface:
         name="mirror",
         methods=MIRROR_METHODS,
         constructors=frozenset({"mnew"}),
-        loc=_mirror_loc,
+        loc=cell_loc("mnew", ("mrd", "mwr", "mcas"), 2),
         tags_used=frozenset({P_TAG}),
         method_tags={m: frozenset({"D"}) for m in ("mwr", "mcas", "mnew")},
         returns={"mnew": "loc", "mrd": "value", "mwr": "void", "mcas": "value"},
@@ -541,11 +505,6 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     lab = x.lab
     W = [e for e in ids if _mirror_is_write(lab[e])]
     R = [e for e in ids if _mirror_reads(lab[e])]
-
-    def locof(e):
-        l = lab[e]
-        return l.args[0] if l.args else None
-
     P = frozenset(w for w in W if lab[w].is_complete)
     idset = set(ids)
     writes = sum(1 << w for w in W)
@@ -556,23 +515,12 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
             x.hb_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
         ):
             lin = tuple(ids[i] for i in ext)
-            pos = {e: i for i, e in enumerate(lin)}
-
-            def visible(w, r):
-                return era[w] == era[r] or w in P
-
-            sw_derived = set()
+            rf = _mirror_reads_from(lab, era, lin)
+            sw_derived = {(w, r) for r, w in rf.items()}
             ok = True
             for r in R:
-                srcs = [
-                    w
-                    for w in W
-                    if w != r and locof(w) == locof(r) and pos[w] < pos[r] and visible(w, r)
-                ]
-                if srcs:
-                    w = max(srcs, key=lambda e: pos[e])
-                    sw_derived.add((w, r))
-                    wrote = _mirror_written(lab[w])
+                if r in rf:
+                    wrote = _mirror_written(lab[rf[r]])
                     if lab[r].method == "mrd":
                         if lab[r].ret is not BOT and wrote != lab[r].ret:
                             ok = False
@@ -609,39 +557,40 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     return Verdict.fail("no mirror witness (lin/nvo)")
 
 
+def _mirror_reads_from(lab: Mapping[int, Label], era: Mapping[int, int], lin: Sequence[int]) -> Dict[int, int]:
+    """Mirror's derived reads-from along the linearization ``lin``: each read
+    reads the lin-latest earlier write to its location that it sees, one of
+    its own era or a completed (so persisted) one."""
+    pos = {e: i for i, e in enumerate(lin)}
+    W = [e for e in lin if _mirror_is_write(lab[e])]
+    rf: Dict[int, int] = {}
+    for r in lin:
+        if _mirror_reads(lab[r]):
+            srcs = [
+                w
+                for w in W
+                if w != r
+                and lab[w].args[0] == lab[r].args[0]
+                and pos[w] < pos[r]
+                and (era[w] == era[r] or lab[w].is_complete)
+            ]
+            if srcs:
+                rf[r] = max(srcs, key=pos.__getitem__)
+    return rf
+
+
 def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate sw sets: derived reads-from for each era-monotone lin."""
     ids = [e for e in g.events if not g.lab[e].is_crash]
     era = g.era_of()
-    lab = g.lab
-    W = [e for e in ids if _mirror_is_write(lab[e])]
-    R = [e for e in ids if _mirror_reads(lab[e])]
-    P = frozenset(w for w in W if lab[w].is_complete)
-
-    def locof(e):
-        return lab[e].args[0] if lab[e].args else None
-
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     spent = [2_000]
     try:
         for ext in linear_extensions(
             g.po_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
         ):
-            lin = tuple(ids[i] for i in ext)
-            pos = {e: i for i, e in enumerate(lin)}
-            sw = set()
-            for r in R:
-                srcs = [
-                    w
-                    for w in W
-                    if w != r
-                    and locof(w) == locof(r)
-                    and pos[w] < pos[r]
-                    and (era[w] == era[r] or w in P)
-                ]
-                if srcs:
-                    sw.add((max(srcs, key=lambda e: pos[e]), r))
-            fz = frozenset(sw)
+            rf = _mirror_reads_from(g.lab, era, [ids[i] for i in ext])
+            fz = frozenset((w, r) for r, w in rf.items())
             if fz not in out:
                 out.append(fz)
     except BudgetExceeded:
@@ -750,20 +699,12 @@ LTRANS_METHODS = {
 }
 
 
-def _ltrans_loc(l: Label) -> FrozenSet[int]:
-    if l.method == "pt_new":
-        return frozenset() if l.ret in (None, BOT) else frozenset({l.ret})
-    if l.method in ("pt_read", "pt_write"):
-        return frozenset({l.args[0]})
-    return frozenset()
-
-
 def ltrans_interface(name: str = "ltrans", begin: str = "pt_begin", end: str = "pt_end") -> LibraryInterface:
     return LibraryInterface(
         name=name,
         methods=LTRANS_METHODS,
         constructors=frozenset({"pt_new"}),
-        loc=_ltrans_loc,
+        loc=cell_loc("pt_new", ("pt_read", "pt_write")),
         tags_introduced=frozenset({T_TAG, PTR_TAG, B_TAG, E_TAG}),
         method_tags={
             "pt_read": frozenset({T_TAG}),
@@ -1053,11 +994,7 @@ def lock_interface() -> LibraryInterface:
         name="lock",
         methods=LOCK_METHODS,
         constructors=frozenset({"lnew"}),
-        loc=lambda l: (
-            frozenset({l.ret}) if l.method == "lnew" and l.ret not in (None, BOT) else (
-                frozenset({l.args[0]}) if l.method in ("lacq", "lrel") else frozenset()
-            )
-        ),
+        loc=cell_loc("lnew", ("lacq", "lrel")),
         returns={"lnew": "loc", "lacq": "void", "lrel": "void"},
     )
 
@@ -1199,11 +1136,7 @@ def counter_interface() -> LibraryInterface:
         name="counter",
         methods={"cnew": 0, "cinc": 1, "cread": 1},
         constructors=frozenset({"cnew"}),
-        loc=lambda l: (
-            frozenset({l.ret}) if l.method == "cnew" and l.ret not in (None, BOT) else (
-                frozenset({l.args[0]}) if l.method in ("cinc", "cread") else frozenset()
-            )
-        ),
+        loc=cell_loc("cnew", ("cinc", "cread")),
         tags_used=frozenset({T_TAG, PTR_TAG}),
         method_tags={"cinc": frozenset({T_TAG}), "cread": frozenset({T_TAG})},
         returns={"cnew": "loc", "cinc": "void", "cread": "value"},
@@ -1254,15 +1187,7 @@ def mmcounter_interface() -> LibraryInterface:
         name="mmcounter",
         methods={"mmnew": 0, "mmadd": 2, "mmmin": 1, "mmmax": 1},
         constructors=frozenset({"mmnew"}),
-        loc=lambda l: (
-            frozenset({l.ret, l.ret + 1})
-            if l.method == "mmnew" and l.ret not in (None, BOT)
-            else (
-                frozenset({l.args[0], l.args[0] + 1})
-                if l.method in ("mmadd", "mmmin", "mmmax")
-                else frozenset()
-            )
-        ),
+        loc=cell_loc("mmnew", ("mmadd", "mmmin", "mmmax"), 2, 2),
         tags_used=frozenset({T_TAG, PTR_TAG}),
         method_tags={
             "mmadd": frozenset({T_TAG}),

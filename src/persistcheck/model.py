@@ -265,27 +265,9 @@ class History:
         """The history with all crash markers removed."""
         return History(e for e in self.events if not isinstance(e, CrashEv))
 
-    def project(self, keep: Callable[[Inv], bool]) -> "History":
-        """Stable subsequence keeping invocations satisfying ``keep`` (and
-        their matching returns) plus crash markers."""
-        kept: List[HistoryEvent] = []
-        open_kept: Dict[int, bool] = {}
-        for e in self.events:
-            if isinstance(e, CrashEv):
-                kept.append(e)
-            elif isinstance(e, Inv):
-                k = keep(e)
-                open_kept[e.thread] = k
-                if k:
-                    kept.append(e)
-            else:
-                if open_kept.get(e.thread, False):
-                    kept.append(e)
-                open_kept[e.thread] = False
-        return History(kept)
-
     def project_calls(self, keep: Callable[[Call], bool]) -> "History":
-        """Like ``project``, deciding per call (so return values are visible)."""
+        """Stable subsequence keeping the calls satisfying ``keep`` (their
+        invocations and returns) plus crash markers."""
         chosen = {c.inv_index for c in self.calls() if keep(c)}
         kept: List[HistoryEvent] = []
         open_kept: Dict[int, bool] = {}
@@ -498,20 +480,24 @@ def transitive_reduction(edges: Iterable[Edge]) -> Relation:
 class Pomset:
     """A finite pomset: dense integer carrier, strict partial order, labels.
 
-    Equality (`iso_eq`) is label-preserving order-isomorphism; `==` on the
-    nose is deliberately not defined beyond identity of representation.
+    The order ``po_order`` is an :class:`Order`: given as edges it is closed
+    at construction, given as an ``Order`` (already closed) it is taken as
+    is.  Equality (`iso_eq`) is label-preserving order-isomorphism; `==` on
+    the nose is deliberately not defined beyond identity of representation.
     """
 
-    __slots__ = ("events", "lab", "_order")
+    __slots__ = ("events", "lab", "po_order")
 
-    def __init__(self, labels: Sequence, order: Iterable[Edge]):
+    def __init__(self, labels: Sequence, order: Iterable[Edge] | Order):
         lab = {i: l for i, l in enumerate(labels)}
-        closed = Order.close(len(labels), order)
+        closed = order if isinstance(order, Order) else Order.close(len(labels), order)
+        if len(closed) != len(lab):
+            raise ValueError("order mentions unknown event")
         if not closed.is_acyclic():
             raise ValueError("relation is cyclic")
         object.__setattr__(self, "events", tuple(range(len(labels))))
         object.__setattr__(self, "lab", lab)
-        object.__setattr__(self, "_order", closed)
+        object.__setattr__(self, "po_order", closed)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Pomset is immutable")
@@ -521,11 +507,11 @@ class Pomset:
 
     @property
     def order(self) -> Relation:
-        return self._order.pairs
+        return self.po_order.pairs
 
     @property
     def reduced(self) -> Relation:
-        return self._order.reduced
+        return self.po_order.reduced
 
     def labels(self) -> List:
         return [self.lab[e] for e in self.events]
@@ -595,13 +581,9 @@ def _find_isomorphism(ev1, ord1: Order, lab1, ev2, ord2: Order, lab2) -> Optiona
     return dict(mapping) if rec(0) else None
 
 
-def _order_of(p) -> Order:
-    return p._order if isinstance(p, Pomset) else p.po_order
-
-
 def canonical_hash(p) -> int:
     """Iso-invariant hash (refinement signatures; exact check via iso_eq)."""
-    sig = _iso_signatures(p.events, _order_of(p), p.lab)
+    sig = _iso_signatures(p.events, p.po_order, p.lab)
     return hash(tuple(sorted(sig.values())))
 
 
@@ -611,7 +593,7 @@ def iso_eq(p, q) -> bool:
 
 
 def find_isomorphism(p, q) -> Optional[Dict[int, int]]:
-    return _find_isomorphism(p.events, _order_of(p), p.lab, q.events, _order_of(q), q.lab)
+    return _find_isomorphism(p.events, p.po_order, p.lab, q.events, q.po_order, q.lab)
 
 
 # --------------------------------------------------------------------------
@@ -936,58 +918,6 @@ def anonymize(owns: Callable[[Label], bool], x: Execution) -> Execution:
     # the plain execution is rebuilt directly.
     plain = PlainExecution(labels, x.plain.po_order.restrict(keep_sorted))
     return Execution(plain, sw, x.hb_order.restrict(keep_sorted))
-
-
-def execution_iso_eq(x: Execution, y: Execution) -> bool:
-    """Isomorphism of executions: label-preserving, po-, sw- and hb-preserving."""
-    m = find_isomorphism(x.plain, y.plain)
-    if m is None:
-        # try all isomorphisms? cheap fallback: signatures already matched po
-        return False
-    # check one mapping first; fall back to exhaustive search over label-
-    # compatible bijections only when sw/hb disagree under m.
-    def respects(m: Dict[int, int]) -> bool:
-        sw2 = {(m[a], m[b]) for a, b in x.sw}
-        hb2 = {(m[a], m[b]) for a, b in x.hb}
-        return sw2 == set(y.sw) and hb2 == set(y.hb)
-
-    if respects(m):
-        return True
-    # po ∪ sw ⊆ hb holds by construction, so hb alone carries all three
-    sig_x = _iso_signatures(x.events, x.hb_order, x.lab)
-    sig_y = _iso_signatures(y.events, y.hb_order, y.lab)
-    if sorted(sig_x.values()) != sorted(sig_y.values()):
-        return False
-    cands = {e: [f for f in y.events if sig_y[f] == sig_x[e]] for e in x.events}
-    for perm in _bijections(list(x.events), cands):
-        if perm is None:
-            continue
-        mm = perm
-        ok = all(((a, b) in x.po) == ((mm[a], mm[b]) in y.po) for a in x.events for b in x.events)
-        if ok and respects(mm):
-            return True
-    return False
-
-
-def _bijections(events: List[int], cands: Dict[int, List[int]]) -> Iterator[Optional[Dict[int, int]]]:
-    if len(events) > 8:
-        yield None
-        return
-
-    def rec(i: int, mapping: Dict[int, int], used: Set[int]):
-        if i == len(events):
-            yield dict(mapping)
-            return
-        e = events[i]
-        for f in cands[e]:
-            if f in used:
-                continue
-            mapping[e] = f
-            used.add(f)
-            yield from rec(i + 1, mapping, used)
-            used.discard(f)
-            del mapping[e]
-    yield from rec(0, {}, set())
 
 
 def execution_canonical_hash(x: Execution) -> int:

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, linear_extensions
+from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, cell_loc, linear_extensions
 from .model import (
     BOT,
     Execution,
@@ -99,12 +99,7 @@ def alloc(x: int, thread: int = 0) -> Label:
     return Label("alloc", (), x, frozenset({D_TAG}), thread)
 
 
-def _px86_loc(l: Label) -> FrozenSet[int]:
-    if l.method == "alloc":
-        return frozenset() if l.ret in (None, BOT) else frozenset({l.ret})
-    if l.method in ("store", "load", "upd", "flush", "fo"):
-        return frozenset({l.args[0]})
-    return frozenset()
+_px86_loc = cell_loc("alloc", ("store", "load", "upd", "flush", "fo"))
 
 
 def px86_call_semantics(method: str, args: Tuple, ctx) -> List[Tuple[Tuple[Label, ...], object]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .framework import (
     BudgetExceeded,
@@ -69,27 +69,37 @@ def _project_rows(rows: Sequence[int], img: Sequence[int], k: int) -> List[int]:
     return [row & ~(1 << y) for y, row in enumerate(out)]
 
 
+def _bind_rows(outer: Sequence[int], inners: Sequence[Sequence[int]]) -> List[int]:
+    """The lexicographic bind of closed orders on bit rows: inner block ``e``
+    is shifted to its offset, and each of its rows also holds the blocks of
+    ``e``'s outer successors.  With both levels closed, so is the result."""
+    offsets: List[int] = []
+    masks: List[int] = []
+    width = 0
+    for rows in inners:
+        offsets.append(width)
+        masks.append(((1 << len(rows)) - 1) << width)
+        width += len(rows)
+    out: List[int] = []
+    for e, rows in enumerate(inners):
+        later = 0
+        for s in bits(outer[e]):
+            later |= masks[s]
+        out.extend(row << offsets[e] | later for row in rows)
+    return out
+
+
+def _bind(p: Pomset, inners: Sequence[Pomset]) -> Pomset:
+    """p with event ``e`` replaced by ``inners[e]``, lexicographically."""
+    labels = [l for inner in inners for l in inner.labels()]
+    return Pomset(labels, Order(_bind_rows(p.po_order.rows, [q.po_order.rows for q in inners])))
+
+
 def pomset_bind(p: Pomset, g: Callable[[object], Pomset]) -> Pomset:
     """Replace each event of p by the pomset g(label), ordered
     lexicographically: inner events inherit the outer order, and within one
     outer event the inner order applies."""
-    inners = [g(p.lab[e]) for e in p.events]
-    offsets = []
-    labels: List = []
-    for inner in inners:
-        offsets.append(len(labels))
-        labels.extend(inner.labels())
-    order: Set[Edge] = set()
-    for e in p.events:
-        inner = inners[e]
-        off = offsets[e]
-        for a, b in inner.order:
-            order.add((off + a, off + b))
-    for e1, e2 in p.order:
-        for a in range(len(inners[e1])):
-            for b in range(len(inners[e2])):
-                order.add((offsets[e1] + a, offsets[e2] + b))
-    return Pomset(labels, order)
+    return _bind(p, [g(p.lab[e]) for e in p.events])
 
 
 def set_bind(ps: Iterable[Pomset], g: Callable[[object], Sequence[Pomset]]) -> List[Pomset]:
@@ -100,32 +110,13 @@ def set_bind(ps: Iterable[Pomset], g: Callable[[object], Sequence[Pomset]]) -> L
     for p in ps:
         choice_lists = [list(g(p.lab[e])) for e in p.events]
         for combo in itertools.product(*choice_lists):
-            table = {e: combo[i] for i, e in enumerate(p.events)}
-            q = _bind_by_event(p, table)
+            q = _bind(p, combo)
             h = canonical_hash(q)
             bucket = seen.setdefault(h, [])
             if not any(iso_eq(q, other) for other in bucket):
                 bucket.append(q)
                 out.append(q)
     return out
-
-
-def _bind_by_event(p: Pomset, table: Mapping[int, Pomset]) -> Pomset:
-    inners = [table[e] for e in p.events]
-    offsets = []
-    labels: List = []
-    for inner in inners:
-        offsets.append(len(labels))
-        labels.extend(inner.labels())
-    order: Set[Edge] = set()
-    for e in p.events:
-        for a, b in inners[e].order:
-            order.add((offsets[e] + a, offsets[e] + b))
-    for e1, e2 in p.order:
-        for a in range(len(inners[e1])):
-            for b in range(len(inners[e2])):
-                order.add((offsets[e1] + a, offsets[e2] + b))
-    return Pomset(labels, order)
 
 
 # --------------------------------------------------------------------------
@@ -242,16 +233,7 @@ class IdentityImpl(SemanticImpl):
     """The identity implementation: each call maps to its own singleton."""
 
     def __init__(self, coll: Collection, methods: Iterable[str]):
-        self.syn = SyntacticImpl(name="identity", methods={m: ((), None) for m in methods})
-        self.coll_low = coll
-        self.config = InterpConfig()
-        self.methods = frozenset(methods)
-        self._alloc_methods = frozenset(
-            m for s in coll.specs() for m in s.interface.constructors
-        )
-        self._cache = {}
-        self._stripped = {}
-        self._member = {}
+        super().__init__(SyntacticImpl("identity", {m: ((), None) for m in methods}), coll)
 
     def executions(self, label: Label, loc_start: int = 100) -> List[PlainExecution]:
         return [PlainExecution([_strip_thread(label)], [])]
@@ -273,37 +255,31 @@ def exec_bind(
     max_results: int = 10_000,
 ) -> List[PlainExecution]:
     """All plain executions obtained by replacing each implemented event of g
-    with a member of its implementation (lexicographic order).  Non-library
-    events and crashes pass through unchanged; inner events inherit the
-    abstract event's thread.  Location bases are threaded through events in
-    id order so allocations line up with the abstract allocator.  The result
-    is truncated (deterministically) at ``max_results``."""
+    with a member of its implementation (lexicographic order), one per choice
+    of members; ``set_bind`` is the bind that deduplicates up to isomorphism.
+    Non-library events and crashes pass through unchanged; inner events
+    inherit the abstract event's thread.  Location bases are threaded through
+    events in id order so allocations line up with the abstract allocator.
+    A choice that breaks the incomplete-call condition of plain executions
+    yields nothing.  The result is truncated (deterministically) at
+    ``max_results``."""
     events = list(g.events)
     out: List[PlainExecution] = []
-    seen: Dict[int, List[PlainExecution]] = {}
 
     def rec(i: int, base: int, chosen: List[PlainExecution]):
         if len(out) >= max_results:
             return
         if i == len(events):
-            table = {}
-            for e, inner in zip(events, chosen):
-                thread = g.lab[e].thread
-                labels = [
-                    l if l.is_crash else replace(l, thread=thread)
-                    for l in inner.labels()
-                ]
-                table[e] = Pomset(labels, inner.po_reduced)
-            q = _bind_by_event(Pomset(g.labels(), g.po_reduced), table)
+            labels = [
+                l if l.is_crash else replace(l, thread=g.lab[e].thread)
+                for e, inner in zip(events, chosen)
+                for l in inner.labels()
+            ]
+            rows = _bind_rows(g.po_order.rows, [inner.po_order.rows for inner in chosen])
             try:
-                pe = PlainExecution(q.labels(), q.reduced)
+                out.append(PlainExecution(labels, Order(rows)))
             except ValueError:
-                return
-            h = canonical_hash(pe)
-            bucket = seen.setdefault(h, [])
-            if not any(iso_eq(pe, other) for other in bucket):
-                bucket.append(pe)
-                out.append(pe)
+                pass
             return
         e = events[i]
         lab = g.lab[e]

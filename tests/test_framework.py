@@ -1,11 +1,18 @@
 """Collection registry, consistency, hereditary consistency, encapsulation,
 and well-formedness checkers, exercised with small hand-rolled specs."""
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistcheck.framework import (
+    BUDGET,
+    BudgetExceeded,
     Collection,
     DuplicateMethod,
+    HereditaryChain,
     LibraryInterface,
     LibrarySpec,
     UnknownMethod,
@@ -23,6 +30,10 @@ from persistcheck.model import (
     Label,
     PlainExecution,
     Ret,
+    _iso_signatures,
+    execution_canonical_hash,
+    find_isomorphism,
+    immediate_prefixes_execution,
     thread_chains,
 )
 
@@ -357,3 +368,178 @@ def test_encapsulation_invariant_under_foreign_anonymization():
     ax = anonymize(other.interface.owns, x)
     # the star event owns no locations; verdict must be unchanged
     assert check_encapsulated(coll, ax) == before is True
+
+
+# --------------------------------------------------------------------------
+# Prefix walks on event-id masks against the walks they replaced
+# --------------------------------------------------------------------------
+
+
+def _execution_iso_eq(x, y):
+    """Isomorphism of executions: label-preserving, po-, sw- and hb-preserving."""
+    m = find_isomorphism(x.plain, y.plain)
+    if m is None:
+        return False
+
+    def respects(m):
+        sw2 = {(m[a], m[b]) for a, b in x.sw}
+        hb2 = {(m[a], m[b]) for a, b in x.hb}
+        return sw2 == set(y.sw) and hb2 == set(y.hb)
+
+    if respects(m):
+        return True
+    sig_x = _iso_signatures(x.events, x.hb_order, x.lab)
+    sig_y = _iso_signatures(y.events, y.hb_order, y.lab)
+    if sorted(sig_x.values()) != sorted(sig_y.values()):
+        return False
+    cands = {e: [f for f in y.events if sig_y[f] == sig_x[e]] for e in x.events}
+    for perm in _bijections(list(x.events), cands):
+        if perm is None:
+            continue
+        ok = all(((a, b) in x.po) == ((perm[a], perm[b]) in y.po) for a in x.events for b in x.events)
+        if ok and respects(perm):
+            return True
+    return False
+
+
+def _bijections(events, cands):
+    if len(events) > 8:
+        yield None
+        return
+
+    def rec(i, mapping, used):
+        if i == len(events):
+            yield dict(mapping)
+            return
+        e = events[i]
+        for f in cands[e]:
+            if f in used:
+                continue
+            mapping[e] = f
+            used.add(f)
+            yield from rec(i + 1, mapping, used)
+            used.discard(f)
+            del mapping[e]
+
+    yield from rec(0, {}, set())
+
+
+def ref_check_wellformed(coll, x, budget=10_000):
+    """The walk that memoized prefixes up to isomorphism."""
+    seen = {}
+    explored = 0
+    stack = [x]
+    stalled = []
+    while stack:
+        cur = stack.pop()
+        h = execution_canonical_hash(cur)
+        if any(len(o) == len(cur) and _execution_iso_eq(o, cur) for o in seen.get(h, [])):
+            continue
+        seen.setdefault(h, []).append(cur)
+        explored += 1
+        if explored > budget:
+            return Verdict.budget({"explored": explored})
+        prevs = immediate_prefixes_execution(cur)
+        owed = cur.is_empty()
+        undecided = None
+        for p in prevs:
+            pv = check_consistent(coll, p)
+            if pv:
+                owed = True
+                break
+            if pv.is_budget and undecided is None:
+                undecided = pv
+        if owed or undecided is not None:
+            v = check_immediately_wellformed(coll, cur)
+            if not v:
+                reason = f"prefix of size {len(cur)}: {v.reason}"
+                if owed:
+                    return Verdict(v.status, reason, cur, v.stats)
+                stalled.append(Verdict(BUDGET, f"{reason}; an immediate prefix ran out of budget", cur, undecided.stats))
+        stack.extend(prevs)
+    return stalled[0] if stalled else Verdict.ok()
+
+
+def ref_check_hereditarily_consistent(coll, x, budget=10_000):
+    """The hereditary search on frozensets of event ids."""
+    memo = {}
+    explored = 0
+    stalled = []
+
+    def search(ids):
+        nonlocal explored
+        if not ids:
+            return [ids]
+        if ids in memo:
+            return memo[ids]
+        explored += 1
+        if explored > budget:
+            raise BudgetExceeded({"explored": explored})
+        result = None
+        v = check_consistent(coll, x.restrict_events(ids))
+        if v.is_budget:
+            stalled.append(v)
+        if v:
+            mask = sum(1 << e for e in ids)
+            for e in [e for e in sorted(ids) if not x.hb_order.rows[e] & mask]:
+                res = search(ids - {e})
+                if res is not None:
+                    result = res + [ids]
+                    break
+        memo[ids] = result
+        return result
+
+    try:
+        subsets = search(frozenset(x.events))
+    except BudgetExceeded as e:
+        return Verdict.budget(e.stats)
+    if subsets is None:
+        return stalled[0] if stalled else Verdict.fail("no consistent immediate-prefix chain")
+    return Verdict.ok(witness=HereditaryChain([x.restrict_events(s) for s in subsets], subsets))
+
+
+def _toy_verdict(salt, x, fail_at, budget_at):
+    """An iso-invariant verdict: it reads only the label multiset and the
+    sizes of po, sw and hb."""
+    if x.is_empty():
+        return Verdict.ok()
+    shape = (sorted(map(repr, x.plain.labels())), len(x.po), len(x.sw), len(x.hb))
+    roll = zlib.crc32(repr((salt, shape)).encode()) % 8
+    if roll < fail_at:
+        return Verdict.fail(f"toy {shape}")
+    if roll < fail_at + budget_at:
+        return Verdict.budget({"stage": "toy", "size": len(x)})
+    return Verdict.ok()
+
+
+@st.composite
+def _executions(draw):
+    n = draw(st.integers(0, 6))
+    labels = [Label(draw(st.sampled_from("ab")), (), None, thread=draw(st.sampled_from([0, 1]))) for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    po = [e for e in pairs if draw(st.integers(0, 3)) == 0]
+    sw = [e for e in pairs if draw(st.integers(0, 5)) == 0]
+    extra = [e for e in pairs if draw(st.integers(0, 5)) == 0]
+    return Execution(PlainExecution(labels, po), sw, set(po) | set(sw) | set(extra))
+
+
+def _verdict_key(v):
+    w = v.witness
+    if isinstance(w, Execution):
+        w = (w.plain.labels(), w.plain.po_order.rows, sorted(w.sw), w.hb_order.rows)
+    elif isinstance(w, HereditaryChain):
+        w = ([(x.plain.labels(), x.hb_order.rows) for x in w], w.subsets)
+    return v.status, v.reason, w, v.stats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_executions(), st.integers(0, 1_000), st.integers(0, 3), st.integers(0, 2))
+def test_prefix_walks_match_iso_and_frozenset_references(x, salt, fail_at, budget_at):
+    spec = LibrarySpec(
+        interface=mk_iface("V", {"a": 0, "b": 0}),
+        local_consistent=lambda y: _toy_verdict(("c", salt), y, fail_at // 2, budget_at),
+        local_wellformed=lambda y: _toy_verdict(("w", salt), y, fail_at, budget_at),
+    )
+    coll = Collection([spec])
+    assert _verdict_key(check_wellformed(coll, x)) == _verdict_key(ref_check_wellformed(coll, x))
+    assert _verdict_key(check_hereditarily_consistent(coll, x)) == _verdict_key(ref_check_hereditarily_consistent(coll, x))

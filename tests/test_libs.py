@@ -62,6 +62,7 @@ from persistcheck.libs import (
     ltrans_spec,
     make_lin_spec,
     mirror_impl,
+    mirror_spec,
     mmcounter_consistent,
     persistify_flit,
     persistify_flit_mutated,
@@ -247,6 +248,13 @@ def test_mirror_sw_must_be_derived_reads_from():
     labels = [mwr_(X, 1), mrd_(X, 1)]
     g = PlainExecution(labels, thread_chains(labels))
     assert not check_mirror(Execution(g, sw=[]))  # missing the rf edge
+
+
+def test_mirror_sw_candidates_are_derived_reads_from():
+    # one lin per order of the two threads: the read sees the write, or 0
+    labels = [mwr_(X, 1, thread=0), mrd_(X, 1, thread=1)]
+    g = PlainExecution(labels, thread_chains(labels))
+    assert mirror_spec().sw_candidates(g) == [frozenset(), frozenset({(0, 1)})]
 
 
 def test_mirror_write_chain_in_nvo():

@@ -24,7 +24,7 @@ from persistcheck.framework import (
     check_consistent,
     linear_extensions,
 )
-from persistcheck.lang import InterpConfig, SyntacticImpl, interpret_phases, parse_litmus, parse_statements
+from persistcheck.lang import InterpConfig, SyntacticImpl, interpret_phases, interpret_toplevel, parse_litmus, parse_statements
 from persistcheck.libs import (
     builtin_spec,
     flit_impl,
@@ -902,3 +902,138 @@ def test_lift_chain_matches_reference_in_every_event_order(monkeypatch):
                         m.setattr(sub, "lift_step", ref_lift_step)
                         assert got == _lift_outcome(xc, subsets, f, ga, high)
     assert sparse
+
+
+# --------------------------------------------------------------------------
+# Row-based bind against the pair-set bind it replaced
+# --------------------------------------------------------------------------
+
+
+def _close_pairs(pairs):
+    pairs = set(pairs)
+    while True:
+        more = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
+        if not more:
+            return frozenset(pairs)
+        pairs |= more
+
+
+def _pair_bind(p, inners):
+    """Labels and order of the lexicographic bind, built as pairs and closed
+    from scratch."""
+    offsets, labels = [], []
+    for inner in inners:
+        offsets.append(len(labels))
+        labels.extend(inner.labels())
+    order = {(offsets[e] + a, offsets[e] + b) for e, inner in enumerate(inners) for a, b in inner.order}
+    for e1, e2 in p.order:
+        order |= {(offsets[e1] + a, offsets[e2] + b) for a in range(len(inners[e1])) for b in range(len(inners[e2]))}
+    return labels, _close_pairs(order)
+
+
+@st.composite
+def _pomsets(draw, max_events, labels):
+    n = draw(st.integers(0, max_events))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return Pomset([draw(st.sampled_from(labels)) for _ in range(n)], edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pomsets(5, "abc"), st.fixed_dictionaries({l: _pomsets(3, "xy") for l in "abc"}))
+def test_pomset_bind_matches_pair_set_bind(p, g):
+    # empty inner pomsets come up too: the outer order alone must then keep
+    # the other blocks related
+    q = pomset_bind(p, g.__getitem__)
+    assert (q.labels(), q.order) == _pair_bind(p, [g[p.lab[e]] for e in p.events])
+
+
+def _pomset_bind_by_event(p, table):
+    inners = [table[e] for e in p.events]
+    offsets = []
+    labels = []
+    for inner in inners:
+        offsets.append(len(labels))
+        labels.extend(inner.labels())
+    order = set()
+    for e in p.events:
+        for a, b in inners[e].order:
+            order.add((offsets[e] + a, offsets[e] + b))
+    for e1, e2 in p.order:
+        for a in range(len(inners[e1])):
+            for b in range(len(inners[e2])):
+                order.add((offsets[e1] + a, offsets[e2] + b))
+    return Pomset(labels, order)
+
+
+def ref_exec_bind(g, impl, loc_base=100, max_results=10_000):
+    """The pair-set ``exec_bind`` that dropped isomorphic concretes."""
+    from persistcheck.model import canonical_hash
+
+    events = list(g.events)
+    out = []
+    seen = {}
+
+    def rec(i, base, chosen):
+        if len(out) >= max_results:
+            return
+        if i == len(events):
+            table = {}
+            for e, inner in zip(events, chosen):
+                thread = g.lab[e].thread
+                labels = [l if l.is_crash else replace(l, thread=thread) for l in inner.labels()]
+                table[e] = Pomset(labels, inner.po_reduced)
+            q = _pomset_bind_by_event(Pomset(g.labels(), g.po_reduced), table)
+            try:
+                pe = PlainExecution(q.labels(), q.reduced)
+            except ValueError:
+                return
+            bucket = seen.setdefault(canonical_hash(pe), [])
+            if not any(iso_eq(pe, other) for other in bucket):
+                bucket.append(pe)
+                out.append(pe)
+            return
+        e = events[i]
+        lab = g.lab[e]
+        if impl.owns(lab):
+            options = impl.executions(sub._strip_thread(lab), base)
+        else:
+            options = [PlainExecution([lab], [])]
+        for inner in options:
+            rec(i + 1, base + impl.alloc_count(inner), chosen + [inner])
+
+    rec(0, loc_base, [])
+    return out
+
+
+def _crash_corpus(directory, crashes):
+    """The complete runs ``verify-impl --corpus`` takes from the corpus
+    programs with ``crashes`` restarts (multi-phase programs at 0 only)."""
+    out = []
+    for p in sorted((LITMUS / directory).glob("*.lit")):
+        lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
+        coll = Collection([builtin_spec(n) for n in lit.collection])
+        cfg = InterpConfig(domain=tuple(lit.domain), unroll=lit.unroll or 4, max_runs=100_000)
+        if len(lit.phases) == 1:
+            runs = interpret_toplevel(lit.phases[0], coll, crashes, cfg)
+        else:
+            runs = interpret_phases(list(lit.phases), coll, cfg) if crashes == 0 else []
+        out.extend(g for env, g in runs if env is not None)
+    return out
+
+
+@pytest.mark.parametrize("crashes", [0, 1])
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo", "reg_flit", "reg_mirror"])
+def test_exec_bind_matches_iso_dedup_reference(case, crashes):
+    # no two members of an implementation are isomorphic, so no concrete was
+    # ever dropped as a duplicate: both give the same list, in order
+    make, low, _, (directory, _, _), _ = DIFF_CASES[case]
+    corpus = _crash_corpus(directory, crashes)
+    assert corpus
+    impl = SemanticImpl(make(), low, FLIT_CFG)
+    concretes = 0
+    for ga in corpus:
+        got = exec_bind(ga, impl, max_results=64)
+        want = ref_exec_bind(ga, impl, max_results=64)
+        assert [(g.labels(), g.po_order.rows) for g in got] == [(g.labels(), g.po_order.rows) for g in want]
+        concretes += len(got)
+    assert concretes
