@@ -60,7 +60,6 @@ def execution_linearizable(
     spec: SequentialSpec,
     interface: LibraryInterface,
     keep: Optional[Callable[[Label, int, bool], str]] = None,
-    domain: Optional[Sequence] = None,
     budget: int = 200_000,
     era_monotone: bool = False,
 ) -> Verdict:
@@ -71,7 +70,8 @@ def execution_linearizable(
     ``keep(label, era, is_last_era)`` returns "keep", "drop", or "optional"
     per event (default: complete events kept, incomplete optional).  Dropped
     and optional-dropped events vanish; optional incomplete events may also
-    be completed with domain values.  ``era_monotone`` additionally pins
+    be completed with any value the execution mentions (an argument or a
+    return), 0 or null.  ``era_monotone`` additionally pins
     events of earlier eras before later ones (the persisted-prefix
     concatenation shape); plain durable linearizability erases crashes, so
     only happens-before constrains incomplete stragglers there.
@@ -83,9 +83,8 @@ def execution_linearizable(
     era = x.plain.era_of()
     ids = [e for e in x.events if not x.lab[e].is_crash]
     labs = [x.lab[e] for e in ids]
-    if domain is None:
-        returned = [l.ret for l in labs if l.ret not in (BOT, None)]
-        domain = list(dict.fromkeys([a for l in labs for a in l.args] + returned + [0, None]))
+    returned = [l.ret for l in labs if l.ret not in (BOT, None)]
+    domain = list(dict.fromkeys([a for l in labs for a in l.args] + returned + [0, None]))
     modes = {
         e: keep(l, era[e], era[e] == n_eras - 1) if keep else "keep" if l.is_complete else "optional"
         for e, l in zip(ids, labs)
@@ -1361,12 +1360,12 @@ def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
         "ltrans": ltrans_spec,
         "lstrans": lstrans_spec,
         "lock": lock_spec,
-        "durqueue": durqueue_spec,
-        "weakreg": weakreg_spec,
+        "durqueue": lambda: durqueue_spec(budget),
+        "weakreg": lambda: weakreg_spec(budget=budget),
         "counter": counter_spec,
         "mmcounter": mmcounter_spec,
         "reg": reg_lin_spec,
-        "scmem": scmem_spec,
+        "scmem": lambda: scmem_spec(budget),
     }
     if name in table:
         return table[name]()

@@ -9,10 +9,14 @@ number of eras, a k-sequentialization (persisted prefixes of earlier eras in
 persist order, era k in volatile order) accepted by the sequential register
 spec.
 
-Linearizability of histories and of executions is one lazy search,
-:func:`linearize`, in which a pending call is an optional event and the budget
-counts candidate calls tried; the eager :func:`iter_completions` is kept as
-the reference the tests compare it with.
+Linearizability of histories and of executions, and weak-register
+consistency, are each one lazy search, :func:`linearize`, whose budget
+counts candidate calls tried.  A pending call is an optional event.  For the
+weak register each crash is an event too, and each durable call of a
+non-last era is offered persisted and not persisted, so one step function
+folds the volatile and the persisted register state.  The eager
+:func:`iter_completions` is kept as the reference the tests compare
+linearizability with.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .framework import BudgetExceeded, Verdict, linear_extensions
-from .model import BOT, Call, History, Inv, Order, Ret
+from .framework import BudgetExceeded, Verdict
+from .model import BOT, CRASH, Call, CrashEv, History, Inv, Order, Ret
 
 PFENCE = "pfence"
 
@@ -294,7 +298,9 @@ def check_durably_linearizable(
 @dataclass(frozen=True)
 class WeakRegWitness:
     """Volatile orders, persist orders, persisted sets, and the induced
-    per-location write order, one entry per era (global call indices)."""
+    per-location write order, one entry per era (global call indices).
+    Each persist order ``nvo_i`` is ``P_i`` in volatile order, a persist
+    order that keeps ``mo`` and puts fenced writes before their fence."""
 
     lin: Tuple[Tuple[int, ...], ...]
     nvo: Tuple[Tuple[int, ...], ...]
@@ -312,54 +318,30 @@ class WeakRegWitness:
         }
 
 
-def _is_write(c: Call) -> bool:
-    return c.method == "rwrite"
-
-
-def _is_fence(c: Call) -> bool:
-    return c.method == PFENCE
-
-
-def _is_new(c: Call) -> bool:
-    return c.method == "rnew"
-
-
-def _durable(c: Call) -> bool:
-    return _is_write(c) or _is_new(c) or _is_fence(c)
-
-
-def _complete_call(c: Call) -> Call:
-    if c.is_complete:
-        return c
-    return Call(c.method, c.args, None, c.thread, c.tags, c.inv_index, None)
-
-
 def check_weakreg_consistent(
     h: History, with_pfence: bool = False, budget: int = 500_000
 ) -> Verdict:
     """Weak persistent register consistency of an SC history.
 
-    Searches for per-era volatile orders lin_i (extending happens-before),
-    persisted durable subsets P_i with persist orders nvo_i, such that for
-    every k ≤ #eras the sequence P_1·…·P_{k-1}·lin_k belongs to the
-    sequential register spec.  Same-location writes must be ordered the same
-    way by lin and nvo (the shared mo).  With the fence rule enabled, writes
+    Searches for per-era volatile orders lin_i (extending happens-before) and
+    persisted durable subsets P_i such that for every k ≤ #eras the sequence
+    P_1·…·P_{k-1}·lin_k belongs to the sequential register spec, each P_i in
+    its persist order nvo_i: P_i in volatile order, which keeps the shared
+    per-location write order mo.  With the fence rule enabled, writes
     volatile-ordered before an executed PFENCE must persist before it.
 
-    Incomplete writes may take effect and may persist (both searched);
-    incomplete reads, news, and fences are truncated (their inclusion never
-    enables additional behaviour).
+    One :func:`linearize` search decides it.  Each crash is an event that
+    follows every call of the earlier eras; a durable call (``rnew``,
+    ``rwrite``) of a non-last era is placed persisted or not, and a fence
+    persisted.  Incomplete writes may take effect and may persist (both
+    searched); incomplete reads, news, and fences are truncated (their
+    inclusion never enables additional behaviour).  The budget counts
+    candidate calls tried.
     """
     calls = h.calls()
-    hb = _returns_before_invokes(calls)
-    eras_hist = h.eras()
-    era_calls: List[List[int]] = []
-    seen = 0
-    for ehist in eras_hist:
-        k = len(ehist.calls())
-        era_calls.append(list(range(seen, seen + k)))
-        seen += k
-    return _weakreg_search(calls, era_calls, hb, with_pfence, budget)
+    crashes = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
+    era = [bisect_right(crashes, c.inv_index) for c in calls]
+    return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls), with_pfence, budget)
 
 
 def weakreg_consistent_execution(x, with_pfence: bool = False, budget: int = 500_000) -> Verdict:
@@ -373,134 +355,80 @@ def weakreg_consistent_execution(x, with_pfence: bool = False, budget: int = 500
         calls.append(Call(l.method, l.args, l.ret, l.thread, l.tags, idx[e], None if l.ret is BOT else idx[e]))
     era_of = x.plain.era_of()
     n_eras = len(x.plain.crash_events()) + 1
-    era_calls = [[] for _ in range(n_eras)]
-    for e in ids:
-        era_calls[era_of[e]].append(idx[e])
-    return _weakreg_search(calls, era_calls, x.hb_order.restrict(ids), with_pfence, budget)
+    return _weakreg_linearize(calls, [era_of[e] for e in ids], n_eras, x.hb_order.restrict(ids), with_pfence, budget)
 
 
-def _weakreg_search(
-    calls: List[Call],
-    era_calls: List[List[int]],
-    hb: Order,
-    with_pfence: bool,
-    budget: int,
+def _weakreg_linearize(
+    calls: List[Call], era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int
 ) -> Verdict:
+    """One :func:`linearize` search over the calls ``0..n-1`` and the crash
+    events, ``n+k`` ending era ``k``.  A candidate is a call with its persist
+    choice (``None`` in the last era and for reads).  A state maps each
+    location to its (volatile, persisted) value, and ``PFENCE`` to whether
+    this era holds an unpersisted write; a crash makes the persisted values
+    volatile.  Failed (placed mask, state) pairs are memoized."""
     for c in calls:
         if c.method not in WEAKREG_METHODS:
             raise ValueError(f"not a weak-register call: {c!r}")
-        if _is_fence(c) and not with_pfence:
+        if c.method == PFENCE and not with_pfence:
             raise ValueError("history uses PFENCE but the fence rule is disabled")
-    n = len(era_calls)
-    counter = [budget]
-    stage = "weakreg lin/nvo search"
+    n, last = len(calls), n_eras - 1
+    # crash n+k follows every call of eras ≤ k and every earlier crash
+    preds = hb.preds() + [sum(1 << i for i in range(n) if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
+    options: List[List[object]] = []
+    for i, c in enumerate(calls):
+        if era[i]:
+            preds[i] |= 1 << (n + era[i] - 1)
+        if not c.is_complete and c.method != "rwrite":
+            options.append([])
+            continue
+        c = c if c.is_complete else replace(c, ret=None)
+        if era[i] == last or c.method == "rread":
+            persists = (None,)
+        else:
+            persists = (True,) if c.method == PFENCE else (True, False)
+        options.append([(c, p) for p in persists])
+    options += [[CRASH]] * last
+    must = sum(1 << i for i, c in enumerate(calls) if c.is_complete) | ((1 << last) - 1) << n
 
-    def wloc(j):
-        c = calls[j]
-        return c.ret if _is_new(c) else c.args[0]
+    def step(st, cand):
+        if cand is CRASH:
+            return {loc: (vp[1], vp[1]) for loc, vp in st.items() if loc != PFENCE}
+        c, persist = cand
+        if c.method == "rread":
+            return st if st.get(c.args[0], (0, 0))[0] == c.ret else None
+        if c.method == PFENCE:
+            return None if persist and st.get(PFENCE) else st
+        loc, val = (c.ret, 0) if c.method == "rnew" else c.args
+        st = dict(st)
+        st[loc] = (val, val if persist else st.get(loc, (0, 0))[1])
+        if persist is False and with_pfence and c.method == "rwrite":
+            st[PFENCE] = True
+        return st
 
-    def era_options(i: int, need_persist: bool):
-        """(A, lin, P, nvo) choices for era i, deterministically ordered."""
-        idxs = era_calls[i]
-        complete = [j for j in idxs if calls[j].is_complete]
-        inc_writes = [j for j in idxs if not calls[j].is_complete and _is_write(calls[j])]
-        for included in itertools.chain.from_iterable(
-            itertools.combinations(inc_writes, r) for r in range(len(inc_writes) + 1)
-        ):
-            a_set = sorted(set(complete) | set(included))
-            for ext in linear_extensions(hb.restrict(a_set), budget=counter, stage=stage):
-                lin_i = [a_set[k] for k in ext]
-                pos = {j: p for p, j in enumerate(lin_i)}
-                if not need_persist:
-                    yield a_set, lin_i, frozenset(), ()
-                    continue
-                durable = [j for j in lin_i if _durable(calls[j])]
-                required: Set[int] = set()
-                if with_pfence:
-                    for f in lin_i:
-                        if not _is_fence(calls[f]):
-                            continue
-                        required.add(f)
-                        for w in lin_i:
-                            if _is_write(calls[w]) and pos[w] < pos[f]:
-                                required.add(w)
-                optional = [j for j in durable if j not in required]
-                for extra in itertools.chain.from_iterable(
-                    itertools.combinations(optional, r) for r in range(len(optional) + 1)
-                ):
-                    p_set = frozenset(required | set(extra))
-                    members = [j for j in lin_i if j in p_set]
-                    # nvo constraints: per-location write order follows lin
-                    # (allocation acts as the initial-value write), and
-                    # fenced writes persist before their fence
-                    nvo_pairs: Set[Tuple[int, int]] = set()
-                    ws = [j for j in members if _is_write(calls[j]) or _is_new(calls[j])]
-                    for a, b in itertools.combinations(ws, 2):
-                        if wloc(a) == wloc(b):
-                            nvo_pairs.add((a, b) if pos[a] < pos[b] else (b, a))
-                    if with_pfence:
-                        for f in members:
-                            if not _is_fence(calls[f]):
-                                continue
-                            for w in a_set:
-                                if _is_write(calls[w]) and pos[w] < pos[f]:
-                                    if w not in p_set:
-                                        nvo_pairs = None  # unsatisfiable
-                                        break
-                                    nvo_pairs.add((w, f))
-                            if nvo_pairs is None:
-                                break
-                    if nvo_pairs is None:
-                        continue
-                    # one linear extension suffices: persisted contributions
-                    # hold no reads, so any k-sequentialization verdict only
-                    # depends on the per-location last persisted write, which
-                    # mo pins identically in every extension
-                    ordered = sorted(members)
-                    ix = {j: k for k, j in enumerate(ordered)}
-                    nvo = Order.close(len(ordered), [(ix[a], ix[b]) for a, b in nvo_pairs])
-                    for nvo_ext in linear_extensions(nvo, budget=counter, stage=stage):
-                        yield a_set, lin_i, p_set, tuple(ordered[k] for k in nvo_ext)
-                        break
-
-    def seq_for(indices: Iterable[int]) -> List[Call]:
-        return [_complete_call(calls[j]) for j in indices]
-
-    def search(i: int, chosen: List[Tuple[List[int], List[int], FrozenSet[int], Tuple[int, ...]]]):
-        if i == n:
-            return list(chosen)
-        need_persist = i < n - 1
-        for opt in era_options(i, need_persist):
-            chosen.append(opt)
-            # check k = i+1 now: persisted prefixes of eras < i+1 then lin_{i+1}
-            seq: List[Call] = []
-            for a_set, lin_j, p_j, nvo_j in chosen[:-1]:
-                seq.extend(seq_for(nvo_j))
-            seq.extend(seq_for(chosen[-1][1]))
-            if S_WEAKREG.accepts(seq):
-                res = search(i + 1, chosen)
-                if res is not None:
-                    return res
-            chosen.pop()
-        return None
-
+    spec = SequentialSpec("weakreg k-sequentializations", dict, step)
     try:
-        found = search(0, [])
+        placed, stats = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search")
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
-    if found is None:
-        return Verdict.fail("no k-sequentialization family exists")
-    lin = tuple(tuple(o[1]) for o in found)
-    nvo = tuple(tuple(o[3]) for o in found)
-    persisted = tuple(frozenset(o[2]) for o in found)
-    completed = frozenset(
-        j for o in found for j in o[0] if not calls[j].is_complete
+    if placed is None:
+        return Verdict.fail("no k-sequentialization family exists", stats=stats)
+    lin: List[List[int]] = [[] for _ in range(n_eras)]
+    persisted: List[Set[int]] = [set() for _ in range(n_eras)]
+    for i, cand in placed:
+        if i < n:
+            lin[era[i]].append(i)
+            if cand[1]:
+                persisted[era[i]].add(i)
+    mo = []
+    for lin_i in lin:
+        writes = [j for j in lin_i if calls[j].method == "rwrite"]
+        mo += [(a, b) for a, b in itertools.combinations(writes, 2) if calls[a].args[0] == calls[b].args[0]]
+    witness = WeakRegWitness(
+        lin=tuple(map(tuple, lin)),
+        nvo=tuple(tuple(j for j in lin_i if j in p) for lin_i, p in zip(lin, persisted)),
+        persisted=tuple(map(frozenset, persisted)),
+        mo=tuple(mo),
+        completed_incomplete=frozenset(i for i, _ in placed if i < n and not calls[i].is_complete),
     )
-    mo: List[Tuple[int, int]] = []
-    for o in found:
-        pos = {j: p for p, j in enumerate(o[1])}
-        ws = [j for j in o[1] if _is_write(calls[j])]
-        for a, b in itertools.combinations(ws, 2):
-            if calls[a].args[0] == calls[b].args[0]:
-                mo.append((a, b) if pos[a] < pos[b] else (b, a))
-    return Verdict.ok(WeakRegWitness(lin, nvo, persisted, tuple(mo), completed))
+    return Verdict.ok(witness, stats=stats)

@@ -41,10 +41,13 @@ expect consistent outcome r=0
 
 
 def test_check_budget_exhaustion_is_unknown_exit_three(capsys):
-    # With a budget of one node, the consistent outcomes cannot be justified
-    # (the px86 witness search stops after one rf choice), so they are
-    # UNKNOWN rather than FAIL "observed inconsistent".  The r1=1,r2=0 run is
-    # refuted by the first rf choice of the whole execution, within budget.
+    # With a budget of one, the hereditary walk checks a whole run and then
+    # runs out on its first immediate prefix (each of the five
+    # BudgetExceeded raised carries the walk's "explored" key), so the
+    # consistent outcomes are UNKNOWN rather than FAIL "observed
+    # inconsistent".  The px86 witness search never runs out: builtin_spec
+    # floors its budget at 100,000.  The r1=1,r2=0 run has no px86 witness
+    # as a whole, so it is refuted before any prefix is explored.
     assert run_cli(["check", str(LITMUS / "mp.lit"), "--budget", "1", "--json"]) == 3
     records = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.strip()]
     status = {rec["what"]: rec["status"] for rec in records}

@@ -942,6 +942,20 @@ def test_builtin_registry():
         builtin_impl("nope")
 
 
+def test_builtin_spec_budget_reaches_the_sequential_searches():
+    reg = chain_exec(
+        [
+            Label("rnew", (), X, frozenset(), 0),
+            Label("rwrite", (X, 5), None, frozenset(), 0),
+            Label("rread", (X,), 5, frozenset(), 0),
+        ]
+    )
+    queue = chain_exec([qn(X), qpush_(X, 1), qpop_(X, 1)])
+    for name, x in (("weakreg", reg), ("durqueue", queue)):
+        assert builtin_spec(name).local_consistent(x)
+        assert builtin_spec(name, budget=1).local_consistent(x).is_budget
+
+
 def _mm_abstract_execution(m1, m2, ptr_tagged):
     """Abstract min-max counter execution: add(5) in era 0, reads after the
     crash."""

@@ -5,19 +5,23 @@ The linearizability checker is validated against a naive all-permutations
 oracle; derived expected values come from that oracle.
 """
 
+import itertools
 import random
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded, linear_extensions
+from persistcheck.framework import BudgetExceeded, Verdict, linear_extensions
 
-from persistcheck.model import CRASH_EV, History, Inv, Ret
+from persistcheck.model import CRASH_EV, Call, History, Inv, Order, Ret
 from persistcheck.sc import (
     PFENCE,
     S_QUEUE,
     S_WEAKREG,
+    WEAKREG_METHODS,
+    WeakRegWitness,
     check_durably_linearizable,
     check_linearizable,
     check_weakreg_consistent,
@@ -361,6 +365,12 @@ def test_linearizable_stats_on_every_verdict():
     assert v and not w
     assert dict(v.stats) == {"stage": "linearization search", "nodes": 2, "memo_hits": 0}
     assert dict(w.stats) == {"stage": "linearization search", "nodes": 5, "memo_hits": 1}
+    # the weak-register search reports on both outcomes too
+    u = check_weakreg_consistent(two_order_weakreg_history())
+    z = check_weakreg_consistent(two_order_weakreg_history(pfence=True), with_pfence=True)
+    assert u and not z
+    assert dict(u.stats) == {"stage": "weakreg lin/nvo search", "nodes": 42, "memo_hits": 8}
+    assert dict(z.stats) == {"stage": "weakreg lin/nvo search", "nodes": 49, "memo_hits": 9}
 
 
 # --------------------------------------------------------------------------
@@ -529,3 +539,265 @@ def test_weakreg_three_eras():
         ]
     )
     assert not check_weakreg_consistent(h2)
+
+
+# --------------------------------------------------------------------------
+# Weak register: the one lazy search against the eager k-sequentialization
+# enumerator it replaced (kept here, verbatim, as the reference)
+# --------------------------------------------------------------------------
+
+
+def _is_write(c: Call) -> bool:
+    return c.method == "rwrite"
+
+
+def _is_fence(c: Call) -> bool:
+    return c.method == PFENCE
+
+
+def _is_new(c: Call) -> bool:
+    return c.method == "rnew"
+
+
+def _durable(c: Call) -> bool:
+    return _is_write(c) or _is_new(c) or _is_fence(c)
+
+
+def _complete_call(c: Call) -> Call:
+    if c.is_complete:
+        return c
+    return Call(c.method, c.args, None, c.thread, c.tags, c.inv_index, None)
+
+
+def _eager_weakreg_consistent(
+    h: History, with_pfence: bool = False, budget: int = 500_000
+) -> Verdict:
+    """Weak persistent register consistency of an SC history.
+
+    Searches for per-era volatile orders lin_i (extending happens-before),
+    persisted durable subsets P_i with persist orders nvo_i, such that for
+    every k ≤ #eras the sequence P_1·…·P_{k-1}·lin_k belongs to the
+    sequential register spec.  Same-location writes must be ordered the same
+    way by lin and nvo (the shared mo).  With the fence rule enabled, writes
+    volatile-ordered before an executed PFENCE must persist before it.
+
+    Incomplete writes may take effect and may persist (both searched);
+    incomplete reads, news, and fences are truncated (their inclusion never
+    enables additional behaviour).
+    """
+    calls = h.calls()
+    hb = _returns_before_invokes(calls)
+    eras_hist = h.eras()
+    era_calls: List[List[int]] = []
+    seen = 0
+    for ehist in eras_hist:
+        k = len(ehist.calls())
+        era_calls.append(list(range(seen, seen + k)))
+        seen += k
+    return _weakreg_search(calls, era_calls, hb, with_pfence, budget)
+
+
+def _weakreg_search(
+    calls: List[Call],
+    era_calls: List[List[int]],
+    hb: Order,
+    with_pfence: bool,
+    budget: int,
+) -> Verdict:
+    for c in calls:
+        if c.method not in WEAKREG_METHODS:
+            raise ValueError(f"not a weak-register call: {c!r}")
+        if _is_fence(c) and not with_pfence:
+            raise ValueError("history uses PFENCE but the fence rule is disabled")
+    n = len(era_calls)
+    counter = [budget]
+    stage = "weakreg lin/nvo search"
+
+    def wloc(j):
+        c = calls[j]
+        return c.ret if _is_new(c) else c.args[0]
+
+    def era_options(i: int, need_persist: bool):
+        """(A, lin, P, nvo) choices for era i, deterministically ordered."""
+        idxs = era_calls[i]
+        complete = [j for j in idxs if calls[j].is_complete]
+        inc_writes = [j for j in idxs if not calls[j].is_complete and _is_write(calls[j])]
+        for included in itertools.chain.from_iterable(
+            itertools.combinations(inc_writes, r) for r in range(len(inc_writes) + 1)
+        ):
+            a_set = sorted(set(complete) | set(included))
+            for ext in linear_extensions(hb.restrict(a_set), budget=counter, stage=stage):
+                lin_i = [a_set[k] for k in ext]
+                pos = {j: p for p, j in enumerate(lin_i)}
+                if not need_persist:
+                    yield a_set, lin_i, frozenset(), ()
+                    continue
+                durable = [j for j in lin_i if _durable(calls[j])]
+                required: Set[int] = set()
+                if with_pfence:
+                    for f in lin_i:
+                        if not _is_fence(calls[f]):
+                            continue
+                        required.add(f)
+                        for w in lin_i:
+                            if _is_write(calls[w]) and pos[w] < pos[f]:
+                                required.add(w)
+                optional = [j for j in durable if j not in required]
+                for extra in itertools.chain.from_iterable(
+                    itertools.combinations(optional, r) for r in range(len(optional) + 1)
+                ):
+                    p_set = frozenset(required | set(extra))
+                    members = [j for j in lin_i if j in p_set]
+                    # nvo constraints: per-location write order follows lin
+                    # (allocation acts as the initial-value write), and
+                    # fenced writes persist before their fence
+                    nvo_pairs: Set[Tuple[int, int]] = set()
+                    ws = [j for j in members if _is_write(calls[j]) or _is_new(calls[j])]
+                    for a, b in itertools.combinations(ws, 2):
+                        if wloc(a) == wloc(b):
+                            nvo_pairs.add((a, b) if pos[a] < pos[b] else (b, a))
+                    if with_pfence:
+                        for f in members:
+                            if not _is_fence(calls[f]):
+                                continue
+                            for w in a_set:
+                                if _is_write(calls[w]) and pos[w] < pos[f]:
+                                    if w not in p_set:
+                                        nvo_pairs = None  # unsatisfiable
+                                        break
+                                    nvo_pairs.add((w, f))
+                            if nvo_pairs is None:
+                                break
+                    if nvo_pairs is None:
+                        continue
+                    # one linear extension suffices: persisted contributions
+                    # hold no reads, so any k-sequentialization verdict only
+                    # depends on the per-location last persisted write, which
+                    # mo pins identically in every extension
+                    ordered = sorted(members)
+                    ix = {j: k for k, j in enumerate(ordered)}
+                    nvo = Order.close(len(ordered), [(ix[a], ix[b]) for a, b in nvo_pairs])
+                    for nvo_ext in linear_extensions(nvo, budget=counter, stage=stage):
+                        yield a_set, lin_i, p_set, tuple(ordered[k] for k in nvo_ext)
+                        break
+
+    def seq_for(indices: Iterable[int]) -> List[Call]:
+        return [_complete_call(calls[j]) for j in indices]
+
+    def search(i: int, chosen: List[Tuple[List[int], List[int], FrozenSet[int], Tuple[int, ...]]]):
+        if i == n:
+            return list(chosen)
+        need_persist = i < n - 1
+        for opt in era_options(i, need_persist):
+            chosen.append(opt)
+            # check k = i+1 now: persisted prefixes of eras < i+1 then lin_{i+1}
+            seq: List[Call] = []
+            for a_set, lin_j, p_j, nvo_j in chosen[:-1]:
+                seq.extend(seq_for(nvo_j))
+            seq.extend(seq_for(chosen[-1][1]))
+            if S_WEAKREG.accepts(seq):
+                res = search(i + 1, chosen)
+                if res is not None:
+                    return res
+            chosen.pop()
+        return None
+
+    try:
+        found = search(0, [])
+    except BudgetExceeded as e:
+        return Verdict.budget(e.stats)
+    if found is None:
+        return Verdict.fail("no k-sequentialization family exists")
+    lin = tuple(tuple(o[1]) for o in found)
+    nvo = tuple(tuple(o[3]) for o in found)
+    persisted = tuple(frozenset(o[2]) for o in found)
+    completed = frozenset(
+        j for o in found for j in o[0] if not calls[j].is_complete
+    )
+    mo: List[Tuple[int, int]] = []
+    for o in found:
+        pos = {j: p for p, j in enumerate(o[1])}
+        ws = [j for j in o[1] if _is_write(calls[j])]
+        for a, b in itertools.combinations(ws, 2):
+            if calls[a].args[0] == calls[b].args[0]:
+                mo.append((a, b) if pos[a] < pos[b] else (b, a))
+    return Verdict.ok(WeakRegWitness(lin, nvo, persisted, tuple(mo), completed))
+
+
+def _weakreg_checked_witness(h, w):
+    """An independent check of a witness: each lin_i holds era i's complete
+    calls plus some of its incomplete writes and extends hb; for every k the
+    persisted calls of eras < k (in persist order) followed by lin_k are
+    accepted by S_WEAKREG; nvo orders P_i and keeps lin's per-location write
+    order; in non-last eras every fence and every write before it persist."""
+    calls = h.calls()
+    crashes = [i for i, e in enumerate(h.events) if e == CRASH_EV]
+    era = [sum(p < c.inv_index for p in crashes) for c in calls]
+    hb = happens_before(h)
+    last = len(crashes)
+    assert len(w.lin) == len(w.nvo) == len(w.persisted) == last + 1
+    for k, lin_k in enumerate(w.lin):
+        pos = {j: p for p, j in enumerate(lin_k)}
+        assert len(pos) == len(lin_k)
+        assert all(era[j] == k and (calls[j].is_complete or calls[j].method == "rwrite") for j in lin_k)
+        assert {j for j, c in enumerate(calls) if era[j] == k and c.is_complete} <= set(pos)
+        assert all(pos[a] < pos[b] for a, b in hb if a in pos and b in pos)
+        assert len(w.nvo[k]) == len(w.persisted[k]) and set(w.nvo[k]) == w.persisted[k] <= set(pos)
+        writes = [j for j in w.nvo[k] if not _is_fence(calls[j])]
+        assert all(pos[a] < pos[b] for a, b in itertools.combinations(writes, 2) if _wloc(calls[a]) == _wloc(calls[b]))
+        seq = [j for i in range(k) for j in w.nvo[i]] + list(lin_k)
+        assert S_WEAKREG.accepts(_complete_call(calls[j]) for j in seq)
+        if k == last:
+            assert not w.persisted[k]
+            continue
+        fences = [pos[j] for j in lin_k if _is_fence(calls[j])]
+        fenced = [j for j in lin_k if fences and pos[j] <= max(fences) and calls[j].method in ("rwrite", PFENCE)]
+        assert set(fenced) <= w.persisted[k]
+    assert w.completed_incomplete == {j for lin_k in w.lin for j in lin_k if not calls[j].is_complete}
+
+
+def _wloc(c):
+    return c.ret if _is_new(c) else c.args[0]
+
+
+@st.composite
+def _weakreg_crash_histories(draw):
+    """Up to three eras of up to three fresh threads with one or two calls
+    each on two locations; a thread's last call may be pending at the crash
+    (or at the end), and PFENCE appears only with the fence rule on."""
+    fence = draw(st.booleans())
+    methods = ["rnew", "rwrite", "rread"] + ([PFENCE] if fence else [])
+    events, tid = [], 0
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            events.append(CRASH_EV)
+        threads = []
+        for _ in range(draw(st.integers(1, 3))):
+            evs = []
+            for _ in range(draw(st.integers(1, 2))):
+                m, loc = draw(st.sampled_from(methods)), draw(st.sampled_from([X, Y]))
+                args = {"rnew": (), "rwrite": (loc, draw(st.integers(1, 2))), "rread": (loc,), PFENCE: ()}[m]
+                evs += [Inv(m, args, tid), Ret({"rnew": loc, "rread": draw(st.integers(0, 2))}.get(m), tid)]
+            if draw(st.booleans()):
+                evs.pop()
+            threads.append(evs)
+            tid += 1
+        while any(threads):
+            live = [t for t in threads if t]
+            events.append(live[draw(st.integers(0, len(live) - 1))].pop(0))
+    return fence, History(events)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_weakreg_crash_histories())
+@example((False, two_order_weakreg_history()))
+@example((True, two_order_weakreg_history(pfence=True)))
+def test_weakreg_lazy_search_differential(case):
+    """The lazy search decides as the eager enumerator does, and each
+    witness it finds passes the independent k-sequentialization check."""
+    fence, h = case
+    v = check_weakreg_consistent(h, with_pfence=fence)
+    assert not v.is_budget
+    assert bool(v) == bool(_eager_weakreg_consistent(h, with_pfence=fence)), h
+    if v:
+        _weakreg_checked_witness(h, v.witness)
