@@ -13,6 +13,8 @@ of them hide existential witness searches that may hit a budget.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -407,9 +409,54 @@ def _owned_events(coll: Collection, x: Execution) -> Dict[str, List[int]]:
     return owned
 
 
+#: The decided verdicts of the open ``shared_verdicts`` scope, or None.
+_VERDICTS: ContextVar[Optional[Dict[tuple, Verdict]]] = ContextVar("persistcheck_verdicts", default=None)
+
+
+@contextmanager
+def shared_verdicts() -> Iterator[None]:
+    """A scope in which ``check_consistent`` keeps its decided verdicts.
+
+    The memo holds OK and FAIL verdicts, never budget-exceeded ones, keyed
+    exactly by the collection (by identity) and the execution's labels, po
+    rows, sw edges and hb rows.  Every spec's budget is fixed when the spec
+    is built, so a stored verdict is the one the check would compute again.
+    The memo starts empty when the outermost scope opens and is dropped when
+    it closes; a nested scope uses the outer memo.  It also works as a
+    decorator, so each call of the decorated function is one scope.
+    """
+    if _VERDICTS.get() is not None:
+        yield
+        return
+    token = _VERDICTS.set({})
+    try:
+        yield
+    finally:
+        _VERDICTS.reset(token)
+
+
 def check_consistent(coll: Collection, x) -> Verdict:
     """Per-library restriction and anonymization consistency (plus the sw
-    decomposition condition)."""
+    decomposition condition).
+
+    Inside a ``shared_verdicts`` scope a decided verdict is computed once per
+    exact execution and returned again on later calls; a budget-exceeded
+    verdict is recomputed each time.  Outside a scope nothing is kept."""
+    verdicts = _VERDICTS.get()
+    if verdicts is None:
+        return _check_consistent(coll, x)
+    x = _as_execution(x)
+    key = (coll, tuple(x.plain.labels()), x.plain.po_order.rows, x.sw, x.hb_order.rows)
+    v = verdicts.get(key)
+    if v is None:
+        v = _check_consistent(coll, x)
+        if not v.is_budget:
+            verdicts[key] = v
+    return v
+
+
+def _check_consistent(coll: Collection, x) -> Verdict:
+    """``check_consistent`` without the shared verdicts."""
     x = _as_execution(x)
     if x.is_empty():
         return Verdict.ok()
@@ -460,10 +507,13 @@ def check_hereditarily_consistent(
 
     For histories, every prefix h[1..k] is checked (SC mode); for executions,
     the search walks immediate prefixes (one hb-maximal event removed),
-    memoizing verdicts by the subset of ``x``'s event ids each prefix keeps.
-    The witness is the chain.  A prefix whose consistency check runs out of
-    budget is neither consistent nor refuted: unless a chain avoids it, the
-    verdict is budget-exceeded.
+    memoizing each prefix's chain by the subset of ``x``'s event ids it keeps.
+    That mask memo lives for this call only; the consistency verdicts of the
+    prefixes are shared beyond it, with every other check of the same exact
+    execution, only inside a ``shared_verdicts`` scope.  The witness is the
+    chain.  A prefix whose consistency check runs out of budget is neither
+    consistent nor refuted: unless a chain avoids it, the verdict is
+    budget-exceeded.
     """
     if isinstance(x, History):
         chain: List[History] = []

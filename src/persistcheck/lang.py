@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .framework import BudgetExceeded, Collection, UnknownMethod
+from .framework import BudgetExceeded, Collection, UnknownMethod, shared_verdicts
 from .model import BOT, CRASH, Execution, Label, PlainExecution
 
 
@@ -1066,6 +1066,7 @@ class Behaviors(set):
         self.witness: Dict[Tuple[Tuple[str, object], ...], Execution] = {}
 
 
+@shared_verdicts()
 def behaviors(
     prog_or_phases,
     coll: Collection,

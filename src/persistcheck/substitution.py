@@ -25,6 +25,7 @@ from .framework import (
     check_consistent,
     check_hereditarily_consistent,
     check_immediately_wellformed,
+    shared_verdicts,
 )
 from .lang import InterpConfig, Interpretation, Prog, SyntacticImpl
 from .model import (
@@ -689,6 +690,7 @@ def _refinements(coll: Collection, g: PlainExecution) -> List[Execution]:
     return list(candidate_refinements(coll, g))
 
 
+@shared_verdicts()
 def verify_impl_bounded(
     impl: SemanticImpl,
     coll_high: Collection,
@@ -705,11 +707,13 @@ def verify_impl_bounded(
     hereditarily consistent low-level execution refining G' must lift, link
     by link along its witness chain, to consistent abstract executions; and
     immediate well-formedness of an abstract refinement must transport to
-    some concrete refinement.  The report states the explored bound.
+    some concrete refinement.  The report states the explored bound,
+    counting the graphs that bind to no concrete (they give no record) and
+    those with more than ``max_concrete`` concretes (only the first
+    ``max_concrete`` are checked).
     """
-    report = VerifyReport(
-        bound_note=f"corpus={len(corpus)} graphs, max_concrete={max_concrete}, budget={budget}"
-    )
+    report = VerifyReport()
+    empty = capped = 0
 
     def undecided(rec: VerifyRecord, why: str) -> None:
         report.budget_hits += 1
@@ -717,7 +721,11 @@ def verify_impl_bounded(
         rec.detail = rec.detail or why
 
     for gi, ga in enumerate(corpus):
-        concretes = exec_bind(ga, impl, max_results=max_concrete)
+        concretes = exec_bind(ga, impl, max_results=max_concrete + 1)
+        empty += not concretes
+        if len(concretes) > max_concrete:
+            capped += 1
+            del concretes[max_concrete:]
         # the abstract side of well-formedness transport, once per graph
         wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
         for ci, gc in enumerate(concretes):
@@ -781,4 +789,8 @@ def verify_impl_bounded(
                         rec.wellformed_downward = False
                         rec.detail = rec.detail or "immediate well-formedness does not transport"
             report.records.append(rec)
+    report.bound_note = (
+        f"corpus={len(corpus)} graphs ({empty} bind to no concrete, {capped} over max_concrete), "
+        f"max_concrete={max_concrete}, budget={budget}"
+    )
     return report

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, determinism, report shape."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,21 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+def test_package_runs_as_module(capsys):
+    # ``python -m persistcheck`` from a checkout, with only src/ on the path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "persistcheck", "check", "litmus/sb.lit", "--json"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+    )
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--json"]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.count('"PASS"') == 3
 
 
 def test_manifest_configures_registry(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persistcheck.framework as framework
 from persistcheck.framework import (
     BUDGET,
     BudgetExceeded,
@@ -22,6 +23,7 @@ from persistcheck.framework import (
     check_hereditarily_consistent,
     check_immediately_wellformed,
     check_wellformed,
+    shared_verdicts,
 )
 from persistcheck.model import (
     Execution,
@@ -543,3 +545,100 @@ def test_prefix_walks_match_iso_and_frozenset_references(x, salt, fail_at, budge
     coll = Collection([spec])
     assert _verdict_key(check_wellformed(coll, x)) == _verdict_key(ref_check_wellformed(coll, x))
     assert _verdict_key(check_hereditarily_consistent(coll, x)) == _verdict_key(ref_check_hereditarily_consistent(coll, x))
+
+
+# --------------------------------------------------------------------------
+# Shared consistency verdicts
+# --------------------------------------------------------------------------
+
+
+def _counting_spec(calls):
+    """Library ``C``: consistent unless an event is ``bad``, out of budget on
+    any ``slow`` event; ``calls`` counts the decisions made per method set."""
+
+    def local(x):
+        methods = frozenset(x.lab[e].method for e in x.events)
+        calls[methods] = calls.get(methods, 0) + 1
+        if "slow" in methods:
+            return Verdict.budget({"stage": "counting"})
+        if "bad" in methods:
+            return Verdict.fail("bad event")
+        return Verdict.ok()
+
+    return LibrarySpec(interface=mk_iface("C", {"good": 0, "bad": 0, "slow": 0}), local_consistent=local)
+
+
+def test_shared_verdicts_keep_decided_verdicts_only():
+    calls = {}
+    coll = Collection([_counting_spec(calls)])
+    calls.clear()
+    # three equal executions, built apart, per outcome
+    runs = {m: [chain_exec([Label(m, (), None, thread=0)]) for _ in range(3)] for m in ("good", "bad", "slow")}
+    with shared_verdicts():
+        for xs in runs.values():
+            verdicts = [check_consistent(coll, x) for x in xs]
+            assert len({(v.status, v.reason) for v in verdicts}) == 1
+        # a nested scope reads and extends the outer memo
+        with shared_verdicts():
+            for xs in runs.values():
+                check_consistent(coll, xs[0])
+    assert calls == {frozenset({"good"}): 1, frozenset({"bad"}): 1, frozenset({"slow"}): 4}
+    # outside a scope, and in the next scope, every verdict is computed again
+    for xs in runs.values():
+        check_consistent(coll, xs[0])
+    with shared_verdicts():
+        for xs in runs.values():
+            check_consistent(coll, xs[0])
+    assert calls == {frozenset({"good"}): 3, frozenset({"bad"}): 3, frozenset({"slow"}): 6}
+    # the key is exact: the same labels with one more hb edge are checked anew
+    pair = chain_exec([Label("good", (), None, thread=0), Label("good", (), None, thread=1)])
+    with shared_verdicts():
+        check_consistent(coll, pair)
+        check_consistent(coll, Execution(pair.plain, [], [(0, 1)]))
+        check_consistent(coll, Execution(pair.plain, [], []))
+        # and it names the collection: another one decides afresh
+        strict = LibrarySpec(
+            interface=mk_iface("C", {"good": 0}),
+            local_consistent=lambda x: Verdict.fail("strict") if x.events else Verdict.ok(),
+        )
+        strict = Collection([strict])
+        assert check_consistent(coll, pair) and not check_consistent(strict, pair)
+    assert calls[frozenset({"good"})] == 5
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(_executions(), min_size=1, max_size=4),
+    st.integers(0, 1_000),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+def test_shared_verdicts_match_uncached_checks(xs, salt, fail_at, budget_at):
+    # the toy predicates read labels, po, sw and hb, so a key that left one
+    # of them out would hand a verdict to an execution it does not belong to
+    spec = LibrarySpec(
+        interface=mk_iface("V", {"a": 0, "b": 0}),
+        local_consistent=lambda y: _toy_verdict(("c", salt), y, fail_at // 2, budget_at),
+        local_wellformed=lambda y: _toy_verdict(("w", salt), y, fail_at, budget_at),
+    )
+    coll = Collection([spec])
+    # the executions share prefixes with each other and with their own
+    # restrictions, so later checks in the scope hit earlier verdicts
+    inputs = [y for x in xs for y in (x, x.restrict_events(x.events[: len(x) // 2 + 1]))]
+
+    def run():
+        return [
+            (
+                _verdict_key(check_consistent(coll, x)),
+                _verdict_key(check_hereditarily_consistent(coll, x)),
+                _verdict_key(check_wellformed(coll, x)),
+            )
+            for x in inputs
+        ]
+
+    with shared_verdicts():
+        shared = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framework, "check_consistent", framework._check_consistent)
+        uncached = run()
+    assert shared == uncached

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import persistcheck.framework as framework
 from persistcheck.framework import Collection
 from persistcheck.lang import (
     Assign,
@@ -34,7 +35,7 @@ from persistcheck.lang import (
     parse_litmus,
     parse_statements,
 )
-from persistcheck.libs import builtin_spec
+from persistcheck.libs import builtin_spec, sc_prune_factory
 from persistcheck.model import prefix_immediate
 from persistcheck.px86 import px86_spec
 
@@ -443,3 +444,29 @@ def test_sourced_behaviors_differential(text):
     want = behaviors(phases, PX_UNSOURCED, config=CFG)
     assert got == want
     assert got.undecided == want.undecided
+
+
+# --------------------------------------------------------------------------
+# Shared consistency verdicts
+# --------------------------------------------------------------------------
+
+
+def _witness_key(x):
+    return x.plain.labels(), x.plain.po_order.rows, sorted(x.sw), x.hb_order.rows
+
+
+@pytest.mark.parametrize("path", sorted(LITMUS.rglob("*.lit")), ids=lambda p: str(p.relative_to(LITMUS)))
+def test_behaviors_equal_with_and_without_shared_verdicts(path, monkeypatch):
+    # the call ``persistcheck check`` makes, with the CLI's default budget
+    lit = parse_litmus(path.read_text(encoding="utf-8"), name=path.name)
+    coll = Collection([builtin_spec(n, budget=100_000) for n in lit.collection])
+    cfg = InterpConfig(domain=tuple(lit.domain), unroll=lit.unroll or 4, max_runs=100_000, prune_factory=sc_prune_factory())
+    regs = sorted({r for ex in lit.expectations if ex.outcome for r, _ in ex.outcome})
+
+    def run():
+        out = behaviors(list(lit.phases), coll, config=cfg, outcome_regs=regs, budget=100_000)
+        return set(out), out.undecided, {o: _witness_key(x) for o, x in out.witness.items()}
+
+    shared = run()
+    monkeypatch.setattr(framework, "check_consistent", framework._check_consistent)
+    assert shared == run()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persistcheck.framework as framework
 from persistcheck.framework import (
     BudgetExceeded,
     Collection,
@@ -485,6 +486,24 @@ def test_verify_lifting_budget_is_undecided(monkeypatch):
     monkeypatch.setattr(sub, "lift_chain", lambda *args, **kwargs: None)
     report = verify_impl_bounded(impl, TOY, PX, corpus, check_wf=False)
     assert not report.ok and report.counterexamples() and not report.undecided()
+
+
+def test_verify_bound_counts_empty_and_capped_binds():
+    impl = SemanticImpl(toy_impl(), PX, CFG)
+    # no member of tget returns 5 over the domain (0, 1); a pending tset
+    # before a crash binds to two partial runs
+    empty = sequence_execution([tlabel("tset", (1,), None), tlabel("tget", (), 5)])
+    pending = sequence_execution([tlabel("tset", (1,), BOT), CRASH])
+    assert exec_bind(empty, impl) == [] and len(exec_bind(pending, impl)) == 2
+    report = verify_impl_bounded(impl, TOY, PX, [empty, pending], max_concrete=1, check_wf=False)
+    assert report.bound_note == (
+        "corpus=2 graphs (1 bind to no concrete, 1 over max_concrete), max_concrete=1, budget=5000"
+    )
+    # the cap still keeps the first max_concrete concretes, and only them
+    assert [(r.abstract_index, r.concrete_index) for r in report.records] == [(1, 0)]
+    report = verify_impl_bounded(impl, TOY, PX, [empty, pending], max_concrete=2, check_wf=False)
+    assert "(1 bind to no concrete, 0 over max_concrete)" in report.bound_note
+    assert [(r.abstract_index, r.concrete_index) for r in report.records] == [(1, 0), (1, 1)]
 
 
 def test_linking_semantics_proposition_instance():
@@ -1037,3 +1056,50 @@ def test_exec_bind_matches_iso_dedup_reference(case, crashes):
         assert [(g.labels(), g.po_order.rows) for g in got] == [(g.labels(), g.po_order.rows) for g in want]
         concretes += len(got)
     assert concretes
+
+
+# --------------------------------------------------------------------------
+# Shared consistency verdicts
+# --------------------------------------------------------------------------
+
+
+def _uncached(monkeypatch):
+    """Every consistency check of the verifier computed afresh."""
+    monkeypatch.setattr(framework, "check_consistent", framework._check_consistent)
+    monkeypatch.setattr(sub, "check_consistent", framework._check_consistent)
+
+
+@pytest.mark.parametrize("make", [flit_impl, flit_impl_mutated_no_fo])
+def test_verify_records_equal_with_and_without_shared_verdicts(make, monkeypatch):
+    corpus = _cached_corpus(("flit", 8, 40))
+    high = Collection([flit_spec()])
+
+    def verify():
+        rep = verify_impl_bounded(SemanticImpl(make(), PX, FLIT_CFG), high, PX, corpus)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    shared = verify()
+    _uncached(monkeypatch)
+    assert shared == verify()
+    assert shared[0]
+
+
+def test_each_verify_call_starts_with_no_shared_verdicts():
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return toy_spec().local_consistent(x)
+
+    coll = Collection([replace(toy_spec(), local_consistent=counting)])
+    corpus = [sequence_execution([tlabel("tset", (1,), None), tlabel("tget", (), 1)])] * 2
+    iid = identity_impl(coll, ["tset", "tget"])
+    first = len(calls)
+    report = verify_impl_bounded(iid, coll, coll, corpus)
+    per_call = len(calls) - first
+    # the second graph repeats the first, so its checks are all shared
+    assert report.ok and len(report.records) == 2 and per_call
+    verify_impl_bounded(iid, coll, coll, corpus[:1])
+    assert len(calls) - first == 2 * per_call
+    verify_impl_bounded(iid, coll, coll, corpus[:1])
+    assert len(calls) - first == 3 * per_call
