@@ -13,6 +13,7 @@ of them hide existential witness searches that may hit a budget.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ from .model import (
     Execution,
     History,
     Label,
-    Order,
     PlainExecution,
     anonymize,
     bits,
@@ -57,56 +57,6 @@ class BudgetExceeded(Exception):
     def __init__(self, stats: Optional[Mapping] = None):
         super().__init__("budget exceeded")
         self.stats = dict(stats or {})
-
-
-def linear_extensions(
-    order: Order,
-    eras: Optional[Sequence[int]] = None,
-    step: Optional[Callable[[object, int], object]] = None,
-    state: object = None,
-    budget: Optional[List[int]] = None,
-    stage: str = "linear extensions",
-) -> Iterator[Tuple[int, ...]]:
-    """The linear extensions of ``order`` on the events ``0..n-1``, in
-    lexicographic order (at each position the smallest placeable event first).
-
-    ``eras[i]`` places event ``i`` after every event of an earlier era.
-    ``step(state, i)`` gives the state after appending ``i`` to a prefix whose
-    state is ``state`` (the empty prefix has ``state``); ``None`` cuts every
-    extension of the longer prefix.  ``budget`` is a one-element list charged
-    one unit per prefix extended, before ``step`` runs; once it goes below
-    zero, ``BudgetExceeded`` is raised with ``stage`` as its stage.
-    """
-    n = len(order)
-    preds = order.preds()
-    if eras is not None:
-        for i in range(n):
-            preds[i] |= sum(1 << j for j in range(n) if eras[j] < eras[i])
-    full = (1 << n) - 1
-    placed: List[int] = []
-
-    def rec(done: int, st) -> Iterator[Tuple[int, ...]]:
-        if done == full:
-            yield tuple(placed)
-            return
-        for i in range(n):
-            bit = 1 << i
-            if done & bit or preds[i] & ~done:
-                continue
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded({"stage": stage})
-            nxt = st
-            if step is not None:
-                nxt = step(st, i)
-                if nxt is None:
-                    continue
-            placed.append(i)
-            yield from rec(done | bit, nxt)
-            placed.pop()
-
-    return rec(0, state)
 
 
 @dataclass(frozen=True)
@@ -298,15 +248,16 @@ class Collection:
         self._specs[spec.name] = spec
         for m in spec.interface.methods:
             self._method_owner[m] = spec.name
-        self._check_tags_and_deps(spec)
+        self._check_deps(spec)
         empty = Execution(PlainExecution([], []))
         for pred_name in ("local_consistent", "local_wellformed", "global_consistent", "global_wellformed"):
             if not getattr(spec, pred_name)(empty):
                 raise SpecError(f"{spec.name}.{pred_name} rejects the empty execution")
         return self
 
-    def _check_tags_and_deps(self, spec: LibrarySpec) -> None:
-        provided = set()
+    def _check_deps(self, spec: LibrarySpec) -> None:
+        """No dependency path leads back to ``spec``; ``freeze`` checks that
+        each dependency is registered and provides the tags ``spec`` uses."""
         seen = set()
         stack = list(spec.deps)
         while stack:
@@ -317,12 +268,7 @@ class Collection:
                 continue
             seen.add(d)
             if d in self._specs:
-                provided |= self._specs[d].interface.tags_introduced
                 stack.extend(self._specs[d].deps)
-        missing = spec.interface.tags_used - provided
-        if missing and spec.deps:
-            # deps not yet registered may provide them later; re-checked on freeze
-            pass
 
     def freeze(self) -> "Collection":
         for spec in self._specs.values():
@@ -360,14 +306,6 @@ class Collection:
             return None
         spec = self._specs[name]
         return spec if spec.interface.owns(label) else None
-
-    def resolve(self, label: Label) -> LibrarySpec:
-        spec = self.owner_of(label)
-        if spec is None and not label.is_crash and label.method != "⋆":
-            raise UnknownMethod(f"no registered library owns {label!r}")
-        if spec is None:
-            raise UnknownMethod(f"label {label!r} has no owner")
-        return spec
 
     def decorate(self, label: Label) -> Label:
         """Attach interface tags; unknown labels pass through unchanged."""
@@ -583,38 +521,23 @@ def check_encapsulated(coll: Collection, x) -> bool:
     """Constructor locations pairwise disjoint; uses are hb-after a covering
     same-library constructor.  ⋆ events carry no locations."""
     x = _as_execution(x)
+    hb = x.hb_order.rows
     ctors: List[Tuple[int, str, FrozenSet[int]]] = []
+    uses: List[Tuple[int, str, FrozenSet[int]]] = []
     for e in x.events:
-        l = x.lab[e]
-        if l.is_crash or l.method == "⋆":
-            continue
-        spec = coll.owner_of(l)
+        spec = coll.owner_of(x.lab[e])
         if spec is None:
             continue
-        if l.method in spec.interface.constructors:
-            ctors.append((e, spec.name, spec.interface.locations(l)))
-    for i in range(len(ctors)):
-        for j in range(i + 1, len(ctors)):
-            if ctors[i][2] & ctors[j][2]:
-                return False
-    for e in x.events:
-        l = x.lab[e]
-        if l.is_crash or l.method == "⋆":
-            continue
-        spec = coll.owner_of(l)
-        if spec is None:
-            continue
-        if l.method in spec.interface.constructors:
-            continue
-        locs = spec.interface.locations(l)
-        if not locs:
-            continue
-        if not any(
-            lib == spec.name and locs <= clocs and (c, e) in x.hb
-            for c, lib, clocs in ctors
-        ):
-            return False
-    return True
+        locs = spec.interface.locations(x.lab[e])
+        if x.lab[e].method in spec.interface.constructors:
+            ctors.append((e, spec.name, locs))
+        elif locs:
+            uses.append((e, spec.name, locs))
+    if any(a[2] & b[2] for a, b in itertools.combinations(ctors, 2)):
+        return False
+    return all(
+        any(clib == lib and locs <= clocs and hb[c] >> e & 1 for c, clib, clocs in ctors) for e, lib, locs in uses
+    )
 
 
 def check_immediately_wellformed(coll: Collection, x) -> Verdict:

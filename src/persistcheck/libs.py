@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc, linear_extensions
+from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc
 from .lang import CallCmd, If, Return, Seq, SyntacticImpl, While, parse_statements
 from .model import (
     BOT,
@@ -30,6 +30,7 @@ from .model import (
 )
 from .px86 import P_TAG, px86_spec
 from .sc import (
+    ANY_ORDER,
     PFENCE,
     QUEUE_METHODS,
     S_QUEUE,
@@ -37,6 +38,8 @@ from .sc import (
     S_WEAKREG,
     SequentialSpec,
     WEAKREG_METHODS,
+    era_preds,
+    linearizations,
     linearize,
     weakreg_consistent_execution,
 )
@@ -91,9 +94,8 @@ def execution_linearizable(
     }
     members = [e for e in ids if modes[e] != "drop"]
     must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
-    preds = x.hb_order.restrict(members).preds()
-    if era_monotone:
-        preds = [p | sum(1 << j for j, f in enumerate(members) if era[f] < era[e]) for p, e in zip(preds, members)]
+    hb = x.hb_order.restrict(members)
+    preds = era_preds(hb, [era[e] for e in members]) if era_monotone else hb.preds()
     options = []
     for e in members:
         l = x.lab[e]
@@ -268,96 +270,66 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
     persisted write set P such that reads see the lin-latest visible write
     (visible across eras only when persisted), persistent writes persist
     before dependent writes, persistent writes before a finish-op persist,
-    and P is an nvo prefix."""
+    and P is an nvo prefix.
+
+    One era-monotone :func:`sc.linearizations` search places each write
+    persisted or not (as its P tag says, if any event has one) and checks
+    each read as it is placed: the state maps each location to the era and
+    value of its lin-latest write and the value of its lin-latest persisted
+    write.  The dependency and finish rules are checked on each sequence it
+    yields.  The budget counts candidates tried."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
     era = x.plain.era_of()
     lab = x.lab
     W = [e for e in ids if lab[e].method in ("fwrite_p", "fwrite_v")]
-    WP = [e for e in ids if lab[e].method == "fwrite_p"]
-    R = [e for e in ids if lab[e].method in ("fread_p", "fread_v")]
+    WP = [e for e in W if lab[e].method == "fwrite_p"]
     RP = [e for e in ids if lab[e].method == "fread_p"]
     F = [e for e in ids if lab[e].method == "ffinish"]
-
-    def locof(e):
-        l = lab[e]
-        return l.args[0] if l.args else None
-
     explicit = frozenset(e for e in ids if P_TAG in lab[e].tags)
     has_explicit = any(P_TAG in lab[e].tags for e in x.events)
-    po_se = {(a, b) for (a, b) in x.po if era.get(a) == era.get(b)}
-    spent = [budget]
-    try:
-        for ext in linear_extensions(
-            x.hb_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
-        ):
-            lin = tuple(ids[i] for i in ext)
-            pos = {e: i for i, e in enumerate(lin)}
-            p_cands = (
-                [explicit]
-                if has_explicit
-                else [
-                    frozenset(c)
-                    for r in range(len(W) + 1)
-                    for c in itertools.combinations(sorted(W), r)
-                ]
-            )
-            for P in p_cands:
-                def visible(w, r):
-                    return era[w] == era[r] or w in P
+    persists = {e: (e in explicit,) if has_explicit else (False, True) for e in W}
+    options = [[(e, p) for p in persists.get(e, (None,))] for e in ids]
 
-                # reads-from: lin-latest visible same-location write
-                ok = True
-                for r in R:
-                    srcs = [
-                        w
-                        for w in W
-                        if locof(w) == locof(r) and pos[w] < pos[r] and visible(w, r)
-                    ]
-                    want = lab[r].ret
-                    if want is BOT:
-                        continue
-                    if srcs:
-                        w = max(srcs, key=lambda e: pos[e])
-                        wrote = lab[w].args[1]
-                        if wrote != want:
-                            ok = False
-                            break
-                    else:
-                        if want != 0:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                # dependency: same-era po, plus persistent write-to-read pairs
-                dep_edges = set(po_se)
-                for w in WP:
-                    for r in RP:
-                        if locof(w) == locof(r) and pos[w] < pos[r] and visible(w, r):
-                            dep_edges.add((w, r))
-                dep = Order.close(len(x), dep_edges).rows
-                nvo_req = {
-                    (w1, w2) for w1 in WP for w2 in W if dep[w1] >> w2 & 1
-                }
-                nvo = Order.close(len(x), nvo_req)
-                if not nvo.is_acyclic():
-                    continue
-                if any(era[a] > era[b] for (a, b) in nvo.pairs):
-                    continue
-                # persistent writes before a finish-op persist
-                need_p = {
-                    w for w in WP if any(dep[w] >> f & 1 for f in F)
-                }
-                if not need_p <= P:
-                    continue
-                # nvo is a persist order
-                if any(b in P and a not in P for (a, b) in nvo.pairs):
-                    continue
-                return Verdict.ok(
-                    witness={"lin": list(lin), "nvo": sorted(nvo.pairs), "P": sorted(P)}
-                )
+    def step(st, cand):
+        e, persist = cand
+        l = lab[e]
+        if l.method in ("fread_p", "fread_v"):
+            w_era, val, persisted = st.get(l.args[0], (None, 0, 0))
+            return st if l.ret is BOT or l.ret == (val if w_era == era[e] else persisted) else None
+        if persist is None:
+            return st
+        loc, val = l.args
+        return {**st, loc: (era[e], val, val if persist else st.get(loc, (None, 0, 0))[2])}
+
+    po_se = [(a, b) for (a, b) in x.po if era[a] == era[b]]
+    preds = era_preds(x.hb_order.restrict(ids), [era[e] for e in ids])
+    stats = {"stage": "linearization enumeration"}
+    try:
+        for placed in linearizations(
+            preds, options, (1 << len(ids)) - 1, SequentialSpec("flit", dict, step), budget, stats
+        ):
+            lin = [e for _, (e, _) in placed]
+            P = explicit if has_explicit else frozenset(e for _, (e, p) in placed if p)
+            pos = {e: i for i, e in enumerate(lin)}
+            # dependency: same-era po, plus persistent write-to-read pairs
+            dep_edges = po_se + [
+                (w, r)
+                for w in WP
+                for r in RP
+                if lab[w].args[0] == lab[r].args[0] and pos[w] < pos[r] and (era[w] == era[r] or w in P)
+            ]
+            dep = Order.close(len(x), dep_edges).rows
+            # dep relates events in lin order only, so nvo is acyclic and
+            # points forward in era order
+            nvo = Order.close(len(x), [(w1, w2) for w1 in WP for w2 in W if dep[w1] >> w2 & 1])
+            # persistent writes before a finish-op persist; P is an nvo prefix
+            if all(w in P for w in WP if any(dep[w] >> f & 1 for f in F)) and not any(
+                b in P and a not in P for (a, b) in nvo.pairs
+            ):
+                return Verdict.ok(witness={"lin": lin, "nvo": sorted(nvo.pairs), "P": sorted(P)}, stats=stats)
     except BudgetExceeded as exc:
         return Verdict.budget(exc.stats)
-    return Verdict.fail("no flit witness (lin/nvo/P)")
+    return Verdict.fail("no flit witness (lin/nvo/P)", stats=stats)
 
 
 def flit_spec(budget: int = 100_000) -> LibrarySpec:
@@ -498,100 +470,87 @@ def _mirror_reads(l: Label) -> bool:
 def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     """Mirror correctness: a total lin agreeing with po and hb; sw must equal
     the derived latest-visible reads-from; completed writes are exactly the
-    persisted set; same-era write chains persist in order."""
+    persisted set; same-era write chains persist in order.
+
+    The persist order reads only po, sw and which writes are complete, so it
+    is checked first.  Then the first sequence of one era-monotone
+    :func:`sc.linearizations` search is a witness; it checks each read as it
+    is placed: its value, and that the sw edges into it are exactly its
+    derived source.  The budget counts candidates tried."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
     era = x.plain.era_of()
     lab = x.lab
     W = [e for e in ids if _mirror_is_write(lab[e])]
-    R = [e for e in ids if _mirror_reads(lab[e])]
+    R = {e for e in ids if _mirror_reads(lab[e])}
     P = frozenset(w for w in W if lab[w].is_complete)
     idset = set(ids)
     writes = sum(1 << w for w in W)
-    spent = [budget]
+    po_sw_se = {(a, b) for (a, b) in (set(x.po) | set(x.sw)) if a in idset and b in idset and era[a] == era[b]}
+    chain = Order.close(len(x), po_sw_se).rows
+    # the restriction of a closed order to the writes is closed
+    nvo = Order([row & writes if writes >> a & 1 else 0 for a, row in enumerate(chain)])
+    sw_into = {r: frozenset(a for a, b in x.sw if b == r) for r in R}
+    stats = {"stage": "linearization enumeration", "nodes": 0, "memo_hits": 0}
+    if any(b not in R for _, b in x.sw) or not nvo.is_acyclic() or any(b in P and a not in P for (a, b) in nvo.pairs):
+        return Verdict.fail("no mirror witness (lin/nvo)", stats=stats)
+
+    def step(st, e):
+        src, nxt = _mirror_step(lab, era, st, e)
+        l = lab[e]
+        if e in R:
+            seen = 0 if src is None else _mirror_written(lab[src])
+            if l.method == "mrd":
+                bad = l.ret is not BOT and seen != l.ret
+            else:  # a successful cas read its expected value, a failed one something else
+                bad = l.ret == 1 and seen != l.args[1] or l.ret == 0 and seen == l.args[1]
+            if bad or sw_into[e] != frozenset(() if src is None else (src,)):
+                return None
+        return nxt
+
+    preds = era_preds(x.hb_order.restrict(ids), [era[e] for e in ids])
+    spec = SequentialSpec("mirror", dict, step)
     try:
-        # po ⊆ hb holds by construction
-        for ext in linear_extensions(
-            x.hb_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
-        ):
-            lin = tuple(ids[i] for i in ext)
-            rf = _mirror_reads_from(lab, era, lin)
-            sw_derived = {(w, r) for r, w in rf.items()}
-            ok = True
-            for r in R:
-                if r in rf:
-                    wrote = _mirror_written(lab[rf[r]])
-                    if lab[r].method == "mrd":
-                        if lab[r].ret is not BOT and wrote != lab[r].ret:
-                            ok = False
-                    elif lab[r].ret == 1:  # successful cas read its expected value
-                        if wrote != lab[r].args[1]:
-                            ok = False
-                    elif lab[r].ret == 0:  # failed cas saw something else
-                        if wrote == lab[r].args[1]:
-                            ok = False
-                else:
-                    if lab[r].method == "mrd" and lab[r].ret not in (0, BOT):
-                        ok = False
-                    if lab[r].method == "mcas" and lab[r].ret == 1 and lab[r].args[1] != 0:
-                        ok = False
-                    if lab[r].method == "mcas" and lab[r].ret == 0 and lab[r].args[1] == 0:
-                        ok = False
-                if not ok:
-                    break
-            if not ok:
-                continue
-            if set(x.sw) != sw_derived:
-                continue
-            po_sw_se = {(a, b) for (a, b) in (set(x.po) | set(x.sw)) if a in idset and b in idset and era[a] == era[b]}
-            chain = Order.close(len(x), po_sw_se).rows
-            # the restriction of a closed order to the writes is closed
-            nvo = Order([row & writes if writes >> a & 1 else 0 for a, row in enumerate(chain)])
-            if not nvo.is_acyclic():
-                continue
-            if any(b in P and a not in P for (a, b) in nvo.pairs):
-                continue
-            return Verdict.ok(witness={"lin": list(lin), "nvo": sorted(nvo.pairs), "P": sorted(P)})
+        lin = next(linearizations(preds, [[e] for e in ids], (1 << len(ids)) - 1, spec, budget, stats), None)
     except BudgetExceeded as exc:
         return Verdict.budget(exc.stats)
-    return Verdict.fail("no mirror witness (lin/nvo)")
+    if lin is None:
+        return Verdict.fail("no mirror witness (lin/nvo)", stats=stats)
+    return Verdict.ok(witness={"lin": [e for _, e in lin], "nvo": sorted(nvo.pairs), "P": sorted(P)}, stats=stats)
 
 
-def _mirror_reads_from(lab: Mapping[int, Label], era: Mapping[int, int], lin: Sequence[int]) -> Dict[int, int]:
-    """Mirror's derived reads-from along the linearization ``lin``: each read
-    reads the lin-latest earlier write to its location that it sees, one of
-    its own era or a completed (so persisted) one."""
-    pos = {e: i for i, e in enumerate(lin)}
-    W = [e for e in lin if _mirror_is_write(lab[e])]
-    rf: Dict[int, int] = {}
-    for r in lin:
-        if _mirror_reads(lab[r]):
-            srcs = [
-                w
-                for w in W
-                if w != r
-                and lab[w].args[0] == lab[r].args[0]
-                and pos[w] < pos[r]
-                and (era[w] == era[r] or lab[w].is_complete)
-            ]
-            if srcs:
-                rf[r] = max(srcs, key=pos.__getitem__)
-    return rf
+def _mirror_step(lab: Mapping[int, Label], era: Mapping[int, int], st: dict, e: int):
+    """Mirror's derived reads-from, one event of an era-monotone lin at a
+    time.  ``st`` maps each location to its lin-latest write and its
+    lin-latest completed (so persisted) write.  Returns the write ``e``
+    reads from (``None`` if ``e`` reads none) and the state after ``e``: a
+    read sees the latest write of its own era, else the latest completed
+    one."""
+    l = lab[e]
+    if not l.args:
+        return None, st
+    last, done = st.get(l.args[0], (None, None))
+    src = (last if last is not None and era[last] == era[e] else done) if _mirror_reads(l) else None
+    if _mirror_is_write(l):
+        st = {**st, l.args[0]: (e, e if l.is_complete else done)}
+    return src, st
 
 
 def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
-    """Candidate sw sets: derived reads-from for each era-monotone lin."""
+    """Candidate sw sets: derived reads-from for each era-monotone lin of
+    po, the first 2,000 candidates tried."""
     ids = [e for e in g.events if not g.lab[e].is_crash]
     era = g.era_of()
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
-    spent = [2_000]
+    preds = era_preds(g.po_order.restrict(ids), [era[e] for e in ids])
     try:
-        for ext in linear_extensions(
-            g.po_order.restrict(ids), [era[e] for e in ids], budget=spent, stage="linearization enumeration"
-        ):
-            rf = _mirror_reads_from(g.lab, era, [ids[i] for i in ext])
-            fz = frozenset((w, r) for r, w in rf.items())
-            if fz not in out:
-                out.append(fz)
+        for lin in linearizations(preds, [[e] for e in ids], (1 << len(ids)) - 1, ANY_ORDER, 2_000, {}):
+            st, rf = {}, set()
+            for _, e in lin:
+                src, st = _mirror_step(g.lab, era, st, e)
+                if src is not None:
+                    rf.add((src, e))
+            if frozenset(rf) not in out:
+                out.append(frozenset(rf))
     except BudgetExceeded:
         pass
     return out

@@ -29,10 +29,11 @@ ever guaranteeing them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, cell_loc, linear_extensions
+from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, cell_loc
 from .model import (
     BOT,
     Execution,
@@ -43,6 +44,7 @@ from .model import (
     era_order,
     row_pairs,
 )
+from .sc import ANY_ORDER, era_preds, linearizations
 
 D_TAG = "D"
 P_TAG = "P"
@@ -440,6 +442,7 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
     earlier = [_mask(j for j, ej in enumerate(wu_eras) if ej < ei) for ei in wu_eras]
     forced = Order.close_rows(_forced_tso(x, ds))
     forced_p = _forced_persists(x, ds)
+    all_wu = (1 << len(wu)) - 1
     steps = [0]
 
     def spend(n: int = 1):
@@ -462,9 +465,10 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
         if any(row & earlier[i] for i, row in enumerate(base_wu.rows)):
             continue
         needed = _mask(w for w, r in rf if eb[w] >> r & 1) | forced_p
-        for ext in linear_extensions(base_wu, wu_eras):
+        # the era-monotone write orders, smallest first; ``spend`` counts those tried
+        for order in linearizations(era_preds(base_wu, wu_eras), [[e] for e in wu], all_wu, ANY_ORDER, math.inf, {}):
             spend()
-            perm = [wu[i] for i in ext]
+            perm = [e for _, e in order]
             tso = base.extend(zip(perm, perm[1:]))
             if not tso.is_acyclic() or _against_eras(ds, tso.rows):
                 continue

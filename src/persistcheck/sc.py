@@ -9,12 +9,15 @@ number of eras, a k-sequentialization (persisted prefixes of earlier eras in
 persist order, era k in volatile order) accepted by the sequential register
 spec.
 
-Linearizability of histories and of executions, and weak-register
-consistency, are each one lazy search, :func:`linearize`, whose budget
-counts candidate calls tried.  A pending call is an optional event.  For the
-weak register each crash is an event too, and each durable call of a
-non-last era is offered persisted and not persisted, so one step function
-folds the volatile and the persisted register state.  The eager
+:func:`linearizations` is the one search over orders of events: a lazy
+generator of the sequences a spec accepts, whose budget counts candidates
+tried, and :func:`linearize` takes its first.  Linearizability of histories
+and of executions and weak-register consistency are each one such search,
+and so are Flit's and Mirror's checks (``libs``) and the Px86 write orders
+(``px86``).  A pending call is an optional event.  For the weak register
+each crash is an event too, and each durable call of a non-last era is
+offered persisted and not persisted, so one step function folds the
+volatile and the persisted register state.  The eager
 :func:`iter_completions` is kept as the reference the tests compare
 linearizability with.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .framework import BudgetExceeded, Verdict
 from .model import BOT, CRASH, Call, CrashEv, History, Inv, Order, Ret
@@ -63,11 +66,14 @@ def happens_before(h: History) -> FrozenSet[Tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SequentialSpec:
-    """A recognizer over sequences of complete calls, given as an initial
-    state and a step function returning the next state or None (reject).
+    """A recognizer over sequences, given as an initial state and a step
+    function returning the next state or None (reject).  Sequences are of
+    complete calls for a library's sequential semantics; a search may step
+    other candidates (a call with its persist choice, a crash, an event id).
     A rejected prefix rejects all its extensions, so step-wise evaluation
-    doubles as the pruning hook for linearization search.  States are dicts
-    with hashable values, which :func:`linearize` memoizes."""
+    doubles as the pruning hook of :func:`linearizations`.  States are dicts
+    with hashable values, which the search memoizes, so a state must hold
+    everything the steps after it read."""
 
     name: str
     init: Callable[[], object]
@@ -209,29 +215,46 @@ def completions_and_truncations(
 # --------------------------------------------------------------------------
 
 
-def linearize(
-    preds: Sequence[int], options: Sequence[Sequence[Call]], must: int, spec: SequentialSpec, budget: int, stage: str
-):
-    """Depth-first search for a sequence in ``spec`` placing every event of the
-    mask ``must`` and any others of ``0..n-1``, each at most once and as one
-    of its candidate calls ``options[i]``.  An event is placeable once the
-    ``must`` events of its predecessor mask ``preds[i]`` are placed; placing
-    it drops its unplaced predecessors.  Failed (placed-or-dropped mask, spec
-    state) pairs are memoized (Wing & Gong 1993; Lowe 2017).  Returns
-    ``(lin, stats)``: the placed ``(event, call)`` pairs or ``None``, and the
-    ``nodes`` (candidate calls tried, one budget unit each) and ``memo_hits``;
-    past the budget, ``BudgetExceeded`` carries the stats."""
-    stats = {"stage": stage, "nodes": 0, "memo_hits": 0}
-    failed = set()
-    lin: List[Tuple[int, Call]] = []
+def era_preds(order: Order, eras: Sequence[int]) -> List[int]:
+    """The predecessor masks of ``order``, each event also after every event
+    of an earlier era: the ``preds`` of an era-monotone search."""
+    return [p | sum(1 << j for j, ej in enumerate(eras) if ej < ei) for p, ei in zip(order.preds(), eras)]
 
-    def rec(done: int, st) -> bool:
+
+def linearizations(
+    preds: Sequence[int],
+    options: Sequence[Sequence[object]],
+    must: int,
+    spec: SequentialSpec,
+    budget: float,
+    stats: dict,
+) -> Iterator[List[Tuple[int, object]]]:
+    """Depth-first search for the sequences in ``spec`` placing every event
+    of the mask ``must`` and any others of ``0..n-1``, each at most once and
+    as one of its candidates ``options[i]``, yielded as ``(event, candidate)``
+    lists in lexicographic order (at each position the smallest event, then
+    its first candidate).  An event is placeable once the ``must`` events of
+    its predecessor mask ``preds[i]`` are placed; placing it drops its
+    unplaced predecessors, and a sequence ends once ``must`` is placed.
+    (Placed-or-dropped mask, spec state) pairs whose subtree yielded nothing
+    are memoized as failed (Wing & Gong 1993; Lowe 2017).  ``stats``, which
+    names the ``stage``, counts ``nodes`` (candidates tried, one budget unit
+    each) and ``memo_hits``; past the budget, ``BudgetExceeded`` carries it."""
+    stats.update(nodes=0, memo_hits=0)
+    failed = set()
+    lin: List[Tuple[int, object]] = []
+    yielded = [0]
+
+    def rec(done: int, st) -> Iterator[List[Tuple[int, object]]]:
         if done & must == must:
-            return True
+            yielded[0] += 1
+            yield list(lin)
+            return
         key = (done, frozenset(st.items()))
         if key in failed:
             stats["memo_hits"] += 1
-            return False
+            return
+        before = yielded[0]
         for i, cands in enumerate(options):
             if done >> i & 1 or preds[i] & must & ~done:
                 continue
@@ -242,13 +265,26 @@ def linearize(
                 nxt = spec.step(st, c)
                 if nxt is not None:
                     lin.append((i, c))
-                    if rec(done | 1 << i | preds[i], nxt):
-                        return True
+                    yield from rec(done | 1 << i | preds[i], nxt)
                     lin.pop()
-        failed.add(key)
-        return False
+        if yielded[0] == before:
+            failed.add(key)
 
-    return (lin if rec(0, spec.init()) else None), stats
+    return rec(0, spec.init())
+
+
+def linearize(
+    preds: Sequence[int], options: Sequence[Sequence[object]], must: int, spec: SequentialSpec, budget: int, stage: str
+):
+    """The first of :func:`linearizations`: ``(lin, stats)``, the placed
+    ``(event, candidate)`` pairs or ``None``, and the search's stats."""
+    stats = {"stage": stage}
+    return next(linearizations(preds, options, must, spec, budget, stats), None), stats
+
+
+#: The spec that accepts every sequence: with it :func:`linearizations`
+#: enumerates the linear extensions of an order.
+ANY_ORDER = SequentialSpec("any order", dict, lambda st, c: st)
 
 
 def check_linearizable(

@@ -16,6 +16,7 @@ from persistcheck.framework import (
     HereditaryChain,
     LibraryInterface,
     LibrarySpec,
+    SpecError,
     UnknownMethod,
     Verdict,
     check_consistent,
@@ -26,6 +27,7 @@ from persistcheck.framework import (
     shared_verdicts,
 )
 from persistcheck.model import (
+    CRASH,
     Execution,
     History,
     Inv,
@@ -36,6 +38,7 @@ from persistcheck.model import (
     execution_canonical_hash,
     find_isomorphism,
     immediate_prefixes_execution,
+    star,
     thread_chains,
 )
 
@@ -104,6 +107,25 @@ def test_dependency_tags_checked_on_freeze():
     lonely = LibrarySpec(interface=mk_iface("L", {"l": 0}, tags_used=["T"]))
     with pytest.raises(Exception):
         Collection([lonely]).freeze()
+
+
+def test_dependency_cycle_rejected_at_register():
+    coll = Collection([LibrarySpec(interface=mk_iface("X", {"x": 0}), deps=frozenset({"Y"}))])
+    with pytest.raises(SpecError, match="dependency cycle through Y"):
+        coll.register(LibrarySpec(interface=mk_iface("Y", {"y": 0}), deps=frozenset({"X"})))
+
+
+def test_unregistered_dependency_rejected_at_freeze():
+    coll = Collection([LibrarySpec(interface=mk_iface("U", {"u": 0}), deps=frozenset({"P"}))])
+    with pytest.raises(SpecError, match="U depends on unregistered P"):
+        coll.freeze()
+
+
+def test_tags_not_provided_rejected_at_freeze():
+    provider = LibrarySpec(interface=mk_iface("P", {"p": 0}, tags_in=["S"]))
+    user = LibrarySpec(interface=mk_iface("U", {"u": 0}, tags_used=["S", "T"]), deps=frozenset({"P"}))
+    with pytest.raises(SpecError, match=r"U uses tags \['T'\] not provided"):
+        Collection([provider, user]).freeze()
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +273,79 @@ def test_encapsulation_use_before_new():
     # and the right way around is fine
     labels2 = [Label("anew", (), 5, thread=0), Label("use", (5,), None, thread=0)]
     assert check_encapsulated(coll, chain_exec(labels2))
+
+
+def _ref_check_encapsulated(coll, x):
+    """The pair-set check that ``check_encapsulated`` replaced."""
+    x = framework._as_execution(x)
+    ctors = []
+    for e in x.events:
+        l = x.lab[e]
+        if l.is_crash or l.method == "⋆":
+            continue
+        spec = coll.owner_of(l)
+        if spec is None:
+            continue
+        if l.method in spec.interface.constructors:
+            ctors.append((e, spec.name, spec.interface.locations(l)))
+    for i in range(len(ctors)):
+        for j in range(i + 1, len(ctors)):
+            if ctors[i][2] & ctors[j][2]:
+                return False
+    for e in x.events:
+        l = x.lab[e]
+        if l.is_crash or l.method == "⋆":
+            continue
+        spec = coll.owner_of(l)
+        if spec is None:
+            continue
+        if l.method in spec.interface.constructors:
+            continue
+        locs = spec.interface.locations(l)
+        if not locs:
+            continue
+        if not any(
+            lib == spec.name and locs <= clocs and (c, e) in x.hb
+            for c, lib, clocs in ctors
+        ):
+            return False
+    return True
+
+
+_ENC_COLL = Collection(
+    [enc_spec(), LibrarySpec(interface=mk_iface("R", {"rnew": 0, "ruse": 1}, ctors=["rnew"], loc=loc_by_first_arg))]
+)
+
+
+@st.composite
+def _enc_executions(draw):
+    """Up to six events: constructors and uses of two libraries on two
+    locations (a constructor may return no location), crashes, ⋆ events and calls no
+    library owns, under random forward po and sw edges."""
+    labels = []
+    for t in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["anew", "use", "rnew", "ruse", "crash", "star", "other"]))
+        loc = draw(st.sampled_from([5, 6]))
+        if kind == "crash":
+            labels.append(CRASH)
+        elif kind == "star":
+            labels.append(star(["T"], t))
+        elif kind == "other":
+            labels.append(Label("other", (loc,), None, thread=t))
+        elif kind.endswith("new"):
+            labels.append(Label(kind, (), draw(st.sampled_from([loc, None])), thread=t))
+        else:
+            labels.append(Label(kind, (loc,), None, thread=t))
+    forward = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
+    po = draw(st.lists(st.sampled_from(forward), max_size=6)) if forward else []
+    sw = draw(st.lists(st.sampled_from(forward), max_size=3)) if forward else []
+    return Execution(PlainExecution(labels, po), sw)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_enc_executions())
+def test_encapsulation_matches_pair_set_reference(x):
+    assert check_encapsulated(_ENC_COLL, x) == _ref_check_encapsulated(_ENC_COLL, x)
 
 
 # --------------------------------------------------------------------------

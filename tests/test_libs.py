@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded, Collection, linear_extensions
+from eager_reference import linear_extensions
+from persistcheck.framework import BudgetExceeded, Collection
 from persistcheck.lang import (
     InterpConfig,
     behaviors,
@@ -530,6 +531,22 @@ def test_execution_linearizable_stats_on_every_verdict():
         stats = dict(v.stats)
         assert stats["stage"] == "linearization enumeration"
         assert stats["nodes"] == 3 and stats["memo_hits"] == 0
+    # Flit tries each write unpersisted, then persisted; the read is checked
+    # as it is placed
+    for ret, want, nodes in ((1, True, 2), (2, False, 4)):
+        v = check_flit(chain_exec([fw(X, 1), fr(X, ret)]))
+        assert bool(v) is want
+        assert dict(v.stats) == {"stage": "linearization enumeration", "nodes": nodes, "memo_hits": 0}
+    # Mirror: the read's sw edge must be its source; an sw edge into a write
+    # fails before the search
+    for labels, sw, want, nodes in (
+        ([mwr_(X, 1), mrd_(X, 1)], [(0, 1)], True, 2),
+        ([mwr_(X, 1), mrd_(X, 1)], [], False, 2),
+        ([mwr_(X, 1), mwr_(X, 2)], [(0, 1)], False, 0),
+    ):
+        v = check_mirror(Execution(PlainExecution(labels, thread_chains(labels)), sw))
+        assert bool(v) is want
+        assert dict(v.stats) == {"stage": "linearization enumeration", "nodes": nodes, "memo_hits": 0}
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,29 @@
-"""The one linear-extension enumerator (``framework.linear_extensions``)
-against a brute-force filter of ``itertools.permutations``, and the budget
-stage names its callers report."""
+"""The one linearization search (``sc.linearizations``), run as a
+linear-extension enumerator, against a brute-force filter of
+``itertools.permutations``; the eager enumerator it replaced, kept as a test
+reference, against the same filter; and the budget stage names the callers
+of the search report."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded, linear_extensions
-from persistcheck.libs import check_flit, durqueue_spec
+from eager_reference import linear_extensions
+from persistcheck.framework import BudgetExceeded
+from persistcheck.libs import check_flit, check_mirror, durqueue_spec
 from persistcheck.model import CRASH, Execution, History, Inv, Label, Order, Ret, sequence_execution
-from persistcheck.sc import S_WEAKREG, check_linearizable, weakreg_consistent_execution
+from persistcheck.sc import (
+    ANY_ORDER,
+    S_WEAKREG,
+    SequentialSpec,
+    check_linearizable,
+    era_preds,
+    linearizations,
+    weakreg_consistent_execution,
+)
 
 # --------------------------------------------------------------------------
 # Brute-force reference
@@ -62,6 +74,17 @@ def cases(draw):
     return n, pairs, eras, frozenset(banned)
 
 
+def _enumerate(n, pairs, eras, spec, budget):
+    """The event sequences ``linearizations`` yields for the order ``pairs``
+    (era-monotone when ``eras`` is given), one candidate per event, and its
+    stats."""
+    order = Order.close(n, pairs)
+    preds = order.preds() if eras is None else era_preds(order, eras)
+    stats = {"stage": "probe"}
+    found = linearizations(preds, [[i] for i in range(n)], (1 << n) - 1, spec, budget, stats)
+    return [tuple(i for i, _ in lin) for lin in found], stats
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases(), st.integers(0, 60))
 def test_enumerator_matches_permutation_filter(case, spare):
@@ -70,25 +93,45 @@ def test_enumerator_matches_permutation_filter(case, spare):
     def rejected(seq):
         return (len(seq) - 1, seq[-1]) in banned
 
+    # path-unique states: the state is the sequence itself, so nothing is
+    # memoized and every candidate tried extends a distinct prefix
     def step(state, i):
-        nxt = state + (i,)
-        return None if rejected(nxt) else nxt
+        nxt = state["seq"] + (i,)
+        return None if rejected(nxt) else {"seq": nxt}
 
+    unique = SequentialSpec("path-unique", lambda: {"seq": ()}, step)
     want, extended = reference(n, pairs, eras, rejected)
-    order = Order.close(n, pairs)
-    assert list(linear_extensions(order, eras, step=step, state=())) == want
-    assert list(linear_extensions(order, eras)) == reference(n, pairs, eras, lambda seq: False)[0]
+    got, stats = _enumerate(n, pairs, eras, unique, math.inf)
+    assert got == want
+    assert stats == {"stage": "probe", "nodes": extended, "memo_hits": 0}
+    assert _enumerate(n, pairs, eras, ANY_ORDER, math.inf)[0] == reference(n, pairs, eras, lambda seq: False)[0]
+
+    # a state that depends only on the placed set: failed subtrees are
+    # memoized, and the same sequences come out
+    def by_length(state, i):
+        return None if (state["len"], i) in banned else {"len": state["len"] + 1}
+
+    assert _enumerate(n, pairs, eras, SequentialSpec("by length", lambda: {"len": 0}, by_length), math.inf)[0] == want
 
     # a budget of b raises exactly when more than b prefixes are extended
     budget = min(spare, extended + 1)
-    remaining = [budget]
     if extended > budget:
         with pytest.raises(BudgetExceeded) as err:
-            list(linear_extensions(order, eras, step, (), remaining, stage="probe"))
-        assert err.value.stats == {"stage": "probe"}
+            _enumerate(n, pairs, eras, unique, budget)
+        assert err.value.stats == {"stage": "probe", "nodes": budget + 1, "memo_hits": 0}
     else:
-        assert list(linear_extensions(order, eras, step, (), remaining, stage="probe")) == want
-        assert remaining == [budget - extended]
+        assert _enumerate(n, pairs, eras, unique, budget) == (want, stats)
+
+    # the eager enumerator the search replaced, kept as a test reference
+    def eager_step(state, i):
+        nxt = state + (i,)
+        return None if rejected(nxt) else nxt
+
+    order = Order.close(n, pairs)
+    assert list(linear_extensions(order, eras, step=eager_step, state=())) == want
+    remaining = [extended]
+    assert list(linear_extensions(order, eras, eager_step, (), remaining)) == want
+    assert remaining == [0]
 
 
 # --------------------------------------------------------------------------
@@ -138,3 +181,13 @@ def test_flit_budget_names_its_stage():
     x = Execution(sequence_execution(labels))
     assert check_flit(x)
     assert _stage(check_flit(x, budget=1)) == "linearization enumeration"
+
+
+def test_mirror_budget_names_its_stage():
+    labels = [
+        Label("mwr", (50, 1), None, frozenset({"D"}), 0),
+        Label("mrd", (50,), 1, frozenset(), 0),
+    ]
+    x = Execution(sequence_execution(labels), sw=[(0, 1)])
+    assert check_mirror(x)
+    assert _stage(check_mirror(x, budget=1)) == "linearization enumeration"

@@ -17,7 +17,8 @@ from types import SimpleNamespace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded, linear_extensions
+from eager_reference import linear_extensions
+from persistcheck.framework import BudgetExceeded
 from persistcheck.model import (
     BOT,
     CRASH,

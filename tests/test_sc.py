@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persistcheck.framework import BudgetExceeded, Verdict, linear_extensions
+from eager_reference import linear_extensions
+from persistcheck.framework import BudgetExceeded, Verdict
 
 from persistcheck.model import CRASH_EV, Call, History, Inv, Order, Ret
 from persistcheck.sc import (

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persistcheck.framework as framework
+from eager_reference import linear_extensions
 from persistcheck.framework import (
     BudgetExceeded,
     Collection,
@@ -23,7 +24,6 @@ from persistcheck.framework import (
     LibrarySpec,
     Verdict,
     check_consistent,
-    linear_extensions,
 )
 from persistcheck.lang import InterpConfig, SyntacticImpl, interpret_phases, interpret_toplevel, parse_litmus, parse_statements
 from persistcheck.libs import (
