@@ -10,7 +10,8 @@ Exit codes: 0 all expectations met, 1 expectation failed or counterexample
 found, 2 usage or parse error, 3 no expectation failed (no counterexample
 found) but some search ran out of budget before a verdict (``UNKNOWN`` in
 ``check``, summary ``unknown`` in ``verify-impl``).  Reports are
-deterministic; the seed flag affects corpus generation only, never verdicts.
+deterministic, whatever the hash seed.  ``--seed`` is accepted, but no
+subcommand reads it: the corpora are fixed files.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class RunConfig:
     json_out: bool = False
     dot_path: Optional[str] = None
     manifest: Optional[str] = None
-    seed: int = 0  # corpus generation only; verdicts never depend on it
+    seed: int = 0  # read by no subcommand
 
     def __post_init__(self):
         for name, v in (("budget", self.budget), ("unroll", self.unroll), ("max_events", self.max_events)):
@@ -344,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="JSON-lines report")
         p.add_argument("--dot", default=None, help="write a DOT dump of the consistent execution justifying the first outcome")
         p.add_argument("--manifest", default=None, help="JSON registry manifest (spec names, budgets, domain)")
-        p.add_argument("--seed", type=int, default=0, help="corpus generation seed (never affects verdicts)")
+        p.add_argument("--seed", type=int, default=0, help="accepted but read by no subcommand; no output depends on it")
 
     pc = sub.add_parser("check", help="check a litmus file against its expectations")
     pc.add_argument("file")

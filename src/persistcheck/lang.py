@@ -18,14 +18,20 @@ globals run once, before the first era, and every era shares their bindings
 (the objects they allocated persist across crashes).  A litmus file can
 instead give explicit crash-separated phases, which share the first phase's
 global bindings in the same way.
+
+Linking (and the persistification transformers of ``libs``) rewrite the
+syntax through two generic walks, :func:`subterms` and :func:`rewrite`,
+which read the node types and their fields from ``_NODES``.  Only the
+interpreter and the parser dispatch on node types, so a new node type needs
+only its ``_NODES`` entry, an interpreter case and a parser case.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .framework import BudgetExceeded, Collection, UnknownMethod, shared_verdicts
 from .model import BOT, CRASH, Execution, Label, PlainExecution
@@ -145,6 +151,37 @@ class Return:
 
     def __repr__(self):
         return f"return {self.expr!r}"
+
+
+#: The syntax node types, each with its fields in order.  The generic walks
+#: below read only this table; the interpreter and the parser are the one
+#: other place that dispatches on node types.
+_NODES: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in (Val, Reg, Bin, Un, Skip, Assign, CallCmd, Seq, If, While, Return)
+}
+
+
+def subterms(node) -> Iterator:
+    """``node`` and every node under it, parents first, children in field
+    order."""
+    yield node
+    for name in _NODES[type(node)]:
+        x = getattr(node, name)
+        for y in x if isinstance(x, tuple) else (x,):
+            if type(y) in _NODES:
+                yield from subterms(y)
+
+
+def rewrite(node, f: Callable):
+    """``node`` rebuilt bottom-up: its children are rewritten in field order,
+    then ``f`` maps the rebuilt node (what ``f`` returns is not walked)."""
+    if type(node) not in _NODES:
+        return node
+    args = []
+    for name in _NODES[type(node)]:
+        x = getattr(node, name)
+        args.append(tuple(rewrite(y, f) for y in x) if isinstance(x, tuple) else rewrite(x, f))
+    return f(type(node)(*args))
 
 
 @dataclass(frozen=True)
@@ -289,38 +326,7 @@ CUT = "cut"
 
 
 def _literals(com) -> Set:
-    out: Set = set()
-
-    def walk_e(e):
-        if isinstance(e, Val):
-            out.add(e.v)
-        elif isinstance(e, Bin):
-            walk_e(e.a)
-            walk_e(e.b)
-        elif isinstance(e, Un):
-            walk_e(e.a)
-
-    def walk(c):
-        if isinstance(c, Assign):
-            walk_e(c.expr)
-        elif isinstance(c, CallCmd):
-            for a in c.args:
-                walk_e(a)
-        elif isinstance(c, Seq):
-            for s in c.cmds:
-                walk(s)
-        elif isinstance(c, If):
-            walk_e(c.cond)
-            walk(c.then)
-            walk(c.els)
-        elif isinstance(c, While):
-            walk_e(c.cond)
-            walk(c.body)
-        elif isinstance(c, Return):
-            walk_e(c.expr)
-
-    walk(com)
-    return out
+    return {n.v for n in subterms(com) if isinstance(n, Val)}
 
 
 def default_domain(prog: Prog, config: InterpConfig) -> List:
@@ -775,134 +781,38 @@ def interpret_phases(
 
 
 def _methods_called(com) -> Set[str]:
-    out: Set[str] = set()
-
-    def walk(c):
-        if isinstance(c, CallCmd):
-            out.add(c.method)
-        elif isinstance(c, Seq):
-            for s in c.cmds:
-                walk(s)
-        elif isinstance(c, If):
-            walk(c.then)
-            walk(c.els)
-        elif isinstance(c, While):
-            walk(c.body)
-
-    walk(com)
-    return out
-
-
-def _check_no_recursion(impl: SyntacticImpl) -> None:
-    graph = {m: _methods_called(body) & impl.method_names() for m, (ps, body) in impl.methods.items()}
-    seen: Dict[str, int] = {}
-
-    def visit(m: str, stack: Set[str]):
-        if m in stack:
-            raise LinkError(f"recursive implementation through {m}")
-        if seen.get(m):
-            return
-        stack.add(m)
-        for callee in graph.get(m, ()):
-            visit(callee, stack)
-        stack.discard(m)
-        seen[m] = 1
-
-    for m in graph:
-        visit(m, set())
-
-
-def _rename_expr(e, ren: Mapping[str, str]):
-    if isinstance(e, Reg):
-        return Reg(ren.get(e.name, e.name))
-    if isinstance(e, Bin):
-        return Bin(e.op, _rename_expr(e.a, ren), _rename_expr(e.b, ren))
-    if isinstance(e, Un):
-        return Un(e.op, _rename_expr(e.a, ren))
-    return e
+    return {n.method for n in subterms(com) if isinstance(n, CallCmd)}
 
 
 def _rename_com(c, ren: Mapping[str, str]):
-    if isinstance(c, Skip):
-        return c
-    if isinstance(c, Assign):
-        return Assign(ren.get(c.reg, c.reg), _rename_expr(c.expr, ren))
-    if isinstance(c, CallCmd):
-        return CallCmd(
-            ren.get(c.reg, c.reg) if c.reg else None,
-            c.method,
-            tuple(_rename_expr(a, ren) for a in c.args),
-        )
-    if isinstance(c, Seq):
-        return Seq(tuple(_rename_com(s, ren) for s in c.cmds))
-    if isinstance(c, If):
-        return If(_rename_expr(c.cond, ren), _rename_com(c.then, ren), _rename_com(c.els, ren))
-    if isinstance(c, While):
-        return While(_rename_expr(c.cond, ren), _rename_com(c.body, ren))
-    if isinstance(c, Return):
-        return Return(_rename_expr(c.expr, ren))
-    raise TypeError(f"not a command: {c!r}")
+    def rn(n):
+        if isinstance(n, Reg):
+            return Reg(ren.get(n.name, n.name))
+        if isinstance(n, (Assign, CallCmd)) and n.reg:
+            return replace(n, reg=ren.get(n.reg, n.reg))
+        return n
+
+    return rewrite(c, rn)
 
 
 def _registers_of(c) -> Set[str]:
-    out: Set[str] = set()
-
-    def walk_e(e):
-        if isinstance(e, Reg):
-            out.add(e.name)
-        elif isinstance(e, Bin):
-            walk_e(e.a)
-            walk_e(e.b)
-        elif isinstance(e, Un):
-            walk_e(e.a)
-
-    def walk(c):
-        if isinstance(c, Assign):
-            out.add(c.reg)
-            walk_e(c.expr)
-        elif isinstance(c, CallCmd):
-            if c.reg:
-                out.add(c.reg)
-            for a in c.args:
-                walk_e(a)
-        elif isinstance(c, Seq):
-            for s in c.cmds:
-                walk(s)
-        elif isinstance(c, If):
-            walk_e(c.cond)
-            walk(c.then)
-            walk(c.els)
-        elif isinstance(c, While):
-            walk_e(c.cond)
-            walk(c.body)
-        elif isinstance(c, Return):
-            walk_e(c.expr)
-
-    walk(c)
-    return out
+    return {r for n in subterms(c) for r in (getattr(n, "name", None), getattr(n, "reg", None)) if r}
 
 
-def _guard_returns(c, done: str):
-    """Rewrite `return e` into result/flag assignments, guarding the tail."""
+def _guard_returns(done: str, ret_reg: Optional[str]):
+    """The rewriter of `return e` into result/flag assignments, guarding
+    each command of a sequence and each loop test by the flag."""
 
-    def g(s):
-        return If(Bin("==", Reg(done), Val(0)), s, Skip())
-
-    def tr(c, ret_reg):
+    def tr(c):
         if isinstance(c, Return):
-            body = [Assign(done, Val(1))]
-            if ret_reg:
-                body.insert(0, Assign(ret_reg, c.expr))
-            return Seq(tuple(body))
+            return Seq(((Assign(ret_reg, c.expr),) if ret_reg else ()) + (Assign(done, Val(1)),))
         if isinstance(c, Seq):
-            return Seq(tuple(g(tr(s, ret_reg)) for s in c.cmds))
-        if isinstance(c, If):
-            return If(c.cond, tr(c.then, ret_reg), tr(c.els, ret_reg))
+            return Seq(tuple(If(Bin("==", Reg(done), Val(0)), s, Skip()) for s in c.cmds))
         if isinstance(c, While):
-            return While(Bin("&&", Bin("==", Reg(done), Val(0)), c.cond), tr(c.body, ret_reg))
+            return While(Bin("&&", Bin("==", Reg(done), Val(0)), c.cond), c.body)
         return c
 
-    return tr, g
+    return tr
 
 
 def inline_call(call: CallCmd, impl: SyntacticImpl, counter: List[int]):
@@ -916,45 +826,43 @@ def inline_call(call: CallCmd, impl: SyntacticImpl, counter: List[int]):
     global_names = {name for name, _ in impl.globals}
     local = (_registers_of(body) | set(params)) - global_names
     ren = {r: pfx + r for r in local}
-    body = _rename_com(body, ren)
     done = pfx + "done"
-    tr, _ = _guard_returns(body, done)
     stmts: List = [Assign(done, Val(0))]
     if call.reg:
         stmts.append(Assign(call.reg, Val(None)))
     for p, a in zip(params, call.args):
         stmts.append(Assign(ren[p], a))
-    stmts.append(tr(body, call.reg))
+    stmts.append(rewrite(_rename_com(body, ren), _guard_returns(done, call.reg)))
     return Seq(tuple(stmts))
 
 
 def link_com(com, impl: SyntacticImpl, counter: List[int]):
-    if isinstance(com, CallCmd) and com.method in impl.methods:
-        return inline_call(com, impl, counter)
-    if isinstance(com, Seq):
-        return Seq(tuple(link_com(s, impl, counter) for s in com.cmds))
-    if isinstance(com, If):
-        return If(com.cond, link_com(com.then, impl, counter), link_com(com.els, impl, counter))
-    if isinstance(com, While):
-        return While(com.cond, link_com(com.body, impl, counter))
-    return com
+    def inline(c):
+        return inline_call(c, impl, counter) if isinstance(c, CallCmd) and c.method in impl.methods else c
+
+    return rewrite(com, inline)
 
 
 def link(prog: Prog, impl: SyntacticImpl, with_impl_globals: bool = True) -> Prog:
     """P · I: textual inlining with parameter substitution and register
-    freshening.  Implementation-internal calls are inlined first (cycles are
-    rejected)."""
-    _check_no_recursion(impl)
+    freshening.  Implementation-internal calls are inlined first, callees in
+    sorted order; a cycle is rejected at the first method met twice on the
+    call stack."""
     # resolve intra-implementation calls bottom-up
     flat: Dict[str, Tuple[Tuple[str, ...], object]] = {}
+    stack: Set[str] = set()
 
     def flatten(m: str) -> Tuple[Tuple[str, ...], object]:
         if m in flat:
             return flat[m]
+        if m in stack:
+            raise LinkError(f"recursive implementation through {m}")
+        stack.add(m)
         params, body = impl.methods[m]
         called = _methods_called(body) & impl.method_names()
         for callee in sorted(called):
             flatten(callee)
+        stack.discard(m)
         sub = SyntacticImpl(impl.name, {k: flat[k] for k in flat}, impl.globals)
         counter = [0]
         body2 = link_com(body, sub, counter) if called else body

@@ -19,7 +19,7 @@ import itertools
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc
-from .lang import CallCmd, If, Return, Seq, SyntacticImpl, While, parse_statements
+from .lang import CallCmd, Return, Seq, SyntacticImpl, parse_statements, rewrite
 from .model import (
     BOT,
     Call,
@@ -378,23 +378,15 @@ def flit_impl_mutated_no_fo() -> SyntacticImpl:
 
 def _persistify(impl: SyntacticImpl, table: Mapping[str, str], finish: Optional[str], name: str) -> SyntacticImpl:
     def tr(c):
-        if isinstance(c, CallCmd):
-            if c.method in table:
-                return CallCmd(c.reg, table[c.method], c.args)
-            return c
-        if isinstance(c, Seq):
-            return Seq(tuple(tr(s) for s in c.cmds))
-        if isinstance(c, If):
-            return If(c.cond, tr(c.then), tr(c.els))
-        if isinstance(c, While):
-            return While(c.cond, tr(c.body))
+        if isinstance(c, CallCmd) and c.method in table:
+            return CallCmd(c.reg, table[c.method], c.args)
         if isinstance(c, Return) and finish:
             return Seq((CallCmd(None, finish, ()), c))
         return c
 
     methods = {}
     for m, (params, body) in impl.methods.items():
-        body2 = tr(body)
+        body2 = rewrite(body, tr)
         if finish:
             body2 = Seq((body2, CallCmd(None, finish, ())))
         methods[m] = (params, body2)
@@ -630,16 +622,9 @@ def persistify_mirror_mutated(impl: SyntacticImpl) -> SyntacticImpl:
                 return CallCmd(c.reg, "mrd", c.args)
             if c.method == "alloc":
                 return CallCmd(c.reg, "mnew", c.args)
-            return c
-        if isinstance(c, Seq):
-            return Seq(tuple(tr(x) for x in c.cmds))
-        if isinstance(c, If):
-            return If(c.cond, tr(c.then), tr(c.els))
-        if isinstance(c, While):
-            return While(c.cond, tr(c.body))
         return c
 
-    methods = {m: (ps, tr(body)) for m, (ps, body) in impl.methods.items()}
+    methods = {m: (ps, rewrite(body, tr)) for m, (ps, body) in impl.methods.items()}
     return SyntacticImpl(name=f"m-mutated({impl.name})", methods=methods, globals=impl.globals)
 
 

@@ -337,6 +337,35 @@ def is_plain_matching(f: Mapping[int, int], gc: PlainExecution, ga: PlainExecuti
     return True
 
 
+def _thread_assignments(
+    cs: List[int], as_: List[int], crash: bool, fits: Callable[[int, List[int]], bool], spend: Callable[[], None]
+) -> Optional[List[Dict[int, int]]]:
+    """The maps of one thread's concrete chain ``cs`` onto its abstract chain
+    ``as_`` (crashes one to one): consecutive nonempty blocks, block ``j``
+    fitting ``as_[j]``, in lexicographic order of the cuts.  The walk over
+    (abstract index, block start) tries each span once, charging ``spend``."""
+    if not as_:
+        return None if cs else [dict()]
+    if crash:
+        return [dict(zip(cs, as_))] if len(cs) == len(as_) else None
+    k, m = len(as_), len(cs)
+    if m < k:
+        return None
+    ends: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}  # (j, start) -> block ends of as_[j:]
+
+    def walk(j: int, start: int) -> List[Tuple[int, ...]]:
+        if (j, start) not in ends:
+            ends[j, start] = []
+            for end in (m,) if j == k - 1 else range(start + 1, m - k + j + 2):
+                spend()
+                if fits(as_[j], cs[start:end]):
+                    ends[j, start] += [(end,) + rest for rest in (walk(j + 1, end) if end < m else [()])]
+        return ends[j, start]
+
+    options = [{c: a for a, s, e in zip(as_, (0,) + cut, cut) for c in cs[s:e]} for cut in walk(0, 0)]
+    return options or None
+
+
 def find_plain_matching(
     gc: PlainExecution,
     ga: PlainExecution,
@@ -360,7 +389,7 @@ def find_plain_matching(
     def spend():
         spent[0] += 1
         if spent[0] > budget:
-            raise BudgetExceeded({"partitions": spent[0]})
+            raise BudgetExceeded({"spans": spent[0]})
 
     def fits(a: int, block_ids: List[int]) -> bool:
         """Whether the concrete block can implement the abstract event."""
@@ -373,40 +402,10 @@ def find_plain_matching(
             return impl._contains(lab, [gc.lab[c] for c in block_ids], gc.po_order.restrict(block_ids))
         return len(block_ids) == 1 and _strip_thread(gc.lab[block_ids[0]]) == _strip_thread(lab)
 
-    def thread_assignments(key) -> Optional[List[Dict[int, int]]]:
-        cs = groups_c.get(key, [])
-        as_ = groups_a.get(key, [])
-        if not as_:
-            return None if cs else [dict()]
-        if key == "crash":
-            if len(cs) != len(as_):
-                return None
-            return [dict(zip(cs, as_))]
-        k, m = len(as_), len(cs)
-        if m < k:
-            return None
-        # each (abstract event, block start, block end) is decided once,
-        # whichever cuts share it
-        decided: List[Dict[Tuple[int, int], bool]] = [{} for _ in as_]
-        options: List[Dict[int, int]] = []
-        for cut in itertools.combinations(range(1, m), k - 1):
-            spend()
-            bounds = (0,) + cut + (m,)
-            for j, a in enumerate(as_):
-                span = bounds[j : j + 2]
-                fit = decided[j].get(span)
-                if fit is None:
-                    fit = decided[j][span] = fits(a, cs[span[0] : span[1]])
-                if not fit:
-                    break
-            else:
-                options.append({c: a for j, a in enumerate(as_) for c in cs[bounds[j] : bounds[j + 1]]})
-        return options if options else None
-
     keys = sorted(set(groups_c) | set(groups_a), key=repr)
     per_key: List[List[Dict[int, int]]] = []
     for key in keys:
-        opts = thread_assignments(key)
+        opts = _thread_assignments(groups_c.get(key, []), groups_a.get(key, []), key == "crash", fits, spend)
         if opts is None:
             return None
         per_key.append(opts)

@@ -87,6 +87,35 @@ def test_check_deterministic_output(capsys):
     assert first == second
 
 
+_CHECK_ALL = """
+import sys
+from persistcheck.cli import main
+for path in sys.argv[1:]:
+    print("exit", main(["check", path, "--json"]))
+print("exit", main(["worked-examples"]))
+"""
+
+
+def test_output_is_independent_of_hash_seed():
+    # every litmus file and the worked examples, under two hash seeds
+    files = sorted(str(p.relative_to(ROOT)) for p in LITMUS.rglob("*.lit"))
+    assert len(files) == 18
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHECK_ALL, *files], capture_output=True, text=True, cwd=ROOT, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("exit 0") == 19
+
+
 def test_check_dot_dump(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert run_cli(["check", str(LITMUS / "coherence.lit"), "--dot", str(dot)]) == 0

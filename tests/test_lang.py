@@ -1,6 +1,9 @@
 """Parser, interpreter, crash-restart semantics, linking, and behaviors."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -281,6 +284,30 @@ def test_link_rejects_recursion():
     prog = Prog(threads={0: Seq((CallCmd(None, "m", ()),))})
     with pytest.raises(LinkError):
         link(prog, rec)
+
+
+_LINK_PFLIT = """
+from persistcheck.lang import CallCmd, LinkError, Prog, Seq, link
+from persistcheck.libs import flit_impl, persistify_flit
+try:
+    link(Prog(threads={0: Seq((CallCmd(None, "fnew", ()),))}), persistify_flit(flit_impl()))
+except LinkError as e:
+    print(e)
+"""
+
+
+def test_link_recursion_error_is_independent_of_hash_seed():
+    # p(flit) appends the finish-op to every method, ffinish included, and
+    # maps store to fwrite_p inside fwrite_p: the cycle reported is the
+    # first one met in sorted method order, whatever the set order
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    messages = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _LINK_PFLIT], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        messages.append(proc.stdout)
+    assert messages[0] == messages[1] == "recursive implementation through ffinish\n"
 
 
 def test_link_arity_mismatch():

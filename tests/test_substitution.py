@@ -643,7 +643,8 @@ def ref_contains(impl, label, g):
 
 
 def ref_find_plain_matching(gc, ga, impl, budget=50_000):
-    """Every cut of every thread, each block restricted and tested anew."""
+    """Every cut of every thread, each block restricted and tested anew; one
+    budget unit per distinct (thread, abstract index, span) tested."""
 
     def chains(g):
         groups = {}
@@ -659,6 +660,7 @@ def ref_find_plain_matching(gc, ga, impl, budget=50_000):
         return None
     era = gc.era_of()
     spent = [0]
+    tried = set()
 
     def thread_assignments(key):
         cs = groups_c.get(key, [])
@@ -672,13 +674,15 @@ def ref_find_plain_matching(gc, ga, impl, budget=50_000):
             return None
         options = []
         for cut in itertools.combinations(range(1, m), k - 1):
-            spent[0] += 1
-            if spent[0] > budget:
-                raise BudgetExceeded({"partitions": spent[0]})
             bounds = [0] + list(cut) + [m]
             assignment = {}
             ok = True
             for j, a in enumerate(as_):
+                if (key, j, bounds[j], bounds[j + 1]) not in tried:
+                    tried.add((key, j, bounds[j], bounds[j + 1]))
+                    spent[0] += 1
+                    if spent[0] > budget:
+                        raise BudgetExceeded({"spans": spent[0]})
                 block_ids = cs[bounds[j] : bounds[j + 1]]
                 if era[block_ids[0]] != era[block_ids[-1]]:
                     ok = False
@@ -710,6 +714,67 @@ def ref_find_plain_matching(gc, ga, impl, budget=50_000):
         if existproj(f, gc.po) == ga.po:
             return f
     return None
+
+
+def ref_thread_assignments(cs, as_, crash, fits, spend):
+    """The per-thread closure of find_plain_matching before the span walk,
+    its captured chains and crash key passed in: every cut of the chain is
+    enumerated and charged, spans decided once."""
+    if not as_:
+        return None if cs else [dict()]
+    if crash:
+        if len(cs) != len(as_):
+            return None
+        return [dict(zip(cs, as_))]
+    k, m = len(as_), len(cs)
+    if m < k:
+        return None
+    # each (abstract event, block start, block end) is decided once,
+    # whichever cuts share it
+    decided = [{} for _ in as_]
+    options = []
+    for cut in itertools.combinations(range(1, m), k - 1):
+        spend()
+        bounds = (0,) + cut + (m,)
+        for j, a in enumerate(as_):
+            span = bounds[j : j + 2]
+            fit = decided[j].get(span)
+            if fit is None:
+                fit = decided[j][span] = fits(a, cs[span[0] : span[1]])
+            if not fit:
+                break
+        else:
+            options.append({c: a for j, a in enumerate(as_) for c in cs[bounds[j] : bounds[j + 1]]})
+    return options if options else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 9),
+    st.booleans(),
+    st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 8), st.integers(1, 9)), max_size=150),
+    st.booleans(),
+)
+def test_thread_assignments_match_per_cut_reference(k, m, crash, drawn, dense):
+    # concrete events 0..m-1, abstract events 20..20+k-1; a block fits
+    # abstract event 20+j if (j, first, last + 1) is drawn, or (dense) if
+    # it is not
+    cs, as_ = list(range(m)), list(range(20, 20 + k))
+
+    def fits_logging(tried):
+        def fits(a, block):
+            tried.append((a - 20, block[0], block[-1] + 1))
+            return (tried[-1] in drawn) != dense
+
+        return fits
+
+    tried, spent = [], []
+    got = sub._thread_assignments(cs, as_, crash, fits_logging(tried), lambda: spent.append(1))
+    ref_tried = []
+    assert got == ref_thread_assignments(cs, as_, crash, fits_logging(ref_tried), lambda: None)
+    # the walk tries the spans the per-cut loop decides, and charges each once
+    assert len(spent) == len(tried) == len(set(tried)) and set(tried) == set(ref_tried)
 
 
 def ref_lift_step(xc, f, ga, prev_abs, prev_ids, coll_high, budget=4_000, failure=None):
