@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .framework import Collection, SpecError
+from .framework import Collection, SpecError, Verdict
 from .lang import (
     InterpConfig,
     ParseError,
@@ -269,19 +269,19 @@ def cmd_worked_examples(cfg: RunConfig) -> int:
         ltrans_global_consistent,
         ltrans_global_wellformed,
     )
-    from .model import Label, PlainExecution, Execution, thread_chains
+    from .model import Label, PlainExecution, Execution, sequence_execution
     from .libs import B_TAG, E_TAG, PTR_TAG, T_TAG
 
-    rows: List[Tuple[str, bool, bool]] = []
+    rows: List[Tuple[str, bool, Verdict]] = []
 
     h = _weakreg_history(pfence=False)
-    rows.append(("weak-register history is weakreg-consistent", True, bool(check_weakreg_consistent(h))))
+    rows.append(("weak-register history is weakreg-consistent", True, check_weakreg_consistent(h)))
     rows.append(
-        ("weak-register history is durably linearizable", False, bool(check_durably_linearizable(h, S_WEAKREG)))
+        ("weak-register history is durably linearizable", False, check_durably_linearizable(h, S_WEAKREG))
     )
     hf = _weakreg_history(pfence=True)
     rows.append(
-        ("PFENCE-extended history is weakreg-consistent", False, bool(check_weakreg_consistent(hf, with_pfence=True)))
+        ("PFENCE-extended history is weakreg-consistent", False, check_weakreg_consistent(hf, with_pfence=True))
     )
 
     q = History(
@@ -294,7 +294,7 @@ def cmd_worked_examples(cfg: RunConfig) -> int:
             Ret(None, 0),
         ]
     )
-    rows.append(("concurrent queue history is linearizable", True, bool(check_linearizable(q, S_QUEUE))))
+    rows.append(("concurrent queue history is linearizable", True, check_linearizable(q, S_QUEUE)))
 
     def lab(method, args, ret, tags, th):
         return Label(method, args, ret, frozenset(tags), th)
@@ -302,7 +302,7 @@ def cmd_worked_examples(cfg: RunConfig) -> int:
     outside = Execution(
         PlainExecution([lab("pt_write", (1, 5), None, {T_TAG}, 0)], [])
     )
-    rows.append(("transactional write outside a transaction is well-formed", False, bool(ltrans_global_wellformed(outside))))
+    rows.append(("transactional write outside a transaction is well-formed", False, ltrans_global_wellformed(outside)))
 
     labels = [
         lab("pt_begin", (), None, {B_TAG}, 0),
@@ -310,17 +310,16 @@ def cmd_worked_examples(cfg: RunConfig) -> int:
         lab("pt_write", (2, 6), None, {T_TAG}, 0),
         lab("pt_end", (), None, {E_TAG, PTR_TAG}, 0),
     ]
-    half = Execution(PlainExecution(labels, thread_chains(labels)))
-    rows.append(("half-persisted transaction is globally consistent", False, bool(ltrans_global_consistent(half))))
+    half = Execution(sequence_execution(labels))
+    rows.append(("half-persisted transaction is globally consistent", False, ltrans_global_consistent(half)))
 
-    ok = True
     width = max(len(r[0]) for r in rows) + 2
     print(f"{'example':<{width}} expected   got")
-    for what, want, got in rows:
-        match = want == got
-        ok = ok and match
-        print(f"{what:<{width}} {str(want):<10} {str(got):<6} {'✓' if match else '✗'}")
-    return 0 if ok else 1
+    for what, want, v in rows:
+        got = "unknown" if v.is_budget else f"{str(bool(v)):<6} {'✓' if want == bool(v) else '✗'}"
+        print(f"{what:<{width}} {str(want):<10} {got}")
+    decided = [want == bool(v) for _, want, v in rows if not v.is_budget]
+    return 1 if not all(decided) else 3 if len(decided) < len(rows) else 0
 
 
 # --------------------------------------------------------------------------

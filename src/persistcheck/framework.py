@@ -28,6 +28,7 @@ from .model import (
     anonymize,
     bits,
     history_to_execution,
+    immediate_prefix_masks,
     restrict,
 )
 
@@ -251,7 +252,10 @@ class Collection:
         self._check_deps(spec)
         empty = Execution(PlainExecution([], []))
         for pred_name in ("local_consistent", "local_wellformed", "global_consistent", "global_wellformed"):
-            if not getattr(spec, pred_name)(empty):
+            v = getattr(spec, pred_name)(empty)
+            if v.is_budget:
+                raise SpecError(f"{spec.name}.{pred_name} ran out of budget on the empty execution")
+            if not v:
                 raise SpecError(f"{spec.name}.{pred_name} rejects the empty execution")
         return self
 
@@ -486,7 +490,7 @@ def check_hereditarily_consistent(
         if v.is_budget:
             stalled.append(v)
         if v:
-            for smaller in _immediate_prefixes(hb_rows, mask):
+            for smaller in immediate_prefix_masks(hb_rows, mask):
                 res = search(smaller)
                 if res is not None:
                     result = res + [mask]
@@ -504,12 +508,6 @@ def check_hereditarily_consistent(
         return Verdict.fail("no consistent immediate-prefix chain", witness=None)
     subsets = [frozenset(bits(m)) for m in masks]
     return Verdict.ok(witness=HereditaryChain([sub(m) for m in masks], subsets))
-
-
-def _immediate_prefixes(hb_rows: Sequence[int], mask: int) -> List[int]:
-    """The immediate prefixes of the events in ``mask``, as masks: each drops
-    one hb-maximal event, taken in ascending id order."""
-    return [mask & ~(1 << e) for e in bits(mask) if not hb_rows[e] & mask]
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +579,7 @@ def check_wellformed(coll: Collection, x, budget: int = 10_000) -> Verdict:
         seen.add(cur)
         if len(seen) > budget:
             return Verdict.budget({"explored": len(seen)})
-        prevs = _immediate_prefixes(hb_rows, cur)
+        prevs = immediate_prefix_masks(hb_rows, cur)
         owed = not cur
         undecided: Optional[Verdict] = None
         for p in prevs:

@@ -17,7 +17,9 @@ Top-level crash semantics restarts the threads after each crash: the
 globals run once, before the first era, and every era shares their bindings
 (the objects they allocated persist across crashes).  A litmus file can
 instead give explicit crash-separated phases, which share the first phase's
-global bindings in the same way.
+global bindings in the same way.  The interpreter builds no order of its
+own: a run is ``model.seq_compose`` of the globals chain and the parallel
+thread chains, and eras are glued as ``seq_compose(G1, Crash, G2)``.
 
 Linking (and the persistification transformers of ``libs``) rewrite the
 syntax through two generic walks, :func:`subterms` and :func:`rewrite`,
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .framework import BudgetExceeded, Collection, UnknownMethod, shared_verdicts
-from .model import BOT, CRASH, Execution, Label, PlainExecution
+from .model import BOT, CRASH, Execution, Label, PlainExecution, parallel_execution, seq_compose, sequence_execution
 
 
 class ParseError(Exception):
@@ -561,17 +563,7 @@ class Interpretation:
     def build(self, combo: Sequence[ThreadRun]) -> PlainExecution:
         """The execution of one run per thread (in thread-id order), after the
         globals trace."""
-        labels: List[Label] = list(self.globals_trace)
-        edges: List[Tuple[int, int]] = [(i, i + 1) for i in range(len(labels) - 1)]
-        base_end = len(labels)
-        for run in combo:
-            start = len(labels)
-            labels.extend(run.trace)
-            edges.extend((i, i + 1) for i in range(start, len(labels) - 1))
-            for g in range(base_end):
-                if labels[g].is_complete and start < len(labels):
-                    edges.append((g, start))
-        return PlainExecution(labels, edges)
+        return seq_compose(sequence_execution(self.globals_trace), parallel_execution(*(r.trace for r in combo)))
 
     def complete_executions(self) -> List[Tuple[Dict[str, object], PlainExecution]]:
         """(outcome env, execution) for every all-threads-complete run."""
@@ -617,27 +609,6 @@ def interpret_toplevel(
     return interpret_phases(
         [prog] + [restarted] * max_crashes, coll, config, complete_only=complete_only
     )
-
-
-def _glue_crash(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
-    """g1 · Crash · g2 built on the reduced program order directly: maximal
-    g1 events feed the crash, the crash feeds minimal g2 events (complete-
-    event bipartite edges are implied transitively through the crash)."""
-    n1 = len(g1)
-    crash_id = n1
-    labels = g1.labels() + [CRASH] + g2.labels()
-    edges = set(g1.po_reduced)
-    not_max = {a for a, _ in g1.po_reduced}
-    for e in g1.events:
-        if e not in not_max:
-            edges.add((e, crash_id))
-    off = n1 + 1
-    edges |= {(a + off, b + off) for a, b in g2.po_reduced}
-    not_min = {b for _, b in g2.po_reduced}
-    for e in g2.events:
-        if e not in not_min:
-            edges.add((crash_id, e + off))
-    return PlainExecution(labels, edges)
 
 
 class ValueFlow:
@@ -743,6 +714,7 @@ def interpret_phases(
             runs.extend((it.outcome(c) if complete else None, c) for c in itertools.product(*choices))
         eras.append(runs)
     graphs: Dict[Tuple[int, int], PlainExecution] = {}
+    crash = sequence_execution([CRASH])
     out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []
 
     def rec(i: int, acc: Optional[PlainExecution], acc_labels: Tuple[Label, ...]):
@@ -755,23 +727,21 @@ def interpret_phases(
             if (i, j) not in graphs:
                 graphs[i, j] = interps[i].build(combo)
             g = graphs[i, j]
-            g = g if acc is None else _glue_crash(acc, g)
+            g = g if acc is None else seq_compose(acc, crash, g)
             if i == n - 1:
                 out.append((env, g))
             else:
                 rec(i + 1, g, labels)
 
     rec(0, None, ())
-    # deduplicate identical executions (same labels and po)
-    seen = {}
+    # deduplicate identical executions (same labels, po and outcome)
+    seen = set()
     uniq = []
     for env, g in out:
-        env_key = None if env is None else tuple(sorted(env.items(), key=repr))
-        key = (tuple(repr(l) for l in g.labels()), g.po_reduced, env_key)
-        if key in seen:
-            continue
-        seen[key] = True
-        uniq.append((env, g))
+        key = (tuple(g.labels()), g.po_order.rows, None if env is None else tuple(sorted(env.items(), key=repr)))
+        if key not in seen:
+            seen.add(key)
+            uniq.append((env, g))
     return uniq
 
 
@@ -981,11 +951,10 @@ def behaviors(
     max_crashes: int = 0,
     config: InterpConfig = InterpConfig(),
     outcome_regs: Optional[Sequence[str]] = None,
-    hereditary: bool = True,
     budget: int = 10_000,
 ) -> Behaviors:
-    """Outcomes justified by a (hereditarily) consistent refinement."""
-    from .framework import check_consistent, check_hereditarily_consistent
+    """Outcomes justified by a hereditarily consistent refinement."""
+    from .framework import check_hereditarily_consistent
 
     if isinstance(prog_or_phases, Prog):
         runs = interpret_toplevel(prog_or_phases, coll, max_crashes, config, complete_only=True)
@@ -1002,10 +971,7 @@ def behaviors(
         if outcome in out:
             continue
         for x in candidate_refinements(coll, g):
-            if hereditary:
-                v = check_hereditarily_consistent(coll, x, budget=budget)
-            else:
-                v = check_consistent(coll, x)
+            v = check_hereditarily_consistent(coll, x, budget=budget)
             if v:
                 out.add(outcome)
                 out.witness[outcome] = x

@@ -16,6 +16,7 @@ tagged).  Reads with no visible prior write return 0.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc
@@ -971,12 +972,13 @@ def lock_consistent(x: Execution) -> Verdict:
 
 
 def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
-    """Interleavings of critical sections: per era, per-thread (acq[,rel])
-    sections ordered every possible way, rel -> next acq edges proposed."""
+    """Interleavings of critical sections: per era, the per-thread (acq[,rel])
+    sections in every order that po allows, an open section (no release)
+    after all others, rel -> next acq edges proposed."""
     era = g.era_of()
-    n_eras = len(g.crash_events()) + 1
-    per_era_sections: List[List[List[int]]] = []
-    for k in range(n_eras):
+    rows = g.po_order.rows
+    options_per_era: List[List[FrozenSet[Tuple[int, int]]]] = []
+    for k in range(len(g.crash_events()) + 1):
         sections: List[List[int]] = []
         by_thread: Dict[int, List[int]] = {}
         for e in g.events:
@@ -991,25 +993,18 @@ def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
                     cur = []
             if cur:
                 sections.append(cur)
-        per_era_sections.append(sections)
-    options_per_era: List[List[FrozenSet[Tuple[int, int]]]] = []
-    for sections in per_era_sections:
-        if len(sections) <= 1:
-            options_per_era.append([frozenset()])
-            continue
+        masks = [sum(1 << e for e in sec) for sec in sections]
+        every = (1 << len(sections)) - 1
+        preds = [
+            every & ~(1 << i)
+            if g.lab[sec[-1]].method != "lrel"
+            else sum(1 << j for j, other in enumerate(sections) if j != i and any(rows[a] & masks[i] for a in other))
+            for i, sec in enumerate(sections)
+        ]
         opts = []
-        for perm in itertools.permutations(range(len(sections))):
-            edges = set()
-            ok = True
-            for i in range(len(perm) - 1):
-                last = sections[perm[i]][-1]
-                nxt = sections[perm[i + 1]][0]
-                if g.lab[last].method != "lrel":
-                    ok = False  # only closed sections can precede others
-                    break
-                edges.add((last, nxt))
-            if ok:
-                opts.append(frozenset(edges))
+        for lin in linearizations(preds, [[i] for i in range(len(sections))], every, ANY_ORDER, math.inf, {}):
+            order = [sections[i] for i, _ in lin]
+            opts.append(frozenset((a[-1], b[0]) for a, b in zip(order, order[1:])))
         options_per_era.append(opts or [frozenset()])
     out = []
     for combo in itertools.product(*options_per_era):

@@ -9,6 +9,10 @@ Two granularities coexist:
   method calls plus crash markers, with program order ``po`` and, for full
   executions, synchronizes-with ``sw`` and happens-before ``hb``.
 
+Every execution order is built here, as closed bit rows (:class:`Order`):
+chains, ``seq_compose`` (crash gluing included), ``history_to_execution``
+and the immediate-prefix step ``immediate_prefix_masks``.
+
 Everything here is immutable after construction and safe to share across
 threads.  Event identities are opaque dense integers; pomsets are identified
 up to label-preserving order-isomorphism, with a bounded isomorphism check
@@ -18,6 +22,7 @@ for inputs of at most ``ISO_LIMIT`` events.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -403,9 +408,6 @@ class Order:
             rest &= ~(later | low)
         return rows[a] & ~later
 
-    def maximal(self) -> List[int]:
-        return [a for a, row in enumerate(self.rows) if not row]
-
     def preds(self) -> List[int]:
         """Row of the predecessors of each event (the converse order)."""
         cols = [0] * len(self.rows)
@@ -654,9 +656,6 @@ class PlainExecution:
     def threads(self) -> List[int]:
         return sorted({l.thread for l in self.lab.values() if l.thread is not None})
 
-    def maximal_events(self) -> List[int]:
-        return self.po_order.maximal()
-
     def crash_events(self) -> List[int]:
         return [e for e in self.events if self.lab[e].is_crash]
 
@@ -688,78 +687,84 @@ def thread_chains(labels: Sequence[Label]) -> List[Edge]:
     return edges
 
 
-def seq_compose(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
-    """Sequential composition G1;G2.
+def _chain_rows(n: int, base: int = 0) -> List[int]:
+    """Closed rows of a chain of ``n`` events numbered from ``base``."""
+    return [(((1 << n) - 1) >> (i + 1)) << (base + i + 1) for i in range(n)]
 
-    Every complete G1 event precedes every G2 event, and every G1 event
-    precedes every G2 crash; the result is the transitive closure.
-    """
-    n1 = len(g1)
-    labels = g1.labels() + g2.labels()
-    edges: Set[Edge] = set(g1.po_reduced)
-    edges |= {(a + n1, b + n1) for a, b in g2.po_reduced}
-    for a in g1.events:
-        for b in g2.events:
-            if g1.lab[a].is_complete or g2.lab[b].is_crash:
-                edges.add((a, b + n1))
-    return PlainExecution(labels, edges)
+
+def seq_compose(*parts: PlainExecution) -> PlainExecution:
+    """Sequential composition G1;G2;…, left to right on closed rows.
+
+    Every complete event precedes every event of a later part.  So does an
+    incomplete event with a successor, which reaches a crash (its immediate
+    successors are crashes); a maximal incomplete event precedes only the
+    crashes of later parts and their successors.  The rows stay closed, so
+    nothing is closed again."""
+    labels: List[Label] = []
+    rows: List[int] = []
+    for g in parts:
+        n, grows = len(labels), g.po_order.rows
+        crashes = 0
+        for c in g.crash_events():
+            crashes |= 1 << c | grows[c]
+        every, after_crash = ((1 << len(g)) - 1) << n, crashes << n
+        rows = [row | (every if row or labels[a].is_complete else after_crash) for a, row in enumerate(rows)]
+        rows.extend(row << n for row in grows)
+        labels.extend(g.labels())
+    return PlainExecution(labels, Order(rows))
 
 
 def sequence_execution(labels: Sequence[Label]) -> PlainExecution:
     """A totally ordered plain execution (chain) over the given labels."""
-    return PlainExecution(labels, [(i, i + 1) for i in range(len(labels) - 1)])
+    return PlainExecution(labels, Order(_chain_rows(len(labels))))
 
 
 def parallel_execution(*chains: Sequence[Label]) -> PlainExecution:
     """Per-thread chains, no cross-thread order."""
     labels: List[Label] = []
-    edges: List[Edge] = []
+    rows: List[int] = []
     for chain in chains:
-        base = len(labels)
+        rows.extend(_chain_rows(len(chain), len(labels)))
         labels.extend(chain)
-        edges.extend((base + i, base + i + 1) for i in range(len(chain) - 1))
-    return PlainExecution(labels, edges)
+    return PlainExecution(labels, Order(rows))
+
+
+def immediate_prefix_masks(rows: Sequence[int], mask: int) -> List[int]:
+    """The immediate prefixes of the events in ``mask`` under the closed
+    order ``rows``, as masks: each drops one maximal event, in ascending id
+    order."""
+    return [mask & ~(1 << e) for e in bits(mask) if not rows[e] & mask]
 
 
 def down_sets(g: PlainExecution) -> List[FrozenSet[int]]:
     """All po-down-closed event subsets, smallest first (deterministic)."""
-    po = g.po
-    preds = {e: frozenset(a for a, b in po if b == e) for e in g.events}
-    found: Set[FrozenSet[int]] = {frozenset(g.events)}
-    frontier = [frozenset(g.events)]
+    found = {(1 << len(g)) - 1}
+    frontier = list(found)
     while frontier:
-        cur = frontier.pop()
-        for e in cur:
-            if not any((e, x) in po for x in cur):
-                nxt = cur - {e}
-                if nxt not in found:
-                    found.add(nxt)
-                    frontier.append(nxt)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        for nxt in immediate_prefix_masks(g.po_order.rows, frontier.pop()):
+            if nxt not in found:
+                found.add(nxt)
+                frontier.append(nxt)
+    return sorted((frozenset(bits(m)) for m in found), key=lambda s: (len(s), sorted(s)))
 
 
-def prefixes(g: PlainExecution, dedup_iso: bool = True) -> List[PlainExecution]:
+def prefixes(g: PlainExecution) -> List[PlainExecution]:
     """The downward closure of G in the prefix order, deduplicated up to iso."""
     out: List[PlainExecution] = []
     seen: Dict[int, List[PlainExecution]] = {}
     for s in down_sets(g):
         sub = g.restrict_events(s)
-        if dedup_iso:
-            h = canonical_hash(sub)
-            bucket = seen.setdefault(h, [])
-            if any(iso_eq(sub, other) for other in bucket):
-                continue
-            bucket.append(sub)
+        bucket = seen.setdefault(canonical_hash(sub), [])
+        if any(iso_eq(sub, other) for other in bucket):
+            continue
+        bucket.append(sub)
         out.append(sub)
     return out
 
 
 def immediate_prefixes(g: PlainExecution) -> List[PlainExecution]:
     """All G' with G' ⊏_imm G (one po-maximal event removed)."""
-    return [
-        g.restrict_events(set(g.events) - {e})
-        for e in g.maximal_events()
-    ]
+    return [g.restrict_events(bits(m)) for m in immediate_prefix_masks(g.po_order.rows, (1 << len(g)) - 1)]
 
 
 def prefix_immediate(g_small: PlainExecution, g_big: PlainExecution) -> bool:
@@ -877,10 +882,6 @@ class Execution:
         sw = [(idx[a], idx[b]) for a, b in self.sw if a in idx and b in idx]
         return Execution(sub, sw, self.hb_order.restrict(keep_sorted))
 
-    def maximal_events(self) -> List[int]:
-        """hb-maximal events (prefixes of executions remove these)."""
-        return self.hb_order.maximal()
-
     def __repr__(self) -> str:
         return (
             f"Execution({self.plain.labels()!r}, po={sorted(self.plain.po_reduced)!r}, "
@@ -889,7 +890,7 @@ class Execution:
 
 
 def immediate_prefixes_execution(x: Execution) -> List[Execution]:
-    return [x.restrict_events(set(x.events) - {e}) for e in x.maximal_events()]
+    return [x.restrict_events(bits(m)) for m in immediate_prefix_masks(x.hb_order.rows, (1 << len(x)) - 1)]
 
 
 def restrict(x: Execution, owns: Callable[[Label], bool]) -> Execution:
@@ -933,38 +934,32 @@ def execution_canonical_hash(x: Execution) -> int:
 def history_to_execution(h: History) -> Execution:
     """Single-event calls with po per thread and hb = return-precedes-invocation.
 
-    Crash markers become crash events acting as both invocation and return.
+    Crash markers become crash events acting as both invocation and return,
+    after the calls.  Both orders are closed rows built from the call spans:
+    an event's hb row holds the events that start after it ends; a call's po
+    row keeps the same-thread calls and crashes of that row, and all after
+    such a crash.
     """
     calls = h.calls()
     crash_positions = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
-    labels: List[Label] = []
-    spans: List[Tuple[float, float]] = []  # (start, end) indices in h
-    threads: List[Optional[int]] = []
-    for c in calls:
-        labels.append(c.label())
-        spans.append((c.start, c.end))
-        threads.append(c.thread)
-    for p in crash_positions:
-        labels.append(CRASH)
-        spans.append((p, p))
-        threads.append(None)
-    n = len(labels)
-    hb = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and spans[i][1] < spans[j][0]:
-                hb.add((i, j))
-    po = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            same_thread = threads[i] is not None and threads[i] == threads[j]
-            crash_pair = threads[i] is None or threads[j] is None
-            if (same_thread or crash_pair) and spans[i][1] < spans[j][0]:
-                po.add((i, j))
-    plain = PlainExecution(labels, po)
-    return Execution(plain, sw=(), hb=hb | po)
+    labels = [c.label() for c in calls] + [CRASH] * len(crash_positions)
+    spans = [(c.start, c.end) for c in calls] + [(p, p) for p in crash_positions]
+    crashes = ((1 << len(crash_positions)) - 1) << len(calls)
+    same_thread: Dict[int, int] = {}
+    for i, c in enumerate(calls):
+        same_thread[c.thread] = same_thread.get(c.thread, 0) | 1 << i
+    by_start = sorted(range(len(spans)), key=lambda j: spans[j][0])
+    starts = [spans[j][0] for j in by_start]
+    later = [0] * (len(spans) + 1)  # later[k]: the events of by_start[k:]
+    for k in reversed(range(len(spans))):
+        later[k] = later[k + 1] | 1 << by_start[k]
+    hb = [later[bisect_right(starts, end)] for _, end in spans]
+    po = list(hb)
+    for i, c in enumerate(calls):
+        po[i] &= same_thread[c.thread] | crashes
+        for k in bits(po[i] & crashes):
+            po[i] |= hb[k]
+    return Execution(PlainExecution(labels, Order(po)), hb=Order(hb))
 
 
 # --------------------------------------------------------------------------

@@ -158,6 +158,48 @@ def test_worked_examples_exit_zero(capsys):
     assert "✓" in out and "✗" not in out
 
 
+def test_worked_examples_budget_row_is_unknown(monkeypatch, capsys):
+    import persistcheck.cli as cli
+    from persistcheck.framework import Verdict
+
+    monkeypatch.setattr(cli, "check_durably_linearizable", lambda *a, **k: Verdict.budget())
+    assert run_cli(["worked-examples"]) == 3
+    row = next(l for l in capsys.readouterr().out.splitlines() if "durably linearizable" in l)
+    assert row.split()[-2:] == ["False", "unknown"]
+
+
+def test_worked_examples_mismatch_beats_unknown(monkeypatch, capsys):
+    import persistcheck.cli as cli
+    from persistcheck.framework import Verdict
+
+    monkeypatch.setattr(cli, "check_durably_linearizable", lambda *a, **k: Verdict.budget())
+    monkeypatch.setattr(cli, "check_linearizable", lambda *a, **k: Verdict.fail("no"))
+    assert run_cli(["worked-examples"]) == 1
+    assert "✗" in capsys.readouterr().out
+
+
+def test_verify_impl_output_is_independent_of_hash_seed(tmp_path):
+    # record indices follow the order in which the corpus runs are built
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "f2_crash.lit").write_text((LITMUS / "flit" / "f2_crash.lit").read_text())
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        )
+        args = ["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(corpus)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "persistcheck", *args], capture_output=True, text=True, cwd=ROOT, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0].splitlines()[-1])["summary"] == "ok"
+
+
 def test_verify_impl_unknown_name(capsys):
     assert run_cli(["verify-impl", "nope", "flit", "--over", "px86"]) == 2
 

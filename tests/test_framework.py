@@ -100,6 +100,20 @@ def test_spec_must_accept_empty_execution():
         Collection([bad])
 
 
+def test_register_names_a_rejection_of_the_empty_execution():
+    bad = LibrarySpec(interface=mk_iface("Bad", {"x": 0}), local_consistent=lambda x: Verdict.fail("never"))
+    with pytest.raises(SpecError, match="Bad.local_consistent rejects the empty execution"):
+        Collection([bad])
+
+
+def test_register_names_a_budget_verdict_on_the_empty_execution():
+    # px86's witness search spends two steps on the empty execution
+    from persistcheck.px86 import px86_spec
+
+    with pytest.raises(SpecError, match="px86.local_consistent ran out of budget on the empty execution"):
+        Collection([px86_spec(budget=1)])
+
+
 def test_dependency_tags_checked_on_freeze():
     provider = LibrarySpec(interface=mk_iface("P", {"p": 0}, tags_in=["T"]))
     user = LibrarySpec(interface=mk_iface("U", {"u": 0}, tags_used=["T"]), deps=frozenset({"P"}))
