@@ -120,8 +120,11 @@ class LibraryInterface:
     tags_introduced: FrozenSet[str] = frozenset()
     tags_used: FrozenSet[str] = frozenset()
     method_tags: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
-    #: return kind per method: "value" (ranges over the candidate domain),
-    #: "void" (null), or "loc" (fresh location); default "value".
+    #: return kind per method, read only by the interpreter's default call
+    #: semantics: "value" (ranges over the candidate domain), "void" (null),
+    #: or "loc" (fresh locations, as many cells as ``loc`` gives the call,
+    #: returning the first); default "value".  The checkers do not read it:
+    #: a pending call's return stays open for its sequential spec to give.
     returns: Mapping[str, str] = field(default_factory=dict)
     #: optional interpreter hook: (method, argvalues, ctx) -> [(labels, ret)]
     #: where labels is a tuple of Label templates (thread filled in later).
@@ -246,9 +249,6 @@ class Collection:
                 raise DuplicateMethod(
                     f"method {m} of {spec.name} clashes with {self._method_owner[m]}"
                 )
-        self._specs[spec.name] = spec
-        for m in spec.interface.methods:
-            self._method_owner[m] = spec.name
         self._check_deps(spec)
         empty = Execution(PlainExecution([], []))
         for pred_name in ("local_consistent", "local_wellformed", "global_consistent", "global_wellformed"):
@@ -257,6 +257,10 @@ class Collection:
                 raise SpecError(f"{spec.name}.{pred_name} ran out of budget on the empty execution")
             if not v:
                 raise SpecError(f"{spec.name}.{pred_name} rejects the empty execution")
+        # a spec that fails a check above is not registered
+        self._specs[spec.name] = spec
+        for m in spec.interface.methods:
+            self._method_owner[m] = spec.name
         return self
 
     def _check_deps(self, spec: LibrarySpec) -> None:

@@ -377,6 +377,9 @@ class _Runner:
                 rets = [None]
             elif kind == "loc":
                 rets = [ctx.fresh_loc()]
+                # a constructor owns as many fresh cells as ``loc`` gives it
+                for _ in range(len(iface.loc(Label(method, argv, rets[0]))) - 1):
+                    ctx.fresh_loc()
             else:
                 rets = list(ctx.domain)
             opts = [((Label(method, argv, r),), r) for r in rets]

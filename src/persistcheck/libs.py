@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc
@@ -62,33 +63,30 @@ E_TAG = "E"
 def execution_linearizable(
     x: Execution,
     spec: SequentialSpec,
-    interface: LibraryInterface,
     keep: Optional[Callable[[Label, int, bool], str]] = None,
     budget: int = 200_000,
     era_monotone: bool = False,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
-    sequential spec.  Incomplete calls of methods ``interface`` declares void
-    are completed with null only.
+    sequential spec.
 
     ``keep(label, era, is_last_era)`` returns "keep", "drop", or "optional"
     per event (default: complete events kept, incomplete optional).  Dropped
-    and optional-dropped events vanish; optional incomplete events may also
-    be completed with any value the execution mentions (an argument or a
-    return), 0 or null.  ``era_monotone`` additionally pins
-    events of earlier eras before later ones (the persisted-prefix
-    concatenation shape); plain durable linearizability erases crashes, so
-    only happens-before constrains incomplete stragglers there.
+    and optional-dropped events vanish; a placed incomplete event keeps its
+    return open (⊥), so it takes the return ``spec``'s state gives.
+    ``era_monotone`` additionally pins events of earlier eras before later
+    ones (the persisted-prefix concatenation shape); plain durable
+    linearizability erases crashes, so only happens-before constrains
+    incomplete stragglers there.
 
     One ``sc.linearize`` search over the kept and optional events decides
-    it; the budget counts candidate calls tried.
+    it; its witness lists the placed events.  The budget counts candidate
+    calls tried, one per event.
     """
     n_eras = len(x.plain.crash_events()) + 1
     era = x.plain.era_of()
     ids = [e for e in x.events if not x.lab[e].is_crash]
     labs = [x.lab[e] for e in ids]
-    returned = [l.ret for l in labs if l.ret not in (BOT, None)]
-    domain = list(dict.fromkeys([a for l in labs for a in l.args] + returned + [0, None]))
     modes = {
         e: keep(l, era[e], era[e] == n_eras - 1) if keep else "keep" if l.is_complete else "optional"
         for e, l in zip(ids, labs)
@@ -100,15 +98,9 @@ def execution_linearizable(
     options = []
     for e in members:
         l = x.lab[e]
-        rets = [l.ret] if l.is_complete else [None] if interface.returns.get(l.method) == "void" else domain
-        options.append([Call(l.method, l.args, r, l.thread, l.tags, e, e) for r in rets])
-    try:
-        lin, stats = linearize(preds, options, must, spec, budget, "linearization enumeration")
-    except BudgetExceeded as exc:
-        return Verdict.budget(exc.stats)
-    if lin is None:
-        return Verdict.fail(f"no linearization into {spec.name}", stats=stats)
-    return Verdict.ok(witness=[members[i] for i, _ in lin], stats=stats)
+        options.append([Call(l.method, l.args, l.ret, l.thread, l.tags, e, e)])
+    v = linearize(preds, options, must, spec, budget, "linearization enumeration")
+    return replace(v, witness=[members[i] for i, _ in v.witness]) if v else v
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def make_lin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget:
     def check(x: Execution) -> Verdict:
         if x.plain.crash_events():
             return Verdict.fail("crash in a Lin(S) execution")
-        return execution_linearizable(x, seq_spec, interface, budget=budget)
+        return execution_linearizable(x, seq_spec, budget=budget)
 
     return LibrarySpec(interface=interface, local_consistent=check, seq=seq_spec)
 
@@ -182,7 +174,7 @@ def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budg
     completed."""
 
     def check(x: Execution) -> Verdict:
-        return execution_linearizable(x, seq_spec, interface, budget=budget)
+        return execution_linearizable(x, seq_spec, budget=budget)
 
     return LibrarySpec(interface=interface, local_consistent=check, seq=seq_spec)
 
@@ -235,17 +227,6 @@ FLIT_METHODS = {
 }
 
 
-def _flit_call_semantics(method: str, args: Tuple, ctx):
-    if method == "fnew":
-        x = ctx.fresh_loc()
-        ctx.fresh_loc()  # the cell's flit-counter slot
-        return [((Label("fnew", (), x),), x)]
-    if method in ("fread_p", "fread_v"):
-        return [((Label(method, args, v),), v) for v in ctx.domain]
-    # writes and finish are void
-    return [((Label(method, args, None),), None)]
-
-
 def flit_interface() -> LibraryInterface:
     return LibraryInterface(
         name="flit",
@@ -262,7 +243,6 @@ def flit_interface() -> LibraryInterface:
             "fwrite_v": "void",
             "ffinish": "void",
         },
-        call_semantics=_flit_call_semantics,
     )
 
 
@@ -483,9 +463,9 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     # the restriction of a closed order to the writes is closed
     nvo = Order([row & writes if writes >> a & 1 else 0 for a, row in enumerate(chain)])
     sw_into = {r: frozenset(a for a, b in x.sw if b == r) for r in R}
-    stats = {"stage": "linearization enumeration", "nodes": 0, "memo_hits": 0}
+    stage = "linearization enumeration"
     if any(b not in R for _, b in x.sw) or not nvo.is_acyclic() or any(b in P and a not in P for (a, b) in nvo.pairs):
-        return Verdict.fail("no mirror witness (lin/nvo)", stats=stats)
+        return Verdict.fail("no mirror witness (lin/nvo)", stats={"stage": stage, "nodes": 0, "memo_hits": 0})
 
     def step(st, e):
         src, nxt = _mirror_step(lab, era, st, e)
@@ -501,14 +481,8 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
         return nxt
 
     preds = era_preds(x.hb_order.restrict(ids), [era[e] for e in ids])
-    spec = SequentialSpec("mirror", dict, step)
-    try:
-        lin = next(linearizations(preds, [[e] for e in ids], (1 << len(ids)) - 1, spec, budget, stats), None)
-    except BudgetExceeded as exc:
-        return Verdict.budget(exc.stats)
-    if lin is None:
-        return Verdict.fail("no mirror witness (lin/nvo)", stats=stats)
-    return Verdict.ok(witness={"lin": [e for _, e in lin], "nvo": sorted(nvo.pairs), "P": sorted(P)}, stats=stats)
+    v = linearize(preds, [[e] for e in ids], (1 << len(ids)) - 1, SequentialSpec("mirror", dict, step), budget, stage)
+    return replace(v, witness={"lin": [e for _, e in v.witness], "nvo": sorted(nvo.pairs), "P": sorted(P)}) if v else v
 
 
 def _mirror_step(lab: Mapping[int, Label], era: Mapping[int, int], st: dict, e: int):
@@ -1149,9 +1123,9 @@ def _s_mmcounter_step(state, c: Call):
         state[x] = (n if lo == 0 else min(lo, n), n if hi == 0 else max(hi, n))
         return state
     if c.method == "mmmin":
-        return state if c.ret == lo else None
+        return state if c.ret is BOT or c.ret == lo else None
     if c.method == "mmmax":
-        return state if c.ret == hi else None
+        return state if c.ret is BOT or c.ret == hi else None
     return None
 
 
@@ -1169,7 +1143,7 @@ def mmcounter_consistent(x: Execution, budget: int = 100_000) -> Verdict:
             return "keep" if l.is_complete else "optional"
         return "drop"
 
-    return execution_linearizable(x, S_MMCOUNTER, mmcounter_interface(), keep=keep, budget=budget, era_monotone=True)
+    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True)
 
 
 def mmcounter_spec() -> LibrarySpec:
@@ -1330,7 +1304,7 @@ def _s_mem_step(state, c: Call):
         state[c.args[0]] = c.args[1]
         return state
     if c.method == "load":
-        return state if c.ret == state.get(c.args[0], 0) else None
+        return state if c.ret is BOT or c.ret == state.get(c.args[0], 0) else None
     if c.method == "upd":
         if state.get(c.args[0], 0) != c.args[1]:
             return None
@@ -1362,7 +1336,7 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     )
 
     def check(x: Execution) -> Verdict:
-        return execution_linearizable(x, S_MEM, iface, budget=budget, era_monotone=True)
+        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True)
 
     return LibrarySpec(interface=iface, local_consistent=check)
 

@@ -11,15 +11,18 @@ spec.
 
 :func:`linearizations` is the one search over orders of events: a lazy
 generator of the sequences a spec accepts, whose budget counts candidates
-tried, and :func:`linearize` takes its first.  Linearizability of histories
-and of executions and weak-register consistency are each one such search,
-and so are Flit's and Mirror's checks (``libs``) and the Px86 write orders
-(``px86``).  A pending call is an optional event.  For the weak register
-each crash is an event too, and each durable call of a non-last era is
-offered persisted and not persisted, so one step function folds the
+tried, and :func:`linearize` turns its first into a ``Verdict``.
+Linearizability of histories and of executions and weak-register
+consistency are each one such search, and so are Flit's and Mirror's
+checks (``libs``) and the Px86 write orders (``px86``).  A pending call is
+an optional event with its return left open (⊥): the spec's step gives it
+the return its state holds, so no value domain is guessed.  For the weak
+register each crash is an event too, and each durable call of a non-last
+era is offered persisted and not persisted, so one step function folds the
 volatile and the persisted register state.  The eager
-:func:`iter_completions` is kept as the reference the tests compare
-linearizability with.
+:func:`iter_completions`, with the value domain of :func:`mentioned_values`
+and the null returns of ``VOID_METHODS``, is kept as the reference the
+tests compare linearizability with.
 """
 
 from __future__ import annotations
@@ -68,8 +71,11 @@ def happens_before(h: History) -> FrozenSet[Tuple[int, int]]:
 class SequentialSpec:
     """A recognizer over sequences, given as an initial state and a step
     function returning the next state or None (reject).  Sequences are of
-    complete calls for a library's sequential semantics; a search may step
-    other candidates (a call with its persist choice, a crash, an event id).
+    calls for a library's sequential semantics; a search may step other
+    candidates (a call with its persist choice, a crash, an event id).  A
+    call whose return is ⊥ (``BOT``, a pending call) takes the return its
+    state gives: a step accepts ⊥ wherever it would accept some return, so
+    a step that checks ``c.ret`` reads ``c.ret is BOT or c.ret == ...``.
     A rejected prefix rejects all its extensions, so step-wise evaluation
     doubles as the pruning hook of :func:`linearizations`.  States are dicts
     with hashable values, which the search memoizes, so a state must hold
@@ -106,7 +112,7 @@ def _queue_step(state, c: Call):
         return state
     if c.method == "qpop":
         expected = pushes[pops] if pops < len(pushes) else None
-        if c.ret != expected:
+        if not (c.ret is BOT or c.ret == expected):
             return None
         state[x] = (pushes, pops + (1 if expected is not None else 0), True)
         return state
@@ -128,7 +134,7 @@ def _register_step(state, c: Call):
         state[x] = c.args[1]
         return state
     if c.method == "rread":
-        return state if c.ret == state.get(x, 0) else None
+        return state if c.ret is BOT or c.ret == state.get(x, 0) else None
     return None
 
 
@@ -275,11 +281,18 @@ def linearizations(
 
 def linearize(
     preds: Sequence[int], options: Sequence[Sequence[object]], must: int, spec: SequentialSpec, budget: int, stage: str
-):
-    """The first of :func:`linearizations`: ``(lin, stats)``, the placed
-    ``(event, candidate)`` pairs or ``None``, and the search's stats."""
+) -> Verdict:
+    """The first of :func:`linearizations` as a verdict with the search's
+    stats: OK with the placed ``(event, candidate)`` pairs as witness, FAIL
+    when ``spec`` accepts no sequence, or budget-exceeded."""
     stats = {"stage": stage}
-    return next(linearizations(preds, options, must, spec, budget, stats), None), stats
+    try:
+        lin = next(linearizations(preds, options, must, spec, budget, stats), None)
+    except BudgetExceeded as e:
+        return Verdict.budget(e.stats)
+    if lin is None:
+        return Verdict.fail(f"no linearization into {spec.name}", stats=stats)
+    return Verdict.ok(witness=lin, stats=stats)
 
 
 #: The spec that accepts every sequence: with it :func:`linearizations`
@@ -287,43 +300,25 @@ def linearize(
 ANY_ORDER = SequentialSpec("any order", dict, lambda st, c: st)
 
 
-def check_linearizable(
-    h: History,
-    spec: SequentialSpec,
-    domain: Optional[Sequence] = None,
-    budget: int = 200_000,
-) -> Verdict:
+def check_linearizable(h: History, spec: SequentialSpec, budget: int = 200_000) -> Verdict:
     """Some sequentialization of h belongs to the sequential spec: one
-    :func:`linearize` search in which a pending call may be left out or placed
-    with any return (null for ``VOID_METHODS``, else a ``domain`` value).  The
-    budget counts candidate calls tried."""
+    :func:`linearize` search in which a pending call may be left out or
+    placed with its return open, so it takes the return the spec's state
+    gives (Herlihy & Wing 1990).  The witness lists the placed calls, a
+    pending one with return ⊥.  The budget counts candidate calls tried, one
+    per call."""
     if h.crash_count():
         raise ValueError("linearizability is defined on crash-free histories")
     calls = h.calls()
-    domain = list(domain) if domain is not None else mentioned_values(h)
-    options = [
-        [c] if c.is_complete else [replace(c, ret=r) for r in ([None] if c.method in VOID_METHODS else domain)]
-        for c in calls
-    ]
     must = sum(1 << i for i, c in enumerate(calls) if c.is_complete)
     preds = _returns_before_invokes(calls).preds()
-    try:
-        lin, stats = linearize(preds, options, must, spec, budget, "linearization search")
-    except BudgetExceeded as e:
-        return Verdict.budget(e.stats)
-    if lin is None:
-        return Verdict.fail(f"no sequentialization in {spec.name}", stats=stats)
-    return Verdict.ok(witness=[c for _, c in lin], stats=stats)
+    v = linearize(preds, [[c] for c in calls], must, spec, budget, "linearization search")
+    return replace(v, witness=[c for _, c in v.witness]) if v else v
 
 
-def check_durably_linearizable(
-    h: History,
-    spec: SequentialSpec,
-    domain: Optional[Sequence] = None,
-    budget: int = 200_000,
-) -> Verdict:
+def check_durably_linearizable(h: History, spec: SequentialSpec, budget: int = 200_000) -> Verdict:
     """Linearizability of ops(h): crash markers removed, completed calls kept."""
-    return check_linearizable(h.ops(), spec, domain, budget)
+    return check_linearizable(h.ops(), spec, budget)
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +413,6 @@ def _weakreg_linearize(
         if not c.is_complete and c.method != "rwrite":
             options.append([])
             continue
-        c = c if c.is_complete else replace(c, ret=None)
         if era[i] == last or c.method == "rread":
             persists = (None,)
         else:
@@ -443,12 +437,10 @@ def _weakreg_linearize(
         return st
 
     spec = SequentialSpec("weakreg k-sequentializations", dict, step)
-    try:
-        placed, stats = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search")
-    except BudgetExceeded as e:
-        return Verdict.budget(e.stats)
-    if placed is None:
-        return Verdict.fail("no k-sequentialization family exists", stats=stats)
+    v = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search")
+    if not v:
+        return v
+    placed = v.witness
     lin: List[List[int]] = [[] for _ in range(n_eras)]
     persisted: List[Set[int]] = [set() for _ in range(n_eras)]
     for i, cand in placed:
@@ -467,4 +459,4 @@ def _weakreg_linearize(
         mo=tuple(mo),
         completed_incomplete=frozenset(i for i, _ in placed if i < n and not calls[i].is_complete),
     )
-    return Verdict.ok(witness, stats=stats)
+    return replace(v, witness=witness)

@@ -114,6 +114,26 @@ def test_register_names_a_budget_verdict_on_the_empty_execution():
         Collection([px86_spec(budget=1)])
 
 
+def test_a_spec_that_fails_registration_stays_unregistered():
+    from persistcheck.px86 import px86_spec
+
+    c = Collection()
+    with pytest.raises(SpecError):
+        c.register(px86_spec(budget=1))
+    assert "px86" not in c and c.specs() == []
+    assert c.owner_of(Label("store", (1, 1), None, frozenset(), 0)) is None
+    # a good spec with the same name and methods registers next
+    c.register(px86_spec())
+    assert [s.name for s in c.specs()] == ["px86"]
+    # and so after a dependency cycle
+    coll = Collection([LibrarySpec(interface=mk_iface("X", {"x": 0}), deps=frozenset({"Y"}))])
+    with pytest.raises(SpecError):
+        coll.register(LibrarySpec(interface=mk_iface("Y", {"y": 0}), deps=frozenset({"X"})))
+    assert "Y" not in coll
+    coll.register(LibrarySpec(interface=mk_iface("Y", {"y": 0})))
+    assert [s.name for s in coll.specs()] == ["X", "Y"]
+
+
 def test_dependency_tags_checked_on_freeze():
     provider = LibrarySpec(interface=mk_iface("P", {"p": 0}, tags_in=["T"]))
     user = LibrarySpec(interface=mk_iface("U", {"u": 0}, tags_used=["T"]), deps=frozenset({"P"}))

@@ -245,6 +245,30 @@ def test_toplevel_crash_keeps_globals(lib, init, body, want):
         assert sum(1 for l in g.labels() if l.method in ("qnew", "rnew", "alloc")) <= 1
 
 
+@pytest.mark.parametrize("lib, new", [("mmcounter", "mmnew"), ("flit", "fnew")])
+def test_constructor_gets_every_cell_its_interface_names(lib, new):
+    # both constructors own two cells, so the second allocation starts at 103
+    from persistcheck.framework import check_encapsulated
+
+    deps = {"mmcounter": "ltrans", "flit": "px86"}
+    prog = parse_litmus(f"collection {lib} {deps[lib]}\nprogram\n t0: a := {new}(); b := {new}()\n").phases[0]
+    coll = Collection([builtin_spec(deps[lib]), builtin_spec(lib)])
+    complete = [(env, g) for env, g in interpret_toplevel(prog, coll, 0, CFG) if env is not None]
+    assert [env for env, _ in complete] == [{"a": 101, "b": 103}]
+    assert check_encapsulated(coll, complete[0][1])
+
+
+def test_two_counters_bind_to_their_implementation():
+    from persistcheck.libs import mmcounter_impl
+    from persistcheck.substitution import SemanticImpl, exec_bind
+
+    prog = parse_litmus("collection mmcounter ltrans\nprogram\n t0: a := mmnew(); b := mmnew()\n").phases[0]
+    coll = Collection([builtin_spec("ltrans"), builtin_spec("mmcounter")])
+    impl = SemanticImpl(mmcounter_impl(), Collection([builtin_spec("ltrans")]), CFG)
+    (g,) = [g for env, g in interpret_toplevel(prog, coll, 0, CFG) if env is not None]
+    assert exec_bind(g, impl)
+
+
 # --------------------------------------------------------------------------
 # Linking
 # --------------------------------------------------------------------------
