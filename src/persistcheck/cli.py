@@ -338,7 +338,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", action="append", default=[], help="override the collection (repeatable)")
         p.add_argument("--max-events", type=int, default=64)
         p.add_argument("--max-crashes", type=int, default=1)
-        p.add_argument("--budget", type=int, default=100_000, help="witness/search node budget")
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=100_000,
+            help=(
+                "node budget of the prefix walks, matching, lifting and the Flit and Mirror searches; "
+                "not of the Px86 witness search, which keeps at least 100,000 steps (see README)"
+            ),
+        )
         p.add_argument("--unroll", type=int, default=4, help="loop unrolling bound")
         p.add_argument("--domain", type=int, action="append", default=[], help="extra candidate values")
         p.add_argument("--json", action="store_true", help="JSON-lines report")

@@ -17,6 +17,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
@@ -355,13 +356,15 @@ def _owned_events(coll: Collection, x: Execution) -> Dict[str, List[int]]:
     return owned
 
 
-#: The decided verdicts of the open ``shared_verdicts`` scope, or None.
-_VERDICTS: ContextVar[Optional[Dict[tuple, Verdict]]] = ContextVar("persistcheck_verdicts", default=None)
+#: The decided verdicts and completed searches of the open
+#: ``shared_verdicts`` scope, or None.
+_VERDICTS: ContextVar[Optional[Dict[tuple, object]]] = ContextVar("persistcheck_verdicts", default=None)
 
 
 @contextmanager
 def shared_verdicts() -> Iterator[None]:
-    """A scope in which ``check_consistent`` keeps its decided verdicts.
+    """A scope in which ``check_consistent`` keeps its decided verdicts and
+    ``shared_search`` its completed searches.
 
     The memo holds OK and FAIL verdicts, never budget-exceeded ones, keyed
     exactly by the collection (by identity) and the execution's labels, po
@@ -379,6 +382,28 @@ def shared_verdicts() -> Iterator[None]:
         yield
     finally:
         _VERDICTS.reset(token)
+
+
+def shared_search(search: Callable[..., object], x: Execution, budget: int) -> Tuple[object, int]:
+    """``search(x, budget, stats)`` and the ``steps`` it records in ``stats``,
+    run once per exact execution inside a ``shared_verdicts`` scope.
+
+    The key is the search and the execution's labels (with tags), po rows
+    and hb rows, so the search must read nothing else of ``x`` (sw is read
+    through hb).  A kept result is reused only by a caller whose budget
+    covers the steps it took; any other caller searches again, so a search
+    that runs out of this caller's budget still raises ``BudgetExceeded``.
+    A search that raises is never kept."""
+    memo = _VERDICTS.get()
+    key = (search, tuple(x.plain.labels()), x.plain.po_order.rows, x.hb_order.rows)
+    kept = memo.get(key) if memo is not None else None
+    if kept is not None and kept[1] <= budget:
+        return kept
+    stats: Dict[str, int] = {}
+    out = search(x, budget, stats), stats["steps"]
+    if memo is not None:
+        memo[key] = out
+    return out
 
 
 def check_consistent(coll: Collection, x) -> Verdict:
@@ -427,11 +452,26 @@ def _check_consistent(coll: Collection, x) -> Verdict:
 
 class HereditaryChain:
     """Witness of hereditary consistency: executions from empty to X, plus
-    (execution mode) the event-id subsets of X each step corresponds to."""
+    (execution mode) the event-id subsets of X each step corresponds to.
 
-    def __init__(self, chain: List, subsets: Optional[List[FrozenSet[int]]] = None):
-        self.chain = chain
+    Given ``source`` (X) in place of ``chain``, the chain is X restricted to
+    each subset, built when ``chain`` is first read: callers that read only
+    ``subsets`` build nothing."""
+
+    def __init__(
+        self,
+        chain: Optional[List] = None,
+        subsets: Optional[List[FrozenSet[int]]] = None,
+        source: Optional[Execution] = None,
+    ):
+        if chain is not None:
+            self.chain = chain
         self.subsets = subsets
+        self._source = source
+
+    @cached_property
+    def chain(self) -> List:
+        return [self._source.restrict_events(s) for s in self.subsets]
 
     def __len__(self) -> int:
         return len(self.chain)
@@ -457,9 +497,9 @@ def check_hereditarily_consistent(
     That mask memo lives for this call only; the consistency verdicts of the
     prefixes are shared beyond it, with every other check of the same exact
     execution, only inside a ``shared_verdicts`` scope.  The witness is the
-    chain.  A prefix whose consistency check runs out of budget is neither
-    consistent nor refuted: unless a chain avoids it, the verdict is
-    budget-exceeded.
+    chain, given by its subsets and built only when read.  A prefix whose
+    consistency check runs out of budget is neither consistent nor refuted:
+    unless a chain avoids it, the verdict is budget-exceeded.
     """
     if isinstance(x, History):
         chain: List[History] = []
@@ -477,9 +517,6 @@ def check_hereditarily_consistent(
     explored = 0
     stalled: List[Verdict] = []
 
-    def sub(mask: int) -> Execution:
-        return x.restrict_events(bits(mask))
-
     def search(mask: int) -> Optional[List[int]]:
         nonlocal explored
         if not mask:
@@ -490,7 +527,7 @@ def check_hereditarily_consistent(
         if explored > budget:
             raise BudgetExceeded({"explored": explored})
         result: Optional[List[int]] = None
-        v = check_consistent(coll, sub(mask))
+        v = check_consistent(coll, x.restrict_events(bits(mask)))
         if v.is_budget:
             stalled.append(v)
         if v:
@@ -510,8 +547,7 @@ def check_hereditarily_consistent(
         if stalled:
             return stalled[0]
         return Verdict.fail("no consistent immediate-prefix chain", witness=None)
-    subsets = [frozenset(bits(m)) for m in masks]
-    return Verdict.ok(witness=HereditaryChain([sub(m) for m in masks], subsets))
+    return Verdict.ok(witness=HereditaryChain(subsets=[frozenset(bits(m)) for m in masks], source=x))
 
 
 # --------------------------------------------------------------------------

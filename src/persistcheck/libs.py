@@ -1267,6 +1267,8 @@ def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
     """Specs addressable by name: px86, flit, mirror, ltrans, lstrans, lock,
     durqueue, weakreg, counter, mmcounter, reg, lin:<seq>, durlin:<seq>."""
     table: Dict[str, Callable[[], LibrarySpec]] = {
+        # a Px86 step is not a walk node, and registration alone spends two
+        # steps: the floor keeps a small budget cutting the walks only
         "px86": lambda: px86_spec(budget=max(budget, 100_000)),
         "flit": lambda: flit_spec(budget),
         "mirror": lambda: mirror_spec(budget),

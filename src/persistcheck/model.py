@@ -665,8 +665,11 @@ class PlainExecution:
         return {e: sum(row >> e & 1 for row in rows) for e in self.events}
 
     def restrict_events(self, keep: Iterable[int]) -> "PlainExecution":
-        """Sub-execution on a subset of events (ids renumbered densely)."""
+        """Sub-execution on a subset of events (ids renumbered densely); the
+        execution itself when every event is kept (executions are immutable)."""
         keep_sorted = sorted(set(keep))
+        if keep_sorted == list(self.events):
+            return self
         labels = [self.lab[e] for e in keep_sorted]
         return PlainExecution(labels, self.po_order.restrict(keep_sorted))
 
@@ -876,7 +879,11 @@ class Execution:
         return len(self.plain)
 
     def restrict_events(self, keep: Iterable[int]) -> "Execution":
+        """Sub-execution on a subset of events (ids renumbered densely); the
+        execution itself when every event is kept."""
         keep_sorted = sorted(set(keep))
+        if keep_sorted == list(self.events):
+            return self
         idx = {old: new for new, old in enumerate(keep_sorted)}
         sub = self.plain.restrict_events(keep_sorted)
         sw = [(idx[a], idx[b]) for a, b in self.sw if a in idx and b in idx]
@@ -894,13 +901,15 @@ def immediate_prefixes_execution(x: Execution) -> List[Execution]:
 
 
 def restrict(x: Execution, owns: Callable[[Label], bool]) -> Execution:
-    """Events labelled with the library's methods, crashes kept; relations cut."""
+    """Events labelled with the library's methods, crashes kept; relations
+    cut.  ``x`` itself when it keeps every event."""
     keep = [e for e in x.events if x.lab[e].is_crash or owns(x.lab[e])]
     return x.restrict_events(keep)
 
 
 def anonymize(owns: Callable[[Label], bool], x: Execution) -> Execution:
-    """Replace foreign tagged calls by ⋆ labels; drop untagged foreign calls."""
+    """Replace foreign tagged calls by ⋆ labels; drop untagged foreign calls.
+    ``x`` itself when it has no foreign call."""
     keep: List[int] = []
     relabel: Dict[int, Label] = {}
     for e in x.events:
@@ -910,6 +919,8 @@ def anonymize(owns: Callable[[Label], bool], x: Execution) -> Execution:
         elif l.tags:
             keep.append(e)
             relabel[e] = star(l.tags, l.thread)
+    if len(keep) == len(x) and not relabel:
+        return x
     keep_sorted = sorted(keep)
     idx = {old: new for new, old in enumerate(keep_sorted)}
     labels = [relabel.get(e, x.lab[e]) for e in keep_sorted]

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, cell_loc
+from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, cell_loc, shared_search
 from .model import (
     BOT,
     Execution,
@@ -373,7 +373,12 @@ def _against_eras(ds: DerivedSets, rows: Sequence[int]) -> bool:
 
 def check_px86_axioms(x: Execution, w: Px86Witness) -> Dict[str, Verdict]:
     """Evaluate each axiom for a given witness; counterexample edge in the
-    failure reason."""
+    failure reason.
+
+    A report of the axioms, not a validity check of the witness: it does not
+    check that rf is total and functional on reads and matches their values,
+    nor that tso is total on writes.  On ``store(1, 1); load(1, 7)``, which
+    has no witness, the witness with rf = ∅ passes every entry."""
     ds = derive_sets(x)
     po = x.plain.po_order.rows
     # the witness's relations as rows, not closed
@@ -424,8 +429,15 @@ def _read_candidates(x: Execution, ds: DerivedSets) -> Optional[Dict[int, List[i
     return cands
 
 
-def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Witness]:
-    """Deterministic backtracking search for a consistent witness."""
+def search_px86_witness(
+    x: Execution, budget: int = 200_000, stats: Optional[Dict[str, int]] = None
+) -> Optional[Px86Witness]:
+    """Deterministic backtracking search for a consistent witness.  Each
+    reads-from choice and each write order tried is one step; ``stats``, if
+    given, receives the ``steps`` spent.  The search reads the execution's
+    labels, po and hb, never sw on its own."""
+    meter = {} if stats is None else stats
+    meter["steps"] = 0
     ds = derive_sets(x)
     era = x.plain.era_of()
     po = x.plain.po_order.rows
@@ -443,12 +455,11 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
     forced = Order.close_rows(_forced_tso(x, ds))
     forced_p = _forced_persists(x, ds)
     all_wu = (1 << len(wu)) - 1
-    steps = [0]
 
     def spend(n: int = 1):
-        steps[0] += n
-        if steps[0] > budget:
-            raise BudgetExceeded({"steps": steps[0]})
+        meter["steps"] += n
+        if meter["steps"] > budget:
+            raise BudgetExceeded({"steps": meter["steps"]})
 
     for rf_combo in itertools.product(*(cands[r] for r in reads)):
         spend()
@@ -493,21 +504,27 @@ def search_px86_witness(x: Execution, budget: int = 200_000) -> Optional[Px86Wit
 
 
 def px86_consistent(x: Execution, budget: int = 200_000) -> Verdict:
+    """Whether a witness exists.  The search runs once per exact execution
+    inside a ``shared_verdicts`` scope, shared with the sw hook; an OK or
+    FAIL verdict's stats name the stage and the steps of that search."""
     try:
-        w = search_px86_witness(x, budget)
+        w, steps = shared_search(search_px86_witness, x, budget)
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
+    stats = {"stage": "px86 witness search", "steps": steps}
     if w is None:
-        return Verdict.fail("no px86 witness (rf/tso/nvo/P) exists")
-    return Verdict.ok(witness=w)
+        return Verdict.fail("no px86 witness (rf/tso/nvo/P) exists", stats=stats)
+    return Verdict.ok(witness=w, stats=stats)
 
 
 def _px86_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate synchronizes-with sets: none, or the cross-thread reads-from
-    edges of the first witness."""
+    edges of the first witness.  The search is capped at 20,000 steps; the
+    sw-free refinement's consistency check reuses it when its own budget
+    covers the steps taken."""
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     try:
-        w = search_px86_witness(Execution(g), budget=20_000)
+        w, _ = shared_search(search_px86_witness, Execution(g), 20_000)
     except (BudgetExceeded, ValueError):
         return out
     if w is not None:

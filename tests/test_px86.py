@@ -342,6 +342,15 @@ def test_budget_exceeded():
     assert v.is_budget
 
 
+def test_axiom_report_is_not_a_validity_check():
+    # the load reads a value nothing writes, so no witness exists, yet the
+    # witness with no reads-from edge passes every axiom of the report
+    x = Execution(sequence_execution([store(X, 1, thread=0), load(X, 7, thread=0)]))
+    assert search_px86_witness(x) is None
+    empty = Px86Witness(frozenset(), frozenset(), frozenset(), frozenset())
+    assert all(check_px86_axioms(x, empty).values())
+
+
 def test_a7_reverified_on_found_witnesses():
     threads = [[store(X, 1, thread=0), load(Y, 1, thread=0)], [store(Y, 1, thread=1), load(X, 1, thread=1)]]
     x = build_execution(threads)
