@@ -208,6 +208,10 @@ class LibrarySpec:
     proposes extra event taggings (e.g. persisted-set markers), applied to
     the whole execution so local and global predicates see one joint choice.
 
+    The checkers never call a predicate or ``sw_candidates`` left at its
+    default, so the restriction or anonymization it would read is never
+    built (``Collection.register`` still tries each on the empty execution).
+
     ``seq`` is the library's sequential spec, or ``None``.  Setting it states
     a contract that prefix pruning (``libs.sc_prune_factory``) relies on:
     each object (calls with one ``interface.locations``) accepts the calls
@@ -427,26 +431,28 @@ def check_consistent(coll: Collection, x) -> Verdict:
 
 
 def _check_consistent(coll: Collection, x) -> Verdict:
-    """``check_consistent`` without the shared verdicts."""
+    """``check_consistent`` without the shared verdicts.  Each library's
+    restriction is cut from the one owner pass; a predicate left at its
+    default is not called, so its projection is not built."""
     x = _as_execution(x)
     if x.is_empty():
         return Verdict.ok()
     owned = _owned_events(coll, x)
-    crashes = {e for e in x.events if x.lab[e].is_crash}
+    owner = {e: name for name, evs in owned.items() for e in evs}
     for a, b in x.sw:
-        if a in crashes or b in crashes:
-            continue
-        if not any(a in set(evs) and b in set(evs) for evs in owned.values()):
+        # a crash has no owner: its edges span no library
+        if a in owner and b in owner and owner[a] != owner[b]:
             return Verdict.fail(f"sw edge ({a},{b}) spans two libraries")
+    crashes = [e for e in x.events if x.lab[e].is_crash]
     for spec in coll.specs():
-        rx = restrict(x, spec.interface.owns)
-        v = spec.local_consistent(rx)
-        if not v:
-            return Verdict(v.status, f"{spec.name}.consistent: {v.reason}", v.witness, v.stats)
-        ax = anonymize(spec.interface.owns, x)
-        v = spec.global_consistent(ax)
-        if not v:
-            return Verdict(v.status, f"{spec.name}.global_consistent: {v.reason}", v.witness, v.stats)
+        if spec.local_consistent is not _always_ok:
+            v = spec.local_consistent(x.restrict_events(owned[spec.name] + crashes))
+            if not v:
+                return Verdict(v.status, f"{spec.name}.consistent: {v.reason}", v.witness, v.stats)
+        if spec.global_consistent is not _always_ok:
+            v = spec.global_consistent(anonymize(spec.interface.owns, x))
+            if not v:
+                return Verdict(v.status, f"{spec.name}.global_consistent: {v.reason}", v.witness, v.stats)
     return Verdict.ok()
 
 
@@ -583,13 +589,15 @@ def check_immediately_wellformed(coll: Collection, x) -> Verdict:
     if not check_encapsulated(coll, x):
         return Verdict.fail("not encapsulated")
     for spec in coll.specs():
-        rx = restrict(x, spec.interface.owns)
-        v = spec.local_wellformed(rx)
+        if spec.local_wellformed is _always_ok:
+            continue
+        v = spec.local_wellformed(restrict(x, spec.interface.owns))
         if not v:
             return Verdict(v.status, f"{spec.name}.wellformed: {v.reason}", v.witness, v.stats)
     for spec in coll.tagdep():
-        ax = anonymize(spec.interface.owns, x)
-        v = spec.global_wellformed(ax)
+        if spec.global_wellformed is _always_ok:
+            continue
+        v = spec.global_wellformed(anonymize(spec.interface.owns, x))
         if not v:
             return Verdict(v.status, f"{spec.name}.global_wellformed: {v.reason}", v.witness, v.stats)
     return Verdict.ok()

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .framework import BudgetExceeded, Collection, UnknownMethod, shared_verdicts
+from .framework import BudgetExceeded, Collection, UnknownMethod, _default_sw_hook, shared_verdicts
 from .model import BOT, CRASH, Execution, Label, PlainExecution, parallel_execution, seq_compose, sequence_execution
 
 
@@ -868,6 +868,8 @@ def candidate_sw_sets(coll: Collection, g: PlainExecution) -> List[FrozenSet[Tup
     """Compose the per-library witness hooks into candidate sw sets for g."""
     per_lib: List[List[FrozenSet[Tuple[int, int]]]] = []
     for spec in coll.specs():
+        if spec.sw_candidates is _default_sw_hook:
+            continue  # its [∅] is the unit of the union product below
         keep = sorted(
             e for e in g.events if g.lab[e].is_crash or spec.interface.owns(g.lab[e])
         )

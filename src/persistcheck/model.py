@@ -887,7 +887,8 @@ class Execution:
         idx = {old: new for new, old in enumerate(keep_sorted)}
         sub = self.plain.restrict_events(keep_sorted)
         sw = [(idx[a], idx[b]) for a, b in self.sw if a in idx and b in idx]
-        return Execution(sub, sw, self.hb_order.restrict(keep_sorted))
+        hb = sub.po_order if self.hb_order is self.plain.po_order else self.hb_order.restrict(keep_sorted)
+        return Execution(sub, sw, hb)
 
     def __repr__(self) -> str:
         return (
@@ -925,9 +926,8 @@ def anonymize(owns: Callable[[Label], bool], x: Execution) -> Execution:
     idx = {old: new for new, old in enumerate(keep_sorted)}
     labels = [relabel.get(e, x.lab[e]) for e in keep_sorted]
     sw = [(idx[a], idx[b]) for a, b in x.sw if a in idx and b in idx]
-    # Anonymization may break the incomplete-call invariant of the underlying
-    # plain execution (a dropped crash cannot happen: crashes are kept), so
-    # the plain execution is rebuilt directly.
+    # Crashes are kept and ⋆ labels are complete, so an incomplete call keeps
+    # only crashes as immediate successors: the constructors cannot reject it.
     plain = PlainExecution(labels, x.plain.po_order.restrict(keep_sorted))
     return Execution(plain, sw, x.hb_order.restrict(keep_sorted))
 
