@@ -10,8 +10,8 @@ Exit codes: 0 all expectations met, 1 expectation failed or counterexample
 found, 2 usage or parse error, 3 no expectation failed (no counterexample
 found) but some search ran out of budget before a verdict (``UNKNOWN`` in
 ``check``, summary ``unknown`` in ``verify-impl``).  Reports are
-deterministic, whatever the hash seed.  ``--seed`` is accepted, but no
-subcommand reads it: the corpora are fixed files.
+deterministic, whatever the hash seed.  Each subcommand parses only the
+flags it reads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,12 +56,13 @@ class RunConfig:
     json_out: bool = False
     dot_path: Optional[str] = None
     manifest: Optional[str] = None
-    seed: int = 0  # read by no subcommand
 
     def __post_init__(self):
         for name, v in (("budget", self.budget), ("unroll", self.unroll), ("max_events", self.max_events)):
             if v <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_crashes < 0:
+            raise ValueError("max_crashes must not be negative")
 
 
 def _collection_for(names: Sequence[str], budget: int) -> Collection:
@@ -264,7 +265,7 @@ def _weakreg_history(pfence: bool) -> History:
     return History(pre + [CRASH_EV] + post)
 
 
-def cmd_worked_examples(cfg: RunConfig) -> int:
+def cmd_worked_examples() -> int:
     from .libs import (
         ltrans_global_consistent,
         ltrans_global_wellformed,
@@ -334,10 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--model", action="append", default=[], help="override the collection (repeatable)")
-        p.add_argument("--max-events", type=int, default=64)
-        p.add_argument("--max-crashes", type=int, default=1)
+    def search_flags(p):
         p.add_argument(
             "--budget",
             type=int,
@@ -349,40 +347,35 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--unroll", type=int, default=4, help="loop unrolling bound")
         p.add_argument("--domain", type=int, action="append", default=[], help="extra candidate values")
-        p.add_argument("--json", action="store_true", help="JSON-lines report")
-        p.add_argument("--dot", default=None, help="write a DOT dump of the consistent execution justifying the first outcome")
-        p.add_argument("--manifest", default=None, help="JSON registry manifest (spec names, budgets, domain)")
-        p.add_argument("--seed", type=int, default=0, help="accepted but read by no subcommand; no output depends on it")
 
     pc = sub.add_parser("check", help="check a litmus file against its expectations")
     pc.add_argument("file")
-    common(pc)
+    pc.add_argument("--model", dest="models", action="append", default=[], help="override the collection (repeatable)")
+    search_flags(pc)
+    pc.add_argument("--json", dest="json_out", action="store_true", help="JSON-lines report")
+    pc.add_argument(
+        "--dot", dest="dot_path", default=None, help="write a DOT dump of the consistent execution justifying the first outcome"
+    )
+    pc.add_argument("--manifest", default=None, help="JSON registry manifest (spec names, budgets, domain)")
 
     pv = sub.add_parser("verify-impl", help="bounded implementation verification over a corpus")
     pv.add_argument("impl", help="built-in implementation name or file")
     pv.add_argument("spec", help="abstract (implemented) library spec name")
     pv.add_argument("--over", required=True, help="comma-separated low-level collection")
     pv.add_argument("--corpus", default=None, help="directory of abstract .lit programs")
-    common(pv)
+    pv.add_argument("--max-events", type=int, default=64, help="largest corpus execution verified")
+    pv.add_argument("--max-crashes", type=int, default=1, help="crashes added to each single-phase corpus program")
+    search_flags(pv)
 
-    pp = sub.add_parser("worked-examples", help="reproduce the classic worked examples")
-    common(pp)
+    sub.add_parser("worked-examples", help="reproduce the classic worked examples")
     return ap
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        models=tuple(args.model),
-        max_events=args.max_events,
-        max_crashes=args.max_crashes,
-        budget=args.budget,
-        unroll=args.unroll,
-        domain=tuple(args.domain),
-        json_out=args.json,
-        dot_path=args.dot,
-        manifest=args.manifest,
-        seed=args.seed,
-    )
+    """The ``RunConfig`` of the flags the subcommand parsed; the others keep
+    their defaults."""
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in names})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -402,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         over = [s.strip() for s in args.over.split(",") if s.strip()]
         return cmd_verify_impl(args.impl, args.spec, over, args.corpus, cfg)
     if args.command == "worked-examples":
-        return cmd_worked_examples(cfg)
+        return cmd_worked_examples()
     return 2
 
 

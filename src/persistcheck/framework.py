@@ -124,11 +124,13 @@ class LibraryInterface:
     #: return kind per method, read only by the interpreter's default call
     #: semantics: "value" (ranges over the candidate domain), "void" (null),
     #: or "loc" (fresh locations, as many cells as ``loc`` gives the call,
-    #: returning the first); default "value".  The checkers do not read it:
-    #: a pending call's return stays open for its sequential spec to give.
+    #: returning the first); a method it leaves out takes the default,
+    #: "value".  The checkers do not read it: a pending call's return stays
+    #: open for its sequential spec to give.
     returns: Mapping[str, str] = field(default_factory=dict)
     #: optional interpreter hook: (method, argvalues, ctx) -> [(labels, ret)]
-    #: where labels is a tuple of Label templates (thread filled in later).
+    #: where labels is a tuple of Label templates (thread filled in later),
+    #: or None for the default call semantics that ``returns`` gives.
     call_semantics: Optional[Callable] = None
     #: optional value flow: label -> (read, write), each a ``(loc, value)``
     #: pair or ``None``; a read value of ``BOT`` leaves the value open.
@@ -309,16 +311,14 @@ class Collection:
     def __contains__(self, name: str) -> bool:
         return name in self._specs
 
+    def library_of(self, method: str) -> Optional[LibrarySpec]:
+        """The library declaring ``method`` by name, whatever the arity."""
+        name = self._method_owner.get(method)
+        return None if name is None else self._specs[name]
+
     def owner_of(self, label: Label) -> Optional[LibrarySpec]:
-        if label.is_crash:
-            return None
-        if label.method == "⋆":
-            return None
-        name = self._method_owner.get(label.method)
-        if name is None:
-            return None
-        spec = self._specs[name]
-        return spec if spec.interface.owns(label) else None
+        spec = None if label.is_crash or label.method == "⋆" else self.library_of(label.method)
+        return spec if spec is not None and spec.interface.owns(label) else None
 
     def decorate(self, label: Label) -> Label:
         """Attach interface tags; unknown labels pass through unchanged."""

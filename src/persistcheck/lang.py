@@ -360,18 +360,13 @@ class _Runner:
         self.produced = 0
 
     def call_options(self, method: str, argv: Tuple, loc: int):
-        spec = None
-        for s in self.coll.specs():
-            if method in s.interface.methods:
-                spec = s
-                break
+        spec = self.coll.library_of(method)
         if spec is None:
             raise UnknownMethod(f"method {method} not in the declared collection")
         iface = spec.interface
         ctx = CallCtx(self.domain, loc)
-        if iface.call_semantics is not None:
-            opts = iface.call_semantics(method, argv, ctx)
-        else:
+        opts = iface.call_semantics(method, argv, ctx) if iface.call_semantics is not None else None
+        if opts is None:
             kind = iface.returns.get(method, "value")
             if kind == "void":
                 rets = [None]

@@ -24,15 +24,15 @@ from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec
 from .lang import CallCmd, Return, Seq, SyntacticImpl, parse_statements, rewrite
 from .model import (
     BOT,
-    Call,
     Execution,
     Label,
     Order,
     PlainExecution,
 )
-from .px86 import P_TAG, px86_spec
+from .px86 import P_TAG, px86_interface, px86_spec
 from .sc import (
     ANY_ORDER,
+    CallLike,
     PFENCE,
     QUEUE_METHODS,
     S_QUEUE,
@@ -95,11 +95,7 @@ def execution_linearizable(
     must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
     hb = x.hb_order.restrict(members)
     preds = era_preds(hb, [era[e] for e in members]) if era_monotone else hb.preds()
-    options = []
-    for e in members:
-        l = x.lab[e]
-        options.append([Call(l.method, l.args, l.ret, l.thread, l.tags, e, e)])
-    v = linearize(preds, options, must, spec, budget, "linearization enumeration")
+    v = linearize(preds, [[x.lab[e]] for e in members], must, spec, budget, "linearization enumeration")
     return replace(v, witness=[members[i] for i, _ in v.witness]) if v else v
 
 
@@ -140,10 +136,8 @@ def queue_interface(name: str = "durqueue") -> LibraryInterface:
     )
 
 
-def _normalize_queue_call(c: Call) -> Call:
-    if c.method == "qappend":
-        return Call("qpush", c.args, c.ret, c.thread, c.tags, c.inv_index, c.ret_index)
-    return c
+def _normalize_queue_call(c: CallLike) -> CallLike:
+    return replace(c, method="qpush") if c.method == "qappend" else c
 
 
 S_QUEUE_ALIASED = SequentialSpec(
@@ -183,9 +177,9 @@ def durqueue_spec(budget: int = 200_000) -> LibrarySpec:
     return make_durlin_spec(S_QUEUE_ALIASED, queue_interface(), budget=budget)
 
 
-def _register_iface(name: str = "reg") -> LibraryInterface:
+def _register_iface() -> LibraryInterface:
     return LibraryInterface(
-        name=name,
+        name="reg",
         methods={"regnew": 0, "regwrite": 2, "regread": 1},
         constructors=frozenset({"regnew"}),
         loc=cell_loc("regnew", ("regwrite", "regread")),
@@ -193,11 +187,9 @@ def _register_iface(name: str = "reg") -> LibraryInterface:
     )
 
 
-def _reg_call(c: Call) -> Call:
+def _reg_call(c: CallLike) -> CallLike:
     table = {"regnew": "rnew", "regwrite": "rwrite", "regread": "rread"}
-    if c.method in table:
-        return Call(table[c.method], c.args, c.ret, c.thread, c.tags, c.inv_index, c.ret_index)
-    return c
+    return replace(c, method=table[c.method]) if c.method in table else c
 
 
 S_REG_ABSTRACT = SequentialSpec(
@@ -206,11 +198,11 @@ S_REG_ABSTRACT = SequentialSpec(
 
 
 def reg_lin_spec() -> LibrarySpec:
-    return make_lin_spec(S_REG_ABSTRACT, _register_iface("reg"))
+    return make_lin_spec(S_REG_ABSTRACT, _register_iface())
 
 
 def reg_durlin_spec() -> LibrarySpec:
-    return make_durlin_spec(S_REG_ABSTRACT, _register_iface("reg"))
+    return make_durlin_spec(S_REG_ABSTRACT, _register_iface())
 
 
 # --------------------------------------------------------------------------
@@ -398,17 +390,11 @@ MIRROR_K = 16
 
 
 def _mirror_call_semantics(method: str, args: Tuple, ctx):
-    if method == "mnew":
-        x = ctx.fresh_loc()
-        ctx.fresh_loc()
-        return [((Label("mnew", (), x),), x)]
-    if method == "mrd":
-        return [((Label("mrd", args, v),), v) for v in ctx.domain]
-    if method == "mwr":
-        return [((Label("mwr", args, None),), None)]
+    # a cas succeeds (1) or fails (0), whatever the domain; every other call
+    # takes the default that ``returns`` gives (None)
     if method == "mcas":
         return [((Label("mcas", args, r),), r) for r in (1, 0)]
-    raise ValueError(method)
+    return None
 
 
 def mirror_interface() -> LibraryInterface:
@@ -419,7 +405,7 @@ def mirror_interface() -> LibraryInterface:
         loc=cell_loc("mnew", ("mrd", "mwr", "mcas"), 2),
         tags_used=frozenset({P_TAG}),
         method_tags={m: frozenset({"D"}) for m in ("mwr", "mcas", "mnew")},
-        returns={"mnew": "loc", "mrd": "value", "mwr": "void", "mcas": "value"},
+        returns={"mnew": "loc", "mrd": "value", "mwr": "void"},
         call_semantics=_mirror_call_semantics,
     )
 
@@ -617,9 +603,9 @@ LTRANS_METHODS = {
 }
 
 
-def ltrans_interface(name: str = "ltrans", begin: str = "pt_begin", end: str = "pt_end") -> LibraryInterface:
+def ltrans_interface() -> LibraryInterface:
     return LibraryInterface(
-        name=name,
+        name="ltrans",
         methods=LTRANS_METHODS,
         constructors=frozenset({"pt_new"}),
         loc=cell_loc("pt_new", ("pt_read", "pt_write")),
@@ -627,8 +613,8 @@ def ltrans_interface(name: str = "ltrans", begin: str = "pt_begin", end: str = "
         method_tags={
             "pt_read": frozenset({T_TAG}),
             "pt_write": frozenset({T_TAG}),
-            begin: frozenset({B_TAG}),
-            end: frozenset({E_TAG}),
+            "pt_begin": frozenset({B_TAG}),
+            "pt_end": frozenset({E_TAG}),
         },
         returns={
             "pt_new": "loc",
@@ -1110,7 +1096,7 @@ def mmcounter_interface() -> LibraryInterface:
     )
 
 
-def _s_mmcounter_step(state, c: Call):
+def _s_mmcounter_step(state, c: CallLike):
     # state: loc -> (min, max); empty = (0, 0); positive values only
     state = dict(state)
     if c.method == "mmnew":
@@ -1230,9 +1216,8 @@ def sc_prune_factory():
             if spec is None or spec.seq is None or not l.is_complete:
                 return None, states
             obj = (spec.name, spec.interface.locations(l))
-            call = Call(l.method, l.args, l.ret, l.thread, l.tags, 0, 0)
             before = states[obj] if obj in states else start(obj).values()
-            return obj, {**states, obj: [t for t in (spec.seq.step(s, call) for s in before) if t is not None]}
+            return obj, {**states, obj: [t for t in (spec.seq.step(s, l) for s in before) if t is not None]}
 
         for it in earlier:
             reached: Dict[Tuple, Dict[str, object]] = {}
@@ -1265,7 +1250,7 @@ def sc_prune_factory():
 
 def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
     """Specs addressable by name: px86, flit, mirror, ltrans, lstrans, lock,
-    durqueue, weakreg, counter, mmcounter, reg, lin:<seq>, durlin:<seq>."""
+    durqueue, weakreg, counter, mmcounter, reg, scmem, lin:<seq>, durlin:<seq>."""
     table: Dict[str, Callable[[], LibrarySpec]] = {
         # a Px86 step is not a walk node, and registration alone spends two
         # steps: the floor keeps a small budget cutting the walks only
@@ -1295,7 +1280,7 @@ def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
     raise KeyError(f"unknown spec {name}")
 
 
-def _s_mem_step(state, c: Call):
+def _s_mem_step(state, c: CallLike):
     # sequentially consistent flat memory over the px86 method names;
     # fences and flushes are no-ops
     state = dict(state)
@@ -1323,19 +1308,8 @@ S_MEM = SequentialSpec("scmem", dict, _s_mem_step)
 def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     """The px86 interface under interleaving (SC) semantics: a reference
     point for litmus comparisons (the weak outcomes disappear)."""
-    from .px86 import px86_interface
-
-    iface = px86_interface()
     # no value_flow: under SC a load of a location nothing wrote returns 0
-    iface = LibraryInterface(
-        name="scmem",
-        methods=iface.methods,
-        constructors=iface.constructors,
-        loc=iface.loc,
-        method_tags=iface.method_tags,
-        returns=iface.returns,
-        call_semantics=iface.call_semantics,
-    )
+    iface = replace(px86_interface(), name="scmem", tags_introduced=frozenset(), value_flow=None)
 
     def check(x: Execution) -> Verdict:
         return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True)

@@ -104,24 +104,13 @@ def alloc(x: int, thread: int = 0) -> Label:
 _px86_loc = cell_loc("alloc", ("store", "load", "upd", "flush", "fo"))
 
 
-def px86_call_semantics(method: str, args: Tuple, ctx) -> List[Tuple[Tuple[Label, ...], object]]:
-    """Interpreter hook: load returns range over the domain, allocation emits
-    a zero-initializing store, and the derived RMW forms faa/cas expand into
-    update (or failed-read) labels."""
-    if method == "store":
-        return [((store(args[0], args[1]),), None)]
-    if method == "load":
-        return [((load(args[0], v),), v) for v in ctx.domain]
+def px86_call_semantics(method: str, args: Tuple, ctx) -> Optional[List[Tuple[Tuple[Label, ...], object]]]:
+    """Interpreter hook for the calls ``returns`` cannot state: an update
+    returns the value it reads, allocation emits a zero-initializing store,
+    and the derived RMW forms faa/cas expand into update (or failed-read)
+    labels.  Every other call takes the default (None)."""
     if method == "upd":
         return [((upd(args[0], args[1], args[2]),), args[1])]
-    if method == "flush":
-        return [((flush(args[0]),), None)]
-    if method == "fo":
-        return [((fo(args[0]),), None)]
-    if method == "mfence":
-        return [((mfence(),), None)]
-    if method == "sfence":
-        return [((sfence(),), None)]
     if method == "alloc":
         x = ctx.fresh_loc()
         return [((alloc(x), store(x, 0)), x)]
@@ -141,7 +130,7 @@ def px86_call_semantics(method: str, args: Tuple, ctx) -> List[Tuple[Tuple[Label
             if v != exp
         ]
         return succeed + fail
-    raise ValueError(f"unknown px86 method {method}")
+    return None
 
 
 def px86_interface() -> LibraryInterface:
@@ -161,7 +150,6 @@ def px86_interface() -> LibraryInterface:
             "fo": "void",
             "mfence": "void",
             "sfence": "void",
-            "alloc": "loc",
         },
         call_semantics=px86_call_semantics,
         value_flow=px86_value_flow,

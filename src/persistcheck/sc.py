@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .framework import BudgetExceeded, Verdict
-from .model import BOT, CRASH, Call, CrashEv, History, Inv, Order, Ret
+from .model import BOT, CRASH, Call, CrashEv, History, Inv, Label, Order, Ret
 
 PFENCE = "pfence"
 
@@ -67,15 +67,23 @@ def happens_before(h: History) -> FrozenSet[Tuple[int, int]]:
 # --------------------------------------------------------------------------
 
 
+#: What a sequential step reads ``method``, ``args``, ``ret`` and
+#: ``is_complete`` of.
+CallLike = Union[Call, Label]
+
+
 @dataclass(frozen=True)
 class SequentialSpec:
     """A recognizer over sequences, given as an initial state and a step
     function returning the next state or None (reject).  Sequences are of
-    calls for a library's sequential semantics; a search may step other
-    candidates (a call with its persist choice, a crash, an event id).  A
-    call whose return is ⊥ (``BOT``, a pending call) takes the return its
-    state gives: a step accepts ⊥ wherever it would accept some return, so
-    a step that checks ``c.ret`` reads ``c.ret is BOT or c.ret == ...``.
+    calls for a library's sequential semantics: a step reads only the
+    ``method``, ``args`` and ``ret`` (and ``is_complete``) of a history
+    ``Call`` or an execution ``Label``, so both are stepped as they are.  A
+    search may step other candidates (a call with its persist choice, a
+    crash, an event id).  A call whose return is ⊥ (``BOT``, a pending call)
+    takes the return its state gives: a step accepts ⊥ wherever it would
+    accept some return, so a step that checks ``c.ret`` reads
+    ``c.ret is BOT or c.ret == ...``.
     A rejected prefix rejects all its extensions, so step-wise evaluation
     doubles as the pruning hook of :func:`linearizations`.  States are dicts
     with hashable values, which the search memoizes, so a state must hold
@@ -83,9 +91,9 @@ class SequentialSpec:
 
     name: str
     init: Callable[[], object]
-    step: Callable[[object, Call], Optional[object]]
+    step: Callable[[object, CallLike], Optional[object]]
 
-    def accepts(self, seq: Iterable[Call]) -> bool:
+    def accepts(self, seq: Iterable[CallLike]) -> bool:
         st = self.init()
         for c in seq:
             st = self.step(st, c)
@@ -94,7 +102,7 @@ class SequentialSpec:
         return True
 
 
-def _queue_step(state, c: Call):
+def _queue_step(state, c: CallLike):
     # state: loc -> (pushes tuple, pop_count, seen_new)
     state = dict(state)
     if c.method == "qnew":
@@ -122,7 +130,7 @@ def _queue_step(state, c: Call):
 S_QUEUE = SequentialSpec("queue", dict, _queue_step)
 
 
-def _register_step(state, c: Call):
+def _register_step(state, c: CallLike):
     state = dict(state)
     if c.method == "rnew":
         state[c.ret] = 0
@@ -145,11 +153,11 @@ S_WEAKREG = SequentialSpec("weakreg", dict, _register_step)
 S_REGISTER = SequentialSpec("register", dict, _register_step)
 
 
-def s_queue(seq: Sequence[Call]) -> bool:
+def s_queue(seq: Sequence[CallLike]) -> bool:
     return S_QUEUE.accepts(seq)
 
 
-def s_weakreg(seq: Sequence[Call]) -> bool:
+def s_weakreg(seq: Sequence[CallLike]) -> bool:
     return S_WEAKREG.accepts(seq)
 
 
@@ -379,25 +387,22 @@ def weakreg_consistent_execution(x, with_pfence: bool = False, budget: int = 500
     """Weak-register consistency of a single-event-call execution (crash
     events delimit eras; hb is the execution's primitive happens-before)."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    idx = {e: i for i, e in enumerate(ids)}
-    calls = []
-    for e in ids:
-        l = x.lab[e]
-        calls.append(Call(l.method, l.args, l.ret, l.thread, l.tags, idx[e], None if l.ret is BOT else idx[e]))
     era_of = x.plain.era_of()
     n_eras = len(x.plain.crash_events()) + 1
-    return _weakreg_linearize(calls, [era_of[e] for e in ids], n_eras, x.hb_order.restrict(ids), with_pfence, budget)
+    labels = [x.lab[e] for e in ids]
+    return _weakreg_linearize(labels, [era_of[e] for e in ids], n_eras, x.hb_order.restrict(ids), with_pfence, budget)
 
 
 def _weakreg_linearize(
-    calls: List[Call], era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int
+    calls: Sequence, era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int
 ) -> Verdict:
-    """One :func:`linearize` search over the calls ``0..n-1`` and the crash
-    events, ``n+k`` ending era ``k``.  A candidate is a call with its persist
-    choice (``None`` in the last era and for reads).  A state maps each
-    location to its (volatile, persisted) value, and ``PFENCE`` to whether
-    this era holds an unpersisted write; a crash makes the persisted values
-    volatile.  Failed (placed mask, state) pairs are memoized."""
+    """One :func:`linearize` search over the calls ``0..n-1`` (history
+    ``Call``s or execution ``Label``s) and the crash events, ``n+k`` ending
+    era ``k``.  A candidate is a call with its persist choice (``None`` in
+    the last era and for reads).  A state maps each location to its
+    (volatile, persisted) value, and ``PFENCE`` to whether this era holds an
+    unpersisted write; a crash makes the persisted values volatile.  Failed
+    (placed mask, state) pairs are memoized."""
     for c in calls:
         if c.method not in WEAKREG_METHODS:
             raise ValueError(f"not a weak-register call: {c!r}")

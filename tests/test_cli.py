@@ -335,3 +335,30 @@ expect inconsistent outcome r1=7
 """
     )
     assert run_cli(["check", str(f)]) == 0
+
+
+def test_negative_max_crashes_exit_two(capsys):
+    # a negative bound used to drop every single-phase corpus file silently
+    args = ["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(LITMUS / "flit"), "--max-crashes", "-1"]
+    assert run_cli(args) == 2
+    assert "max_crashes" in capsys.readouterr().err
+
+
+def test_each_subcommand_parses_only_the_flags_it_reads(capsys):
+    sb = str(LITMUS / "sb.lit")
+    verify = ["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(LITMUS / "flit")]
+    rejected = [
+        ["worked-examples", "--budget", "5"],
+        ["worked-examples", "--json"],
+        ["check", sb, "--max-events", "5"],
+        ["check", sb, "--max-crashes", "0"],
+        verify + ["--model", "px86"],
+        verify + ["--dot", "x.dot"],
+        verify + ["--manifest", "m.json"],
+        verify + ["--json"],
+        ["check", sb, "--seed", "1"],
+        verify + ["--seed", "1"],
+    ]
+    for args in rejected:
+        assert run_cli(args) == 2, args
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -64,3 +64,24 @@ def test_every_definition_is_referenced():
             if uses <= 0:
                 unused.append(f"{path.name}: {'.' if is_method else ''}{name}")
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_no_interface_restates_what_its_hook_answers():
+    from persistcheck.lang import CallCtx
+    from persistcheck.libs import builtin_spec
+
+    # the names the builtin_spec docstring lists; lin:<seq> and durlin:<seq>
+    # wrap sequential specs over interfaces that have no hook
+    listed = builtin_spec.__doc__.split(":", 1)[1].replace(".", "").split(",")
+    names = [n.strip() for n in listed if "<" not in n]
+    assert {"px86", "mirror", "scmem"} <= set(names)
+    restated = []
+    for name in names:
+        iface = builtin_spec(name).interface
+        if iface.call_semantics is None:
+            continue
+        for m, arity in iface.methods.items():
+            answer = iface.call_semantics(m, (100, 0, 1)[: arity or 0], CallCtx([0, 1], 100))
+            if answer is not None and m in iface.returns:
+                restated.append(f"{name}: {m}")
+    assert not restated, f"returns states calls the call_semantics hook answers: {restated}"
