@@ -30,7 +30,6 @@ from .model import (
     bits,
     history_to_execution,
     immediate_prefix_masks,
-    restrict,
 )
 
 if TYPE_CHECKING:
@@ -214,6 +213,12 @@ class LibrarySpec:
     default, so the restriction or anonymization it would read is never
     built (``Collection.register`` still tries each on the empty execution).
 
+    ``local_consistent`` reads only its argument, the library's projection
+    (its events and the crashes, with the po, sw and hb edges among them),
+    and gives the same verdict, budget-exceeded included, on an equal one.
+    The prefix walks rely on this: they keep each library's verdict by the
+    events of its projection and do not ask again while those stay the same.
+
     ``seq`` is the library's sequential spec, or ``None``.  Setting it states
     a contract that prefix pruning (``libs.sc_prune_factory``) relies on:
     each object (calls with one ``interface.locations``) accepts the calls
@@ -344,6 +349,8 @@ def _as_execution(x) -> Execution:
         return history_to_execution(x)
     if isinstance(x, PlainExecution):
         return Execution(x)
+    if isinstance(x, Prefix):
+        return x.execution
     return x
 
 
@@ -358,6 +365,96 @@ def _owned_events(coll: Collection, x: Execution) -> Dict[str, List[int]]:
             raise UnknownMethod(f"event {e} with label {l!r} matches no interface")
         owned[spec.name].append(e)
     return owned
+
+
+class Owners:
+    """The owner table of an execution ``x`` under a collection.
+
+    One owner pass (``_owned_events``, which raises ``UnknownMethod`` on an
+    event no library owns) gives each event's library, the sw edges of
+    ``x`` that span two libraries, and per library the bit mask of its
+    events and the crashes (``keeps``).  A prefix of ``x`` is named by the
+    mask of the events it keeps (``prefix``), and a library's projection of
+    it is cut straight from ``x`` on ``mask & keeps[library]``.  ``local``
+    holds each library's ``local_consistent`` verdict by that projected
+    mask, so a walk that drops another library's event does not check this
+    one again.  A table lives as long as the check or walk that built it."""
+
+    def __init__(self, coll: Collection, x: Execution):
+        self.coll, self.x = coll, x
+        self.full = (1 << len(x)) - 1
+        self.specs = coll.specs()
+        self.owner: List[Optional[LibrarySpec]] = [None] * len(x)
+        self.keeps: Dict[str, int] = {}
+        crashes = sum(1 << e for e in x.events if x.lab[e].is_crash)
+        owned = _owned_events(coll, x)
+        for spec in self.specs:
+            mask = crashes
+            for e in owned[spec.name]:
+                mask |= 1 << e
+                self.owner[e] = spec
+            self.keeps[spec.name] = mask
+        owner = self.owner
+        # a crash has no owner: its edges span no library
+        self.spanning = frozenset(
+            (a, b) for a, b in x.sw if owner[a] is not None and owner[b] is not None and owner[a] is not owner[b]
+        )
+        self.local: Dict[Tuple[str, int], Verdict] = {}
+
+    def prefix(self, mask: int) -> "Prefix":
+        return Prefix(self, mask)
+
+    def cut(self, p: "Prefix", mask: int) -> Execution:
+        """The events of ``mask``, a subset of the prefix ``p``'s: ``p``'s
+        own execution when that is all of them."""
+        return p.execution if mask == p.mask else self.x.restrict_events(bits(mask))
+
+    def consistent(self, p: "Prefix") -> Verdict:
+        mask = p.mask
+        if not mask:
+            return Verdict.ok()
+        if any(mask >> a & mask >> b & 1 for a, b in self.spanning):
+            # name the first spanning edge in the prefix's own sw set and ids
+            keep = list(bits(mask))
+            a, b = next((a, b) for a, b in p.execution.sw if (keep[a], keep[b]) in self.spanning)
+            return Verdict.fail(f"sw edge ({a},{b}) spans two libraries")
+        for spec in self.specs:
+            if spec.local_consistent is not _always_ok:
+                key = (spec.name, mask & self.keeps[spec.name])
+                v = self.local.get(key)
+                if v is None:
+                    v = self.local[key] = spec.local_consistent(self.cut(p, key[1]))
+                if not v:
+                    return Verdict(v.status, f"{spec.name}.consistent: {v.reason}", v.witness, v.stats)
+            if spec.global_consistent is not _always_ok:
+                v = spec.global_consistent(anonymize(spec.interface.owns, p.execution))
+                if not v:
+                    return Verdict(v.status, f"{spec.name}.global_consistent: {v.reason}", v.witness, v.stats)
+        return Verdict.ok()
+
+
+class Prefix:
+    """The prefix on the events of ``mask`` of an owner table's execution.
+    ``check_consistent`` and ``check_immediately_wellformed`` take it in
+    place of an execution and ask its table; the prefix execution itself is
+    built only when read."""
+
+    def __init__(self, owners: Owners, mask: int):
+        self.owners, self.mask = owners, mask
+
+    @cached_property
+    def execution(self) -> Execution:
+        return self.owners.x.restrict_events(bits(self.mask))
+
+
+
+def _prefix(coll: Collection, x) -> Prefix:
+    """``x`` as a prefix whose table is ``coll``'s: a ``Prefix`` of such a
+    table as it is, anything else whole, with a table of its own."""
+    if isinstance(x, Prefix) and x.owners.coll is coll:
+        return x
+    owners = Owners(coll, _as_execution(x))
+    return owners.prefix(owners.full)
 
 
 #: The decided verdicts and completed searches of the open
@@ -412,19 +509,21 @@ def shared_search(search: Callable[..., object], x: Execution, budget: int) -> T
 
 def check_consistent(coll: Collection, x) -> Verdict:
     """Per-library restriction and anonymization consistency (plus the sw
-    decomposition condition).
+    decomposition condition) of an execution, a history, or a ``Prefix``
+    of a walk, which is asked of its walk's owner table.
 
     Inside a ``shared_verdicts`` scope a decided verdict is computed once per
     exact execution and returned again on later calls; a budget-exceeded
     verdict is recomputed each time.  Outside a scope nothing is kept."""
+    p = _prefix(coll, x)
     verdicts = _VERDICTS.get()
     if verdicts is None:
-        return _check_consistent(coll, x)
-    x = _as_execution(x)
-    key = (coll, tuple(x.plain.labels()), x.plain.po_order.rows, x.sw, x.hb_order.rows)
+        return _check_consistent(coll, p)
+    g = p.execution
+    key = (coll, tuple(g.plain.labels()), g.plain.po_order.rows, g.sw, g.hb_order.rows)
     v = verdicts.get(key)
     if v is None:
-        v = _check_consistent(coll, x)
+        v = _check_consistent(coll, p)
         if not v.is_budget:
             verdicts[key] = v
     return v
@@ -432,28 +531,10 @@ def check_consistent(coll: Collection, x) -> Verdict:
 
 def _check_consistent(coll: Collection, x) -> Verdict:
     """``check_consistent`` without the shared verdicts.  Each library's
-    restriction is cut from the one owner pass; a predicate left at its
-    default is not called, so its projection is not built."""
-    x = _as_execution(x)
-    if x.is_empty():
-        return Verdict.ok()
-    owned = _owned_events(coll, x)
-    owner = {e: name for name, evs in owned.items() for e in evs}
-    for a, b in x.sw:
-        # a crash has no owner: its edges span no library
-        if a in owner and b in owner and owner[a] != owner[b]:
-            return Verdict.fail(f"sw edge ({a},{b}) spans two libraries")
-    crashes = [e for e in x.events if x.lab[e].is_crash]
-    for spec in coll.specs():
-        if spec.local_consistent is not _always_ok:
-            v = spec.local_consistent(x.restrict_events(owned[spec.name] + crashes))
-            if not v:
-                return Verdict(v.status, f"{spec.name}.consistent: {v.reason}", v.witness, v.stats)
-        if spec.global_consistent is not _always_ok:
-            v = spec.global_consistent(anonymize(spec.interface.owns, x))
-            if not v:
-                return Verdict(v.status, f"{spec.name}.global_consistent: {v.reason}", v.witness, v.stats)
-    return Verdict.ok()
+    projection is cut from the owner table's execution; a predicate left at
+    its default is not called, so its projection is not built."""
+    p = _prefix(coll, x)
+    return p.owners.consistent(p)
 
 
 class HereditaryChain:
@@ -500,9 +581,13 @@ def check_hereditarily_consistent(
     For histories, every prefix h[1..k] is checked (SC mode); for executions,
     the search walks immediate prefixes (one hb-maximal event removed),
     memoizing each prefix's chain by the subset of ``x``'s event ids it keeps.
-    That mask memo lives for this call only; the consistency verdicts of the
-    prefixes are shared beyond it, with every other check of the same exact
-    execution, only inside a ``shared_verdicts`` scope.  The witness is the
+    One owner table serves the walk: each prefix goes to ``check_consistent``
+    as a ``Prefix`` of it, each library's projection is cut straight from
+    ``x``, and a library's local verdict is computed once per projection, so
+    dropping another library's event does not check it again.  The mask
+    memo and the table live for this call only; the consistency verdicts of
+    the prefixes are shared beyond it, with every other check of the same
+    exact execution, only inside a ``shared_verdicts`` scope.  The witness is the
     chain, given by its subsets and built only when read.  A prefix whose
     consistency check runs out of budget is neither consistent nor refuted:
     unless a chain avoids it, the verdict is budget-exceeded.
@@ -518,6 +603,7 @@ def check_hereditarily_consistent(
         return Verdict.ok(witness=HereditaryChain(chain))
 
     x = _as_execution(x)
+    owners = Owners(coll, x)
     hb_rows = x.hb_order.rows
     memo: Dict[int, Optional[List[int]]] = {}
     explored = 0
@@ -533,7 +619,7 @@ def check_hereditarily_consistent(
         if explored > budget:
             raise BudgetExceeded({"explored": explored})
         result: Optional[List[int]] = None
-        v = check_consistent(coll, x.restrict_events(bits(mask)))
+        v = check_consistent(coll, owners.prefix(mask))
         if v.is_budget:
             stalled.append(v)
         if v:
@@ -561,15 +647,14 @@ def check_hereditarily_consistent(
 # --------------------------------------------------------------------------
 
 
-def check_encapsulated(coll: Collection, x) -> bool:
-    """Constructor locations pairwise disjoint; uses are hb-after a covering
-    same-library constructor.  ⋆ events carry no locations."""
-    x = _as_execution(x)
+def _encapsulated(x: Execution, owner: Sequence[Optional[LibrarySpec]], mask: int) -> bool:
+    """``check_encapsulated`` of the prefix of ``x`` on ``mask``, given each
+    event's library (None for an event that carries no locations)."""
     hb = x.hb_order.rows
     ctors: List[Tuple[int, str, FrozenSet[int]]] = []
     uses: List[Tuple[int, str, FrozenSet[int]]] = []
-    for e in x.events:
-        spec = coll.owner_of(x.lab[e])
+    for e in bits(mask):
+        spec = owner[e]
         if spec is None:
             continue
         locs = spec.interface.locations(x.lab[e])
@@ -584,20 +669,33 @@ def check_encapsulated(coll: Collection, x) -> bool:
     )
 
 
-def check_immediately_wellformed(coll: Collection, x) -> Verdict:
+def check_encapsulated(coll: Collection, x) -> bool:
+    """Constructor locations pairwise disjoint; uses are hb-after a covering
+    same-library constructor.  ⋆ events, crashes and events no library owns
+    carry no locations."""
     x = _as_execution(x)
-    if not check_encapsulated(coll, x):
+    return _encapsulated(x, [coll.owner_of(x.lab[e]) for e in x.events], (1 << len(x)) - 1)
+
+
+def check_immediately_wellformed(coll: Collection, x) -> Verdict:
+    """Encapsulation and every library's well-formedness predicates, of an
+    execution or a ``Prefix`` of a walk.  Local predicates read the owner
+    table's projections, so an event no library owns raises
+    ``UnknownMethod``, as in ``check_consistent``."""
+    p = _prefix(coll, x)
+    owners = p.owners
+    if not _encapsulated(owners.x, owners.owner, p.mask):
         return Verdict.fail("not encapsulated")
-    for spec in coll.specs():
+    for spec in owners.specs:
         if spec.local_wellformed is _always_ok:
             continue
-        v = spec.local_wellformed(restrict(x, spec.interface.owns))
+        v = spec.local_wellformed(owners.cut(p, p.mask & owners.keeps[spec.name]))
         if not v:
             return Verdict(v.status, f"{spec.name}.wellformed: {v.reason}", v.witness, v.stats)
     for spec in coll.tagdep():
         if spec.global_wellformed is _always_ok:
             continue
-        v = spec.global_wellformed(anonymize(spec.interface.owns, x))
+        v = spec.global_wellformed(anonymize(spec.interface.owns, p.execution))
         if not v:
             return Verdict(v.status, f"{spec.name}.global_wellformed: {v.reason}", v.witness, v.stats)
     return Verdict.ok()
@@ -607,18 +705,21 @@ def check_wellformed(coll: Collection, x, budget: int = 10_000) -> Verdict:
     """For all G'' ⊏_imm G' ⊑ X: if G'' is consistent then G' is immediately
     well-formed.  Walks the prefix lattice depth first, naming each prefix
     by the subset of ``x``'s event ids it keeps; ``budget`` bounds the number
-    of distinct subsets visited, and each prefix's consistency is checked
-    once per walk.
+    of distinct subsets visited.  One owner table serves the walk: each
+    prefix's consistency is checked once, each library's local consistency
+    once per projection, and an event no library owns raises
+    ``UnknownMethod`` before the walk starts.
 
     A prefix none of whose immediate prefixes is consistent, but one of which
     ran out of budget, may still owe well-formedness: if it is not immediately
     well-formed, the verdict is budget-exceeded unless a definite failure is
     found elsewhere."""
     x = _as_execution(x)
+    owners = Owners(coll, x)
     hb_rows = x.hb_order.rows
     consistent: Dict[int, Verdict] = {}
     seen = set()
-    stack = [(1 << len(x)) - 1]
+    stack = [owners.full]
     stalled: List[Verdict] = []
     while stack:
         cur = stack.pop()
@@ -633,19 +734,21 @@ def check_wellformed(coll: Collection, x, budget: int = 10_000) -> Verdict:
         for p in prevs:
             pv = consistent.get(p)
             if pv is None:
-                pv = consistent[p] = check_consistent(coll, x.restrict_events(bits(p)))
+                pv = consistent[p] = check_consistent(coll, owners.prefix(p))
             if pv:
                 owed = True
                 break
             if pv.is_budget and undecided is None:
                 undecided = pv
         if owed or undecided is not None:
-            g = x.restrict_events(bits(cur))
+            g = owners.prefix(cur)
             v = check_immediately_wellformed(coll, g)
             if not v:
-                reason = f"prefix of size {len(g)}: {v.reason}"
+                reason = f"prefix of size {cur.bit_count()}: {v.reason}"
                 if owed:
-                    return Verdict(v.status, reason, g, v.stats)
-                stalled.append(Verdict(BUDGET, f"{reason}; an immediate prefix ran out of budget", g, undecided.stats))
+                    return Verdict(v.status, reason, g.execution, v.stats)
+                stalled.append(
+                    Verdict(BUDGET, f"{reason}; an immediate prefix ran out of budget", g.execution, undecided.stats)
+                )
         stack.extend(prevs)
     return stalled[0] if stalled else Verdict.ok()

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, Verdict, cell_loc, shared_search
+from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, SpecError, Verdict, cell_loc, shared_search
 from .model import (
     BOT,
     Execution,
@@ -108,7 +108,8 @@ def px86_call_semantics(method: str, args: Tuple, ctx) -> Optional[List[Tuple[Tu
     """Interpreter hook for the calls ``returns`` cannot state: an update
     returns the value it reads, allocation emits a zero-initializing store,
     and the derived RMW forms faa/cas expand into update (or failed-read)
-    labels.  Every other call takes the default (None)."""
+    labels.  Every other call takes the default (None).  A faa delta that
+    is not an integer raises ``SpecError``."""
     if method == "upd":
         return [((upd(args[0], args[1], args[2]),), args[1])]
     if method == "alloc":
@@ -116,6 +117,8 @@ def px86_call_semantics(method: str, args: Tuple, ctx) -> Optional[List[Tuple[Tu
         return [((alloc(x), store(x, 0)), x)]
     if method == "faa":
         x, d = args
+        if not isinstance(d, int):
+            raise SpecError(f"faa delta {d!r} is not an integer")
         return [
             ((upd(x, v, v + d),), v)
             for v in ctx.domain

@@ -255,8 +255,10 @@ def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
                 opts.append(frozenset(edges))
         options_per_era.append(opts or [frozenset()])
     out = []
+    seen = set()
     for combo in itertools.product(*options_per_era):
         merged = frozenset().union(*combo) if combo else frozenset()
-        if merged not in out:
+        if merged not in seen:
+            seen.add(merged)
             out.append(merged)
     return out

@@ -211,6 +211,13 @@ def test_check_unknown_method_exit_two(tmp_path, capsys):
     assert "error: method qpush" in capsys.readouterr().err
 
 
+def test_check_faa_with_a_non_integer_delta_exit_two(tmp_path, capsys):
+    path = tmp_path / "faa.lit"
+    path.write_text("collection px86\nglobals\n  x := alloc()\nprogram\n  t0: r := faa(x, null)\n")
+    assert run_cli(["check", str(path)]) == 2
+    assert "error: faa delta None is not an integer" in capsys.readouterr().err
+
+
 def test_verify_impl_unknown_method_exit_two(capsys):
     # the reg corpus calls regnew, which no interface of px86 or flit declares
     code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(LITMUS / "reg_flit")])
