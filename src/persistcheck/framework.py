@@ -186,6 +186,23 @@ def cell_loc(
 
 
 CheckFn = Callable[[Execution], Verdict]
+#: Placed ``(event, choice)`` pairs, in the order a search placed them.
+Placement = List[Tuple[int, object]]
+
+
+@dataclass(frozen=True)
+class Seeded:
+    """A ``local_consistent`` built on ``sc.linearize``: ``check(x, seed=...)``
+    replays a ``Placement`` of ``x``'s events (or ``None``) before it searches,
+    and ``placed(x, witness)`` gives its OK witness as one."""
+
+    check: Callable[..., Verdict]
+    placed: Callable[[Execution, object], Placement]
+
+    def __call__(self, x: Execution) -> Verdict:
+        return self.check(x, seed=None)
+
+
 SwHook = Callable[[PlainExecution], Sequence[FrozenSet[Tuple[int, int]]]]
 TagHook = Callable[[PlainExecution], Sequence[Mapping[int, FrozenSet[str]]]]
 
@@ -378,7 +395,10 @@ class Owners:
     it is cut straight from ``x`` on ``mask & keeps[library]``.  ``local``
     holds each library's ``local_consistent`` verdict by that projected
     mask, so a walk that drops another library's event does not check this
-    one again.  A table lives as long as the check or walk that built it."""
+    one again.  A ``Seeded`` check first replays its library's last OK
+    witness (``placed``, by events of ``x``) cut to the new projection, as a
+    prefix's witness less one hb-maximal event nearly always is one.  A
+    table lives as long as the check or walk that built it."""
 
     def __init__(self, coll: Collection, x: Execution):
         self.coll, self.x = coll, x
@@ -400,6 +420,7 @@ class Owners:
             (a, b) for a, b in x.sw if owner[a] is not None and owner[b] is not None and owner[a] is not owner[b]
         )
         self.local: Dict[Tuple[str, int], Verdict] = {}
+        self.placed: Dict[str, Placement] = {}
 
     def prefix(self, mask: int) -> "Prefix":
         return Prefix(self, mask)
@@ -423,7 +444,7 @@ class Owners:
                 key = (spec.name, mask & self.keeps[spec.name])
                 v = self.local.get(key)
                 if v is None:
-                    v = self.local[key] = spec.local_consistent(self.cut(p, key[1]))
+                    v = self.local[key] = self._local(spec, self.cut(p, key[1]), key[1])
                 if not v:
                     return Verdict(v.status, f"{spec.name}.consistent: {v.reason}", v.witness, v.stats)
             if spec.global_consistent is not _always_ok:
@@ -431,6 +452,21 @@ class Owners:
                 if not v:
                     return Verdict(v.status, f"{spec.name}.global_consistent: {v.reason}", v.witness, v.stats)
         return Verdict.ok()
+
+    def _local(self, spec: LibrarySpec, proj: Execution, mask: int) -> Verdict:
+        """``spec``'s local verdict on its projection ``proj``, on ``mask``."""
+        check = spec.local_consistent
+        if not isinstance(check, Seeded):
+            return check(proj)
+        ids = list(bits(mask))
+        seed = self.placed.get(spec.name)
+        if seed is not None:
+            rank = {e: i for i, e in enumerate(ids)}
+            seed = [(rank[e], c) for e, c in seed if e in rank]
+        v = check.check(proj, seed=seed)
+        if v:
+            self.placed[spec.name] = [(ids[e], c) for e, c in check.placed(proj, v.witness)]
+        return v
 
 
 class Prefix:
@@ -584,7 +620,9 @@ def check_hereditarily_consistent(
     One owner table serves the walk: each prefix goes to ``check_consistent``
     as a ``Prefix`` of it, each library's projection is cut straight from
     ``x``, and a library's local verdict is computed once per projection, so
-    dropping another library's event does not check it again.  The mask
+    dropping another library's event does not check it again.  A library
+    whose check is ``Seeded`` first replays its last OK witness of the walk,
+    cut to the new projection, and searches only if that fails.  The mask
     memo and the table live for this call only; the consistency verdicts of
     the prefixes are shared beyond it, with every other check of the same
     exact execution, only inside a ``shared_verdicts`` scope.  The witness is the

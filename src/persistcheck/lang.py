@@ -705,7 +705,12 @@ def interpret_phases(
         runs: List[Tuple[Optional[Dict[str, object]], Tuple[ThreadRun, ...]]] = []
         kinds = ((True,) if complete_only else (True, False)) if final else (False,)
         for complete in kinds:
-            choices = it.thread_choices(complete)
+            # runs of a thread with equal traces and reported registers glue
+            # into equal executions, so each thread keeps one of them
+            choices = [
+                list({(r.trace, frozenset(it.outcome((r,)).items())): r for r in rs}.values())
+                for rs in it.thread_choices(complete)
+            ]
             if flow:
                 written |= flow.writes(r.trace for rs in choices for r in rs)
                 choices = [[r for r in rs if flow.reads_within(r.trace, written)] for rs in choices]
@@ -732,15 +737,7 @@ def interpret_phases(
                 rec(i + 1, g, labels)
 
     rec(0, None, ())
-    # deduplicate identical executions (same labels, po and outcome)
-    seen = set()
-    uniq = []
-    for env, g in out:
-        key = (tuple(g.labels()), g.po_order.rows, None if env is None else tuple(sorted(env.items(), key=repr)))
-        if key not in seen:
-            seen.add(key)
-            uniq.append((env, g))
-    return uniq
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Verdict, cell_loc
+from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Placement, Seeded, Verdict, cell_loc
 from .lang import CallCmd, Return, Seq, SyntacticImpl, parse_statements, rewrite
 from .model import (
     BOT,
@@ -44,6 +45,7 @@ from .sc import (
     linearizations,
     linearize,
     weakreg_consistent_execution,
+    weakreg_placed,
 )
 
 #: Reserved sentinel outside the user value domain (undo-log commit marker).
@@ -66,6 +68,7 @@ def execution_linearizable(
     keep: Optional[Callable[[Label, int, bool], str]] = None,
     budget: int = 200_000,
     era_monotone: bool = False,
+    seed: Optional[Placement] = None,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
     sequential spec.
@@ -81,7 +84,8 @@ def execution_linearizable(
 
     One ``sc.linearize`` search over the kept and optional events decides
     it; its witness lists the placed events.  The budget counts candidate
-    calls tried, one per event.
+    calls tried, one per event.  A ``seed`` is given as :func:`lin_placed`
+    gives a witness, and replayed first.
     """
     n_eras = len(x.plain.crash_events()) + 1
     era = x.plain.era_of()
@@ -95,8 +99,16 @@ def execution_linearizable(
     must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
     hb = x.hb_order.restrict(members)
     preds = era_preds(hb, [era[e] for e in members]) if era_monotone else hb.preds()
-    v = linearize(preds, [[x.lab[e]] for e in members], must, spec, budget, "linearization enumeration")
+    if seed is not None:
+        at = {e: i for i, e in enumerate(members)}
+        seed = [(at[e], x.lab[e]) for e, _ in seed if e in at]
+    v = linearize(preds, [[x.lab[e]] for e in members], must, spec, budget, "linearization enumeration", seed)
     return replace(v, witness=[members[i] for i, _ in v.witness]) if v else v
+
+
+def lin_placed(x: Execution, witness: Sequence[int]) -> Placement:
+    """The witness of :func:`execution_linearizable`, its placed events."""
+    return [(e, None) for e in witness]
 
 
 # --------------------------------------------------------------------------
@@ -118,10 +130,11 @@ def weakreg_interface(with_pfence: bool = True) -> LibraryInterface:
 
 
 def weakreg_spec(with_pfence: bool = True, budget: int = 500_000) -> LibrarySpec:
-    def check(x: Execution) -> Verdict:
-        return weakreg_consistent_execution(x, with_pfence=with_pfence, budget=budget)
+    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
+        return weakreg_consistent_execution(x, with_pfence=with_pfence, budget=budget, seed=seed)
 
-    return LibrarySpec(interface=weakreg_interface(with_pfence), local_consistent=check, seq=S_WEAKREG)
+    iface = weakreg_interface(with_pfence)
+    return LibrarySpec(interface=iface, local_consistent=Seeded(check, weakreg_placed), seq=S_WEAKREG)
 
 
 def queue_interface(name: str = "durqueue") -> LibraryInterface:
@@ -136,13 +149,8 @@ def queue_interface(name: str = "durqueue") -> LibraryInterface:
     )
 
 
-def _normalize_queue_call(c: CallLike) -> CallLike:
-    return replace(c, method="qpush") if c.method == "qappend" else c
-
-
-S_QUEUE_ALIASED = SequentialSpec(
-    "queue", S_QUEUE.init, lambda st, c: S_QUEUE.step(st, _normalize_queue_call(c))
-)
+#: The queue spec with ``qappend`` stepped as a push.
+S_QUEUE_ALIASED = SequentialSpec("queue", S_QUEUE.init, partial(S_QUEUE.step, push_methods=("qpush", "qappend")))
 
 
 # --------------------------------------------------------------------------
@@ -154,12 +162,12 @@ def make_lin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget:
     """Linearizability of hb as a library spec (crash-free executions; any
     crash is inconsistent for a purely volatile linearizable library)."""
 
-    def check(x: Execution) -> Verdict:
+    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
         if x.plain.crash_events():
             return Verdict.fail("crash in a Lin(S) execution")
-        return execution_linearizable(x, seq_spec, budget=budget)
+        return execution_linearizable(x, seq_spec, budget=budget, seed=seed)
 
-    return LibrarySpec(interface=interface, local_consistent=check, seq=seq_spec)
+    return LibrarySpec(interface=interface, local_consistent=Seeded(check, lin_placed), seq=seq_spec)
 
 
 def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget: int = 200_000) -> LibrarySpec:
@@ -167,10 +175,10 @@ def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budg
     survive into the linearization; incomplete calls may be dropped or
     completed."""
 
-    def check(x: Execution) -> Verdict:
-        return execution_linearizable(x, seq_spec, budget=budget)
+    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
+        return execution_linearizable(x, seq_spec, budget=budget, seed=seed)
 
-    return LibrarySpec(interface=interface, local_consistent=check, seq=seq_spec)
+    return LibrarySpec(interface=interface, local_consistent=Seeded(check, lin_placed), seq=seq_spec)
 
 
 def durqueue_spec(budget: int = 200_000) -> LibrarySpec:
@@ -1118,7 +1126,7 @@ def _s_mmcounter_step(state, c: CallLike):
 S_MMCOUNTER = SequentialSpec("mmcounter", dict, _s_mmcounter_step)
 
 
-def mmcounter_consistent(x: Execution, budget: int = 100_000) -> Verdict:
+def mmcounter_consistent(x: Execution, budget: int = 100_000, seed: Optional[Placement] = None) -> Verdict:
     """Era-wise persisted-prefix linearization: events of earlier eras count
     only when persisted; the final era contributes everything."""
 
@@ -1129,14 +1137,14 @@ def mmcounter_consistent(x: Execution, budget: int = 100_000) -> Verdict:
             return "keep" if l.is_complete else "optional"
         return "drop"
 
-    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True)
+    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True, seed=seed)
 
 
 def mmcounter_spec() -> LibrarySpec:
     return LibrarySpec(
         interface=mmcounter_interface(),
         deps=frozenset({"ltrans"}),
-        local_consistent=mmcounter_consistent,
+        local_consistent=Seeded(mmcounter_consistent, lin_placed),
         tag_candidates=_ltrans_tag_hook,
     )
 
@@ -1311,10 +1319,10 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     # no value_flow: under SC a load of a location nothing wrote returns 0
     iface = replace(px86_interface(), name="scmem", tags_introduced=frozenset(), value_flow=None)
 
-    def check(x: Execution) -> Verdict:
-        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True)
+    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
+        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True, seed=seed)
 
-    return LibrarySpec(interface=iface, local_consistent=check)
+    return LibrarySpec(interface=iface, local_consistent=Seeded(check, lin_placed))
 
 
 def load_manifest(path) -> Tuple["Collection", dict]:

@@ -75,7 +75,9 @@ class Label:
     """A single-event method call, or a crash marker (``method is None``).
 
     A call with ``ret is BOT`` is incomplete; crash labels carry no method,
-    arguments, return, tags, or thread.
+    arguments, return, tags, or thread.  The flags ``is_crash``, ``is_call``
+    and ``is_complete`` (crashes count as complete; calls are complete once
+    they returned) and the hash are computed once, at construction.
     """
 
     method: Optional[str]
@@ -90,19 +92,17 @@ class Label:
         if self.method is None:
             if self.args or self.ret is not BOT or self.tags or self.thread is not None:
                 raise ValueError("crash labels carry no payload")
+        object.__setattr__(self, "is_crash", self.method is None)
+        object.__setattr__(self, "is_call", self.method is not None)
+        object.__setattr__(self, "is_complete", self.method is None or self.ret is not BOT)
+        object.__setattr__(self, "_hash", hash((self.method, self.args, self.ret, self.tags, self.thread)))
 
-    @property
-    def is_crash(self) -> bool:
-        return self.method is None
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def is_call(self) -> bool:
-        return self.method is not None
-
-    @property
-    def is_complete(self) -> bool:
-        """Crashes count as complete; calls are complete once they returned."""
-        return self.is_crash or self.ret is not BOT
+    def __reduce__(self):
+        # an unpickled label computes its hash again
+        return (Label, (self.method, self.args, self.ret, self.tags, self.thread))
 
     def with_tags(self, tags: Iterable[str]) -> "Label":
         return replace(self, tags=self.tags | frozenset(tags))
@@ -341,7 +341,13 @@ def bits(row: int) -> Iterator[int]:
 
 def row_pairs(rows: Sequence[int], ids: Optional[Sequence] = None) -> Relation:
     ids = range(len(rows)) if ids is None else ids
-    return frozenset((ids[a], ids[b]) for a, row in enumerate(rows) for b in bits(row))
+    out = []
+    for a, row in enumerate(rows):
+        while row:  # the bits of ``row``, walked inline
+            low = row & -row
+            out.append((ids[a], ids[low.bit_length() - 1]))
+            row ^= low
+    return frozenset(out)
 
 
 class Order:
@@ -413,8 +419,10 @@ class Order:
         cols = [0] * len(self.rows)
         for a, row in enumerate(self.rows):
             bit = 1 << a
-            for b in bits(row):
-                cols[b] |= bit
+            while row:  # the bits of ``row``, walked inline
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return cols
 
     def restrict(self, keep: Sequence[int]) -> "Order":

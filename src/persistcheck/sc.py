@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .framework import BudgetExceeded, Verdict
+from .framework import BudgetExceeded, Placement, Verdict
 from .model import BOT, CRASH, Call, CrashEv, History, Inv, Label, Order, Ret
 
 PFENCE = "pfence"
@@ -102,8 +102,8 @@ class SequentialSpec:
         return True
 
 
-def _queue_step(state, c: CallLike):
-    # state: loc -> (pushes tuple, pop_count, seen_new)
+def _queue_step(state, c: CallLike, push_methods=("qpush",)):
+    # state: loc -> (pushes tuple, pop_count, seen_new); push_methods push
     state = dict(state)
     if c.method == "qnew":
         x = c.ret
@@ -115,7 +115,7 @@ def _queue_step(state, c: CallLike):
     if x not in state:
         return None  # New must come first on each location
     pushes, pops, _ = state[x]
-    if c.method == "qpush":
+    if c.method in push_methods:
         state[x] = (pushes + (c.args[1],), pops, True)
         return state
     if c.method == "qpop":
@@ -288,11 +288,30 @@ def linearizations(
 
 
 def linearize(
-    preds: Sequence[int], options: Sequence[Sequence[object]], must: int, spec: SequentialSpec, budget: int, stage: str
+    preds: Sequence[int], options: Sequence[Sequence[object]], must: int, spec: SequentialSpec, budget: int, stage: str,
+    seed: Optional[Placement] = None,
 ) -> Verdict:
     """The first of :func:`linearizations` as a verdict with the search's
     stats: OK with the placed ``(event, candidate)`` pairs as witness, FAIL
-    when ``spec`` accepts no sequence, or budget-exceeded."""
+    when ``spec`` accepts no sequence, or budget-exceeded.
+
+    Such pairs given as ``seed`` are replayed first by the search's rules
+    (each event placeable, each candidate one of its ``options``, each step
+    accepted) up to the pair that places ``must``.  A seed that replays is a
+    witness: the verdict is OK, its stats of stage ``replay`` count one node
+    per pair, and no budget bounds them.  Otherwise the search runs."""
+    if seed is not None:
+        done, st, placed = 0, spec.init(), []
+        for i, c in seed:
+            if done & must == must or done >> i & 1 or preds[i] & must & ~done or c not in options[i]:
+                break
+            st = spec.step(st, c)
+            if st is None:
+                break
+            placed.append((i, c))
+            done |= 1 << i | preds[i]
+        if done & must == must:
+            return Verdict.ok(witness=placed, stats={"stage": "replay", "nodes": len(placed), "memo_hits": 0})
     stats = {"stage": stage}
     try:
         lin = next(linearizations(preds, options, must, spec, budget, stats), None)
@@ -383,18 +402,38 @@ def check_weakreg_consistent(
     return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls), with_pfence, budget)
 
 
-def weakreg_consistent_execution(x, with_pfence: bool = False, budget: int = 500_000) -> Verdict:
+def weakreg_consistent_execution(
+    x, with_pfence: bool = False, budget: int = 500_000, seed: Optional[Placement] = None
+) -> Verdict:
     """Weak-register consistency of a single-event-call execution (crash
-    events delimit eras; hb is the execution's primitive happens-before)."""
+    events delimit eras; hb is the execution's primitive happens-before),
+    after replaying a ``seed`` of the form :func:`weakreg_placed` gives."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
     era_of = x.plain.era_of()
-    n_eras = len(x.plain.crash_events()) + 1
+    crashes = x.plain.crash_events()
     labels = [x.lab[e] for e in ids]
-    return _weakreg_linearize(labels, [era_of[e] for e in ids], n_eras, x.hb_order.restrict(ids), with_pfence, budget)
+    if seed is not None:
+        at = {e: i for i, e in enumerate(ids + crashes)}
+        seed = [(at[e], CRASH if x.lab[e].is_crash else (x.lab[e], p)) for e, p in seed]
+    hb = x.hb_order.restrict(ids)
+    return _weakreg_linearize(labels, [era_of[e] for e in ids], len(crashes) + 1, hb, with_pfence, budget, seed)
+
+
+def weakreg_placed(x, w: WeakRegWitness) -> Placement:
+    """The witness ``w`` of :func:`weakreg_consistent_execution` on ``x`` as
+    its search placed it: per era the calls in volatile order, each with its
+    persist choice, then the crash that ends the era."""
+    ids = [e for e in x.events if not x.lab[e].is_crash]
+    crashes, last = x.plain.crash_events(), len(w.lin) - 1
+    out: Placement = []
+    for k, lin in enumerate(w.lin):
+        out += [(ids[i], None if k == last or x.lab[ids[i]].method == "rread" else i in w.persisted[k]) for i in lin]
+        out += [(crashes[k], None)] if k < last else []
+    return out
 
 
 def _weakreg_linearize(
-    calls: Sequence, era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int
+    calls: Sequence, era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int, seed=None
 ) -> Verdict:
     """One :func:`linearize` search over the calls ``0..n-1`` (history
     ``Call``s or execution ``Label``s) and the crash events, ``n+k`` ending
@@ -442,7 +481,7 @@ def _weakreg_linearize(
         return st
 
     spec = SequentialSpec("weakreg k-sequentializations", dict, step)
-    v = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search")
+    v = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search", seed)
     if not v:
         return v
     placed = v.witness

@@ -144,8 +144,20 @@ def _acyclic(g: PlainExecution, sw) -> bool:
     return True
 
 
-@SETTINGS
+#: The costliest input ``lock_executions`` draws: two eras of six one-call
+#: sections each, whose 720 x 720 orders the reference enumerates.
+SIX_SECTIONS_TWICE = seq_compose(
+    parallel_execution([lrel(0)] * 3, [lrel(1)] * 3),
+    sequence_execution([CRASH]),
+    parallel_execution([lrel(10)] * 3, [lrel(11)] * 3),
+)
+
+
+# derandomized, with the costliest input always run, so its time does not
+# depend on the seed
+@settings(SETTINGS, derandomize=True)
 @example(sequence_execution([lacq(0), lrel(0), lacq(0), lrel(0)]))
+@example(SIX_SECTIONS_TWICE)
 @given(lock_executions())
 def test_lock_sw_hook_matches_permutation_reference(g):
     # the reference also proposes orders against po, which no execution has
