@@ -134,9 +134,17 @@ def _unthreaded(l: Label) -> Tuple:
     return (l.method, l.args, l.ret, l.tags)
 
 
+def _po_sequence(g: PlainExecution) -> Optional[List[Label]]:
+    """g's labels in po order if g is a chain, else None: the po rows of a
+    chain of n events hold n-1, …, 0 successors."""
+    at = {row.bit_count(): e for e, row in enumerate(g.po_order.rows)}
+    return [g.lab[at[k]] for k in reversed(range(len(g)))] if len(at) == len(g) else None
+
+
 class SemanticImpl:
     """A map from method-call labels to sets of plain executions, downward
     closed, realized by interpreting a syntactic implementation's bodies.
+    Each body runs as one thread, so every member is a chain.
 
     Implementations with private globals are not supported here (their state
     couples distinct calls); verify such libraries end to end through the
@@ -156,10 +164,8 @@ class SemanticImpl:
             m for s in coll_low.specs() for m in s.interface.constructors
         )
         self._cache: Dict[Tuple, List[PlainExecution]] = {}
-        #: the same executions with their threads stripped, for ``contains``
-        self._stripped: Dict[Tuple, List[PlainExecution]] = {}
-        #: ``contains`` answers by (label, block labels, block po rows)
-        self._member: Dict[Tuple, bool] = {}
+        #: per ``executions`` key, its members' labels without threads, in po order
+        self._members: Dict[Tuple, FrozenSet[Tuple]] = {}
 
     def owns(self, label: Label) -> bool:
         return label.is_call and label.method in self.methods
@@ -199,35 +205,24 @@ class SemanticImpl:
         return graphs
 
     def contains(self, label: Label, g: PlainExecution) -> bool:
-        """Membership of g (any thread labelling) in I(label), up to iso."""
-        return self._contains(label, g.labels(), g.po_order)
+        """Membership of g (any thread labelling) in I(label): g is a chain
+        with a member's labels in po order."""
+        labels = _po_sequence(g)
+        return labels is not None and self._contains(label, labels)
 
-    def _contains(self, label: Label, labels: Sequence[Label], po: Order) -> bool:
-        """``contains`` on a block given by its labels and po, memoized on
-        the exact block: the call label and block labels without threads,
-        and the po rows."""
-        key = (_unthreaded(label), tuple(map(_unthreaded, labels)), po.rows)
-        hit = self._member.get(key)
-        if hit is None:
-            norm = PlainExecution([_strip_thread(l) for l in labels], po)
-            hit = self._member[key] = self._iso_member(_strip_thread(label), norm)
-        return hit
-
-    def _iso_member(self, label: Label, norm: PlainExecution) -> bool:
-        allocs = sorted(
-            l.ret for l in norm.labels() if l.method in self._alloc_methods
-        )
-        if allocs:
-            loc_start = min(a for a in allocs if isinstance(a, int)) - 1
-        else:
-            loc_start = self.config.loc_base
+    def _contains(self, label: Label, labels: Sequence[Label]) -> bool:
+        """``contains`` on a chain given by its labels in po order, against
+        the runs allocating from just below its first returned location (a
+        block that returns none matches the same runs at every base)."""
+        locs = [l.ret for l in labels if l.method in self._alloc_methods and isinstance(l.ret, int)]
+        loc_start = min(locs) - 1 if locs else self.config.loc_base
         key = (label.method, label.args, label.ret, loc_start)
-        if key not in self._stripped:
-            self._stripped[key] = [
-                PlainExecution([_strip_thread(l) for l in cand.labels()], cand.po_order)
-                for cand in self.executions(label, loc_start)
-            ]
-        return any(iso_eq(norm, cand) for cand in self._stripped[key])
+        members = self._members.get(key)
+        if members is None:
+            members = self._members[key] = frozenset(
+                tuple(map(_unthreaded, _po_sequence(run))) for run in self.executions(label, loc_start)
+            )
+        return tuple(map(_unthreaded, labels)) in members
 
 
 class IdentityImpl(SemanticImpl):
@@ -332,7 +327,7 @@ def is_plain_matching(f: Mapping[int, int], gc: PlainExecution, ga: PlainExecuti
             if not impl.contains(lab, block):
                 return False
         else:
-            if len(pre) != 1 or _strip_thread(gc.lab[pre[0]]) != _strip_thread(lab):
+            if len(pre) != 1 or _unthreaded(gc.lab[pre[0]]) != _unthreaded(lab):
                 return False
     return True
 
@@ -399,8 +394,9 @@ def find_plain_matching(
             return False
         lab = ga.lab[a]
         if impl.owns(lab):
-            return impl._contains(lab, [gc.lab[c] for c in block_ids], gc.po_order.restrict(block_ids))
-        return len(block_ids) == 1 and _strip_thread(gc.lab[block_ids[0]]) == _strip_thread(lab)
+            # a span of a checked thread chain, so its ids are in po order
+            return impl._contains(lab, [gc.lab[c] for c in block_ids])
+        return len(block_ids) == 1 and _unthreaded(gc.lab[block_ids[0]]) == _unthreaded(lab)
 
     keys = sorted(set(groups_c) | set(groups_a), key=repr)
     per_key: List[List[Dict[int, int]]] = []

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persistcheck.framework as framework
+import persistcheck.model as model
 from eager_reference import linear_extensions
 from persistcheck.framework import (
     BudgetExceeded,
@@ -892,7 +893,6 @@ def test_matching_and_lifting_match_pair_set_reference(case, budget, monkeypatch
     assert matchings
 
 
-_FLIT_MEMBER = SemanticImpl(flit_impl(), PX, FLIT_CFG)
 _FLIT_CALLS = [
     Label("fnew", (), 101),
     Label("fwrite_p", (101, 1), None),
@@ -903,14 +903,32 @@ _FLIT_CALLS = [
     Label("fread_v", (101,), 1),
     Label("ffinish", (), None),
 ]
+_REG_CALLS = [
+    Label("regnew", (), 101),
+    Label("regnew", (), BOT),
+    Label("regwrite", (101, 1), None),
+    Label("regwrite", (101, 1), BOT),
+    Label("regread", (101,), 0),
+    Label("regread", (101,), 1),
+    Label("regread", (101,), BOT),
+]
+#: (implementation, its calls); the memo lives on the instance, so later
+#: examples hit it
+_MEMBER_CASES = [
+    (SemanticImpl(flit_impl(), PX, FLIT_CFG), _FLIT_CALLS),
+    (SemanticImpl(flit_impl_mutated_no_fo(), PX, FLIT_CFG), _FLIT_CALLS),
+    (SemanticImpl(persistify_mirror(_register_impl()), MIRROR_LOW, FLIT_CFG), _REG_CALLS),
+]
 
 
 @st.composite
 def _blocks(draw):
-    """A run implementing some flit call, perhaps with threads set, po
-    edges dropped or events swapped, so that both members and non-members
-    of each call come up."""
-    run = draw(st.sampled_from(_FLIT_MEMBER.executions(draw(st.sampled_from(_FLIT_CALLS)))))
+    """An implementation, one of its calls, and a run implementing some
+    call, perhaps with threads set, po edges dropped, events swapped or ids
+    permuted (po following them), so that both members and non-members of
+    each call come up."""
+    impl, calls = draw(st.sampled_from(_MEMBER_CASES))
+    run = draw(st.sampled_from(impl.executions(draw(st.sampled_from(calls)))))
     labels = run.labels()
     thread = draw(st.sampled_from([None, 0, 1]))
     labels = [replace(l, thread=thread) for l in labels]
@@ -919,19 +937,72 @@ def _blocks(draw):
     if len(labels) > 1 and draw(st.booleans()):
         i = draw(st.integers(0, len(labels) - 2))
         labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    perm = draw(st.permutations(range(len(labels))))
+    labels = [labels[perm.index(e)] for e in range(len(labels))]
+    edges = [(perm[a], perm[b]) for a, b in edges]
     try:
-        return PlainExecution(labels, edges)
+        block = PlainExecution(labels, edges)
     except ValueError:
-        return run
+        block = run
+    return impl, draw(st.sampled_from(calls)), block
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.sampled_from(_FLIT_CALLS), _blocks())
-def test_memoized_contains_matches_iso_path(call, block):
-    # the memo lives on the instance, so later examples hit it
-    want = ref_contains(_FLIT_MEMBER, call, block)
-    assert _FLIT_MEMBER.contains(call, block) == want
-    assert _FLIT_MEMBER.contains(replace(call, thread=3), block) == want
+def _ref_member(impl, call, block):
+    """``ref_contains``, which raises on a block whose constructor calls are
+    all pending.  No location such a block holds ties it to an allocation
+    base, so it is tested against the runs at ``loc_base``."""
+    try:
+        return ref_contains(impl, call, block)
+    except ValueError:
+        allocs = [l.ret for l in block.labels() if l.method in impl._alloc_methods]
+        assert allocs and BOT in allocs and not any(isinstance(a, int) for a in allocs)
+        norm = PlainExecution([_unthread(l) for l in block.labels()], block.po)
+        cands = impl.executions(_unthread(call), impl.config.loc_base)
+        return any(iso_eq(norm, PlainExecution([_unthread(l) for l in c.labels()], c.po)) for c in cands)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_blocks())
+def test_memoized_contains_matches_iso_path(drawn):
+    impl, call, block = drawn
+    want = _ref_member(impl, call, block)
+    assert impl.contains(call, block) == want
+    assert impl.contains(replace(call, thread=3), block) == want
+
+
+def test_pending_constructor_block_is_a_member():
+    # regnew's only inner call can be a pending mnew, which returns no location
+    impl = SemanticImpl(persistify_mirror(_register_impl()), MIRROR_LOW, FLIT_CFG)
+    call = Label("regnew", (), BOT, thread=0)
+    ga = PlainExecution([call], [])
+    concretes = exec_bind(ga, impl)
+    pending = [gc for gc in concretes if not gc.lab[0].is_complete]
+    assert len(pending) == 1 and pending[0].lab[0].method == "mnew"
+    assert impl.contains(call, pending[0])
+    assert not impl.contains(replace(call, ret=101), pending[0])
+    assert all(find_plain_matching(gc, ga, impl) == {0: 0} for gc in concretes)
+    report = verify_impl_bounded(impl, REG_HIGH, MIRROR_LOW, [ga])
+    assert len(report.records) == len(concretes)
+    assert report.ok and all(r.matching_found for r in report.records)
+
+
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
+def test_verify_path_runs_no_isomorphism(case, monkeypatch):
+    make, low, high, corpus_spec, check_wf = DIFF_CASES[case]
+    corpus = _cached_corpus(corpus_spec)
+
+    def verify():
+        rep = verify_impl_bounded(SemanticImpl(make(), low, FLIT_CFG), high, low, corpus, check_wf=check_wf)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    def no_iso(*args):
+        raise AssertionError("isomorphism search on the verification path")
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "_find_isomorphism", no_iso)
+        got = verify()
+    assert got == verify()
+    assert got[0]
 
 
 def _chain_key(chain):
