@@ -29,11 +29,23 @@ from .lang import (
     ParseError,
     behaviors,
     interpret_phases,
+    interpret_toplevel,
     parse,
     parse_litmus,
 )
-from .libs import builtin_impl, builtin_spec, load_manifest, sc_prune_factory
-from .model import CRASH_EV, History, Inv, Ret, execution_to_dot
+from .libs import (
+    B_TAG,
+    E_TAG,
+    PTR_TAG,
+    T_TAG,
+    builtin_impl,
+    builtin_spec,
+    load_manifest,
+    ltrans_global_consistent,
+    ltrans_global_wellformed,
+    sc_prune_factory,
+)
+from .model import CRASH_EV, Execution, History, Inv, Label, Ret, execution_to_dot, sequence_execution
 from .sc import (
     PFENCE,
     S_QUEUE,
@@ -182,8 +194,6 @@ def cmd_verify_impl(
     iconfig = InterpConfig(domain=tuple(cfg.domain), unroll=cfg.unroll, max_runs=max(cfg.budget, 10_000))
     corpus = []
     if corpus_dir:
-        from .lang import interpret_toplevel
-
         for p in sorted(Path(corpus_dir).glob("*.lit")):
             try:
                 lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
@@ -266,13 +276,6 @@ def _weakreg_history(pfence: bool) -> History:
 
 
 def cmd_worked_examples() -> int:
-    from .libs import (
-        ltrans_global_consistent,
-        ltrans_global_wellformed,
-    )
-    from .model import Label, PlainExecution, Execution, sequence_execution
-    from .libs import B_TAG, E_TAG, PTR_TAG, T_TAG
-
     rows: List[Tuple[str, bool, Verdict]] = []
 
     h = _weakreg_history(pfence=False)
@@ -300,9 +303,7 @@ def cmd_worked_examples() -> int:
     def lab(method, args, ret, tags, th):
         return Label(method, args, ret, frozenset(tags), th)
 
-    outside = Execution(
-        PlainExecution([lab("pt_write", (1, 5), None, {T_TAG}, 0)], [])
-    )
+    outside = Execution(sequence_execution([lab("pt_write", (1, 5), None, {T_TAG}, 0)]))
     rows.append(("transactional write outside a transaction is well-formed", False, ltrans_global_wellformed(outside)))
 
     labels = [

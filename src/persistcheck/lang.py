@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+from . import framework
 from .framework import BudgetExceeded, Collection, UnknownMethod, _default_sw_hook, shared_verdicts
 from .model import BOT, CRASH, Execution, Label, PlainExecution, parallel_execution, seq_compose, sequence_execution
 
@@ -951,8 +952,6 @@ def behaviors(
     budget: int = 10_000,
 ) -> Behaviors:
     """Outcomes justified by a hereditarily consistent refinement."""
-    from .framework import check_hereditarily_consistent
-
     if isinstance(prog_or_phases, Prog):
         runs = interpret_toplevel(prog_or_phases, coll, max_crashes, config, complete_only=True)
     else:
@@ -968,7 +967,8 @@ def behaviors(
         if outcome in out:
             continue
         for x in candidate_refinements(coll, g):
-            v = check_hereditarily_consistent(coll, x, budget=budget)
+            # looked up on its module, so a patched or traced checker is the one called
+            v = framework.check_hereditarily_consistent(coll, x, budget=budget)
             if v:
                 out.add(outcome)
                 out.witness[outcome] = x

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Placement, Seeded, Verdict, cell_loc
 from .lang import CallCmd, Return, Seq, SyntacticImpl, parse_statements, rewrite
@@ -29,6 +29,9 @@ from .model import (
     Label,
     Order,
     PlainExecution,
+    bits,
+    row_pairs,
+    tag_set,
 )
 from .px86 import P_TAG, px86_interface, px86_spec
 from .sc import (
@@ -60,6 +63,22 @@ E_TAG = "E"
 # --------------------------------------------------------------------------
 # Shared helpers
 # --------------------------------------------------------------------------
+
+
+def _mask(events: Iterable[int]) -> int:
+    """The bit mask of a set of events."""
+    return sum(1 << e for e in events)
+
+
+def _calls(g, *methods: str) -> int:
+    """The bit mask of the events of ``g`` whose method is one of ``methods``."""
+    return _mask(e for e in g.events if g.lab[e].method in methods)
+
+
+def _era_masks(g: PlainExecution) -> List[int]:
+    """The events of each era, as bit masks, in era order."""
+    era = g.era_of()
+    return [_mask(e for e in g.events if era[e] == k) for k in range(len(g.crash_events()) + 1)]
 
 
 def execution_linearizable(
@@ -265,7 +284,7 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
     W = [e for e in ids if lab[e].method in ("fwrite_p", "fwrite_v")]
     WP = [e for e in W if lab[e].method == "fwrite_p"]
     RP = [e for e in ids if lab[e].method == "fread_p"]
-    F = [e for e in ids if lab[e].method == "ffinish"]
+    writes, persistent, finishes = _mask(W), _mask(WP), _calls(x, "ffinish")
     explicit = frozenset(e for e in ids if P_TAG in lab[e].tags)
     has_explicit = any(P_TAG in lab[e].tags for e in x.events)
     persists = {e: (e in explicit,) if has_explicit else (False, True) for e in W}
@@ -282,7 +301,8 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
         loc, val = l.args
         return {**st, loc: (era[e], val, val if persist else st.get(loc, (None, 0, 0))[2])}
 
-    po_se = [(a, b) for (a, b) in x.po if era[a] == era[b]]
+    eras = _era_masks(x.plain)
+    po_se = [row & eras[era[a]] for a, row in enumerate(x.plain.po_order.rows)]
     preds = era_preds(x.hb_order.restrict(ids), [era[e] for e in ids])
     stats = {"stage": "linearization enumeration"}
     try:
@@ -293,20 +313,18 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
             P = explicit if has_explicit else frozenset(e for _, (e, p) in placed if p)
             pos = {e: i for i, e in enumerate(lin)}
             # dependency: same-era po, plus persistent write-to-read pairs
-            dep_edges = po_se + [
-                (w, r)
-                for w in WP
-                for r in RP
-                if lab[w].args[0] == lab[r].args[0] and pos[w] < pos[r] and (era[w] == era[r] or w in P)
-            ]
-            dep = Order.close(len(x), dep_edges).rows
+            dep = list(po_se)
+            for w in WP:
+                for r in RP:
+                    if lab[w].args[0] == lab[r].args[0] and pos[w] < pos[r] and (era[w] == era[r] or w in P):
+                        dep[w] |= 1 << r
+            dep = Order.close_rows(dep).rows
             # dep relates events in lin order only, so nvo is acyclic and
-            # points forward in era order
-            nvo = Order.close(len(x), [(w1, w2) for w1 in WP for w2 in W if dep[w1] >> w2 & 1])
-            # persistent writes before a finish-op persist; P is an nvo prefix
-            if all(w in P for w in WP if any(dep[w] >> f & 1 for f in F)) and not any(
-                b in P and a not in P for (a, b) in nvo.pairs
-            ):
+            # points forward in era order; it is closed, as dep is
+            nvo = Order([row & writes if persistent >> a & 1 else 0 for a, row in enumerate(dep)])
+            # persistent writes before a finish-op persist, and P is an nvo
+            # prefix: no unpersisted one precedes a finish-op or a persisted write
+            if not any(dep[w] & (finishes | writes & _mask(P)) for w in WP if w not in P):
                 return Verdict.ok(witness={"lin": lin, "nvo": sorted(nvo.pairs), "P": sorted(P)}, stats=stats)
     except BudgetExceeded as exc:
         return Verdict.budget(exc.stats)
@@ -450,15 +468,20 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     W = [e for e in ids if _mirror_is_write(lab[e])]
     R = {e for e in ids if _mirror_reads(lab[e])}
     P = frozenset(w for w in W if lab[w].is_complete)
-    idset = set(ids)
-    writes = sum(1 << w for w in W)
-    po_sw_se = {(a, b) for (a, b) in (set(x.po) | set(x.sw)) if a in idset and b in idset and era[a] == era[b]}
-    chain = Order.close(len(x), po_sw_se).rows
+    calls, writes, persisted = _mask(ids), _mask(W), _mask(P)
+    eras = _era_masks(x.plain)
+    links = list(x.plain.po_order.rows)
+    for a, b in x.sw:
+        links[a] |= 1 << b
+    # same-era po and sw among the calls, closed
+    chain = Order.close_rows([row & calls & eras[era[a]] if calls >> a & 1 else 0 for a, row in enumerate(links)]).rows
     # the restriction of a closed order to the writes is closed
     nvo = Order([row & writes if writes >> a & 1 else 0 for a, row in enumerate(chain)])
     sw_into = {r: frozenset(a for a, b in x.sw if b == r) for r in R}
     stage = "linearization enumeration"
-    if any(b not in R for _, b in x.sw) or not nvo.is_acyclic() or any(b in P and a not in P for (a, b) in nvo.pairs):
+    # P is an nvo prefix when no pending write is nvo-before a completed one
+    not_prefix = any(nvo.rows[w] & persisted for w in bits(writes & ~persisted))
+    if any(b not in R for _, b in x.sw) or not nvo.is_acyclic() or not_prefix:
         return Verdict.fail("no mirror witness (lin/nvo)", stats={"stage": stage, "nodes": 0, "memo_hits": 0})
 
     def step(st, e):
@@ -502,6 +525,7 @@ def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     ids = [e for e in g.events if not g.lab[e].is_crash]
     era = g.era_of()
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
+    seen = set(out)
     preds = era_preds(g.po_order.restrict(ids), [era[e] for e in ids])
     try:
         for lin in linearizations(preds, [[e] for e in ids], (1 << len(ids)) - 1, ANY_ORDER, 2_000, {}):
@@ -510,8 +534,10 @@ def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
                 src, st = _mirror_step(g.lab, era, st, e)
                 if src is not None:
                     rf.add((src, e))
-            if frozenset(rf) not in out:
-                out.append(frozenset(rf))
+            rf = frozenset(rf)
+            if rf not in seen:
+                seen.add(rf)
+                out.append(rf)
     except BudgetExceeded:
         pass
     return out
@@ -635,88 +661,62 @@ def ltrans_interface() -> LibraryInterface:
     )
 
 
-def _tagged(x: Execution, tag: str) -> List[int]:
-    return [e for e in x.events if tag in x.lab[e].tags]
+def _transaction_rows(g: PlainExecution) -> List[int]:
+    """:func:`same_transaction` as bit rows."""
+    po, into = g.po_order.rows, g.po_order.preds()
+    seps = _mask(tag_set(g, B_TAG) | tag_set(g, E_TAG))
+    relevant = seps | _mask(tag_set(g, T_TAG))
+    rows = [0] * len(g)
+    for a in bits(relevant):
+        thread = g.lab[a].thread
+        for b in bits(po[a] & relevant):
+            if thread is not None and g.lab[b].thread == thread and not po[a] & into[b] & seps:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
 
 
 def same_transaction(x: Execution) -> FrozenSet[Tuple[int, int]]:
     """Pairs of same-thread transaction-relevant events with no begin- or
     end-tagged event strictly po-between them (symmetric)."""
-    relevant = set(_tagged(x, T_TAG)) | set(_tagged(x, B_TAG)) | set(_tagged(x, E_TAG))
-    seps = set(_tagged(x, B_TAG)) | set(_tagged(x, E_TAG))
-    po = x.po
-    out = set()
-    for a in relevant:
-        for b in relevant:
-            if a == b:
-                continue
-            if x.lab[a].thread is None or x.lab[a].thread != x.lab[b].thread:
-                continue
-            if (a, b) not in po and (b, a) not in po:
-                continue
-            lo, hi = (a, b) if (a, b) in po else (b, a)
-            if any(s not in (a, b) and (lo, s) in po and (s, hi) in po for s in seps):
-                continue
-            out.add((a, b))
-            out.add((b, a))
-    return frozenset(out)
-
-
-def _ltrans_events(x: Execution):
-    begins = [e for e in x.events if x.lab[e].method == "pt_begin"]
-    ends = [e for e in x.events if x.lab[e].method == "pt_end"]
-    writes = [e for e in x.events if x.lab[e].method == "pt_write"]
-    reads = [e for e in x.events if x.lab[e].method == "pt_read"]
-    news = [e for e in x.events if x.lab[e].method == "pt_new"]
-    recovers = [e for e in x.events if x.lab[e].method == "pt_recover"]
-    crashes = [e for e in x.events if x.lab[e].is_crash]
-    return begins, ends, writes, reads, news, recovers, crashes
+    return row_pairs(_transaction_rows(x.plain))
 
 
 def ltrans_local_wellformed(x: Execution) -> Verdict:
-    begins, ends, writes, reads, news, recovers, crashes = _ltrans_events(x)
-    po = x.po
-    hb = x.hb
-    for e in ends:
-        if not any((b, e) in po for b in begins):
+    po, po_into = x.plain.po_order.rows, x.plain.po_order.preds()
+    hb, hb_into = x.hb_order.rows, x.hb_order.preds()
+    begins, ends = _calls(x, "pt_begin"), _calls(x, "pt_end")
+    for e in bits(ends):
+        if not po_into[e] & begins:
             return Verdict.fail("cond 1: end without a prior begin")
-    for e1 in ends:
-        for e2 in ends:
-            if (e1, e2) in po and not any((e1, b) in po and (b, e2) in po for b in begins):
-                return Verdict.fail("cond 2: consecutive ends without a begin")
-    for b1 in begins:
-        for b2 in begins:
-            if (b1, b2) in po and not any((b1, e) in po and (e, b2) in po for e in ends):
-                return Verdict.fail("cond 2: nested transactions")
-    for e in ends:
-        for b in begins:
-            if (e, b) not in hb and (b, e) not in hb:
-                return Verdict.fail("cond 3: transactions not externally synchronized")
-    b_tagged = _tagged(x, B_TAG)
-    for c in crashes:
-        for b in b_tagged:
-            if (c, b) in hb and not any(
-                (c, r) in hb and (r, b) in hb for r in recovers
-            ):
-                return Verdict.fail("cond 4: no recovery between crash and begin")
-    for e in writes + reads:
-        if T_TAG not in x.lab[e].tags:
-            return Verdict.fail("cond 5: untagged transactional access")
+    for e1 in bits(ends):
+        if any(not po[e1] & po_into[e2] & begins for e2 in bits(po[e1] & ends)):
+            return Verdict.fail("cond 2: consecutive ends without a begin")
+    for b1 in bits(begins):
+        if any(not po[b1] & po_into[b2] & ends for b2 in bits(po[b1] & begins)):
+            return Verdict.fail("cond 2: nested transactions")
+    for e in bits(ends):
+        if begins & ~(hb[e] | hb_into[e]):
+            return Verdict.fail("cond 3: transactions not externally synchronized")
+    recovers, b_tagged = _calls(x, "pt_recover"), _mask(tag_set(x, B_TAG))
+    for c in x.plain.crash_events():
+        if any(not hb[c] & hb_into[b] & recovers for b in bits(hb[c] & b_tagged)):
+            return Verdict.fail("cond 4: no recovery between crash and begin")
+    if _calls(x, "pt_write", "pt_read") & ~_mask(tag_set(x, T_TAG)):
+        return Verdict.fail("cond 5: untagged transactional access")
     return Verdict.ok()
 
 
 def ltrans_global_wellformed(x: Execution) -> Verdict:
-    po = x.po
-    t_tagged = _tagged(x, T_TAG)
-    b_tagged = _tagged(x, B_TAG)
-    e_tagged = _tagged(x, E_TAG)
-    for t in t_tagged:
-        if not any((b, t) in po for b in b_tagged):
+    po, into = x.plain.po_order.rows, x.plain.po_order.preds()
+    t_tagged = _mask(tag_set(x, T_TAG))
+    b_tagged = _mask(tag_set(x, B_TAG))
+    for t in bits(t_tagged):
+        if not into[t] & b_tagged:
             return Verdict.fail("cond 6: transactional event before any begin")
-    for e in e_tagged:
-        for t in t_tagged:
-            if (e, t) in po and not any((e, b) in po and (b, t) in po for b in b_tagged):
-                return Verdict.fail("cond 7: transactional event after end without new begin")
+    for e in tag_set(x, E_TAG):
+        if any(not po[e] & into[t] & b_tagged for t in bits(po[e] & t_tagged)):
+            return Verdict.fail("cond 7: transactional event after end without new begin")
     return Verdict.ok()
 
 
@@ -724,118 +724,68 @@ def ltrans_local_consistent(x: Execution) -> Verdict:
     """Conditions 8-10: a reads-from with inverse total and functional on
     reads, reads access the most recent visible write (same era or
     persisted), and external reads come from persisted writes."""
-    begins, ends, writes, reads, news, recovers, crashes = _ltrans_events(x)
-    era = x.plain.era_of()
-    hb = x.hb
-    st = same_transaction(x)
-    ptr = set(_tagged(x, PTR_TAG))
-
-    def locof(e):
-        l = x.lab[e]
-        if l.method == "pt_new":
-            return l.ret
-        return l.args[0] if l.args else None
-
-    sources = writes + news
-
-    def written(e):
-        l = x.lab[e]
-        if l.method == "pt_new":
-            return 0
-        return l.args[1]
-
-    def visible(w, r):
-        return era[w] == era[r] or w in ptr or x.lab[w].method == "pt_new"
-
-    for r in reads:
-        if x.lab[r].ret is BOT:
+    lab, hb, into = x.lab, x.hb_order.rows, x.hb_order.preds()
+    era, eras = x.plain.era_of(), _era_masks(x.plain)
+    st = _transaction_rows(x.plain)
+    writes, news = _calls(x, "pt_write"), _calls(x, "pt_new")
+    persisted = _mask(tag_set(x, PTR_TAG))
+    at: Dict[object, int] = {}  # location -> its writes and its allocation
+    for w in bits(writes | news):
+        loc = lab[w].ret if news >> w & 1 else lab[w].args[0]
+        at[loc] = at.get(loc, 0) | 1 << w
+    for r in bits(_calls(x, "pt_read")):
+        l = lab[r]
+        if l.ret is BOT:
             continue
-        cands = [
-            w
-            for w in sources
-            if locof(w) == locof(r)
-            and written(w) == x.lab[r].ret
-            and ((w, r) in hb or (w, r) in st)
-            and visible(w, r)
-        ]
-        found = False
-        for w in cands:
-            blocked = any(
-                w2 != w
-                and w2 != r
-                and locof(w2) == locof(r)
-                and (w, w2) in hb
-                and (w2, r) in hb
-                and visible(w2, r)
-                for w2 in sources
-            )
-            if blocked:
-                continue
-            if (w, r) not in st and w in writes and w not in ptr:
-                continue  # cond 10: external reads need persisted sources
-            found = True
-            break
-        if not found:
+        # the sources r may see: same era, persisted, or an allocation
+        visible = at.get(l.args[0], 0) & (eras[era[r]] | persisted | news)
+        # cond 10: a source outside r's transaction must be persisted
+        admissible = visible & (st[r] | into[r] & (persisted | news))
+        # ... and write r's value with no visible source hb-between them
+        if not any(
+            (lab[w].args[1] if writes >> w & 1 else 0) == l.ret and not hb[w] & into[r] & visible
+            for w in bits(admissible)
+        ):
             return Verdict.fail(f"cond 8-10: read {r} has no admissible source")
     return Verdict.ok()
 
 
 def ltrans_global_consistent(x: Execution) -> Verdict:
     """Conditions 11-14 over the tagged (possibly anonymized) execution."""
-    hb = x.hb
-    st = same_transaction(x)
-    ptr = set(_tagged(x, PTR_TAG))
-    t_tagged = set(_tagged(x, T_TAG))
-    b_tagged = set(_tagged(x, B_TAG))
-    e_tagged = set(_tagged(x, E_TAG))
-    nvo_req = {
-        (e, b) for e in e_tagged for b in b_tagged if (e, b) in hb
-    }
-    nvo = Order.close(len(x), nvo_req)
+    hb = x.hb_order.rows
+    persisted = _mask(tag_set(x, PTR_TAG))
+    b_tagged, e_tagged = _mask(tag_set(x, B_TAG)), _mask(tag_set(x, E_TAG))
+    # nvo: each end-tagged event before the begin-tagged events hb-after it
+    nvo = Order.close_rows([hb[e] & b_tagged if e_tagged >> e & 1 else 0 for e in x.events])
     if not nvo.is_acyclic():
         return Verdict.fail("cond 11: cyclic transaction order")
-    if any(b in ptr and a not in ptr for (a, b) in nvo.pairs):
+    if any(nvo.rows[a] & persisted for a in bits(e_tagged & ~persisted)):
         return Verdict.fail("cond 12: persisted set is not an nvo prefix")
-    for (a, b) in st:
-        if a in ptr and b in t_tagged and b not in ptr:
-            return Verdict.fail("cond 13: partially persisted transaction")
-    for e in e_tagged:
-        if x.lab[e].is_complete and e not in ptr:
-            return Verdict.fail("cond 14: completed transaction not persisted")
+    st = _transaction_rows(x.plain)
+    unpersisted = _mask(tag_set(x, T_TAG)) & ~persisted
+    if any(st[a] & unpersisted for a in bits(persisted)):
+        return Verdict.fail("cond 13: partially persisted transaction")
+    if any(x.lab[e].is_complete for e in bits(e_tagged & ~persisted)):
+        return Verdict.fail("cond 14: completed transaction not persisted")
     return Verdict.ok()
 
 
 def _ltrans_tag_hook(g: PlainExecution) -> Sequence[Mapping[int, FrozenSet[str]]]:
     """Persisted-marker candidates: subsets of transaction-relevant events,
     whole transactions at a time, committed transactions first."""
-    tagged = [
-        e
-        for e in g.events
-        if {T_TAG, B_TAG, E_TAG} & g.lab[e].tags and PTR_TAG not in g.lab[e].tags
-    ]
-    if not tagged:
-        return [{}]
+    tagged = _mask(tag_set(g, T_TAG) | tag_set(g, B_TAG) | tag_set(g, E_TAG)) & ~_mask(tag_set(g, PTR_TAG))
     # group by same-transaction over po (thread, segment between B/E tags)
-    x = Execution(g)
-    st = same_transaction(x)
-    groups: List[List[int]] = []
-    placed = set()
-    for e in sorted(tagged):
-        if e in placed:
-            continue
-        grp = sorted({e} | {b for (a, b) in st if a == e and b in set(tagged)})
-        groups.append(grp)
-        placed.update(grp)
-    out: List[Mapping[int, FrozenSet[str]]] = []
-    indices = list(range(len(groups)))
-    for r in range(len(groups), -1, -1):
-        for combo in itertools.combinations(indices, r):
-            tags: Dict[int, FrozenSet[str]] = {}
-            for gi in combo:
-                for e in groups[gi]:
-                    tags[e] = frozenset({PTR_TAG})
-            out.append(tags)
-    return out
+    st = _transaction_rows(g)
+    groups: List[int] = []
+    for e in bits(tagged):
+        if not any(group >> e & 1 for group in groups):
+            groups.append(st[e] & tagged | 1 << e)
+    persisted = frozenset({PTR_TAG})
+    return [
+        {e: persisted for group in combo for e in bits(group)}
+        for r in range(len(groups), -1, -1)
+        for combo in itertools.combinations(groups, r)
+    ]
 
 
 def ltrans_spec() -> LibrarySpec:
@@ -913,29 +863,16 @@ def lock_interface() -> LibraryInterface:
 
 def lock_consistent(x: Execution) -> Verdict:
     """hb totally orders the lock events of each era into (acq·rel)*·acq?."""
-    era = x.plain.era_of()
-    n_eras = len(x.plain.crash_events()) + 1
-    for k in range(n_eras):
-        evs = [
-            e
-            for e in x.events
-            if era[e] == k and x.lab[e].method in ("lacq", "lrel")
-        ]
-        for a in evs:
-            for b in evs:
-                if a != b and (a, b) not in x.hb and (b, a) not in x.hb:
-                    return Verdict.fail("lock events not totally hb-ordered")
-        word = [
-            x.lab[e].method
-            for e in sorted(evs, key=lambda e: sum(1 for o in evs if (o, e) in x.hb))
-        ]
-        expect_acq = True
-        for m in word:
-            if expect_acq and m != "lacq":
-                return Verdict.fail("release without a held lock")
-            if not expect_acq and m != "lrel":
-                return Verdict.fail("double acquire")
-            expect_acq = not expect_acq
+    hb, into = x.hb_order.rows, x.hb_order.preds()
+    locks = _calls(x, "lacq", "lrel")
+    for era in _era_masks(x.plain):
+        evs = locks & era
+        if any(evs & ~(hb[a] | into[a] | 1 << a) for a in bits(evs)):
+            return Verdict.fail("lock events not totally hb-ordered")
+        # the events in hb order alternate acquire, release, acquire, ...
+        for i, e in enumerate(sorted(bits(evs), key=lambda e: (into[e] & evs).bit_count())):
+            if x.lab[e].method != ("lacq", "lrel")[i % 2]:
+                return Verdict.fail("double acquire" if i % 2 else "release without a held lock")
     return Verdict.ok()
 
 
@@ -943,18 +880,16 @@ def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Interleavings of critical sections: per era, the per-thread (acq[,rel])
     sections in every order that po allows, an open section (no release)
     after all others, rel -> next acq edges proposed."""
-    era = g.era_of()
-    rows = g.po_order.rows
+    rows, locks = g.po_order.rows, _calls(g, "lacq", "lrel")
     options_per_era: List[List[FrozenSet[Tuple[int, int]]]] = []
-    for k in range(len(g.crash_events()) + 1):
+    for era in _era_masks(g):
         sections: List[List[int]] = []
         by_thread: Dict[int, List[int]] = {}
-        for e in g.events:
-            if era[e] == k and g.lab[e].method in ("lacq", "lrel"):
-                by_thread.setdefault(g.lab[e].thread, []).append(e)
+        for e in bits(locks & era):
+            by_thread.setdefault(g.lab[e].thread, []).append(e)
         for t, evs in sorted(by_thread.items(), key=lambda kv: repr(kv[0])):
             cur: List[int] = []
-            for e in sorted(evs):
+            for e in evs:
                 cur.append(e)
                 if g.lab[e].method == "lrel":
                     sections.append(cur)
@@ -974,10 +909,11 @@ def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
             order = [sections[i] for i, _ in lin]
             opts.append(frozenset((a[-1], b[0]) for a, b in zip(order, order[1:])))
         options_per_era.append(opts or [frozenset()])
-    out = []
+    out, seen = [], set()
     for combo in itertools.product(*options_per_era):
         merged = frozenset().union(*combo) if combo else frozenset()
-        if merged not in out:
+        if merged not in seen:
+            seen.add(merged)
             out.append(merged)
     return out
 
@@ -1006,12 +942,9 @@ def lstrans_spec() -> LibrarySpec:
     bracketing."""
 
     def wf(x: Execution) -> Verdict:
-        po = x.po
-        begins = [e for e in x.events if x.lab[e].method == "lpt_begin"]
-        ends = [e for e in x.events if x.lab[e].method == "lpt_end"]
-        for e in ends:
-            if not any((b, e) in po for b in begins):
-                return Verdict.fail("lpt_end without a prior lpt_begin")
+        into, begins = x.plain.po_order.preds(), _calls(x, "lpt_begin")
+        if any(not into[e] & begins for e in bits(_calls(x, "lpt_end"))):
+            return Verdict.fail("lpt_end without a prior lpt_begin")
         return Verdict.ok()
 
     return LibrarySpec(
@@ -1052,19 +985,17 @@ def counter_interface() -> LibraryInterface:
 def counter_consistent(x: Execution) -> Verdict:
     """A read returns the number of increments hb-before it that are visible
     (same era or persisted)."""
-    era = x.plain.era_of()
-    ptr = set(_tagged(x, PTR_TAG))
-    for r in [e for e in x.events if x.lab[e].method == "cread"]:
-        if x.lab[r].ret is BOT:
+    into = x.hb_order.preds()
+    era, eras = x.plain.era_of(), _era_masks(x.plain)
+    persisted, incs = _mask(tag_set(x, PTR_TAG)), _calls(x, "cinc")
+    for r in bits(_calls(x, "cread")):
+        l = x.lab[r]
+        if l.ret is BOT:
             continue
-        count = 0
-        for i in [e for e in x.events if x.lab[e].method == "cinc"]:
-            if x.lab[i].args[0] != x.lab[r].args[0]:
-                continue
-            if (i, r) in x.hb and (era[i] == era[r] or i in ptr):
-                count += 1
-        if x.lab[r].ret != count:
-            return Verdict.fail(f"cread returned {x.lab[r].ret}, expected {count}")
+        at = _mask(i for i in bits(incs) if x.lab[i].args[0] == l.args[0])
+        count = (at & into[r] & (eras[era[r]] | persisted)).bit_count()
+        if l.ret != count:
+            return Verdict.fail(f"cread returned {l.ret}, expected {count}")
     return Verdict.ok()
 
 
@@ -1331,6 +1262,8 @@ def load_manifest(path) -> Tuple["Collection", dict]:
     Shape: {"libraries": [{"name": "px86", "budget": 50000}, ...],
             "domain": [0, 1], "unroll": 4}.
     Returns the frozen-free collection plus the leftover interpreter options.
+    A budget or unroll bound that is not positive raises ``ValueError``, as
+    the ``--budget`` and ``--unroll`` flags do.
     """
     import json
     from pathlib import Path
@@ -1340,7 +1273,12 @@ def load_manifest(path) -> Tuple["Collection", dict]:
     for entry in data.get("libraries", []):
         if isinstance(entry, str):
             entry = {"name": entry}
-        coll.register(builtin_spec(entry["name"], budget=int(entry.get("budget", 100_000))))
+        budget = int(entry.get("budget", 100_000))
+        if budget <= 0:
+            raise ValueError(f"budget of {entry['name']} must be positive")
+        coll.register(builtin_spec(entry["name"], budget=budget))
+    if data.get("unroll") is not None and int(data["unroll"]) <= 0:
+        raise ValueError("unroll must be positive")
     options = {
         "domain": tuple(data.get("domain", ())),
         "unroll": data.get("unroll"),

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import lang
 from .framework import (
     BudgetExceeded,
     Collection,
@@ -679,12 +680,6 @@ class VerifyReport:
         return "\n".join(r.to_json() for r in self.records)
 
 
-def _refinements(coll: Collection, g: PlainExecution) -> List[Execution]:
-    from .lang import candidate_refinements
-
-    return list(candidate_refinements(coll, g))
-
-
 @shared_verdicts()
 def verify_impl_bounded(
     impl: SemanticImpl,
@@ -737,7 +732,8 @@ def verify_impl_bounded(
                 report.records.append(rec)
                 continue
             rec.matching_found = True
-            refinements = _refinements(coll_low, gc)
+            # looked up on its module, so a patched or traced generator is the one called
+            refinements = list(lang.candidate_refinements(coll_low, gc))
             # hereditary consistency upward
             found_consistent_low = False
             for xc in refinements:

@@ -317,6 +317,21 @@ def test_manifest_configures_registry(tmp_path, capsys):
     assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(bad)]) == 2
 
 
+def test_manifest_rejects_a_zero_budget(tmp_path, capsys):
+    # a zero budget would leave every flit check undecided
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"libraries": [{"name": "flit", "budget": 0}]}')
+    assert run_cli(["check", str(LITMUS / "flit" / "f1_write_read.lit"), "--manifest", str(manifest)]) == 2
+    assert "budget of flit must be positive" in capsys.readouterr().err
+
+
+def test_manifest_rejects_a_zero_unroll(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"libraries": ["px86"], "unroll": 0}')
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
+    assert "unroll must be positive" in capsys.readouterr().err
+
+
 def test_model_override_flips_sb_verdict(capsys):
     # the weak SB outcome is consistent under px86 but not under SC memory
     assert run_cli(["check", str(LITMUS / "sb.lit")]) == 0

@@ -2,13 +2,17 @@
 search, against the eager loops they replaced (``eager_reference``): the same
 status and the same hook list on random executions with 0-2 crashes, pending
 calls, explicit P tags and random sw sets, and every witness the search
-returns checked against the definitions of lin, nvo and P."""
+returns checked against the definitions of lin, nvo and P.  Flit's dependency
+and persist orders and Mirror's same-era chain are read from closed rows;
+the pair-set checks they replaced (``pairs_reference``) give the same
+verdict, witness included."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eager_reference as ref
+import pairs_reference
 from persistcheck.framework import BudgetExceeded
 from persistcheck.libs import _mirror_sw_hook, check_flit, check_mirror
 from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution
@@ -173,21 +177,64 @@ def _mirror_witness_holds(x, w):
     assert all(a in w["P"] for a, b in nvo if b in w["P"])
 
 
+def _read_then(then, write_tags=frozenset(), crash=False):
+    """A persistent write of 1 to location 50, then (after a crash, if
+    ``crash``) another thread's persistent read of it followed by ``then``:
+    the write-to-read edge puts the write dep-before ``then``."""
+    write = Label("fwrite_p", (50, 1), None, frozenset(write_tags), 0)
+    labels = [write] + [CRASH] * crash + [Label("fread_p", (50,), 1, frozenset(), 1), then]
+    n = len(labels)
+    return Execution(PlainExecution(labels, [(a, b) for a in range(n) for b in range(a + 1, n) if crash or a]))
+
+
+#: same era: the write is nvo-before the later write
+WRITE_READ_WRITE = _read_then(Label("fwrite_p", (52, 2), None, frozenset(), 1))
+#: same era, P given: the write precedes a finish-op, so it must persist
+WRITE_READ_FINISH = _read_then(Label("ffinish", (), None, frozenset({P_TAG}), 1))
+#: across a crash the edge needs the write persisted
+PERSISTED_READ_WRITE = _read_then(Label("fwrite_p", (52, 2), None, frozenset(), 1), {P_TAG}, crash=True)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(executions("flit"))
+@example(WRITE_READ_WRITE)
+@example(WRITE_READ_FINISH)
+@example(PERSISTED_READ_WRITE)
 def test_flit_search_matches_eager_reference(x):
     v = check_flit(x)
     assert v.status == ref.check_flit(x).status
+    assert v == pairs_reference.check_flit(x)
     assert dict(v.stats)["stage"] == "linearization enumeration"
     if v:
         _flit_witness_holds(x, v.witness)
 
 
+def _synchronized_writes(first_ret):
+    """Thread 0 writes 1 to location 50; thread 1 reads it, synchronized
+    with the write by sw, then writes location 52: the same-era chain puts
+    the first write nvo-before the second."""
+    labels = [
+        Label("mwr", (50, 1), first_ret, frozenset(), 0),
+        Label("mrd", (50,), 1, frozenset(), 1),
+        Label("mwr", (52, 2), None, frozenset(), 1),
+    ]
+    return Execution(PlainExecution(labels, [(1, 2)]), [(0, 1)])
+
+
+#: both writes complete, so both persist in order
+SYNCHRONIZED_WRITES = _synchronized_writes(None)
+#: the first write is pending, so it does not persist, but the second does
+PENDING_BEFORE_COMPLETE = _synchronized_writes(BOT)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(executions("mirror"))
+@example(SYNCHRONIZED_WRITES)
+@example(PENDING_BEFORE_COMPLETE)
 def test_mirror_search_matches_eager_reference(x):
     v = check_mirror(x)
     assert v.status == ref.check_mirror(x).status
+    assert v == pairs_reference.check_mirror(x)
     assert dict(v.stats)["stage"] == "linearization enumeration"
     if v:
         _mirror_witness_holds(x, v.witness)

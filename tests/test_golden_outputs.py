@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from persistcheck.cli import main
+from persistcheck.model import Execution, PlainExecution
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -89,6 +90,22 @@ def test_output_matches_golden(name):
     assert _record(name, code, out, err) == want
     if name not in DIGEST_ONLY:
         assert out == _file_for(name).read_text(encoding="utf-8")
+
+
+def test_reports_read_no_pair_view(monkeypatch):
+    # every layer reads po and hb as closed rows: with their pair views made
+    # to raise, each report still equals its golden
+    def pair_view(self):
+        raise AssertionError("po or hb read as a pair set")
+
+    for cls, name in ((Execution, "po"), (Execution, "hb"), (PlainExecution, "po")):
+        monkeypatch.setattr(cls, name, property(pair_view))
+    index = json.loads(INDEX.read_text(encoding="utf-8"))
+    for name, argv in CASES.items():
+        code, out, err = _run(argv)
+        assert _record(name, code, out, err) == index[name], name
+        if name not in DIGEST_ONLY:
+            assert out == _file_for(name).read_text(encoding="utf-8"), name
 
 
 if __name__ == "__main__":
