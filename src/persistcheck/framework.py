@@ -192,15 +192,20 @@ Placement = List[Tuple[int, object]]
 
 @dataclass(frozen=True)
 class Seeded:
-    """A ``local_consistent`` built on ``sc.linearize``: ``check(x, seed=...)``
-    replays a ``Placement`` of ``x``'s events (or ``None``) before it searches,
-    and ``placed(x, witness)`` gives its OK witness as one."""
+    """A ``local_consistent`` built on ``sc.linearize`` that reads its
+    projection through a mask.  ``check(x, mask=..., seed=...)`` decides the
+    projection of ``x`` on the events of ``mask`` (which holds every crash
+    po-before one of them), searching in ``x``'s own event ids: an event
+    outside ``mask`` gets no candidate.  It first replays a ``Placement`` of
+    ``x``'s events (or ``None``), less the pairs that name events it does
+    not place; ``placed(x, mask, witness)`` gives its OK witness as one.
+    Called on an execution alone, it checks all of it."""
 
     check: Callable[..., Verdict]
-    placed: Callable[[Execution, object], Placement]
+    placed: Callable[[Execution, int, object], Placement]
 
     def __call__(self, x: Execution) -> Verdict:
-        return self.check(x, seed=None)
+        return self.check(x, mask=(1 << len(x)) - 1, seed=None)
 
 
 SwHook = Callable[[PlainExecution], Sequence[FrozenSet[Tuple[int, int]]]]
@@ -230,11 +235,14 @@ class LibrarySpec:
     default, so the restriction or anonymization it would read is never
     built (``Collection.register`` still tries each on the empty execution).
 
-    ``local_consistent`` reads only its argument, the library's projection
-    (its events and the crashes, with the po, sw and hb edges among them),
-    and gives the same verdict, budget-exceeded included, on an equal one.
-    The prefix walks rely on this: they keep each library's verdict by the
-    events of its projection and do not ask again while those stay the same.
+    ``local_consistent`` reads only the library's projection (its events and
+    the crashes, with the po, sw and hb edges among them), and gives the
+    same verdict, budget-exceeded included, on an equal one.  A plain check
+    gets the projection as its argument; a ``Seeded`` one gets the walked
+    execution and the projection's mask, and reads only the mask's events
+    and the relations among them.  The prefix walks rely on this: they keep
+    each library's verdict by the events of its projection and do not ask
+    again while those stay the same.
 
     ``seq`` is the library's sequential spec, or ``None``.  Setting it states
     a contract that prefix pruning (``libs.sc_prune_factory``) relies on:
@@ -392,13 +400,15 @@ class Owners:
     ``x`` that span two libraries, and per library the bit mask of its
     events and the crashes (``keeps``).  A prefix of ``x`` is named by the
     mask of the events it keeps (``prefix``), and a library's projection of
-    it is cut straight from ``x`` on ``mask & keeps[library]``.  ``local``
-    holds each library's ``local_consistent`` verdict by that projected
-    mask, so a walk that drops another library's event does not check this
-    one again.  A ``Seeded`` check first replays its library's last OK
-    witness (``placed``, by events of ``x``) cut to the new projection, as a
-    prefix's witness less one hb-maximal event nearly always is one.  A
-    table lives as long as the check or walk that built it."""
+    it is the mask ``mask & keeps[library]``.  ``local`` holds each
+    library's ``local_consistent`` verdict by that projected mask, so a walk
+    that drops another library's event does not check this one again.  A
+    ``Seeded`` check reads ``x`` itself through the projected mask, so no
+    projection is built for it: it first replays its library's last OK
+    witness (``placed``, by events of ``x``), as a prefix's witness less one
+    hb-maximal event nearly always is one.  Any other check gets its
+    projection cut from ``x`` (``cut``).  A table lives as long as the check
+    or walk that built it."""
 
     def __init__(self, coll: Collection, x: Execution):
         self.coll, self.x = coll, x
@@ -444,7 +454,7 @@ class Owners:
                 key = (spec.name, mask & self.keeps[spec.name])
                 v = self.local.get(key)
                 if v is None:
-                    v = self.local[key] = self._local(spec, self.cut(p, key[1]), key[1])
+                    v = self.local[key] = self._local(spec, p, key[1])
                 if not v:
                     return Verdict(v.status, f"{spec.name}.consistent: {v.reason}", v.witness, v.stats)
             if spec.global_consistent is not _always_ok:
@@ -453,19 +463,15 @@ class Owners:
                     return Verdict(v.status, f"{spec.name}.global_consistent: {v.reason}", v.witness, v.stats)
         return Verdict.ok()
 
-    def _local(self, spec: LibrarySpec, proj: Execution, mask: int) -> Verdict:
-        """``spec``'s local verdict on its projection ``proj``, on ``mask``."""
+    def _local(self, spec: LibrarySpec, p: "Prefix", mask: int) -> Verdict:
+        """``spec``'s local verdict on its projection of ``p``, the events of
+        ``mask``."""
         check = spec.local_consistent
         if not isinstance(check, Seeded):
-            return check(proj)
-        ids = list(bits(mask))
-        seed = self.placed.get(spec.name)
-        if seed is not None:
-            rank = {e: i for i, e in enumerate(ids)}
-            seed = [(rank[e], c) for e, c in seed if e in rank]
-        v = check.check(proj, seed=seed)
+            return check(self.cut(p, mask))
+        v = check.check(self.x, mask=mask, seed=self.placed.get(spec.name))
         if v:
-            self.placed[spec.name] = [(ids[e], c) for e, c in check.placed(proj, v.witness)]
+            self.placed[spec.name] = check.placed(self.x, mask, v.witness)
         return v
 
 
@@ -566,8 +572,9 @@ def check_consistent(coll: Collection, x) -> Verdict:
 
 
 def _check_consistent(coll: Collection, x) -> Verdict:
-    """``check_consistent`` without the shared verdicts.  Each library's
-    projection is cut from the owner table's execution; a predicate left at
+    """``check_consistent`` without the shared verdicts.  A library's
+    projection is read through its mask of the owner table's execution by
+    a ``Seeded`` check and cut from it for any other; a predicate left at
     its default is not called, so its projection is not built."""
     p = _prefix(coll, x)
     return p.owners.consistent(p)
@@ -618,15 +625,17 @@ def check_hereditarily_consistent(
     the search walks immediate prefixes (one hb-maximal event removed),
     memoizing each prefix's chain by the subset of ``x``'s event ids it keeps.
     One owner table serves the walk: each prefix goes to ``check_consistent``
-    as a ``Prefix`` of it, each library's projection is cut straight from
-    ``x``, and a library's local verdict is computed once per projection, so
-    dropping another library's event does not check it again.  A library
-    whose check is ``Seeded`` first replays its last OK witness of the walk,
-    cut to the new projection, and searches only if that fails.  The mask
-    memo and the table live for this call only; the consistency verdicts of
-    the prefixes are shared beyond it, with every other check of the same
-    exact execution, only inside a ``shared_verdicts`` scope.  The witness is the
-    chain, given by its subsets and built only when read.  A prefix whose
+    as a ``Prefix`` of it, and a library's local verdict is computed once
+    per projection, so dropping another library's event does not check it
+    again.  A library whose check is ``Seeded`` reads ``x`` through its
+    projection's mask, so its hb predecessors and eras are derived once per
+    walk and no projection is built; it first replays its last OK witness of
+    the walk and searches only if that fails.  Any other library's
+    projection is cut straight from ``x``.  The mask memo and the table
+    live for this call only; the consistency verdicts of the prefixes are
+    shared beyond it, with every other check of the same exact execution,
+    only inside a ``shared_verdicts`` scope.  The witness is the chain,
+    given by its subsets and built only when read.  A prefix whose
     consistency check runs out of budget is neither consistent nor refuted:
     unless a chain avoids it, the verdict is budget-exceeded.
     """

@@ -88,6 +88,7 @@ def execution_linearizable(
     budget: int = 200_000,
     era_monotone: bool = False,
     seed: Optional[Placement] = None,
+    mask: Optional[int] = None,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
     sequential spec.
@@ -101,31 +102,36 @@ def execution_linearizable(
     linearizability erases crashes, so only happens-before constrains
     incomplete stragglers there.
 
-    One ``sc.linearize`` search over the kept and optional events decides
-    it; its witness lists the placed events.  The budget counts candidate
-    calls tried, one per event.  A ``seed`` is given as :func:`lin_placed`
-    gives a witness, and replayed first.
+    It decides the projection on ``mask`` (default: every event), as
+    ``framework.Seeded`` states.  One ``sc.linearize`` search over the kept
+    and optional events, in ``x``'s own ids, decides it; its witness lists
+    the placed events.  The budget counts candidate calls tried, one per
+    event.  A ``seed`` is given as :func:`lin_placed` gives a witness, and
+    replayed first.
     """
-    n_eras = len(x.plain.crash_events()) + 1
-    era = x.plain.era_of()
-    ids = [e for e in x.events if not x.lab[e].is_crash]
-    labs = [x.lab[e] for e in ids]
-    modes = {
-        e: keep(l, era[e], era[e] == n_eras - 1) if keep else "keep" if l.is_complete else "optional"
-        for e, l in zip(ids, labs)
-    }
-    members = [e for e in ids if modes[e] != "drop"]
-    must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
-    hb = x.hb_order.restrict(members)
-    preds = era_preds(hb, [era[e] for e in members]) if era_monotone else hb.preds()
+    lab, era = x.lab, x.plain.era_of()
+    mask = (1 << len(x)) - 1 if mask is None else mask
+    crashes = mask & _mask(x.plain.crash_events())
+    last = crashes.bit_count()
+    members = must = 0
+    for e in bits(mask & ~crashes):
+        l = lab[e]
+        mode = keep(l, era[e], era[e] == last) if keep else "keep" if l.is_complete else "optional"
+        if mode != "drop":
+            members |= 1 << e
+            must |= (mode == "keep") << e
+    hb, preds = x.hb_order.preds(), [0] * len(x)
+    for e in bits(members):
+        earlier = _mask(f for f in bits(members) if era[f] < era[e]) if era_monotone else 0
+        preds[e] = hb[e] & members | earlier
+    options = [[lab[e]] if members >> e & 1 else () for e in x.events]
     if seed is not None:
-        at = {e: i for i, e in enumerate(members)}
-        seed = [(at[e], x.lab[e]) for e, _ in seed if e in at]
-    v = linearize(preds, [[x.lab[e]] for e in members], must, spec, budget, "linearization enumeration", seed)
-    return replace(v, witness=[members[i] for i, _ in v.witness]) if v else v
+        seed = [(e, lab[e]) for e, _ in seed if members >> e & 1]
+    v = linearize(preds, options, must, spec, budget, "linearization enumeration", seed)
+    return replace(v, witness=[e for e, _ in v.witness]) if v else v
 
 
-def lin_placed(x: Execution, witness: Sequence[int]) -> Placement:
+def lin_placed(x: Execution, mask: int, witness: Sequence[int]) -> Placement:
     """The witness of :func:`execution_linearizable`, its placed events."""
     return [(e, None) for e in witness]
 
@@ -149,8 +155,8 @@ def weakreg_interface(with_pfence: bool = True) -> LibraryInterface:
 
 
 def weakreg_spec(with_pfence: bool = True, budget: int = 500_000) -> LibrarySpec:
-    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
-        return weakreg_consistent_execution(x, with_pfence=with_pfence, budget=budget, seed=seed)
+    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+        return weakreg_consistent_execution(x, with_pfence=with_pfence, budget=budget, seed=seed, mask=mask)
 
     iface = weakreg_interface(with_pfence)
     return LibrarySpec(interface=iface, local_consistent=Seeded(check, weakreg_placed), seq=S_WEAKREG)
@@ -181,10 +187,10 @@ def make_lin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget:
     """Linearizability of hb as a library spec (crash-free executions; any
     crash is inconsistent for a purely volatile linearizable library)."""
 
-    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
-        if x.plain.crash_events():
+    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+        if any(mask >> c & 1 for c in x.plain.crash_events()):
             return Verdict.fail("crash in a Lin(S) execution")
-        return execution_linearizable(x, seq_spec, budget=budget, seed=seed)
+        return execution_linearizable(x, seq_spec, budget=budget, seed=seed, mask=mask)
 
     return LibrarySpec(interface=interface, local_consistent=Seeded(check, lin_placed), seq=seq_spec)
 
@@ -194,8 +200,8 @@ def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budg
     survive into the linearization; incomplete calls may be dropped or
     completed."""
 
-    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
-        return execution_linearizable(x, seq_spec, budget=budget, seed=seed)
+    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+        return execution_linearizable(x, seq_spec, budget=budget, seed=seed, mask=mask)
 
     return LibrarySpec(interface=interface, local_consistent=Seeded(check, lin_placed), seq=seq_spec)
 
@@ -1057,7 +1063,9 @@ def _s_mmcounter_step(state, c: CallLike):
 S_MMCOUNTER = SequentialSpec("mmcounter", dict, _s_mmcounter_step)
 
 
-def mmcounter_consistent(x: Execution, budget: int = 100_000, seed: Optional[Placement] = None) -> Verdict:
+def mmcounter_consistent(
+    x: Execution, budget: int = 100_000, seed: Optional[Placement] = None, mask: Optional[int] = None
+) -> Verdict:
     """Era-wise persisted-prefix linearization: events of earlier eras count
     only when persisted; the final era contributes everything."""
 
@@ -1068,7 +1076,7 @@ def mmcounter_consistent(x: Execution, budget: int = 100_000, seed: Optional[Pla
             return "keep" if l.is_complete else "optional"
         return "drop"
 
-    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True, seed=seed)
+    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True, seed=seed, mask=mask)
 
 
 def mmcounter_spec() -> LibrarySpec:
@@ -1250,8 +1258,8 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     # no value_flow: under SC a load of a location nothing wrote returns 0
     iface = replace(px86_interface(), name="scmem", tags_introduced=frozenset(), value_flow=None)
 
-    def check(x: Execution, seed: Optional[Placement]) -> Verdict:
-        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True, seed=seed)
+    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True, seed=seed, mask=mask)
 
     return LibrarySpec(interface=iface, local_consistent=Seeded(check, lin_placed))
 

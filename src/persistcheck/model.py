@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -350,6 +352,42 @@ def row_pairs(rows: Sequence[int], ids: Optional[Sequence] = None) -> Relation:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _swap_masks(width: int) -> Tuple[Tuple[int, int], ...]:
+    """Per step of :func:`_transpose` on ``width``-bit rows (a power of two),
+    the distance ``d`` of its swaps and the mask of the bits it moves up by
+    ``d``: bit ``c`` of row ``r`` where bit ``j`` of ``r`` is clear and that
+    of ``c`` set, for ``j`` from ``width/2`` down to 1."""
+    out = []
+    j = width >> 1
+    while j:
+        row = sum(1 << c for c in range(width) if c & j)
+        out.append((j * (width - 1), sum(row << r * width for r in range(width) if not r & j)))
+        j >>= 1
+    return tuple(out)
+
+
+def _transpose(rows: Sequence[int]) -> Tuple[int, ...]:
+    """The bit matrix ``rows`` (``n`` rows of ``n`` bits) transposed: bit
+    ``a`` of row ``b`` of the result is bit ``b`` of ``rows[a]``.  The rows
+    are packed into one integer at a power-of-two stride, and each step
+    swaps the two off-diagonal quarters of every block in place, halving
+    the block, so the work is a few big-integer operations per row rather
+    than one per set bit."""
+    n = len(rows)
+    if n < 2:
+        return tuple(rows)
+    width = 1 << (n - 1).bit_length()
+    m = 0
+    for row in reversed(rows):
+        m = m << width | row
+    for d, mask in _swap_masks(width):
+        t = (m >> d ^ m) & mask
+        m ^= t | t << d
+    full = (1 << width) - 1
+    return tuple(m >> b * width & full for b in range(n))
+
+
 class Order:
     """A transitively closed relation on the events ``0..n-1``, one Python
     int per event: bit ``b`` of ``rows[a]`` is set iff ``(a, b)`` is related.
@@ -357,16 +395,17 @@ class Order:
     Orders are only made closed: ``close``/``extend`` run Warshall's
     algorithm over the rows, and ``restrict`` masks and compacts the rows of
     an order that is already closed (the restriction of a closed relation is
-    closed, so it is never closed again).  The pair set and the transitive
-    reduction are built on first use and cached.
+    closed, so it is never closed again).  The pair set, the transitive
+    reduction and the converse rows are built on first use and cached.
     """
 
-    __slots__ = ("rows", "_pairs", "_reduced")
+    __slots__ = ("rows", "_pairs", "_reduced", "_preds")
 
     def __init__(self, rows: Sequence[int]):
         self.rows = tuple(rows)
         self._pairs: Optional[Relation] = None
         self._reduced: Optional[Relation] = None
+        self._preds: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def close(cls, n: int, edges: Iterable[Edge], what: str = "order") -> "Order":
@@ -414,16 +453,12 @@ class Order:
             rest &= ~(later | low)
         return rows[a] & ~later
 
-    def preds(self) -> List[int]:
-        """Row of the predecessors of each event (the converse order)."""
-        cols = [0] * len(self.rows)
-        for a, row in enumerate(self.rows):
-            bit = 1 << a
-            while row:  # the bits of ``row``, walked inline
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        return cols
+    def preds(self) -> Tuple[int, ...]:
+        """Row of the predecessors of each event (the converse order), built
+        on first use and kept."""
+        if self._preds is None:
+            self._preds = _transpose(self.rows)
+        return self._preds
 
     def restrict(self, keep: Sequence[int]) -> "Order":
         """The order on the ascending events ``keep``, renumbered densely."""
@@ -620,7 +655,7 @@ class PlainExecution:
     every po-immediate successor of an incomplete call is a crash event.
     """
 
-    __slots__ = ("events", "lab", "po_order")
+    __slots__ = ("events", "lab", "po_order", "_era")
 
     def __init__(self, labels: Sequence[Label], po: Iterable[Edge] | Order):
         lab: Dict[int, Label] = {}
@@ -640,6 +675,7 @@ class PlainExecution:
         object.__setattr__(self, "events", tuple(range(len(labels))))
         object.__setattr__(self, "lab", lab)
         object.__setattr__(self, "po_order", order)
+        object.__setattr__(self, "_era", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PlainExecution is immutable")
@@ -667,10 +703,16 @@ class PlainExecution:
     def crash_events(self) -> List[int]:
         return [e for e in self.events if self.lab[e].is_crash]
 
-    def era_of(self) -> Dict[int, int]:
-        """Era index of each event: the number of crashes strictly po-before it."""
-        rows = [self.po_order.rows[c] for c in self.crash_events()]
-        return {e: sum(row >> e & 1 for row in rows) for e in self.events}
+    def era_of(self) -> Mapping[int, int]:
+        """Era index of each event: the number of crashes strictly po-before
+        it.  Built on first use and kept, so it is read-only."""
+        if self._era is None:
+            era = dict.fromkeys(self.events, 0)
+            for c in self.crash_events():
+                for e in bits(self.po_order.rows[c]):
+                    era[e] += 1
+            object.__setattr__(self, "_era", MappingProxyType(era))
+        return self._era
 
     def restrict_events(self, keep: Iterable[int]) -> "PlainExecution":
         """Sub-execution on a subset of events (ids renumbered densely); the

@@ -399,63 +399,70 @@ def check_weakreg_consistent(
     calls = h.calls()
     crashes = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
     era = [bisect_right(crashes, c.inv_index) for c in calls]
-    return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls), with_pfence, budget)
+    return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls).preds(), with_pfence, budget)
 
 
 def weakreg_consistent_execution(
-    x, with_pfence: bool = False, budget: int = 500_000, seed: Optional[Placement] = None
+    x, with_pfence: bool = False, budget: int = 500_000, seed: Optional[Placement] = None, mask: Optional[int] = None
 ) -> Verdict:
     """Weak-register consistency of a single-event-call execution (crash
     events delimit eras; hb is the execution's primitive happens-before),
-    after replaying a ``seed`` of the form :func:`weakreg_placed` gives."""
-    ids = [e for e in x.events if not x.lab[e].is_crash]
-    era_of = x.plain.era_of()
-    crashes = x.plain.crash_events()
-    labels = [x.lab[e] for e in ids]
+    after replaying a ``seed`` of the form :func:`weakreg_placed` gives.
+    It decides the projection on ``mask`` (default: every event), as
+    ``framework.Seeded`` states, in ``x``'s own ids; the crashes of
+    ``mask`` end its eras in id order."""
+    n, lab, era = len(x), x.lab, x.plain.era_of()
+    mask = (1 << n) - 1 if mask is None else mask
+    crashes = [c for c in x.plain.crash_events() if mask >> c & 1]
+    calls = [lab[e] if mask >> e & 1 and not lab[e].is_crash else None for e in x.events]
+    members = sum(1 << e for e, c in enumerate(calls) if c is not None)
     if seed is not None:
-        at = {e: i for i, e in enumerate(ids + crashes)}
-        seed = [(at[e], CRASH if x.lab[e].is_crash else (x.lab[e], p)) for e, p in seed]
-    hb = x.hb_order.restrict(ids)
-    return _weakreg_linearize(labels, [era_of[e] for e in ids], len(crashes) + 1, hb, with_pfence, budget, seed)
+        end = {c: n + k for k, c in enumerate(crashes)}
+        seed = [(end[e], CRASH) if e in end else (e, (lab[e], p)) for e, p in seed if mask >> e & 1]
+    preds = [p & members for p in x.hb_order.preds()]
+    return _weakreg_linearize(calls, era, len(crashes) + 1, preds, with_pfence, budget, seed)
 
 
-def weakreg_placed(x, w: WeakRegWitness) -> Placement:
-    """The witness ``w`` of :func:`weakreg_consistent_execution` on ``x`` as
-    its search placed it: per era the calls in volatile order, each with its
-    persist choice, then the crash that ends the era."""
-    ids = [e for e in x.events if not x.lab[e].is_crash]
-    crashes, last = x.plain.crash_events(), len(w.lin) - 1
+def weakreg_placed(x, mask: int, w: WeakRegWitness) -> Placement:
+    """The witness ``w`` of :func:`weakreg_consistent_execution` on ``x``
+    and ``mask`` as its search placed it: per era the calls in volatile
+    order, each with its persist choice, then the crash that ends the era."""
+    crashes, last = [c for c in x.plain.crash_events() if mask >> c & 1], len(w.lin) - 1
     out: Placement = []
     for k, lin in enumerate(w.lin):
-        out += [(ids[i], None if k == last or x.lab[ids[i]].method == "rread" else i in w.persisted[k]) for i in lin]
+        out += [(e, None if k == last or x.lab[e].method == "rread" else e in w.persisted[k]) for e in lin]
         out += [(crashes[k], None)] if k < last else []
     return out
 
 
 def _weakreg_linearize(
-    calls: Sequence, era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int, seed=None
+    calls: Sequence, era: Sequence[int], n_eras: int, preds: Sequence[int], with_pfence: bool, budget: int, seed=None
 ) -> Verdict:
     """One :func:`linearize` search over the calls ``0..n-1`` (history
-    ``Call``s or execution ``Label``s) and the crash events, ``n+k`` ending
-    era ``k``.  A candidate is a call with its persist choice (``None`` in
-    the last era and for reads).  A state maps each location to its
-    (volatile, persisted) value, and ``PFENCE`` to whether this era holds an
-    unpersisted write; a crash makes the persisted values volatile.  Failed
-    (placed mask, state) pairs are memoized."""
+    ``Call``s or execution ``Label``s, ``None`` where an index is no call)
+    and the crash events, ``n+k`` ending era ``k``; ``preds`` are the calls'
+    hb predecessor masks.  A candidate is a call with its persist choice
+    (``None`` in the last era and for reads).  A state maps each location to
+    its (volatile, persisted) value, and ``PFENCE`` to whether this era
+    holds an unpersisted write; a crash makes the persisted values volatile.
+    Failed (placed mask, state) pairs are memoized."""
     for c in calls:
+        if c is None:
+            continue
         if c.method not in WEAKREG_METHODS:
             raise ValueError(f"not a weak-register call: {c!r}")
         if c.method == PFENCE and not with_pfence:
             raise ValueError("history uses PFENCE but the fence rule is disabled")
     n, last = len(calls), n_eras - 1
+    called = [i for i, c in enumerate(calls) if c is not None]
     # crash n+k follows every call of eras ≤ k and every earlier crash
-    preds = hb.preds() + [sum(1 << i for i in range(n) if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
-    options: List[List[object]] = []
+    preds = list(preds) + [sum(1 << i for i in called if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
+    options: List[Sequence[object]] = []
     for i, c in enumerate(calls):
-        if era[i]:
+        if c is not None and era[i]:
             preds[i] |= 1 << (n + era[i] - 1)
-        if not c.is_complete and c.method != "rwrite":
-            options.append([])
+        if c is None or not c.is_complete and c.method != "rwrite":
+            options.append(())
             continue
         if era[i] == last or c.method == "rread":
             persists = (None,)
@@ -463,7 +470,7 @@ def _weakreg_linearize(
             persists = (True,) if c.method == PFENCE else (True, False)
         options.append([(c, p) for p in persists])
     options += [[CRASH]] * last
-    must = sum(1 << i for i, c in enumerate(calls) if c.is_complete) | ((1 << last) - 1) << n
+    must = sum(1 << i for i in called if calls[i].is_complete) | ((1 << last) - 1) << n
 
     def step(st, cand):
         if cand is CRASH:

@@ -34,7 +34,7 @@ def linear_extensions(
     zero, ``BudgetExceeded`` is raised with ``stage`` as its stage.
     """
     n = len(order)
-    preds = order.preds()
+    preds = list(order.preds())
     if eras is not None:
         for i in range(n):
             preds[i] |= sum(1 << j for j in range(n) if eras[j] < eras[i])

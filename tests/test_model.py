@@ -9,7 +9,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persistcheck.model import (
@@ -20,6 +20,7 @@ from persistcheck.model import (
     History,
     Inv,
     Label,
+    Order,
     PlainExecution,
     Pomset,
     Ret,
@@ -590,6 +591,32 @@ def test_kernel_matches_reference_on_random_relations(edges):
         assert transitive_reduction(iter(edges)) == want
 
 
+def _reference_preds(rows):
+    """``Order.preds`` as it was before it transposed whole rows: one step
+    per set bit."""
+    cols = [0] * len(rows)
+    for a, row in enumerate(rows):
+        bit = 1 << a
+        while row:  # the bits of ``row``, walked inline
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 70).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@example([1])
+@example([(1 << 64) - 1] * 64)
+@example([(1 << 65) - 1] * 65)
+def test_preds_transpose_the_rows(rows):
+    # any bit matrix, not only closed orders; widths across the power-of-two
+    # strides, the last row of a stride and the first past it included
+    order = Order(rows)
+    assert list(order.preds()) == _reference_preds(rows)
+    assert order.preds() is order.preds()
+
+
 _KINDS = {
     "own": lambda i: Label("qpush", (1, i), None, frozenset(), 0),
     "tagged": lambda i: Label("foreign", (i,), None, frozenset({"T"}), 1),
@@ -626,6 +653,8 @@ def _assert_relations(x, po, sw, hb):
     assert x.sw == frozenset(sw)
     assert x.hb == reference_closure(hb)
     assert era_before(x.plain) == frozenset(oracle_eb(x.plain))
+    crashes = [c for c in x.events if x.lab[c].is_crash]
+    assert dict(x.plain.era_of()) == {e: sum((c, e) in x.po for c in crashes) for e in x.events}
     # iso signatures and hashes read off the rows equal the pair-scan ones
     assert _iso_signatures(x.events, x.plain.po_order, x.lab) == reference_iso_signatures(x.events, x.po, x.lab)
     union = reference_iso_signatures(x.events, set(x.po) | set(x.sw) | set(x.hb), x.lab)
