@@ -271,7 +271,7 @@ class Collection:
 
     def __init__(self, specs: Iterable[LibrarySpec] = ()):
         self._specs: Dict[str, LibrarySpec] = {}
-        self._method_owner: Dict[str, str] = {}
+        self._method_owner: Dict[str, LibrarySpec] = {}
         self._frozen = False
         for s in specs:
             self.register(s)
@@ -284,7 +284,7 @@ class Collection:
         for m in spec.interface.methods:
             if m in self._method_owner:
                 raise DuplicateMethod(
-                    f"method {m} of {spec.name} clashes with {self._method_owner[m]}"
+                    f"method {m} of {spec.name} clashes with {self._method_owner[m].name}"
                 )
         self._check_deps(spec)
         empty = Execution(PlainExecution([], []))
@@ -297,7 +297,7 @@ class Collection:
         # a spec that fails a check above is not registered
         self._specs[spec.name] = spec
         for m in spec.interface.methods:
-            self._method_owner[m] = spec.name
+            self._method_owner[m] = spec
         return self
 
     def _check_deps(self, spec: LibrarySpec) -> None:
@@ -343,12 +343,16 @@ class Collection:
 
     def library_of(self, method: str) -> Optional[LibrarySpec]:
         """The library declaring ``method`` by name, whatever the arity."""
-        name = self._method_owner.get(method)
-        return None if name is None else self._specs[name]
+        return self._method_owner.get(method)
 
     def owner_of(self, label: Label) -> Optional[LibrarySpec]:
-        spec = None if label.is_crash or label.method == "⋆" else self.library_of(label.method)
-        return spec if spec is not None and spec.interface.owns(label) else None
+        """The library declaring ``label``'s method with its arity; a crash
+        (no method) and an anonymized ``⋆`` event have none."""
+        spec = self._method_owner.get(label.method)
+        if spec is None or label.method == "⋆":
+            return None
+        arity = spec.interface.methods[label.method]
+        return spec if arity is None or len(label.args) == arity else None
 
     def decorate(self, label: Label) -> Label:
         """Attach interface tags; unknown labels pass through unchanged."""
@@ -415,16 +419,17 @@ class Owners:
         self.full = (1 << len(x)) - 1
         self.specs = coll.specs()
         self.owner: List[Optional[LibrarySpec]] = [None] * len(x)
-        self.keeps: Dict[str, int] = {}
-        crashes = sum(1 << e for e in x.events if x.lab[e].is_crash)
-        owned = _owned_events(coll, x)
+        owner = self.owner
+        owned, masks, crashes = _owned_events(coll, x), {}, self.full
         for spec in self.specs:
-            mask = crashes
+            mask = 0
             for e in owned[spec.name]:
                 mask |= 1 << e
-                self.owner[e] = spec
-            self.keeps[spec.name] = mask
-        owner = self.owner
+                owner[e] = spec
+            masks[spec.name] = mask
+            crashes &= ~mask
+        # what no library owns is a crash: the owner pass raises on any other event
+        self.keeps: Dict[str, int] = {name: mask | crashes for name, mask in masks.items()}
         # a crash has no owner: its edges span no library
         self.spanning = frozenset(
             (a, b) for a, b in x.sw if owner[a] is not None and owner[b] is not None and owner[a] is not owner[b]

@@ -253,38 +253,73 @@ def linearizations(
     (Placed-or-dropped mask, spec state) pairs whose subtree yielded nothing
     are memoized as failed (Wing & Gong 1993; Lowe 2017).  ``stats``, which
     names the ``stage``, counts ``nodes`` (candidates tried, one budget unit
-    each) and ``memo_hits``; past the budget, ``BudgetExceeded`` carries it."""
+    each) and ``memo_hits``; past the budget, ``BudgetExceeded`` carries it.
+
+    The search is one generator with an explicit stack of open nodes.  A
+    node walks only the unplaced events that have a candidate (the set bits
+    of ``live & ~done``), in ascending order; the counters are kept in
+    locals and written to ``stats`` at each yield and when the search ends,
+    whether it is exhausted, closed or raises."""
     stats.update(nodes=0, memo_hits=0)
-    failed = set()
-    lin: List[Tuple[int, object]] = []
-    yielded = [0]
+    live = sum(1 << i for i, cands in enumerate(options) if cands)
+    must_preds = [p & must for p in preds]
+    step = spec.step
 
-    def rec(done: int, st) -> Iterator[List[Tuple[int, object]]]:
-        if done & must == must:
-            yielded[0] += 1
-            yield list(lin)
-            return
-        key = (done, frozenset(st.items()))
-        if key in failed:
-            stats["memo_hits"] += 1
-            return
-        before = yielded[0]
-        for i, cands in enumerate(options):
-            if done >> i & 1 or preds[i] & must & ~done:
-                continue
-            for c in cands:
-                stats["nodes"] += 1
-                if stats["nodes"] > budget:
-                    raise BudgetExceeded(stats)
-                nxt = spec.step(st, c)
-                if nxt is not None:
-                    lin.append((i, c))
-                    yield from rec(done | 1 << i | preds[i], nxt)
+    def search() -> Iterator[List[Tuple[int, object]]]:
+        nodes = memo_hits = yielded = 0
+        failed = set()
+        lin: List[Tuple[int, object]] = []
+        # the open nodes below the current one, each suspended at its event
+        # i and the next candidate k of cands
+        stack = []
+        st = spec.init()
+        try:
+            if not must:
+                yield []
+                return
+            key, before, done, rest, cands, k = (0, frozenset(st.items())), 0, 0, live, (), 0
+            while True:
+                # on to the next placeable event of rest once cands is tried
+                while k == len(cands) and rest:
+                    low = rest & -rest
+                    rest ^= low
+                    i = low.bit_length() - 1
+                    if not must_preds[i] & ~done:
+                        cands, k = options[i], 0
+                if k == len(cands):
+                    # every candidate of the current node is tried
+                    if yielded == before:
+                        failed.add(key)
+                    if not stack:
+                        return
+                    key, before, done, st, rest, i, cands, k = stack.pop()
                     lin.pop()
-        if yielded[0] == before:
-            failed.add(key)
+                    continue
+                c = cands[k]
+                k += 1
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded({**stats, "nodes": nodes, "memo_hits": memo_hits})
+                nxt = step(st, c)
+                if nxt is None:
+                    continue
+                placed = done | 1 << i | preds[i]
+                if placed & must == must:
+                    yielded += 1
+                    stats["nodes"], stats["memo_hits"] = nodes, memo_hits
+                    yield lin + [(i, c)]
+                    continue
+                child = (placed, frozenset(nxt.items()))
+                if child in failed:
+                    memo_hits += 1
+                    continue
+                lin.append((i, c))
+                stack.append((key, before, done, st, rest, i, cands, k))
+                key, before, done, st, rest, cands, k = child, yielded, placed, nxt, live & ~placed, (), 0
+        finally:
+            stats["nodes"], stats["memo_hits"] = nodes, memo_hits
 
-    return rec(0, spec.init())
+    return search()
 
 
 def linearize(

@@ -377,6 +377,22 @@ def test_linearizable_stats_on_every_verdict():
     assert dict(z.stats) == {"stage": "weakreg lin/nvo search", "nodes": 49, "memo_hits": 9}
 
 
+@pytest.mark.parametrize("k, nodes, memo_hits", [(0, 4, 0), (4, 113, 49), (8, 2_817, 1_793)])
+def test_pending_reads_budget_unit(k, nodes, memo_hits):
+    """The budget unit, one node per candidate tried: ``rwrite(10,1):None ·
+    rwrite(10,2) ∥ rread(10):0`` with k pending ``rread(10)`` calls invoked
+    before the read returns.  Each subset of the pending reads is searched
+    once, since the memo key holds the placed-or-dropped mask."""
+    h = History(
+        [Inv("rwrite", (X, 1), 0), Ret(None, 0), Inv("rwrite", (X, 2), 0), Inv("rread", (X,), 1)]
+        + [Inv("rread", (X,), 2 + j) for j in range(k)]
+        + [Ret(0, 1)]
+    )
+    v = check_linearizable(h, S_WEAKREG)
+    assert v.status == "inconsistent"
+    assert dict(v.stats) == {"stage": "linearization search", "nodes": nodes, "memo_hits": memo_hits}
+
+
 # --------------------------------------------------------------------------
 # Durable linearizability
 # --------------------------------------------------------------------------
