@@ -23,8 +23,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .framework import Collection, SpecError, Verdict
+from .framework import BudgetExceeded, Collection, SpecError, Verdict
 from .lang import (
+    Assign,
+    Behaviors,
+    CallCmd,
     InterpConfig,
     ParseError,
     behaviors,
@@ -32,6 +35,7 @@ from .lang import (
     interpret_toplevel,
     parse,
     parse_litmus,
+    subterms,
 )
 from .libs import (
     B_TAG,
@@ -104,6 +108,13 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
     except (OSError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    # an outcome holds the registers the last phase's threads assign, never a global
+    last = lit.phases[-1].threads.values()
+    assigned = {n.reg for t in last for n in subterms(t) if isinstance(n, (Assign, CallCmd)) and n.reg}
+    assigned -= {name for name, _ in lit.phases[0].globals}
+    for r in sorted({r for ex in lit.expectations for r, _ in ex.outcome or ()} - assigned):
+        print(f"error: {lit.name}: expectation names register {r}, which no last-phase thread assigns", file=sys.stderr)
+        return 2
     manifest_opts = {}
     try:
         if cfg.manifest:
@@ -122,18 +133,23 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
         prune_factory=sc_prune_factory(),
     )
     regs = sorted({r for ex in lit.expectations if ex.outcome for r, _ in ex.outcome})
+    bound = ""  # set when the interpreter ran out of runs: no outcome is decided
     try:
         outcomes = behaviors(list(lit.phases), coll, config=iconfig, outcome_regs=regs, budget=cfg.budget)
     except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BudgetExceeded:
+        outcomes, bound = Behaviors(), f"interpretation exceeded max_runs={iconfig.max_runs}"
     statuses = set()
     if not lit.expectations:
         undecided = f", {len(outcomes.undecided)} undecided" if outcomes.undecided else ""
+        status = "UNKNOWN" if bound else "INFO"
+        statuses.add(status)
         record = {
             "what": f"{lit.name}: no expectations",
-            "status": "INFO",
-            "detail": f"{len(outcomes)} consistent outcome(s){undecided}",
+            "status": status,
+            "detail": bound or f"{len(outcomes)} consistent outcome(s){undecided}",
             "outcomes": sorted(repr(o) for o in outcomes),
         }
         _emit(record, cfg)
@@ -144,7 +160,9 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
             return all(dict(o).get(r) == v for r, v in want.items())
 
         got = any(matches(o) for o in outcomes)
-        if not got and any(matches(o) for o in outcomes.undecided):
+        if bound:
+            status, detail = "UNKNOWN", bound
+        elif not got and any(matches(o) for o in outcomes.undecided):
             status, detail = "UNKNOWN", "budget exceeded before a verdict"
         elif got == ex.consistent:
             status, detail = "PASS", ""
@@ -165,7 +183,7 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
             first = min(outcomes, key=repr)
             Path(cfg.dot_path).write_text(execution_to_dot(outcomes.witness[first]), encoding="utf-8")
         else:
-            print(f"note: {lit.name}: no consistent execution, no DOT file written", file=sys.stderr)
+            print(f"note: {lit.name}: {bound or 'no consistent execution'}, no DOT file written", file=sys.stderr)
     return 1 if "FAIL" in statuses else 3 if "UNKNOWN" in statuses else 0
 
 
@@ -193,6 +211,7 @@ def cmd_verify_impl(
         return 2
     iconfig = InterpConfig(domain=tuple(cfg.domain), unroll=cfg.unroll, max_runs=max(cfg.budget, 10_000))
     corpus = []
+    skipped = 0  # corpus files whose interpretation ran out of runs
     if corpus_dir:
         for p in sorted(Path(corpus_dir).glob("*.lit")):
             try:
@@ -217,10 +236,15 @@ def cmd_verify_impl(
             except SpecError as e:
                 print(f"error: {p.name}: {e}", file=sys.stderr)
                 return 2
+            except BudgetExceeded:
+                note = f"interpretation exceeded max_runs={lcfg.max_runs}, no graph taken"
+                print(f"note: {p.name}: {note}", file=sys.stderr)
+                skipped += 1
+                continue
             for env, g in runs:
                 if env is not None and len(g) <= cfg.max_events:
                     corpus.append(g)
-    if not corpus:
+    if not corpus and not skipped:
         print("error: empty corpus (give --corpus with .lit files)", file=sys.stderr)
         return 2
     try:
@@ -235,13 +259,13 @@ def cmd_verify_impl(
         return 2
     for rec in report.records:
         print(rec.to_json())
-    summary = "counterexample" if not report.ok else "unknown" if report.undecided() else "ok"
+    summary = "counterexample" if not report.ok else "unknown" if report.undecided() or skipped else "ok"
     print(
         json.dumps(
             {
                 "summary": summary,
                 "records": len(report.records),
-                "budget_hits": report.budget_hits,
+                "budget_hits": report.budget_hits + skipped,
                 "bound": report.bound_note,
             }
         )
@@ -342,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=100_000,
             help=(
-                "node budget of the prefix walks, matching, lifting and the Flit and Mirror searches; "
+                "node budget of the prefix walks, lifting and the Flit and Mirror searches; "
                 "not of the Px86 witness search, which keeps at least 100,000 steps (see README)"
             ),
         )

@@ -4,10 +4,11 @@ The bind operation replaces each event of a pomset by an implementing pomset,
 ordered lexicographically.  Plain matchings witness that a concrete plain
 execution arises from binding an abstract one with an implementation;
 refined matchings additionally transport consistency and happens-before.
-``verify_impl_bounded`` drives both over a corpus of abstract executions:
-for every concrete member of G·I, hereditary consistency at the low level
-must lift to a consistent abstract refinement (one lifting step per chain
-link), and well-formedness must transport downward.
+``verify_impl_bounded`` takes each plain matching from the bind, over a
+corpus of abstract executions: for every concrete member of G·I, hereditary
+consistency at the low level must lift along it to a consistent abstract
+refinement (one lifting step per chain link), and well-formedness must
+transport downward.
 """
 
 from __future__ import annotations
@@ -250,10 +251,12 @@ def exec_bind(
     impl: SemanticImpl,
     loc_base: int = 100,
     max_results: int = 10_000,
-) -> List[PlainExecution]:
+) -> List[Tuple[PlainExecution, Dict[int, int]]]:
     """All plain executions obtained by replacing each implemented event of g
     with a member of its implementation (lexicographic order), one per choice
-    of members; ``set_bind`` is the bind that deduplicates up to isomorphism.
+    of members, each with the plain matching that maps a concrete event to
+    the abstract event whose block holds it.  ``set_bind`` is the bind that
+    deduplicates up to isomorphism.
     Non-library events and crashes pass through unchanged; inner events
     inherit the abstract event's thread.  Location bases are threaded through
     events in id order so allocations line up with the abstract allocator.
@@ -261,7 +264,7 @@ def exec_bind(
     yields nothing.  The result is truncated (deterministically) at
     ``max_results``."""
     events = list(g.events)
-    out: List[PlainExecution] = []
+    out: List[Tuple[PlainExecution, Dict[int, int]]] = []
 
     def rec(i: int, base: int, chosen: List[PlainExecution]):
         if len(out) >= max_results:
@@ -272,9 +275,10 @@ def exec_bind(
                 for e, inner in zip(events, chosen)
                 for l in inner.labels()
             ]
+            f = dict(enumerate(e for e, inner in zip(events, chosen) for _ in inner.events))
             rows = _bind_rows(g.po_order.rows, [inner.po_order.rows for inner in chosen])
             try:
-                out.append(PlainExecution(labels, Order(rows)))
+                out.append((PlainExecution(labels, Order(rows)), f))
             except ValueError:
                 pass
             return
@@ -631,8 +635,7 @@ def check_global_preservation(
 @dataclass
 class VerifyRecord:
     abstract_index: int
-    concrete_index: int
-    matching_found: Optional[bool]  # None: the search hit its budget
+    concrete_index: Optional[int]  # None: the graph's bind ran out of interpreter runs
     lifted: Optional[bool] = None
     wellformed_downward: Optional[bool] = None
     detail: str = ""
@@ -642,14 +645,14 @@ class VerifyRecord:
 
     @property
     def failed(self) -> bool:
-        return self.matching_found is False or self.lifted is False or self.wellformed_downward is False
+        return self.lifted is False or self.wellformed_downward is False
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "abstract": self.abstract_index,
                 "concrete": self.concrete_index,
-                "matching": self.matching_found,
+                "matching": True if self.concrete_index is not None else None,
                 "lifted": self.lifted,
                 "wf_downward": self.wellformed_downward,
                 "witness_chain": self.witness_chain,
@@ -693,45 +696,40 @@ def verify_impl_bounded(
     """Corpus-bounded check of the correctness conditions.
 
     For every abstract plain execution G in the corpus and every concrete
-    G' ∈ G·I (up to ``max_concrete``): a plain matching must exist; every
-    hereditarily consistent low-level execution refining G' must lift, link
-    by link along its witness chain, to consistent abstract executions; and
-    immediate well-formedness of an abstract refinement must transport to
-    some concrete refinement.  The report states the explored bound,
-    counting the graphs that bind to no concrete (they give no record) and
-    those with more than ``max_concrete`` concretes (only the first
-    ``max_concrete`` are checked).
+    G' ∈ G·I (up to ``max_concrete``), built by the plain matching f: every
+    hereditarily consistent low-level execution refining G' must lift along
+    f, link by link along its witness chain, to consistent abstract
+    executions; and immediate well-formedness of an abstract refinement must
+    transport to some concrete refinement.  The report states the explored
+    bound, counting the graphs that bind to no concrete (they give no
+    record) and those with more than ``max_concrete`` concretes (only the
+    first ``max_concrete`` are checked).  A graph whose bind runs out of
+    interpreter runs gives one undecided record with no concrete.
     """
     report = VerifyReport()
     empty = capped = 0
 
-    def undecided(rec: VerifyRecord, why: str) -> None:
+    def undecided(rec: VerifyRecord, why: str) -> VerifyRecord:
         report.budget_hits += 1
         rec.undecided = True
         rec.detail = rec.detail or why
+        return rec
 
     for gi, ga in enumerate(corpus):
-        concretes = exec_bind(ga, impl, max_results=max_concrete + 1)
+        try:
+            concretes = exec_bind(ga, impl, max_results=max_concrete + 1)
+        except BudgetExceeded:
+            why = f"interpreting the implementation exceeded max_runs={impl.config.max_runs}"
+            report.records.append(undecided(VerifyRecord(gi, None), why))
+            continue
         empty += not concretes
         if len(concretes) > max_concrete:
             capped += 1
             del concretes[max_concrete:]
         # the abstract side of well-formedness transport, once per graph
         wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
-        for ci, gc in enumerate(concretes):
-            rec = VerifyRecord(gi, ci, matching_found=False)
-            try:
-                f = find_plain_matching(gc, ga, impl, budget=budget)
-            except BudgetExceeded:
-                rec.matching_found = None
-                undecided(rec, "matching search hit budget")
-                report.records.append(rec)
-                continue
-            if f is None:
-                rec.detail = "no plain matching (surjection existence fails)"
-                report.records.append(rec)
-                continue
-            rec.matching_found = True
+        for ci, (gc, f) in enumerate(concretes):
+            rec = VerifyRecord(gi, ci)
             # looked up on its module, so a patched or traced generator is the one called
             refinements = list(lang.candidate_refinements(coll_low, gc))
             # hereditary consistency upward

@@ -258,25 +258,103 @@ program
     assert summary["summary"] == "ok"
 
 
-def test_verify_impl_out_of_budget_is_unknown(tmp_path, capsys):
-    # at budget 3 every matching search runs out: no verdict, not a
-    # counterexample
-    (tmp_path / "a.lit").write_text(
-        """
+#: one thread storing to x and loading it eight times: more than 10,000
+#: interpreter runs over the default domain
+EIGHT_LOADS = """
+collection px86
+globals
+  x := alloc()
+program
+  t0: store(x, 1); a := load(x); b := load(x); c := load(x); d := load(x); e := load(x); f := load(x); g := load(x); h := load(x)
+expect consistent outcome a=1
+expect inconsistent outcome a=0
+"""
+
+SMALL_FLIT = """
 collection flit
 globals
   l := fnew()
 program
   t0: fwrite_p(l, 1); r := fread_p(l)
 """
-    )
+
+
+def test_verify_impl_out_of_budget_is_unknown(tmp_path, capsys):
+    # at budget 3 the hereditary walk runs out on every concrete with a
+    # consistent refinement (px86 refutes the others whole): no verdict, not
+    # a counterexample
+    (tmp_path / "a.lit").write_text(SMALL_FLIT)
     code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path), "--budget", "3"])
     lines = capsys.readouterr().out.splitlines()
     summary = json.loads(lines[-1])
+    records = [json.loads(line) for line in lines[:-1]]
     assert code == 3
     assert summary["summary"] == "unknown"
-    assert summary["budget_hits"] == summary["records"] > 0
-    assert all(json.loads(line)["undecided"] for line in lines[:-1])
+    undecided = [r for r in records if r["undecided"]]
+    assert summary["budget_hits"] == len(undecided) > 0
+    assert {r["detail"] for r in undecided} == {"hereditary consistency check hit budget"}
+    assert not any(r["lifted"] is not None or r["wf_downward"] is False for r in records)
+
+
+def test_check_out_of_runs_is_unknown_exit_three(tmp_path, capsys):
+    f = tmp_path / "loads.lit"
+    f.write_text(EIGHT_LOADS)
+    assert run_cli(["check", str(f), "--budget", "10000", "--json"]) == 3
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert [(r["status"], r["detail"]) for r in records] == [
+        ("UNKNOWN", "interpretation exceeded max_runs=10000")
+    ] * 2
+
+
+def test_verify_impl_bind_out_of_runs_is_unknown(tmp_path, capsys):
+    # interpreting mcas over px86 at unroll 4 takes more than 10,000 runs, so
+    # every graph that calls it binds to an undecided record, with no concrete
+    (tmp_path / "m.lit").write_text("collection mirror\nglobals\n  l := mnew()\nprogram\n  t0: c := mcas(l, 0, 1); r := mrd(l)\n")
+    args = ["verify-impl", "mirror", "mirror", "--over", "px86", "--max-crashes", "0", "--budget", "10000"]
+    assert run_cli(args + ["--corpus", str(tmp_path)]) == 3
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    summary, records = lines[-1], lines[:-1]
+    assert summary["summary"] == "unknown" and summary["budget_hits"] == summary["records"] == len(records)
+    unbound = [r for r in records if r["concrete"] is None]
+    assert unbound and all(r["undecided"] for r in unbound)
+    assert {r["detail"] for r in unbound} == {"interpreting the implementation exceeded max_runs=10000"}
+    assert summary["bound"].startswith(f"corpus={len(records)} graphs (0 bind to no concrete, ")
+
+
+def test_verify_impl_corpus_out_of_runs_is_noted_and_unknown(tmp_path, capsys):
+    (tmp_path / "a.lit").write_text(SMALL_FLIT)
+    (tmp_path / "loads.lit").write_text(EIGHT_LOADS)
+    code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path), "--budget", "10000"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "note: loads.lit: interpretation exceeded max_runs=10000, no graph taken\n"
+    lines = [json.loads(l) for l in out.splitlines()]
+    # a.lit's graphs are verified, and none of them is undecided
+    assert lines[-1]["summary"] == "unknown" and lines[-1]["records"] == len(lines) - 1 > 0
+    assert not any(r["undecided"] for r in lines[:-1]) and lines[-1]["budget_hits"] == 1
+    # a corpus of that file alone checks nothing, and is still no usage error
+    (tmp_path / "a.lit").unlink()
+    assert run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path), "--budget", "10000"]) == 3
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["summary"] == "unknown"
+
+
+def test_check_rejects_an_expectation_on_a_register_no_outcome_holds(tmp_path, capsys):
+    # an outcome holds the registers of the last phase: r is assigned before
+    # the crash, q nowhere, and x is a global
+    head = "collection px86\nglobals\n  x := alloc()\nprogram\n  t0: store(x, 1); r := load(x)\ncrash\nprogram\n  t1: s := load(x)\n"
+    f = tmp_path / "regs.lit"
+    for tail, reg in [
+        ("expect inconsistent outcome r=1, s=1", "r"),
+        ("expect inconsistent outcome q=1", "q"),
+        ("expect consistent outcome r=1, s=1", "r"),
+        ("expect consistent outcome s=1, x=101", "x"),
+    ]:
+        f.write_text(head + tail + "\n")
+        assert run_cli(["check", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: regs.lit: expectation names register {reg}, which no last-phase thread assigns\n"
+    f.write_text(head + "expect consistent outcome s=1\n")
+    assert run_cli(["check", str(f)]) == 0
 
 
 def test_bad_budget_flag(capsys):

@@ -7,6 +7,7 @@ against pair-set reference copies on the litmus corpora.
 """
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -237,14 +238,14 @@ def tlabel(method, args=(), ret=None, thread=0):
 def test_exec_bind_no_owned_events_identity():
     impl = SemanticImpl(toy_impl(), PX, CFG)
     g = sequence_execution([store(1, 5, thread=0)])
-    out = exec_bind(g, impl)
+    out = [gc for gc, _ in exec_bind(g, impl)]
     assert len(out) == 1 and iso_eq(out[0], g)
 
 
 def test_exec_bind_single_call_is_impl_set():
     impl = SemanticImpl(toy_impl(), PX, CFG)
     g = sequence_execution([tlabel("tset", (5,), None, thread=0)])
-    out = exec_bind(g, impl)
+    out = [gc for gc, _ in exec_bind(g, impl)]
     assert len(out) == 1
     assert [l.method for l in out[0].labels()] == ["store"]
     assert out[0].labels()[0].args == (1, 5)
@@ -255,7 +256,7 @@ def test_exec_bind_mixed_manual_expansion():
     g = sequence_execution(
         [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)]
     )
-    out = exec_bind(g, impl)
+    out = [gc for gc, _ in exec_bind(g, impl)]
     # tget() with return 1 has exactly one implementing run: load(1):1
     assert len(out) == 1
     want = sequence_execution([store(1, 1, thread=0), load(1, 1, thread=0)])
@@ -265,14 +266,14 @@ def test_exec_bind_mixed_manual_expansion():
 def test_exec_bind_inner_events_inherit_thread():
     impl = SemanticImpl(toy_impl(), PX, CFG)
     g = sequence_execution([tlabel("tset", (1,), None, thread=7)])
-    out = exec_bind(g, impl)
+    out = [gc for gc, _ in exec_bind(g, impl)]
     assert out[0].labels()[0].thread == 7
 
 
 def test_exec_bind_crash_passthrough():
     impl = SemanticImpl(toy_impl(), PX, CFG)
     g = sequence_execution([tlabel("tset", (1,), None, thread=0), CRASH])
-    out = exec_bind(g, impl)
+    out = [gc for gc, _ in exec_bind(g, impl)]
     assert any(l.is_crash for l in out[0].labels())
 
 
@@ -280,7 +281,7 @@ def test_exec_bind_incomplete_call_partial_runs():
     impl = SemanticImpl(toy_impl(), PX, CFG)
     pending = Label("tget", (), BOT, frozenset(), 0)
     g = sequence_execution([pending])
-    out = exec_bind(g, impl)
+    out = [gc for gc, _ in exec_bind(g, impl)]
     # partial runs of tget: load with any domain value, complete or pending
     assert out
     for gc in out:
@@ -298,7 +299,7 @@ def test_matching_exists_for_bind_outputs():
         [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)],
         [tlabel("tget", (), 0, thread=1)],
     )
-    for gc in exec_bind(ga, impl):
+    for gc, _ in exec_bind(ga, impl):
         f = find_plain_matching(gc, ga, impl)
         assert f is not None
         assert is_plain_matching(f, gc, ga, impl)
@@ -326,7 +327,7 @@ def test_matching_condition2_exact_po_projection():
     ga = sequence_execution(
         [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)]
     )
-    gc = exec_bind(ga, impl)[0]
+    gc, _ = exec_bind(ga, impl)[0]
     f = find_plain_matching(gc, ga, impl)
     assert existproj(f, gc.po) == ga.po
 
@@ -341,7 +342,7 @@ def test_refined_matching_identity_impl():
     ga = sequence_execution(
         [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)]
     )
-    gc = exec_bind(ga, iid)[0]
+    gc, _ = exec_bind(ga, iid)[0]
     f = find_plain_matching(gc, ga, iid)
     xc = Execution(gc)
     xa = Execution(ga)
@@ -360,7 +361,7 @@ def test_refined_matching_missing_sw_justification():
     ga = parallel_execution(
         [tlabel("tset", (1,), None, thread=0)], [tlabel("tget", (), 1, thread=1)]
     )
-    gc = exec_bind(ga, iid)[0]
+    gc, _ = exec_bind(ga, iid)[0]
     f = find_plain_matching(gc, ga, iid)
     # abstract sw edge with no concrete hb justification: condition 2 fails
     xa = Execution(ga, sw=[(0, 1)])
@@ -374,7 +375,7 @@ def test_refined_matching_missing_sw_justification():
 def test_check_lifting_step_identity_single_event():
     iid = identity_impl(TOY, ["tset", "tget"])
     ga = sequence_execution([tlabel("tset", (1,), None, thread=0)])
-    gc = exec_bind(ga, iid)[0]
+    gc, _ = exec_bind(ga, iid)[0]
     f = find_plain_matching(gc, ga, iid)
     xc = Execution(gc)
     empty_abs = Execution(PlainExecution([], []))
@@ -385,7 +386,7 @@ def test_check_lifting_step_identity_single_event():
 def test_check_lifting_step_rejects_inconsistent_prev():
     iid = identity_impl(TOY, ["tget"])
     ga = sequence_execution([tlabel("tget", (), 9, thread=0)])
-    gc = exec_bind(ga, iid)[0]
+    gc, _ = exec_bind(ga, iid)[0]
     f = find_plain_matching(gc, ga, iid)
     xc = Execution(gc)
     bad_prev = Execution(sequence_execution([tlabel("tget", (), 9, thread=0)]))
@@ -400,7 +401,7 @@ def test_lift_chain_identity():
     ga = sequence_execution(
         [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)]
     )
-    gc = exec_bind(ga, iid)[0]
+    gc, _ = exec_bind(ga, iid)[0]
     f = find_plain_matching(gc, ga, iid)
     xc = Execution(gc)
     v = check_hereditarily_consistent(TOY, xc)
@@ -419,7 +420,7 @@ def test_global_preservation_vacuous_without_tagged_events():
     dep = toy_spec()
     ga = sequence_execution([tlabel("tset", (1,), None, thread=0)])
     iid = identity_impl(TOY, ["tset", "tget"])
-    gc = exec_bind(ga, iid)[0]
+    gc, _ = exec_bind(ga, iid)[0]
     f = find_plain_matching(gc, ga, iid)
     ok, report = check_global_preservation(dep, Execution(gc), Execution(ga), f)
     assert ok
@@ -533,7 +534,7 @@ def test_linking_semantics_proposition_instance():
     abstract = interpret(prog, toy_coll, CFG)
     left = []
     for env, g in abstract.complete_executions():
-        left.extend(exec_bind(g, impl))
+        left.extend(gc for gc, _ in exec_bind(g, impl))
     # syntactic route: interpret the linked program over px86
     linked = link(prog, impl_syn)
     right = [g for env, g in interpret(linked, PX, CFG).complete_executions()]
@@ -894,7 +895,7 @@ def test_matching_and_lifting_match_pair_set_reference(case, budget, monkeypatch
     assert got == want
     matchings = 0
     for ga in corpus:
-        for gc in exec_bind(ga, impl):
+        for gc, _ in exec_bind(ga, impl):
             f = _matching_outcome(find_plain_matching, gc, ga, impl, budget)
             assert f == _matching_outcome(ref_find_plain_matching, gc, ga, impl, budget)
             matchings += isinstance(f, dict)
@@ -983,7 +984,7 @@ def test_pending_constructor_block_is_a_member():
     impl = SemanticImpl(persistify_mirror(_register_impl()), MIRROR_LOW, FLIT_CFG)
     call = Label("regnew", (), BOT, thread=0)
     ga = PlainExecution([call], [])
-    concretes = exec_bind(ga, impl)
+    concretes = [gc for gc, _ in exec_bind(ga, impl)]
     pending = [gc for gc in concretes if not gc.lab[0].is_complete]
     assert len(pending) == 1 and pending[0].lab[0].method == "mnew"
     assert impl.contains(call, pending[0])
@@ -991,7 +992,7 @@ def test_pending_constructor_block_is_a_member():
     assert all(find_plain_matching(gc, ga, impl) == {0: 0} for gc in concretes)
     report = verify_impl_bounded(impl, REG_HIGH, MIRROR_LOW, [ga])
     assert len(report.records) == len(concretes)
-    assert report.ok and all(r.matching_found for r in report.records)
+    assert report.ok and all(json.loads(r.to_json())["matching"] is True for r in report.records)
 
 
 @pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
@@ -1008,6 +1009,27 @@ def test_verify_path_runs_no_isomorphism(case, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(model, "_find_isomorphism", no_iso)
+        got = verify()
+    assert got == verify()
+    assert got[0]
+
+
+def test_verify_path_searches_no_matching(monkeypatch):
+    # each concrete's matching comes from its bind: neither the matching
+    # search nor block membership runs while verifying
+    make, low, high, corpus_spec, check_wf = DIFF_CASES["flit"]
+    corpus = _cached_corpus(corpus_spec)
+
+    def verify():
+        rep = verify_impl_bounded(SemanticImpl(make(), low, FLIT_CFG), high, low, corpus, check_wf=check_wf)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("matching search on the verification path")
+
+    with monkeypatch.context() as m:
+        m.setattr(sub, "find_plain_matching", no_search)
+        m.setattr(SemanticImpl, "_contains", no_search)
         got = verify()
     assert got == verify()
     assert got[0]
@@ -1054,7 +1076,7 @@ def test_lift_chain_matches_reference_in_every_event_order(monkeypatch):
     ] + [(SemanticImpl(flit_impl(), PX, FLIT_CFG), Collection([flit_spec()]), g) for g in two]
     sparse = 0
     for impl, high, ga in cases:
-        for gc in exec_bind(ga, impl)[:4]:
+        for gc, _ in exec_bind(ga, impl)[:4]:
             f = find_plain_matching(gc, ga, impl)
             assert f is not None
             for xc in list(candidate_refinements(PX, gc))[:6]:
@@ -1188,7 +1210,8 @@ def _crash_corpus(directory, crashes):
 @pytest.mark.parametrize("case", ["flit", "flit_no_fo", "reg_flit", "reg_mirror"])
 def test_exec_bind_matches_iso_dedup_reference(case, crashes):
     # no two members of an implementation are isomorphic, so no concrete was
-    # ever dropped as a duplicate: both give the same list, in order
+    # ever dropped as a duplicate: both give the same list, in order.  Each
+    # concrete's matching is the first witness of the matching search.
     make, low, _, (directory, _, _), _ = DIFF_CASES[case]
     corpus = _crash_corpus(directory, crashes)
     assert corpus
@@ -1197,7 +1220,10 @@ def test_exec_bind_matches_iso_dedup_reference(case, crashes):
     for ga in corpus:
         got = exec_bind(ga, impl, max_results=64)
         want = ref_exec_bind(ga, impl, max_results=64)
-        assert [(g.labels(), g.po_order.rows) for g in got] == [(g.labels(), g.po_order.rows) for g in want]
+        assert [(g.labels(), g.po_order.rows) for g, _ in got] == [(g.labels(), g.po_order.rows) for g in want]
+        for gc, f in got:
+            assert f == find_plain_matching(gc, ga, impl)
+            assert is_plain_matching(f, gc, ga, impl)
         concretes += len(got)
     assert concretes
 
