@@ -511,8 +511,10 @@ _VERDICTS: ContextVar[Optional[Dict[tuple, object]]] = ContextVar("persistcheck_
 
 @contextmanager
 def shared_verdicts() -> Iterator[None]:
-    """A scope in which ``check_consistent`` keeps its decided verdicts and
-    ``shared_search`` its completed searches.
+    """A scope in which ``check_consistent`` keeps its decided verdicts,
+    ``shared_search`` its completed searches and ``shared_call`` its
+    completed computations (``verify_impl_bounded`` keeps its lifting steps
+    there, keyed by their hb projection).
 
     The memo holds OK and FAIL verdicts, never budget-exceeded ones, keyed
     exactly by the collection (by identity) and the execution's labels, po
@@ -552,6 +554,21 @@ def shared_search(search: Callable[..., object], x: Execution, budget: int) -> T
     if memo is not None:
         memo[key] = out
     return out
+
+
+def shared_call(key: tuple, compute: Callable[[], object]) -> object:
+    """``compute()``, run once per ``key`` inside a ``shared_verdicts`` scope
+    and returned again on later calls with an equal key; outside a scope
+    nothing is kept.  The key's first item names the computation, so the
+    keys of different callers never meet, and the rest must hold everything
+    the computation reads.  A computation that raises, such as one that runs
+    out of budget, is never kept."""
+    memo = _VERDICTS.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def check_consistent(coll: Collection, x) -> Verdict:

@@ -27,6 +27,7 @@ from .framework import (
     check_consistent,
     check_hereditarily_consistent,
     check_immediately_wellformed,
+    shared_call,
     shared_verdicts,
 )
 from .lang import InterpConfig, Interpretation, Prog, SyntacticImpl
@@ -60,11 +61,13 @@ def existproj(f: Mapping[int, int], r: Iterable[Edge]) -> FrozenSet[Edge]:
     return frozenset(out)
 
 
-def _project_rows(rows: Sequence[int], img: Sequence[int], k: int) -> List[int]:
-    """∃f⟨r⟩ on bit rows: event c maps to ``img[c]`` in ``0..k-1``."""
+def _project_rows(rows: Sequence[int], img: Sequence[int], k: int, mask: int = -1) -> List[int]:
+    """∃f⟨r⟩ on bit rows: event c maps to ``img[c]`` in ``0..k-1``.  Only
+    the events of ``mask`` (by default all) and the pairs among them count."""
     out = [0] * k
     for a, row in enumerate(rows):
-        if row:
+        row &= mask
+        if row and mask >> a & 1:
             to = 0
             for b in bits(row):
                 to |= 1 << img[b]
@@ -166,6 +169,9 @@ class SemanticImpl:
             m for s in coll_low.specs() for m in s.interface.constructors
         )
         self._cache: Dict[Tuple, List[PlainExecution]] = {}
+        #: per (method, args, location base) whose interpretation ran out of
+        #: runs, the stats it raised with
+        self._exhausted: Dict[Tuple, Dict] = {}
         #: per ``executions`` key, its members' labels without threads, in po order
         self._members: Dict[Tuple, FrozenSet[Tuple]] = {}
 
@@ -188,13 +194,23 @@ class SemanticImpl:
         """Plain executions implementing the call.  Complete labels map to
         complete runs returning the label's value; incomplete labels map to
         every partial run.  Empty pomsets are excluded (bind drops events
-        otherwise, breaking surjectivity of the matching)."""
+        otherwise, breaking surjectivity of the matching).  The runs are kept
+        per label and location base.  An interpretation that runs out of
+        runs does so whatever the return value, so its ``BudgetExceeded`` is
+        kept per method, arguments and base, and raised again."""
         if not self.owns(label):
             raise ValueError(f"label {label!r} is not implemented by {self.syn.name}")
         key = (label.method, label.args, label.ret, loc_start)
         if key in self._cache:
             return self._cache[key]
-        it = self._interpret(label.method, label.args, loc_start)
+        run_key = (label.method, label.args, loc_start)
+        if run_key in self._exhausted:
+            raise BudgetExceeded(self._exhausted[run_key])
+        try:
+            it = self._interpret(label.method, label.args, loc_start)
+        except BudgetExceeded as e:
+            self._exhausted[run_key] = e.stats
+            raise
         if label.ret is BOT:
             graphs = [g for g in it.partial_executions() if not g.is_empty()]
         else:
@@ -265,32 +281,41 @@ def exec_bind(
     ``max_results``."""
     events = list(g.events)
     out: List[Tuple[PlainExecution, Dict[int, int]]] = []
+    #: per (event index, location base): each member implementing the event,
+    #: its labels on the event's thread, and the locations it allocates
+    options_at: Dict[Tuple[int, int], List[Tuple[PlainExecution, Tuple[Label, ...], int]]] = {}
 
-    def rec(i: int, base: int, chosen: List[PlainExecution]):
+    def options(i: int, base: int) -> List[Tuple[PlainExecution, Tuple[Label, ...], int]]:
+        if (i, base) not in options_at:
+            lab = g.lab[events[i]]
+            if impl.owns(lab):
+                options_at[i, base] = [
+                    (
+                        inner,
+                        tuple(l if l.is_crash else replace(l, thread=lab.thread) for l in inner.labels()),
+                        impl.alloc_count(inner),
+                    )
+                    for inner in impl.executions(_strip_thread(lab), base)
+                ]
+            else:
+                inner = PlainExecution([lab], [])
+                options_at[i, base] = [(inner, (lab,), impl.alloc_count(inner))]
+        return options_at[i, base]
+
+    def rec(i: int, base: int, chosen: List[Tuple[PlainExecution, Tuple[Label, ...]]]):
         if len(out) >= max_results:
             return
         if i == len(events):
-            labels = [
-                l if l.is_crash else replace(l, thread=g.lab[e].thread)
-                for e, inner in zip(events, chosen)
-                for l in inner.labels()
-            ]
-            f = dict(enumerate(e for e, inner in zip(events, chosen) for _ in inner.events))
-            rows = _bind_rows(g.po_order.rows, [inner.po_order.rows for inner in chosen])
+            labels = [l for _, block in chosen for l in block]
+            f = dict(enumerate(e for e, (_, block) in zip(events, chosen) for _ in block))
+            rows = _bind_rows(g.po_order.rows, [inner.po_order.rows for inner, _ in chosen])
             try:
                 out.append((PlainExecution(labels, Order(rows)), f))
             except ValueError:
                 pass
             return
-        e = events[i]
-        lab = g.lab[e]
-        if impl.owns(lab):
-            options = impl.executions(_strip_thread(lab), base)
-        else:
-            options = [PlainExecution([lab], [])]
-        for inner in options:
-            consumed = impl.alloc_count(inner)
-            rec(i + 1, base + consumed, chosen + [inner])
+        for inner, block, consumed in options(i, base):
+            rec(i + 1, base + consumed, chosen + [(inner, block)])
 
     rec(0, loc_base, [])
     return out
@@ -424,12 +449,30 @@ def find_plain_matching(
 # --------------------------------------------------------------------------
 
 
-def _projected_hb(xc: Execution, img: Sequence[int], k: int) -> Tuple[List[int], List[int]]:
-    """The projections of hb and of its external part hb \\ (po ∪ sw)⁺."""
+def _hb_parts(xc: Execution) -> Tuple[Sequence[int], List[int]]:
+    """The rows of xc's hb and of its external part hb \\ (po ∪ sw)⁺."""
     hb = xc.hb_order.rows
     inner = xc.plain.po_order.extend(xc.sw).rows
-    external = [h & ~i for h, i in zip(hb, inner)]
-    return _project_rows(hb, img, k), _project_rows(external, img, k)
+    return hb, [h & ~i for h, i in zip(hb, inner)]
+
+
+def _project_link(
+    hb: Sequence[int],
+    external: Sequence[int],
+    f: Mapping[int, int],
+    ids: Iterable[int],
+    image: Sequence[int],
+    mask: int = -1,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The projections of the rows ``hb`` and ``external``, restricted to the
+    events ``ids`` (whose bit mask is ``mask``), onto their f-image ``image``
+    (ascending), renumbered densely."""
+    ren = {a: y for y, a in enumerate(image)}
+    img = [0] * len(hb)
+    for c in ids:
+        img[c] = ren[f[c]]
+    k = len(image)
+    return tuple(_project_rows(hb, img, k, mask)), tuple(_project_rows(external, img, k, mask))
 
 
 def _within(rows: Sequence[int], bound: Sequence[int]) -> bool:
@@ -451,9 +494,8 @@ def is_refined_matching(
         report["consistency"] = "unknown"
     else:
         report["consistency"] = bool(v_low) and bool(v_high)
-    k = len(xa)
-    proj_hb, proj_external = _projected_hb(xc, [f[c] for c in xc.events], k)
-    report["sw-justified"] = _within(Order.close(k, xa.sw).rows, proj_hb)
+    proj_hb, proj_external = _project_link(*_hb_parts(xc), f, xc.events, xa.events)
+    report["sw-justified"] = _within(Order.close(len(xa), xa.sw).rows, proj_hb)
     base = [e | p for e, p in zip(proj_external, xa.plain.po_order.rows)]
     report["hb-determined"] = Order.close_rows(base).extend(xa.sw).rows == xa.hb_order.rows
     ok = report["consistency"] is True and report["sw-justified"] and report["hb-determined"]
@@ -480,12 +522,72 @@ def lift_step(
     (renumbered densely over sorted ids).  Returns None when every candidate
     is refuted; raises ``BudgetExceeded`` when none lifts and the abstract
     consistency check of one of them ran out of budget."""
-    image = sorted({f[c] for c in xc.events})
+    image = tuple(sorted({f[c] for c in xc.events}))
+    proj_hb, proj_external = _project_link(*_hb_parts(xc), f, xc.events, image)
+    return _lift_projected(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll_high, budget, failure)
+
+
+def _lift_projected(
+    image: Tuple[int, ...],
+    proj_hb: Tuple[int, ...],
+    proj_external: Tuple[int, ...],
+    ga: PlainExecution,
+    prev_abs: Optional[Execution],
+    prev_ids: FrozenSet[int],
+    coll_high: Collection,
+    budget: int,
+    failure: Optional[List[str]],
+) -> Optional[Execution]:
+    """``_lift_core``, computed once per exact input inside a
+    ``shared_verdicts`` scope.  The key holds the collection (by identity),
+    ga's labels and po rows, the budget, the image and both projections,
+    the previous abstract execution's labels, po rows, hb rows and sw, and
+    ``prev_ids``: everything the step reads.  A kept step comes back with
+    the failure reason its computation wrote, written again into
+    ``failure``; a step that runs out of budget raises and is never kept."""
+    prev = None
+    if prev_abs is not None:
+        prev = (tuple(prev_abs.plain.labels()), prev_abs.plain.po_order.rows, prev_abs.hb_order.rows, prev_abs.sw)
+    key = (
+        _lift_core, coll_high, tuple(ga.labels()), ga.po_order.rows, budget,
+        image, proj_hb, proj_external, prev, prev_ids,
+    )
+
+    def compute() -> Tuple[Optional[Execution], Tuple[str, ...]]:
+        wrote: List[str] = []
+        try:
+            xa = _lift_core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll_high, budget, wrote)
+            return xa, tuple(wrote)
+        finally:  # a step that raises still reports its last refutation
+            if wrote and failure is not None:
+                failure[:] = wrote
+
+    xa, wrote = shared_call(key, compute)
+    if wrote and failure is not None:
+        failure[:] = wrote
+    return xa
+
+
+def _lift_core(
+    image: Tuple[int, ...],
+    proj_hb: Tuple[int, ...],
+    proj_external: Tuple[int, ...],
+    ga: PlainExecution,
+    prev_abs: Optional[Execution],
+    prev_ids: FrozenSet[int],
+    coll_high: Collection,
+    budget: int,
+    failure: List[str],
+) -> Optional[Execution]:
+    """``lift_step`` given the concrete side as the ascending abstract
+    ``image`` and the projections onto it of hb and of external hb: the sw
+    subsets of projected hb edges are tried smallest first, and the first
+    candidate that is acyclic, extends ``prev_abs``, is sw-justified and is
+    consistent is returned.  Each refuted candidate writes its reason into
+    ``failure``."""
     ren = {old: new for new, old in enumerate(image)}
     g_sub = ga.restrict_events(image)
     k = len(image)
-    f_dense = [ren[f[c]] for c in xc.events]
-    proj_hb, proj_external = _projected_hb(xc, f_dense, k)
     po = g_sub.po_order.rows
     # every candidate hb is this closed base extended by its sw edges
     base = Order.close_rows([e | p for e, p in zip(proj_external, po)])
@@ -526,8 +628,7 @@ def lift_step(
             if v:
                 return xa
             budgeted = budgeted or v.is_budget
-            if failure is not None:
-                failure[:] = [v.reason]
+            failure[:] = [v.reason]
     if budgeted:
         raise BudgetExceeded({"stage": "lifting"})
     return None
@@ -570,20 +671,32 @@ def lift_chain(
     """Lift a hereditary-consistency chain of the concrete execution to a
     chain of consistent abstract executions (the inductive content of the
     compositional-correctness condition).  On failure, ``failure`` (if given)
-    receives the last failing spec condition."""
+    receives the last failing spec condition.
+
+    Each link is a set of xc's event ids that is hb-downward closed, as the
+    links of a hereditary chain are, so the closure of po ∪ sw restricted
+    to it is the restriction of xc's closure: hb and external hb are
+    derived once for xc, and each link reads them through its bit mask.  A
+    link that is not downward closed raises ``ValueError``."""
+    hb, external = _hb_parts(xc)
+    preds = xc.hb_order.preds()
     prev_abs: Optional[Execution] = None
-    prev_image: FrozenSet[int] = frozenset()
+    prev_image: Tuple[int, ...] = ()
     out: List[Execution] = []
     for ids in subsets:
-        sub_ids = sorted(ids)
-        xi = xc.restrict_events(sub_ids)
-        back = {new: old for new, old in enumerate(sub_ids)}
-        fi = {new: f[back[new]] for new in xi.events}
-        image = frozenset(fi.values())
+        mask = 0
+        for c in ids:
+            mask |= 1 << c
+        if any(preds[c] & ~mask for c in ids):
+            raise ValueError("a chain link must be hb-downward closed")
+        image = tuple(sorted({f[c] for c in ids}))
         if image == prev_image and prev_abs is not None:
             out.append(prev_abs)
             continue
-        xa = lift_step(xi, fi, ga, prev_abs, prev_image, coll_high, budget, failure)
+        proj_hb, proj_external = _project_link(hb, external, f, ids, image, mask)
+        xa = _lift_projected(
+            image, proj_hb, proj_external, ga, prev_abs, frozenset(prev_image), coll_high, budget, failure
+        )
         if xa is None:
             return None
         out.append(xa)

@@ -10,6 +10,7 @@ from pathlib import Path
 from persistcheck.cli import main
 from persistcheck.framework import Collection
 from persistcheck.lang import InterpConfig
+from persistcheck.substitution import SemanticImpl
 
 ROOT = Path(__file__).resolve().parent.parent
 LITMUS = ROOT / "litmus"
@@ -306,12 +307,15 @@ def test_check_out_of_runs_is_unknown_exit_three(tmp_path, capsys):
     ] * 2
 
 
+MCAS_LIT = "collection mirror\nglobals\n  l := mnew()\nprogram\n  t0: c := mcas(l, 0, 1); r := mrd(l)\n"
+MCAS_ARGS = ["verify-impl", "mirror", "mirror", "--over", "px86", "--max-crashes", "0", "--budget", "10000"]
+
+
 def test_verify_impl_bind_out_of_runs_is_unknown(tmp_path, capsys):
     # interpreting mcas over px86 at unroll 4 takes more than 10,000 runs, so
     # every graph that calls it binds to an undecided record, with no concrete
-    (tmp_path / "m.lit").write_text("collection mirror\nglobals\n  l := mnew()\nprogram\n  t0: c := mcas(l, 0, 1); r := mrd(l)\n")
-    args = ["verify-impl", "mirror", "mirror", "--over", "px86", "--max-crashes", "0", "--budget", "10000"]
-    assert run_cli(args + ["--corpus", str(tmp_path)]) == 3
+    (tmp_path / "m.lit").write_text(MCAS_LIT)
+    assert run_cli(MCAS_ARGS + ["--corpus", str(tmp_path)]) == 3
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     summary, records = lines[-1], lines[:-1]
     assert summary["summary"] == "unknown" and summary["budget_hits"] == summary["records"] == len(records)
@@ -319,6 +323,40 @@ def test_verify_impl_bind_out_of_runs_is_unknown(tmp_path, capsys):
     assert unbound and all(r["undecided"] for r in unbound)
     assert {r["detail"] for r in unbound} == {"interpreting the implementation exceeded max_runs=10000"}
     assert summary["bound"].startswith(f"corpus={len(records)} graphs (0 bind to no concrete, ")
+
+
+def test_verify_impl_interprets_an_out_of_runs_call_once(tmp_path, capsys, monkeypatch):
+    # mcas runs out of runs whatever it returns: the ten graphs that call it
+    # (returning 0 or 1) share one interpretation, and each still binds to
+    # an undecided record
+    (tmp_path / "m.lit").write_text(MCAS_LIT)
+    interpreted = []
+    interpret = SemanticImpl._interpret
+
+    def logging(self, method, args, loc_start):
+        interpreted.append(method)
+        return interpret(self, method, args, loc_start)
+
+    monkeypatch.setattr(SemanticImpl, "_interpret", logging)
+    assert run_cli(MCAS_ARGS + ["--corpus", str(tmp_path)]) == 3
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert interpreted.count("mcas") == 1
+    unbound = {
+        "concrete": None,
+        "matching": None,
+        "lifted": None,
+        "wf_downward": None,
+        "witness_chain": None,
+        "detail": "interpreting the implementation exceeded max_runs=10000",
+        "undecided": True,
+    }
+    assert lines[:-1] == [{"abstract": i, **unbound} for i in range(10)]
+    assert lines[-1] == {
+        "summary": "unknown",
+        "records": 10,
+        "budget_hits": 10,
+        "bound": "corpus=10 graphs (0 bind to no concrete, 0 over max_concrete), max_concrete=64, budget=10000",
+    }
 
 
 def test_verify_impl_corpus_out_of_runs_is_noted_and_unknown(tmp_path, capsys):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lift_reference
 import persistcheck.framework as framework
 import persistcheck.model as model
 from eager_reference import linear_extensions
@@ -26,6 +27,8 @@ from persistcheck.framework import (
     LibrarySpec,
     Verdict,
     check_consistent,
+    check_hereditarily_consistent,
+    shared_verdicts,
 )
 from persistcheck.lang import (
     InterpConfig,
@@ -395,8 +398,6 @@ def test_check_lifting_step_rejects_inconsistent_prev():
 
 
 def test_lift_chain_identity():
-    from persistcheck.framework import check_hereditarily_consistent
-
     iid = identity_impl(TOY, ["tset", "tget"])
     ga = sequence_execution(
         [tlabel("tset", (1,), None, thread=0), tlabel("tget", (), 1, thread=0)]
@@ -883,15 +884,17 @@ def test_matching_and_lifting_match_pair_set_reference(case, budget, monkeypatch
     corpus = _cached_corpus(corpus_spec)
     assert corpus
 
-    def verify(find, lift):
+    def verify(find, chain):
         monkeypatch.setattr(sub, "find_plain_matching", find)
-        monkeypatch.setattr(sub, "lift_step", lift)
+        monkeypatch.setattr(sub, "lift_chain", chain)
         impl = SemanticImpl(make(), low, FLIT_CFG)
         reports = [verify_impl_bounded(impl, high, low, [ga], budget=budget, check_wf=check_wf) for ga in corpus]
         return impl, [([vars(r) for r in rep.records], rep.budget_hits) for rep in reports]
 
-    impl, got = verify(find_plain_matching, sub.lift_step)
-    _, want = verify(ref_find_plain_matching, ref_lift_step)
+    impl, got = verify(find_plain_matching, lift_chain)
+    # the chain loop before masks, each step the pair-set one
+    monkeypatch.setattr(lift_reference, "lift_step", ref_lift_step)
+    _, want = verify(ref_find_plain_matching, lift_reference.lift_chain)
     assert got == want
     matchings = 0
     for ga in corpus:
@@ -1041,10 +1044,10 @@ def _chain_key(chain):
     return [(x.plain.labels(), x.plain.po_order.rows, x.sw, x.hb_order.rows) for x in chain]
 
 
-def _lift_outcome(xc, subsets, f, ga, high):
+def _lift_outcome(xc, subsets, f, ga, high, chain=lift_chain):
     why = []
     try:
-        return _chain_key(lift_chain(xc, subsets, f, ga, high, budget=20_000, failure=why)), why
+        return _chain_key(chain(xc, subsets, f, ga, high, budget=20_000, failure=why)), why
     except BudgetExceeded as e:
         return ("budget", e.stats), why
 
@@ -1084,8 +1087,8 @@ def test_lift_chain_matches_reference_in_every_event_order(monkeypatch):
                     sparse += any(sorted({f[c] for c in s}) != list(range(len({f[c] for c in s}))) for s in subsets)
                     got = _lift_outcome(xc, subsets, f, ga, high)
                     with monkeypatch.context() as m:
-                        m.setattr(sub, "lift_step", ref_lift_step)
-                        assert got == _lift_outcome(xc, subsets, f, ga, high)
+                        m.setattr(lift_reference, "lift_step", ref_lift_step)
+                        assert got == _lift_outcome(xc, subsets, f, ga, high, lift_reference.lift_chain)
     assert sparse
 
 
@@ -1234,9 +1237,11 @@ def test_exec_bind_matches_iso_dedup_reference(case, crashes):
 
 
 def _uncached(monkeypatch):
-    """Every consistency check of the verifier computed afresh."""
+    """Every consistency check and lifting step of the verifier computed
+    afresh."""
     monkeypatch.setattr(framework, "check_consistent", framework._check_consistent)
     monkeypatch.setattr(sub, "check_consistent", framework._check_consistent)
+    monkeypatch.setattr(sub, "shared_call", lambda key, compute: compute())
 
 
 @pytest.mark.parametrize("make", [flit_impl, flit_impl_mutated_no_fo])
@@ -1273,3 +1278,127 @@ def test_each_verify_call_starts_with_no_shared_verdicts():
     assert len(calls) - first == 2 * per_call
     verify_impl_bounded(iid, coll, coll, corpus[:1])
     assert len(calls) - first == 3 * per_call
+
+
+# --------------------------------------------------------------------------
+# Lifting steps read through masks and shared by their projection
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("crashes", [0, 1])
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
+def test_lift_chain_matches_restricting_reference(case, crashes):
+    # every hereditarily consistent refinement of every concrete, lifted
+    # along its witness chain: the masked chain gives the links and failure
+    # reasons of the chain that restricts xc to each link, whether its
+    # steps are shared (one scope for the whole corpus) or not
+    make, low, high, (directory, _, _), _ = DIFF_CASES[case]
+    impl = SemanticImpl(make(), low, FLIT_CFG)
+    lifts = []
+    for ga in _crash_corpus(directory, crashes):
+        for gc, f in exec_bind(ga, impl, max_results=64):
+            for xc in candidate_refinements(low, gc):
+                v = check_hereditarily_consistent(low, xc, budget=20_000)
+                if v:
+                    lifts.append((xc, v.witness.subsets, f, ga))
+    want = [_lift_outcome(*lift, high, lift_reference.lift_chain) for lift in lifts]
+    assert [_lift_outcome(*lift, high) for lift in lifts] == want
+    with shared_verdicts():
+        assert [_lift_outcome(*lift, high) for lift in lifts] == want
+    assert any(isinstance(chain, list) for chain, _ in want)
+    if (case, crashes) == ("flit_no_fo", 0):
+        # the mutant's refuted chains, with their reasons
+        assert any(chain is None and why for chain, why in want)
+
+
+def _counting_core(monkeypatch):
+    """The lifting core, wrapped to log the budget of each computation."""
+    budgets = []
+    core = sub._lift_core
+
+    def counting(*args):
+        budgets.append(args[7])
+        return core(*args)
+
+    monkeypatch.setattr(sub, "_lift_core", counting)
+    return budgets
+
+
+def _refuted_step():
+    # nothing was written, so no abstract refinement reads 9
+    ga = sequence_execution([tlabel("tget", (), 9)])
+    return Execution(ga), {0: 0}, ga
+
+
+def test_shared_refuted_step_restores_its_failure(monkeypatch):
+    budgets = _counting_core(monkeypatch)
+    xc, f, ga = _refuted_step()
+    alone = []
+    assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, failure=alone) is None
+    assert alone and budgets == [4_000]
+    with shared_verdicts():
+        first, again = [], ["stale"]
+        assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, failure=first) is None
+        assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, failure=again) is None
+        assert first == again == alone
+    # computed once in the scope, from the projection alone
+    assert budgets == [4_000, 4_000]
+
+
+def test_out_of_budget_step_is_computed_again(monkeypatch):
+    budgets = _counting_core(monkeypatch)
+    xc, f, ga = _refuted_step()
+    with shared_verdicts():
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                sub.lift_step(xc, f, ga, None, frozenset(), TOY, budget=0)
+        # a larger budget is a key of its own, decided and then kept
+        for _ in range(2):
+            assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, budget=1) is None
+    assert budgets == [0, 0, 1]
+
+
+def test_lift_chain_rejects_a_link_that_is_not_downward_closed():
+    iid = identity_impl(TOY, ["tset", "tget"])
+    ga = sequence_execution([tlabel("tset", (1,), None), tlabel("tget", (), 1)])
+    gc, f = exec_bind(ga, iid)[0]
+    with pytest.raises(ValueError):
+        lift_chain(Execution(gc), [frozenset(), frozenset({1}), frozenset({0, 1})], f, ga, TOY)
+
+
+def test_verify_computes_each_lifting_step_once(monkeypatch):
+    # the concretes of one graph share their chain prefixes, so most
+    # lifting requests repeat an earlier one exactly
+    make, low, high, corpus_spec, check_wf = DIFF_CASES["flit"]
+    corpus = _cached_corpus(corpus_spec)
+
+    def verify():
+        rep = verify_impl_bounded(SemanticImpl(make(), low, FLIT_CFG), high, low, corpus, check_wf=check_wf)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    keys, requests = [], []
+    core, projected = sub._lift_core, sub._lift_projected
+
+    def counting_core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll, budget, failure):
+        prev = None
+        if prev_abs is not None:
+            prev = (tuple(prev_abs.plain.labels()), prev_abs.plain.po_order.rows, prev_abs.hb_order.rows, prev_abs.sw)
+        keys.append(
+            (id(coll), tuple(ga.labels()), ga.po_order.rows, budget, image, proj_hb, proj_external, prev, prev_ids)
+        )
+        return core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll, budget, failure)
+
+    def counting_projected(*args):
+        requests.append(1)
+        return projected(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sub, "_lift_core", counting_core)
+        m.setattr(sub, "_lift_projected", counting_projected)
+        got = verify()
+    assert got[1] == 0
+    assert len(keys) == len(set(keys)) and 2 * len(keys) < len(requests)
+    with monkeypatch.context() as m:
+        m.setattr(sub, "shared_call", lambda key, compute: compute())
+        assert got == verify()
+    assert got[0]
