@@ -192,14 +192,21 @@ Placement = List[Tuple[int, object]]
 
 @dataclass(frozen=True)
 class Seeded:
-    """A ``local_consistent`` built on ``sc.linearize`` that reads its
-    projection through a mask.  ``check(x, mask=..., seed=...)`` decides the
-    projection of ``x`` on the events of ``mask`` (which holds every crash
-    po-before one of them), searching in ``x``'s own event ids: an event
-    outside ``mask`` gets no candidate.  It first replays a ``Placement`` of
-    ``x``'s events (or ``None``), less the pairs that name events it does
-    not place; ``placed(x, mask, witness)`` gives its OK witness as one.
-    Called on an execution alone, it checks all of it."""
+    """A ``local_consistent`` that reads its projection through a mask and
+    replays a ``Placement`` before it searches.  ``check(x, mask=...,
+    seed=...)`` decides the projection of ``x`` on the events of ``mask``
+    (which holds every crash po-before one of them).  ``seed`` is ``None``
+    or what ``placed(x, other, witness)`` gives of an OK witness of the
+    projection on another mask: per event of ``other``, in ``x``'s ids, the
+    choice the witness made for it.  The check replays what the seed says
+    of ``mask``'s events, by a rule of its own, and searches only when that
+    gives no witness.  The linearization checks search ``x`` itself with no
+    candidate outside ``mask`` and replay the seed less the pairs that name
+    events they do not place (``sc.linearize``); Px86 replays the seed cut
+    to ``mask`` when the seed places every event of ``mask`` and sources
+    its every read there, and otherwise searches the projection
+    (``px86.px86_replay``).  Called on an execution alone, it checks all of
+    it with no seed."""
 
     check: Callable[..., Verdict]
     placed: Callable[[Execution, int, object], Placement]

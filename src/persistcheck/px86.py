@@ -9,6 +9,10 @@ jointly satisfying the axioms A1..A9 plus the cross-era reads-from axiom
 
 The witness search is deterministic: reads-from candidates, write orders,
 and persisted sets are explored in a fixed order and the first witness wins.
+Along a prefix walk the library's check is ``framework.Seeded``: a prefix
+whose events the walk's last OK witness places, reading only from one
+another, takes that witness cut to it (:func:`px86_replay`) and is not
+searched.
 
 Relations are held as bit rows, one Python int per event (bit ``b`` of
 ``row[a]`` set iff ``(a, b)`` is related), and event sets as single rows:
@@ -33,7 +37,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, LibraryInterface, LibrarySpec, SpecError, Verdict, cell_loc, shared_search
+from .framework import (
+    BudgetExceeded,
+    LibraryInterface,
+    LibrarySpec,
+    Placement,
+    Seeded,
+    SpecError,
+    Verdict,
+    cell_loc,
+    shared_search,
+)
 from .model import (
     BOT,
     Execution,
@@ -495,9 +509,11 @@ def search_px86_witness(
 
 
 def px86_consistent(x: Execution, budget: int = 200_000) -> Verdict:
-    """Whether a witness exists.  The search runs once per exact execution
-    inside a ``shared_verdicts`` scope, shared with the sw hook; an OK or
-    FAIL verdict's stats name the stage and the steps of that search."""
+    """Whether a witness exists, by search.  The search runs once per exact
+    execution inside a ``shared_verdicts`` scope, shared with the sw hook;
+    an OK or FAIL verdict's stats name the stage and the steps of that
+    search.  ``px86_spec``'s check gives this verdict on each projection
+    that replays no seed."""
     try:
         w, steps = shared_search(search_px86_witness, x, budget)
     except BudgetExceeded as e:
@@ -529,9 +545,68 @@ def _px86_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     return out
 
 
+def px86_placed(x: Execution, mask: int, w: Px86Witness) -> Placement:
+    """The witness ``w`` of the projection of ``x`` on ``mask``, given in the
+    projection's ids, per event of ``mask`` in ``x``'s ids: its rf source
+    (``None`` for an event that reads nothing), the rows of its tso and nvo
+    successors, and whether it is persisted."""
+    keep = list(bits(mask))
+    src = {keep[r]: keep[a] for a, r in w.rf}
+    tso, nvo = dict.fromkeys(keep, 0), dict.fromkeys(keep, 0)
+    for rows, rel in ((tso, w.tso), (nvo, w.nvo)):
+        for a, b in rel:
+            rows[keep[a]] |= 1 << keep[b]
+    persisted = {keep[e] for e in w.persisted}
+    return [(e, (src.get(e), tso[e], nvo[e], e in persisted)) for e in keep]
+
+
+def px86_replay(mask: int, seed: Placement) -> Optional[Px86Witness]:
+    """The witness of a ``seed`` (as :func:`px86_placed` gives one) cut to
+    the events of ``mask``, in the ids of the projection on ``mask``; or
+    ``None`` unless the seed places every event of ``mask`` and every read
+    of ``mask`` reads from an event of ``mask``.
+
+    The cut is a witness whenever the seed is one of a projection on a
+    superset of ``mask`` and ``mask`` holds every crash po-before its
+    events: the eras, the derived sets and hb of ``mask`` are those of the
+    seed's execution cut to it, every axiom is a condition on the events
+    and the relations it names, and the tso and nvo edges and the persists
+    that ``mask`` forces are among those the seed's execution forces."""
+    placed = dict(seed)
+    idx: Dict[int, int] = {}
+    for e in bits(mask):
+        choice = placed.get(e)
+        if choice is None or choice[0] is not None and not mask >> choice[0] & 1:
+            return None
+        idx[e] = len(idx)
+    rf, tso, nvo, persisted = [], [], [], []
+    for e, i in idx.items():
+        src, tso_row, nvo_row, p = placed[e]
+        if src is not None:
+            rf.append((idx[src], i))
+        tso += [(i, idx[b]) for b in bits(tso_row & mask)]
+        nvo += [(i, idx[b]) for b in bits(nvo_row & mask)]
+        if p:
+            persisted.append(i)
+    return Px86Witness(frozenset(rf), frozenset(tso), frozenset(nvo), frozenset(persisted))
+
+
 def px86_spec(budget: int = 200_000) -> LibrarySpec:
+    """The Px86 library.  Its local check is ``Seeded``: it decides the
+    projection on a mask by replaying the seed cut to the mask
+    (:func:`px86_replay`; stage ``px86 replay``, no steps, not bounded by
+    ``budget``), and otherwise by :func:`px86_consistent` on the projection,
+    so an execution alone gets ``px86_consistent`` of it."""
+
+    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+        if seed is not None:
+            w = px86_replay(mask, seed)
+            if w is not None:
+                return Verdict.ok(witness=w, stats={"stage": "px86 replay", "steps": 0})
+        return px86_consistent(x if mask == (1 << len(x)) - 1 else x.restrict_events(bits(mask)), budget)
+
     return LibrarySpec(
         interface=px86_interface(),
-        local_consistent=lambda x: px86_consistent(x, budget),
+        local_consistent=Seeded(check, px86_placed),
         sw_candidates=_px86_sw_hook,
     )

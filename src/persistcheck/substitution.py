@@ -169,6 +169,11 @@ class SemanticImpl:
             m for s in coll_low.specs() for m in s.interface.constructors
         )
         self._cache: Dict[Tuple, List[PlainExecution]] = {}
+        #: per (method, args, location base), its interpretation's complete
+        #: runs by return value
+        self._returns: Dict[Tuple, Dict[object, List[PlainExecution]]] = {}
+        #: per (method, args, location base), its interpretation
+        self._interps: Dict[Tuple, Interpretation] = {}
         #: per (method, args, location base) whose interpretation ran out of
         #: runs, the stats it raised with
         self._exhausted: Dict[Tuple, Dict] = {}
@@ -195,9 +200,11 @@ class SemanticImpl:
         complete runs returning the label's value; incomplete labels map to
         every partial run.  Empty pomsets are excluded (bind drops events
         otherwise, breaking surjectivity of the matching).  The runs are kept
-        per label and location base.  An interpretation that runs out of
-        runs does so whatever the return value, so its ``BudgetExceeded`` is
-        kept per method, arguments and base, and raised again."""
+        per label and location base.  The body does not read the return
+        value, so it is interpreted once per method, arguments and base, and
+        its complete runs are kept grouped by return value; an
+        interpretation that runs out of runs keeps its ``BudgetExceeded``,
+        which is raised again."""
         if not self.owns(label):
             raise ValueError(f"label {label!r} is not implemented by {self.syn.name}")
         key = (label.method, label.args, label.ret, loc_start)
@@ -206,17 +213,21 @@ class SemanticImpl:
         run_key = (label.method, label.args, loc_start)
         if run_key in self._exhausted:
             raise BudgetExceeded(self._exhausted[run_key])
-        try:
-            it = self._interpret(label.method, label.args, loc_start)
-        except BudgetExceeded as e:
-            self._exhausted[run_key] = e.stats
-            raise
+        it = self._interps.get(run_key)
+        if it is None:
+            try:
+                it = self._interps[run_key] = self._interpret(label.method, label.args, loc_start)
+            except BudgetExceeded as e:
+                self._exhausted[run_key] = e.stats
+                raise
         if label.ret is BOT:
             graphs = [g for g in it.partial_executions() if not g.is_empty()]
         else:
             want = label.ret
+            if run_key not in self._returns:
+                self._returns[run_key] = it.return_values()
             graphs = []
-            for run_ret, gs in it.return_values().items():
+            for run_ret, gs in self._returns[run_key].items():
                 if run_ret == want:
                     graphs.extend(g for g in gs if not g.is_empty())
         self._cache[key] = graphs

@@ -1402,3 +1402,44 @@ def test_verify_computes_each_lifting_step_once(monkeypatch):
         m.setattr(sub, "shared_call", lambda key, compute: compute())
         assert got == verify()
     assert got[0]
+
+
+class _PerReturnImpl(SemanticImpl):
+    """``SemanticImpl`` interpreting a call once per return value, as it did
+    before its interpretations were kept per (method, args, location base)."""
+
+    def executions(self, label, loc_start=100):
+        key = (label.method, label.args, label.ret, loc_start)
+        if key not in self._cache:
+            it = self._interpret(label.method, label.args, loc_start)
+            if label.ret is BOT:
+                graphs = [g for g in it.partial_executions() if not g.is_empty()]
+            else:
+                graphs = [g for ret, gs in it.return_values().items() if ret == label.ret for g in gs if not g.is_empty()]
+            self._cache[key] = graphs
+        return self._cache[key]
+
+
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
+def test_verify_interprets_each_call_once(case, monkeypatch):
+    # a body does not read its return value, so one interpretation per
+    # (method, args, location base) serves the labels of every return value
+    make, low, high, corpus_spec, check_wf = DIFF_CASES[case]
+    corpus = _cached_corpus(corpus_spec)
+
+    def verify(impl):
+        rep = verify_impl_bounded(impl, high, low, corpus, check_wf=check_wf)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    inputs = []
+    interpret = SemanticImpl._interpret
+
+    def counting(self, method, args, loc_start):
+        inputs.append((method, args, loc_start))
+        return interpret(self, method, args, loc_start)
+
+    with monkeypatch.context() as m:
+        m.setattr(SemanticImpl, "_interpret", counting)
+        got = verify(SemanticImpl(make(), low, FLIT_CFG))
+    assert inputs and len(inputs) == len(set(inputs))
+    assert got == verify(_PerReturnImpl(make(), low, FLIT_CFG))
