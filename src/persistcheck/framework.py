@@ -511,26 +511,21 @@ def _prefix(coll: Collection, x) -> Prefix:
     return owners.prefix(owners.full)
 
 
-#: The decided verdicts and completed searches of the open
-#: ``shared_verdicts`` scope, or None.
+#: The memo of the open ``shared_verdicts`` scope, or None.  Only
+#: ``shared_call`` reads or writes the memo's entries.
 _VERDICTS: ContextVar[Optional[Dict[tuple, object]]] = ContextVar("persistcheck_verdicts", default=None)
+_MISSING = object()
 
 
 @contextmanager
 def shared_verdicts() -> Iterator[None]:
-    """A scope in which ``check_consistent`` keeps its decided verdicts,
-    ``shared_search`` its completed searches and ``shared_call`` its
-    completed computations (``verify_impl_bounded`` keeps its lifting steps
-    there, keyed by their hb projection).
-
-    The memo holds OK and FAIL verdicts, never budget-exceeded ones, keyed
-    exactly by the collection (by identity) and the execution's labels, po
-    rows, sw edges and hb rows.  Every spec's budget is fixed when the spec
-    is built, so a stored verdict is the one the check would compute again.
+    """A scope in which ``shared_call`` keeps what it computes: the verdicts
+    of ``check_consistent``, the Px86 witness searches and the lifting steps
+    of ``verify_impl_bounded``.  Every spec's budget is fixed when the spec
+    is built, so a kept verdict is the one the check would compute again.
     The memo starts empty when the outermost scope opens and is dropped when
     it closes; a nested scope uses the outer memo.  It also works as a
-    decorator, so each call of the decorated function is one scope.
-    """
+    decorator, so each call of the decorated function is one scope."""
     if _VERDICTS.get() is not None:
         yield
         return
@@ -541,41 +536,23 @@ def shared_verdicts() -> Iterator[None]:
         _VERDICTS.reset(token)
 
 
-def shared_search(search: Callable[..., object], x: Execution, budget: int) -> Tuple[object, int]:
-    """``search(x, budget, stats)`` and the ``steps`` it records in ``stats``,
-    run once per exact execution inside a ``shared_verdicts`` scope.
-
-    The key is the search and the execution's labels (with tags), po rows
-    and hb rows, so the search must read nothing else of ``x`` (sw is read
-    through hb).  A kept result is reused only by a caller whose budget
-    covers the steps it took; any other caller searches again, so a search
-    that runs out of this caller's budget still raises ``BudgetExceeded``.
-    A search that raises is never kept."""
-    memo = _VERDICTS.get()
-    key = (search, tuple(x.plain.labels()), x.plain.po_order.rows, x.hb_order.rows)
-    kept = memo.get(key) if memo is not None else None
-    if kept is not None and kept[1] <= budget:
-        return kept
-    stats: Dict[str, int] = {}
-    out = search(x, budget, stats), stats["steps"]
-    if memo is not None:
-        memo[key] = out
-    return out
-
-
 def shared_call(key: tuple, compute: Callable[[], object]) -> object:
     """``compute()``, run once per ``key`` inside a ``shared_verdicts`` scope
     and returned again on later calls with an equal key; outside a scope
     nothing is kept.  The key's first item names the computation, so the
     keys of different callers never meet, and the rest must hold everything
-    the computation reads.  A computation that raises, such as one that runs
-    out of budget, is never kept."""
+    the computation reads.  The one rule: an outcome that ran out of budget,
+    raised (``BudgetExceeded``) or returned (a budget ``Verdict``), is never
+    kept, since a later call may decide it (a replayed seed needs no search)."""
     memo = _VERDICTS.get()
     if memo is None:
         return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    out = memo.get(key, _MISSING)  # one lookup: a key of labels hashes slowly
+    if out is _MISSING:
+        out = compute()
+        if not (isinstance(out, Verdict) and out.is_budget):
+            memo[key] = out
+    return out
 
 
 def check_consistent(coll: Collection, x) -> Verdict:
@@ -583,21 +560,16 @@ def check_consistent(coll: Collection, x) -> Verdict:
     decomposition condition) of an execution, a history, or a ``Prefix``
     of a walk, which is asked of its walk's owner table.
 
-    Inside a ``shared_verdicts`` scope a decided verdict is computed once per
-    exact execution and returned again on later calls; a budget-exceeded
-    verdict is recomputed each time.  Outside a scope nothing is kept."""
+    Inside a ``shared_verdicts`` scope the verdict goes through
+    ``shared_call``, keyed by the collection (by identity) and the exact
+    execution's labels, po rows, sw edges and hb rows.  Outside a scope no
+    prefix execution is built."""
     p = _prefix(coll, x)
-    verdicts = _VERDICTS.get()
-    if verdicts is None:
+    if _VERDICTS.get() is None:
         return _check_consistent(coll, p)
     g = p.execution
     key = (coll, tuple(g.plain.labels()), g.plain.po_order.rows, g.sw, g.hb_order.rows)
-    v = verdicts.get(key)
-    if v is None:
-        v = _check_consistent(coll, p)
-        if not v.is_budget:
-            verdicts[key] = v
-    return v
+    return shared_call(key, lambda: _check_consistent(coll, p))
 
 
 def _check_consistent(coll: Collection, x) -> Verdict:

@@ -1184,11 +1184,13 @@ def parse_litmus(text: str, name: str = "") -> LitmusFile:
             collection = line.split()[1:]
             mode = None
         elif head == "domain":
-            for tok in line.split()[1:]:
-                domain.append(None if tok == "null" else int(tok))
+            domain.extend(_parse_value(tok, "domain value", lineno) for tok in line.split()[1:])
             mode = None
         elif head == "unroll":
-            unroll = int(line.split()[1])
+            toks = line.split()[1:]
+            unroll = _parse_value(toks[0], "unroll", lineno) if len(toks) == 1 else None
+            if unroll is None or unroll <= 0:
+                raise ParseError(f"unroll must be one positive integer, found {line!r}", lineno)
             mode = None
         elif head == "globals":
             mode = "globals"
@@ -1248,11 +1250,22 @@ def _parse_expectation(line: str, lineno: int) -> Expectation:
             raise ParseError(f"bad expectation tail {rest!r}", lineno)
         pairs = []
         for part in m2.group(1).split(","):
-            k, v = part.split("=")
-            v = v.strip()
-            pairs.append((k.strip(), None if v == "null" else int(v)))
+            k, eq, v = (t.strip() for t in part.partition("="))
+            if not (k and eq) or "=" in v:
+                raise ParseError(f"expected 'register=value', found {part.strip()!r}", lineno)
+            if k in dict(pairs):
+                raise ParseError(f"register {k} named twice in one outcome", lineno)
+            pairs.append((k, _parse_value(v, f"value of {k}", lineno)))
         outcome = tuple(pairs)
     return Expectation(consistent, outcome)
+
+
+def _parse_value(tok: str, what: str, lineno: int) -> Optional[int]:
+    """A litmus value: an integer, or ``null``."""
+    try:
+        return None if tok == "null" else int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}", lineno) from None
 
 
 def parse_impl(text: str, name: str = "impl") -> SyntacticImpl:

@@ -1271,26 +1271,33 @@ def load_manifest(path) -> Tuple["Collection", dict]:
             "domain": [0, 1], "unroll": 4}.
     Returns the frozen-free collection plus the leftover interpreter options.
     A budget or unroll bound that is not positive raises ``ValueError``, as
-    the ``--budget`` and ``--unroll`` flags do.
+    the ``--budget`` and ``--unroll`` flags do, and so does a manifest of
+    another shape.
     """
     import json
     from pathlib import Path
 
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not (isinstance(data, dict) and all(isinstance(data.get(k, []), list) for k in ("libraries", "domain"))):
+        raise ValueError("a manifest must be a JSON object whose libraries and domain are lists")
+    if not all(v is None or type(v) is int for v in data.get("domain", [])):
+        raise ValueError("a manifest domain holds integers and null only")
     coll = Collection()
     for entry in data.get("libraries", []):
         if isinstance(entry, str):
             entry = {"name": entry}
+        if not isinstance(entry, dict):
+            raise ValueError(f"a manifest library must be a name or an object, found {entry!r}")
         budget = int(entry.get("budget", 100_000))
         if budget <= 0:
             raise ValueError(f"budget of {entry['name']} must be positive")
         coll.register(builtin_spec(entry["name"], budget=budget))
-    if data.get("unroll") is not None and int(data["unroll"]) <= 0:
+    unroll = data.get("unroll")
+    if unroll is not None and type(unroll) is not int:
+        raise ValueError(f"manifest unroll must be an integer, found {unroll!r}")
+    if unroll is not None and unroll <= 0:
         raise ValueError("unroll must be positive")
-    options = {
-        "domain": tuple(data.get("domain", ())),
-        "unroll": data.get("unroll"),
-    }
+    options = {"domain": tuple(data.get("domain", ())), "unroll": unroll}
     return coll, options
 
 

@@ -46,7 +46,7 @@ from .framework import (
     SpecError,
     Verdict,
     cell_loc,
-    shared_search,
+    shared_call,
 )
 from .model import (
     BOT,
@@ -508,14 +508,26 @@ def search_px86_witness(
     return None
 
 
+def _search(x: Execution, budget: int) -> Tuple[Optional[Px86Witness], int]:
+    """``search_px86_witness(x, budget)`` and its steps, through ``shared_call``.
+    A kept search longer than ``budget`` raises as a new search would: the
+    search is deterministic and spends one step at a time."""
+    stats: Dict[str, int] = {}
+    key = (search_px86_witness, tuple(x.plain.labels()), x.plain.po_order.rows, x.hb_order.rows)
+    w, steps = shared_call(key, lambda: (search_px86_witness(x, budget, stats), stats["steps"]))
+    if steps > budget:
+        raise BudgetExceeded({"steps": budget + 1})
+    return w, steps
+
+
 def px86_consistent(x: Execution, budget: int = 200_000) -> Verdict:
     """Whether a witness exists, by search.  The search runs once per exact
-    execution inside a ``shared_verdicts`` scope, shared with the sw hook;
-    an OK or FAIL verdict's stats name the stage and the steps of that
-    search.  ``px86_spec``'s check gives this verdict on each projection
-    that replays no seed."""
+    execution inside a ``shared_verdicts`` scope, shared with the sw hook
+    (``_search``); an OK or FAIL verdict's stats name the stage and the
+    steps of that search, whichever caller ran it.  ``px86_spec``'s check
+    gives this verdict on each projection that replays no seed."""
     try:
-        w, steps = shared_search(search_px86_witness, x, budget)
+        w, steps = _search(x, budget)
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
     stats = {"stage": "px86 witness search", "steps": steps}
@@ -526,12 +538,12 @@ def px86_consistent(x: Execution, budget: int = 200_000) -> Verdict:
 
 def _px86_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate synchronizes-with sets: none, or the cross-thread reads-from
-    edges of the first witness.  The search is capped at 20,000 steps; the
-    sw-free refinement's consistency check reuses it when its own budget
-    covers the steps taken."""
+    edges of the first witness, searched through ``_search`` at 20,000
+    steps.  A search that runs out, or a label that is not Px86's (a
+    ``ValueError`` of ``derive_sets``), proposes no sw set."""
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     try:
-        w, _ = shared_search(search_px86_witness, Execution(g), 20_000)
+        w, _ = _search(Execution(g), 20_000)
     except (BudgetExceeded, ValueError):
         return out
     if w is not None:

@@ -549,13 +549,13 @@ def _lift_projected(
     budget: int,
     failure: Optional[List[str]],
 ) -> Optional[Execution]:
-    """``_lift_core``, computed once per exact input inside a
-    ``shared_verdicts`` scope.  The key holds the collection (by identity),
-    ga's labels and po rows, the budget, the image and both projections,
-    the previous abstract execution's labels, po rows, hb rows and sw, and
-    ``prev_ids``: everything the step reads.  A kept step comes back with
-    the failure reason its computation wrote, written again into
-    ``failure``; a step that runs out of budget raises and is never kept."""
+    """``_lift_core`` through ``shared_call``: computed once per exact input
+    inside a ``shared_verdicts`` scope.  The key holds the collection (by
+    identity), ga's labels and po rows, the budget, the image and both
+    projections, the previous abstract execution's labels, po rows, hb rows
+    and sw, and ``prev_ids``: everything the step reads.  The step's last
+    refutation, kept with it, is written into ``failure``; a step that runs
+    out of budget raises, is never kept and writes nothing."""
     prev = None
     if prev_abs is not None:
         prev = (tuple(prev_abs.plain.labels()), prev_abs.plain.po_order.rows, prev_abs.hb_order.rows, prev_abs.sw)
@@ -563,19 +563,11 @@ def _lift_projected(
         _lift_core, coll_high, tuple(ga.labels()), ga.po_order.rows, budget,
         image, proj_hb, proj_external, prev, prev_ids,
     )
-
-    def compute() -> Tuple[Optional[Execution], Tuple[str, ...]]:
-        wrote: List[str] = []
-        try:
-            xa = _lift_core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll_high, budget, wrote)
-            return xa, tuple(wrote)
-        finally:  # a step that raises still reports its last refutation
-            if wrote and failure is not None:
-                failure[:] = wrote
-
-    xa, wrote = shared_call(key, compute)
-    if wrote and failure is not None:
-        failure[:] = wrote
+    xa, why = shared_call(
+        key, lambda: _lift_core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll_high, budget)
+    )
+    if why is not None and failure is not None:
+        failure[:] = [why]
     return xa
 
 
@@ -588,14 +580,14 @@ def _lift_core(
     prev_ids: FrozenSet[int],
     coll_high: Collection,
     budget: int,
-    failure: List[str],
-) -> Optional[Execution]:
+) -> Tuple[Optional[Execution], Optional[str]]:
     """``lift_step`` given the concrete side as the ascending abstract
     ``image`` and the projections onto it of hb and of external hb: the sw
     subsets of projected hb edges are tried smallest first, and the first
     candidate that is acyclic, extends ``prev_abs``, is sw-justified and is
-    consistent is returned.  Each refuted candidate writes its reason into
-    ``failure``."""
+    consistent is returned, with the reason of the last candidate refuted
+    before it (``None`` if none was); no candidate gives ``None`` and that
+    last reason."""
     ren = {old: new for new, old in enumerate(image)}
     g_sub = ga.restrict_events(image)
     k = len(image)
@@ -618,6 +610,7 @@ def _lift_core(
         )
     spent = 0
     budgeted = False
+    why: Optional[str] = None
     for r in range(len(cands) + 1):
         for combo in itertools.combinations(cands, r):
             spent += 1
@@ -637,12 +630,12 @@ def _lift_core(
             xa = Execution(g_sub, combo, hb)
             v = check_consistent(coll_high, xa)
             if v:
-                return xa
+                return xa, why
             budgeted = budgeted or v.is_budget
-            failure[:] = [v.reason]
+            why = v.reason
     if budgeted:
         raise BudgetExceeded({"stage": "lifting"})
-    return None
+    return None, why
 
 
 def check_lifting_step(

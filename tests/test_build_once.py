@@ -43,10 +43,9 @@ LITMUS_FILES = sorted((ROOT / "litmus").rglob("*.lit"))
 X = 1
 
 
-def _unshared_search(search, x, budget):
-    """``framework.shared_search`` without the memo."""
-    stats = {}
-    return search(x, budget, stats), stats["steps"]
+def _unshared_call(key, compute):
+    """``framework.shared_call`` without the memo."""
+    return compute()
 
 
 def _exact(x):
@@ -92,7 +91,7 @@ def test_shared_search_matches_plain_search_on_litmus_behaviors(path, monkeypatc
         return code, text.getvalue(), seen, log
 
     shared = run()
-    monkeypatch.setattr(px86, "shared_search", _unshared_search)
+    monkeypatch.setattr(px86, "shared_call", _unshared_call)
     assert shared == run()
     assert shared[2] and shared[3]
 
@@ -110,7 +109,7 @@ def test_shared_search_matches_plain_search_on_flit_verification(make, monkeypat
         return [vars(r) for r in report.records], report.budget_hits, report.bound_note, log
 
     shared = run()
-    monkeypatch.setattr(px86, "shared_search", _unshared_search)
+    monkeypatch.setattr(px86, "shared_call", _unshared_call)
     assert shared == run()
     assert len(shared[0]) > 40 and any(status == "consistent" for status, _, _ in shared[3])
 
@@ -169,6 +168,26 @@ def test_a_hook_search_longer_than_the_spec_budget_is_not_reused(monkeypatch):
     with shared_verdicts():
         candidate_sw_sets(exact, g)
         assert check_consistent(exact, Execution(g))
+    assert calls == [20_000]
+
+
+def test_a_kept_search_longer_than_a_later_budget_gives_that_budget_verdict(monkeypatch):
+    # the check comes first here, the hook's order above reversed
+    x = Execution(_three_writers(3, 1, 2))
+    steps = dict(px86_consistent(x, 20_000).stats)["steps"]
+    fresh = px86_consistent(x, steps - 1)
+    assert fresh.is_budget
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return search_px86_witness(*args)
+
+    monkeypatch.setattr(px86, "search_px86_witness", counted)
+    with shared_verdicts():
+        assert px86_consistent(x, 20_000)
+        short = px86_consistent(x, steps - 1)
+    assert (short.status, short.stats) == (fresh.status, fresh.stats)
     assert calls == [20_000]
 
 

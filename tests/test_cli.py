@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from persistcheck.cli import main
 from persistcheck.framework import Collection
@@ -64,6 +65,35 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "broken.lit"
     bad.write_text("collection px86\nprogram\n t0: r := := load(x)\n")
     assert run_cli(["check", str(bad)]) == 2
+
+
+BAD_VALUE_HEAD = "collection px86\nglobals\n  x := alloc()\nprogram\n  t0: store(x, 1); r := load(x)\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("domain x", "bad domain value 'x'"),
+        ("unroll", "unroll must be one positive integer, found 'unroll'"),
+        ("unroll -1", "unroll must be one positive integer, found 'unroll -1'"),
+        ("expect consistent outcome r=abc", "bad value of r 'abc'"),
+        ("expect consistent outcome r", "expected 'register=value', found 'r'"),
+        ("expect consistent outcome r=0, r=1", "register r named twice in one outcome"),
+    ],
+)
+def test_check_bad_litmus_value_exit_two(tmp_path, capsys, line, message):
+    f = tmp_path / "bad.lit"
+    f.write_text(BAD_VALUE_HEAD + line + "\n")
+    assert run_cli(["check", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {message} (line 6, col 0)\n"
+
+
+def test_verify_impl_corpus_bad_value_exit_two(tmp_path, capsys):
+    (tmp_path / "bad.lit").write_text(BAD_VALUE_HEAD + "domain x\n")
+    code = run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad.lit: bad domain value 'x' (line 6, col 0)\n"
 
 
 def test_check_unknown_model_exit_two(tmp_path):
@@ -446,6 +476,26 @@ def test_manifest_rejects_a_zero_unroll(tmp_path, capsys):
     manifest.write_text('{"libraries": ["px86"], "unroll": 0}')
     assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
     assert "unroll must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "a manifest must be a JSON object whose libraries and domain are lists"),
+        ('{"libraries": 5}', "a manifest must be a JSON object whose libraries and domain are lists"),
+        ('{"libraries": ["px86"], "domain": 5}', "a manifest must be a JSON object whose libraries and domain are lists"),
+        ('{"libraries": ["px86"], "domain": [[1]]}', "a manifest domain holds integers and null only"),
+        ('{"libraries": [5]}', "a manifest library must be a name or an object, found 5"),
+        ('{"libraries": ["px86"], "unroll": 2.5}', "manifest unroll must be an integer, found 2.5"),
+        ('{"libraries": ["px86"], "unroll": "3"}', "manifest unroll must be an integer, found '3'"),
+    ],
+)
+def test_manifest_of_the_wrong_shape_exit_two(tmp_path, capsys, text, message):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(text)
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {message}\n"
 
 
 def test_model_override_flips_sb_verdict(capsys):

@@ -4,7 +4,7 @@ Every top-level function, class and assignment of ``src/persistcheck`` must be
 named somewhere outside its own definition, in ``src/``, ``tests/`` or
 ``perfbench/`` (a word match, so a re-export, a test or a traced name counts).
 Every method other than a dunder must be named as ``.method`` outside its own
-definition.
+definition.  The shared verdicts memo has one way in: ``framework.shared_call``.
 """
 
 import ast
@@ -64,6 +64,35 @@ def test_every_definition_is_referenced():
             if uses <= 0:
                 unused.append(f"{path.name}: {'.' if is_method else ''}{name}")
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _names_memo(node):
+    return (
+        isinstance(node, ast.Name) and node.id == "_VERDICTS"
+        or isinstance(node, ast.Attribute) and node.attr == "_VERDICTS"
+        or isinstance(node, ast.alias) and node.name == "_VERDICTS"
+        or isinstance(node, ast.Constant) and node.value == "_VERDICTS"
+    )
+
+
+def test_only_shared_call_reads_or_writes_the_shared_verdicts_memo():
+    # besides its own definition, the memo is named by the scope that opens
+    # it, by shared_call, and by check_consistent's test for an open scope
+    allowed = {("framework", n) for n in ("_VERDICTS", "shared_verdicts", "shared_call", "check_consistent")}
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(_names_memo(n) for n in ast.walk(node)):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    owners = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    owners = [t.id if isinstance(t, ast.Name) else "<module>" for t in targets]
+                else:
+                    owners = ["<module>"]
+                naming.update((path.stem, o) for o in owners)
+    assert ("framework", "shared_call") in naming
+    assert naming <= allowed, f"the shared verdicts memo is named outside shared_call: {sorted(naming - allowed)}"
 
 
 def test_no_interface_restates_what_its_hook_answers():

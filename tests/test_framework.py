@@ -24,6 +24,7 @@ from persistcheck.framework import (
     check_hereditarily_consistent,
     check_immediately_wellformed,
     check_wellformed,
+    shared_call,
     shared_verdicts,
 )
 from persistcheck.model import (
@@ -733,6 +734,55 @@ def test_shared_verdicts_keep_decided_verdicts_only():
         strict = Collection([strict])
         assert check_consistent(coll, pair) and not check_consistent(strict, pair)
     assert calls[frozenset({"good"})] == 5
+
+
+def _counted(outcome):
+    """A computation that logs each run and gives ``outcome()``."""
+    runs = []
+
+    def compute():
+        runs.append(1)
+        return outcome()
+
+    return compute, runs
+
+
+def _raise_budget():
+    raise BudgetExceeded({"steps": 3})
+
+
+def test_shared_call_keeps_nothing_outside_a_scope():
+    compute, runs = _counted(lambda: 7)
+    assert [shared_call(("k",), compute) for _ in range(2)] == [7, 7]
+    assert len(runs) == 2
+
+
+def test_shared_call_computes_a_decided_value_once_per_scope():
+    for value in (7, None, Verdict.ok(), Verdict.fail("no")):
+        compute, runs = _counted(lambda: value)
+        with shared_verdicts():
+            assert [shared_call(("k",), compute) for _ in range(3)] == [value] * 3
+            # a key of its own is computed on its own
+            assert shared_call(("other",), compute) == value
+        assert len(runs) == 2
+
+
+def test_shared_call_computes_a_returned_budget_verdict_again():
+    compute, runs = _counted(lambda: Verdict.budget({"steps": 3}))
+    with shared_verdicts():
+        assert all(shared_call(("k",), compute).is_budget for _ in range(3))
+    assert len(runs) == 3
+
+
+def test_shared_call_computes_a_raised_budget_exceeded_again():
+    compute, runs = _counted(_raise_budget)
+    with shared_verdicts():
+        for _ in range(3):
+            with pytest.raises(BudgetExceeded):
+                shared_call(("k",), compute)
+        # once the computation decides, its value is kept
+        assert shared_call(("k",), lambda: 7) == shared_call(("k",), compute) == 7
+    assert len(runs) == 3
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1379,14 +1379,14 @@ def test_verify_computes_each_lifting_step_once(monkeypatch):
     keys, requests = [], []
     core, projected = sub._lift_core, sub._lift_projected
 
-    def counting_core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll, budget, failure):
+    def counting_core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll, budget):
         prev = None
         if prev_abs is not None:
             prev = (tuple(prev_abs.plain.labels()), prev_abs.plain.po_order.rows, prev_abs.hb_order.rows, prev_abs.sw)
         keys.append(
             (id(coll), tuple(ga.labels()), ga.po_order.rows, budget, image, proj_hb, proj_external, prev, prev_ids)
         )
-        return core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll, budget, failure)
+        return core(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll, budget)
 
     def counting_projected(*args):
         requests.append(1)
