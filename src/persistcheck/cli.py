@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=100_000,
             help=(
-                "node budget of the prefix walks, lifting and the Flit and Mirror searches; "
+                "node budget of the prefix walks, lifting and the library linearization searches; "
                 "not of the Px86 witness search, which keeps at least 100,000 steps (see README)"
             ),
         )

@@ -230,8 +230,8 @@ S_REG_ABSTRACT = SequentialSpec(
 )
 
 
-def reg_lin_spec() -> LibrarySpec:
-    return make_lin_spec(S_REG_ABSTRACT, _register_iface())
+def reg_lin_spec(budget: int = 200_000) -> LibrarySpec:
+    return make_lin_spec(S_REG_ABSTRACT, _register_iface(), budget)
 
 
 def reg_durlin_spec() -> LibrarySpec:
@@ -294,7 +294,7 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
     explicit = frozenset(e for e in ids if P_TAG in lab[e].tags)
     has_explicit = any(P_TAG in lab[e].tags for e in x.events)
     persists = {e: (e in explicit,) if has_explicit else (False, True) for e in W}
-    options = [[(e, p) for p in persists.get(e, (None,))] for e in ids]
+    options = [() if lab[e].is_crash else [(e, p) for p in persists.get(e, (None,))] for e in x.events]
 
     def step(st, cand):
         e, persist = cand
@@ -309,12 +309,10 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
 
     eras = _era_masks(x.plain)
     po_se = [row & eras[era[a]] for a, row in enumerate(x.plain.po_order.rows)]
-    preds = era_preds(x.hb_order.restrict(ids), [era[e] for e in ids])
+    preds = era_preds(x.hb_order, [era[e] for e in x.events])
     stats = {"stage": "linearization enumeration"}
     try:
-        for placed in linearizations(
-            preds, options, (1 << len(ids)) - 1, SequentialSpec("flit", dict, step), budget, stats
-        ):
+        for placed in linearizations(preds, options, _mask(ids), SequentialSpec("flit", dict, step), budget, stats):
             lin = [e for _, (e, _) in placed]
             P = explicit if has_explicit else frozenset(e for _, (e, p) in placed if p)
             pos = {e: i for i, e in enumerate(lin)}
@@ -503,8 +501,9 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
                 return None
         return nxt
 
-    preds = era_preds(x.hb_order.restrict(ids), [era[e] for e in ids])
-    v = linearize(preds, [[e] for e in ids], (1 << len(ids)) - 1, SequentialSpec("mirror", dict, step), budget, stage)
+    preds = era_preds(x.hb_order, [era[e] for e in x.events])
+    options = [[e] if calls >> e & 1 else () for e in x.events]
+    v = linearize(preds, options, calls, SequentialSpec("mirror", dict, step), budget, stage)
     return replace(v, witness={"lin": [e for _, e in v.witness], "nvo": sorted(nvo.pairs), "P": sorted(P)}) if v else v
 
 
@@ -528,13 +527,14 @@ def _mirror_step(lab: Mapping[int, Label], era: Mapping[int, int], st: dict, e: 
 def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate sw sets: derived reads-from for each era-monotone lin of
     po, the first 2,000 candidates tried."""
-    ids = [e for e in g.events if not g.lab[e].is_crash]
     era = g.era_of()
+    calls = _mask(e for e in g.events if not g.lab[e].is_crash)
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     seen = set(out)
-    preds = era_preds(g.po_order.restrict(ids), [era[e] for e in ids])
+    preds = era_preds(g.po_order, [era[e] for e in g.events])
+    options = [[e] if calls >> e & 1 else () for e in g.events]
     try:
-        for lin in linearizations(preds, [[e] for e in ids], (1 << len(ids)) - 1, ANY_ORDER, 2_000, {}):
+        for lin in linearizations(preds, options, calls, ANY_ORDER, 2_000, {}):
             st, rf = {}, set()
             for _, e in lin:
                 src, st = _mirror_step(g.lab, era, st, e)
@@ -780,12 +780,15 @@ def _ltrans_tag_hook(g: PlainExecution) -> Sequence[Mapping[int, FrozenSet[str]]
     """Persisted-marker candidates: subsets of transaction-relevant events,
     whole transactions at a time, committed transactions first."""
     tagged = _mask(tag_set(g, T_TAG) | tag_set(g, B_TAG) | tag_set(g, E_TAG)) & ~_mask(tag_set(g, PTR_TAG))
-    # group by same-transaction over po (thread, segment between B/E tags)
+    # group by same-transaction over po (thread, segment between B/E tags),
+    # each event in the first group only (an end is also in the next one)
     st = _transaction_rows(g)
     groups: List[int] = []
-    for e in bits(tagged):
-        if not any(group >> e & 1 for group in groups):
-            groups.append(st[e] & tagged | 1 << e)
+    rest = tagged
+    while rest:
+        e = (rest & -rest).bit_length() - 1
+        groups.append(st[e] & rest | 1 << e)
+        rest &= ~groups[-1]
     persisted = frozenset({PTR_TAG})
     return [
         {e: persisted for group in combo for e in bits(group)}
@@ -1079,11 +1082,11 @@ def mmcounter_consistent(
     return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True, seed=seed, mask=mask)
 
 
-def mmcounter_spec() -> LibrarySpec:
+def mmcounter_spec(budget: int = 100_000) -> LibrarySpec:
     return LibrarySpec(
         interface=mmcounter_interface(),
         deps=frozenset({"ltrans"}),
-        local_consistent=Seeded(mmcounter_consistent, lin_placed),
+        local_consistent=Seeded(partial(mmcounter_consistent, budget=budget), lin_placed),
         tag_candidates=_ltrans_tag_hook,
     )
 
@@ -1210,8 +1213,8 @@ def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
         "durqueue": lambda: durqueue_spec(budget),
         "weakreg": lambda: weakreg_spec(budget=budget),
         "counter": counter_spec,
-        "mmcounter": mmcounter_spec,
-        "reg": reg_lin_spec,
+        "mmcounter": lambda: mmcounter_spec(budget),
+        "reg": lambda: reg_lin_spec(budget),
         "scmem": lambda: scmem_spec(budget),
     }
     if name in table:
@@ -1283,11 +1286,15 @@ def load_manifest(path) -> Tuple["Collection", dict]:
     if not all(v is None or type(v) is int for v in data.get("domain", [])):
         raise ValueError("a manifest domain holds integers and null only")
     coll = Collection()
-    for entry in data.get("libraries", []):
+    for i, entry in enumerate(data.get("libraries", [])):
         if isinstance(entry, str):
             entry = {"name": entry}
         if not isinstance(entry, dict):
             raise ValueError(f"a manifest library must be a name or an object, found {entry!r}")
+        if "name" not in entry:
+            raise ValueError(f"manifest {path}: library {i} has no name")
+        if not isinstance(entry["name"], str):
+            raise ValueError(f"manifest {path}: the name of library {i} must be a string, found {entry['name']!r}")
         budget = int(entry.get("budget", 100_000))
         if budget <= 0:
             raise ValueError(f"budget of {entry['name']} must be positive")

@@ -14,12 +14,15 @@ generator of the sequences a spec accepts, whose budget counts candidates
 tried, and :func:`linearize` turns its first into a ``Verdict``.
 Linearizability of histories and of executions and weak-register
 consistency are each one such search, and so are Flit's and Mirror's
-checks (``libs``) and the Px86 write orders (``px86``).  A pending call is
-an optional event with its return left open (⊥): the spec's step gives it
-the return its state holds, so no value domain is guessed.  For the weak
-register each crash is an event too, and each durable call of a non-last
-era is offered persisted and not persisted, so one step function folds the
-volatile and the persisted register state.  The eager
+checks (``libs``) and the Px86 write orders (``px86``).  Every library
+search reads the execution's own event ids, and a history's weak-register
+check is the execution check on ``history_to_execution(h)``, whose event
+ids are the history's call indices.  A pending call is an optional event
+with its return left open (⊥): the spec's step gives it the return its
+state holds, so no value domain is guessed.  For the weak register each
+crash ends its era with one more event, and each durable call of a
+non-last era is offered persisted and not persisted, so one step function
+folds the volatile and the persisted register state.  The eager
 :func:`iter_completions`, with the value domain of :func:`mentioned_values`
 and the null returns of ``VOID_METHODS``, is kept as the reference the
 tests compare linearizability with.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .framework import BudgetExceeded, Placement, Verdict
-from .model import BOT, CRASH, Call, CrashEv, History, Inv, Label, Order, Ret
+from .model import BOT, CRASH, Call, History, Inv, Label, Order, Ret, history_to_execution
 
 PFENCE = "pfence"
 
@@ -391,9 +394,10 @@ def check_durably_linearizable(h: History, spec: SequentialSpec, budget: int = 2
 @dataclass(frozen=True)
 class WeakRegWitness:
     """Volatile orders, persist orders, persisted sets, and the induced
-    per-location write order, one entry per era (global call indices).
-    Each persist order ``nvo_i`` is ``P_i`` in volatile order, a persist
-    order that keeps ``mo`` and puts fenced writes before their fence."""
+    per-location write order, one entry per era, in event ids (a history's
+    call indices).  Each persist order ``nvo_i`` is ``P_i`` in volatile
+    order, a persist order that keeps ``mo`` and puts fenced writes before
+    their fence."""
 
     lin: Tuple[Tuple[int, ...], ...]
     nvo: Tuple[Tuple[int, ...], ...]
@@ -414,7 +418,9 @@ class WeakRegWitness:
 def check_weakreg_consistent(
     h: History, with_pfence: bool = False, budget: int = 500_000
 ) -> Verdict:
-    """Weak persistent register consistency of an SC history.
+    """Weak persistent register consistency of an SC history: the check of
+    :func:`weakreg_consistent_execution` on ``history_to_execution(h)``,
+    whose event ids are the history's call indices.
 
     Searches for per-era volatile orders lin_i (extending happens-before) and
     persisted durable subsets P_i such that for every k ≤ #eras the sequence
@@ -422,19 +428,11 @@ def check_weakreg_consistent(
     its persist order nvo_i: P_i in volatile order, which keeps the shared
     per-location write order mo.  With the fence rule enabled, writes
     volatile-ordered before an executed PFENCE must persist before it.
-
-    One :func:`linearize` search decides it.  Each crash is an event that
-    follows every call of the earlier eras; a durable call (``rnew``,
-    ``rwrite``) of a non-last era is placed persisted or not, and a fence
-    persisted.  Incomplete writes may take effect and may persist (both
-    searched); incomplete reads, news, and fences are truncated (their
-    inclusion never enables additional behaviour).  The budget counts
-    candidate calls tried.
+    Incomplete writes may take effect and may persist (both searched);
+    incomplete reads, news, and fences are truncated (their inclusion never
+    enables additional behaviour).
     """
-    calls = h.calls()
-    crashes = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
-    era = [bisect_right(crashes, c.inv_index) for c in calls]
-    return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls).preds(), with_pfence, budget)
+    return weakreg_consistent_execution(history_to_execution(h), with_pfence, budget)
 
 
 def weakreg_consistent_execution(
@@ -445,53 +443,35 @@ def weakreg_consistent_execution(
     after replaying a ``seed`` of the form :func:`weakreg_placed` gives.
     It decides the projection on ``mask`` (default: every event), as
     ``framework.Seeded`` states, in ``x``'s own ids; the crashes of
-    ``mask`` end its eras in id order."""
+    ``mask`` end its eras in id order.
+
+    One :func:`linearize` search decides it, over the calls of ``mask`` and
+    one event per crash: ``n+k`` (``n = len(x)``) ends era ``k`` and follows
+    every call of the eras up to ``k`` and every earlier crash.  A candidate
+    is a call with its persist choice: ``None`` in the last era and for
+    reads, persisted for a fence, persisted or not for ``rnew`` and
+    ``rwrite``.  A state maps each location to its (volatile, persisted)
+    value, and ``PFENCE`` to whether this era holds an unpersisted write; a
+    crash makes the persisted values volatile.  Failed (placed mask, state)
+    pairs are memoized.  The budget counts candidate calls tried."""
     n, lab, era = len(x), x.lab, x.plain.era_of()
     mask = (1 << n) - 1 if mask is None else mask
     crashes = [c for c in x.plain.crash_events() if mask >> c & 1]
+    last = len(crashes)
     calls = [lab[e] if mask >> e & 1 and not lab[e].is_crash else None for e in x.events]
-    members = sum(1 << e for e, c in enumerate(calls) if c is not None)
+    called = [i for i, c in enumerate(calls) if c is not None]
+    for i in called:
+        if calls[i].method not in WEAKREG_METHODS:
+            raise ValueError(f"not a weak-register call: {calls[i]!r}")
+        if calls[i].method == PFENCE and not with_pfence:
+            raise ValueError("history uses PFENCE but the fence rule is disabled")
+    members = sum(1 << i for i in called)
     if seed is not None:
         end = {c: n + k for k, c in enumerate(crashes)}
         seed = [(end[e], CRASH) if e in end else (e, (lab[e], p)) for e, p in seed if mask >> e & 1]
     preds = [p & members for p in x.hb_order.preds()]
-    return _weakreg_linearize(calls, era, len(crashes) + 1, preds, with_pfence, budget, seed)
-
-
-def weakreg_placed(x, mask: int, w: WeakRegWitness) -> Placement:
-    """The witness ``w`` of :func:`weakreg_consistent_execution` on ``x``
-    and ``mask`` as its search placed it: per era the calls in volatile
-    order, each with its persist choice, then the crash that ends the era."""
-    crashes, last = [c for c in x.plain.crash_events() if mask >> c & 1], len(w.lin) - 1
-    out: Placement = []
-    for k, lin in enumerate(w.lin):
-        out += [(e, None if k == last or x.lab[e].method == "rread" else e in w.persisted[k]) for e in lin]
-        out += [(crashes[k], None)] if k < last else []
-    return out
-
-
-def _weakreg_linearize(
-    calls: Sequence, era: Sequence[int], n_eras: int, preds: Sequence[int], with_pfence: bool, budget: int, seed=None
-) -> Verdict:
-    """One :func:`linearize` search over the calls ``0..n-1`` (history
-    ``Call``s or execution ``Label``s, ``None`` where an index is no call)
-    and the crash events, ``n+k`` ending era ``k``; ``preds`` are the calls'
-    hb predecessor masks.  A candidate is a call with its persist choice
-    (``None`` in the last era and for reads).  A state maps each location to
-    its (volatile, persisted) value, and ``PFENCE`` to whether this era
-    holds an unpersisted write; a crash makes the persisted values volatile.
-    Failed (placed mask, state) pairs are memoized."""
-    for c in calls:
-        if c is None:
-            continue
-        if c.method not in WEAKREG_METHODS:
-            raise ValueError(f"not a weak-register call: {c!r}")
-        if c.method == PFENCE and not with_pfence:
-            raise ValueError("history uses PFENCE but the fence rule is disabled")
-    n, last = len(calls), n_eras - 1
-    called = [i for i, c in enumerate(calls) if c is not None]
     # crash n+k follows every call of eras ≤ k and every earlier crash
-    preds = list(preds) + [sum(1 << i for i in called if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
+    preds += [sum(1 << i for i in called if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
     options: List[Sequence[object]] = []
     for i, c in enumerate(calls):
         if c is not None and era[i]:
@@ -527,8 +507,8 @@ def _weakreg_linearize(
     if not v:
         return v
     placed = v.witness
-    lin: List[List[int]] = [[] for _ in range(n_eras)]
-    persisted: List[Set[int]] = [set() for _ in range(n_eras)]
+    lin: List[List[int]] = [[] for _ in range(last + 1)]
+    persisted: List[Set[int]] = [set() for _ in range(last + 1)]
     for i, cand in placed:
         if i < n:
             lin[era[i]].append(i)
@@ -546,3 +526,15 @@ def _weakreg_linearize(
         completed_incomplete=frozenset(i for i, _ in placed if i < n and not calls[i].is_complete),
     )
     return replace(v, witness=witness)
+
+
+def weakreg_placed(x, mask: int, w: WeakRegWitness) -> Placement:
+    """The witness ``w`` of :func:`weakreg_consistent_execution` on ``x``
+    and ``mask`` as its search placed it: per era the calls in volatile
+    order, each with its persist choice, then the crash that ends the era."""
+    crashes, last = [c for c in x.plain.crash_events() if mask >> c & 1], len(w.lin) - 1
+    out: Placement = []
+    for k, lin in enumerate(w.lin):
+        out += [(e, None if k == last or x.lab[e].method == "rread" else e in w.persisted[k]) for e in lin]
+        out += [(crashes[k], None)] if k < last else []
+    return out

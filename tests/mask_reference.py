@@ -7,20 +7,35 @@ out of it, ``execution_linearizable`` with ``lin_placed``, and
 ``_weakreg_linearize``.  The one change: ``Order.preds`` now returns a kept
 tuple, so ``_weakreg_linearize`` copies it before it appends the era ends.
 
+``check_weakreg_consistent`` is the history set-up of the weak-register
+check before it became the execution check on ``history_to_execution(h)``:
+calls in invocation order, eras by bisecting the crash positions, and hb as
+returns-before-invokes.  It passes that order to ``_weakreg_linearize``,
+which takes the order where the replaced one took its ``preds``.
+
 ``specs`` gives a library spec whose ``local_consistent`` is the reference
 check of the same library."""
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set
 
 from persistcheck import framework
 from persistcheck.framework import LibrarySpec, Placement, Prefix, Verdict, _always_ok
 from persistcheck.libs import PTR_TAG, S_MEM, S_MMCOUNTER, S_QUEUE_ALIASED, S_REG_ABSTRACT
-from persistcheck.model import CRASH, Execution, Label, Order, anonymize, bits
-from persistcheck.sc import PFENCE, WEAKREG_METHODS, SequentialSpec, WeakRegWitness, era_preds, linearize
+from persistcheck.model import CRASH, CrashEv, Execution, History, Label, Order, anonymize, bits
+from persistcheck.sc import (
+    PFENCE,
+    WEAKREG_METHODS,
+    SequentialSpec,
+    WeakRegWitness,
+    _returns_before_invokes,
+    era_preds,
+    linearize,
+)
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,15 @@ def weakreg_placed(x, w: WeakRegWitness) -> Placement:
         out += [(ids[i], None if k == last or x.lab[ids[i]].method == "rread" else i in w.persisted[k]) for i in lin]
         out += [(crashes[k], None)] if k < last else []
     return out
+
+
+def check_weakreg_consistent(h: History, with_pfence: bool = False, budget: int = 500_000) -> Verdict:
+    """Weak persistent register consistency of an SC history, on the
+    history's own set-up."""
+    calls = h.calls()
+    crashes = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
+    era = [bisect_right(crashes, c.inv_index) for c in calls]
+    return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls), with_pfence, budget)
 
 
 def _weakreg_linearize(

@@ -471,6 +471,18 @@ def test_manifest_rejects_a_zero_budget(tmp_path, capsys):
     assert "budget of flit must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [('{"budget": 5}', "library 1 has no name"), ('{"name": 5}', "the name of library 1 must be a string, found 5")],
+)
+def test_manifest_names_the_library_without_a_name(tmp_path, capsys, entry, message):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(f'{{"libraries": ["px86", {entry}]}}')
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: manifest {manifest}: {message}\n"
+
+
 def test_manifest_rejects_a_zero_unroll(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text('{"libraries": ["px86"], "unroll": 0}')

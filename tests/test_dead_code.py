@@ -5,6 +5,8 @@ named somewhere outside its own definition, in ``src/``, ``tests/`` or
 ``perfbench/`` (a word match, so a re-export, a test or a traced name counts).
 Every method other than a dunder must be named as ``.method`` outside its own
 definition.  The shared verdicts memo has one way in: ``framework.shared_call``.
+Every name a module of ``src/persistcheck`` (``__init__.py`` aside) imports
+is used in that module.
 """
 
 import ast
@@ -114,3 +116,43 @@ def test_no_interface_restates_what_its_hook_answers():
             if answer is not None and m in iface.returns:
                 restated.append(f"{name}: {m}")
     assert not restated, f"returns states calls the call_semantics hook answers: {restated}"
+
+
+def _annotation_names(node):
+    """The names an annotation reads, a string annotation's included."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield from _annotation_names(ast.parse(n.value, mode="eval"))
+
+
+def test_every_import_is_used():
+    # a name bound by an import is used where the module reads it: as a name
+    # (an ``if TYPE_CHECKING:`` test included), or inside an annotation,
+    # quoted or not
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = {"annotations"}  # the ``from __future__`` feature
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            annotations = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                annotations = [a.annotation for a in every if a is not None] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                annotations = [node.annotation]
+            for annotation in annotations:
+                if annotation is not None:
+                    used.update(_annotation_names(annotation))
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used: {unused}"

@@ -251,3 +251,31 @@ def test_mirror_hook_keeps_the_cut_of_its_reference():
     assert _mirror_sw_hook(g) == ref._mirror_sw_hook(g)
     with pytest.raises(BudgetExceeded):
         list(ref.linear_extensions(g.po_order, budget=[2_000]))
+
+
+def test_flit_and_mirror_search_in_the_execution_ids(monkeypatch):
+    # every search gets one option entry per event of the execution it is
+    # given, a crash included, so none reads a renumbered copy of hb or po
+    from persistcheck import libs
+
+    sizes = []
+
+    def recording(search):
+        def wrapped(preds, options, *args, **kwargs):
+            sizes.append((len(preds), len(options)))
+            return search(preds, options, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(libs, "linearize", recording(libs.linearize))
+    monkeypatch.setattr(libs, "linearizations", recording(libs.linearizations))
+    for x in (PERSISTED_READ_WRITE, _read_then(Label("fwrite_p", (52, 2), None, frozenset(), 1), crash=True)):
+        check_flit(x)
+        assert sizes.pop() == (len(x), len(x))
+    labels = [Label("mwr", (50, 1), None, frozenset(), 0), CRASH, Label("mrd", (50,), 1, frozenset(), 1)]
+    x = Execution(PlainExecution(labels, [(0, 1), (1, 2)]), [(0, 2)])
+    assert check_mirror(x)
+    assert sizes.pop() == (len(x), len(x))
+    assert _mirror_sw_hook(x.plain) == [frozenset(), frozenset({(0, 2)})]
+    assert sizes.pop() == (len(x), len(x))
+    assert not sizes

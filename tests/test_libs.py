@@ -42,6 +42,7 @@ from persistcheck.libs import (
     S_QUEUE_ALIASED,
     S_REG_ABSTRACT,
     T_TAG,
+    _ltrans_tag_hook,
     builtin_impl,
     builtin_spec,
     check_flit,
@@ -571,6 +572,14 @@ def test_ltrans_same_transaction_relation():
     assert (1, 5) not in st  # different transactions
 
 
+def test_ltrans_tag_hook_groups_partition_the_events():
+    # the first end and the second begin are same-transaction with each
+    # other, but the end goes to the first transaction's group only
+    g = chain_exec([ptb(), ptw(X, 1), pte(), ptb(), ptr_(X, 1), pte()]).plain
+    persisted = frozenset({PTR_TAG})
+    assert _ltrans_tag_hook(g) == [dict.fromkeys(group, persisted) for group in (range(6), range(3), range(3, 6), ())]
+
+
 def test_ltrans_wf_write_outside_transaction():
     x = chain_exec([ptw(X, 1)])
     assert not ltrans_global_wellformed(x)
@@ -977,6 +986,26 @@ def test_builtin_spec_budget_reaches_the_sequential_searches():
     )
     queue = chain_exec([qn(X), qpush_(X, 1), qpop_(X, 1)])
     for name, x in (("weakreg", reg), ("durqueue", queue)):
+        assert builtin_spec(name).local_consistent(x)
+        assert builtin_spec(name, budget=1).local_consistent(x).is_budget
+
+
+def test_builtin_spec_budget_reaches_reg_and_mmcounter():
+    reg = chain_exec(
+        [
+            Label("regnew", (), X, frozenset(), 0),
+            Label("regwrite", (X, 5), None, frozenset(), 0),
+            Label("regread", (X,), 5, frozenset(), 0),
+        ]
+    )
+    mm = chain_exec(
+        [
+            Label("mmnew", (), X, frozenset(), 0),
+            Label("mmadd", (X, 5), None, frozenset({T_TAG}), 0),
+            Label("mmmin", (X,), 5, frozenset({T_TAG}), 0),
+        ]
+    )
+    for name, x in (("reg", reg), ("durlin:register", reg), ("mmcounter", mm)):
         assert builtin_spec(name).local_consistent(x)
         assert builtin_spec(name, budget=1).local_consistent(x).is_budget
 

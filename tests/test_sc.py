@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lin_reference
+import mask_reference
 from eager_reference import linear_extensions
 from persistcheck.framework import BudgetExceeded, Verdict
 
@@ -821,3 +822,16 @@ def test_weakreg_lazy_search_differential(case):
     assert bool(v) == bool(_eager_weakreg_consistent(h, with_pfence=fence)), h
     if v:
         _weakreg_checked_witness(h, v.witness)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_weakreg_crash_histories(), st.sampled_from([4, 12, 500_000]))
+@example((False, two_order_weakreg_history()), 500_000)
+@example((True, two_order_weakreg_history(pfence=True)), 500_000)
+def test_weakreg_history_check_is_the_execution_check(case, budget):
+    """A history's weak-register check, the execution check on
+    ``history_to_execution(h)``, gives the verdict its own history set-up
+    gave (``mask_reference``): status, reason, witness and stats, budget
+    verdicts included."""
+    fence, h = case
+    assert check_weakreg_consistent(h, fence, budget) == mask_reference.check_weakreg_consistent(h, fence, budget)
