@@ -216,7 +216,8 @@ def cmd_verify_impl(
         for p in sorted(Path(corpus_dir).glob("*.lit")):
             try:
                 lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
-            except (OSError, ParseError) as e:
+                lit_coll = _collection_for(lit.collection, cfg.budget)
+            except (KeyError, OSError, ParseError) as e:
                 print(f"error: {p.name}: {e}", file=sys.stderr)
                 return 2
             lcfg = InterpConfig(
@@ -224,7 +225,6 @@ def cmd_verify_impl(
                 unroll=lit.unroll if lit.unroll is not None else cfg.unroll,
                 max_runs=max(cfg.budget, 10_000),
             )
-            lit_coll = _collection_for(lit.collection, cfg.budget)
             try:
                 if len(lit.phases) == 1:
                     # single-phase programs get restart-semantics crash variants

@@ -489,9 +489,9 @@ class Owners:
 
 class Prefix:
     """The prefix on the events of ``mask`` of an owner table's execution.
-    ``check_consistent`` and ``check_immediately_wellformed`` take it in
-    place of an execution and ask its table; the prefix execution itself is
-    built only when read."""
+    ``check_consistent``, ``check_hereditarily_consistent`` and
+    ``check_immediately_wellformed`` take it in place of an execution and ask
+    its table; the prefix execution itself is built only when read."""
 
     def __init__(self, owners: Owners, mask: int):
         self.owners, self.mask = owners, mask
@@ -625,6 +625,9 @@ def check_hereditarily_consistent(
     For histories, every prefix h[1..k] is checked (SC mode); for executions,
     the search walks immediate prefixes (one hb-maximal event removed),
     memoizing each prefix's chain by the subset of ``x``'s event ids it keeps.
+    ``x`` may be a ``Prefix``, as for ``check_immediately_wellformed``, so
+    that the two checks of one execution share its owner table; the walk
+    then reads that table's execution through the prefix's mask.
     One owner table serves the walk: each prefix goes to ``check_consistent``
     as a ``Prefix`` of it, and a library's local verdict is computed once
     per projection, so dropping another library's event does not check it
@@ -650,9 +653,9 @@ def check_hereditarily_consistent(
             chain.append(p)
         return Verdict.ok(witness=HereditaryChain(chain))
 
-    x = _as_execution(x)
-    owners = Owners(coll, x)
-    hb_rows = x.hb_order.rows
+    top = _prefix(coll, x)
+    owners = top.owners
+    hb_rows = owners.x.hb_order.rows
     memo: Dict[int, Optional[List[int]]] = {}
     explored = 0
     stalled: List[Verdict] = []
@@ -680,14 +683,17 @@ def check_hereditarily_consistent(
         return result
 
     try:
-        masks = search((1 << len(x)) - 1)
+        masks = search(top.mask)
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
     if masks is None:
         if stalled:
             return stalled[0]
         return Verdict.fail("no consistent immediate-prefix chain", witness=None)
-    return Verdict.ok(witness=HereditaryChain(subsets=[frozenset(bits(m)) for m in masks], source=x))
+    # the subsets name the events of the prefix's own execution
+    ids = {e: i for i, e in enumerate(bits(top.mask))}
+    subsets = [frozenset(ids[e] for e in bits(m)) for m in masks]
+    return Verdict.ok(witness=HereditaryChain(subsets=subsets, source=top.execution))
 
 
 # --------------------------------------------------------------------------

@@ -588,10 +588,6 @@ class Interpretation:
         return out
 
 
-def interpret(prog: Prog, coll: Collection, config: InterpConfig = InterpConfig()) -> Interpretation:
-    return Interpretation(prog, coll, config)
-
-
 def interpret_toplevel(
     prog: Prog,
     coll: Collection,

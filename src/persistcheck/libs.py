@@ -30,7 +30,6 @@ from .model import (
     Order,
     PlainExecution,
     bits,
-    row_pairs,
     tag_set,
 )
 from .px86 import P_TAG, px86_interface, px86_spec
@@ -668,7 +667,9 @@ def ltrans_interface() -> LibraryInterface:
 
 
 def _transaction_rows(g: PlainExecution) -> List[int]:
-    """:func:`same_transaction` as bit rows."""
+    """The same-transaction relation as bit rows: same-thread
+    transaction-relevant events with no begin- or end-tagged event strictly
+    po-between them (symmetric)."""
     po, into = g.po_order.rows, g.po_order.preds()
     seps = _mask(tag_set(g, B_TAG) | tag_set(g, E_TAG))
     relevant = seps | _mask(tag_set(g, T_TAG))
@@ -680,12 +681,6 @@ def _transaction_rows(g: PlainExecution) -> List[int]:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
     return rows
-
-
-def same_transaction(x: Execution) -> FrozenSet[Tuple[int, int]]:
-    """Pairs of same-thread transaction-relevant events with no begin- or
-    end-tagged event strictly po-between them (symmetric)."""
-    return row_pairs(_transaction_rows(x.plain))
 
 
 def ltrans_local_wellformed(x: Execution) -> Verdict:
@@ -1198,6 +1193,14 @@ def sc_prune_factory():
 # --------------------------------------------------------------------------
 
 
+class UnknownName(KeyError):
+    """A spec or implementation name the registry does not know.  Its message
+    reads as given: a plain ``KeyError`` quotes it."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
     """Specs addressable by name: px86, flit, mirror, ltrans, lstrans, lock,
     durqueue, weakreg, counter, mmcounter, reg, scmem, lin:<seq>, durlin:<seq>."""
@@ -1223,11 +1226,11 @@ def builtin_spec(name: str, budget: int = 100_000) -> LibrarySpec:
         kind, _, seq = name.partition(":")
         seqs = {"queue": S_QUEUE_ALIASED, "register": S_REG_ABSTRACT, "reg": S_REG_ABSTRACT, "mmcounter": S_MMCOUNTER}
         if seq not in seqs:
-            raise KeyError(f"unknown sequential spec {seq}")
+            raise UnknownName(f"unknown sequential spec {seq}")
         ifaces = {"queue": queue_interface(), "register": _register_iface(), "reg": _register_iface(), "mmcounter": mmcounter_interface()}
         maker = make_lin_spec if kind == "lin" else make_durlin_spec
         return maker(seqs[seq], ifaces[seq], budget=budget)
-    raise KeyError(f"unknown spec {name}")
+    raise UnknownName(f"unknown spec {name}")
 
 
 def _s_mem_step(state, c: CallLike):
@@ -1275,7 +1278,8 @@ def load_manifest(path) -> Tuple["Collection", dict]:
     Returns the frozen-free collection plus the leftover interpreter options.
     A budget or unroll bound that is not positive raises ``ValueError``, as
     the ``--budget`` and ``--unroll`` flags do, and so does a manifest of
-    another shape.
+    another shape; a library name ``builtin_spec`` does not know raises
+    ``UnknownName``, naming the manifest and the library's index.
     """
     import json
     from pathlib import Path
@@ -1298,7 +1302,11 @@ def load_manifest(path) -> Tuple["Collection", dict]:
         budget = int(entry.get("budget", 100_000))
         if budget <= 0:
             raise ValueError(f"budget of {entry['name']} must be positive")
-        coll.register(builtin_spec(entry["name"], budget=budget))
+        try:
+            spec = builtin_spec(entry["name"], budget=budget)
+        except UnknownName as e:
+            raise UnknownName(f"manifest {path}: library {i}: {e}") from None
+        coll.register(spec)
     unroll = data.get("unroll")
     if unroll is not None and type(unroll) is not int:
         raise ValueError(f"manifest unroll must be an integer, found {unroll!r}")
@@ -1319,5 +1327,5 @@ def builtin_impl(name: str) -> SyntacticImpl:
         "mmcounter": mmcounter_impl,
     }
     if name not in table:
-        raise KeyError(f"unknown implementation {name}")
+        raise UnknownName(f"unknown implementation {name}")
     return table[name]()

@@ -21,7 +21,6 @@ for inputs of at most ``ISO_LIMIT`` events.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -506,10 +505,6 @@ def closure(edges: Iterable[Edge]) -> Relation:
     return row_pairs(order.rows, ids)
 
 
-def is_irreflexive(rel: Iterable[Edge]) -> bool:
-    return all(a != b for a, b in rel)
-
-
 def transitive_reduction(edges: Iterable[Edge]) -> Relation:
     ids, order = _dense_order(edges)
     if not order.is_acyclic():
@@ -727,19 +722,6 @@ class PlainExecution:
         return f"PlainExecution({self.labels()!r}, po={sorted(self.po_reduced)!r})"
 
 
-def thread_chains(labels: Sequence[Label]) -> List[Edge]:
-    """po edges chaining same-thread events in list order (crashes global)."""
-    edges: List[Edge] = []
-    last: Dict[int, int] = {}
-    for i, l in enumerate(labels):
-        if l.thread is None:
-            continue
-        if l.thread in last:
-            edges.append((last[l.thread], i))
-        last[l.thread] = i
-    return edges
-
-
 def _chain_rows(n: int, base: int = 0) -> List[int]:
     """Closed rows of a chain of ``n`` events numbered from ``base``."""
     return [(((1 << n) - 1) >> (i + 1)) << (base + i + 1) for i in range(n)]
@@ -813,18 +795,6 @@ def prefixes(g: PlainExecution) -> List[PlainExecution]:
         bucket.append(sub)
         out.append(sub)
     return out
-
-
-def immediate_prefixes(g: PlainExecution) -> List[PlainExecution]:
-    """All G' with G' ⊏_imm G (one po-maximal event removed)."""
-    return [g.restrict_events(bits(m)) for m in immediate_prefix_masks(g.po_order.rows, (1 << len(g)) - 1)]
-
-
-def prefix_immediate(g_small: PlainExecution, g_big: PlainExecution) -> bool:
-    """True iff g_small is g_big minus one po-maximal event (up to iso)."""
-    if len(g_small) != len(g_big) - 1:
-        return False
-    return any(iso_eq(g_small, p) for p in immediate_prefixes(g_big))
 
 
 def era_split(g: PlainExecution) -> List[PlainExecution]:
@@ -947,10 +917,6 @@ class Execution:
         )
 
 
-def immediate_prefixes_execution(x: Execution) -> List[Execution]:
-    return [x.restrict_events(bits(m)) for m in immediate_prefix_masks(x.hb_order.rows, (1 << len(x)) - 1)]
-
-
 def restrict(x: Execution, owns: Callable[[Label], bool]) -> Execution:
     """Events labelled with the library's methods, crashes kept; relations
     cut.  ``x`` itself when it keeps every event."""
@@ -980,11 +946,6 @@ def anonymize(owns: Callable[[Label], bool], x: Execution) -> Execution:
     # only crashes as immediate successors: the constructors cannot reject it.
     plain = PlainExecution(labels, x.plain.po_order.restrict(keep_sorted))
     return Execution(plain, sw, x.hb_order.restrict(keep_sorted))
-
-
-def execution_canonical_hash(x: Execution) -> int:
-    sig = _iso_signatures(x.events, x.hb_order, x.lab)
-    return hash(tuple(sorted(sig.values())))
 
 
 # --------------------------------------------------------------------------
@@ -1026,56 +987,6 @@ def history_to_execution(h: History) -> Execution:
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------
-
-
-def _json_value(v):
-    if v is BOT:
-        return {"⊥": True}
-    return v
-
-
-def execution_to_json(x: Execution) -> str:
-    events = []
-    for e in x.events:
-        l = x.lab[e]
-        events.append(
-            {
-                "id": e,
-                "thread": l.thread,
-                "label": "crash" if l.is_crash else l.method,
-                "args": list(l.args),
-                "ret": _json_value(l.ret) if l.is_call else None,
-                "tags": sorted(l.tags),
-            }
-        )
-    return json.dumps(
-        {
-            "events": events,
-            "po": sorted([list(e) for e in x.po]),
-            "sw": sorted([list(e) for e in x.sw]),
-            "hb": sorted([list(e) for e in x.hb]),
-        },
-        ensure_ascii=False,
-    )
-
-
-def execution_from_json(text: str) -> Execution:
-    data = json.loads(text)
-    labels = []
-    for ev in sorted(data["events"], key=lambda d: d["id"]):
-        if ev["label"] == "crash":
-            labels.append(CRASH)
-        else:
-            ret = ev["ret"]
-            if isinstance(ret, dict) and ret.get("⊥"):
-                ret = BOT
-            labels.append(
-                Label(ev["label"], tuple(ev["args"]), ret, frozenset(ev["tags"]), ev["thread"])
-            )
-    po = [tuple(e) for e in data["po"]]
-    sw = [tuple(e) for e in data["sw"]]
-    hb = [tuple(e) for e in data["hb"]]
-    return Execution(PlainExecution(labels, po), sw, hb)
 
 
 def execution_to_dot(x: Execution, name: str = "execution") -> str:

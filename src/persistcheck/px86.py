@@ -16,9 +16,8 @@ searched.
 
 Relations are held as bit rows, one Python int per event (bit ``b`` of
 ``row[a]`` set iff ``(a, b)`` is related), and event sets as single rows:
-era-before is a closed :class:`~persistcheck.model.Order`, the search's tso
-and nvo are closed orders, and the axiom report reads a given witness's
-pairs as unclosed rows.  Each axiom is written once for both callers; pairs
+era-before is a closed :class:`~persistcheck.model.Order`, and the search's
+tso and nvo are closed orders.  Each axiom is written once, on rows; pairs
 are built only for the returned :class:`Px86Witness`.
 
 Two engineering refinements over the displayed axioms (see the project
@@ -56,7 +55,6 @@ from .model import (
     PlainExecution,
     bits,
     era_order,
-    row_pairs,
 )
 from .sc import ANY_ORDER, era_preds, linearizations
 
@@ -93,22 +91,6 @@ def upd(x: int, v_read, v_written, thread: int = 0, ret=BOT) -> Label:
     if ret is BOT:
         ret = v_read
     return Label("upd", (x, v_read, v_written), ret, frozenset({D_TAG}), thread)
-
-
-def flush(x: int, thread: int = 0, ret=None) -> Label:
-    return Label("flush", (x,), ret, frozenset({D_TAG}), thread)
-
-
-def fo(x: int, thread: int = 0, ret=None) -> Label:
-    return Label("fo", (x,), ret, frozenset({D_TAG}), thread)
-
-
-def mfence(thread: int = 0, ret=None) -> Label:
-    return Label("mfence", (), ret, frozenset(), thread)
-
-
-def sfence(thread: int = 0, ret=None) -> Label:
-    return Label("sfence", (), ret, frozenset(), thread)
 
 
 def alloc(x: int, thread: int = 0) -> Label:
@@ -287,8 +269,9 @@ class Px86Witness:
         }
 
 
-# The axiom helpers take tso and nvo as rows: closed orders from the search,
-# a given witness's pairs unclosed from the axiom report.
+# The axiom helpers take tso and nvo as rows, closed or not: closed orders
+# from the search, a given witness's pairs unclosed from the tests' axiom
+# report.
 
 
 def _forced_tso(x: Execution, ds: DerivedSets) -> List[int]:
@@ -374,47 +357,6 @@ def _cross_era(ds: DerivedSets, rf, nvo: Sequence[int], persisted: int) -> Optio
 def _against_eras(ds: DerivedSets, rows: Sequence[int]) -> bool:
     """Whether the relation has an edge pointing back in era order."""
     return any(row & col for row, col in zip(rows, ds.before))
-
-
-def check_px86_axioms(x: Execution, w: Px86Witness) -> Dict[str, Verdict]:
-    """Evaluate each axiom for a given witness; counterexample edge in the
-    failure reason.
-
-    A report of the axioms, not a validity check of the witness: it does not
-    check that rf is total and functional on reads and matches their values,
-    nor that tso is total on writes.  On ``store(1, 1); load(1, 7)``, which
-    has no witness, the witness with rf = ∅ passes every entry."""
-    ds = derive_sets(x)
-    po = x.plain.po_order.rows
-    # the witness's relations as rows, not closed
-    tso, nvo = ([_mask(b for a, b in rel if a == e) for e in x.events] for rel in (w.tso, w.nvo))
-    rf = w.rf
-    P = _mask(w.persisted)
-    out: Dict[str, Verdict] = {}
-
-    def axiom(name: str, ok: bool, reason: str) -> None:
-        out[name] = Verdict.ok() if ok else Verdict.fail(reason)
-
-    hb_tso = Order.close_rows([h | t for h, t in zip(x.hb_order.rows, tso)])
-    rf_ok = all(((tso[a] & ds.se[a]) | po[a]) >> b & 1 for (a, b) in rf)
-    axiom("A1", hb_tso.is_acyclic() and rf_ok, "hb ∪ tso cyclic or rf ⊄ tsoSE ∪ po")
-    bad = _axiom_a2(x, ds, rf, tso)
-    axiom("A2", bad is None, f"coherence violation {bad}")
-    missing = row_pairs([f & ~t for f, t in zip(_forced_tso(x, ds), tso)])
-    axiom("A3-A6", not missing, f"missing tso edges {sorted(missing)[:4]}")
-    missing = row_pairs([r & ~v for r, v in zip(_nvo_required(x, ds, tso), nvo)])
-    axiom("A7-A9", not missing, f"missing nvo edges {sorted(missing)[:4]}")
-    # persist-order discipline and forcing
-    closed = not any(row & P for a, row in enumerate(nvo) if not P >> a & 1)
-    axiom("P-closure", closed, "dom(nvo;[P]) ⊄ P")
-    unpersisted = _forced_persists(x, ds) & ~P
-    axiom("P-forcing", not unpersisted, f"unpersisted completed flush {list(bits(unpersisted))}")
-    bad = _cross_era(ds, rf, nvo, P)
-    axiom("new", bad is None, f"cross-era read {bad}")
-    rf_back = any(ds.eb.rows[b] >> a & 1 for a, b in rf)
-    era_ok = not (rf_back or _against_eras(ds, tso) or _against_eras(ds, nvo))
-    axiom("era", era_ok, "relation points backwards in era order")
-    return out
 
 
 def _read_candidates(x: Execution, ds: DerivedSets) -> Optional[Dict[int, List[int]]]:

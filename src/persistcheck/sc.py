@@ -156,14 +156,6 @@ S_WEAKREG = SequentialSpec("weakreg", dict, _register_step)
 S_REGISTER = SequentialSpec("register", dict, _register_step)
 
 
-def s_queue(seq: Sequence[CallLike]) -> bool:
-    return S_QUEUE.accepts(seq)
-
-
-def s_weakreg(seq: Sequence[CallLike]) -> bool:
-    return S_WEAKREG.accepts(seq)
-
-
 # --------------------------------------------------------------------------
 # Completions and truncations
 # --------------------------------------------------------------------------

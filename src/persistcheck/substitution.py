@@ -1,10 +1,10 @@
-"""Pomset substitution, matchings, and bounded implementation verification.
+"""Pomset substitution, plain matchings, lifting, and bounded implementation
+verification.
 
-The bind operation replaces each event of a pomset by an implementing pomset,
-ordered lexicographically.  Plain matchings witness that a concrete plain
-execution arises from binding an abstract one with an implementation;
-refined matchings additionally transport consistency and happens-before.
-``verify_impl_bounded`` takes each plain matching from the bind, over a
+``exec_bind`` replaces each event of an abstract plain execution by a member
+of its implementation, ordered lexicographically, and gives the plain
+matching of each result; ``find_plain_matching`` searches one for a given
+pair.  ``verify_impl_bounded`` takes each plain matching from the bind, over a
 corpus of abstract executions: for every concrete member of G·I, hereditary
 consistency at the low level must lift along it to a consistent abstract
 refinement (one lifting step per chain link), and well-formedness must
@@ -23,7 +23,7 @@ from .framework import (
     BudgetExceeded,
     Collection,
     LibrarySpec,
-    Verdict,
+    _prefix,
     check_consistent,
     check_hereditarily_consistent,
     check_immediately_wellformed,
@@ -37,28 +37,14 @@ from .model import (
     Label,
     Order,
     PlainExecution,
-    Pomset,
     anonymize,
     bits,
-    canonical_hash,
-    iso_eq,
 )
 
-Edge = Tuple[int, int]
-
 
 # --------------------------------------------------------------------------
-# Projected relations and pomset bind
+# Projected relations and the bind on rows
 # --------------------------------------------------------------------------
-
-
-def existproj(f: Mapping[int, int], r: Iterable[Edge]) -> FrozenSet[Edge]:
-    """∃f⟨r⟩: (y1, y2) with y1 ≠ y2 and some r-related preimages."""
-    out = set()
-    for a, b in r:
-        if a in f and b in f and f[a] != f[b]:
-            out.add((f[a], f[b]))
-    return frozenset(out)
 
 
 def _project_rows(rows: Sequence[int], img: Sequence[int], k: int, mask: int = -1) -> List[int]:
@@ -92,36 +78,6 @@ def _bind_rows(outer: Sequence[int], inners: Sequence[Sequence[int]]) -> List[in
         for s in bits(outer[e]):
             later |= masks[s]
         out.extend(row << offsets[e] | later for row in rows)
-    return out
-
-
-def _bind(p: Pomset, inners: Sequence[Pomset]) -> Pomset:
-    """p with event ``e`` replaced by ``inners[e]``, lexicographically."""
-    labels = [l for inner in inners for l in inner.labels()]
-    return Pomset(labels, Order(_bind_rows(p.po_order.rows, [q.po_order.rows for q in inners])))
-
-
-def pomset_bind(p: Pomset, g: Callable[[object], Pomset]) -> Pomset:
-    """Replace each event of p by the pomset g(label), ordered
-    lexicographically: inner events inherit the outer order, and within one
-    outer event the inner order applies."""
-    return _bind(p, [g(p.lab[e]) for e in p.events])
-
-
-def set_bind(ps: Iterable[Pomset], g: Callable[[object], Sequence[Pomset]]) -> List[Pomset]:
-    """Set-level bind: union over per-event choices of inner pomsets,
-    deduplicated up to isomorphism."""
-    out: List[Pomset] = []
-    seen: Dict[int, List[Pomset]] = {}
-    for p in ps:
-        choice_lists = [list(g(p.lab[e])) for e in p.events]
-        for combo in itertools.product(*choice_lists):
-            q = _bind(p, combo)
-            h = canonical_hash(q)
-            bucket = seen.setdefault(h, [])
-            if not any(iso_eq(q, other) for other in bucket):
-                bucket.append(q)
-                out.append(q)
     return out
 
 
@@ -254,20 +210,6 @@ class SemanticImpl:
         return tuple(map(_unthreaded, labels)) in members
 
 
-class IdentityImpl(SemanticImpl):
-    """The identity implementation: each call maps to its own singleton."""
-
-    def __init__(self, coll: Collection, methods: Iterable[str]):
-        super().__init__(SyntacticImpl("identity", {m: ((), None) for m in methods}), coll)
-
-    def executions(self, label: Label, loc_start: int = 100) -> List[PlainExecution]:
-        return [PlainExecution([_strip_thread(label)], [])]
-
-
-def identity_impl(coll: Collection, methods: Iterable[str]) -> SemanticImpl:
-    return IdentityImpl(coll, methods)
-
-
 # --------------------------------------------------------------------------
 # exec_bind: G · I
 # --------------------------------------------------------------------------
@@ -282,8 +224,7 @@ def exec_bind(
     """All plain executions obtained by replacing each implemented event of g
     with a member of its implementation (lexicographic order), one per choice
     of members, each with the plain matching that maps a concrete event to
-    the abstract event whose block holds it.  ``set_bind`` is the bind that
-    deduplicates up to isomorphism.
+    the abstract event whose block holds it.
     Non-library events and crashes pass through unchanged; inner events
     inherit the abstract event's thread.  Location bases are threaded through
     events in id order so allocations line up with the abstract allocator.
@@ -351,26 +292,6 @@ def _chains_by_thread(g: PlainExecution) -> Dict[object, List[int]]:
             if not po[a] >> b & 1:
                 raise ValueError(f"events of thread {key} are not totally ordered")
     return groups
-
-
-def is_plain_matching(f: Mapping[int, int], gc: PlainExecution, ga: PlainExecution, impl: SemanticImpl) -> bool:
-    if set(f.keys()) != set(gc.events):
-        return False
-    if set(f.values()) != set(ga.events):
-        return False  # surjectivity
-    if existproj(f, gc.po) != ga.po:
-        return False
-    for e in ga.events:
-        pre = sorted(c for c in gc.events if f[c] == e)
-        block = gc.restrict_events(pre)
-        lab = ga.lab[e]
-        if impl.owns(lab):
-            if not impl.contains(lab, block):
-                return False
-        else:
-            if len(pre) != 1 or _unthreaded(gc.lab[pre[0]]) != _unthreaded(lab):
-                return False
-    return True
 
 
 def _thread_assignments(
@@ -490,54 +411,6 @@ def _within(rows: Sequence[int], bound: Sequence[int]) -> bool:
     return not any(row & ~b for row, b in zip(rows, bound))
 
 
-def is_refined_matching(
-    f: Mapping[int, int],
-    xc: Execution,
-    xa: Execution,
-    consistent_low: Callable[[Execution], Verdict],
-    consistent_high: Callable[[Execution], Verdict],
-) -> Tuple[bool, Dict[str, object]]:
-    """Conditions of the refined matching, with a per-condition report."""
-    report: Dict[str, object] = {}
-    v_low = consistent_low(xc)
-    v_high = consistent_high(xa)
-    if v_low.is_budget or v_high.is_budget:
-        report["consistency"] = "unknown"
-    else:
-        report["consistency"] = bool(v_low) and bool(v_high)
-    proj_hb, proj_external = _project_link(*_hb_parts(xc), f, xc.events, xa.events)
-    report["sw-justified"] = _within(Order.close(len(xa), xa.sw).rows, proj_hb)
-    base = [e | p for e, p in zip(proj_external, xa.plain.po_order.rows)]
-    report["hb-determined"] = Order.close_rows(base).extend(xa.sw).rows == xa.hb_order.rows
-    ok = report["consistency"] is True and report["sw-justified"] and report["hb-determined"]
-    return ok, report
-
-
-def lift_step(
-    xc: Execution,
-    f: Mapping[int, int],
-    ga: PlainExecution,
-    prev_abs: Optional[Execution],
-    prev_ids: FrozenSet[int],
-    coll_high: Collection,
-    budget: int = 4_000,
-    failure: Optional[List[str]] = None,
-) -> Optional[Execution]:
-    """One lifting step: find an abstract execution X over the f-image of
-    xc's events that refines the corresponding restriction of ga, extends the
-    previous step's abstract execution, and makes f a refined matching.
-
-    All ids are original: xc over the full concrete id space, ga the full
-    abstract plain execution, prev_ids the abstract id subset of the previous
-    step.  The returned execution is over ga ids restricted to the image
-    (renumbered densely over sorted ids).  Returns None when every candidate
-    is refuted; raises ``BudgetExceeded`` when none lifts and the abstract
-    consistency check of one of them ran out of budget."""
-    image = tuple(sorted({f[c] for c in xc.events}))
-    proj_hb, proj_external = _project_link(*_hb_parts(xc), f, xc.events, image)
-    return _lift_projected(image, proj_hb, proj_external, ga, prev_abs, prev_ids, coll_high, budget, failure)
-
-
 def _lift_projected(
     image: Tuple[int, ...],
     proj_hb: Tuple[int, ...],
@@ -581,7 +454,7 @@ def _lift_core(
     coll_high: Collection,
     budget: int,
 ) -> Tuple[Optional[Execution], Optional[str]]:
-    """``lift_step`` given the concrete side as the ascending abstract
+    """One lifting step given the concrete side as the ascending abstract
     ``image`` and the projections onto it of hb and of external hb: the sw
     subsets of projected hb edges are tried smallest first, and the first
     candidate that is acyclic, extends ``prev_abs``, is sw-justified and is
@@ -636,31 +509,6 @@ def _lift_core(
     if budgeted:
         raise BudgetExceeded({"stage": "lifting"})
     return None, why
-
-
-def check_lifting_step(
-    xc_prev_ids: Iterable[int],
-    xc: Execution,
-    x_prev: Execution,
-    ga: PlainExecution,
-    f: Mapping[int, int],
-    coll_high: Collection,
-    budget: int = 4_000,
-) -> Optional[Execution]:
-    """Spec-facing wrapper of the lifting problem.
-
-    ``xc_prev_ids`` names the events of the immediate prefix of ``xc`` (one
-    hb-maximal event removed); ``x_prev`` is a consistent abstract execution
-    over the f-image of those events (renumbered densely over sorted ids).
-    Returns an abstract execution completing the cube, or None.
-    """
-    prev_ids_c = frozenset(xc_prev_ids)
-    if len(prev_ids_c) != len(xc) - 1:
-        raise ValueError("xc_prev must be an immediate prefix of xc")
-    if not check_consistent(coll_high, x_prev):
-        raise ValueError("x_prev must be consistent")
-    prev_ids = frozenset(f[c] for c in prev_ids_c)
-    return lift_step(xc, f, ga, x_prev, prev_ids, coll_high, budget)
 
 
 def lift_chain(
@@ -847,8 +695,10 @@ def verify_impl_bounded(
         wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
         for ci, (gc, f) in enumerate(concretes):
             rec = VerifyRecord(gi, ci)
-            # looked up on its module, so a patched or traced generator is the one called
-            refinements = list(lang.candidate_refinements(coll_low, gc))
+            # looked up on its module, so a patched or traced generator is
+            # the one called; one owner table per refinement serves both of
+            # its checks
+            refinements = [_prefix(coll_low, xc) for xc in lang.candidate_refinements(coll_low, gc)]
             # hereditary consistency upward
             found_consistent_low = False
             for xc in refinements:
@@ -861,7 +711,7 @@ def verify_impl_bounded(
                 found_consistent_low = True
                 why: List[str] = []
                 try:
-                    chain = lift_chain(xc, v.witness.subsets, f, ga, coll_high, budget=budget, failure=why)
+                    chain = lift_chain(xc.execution, v.witness.subsets, f, ga, coll_high, budget=budget, failure=why)
                 except BudgetExceeded:
                     undecided(rec, "lifting hit budget")
                     continue

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from definitions import flush, fo, mfence, sfence
 from persistcheck.model import Label
-from persistcheck.px86 import alloc, flush, fo, load, mfence, sfence, store, upd
+from persistcheck.px86 import alloc, load, store, upd
 
 
 def px86_call_semantics(method: str, args: Tuple, ctx) -> List[Tuple[Tuple[Label, ...], object]]:

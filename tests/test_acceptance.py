@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 
+from definitions import pomset_bind
 from persistcheck.framework import (
     Collection,
     LibraryInterface,
@@ -67,7 +68,6 @@ from persistcheck.substitution import (
     SemanticImpl,
     exec_bind,
     find_plain_matching,
-    pomset_bind,
     verify_impl_bounded,
 )
 from persistcheck.lang import SyntacticImpl, parse_statements

@@ -463,6 +463,25 @@ def test_manifest_configures_registry(tmp_path, capsys):
     assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(bad)]) == 2
 
 
+def test_unknown_names_are_reported_unquoted_and_located(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"libraries": ["px86", {"name": "nosuchlib"}]}')
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.lit").write_text("collection nosuch\nprogram\n  t0: r := load(1)\n")
+    cases = [
+        (["check", str(LITMUS / "sb.lit"), "--manifest", str(bad)], f"manifest {bad}: library 1: unknown spec nosuchlib"),
+        (["check", str(LITMUS / "sb.lit"), "--model", "nosuch"], "unknown spec nosuch"),
+        (["check", str(LITMUS / "sb.lit"), "--model", "lin:nosuch"], "unknown sequential spec nosuch"),
+        (["verify-impl", "nope", "flit", "--over", "px86"], "unknown implementation nope"),
+        (["verify-impl", "flit", "nope", "--over", "px86"], "unknown spec nope"),
+        (["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(corpus)], "a.lit: unknown spec nosuch"),
+    ]
+    for args, message in cases:
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_manifest_rejects_a_zero_budget(tmp_path, capsys):
     # a zero budget would leave every flit check undecided
     manifest = tmp_path / "m.json"

@@ -1,8 +1,12 @@
-"""Code that nothing uses is deleted.
+"""Code that nothing uses is deleted, and ``src/`` holds the checker.
 
 Every top-level function, class and assignment of ``src/persistcheck`` must be
 named somewhere outside its own definition, in ``src/``, ``tests/`` or
 ``perfbench/`` (a word match, so a re-export, a test or a traced name counts).
+It must also be reached from a product root by name and attribute
+references: the CLI, the ``__init__`` exports, the names the benchmark
+mentions, or the case-study artifacts of ``AWAITING``.  A definition that only
+the tests use lives in ``tests/definitions.py``.
 Every method other than a dunder must be named as ``.method`` outside its own
 definition.  The shared verdicts memo has one way in: ``framework.shared_call``.
 Every name a module of ``src/persistcheck`` (``__init__.py`` aside) imports
@@ -17,6 +21,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "persistcheck"
 EXEMPT = {"__version__", "__all__"}
+
+#: Case-study artifacts that only tests reach: the persistification
+#: transformers and the broken min-max counter (Mirror over Px86 through
+#: ``verify-impl``), and the durable register spec and global-spec
+#: preservation (``verify-impl`` on the transactions).  A name leaves this set
+#: when the CLI reaches it or when it is deleted.
+AWAITING = {
+    "_persistify",
+    "check_global_preservation",
+    "mmcounter_impl_broken",
+    "persistify_flit",
+    "persistify_flit_mutated",
+    "persistify_mirror",
+    "persistify_mirror_mutated",
+    "reg_durlin_spec",
+}
 
 
 def _definitions(tree):
@@ -66,6 +86,74 @@ def test_every_definition_is_referenced():
             if uses <= 0:
                 unused.append(f"{path.name}: {'.' if is_method else ''}{name}")
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _references(node):
+    """The names a statement reads: its names, attributes and imported names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+
+
+def _benchmark_mentions():
+    """The names ``perfbench/`` reads or spells in a string (a traced name)."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(_references(tree))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                names.update(re.findall(r"\w+", n.value))
+    return names
+
+
+def _reached(definitions, roots):
+    """The defined names reached from ``roots``, a name reaching every
+    definition of that name in any module."""
+    seen = set()
+    todo = [r for r in roots if r in definitions]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in definitions[name]:
+            todo.extend(r for r in _references(node) if r in definitions and r not in seen)
+    return seen
+
+
+def test_every_definition_is_reached_from_a_product_root():
+    # roots: all of cli and __main__, the names __init__ exports, the names
+    # the benchmark mentions, and what a module runs when imported
+    definitions = {}  # name -> its top-level definitions
+    where = {}  # name -> the modules that define it
+    roots = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if path.stem in ("cli", "__main__"):
+                roots.update(_references(node))
+            if path.stem == "__init__":
+                if isinstance(node, ast.ImportFrom):
+                    roots.update(a.asname or a.name for a in node.names)
+                continue
+            names = [name for name, is_method, _, _ in _definitions(ast.Module([node], [])) if not is_method]
+            for name in names:
+                definitions.setdefault(name, []).append(node)
+                where.setdefault(name, []).append(path.stem)
+            if not names and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.update(_references(node))
+    roots |= _benchmark_mentions()
+    assert AWAITING <= set(definitions), f"AWAITING names no longer defined: {sorted(AWAITING - set(definitions))}"
+    early = sorted(AWAITING & _reached(definitions, roots))
+    assert not early, f"AWAITING names a product root reaches; take them out of AWAITING: {early}"
+    unreached = set(definitions) - _reached(definitions, roots | AWAITING)
+    listed = sorted(f"{m}: {name}" for name in unreached for m in where[name])
+    assert not listed, f"defined in src/ but reached from no product root (move to tests/definitions.py): {listed}"
 
 
 def _names_memo(node):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persistcheck.framework as framework
+from definitions import execution_canonical_hash, immediate_prefixes_execution, thread_chains
 from persistcheck.framework import (
     BUDGET,
     BudgetExceeded,
@@ -36,11 +37,8 @@ from persistcheck.model import (
     PlainExecution,
     Ret,
     _iso_signatures,
-    execution_canonical_hash,
     find_isomorphism,
-    immediate_prefixes_execution,
     star,
-    thread_chains,
 )
 
 
@@ -236,8 +234,6 @@ def test_hereditary_fails_without_consistent_prefix():
             return True
         if not check_consistent(coll, x):
             return False
-        from persistcheck.model import immediate_prefixes_execution
-
         return any(oracle(p) for p in immediate_prefixes_execution(x))
 
     assert oracle(two) is False

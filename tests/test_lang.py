@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persistcheck.framework as framework
+from definitions import interpret, prefix_immediate
 from persistcheck.framework import Collection
 from persistcheck.lang import (
     Assign,
@@ -30,7 +31,6 @@ from persistcheck.lang import (
     Val,
     While,
     behaviors,
-    interpret,
     interpret_phases,
     interpret_toplevel,
     link,
@@ -39,7 +39,6 @@ from persistcheck.lang import (
     parse_statements,
 )
 from persistcheck.libs import builtin_spec, sc_prune_factory
-from persistcheck.model import prefix_immediate
 from persistcheck.px86 import px86_spec
 
 LITMUS = Path(__file__).resolve().parent.parent / "litmus"

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairs_reference as ref
+from definitions import same_transaction
 from persistcheck.libs import (
     B_TAG,
     E_TAG,
@@ -28,7 +29,6 @@ from persistcheck.libs import (
     ltrans_global_wellformed,
     ltrans_local_consistent,
     ltrans_local_wellformed,
-    same_transaction,
 )
 from persistcheck.model import (
     BOT,

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from definitions import interpret, same_transaction, thread_chains
 from eager_reference import linear_extensions
 from persistcheck.framework import BudgetExceeded, Collection
 from persistcheck.lang import (
     InterpConfig,
     behaviors,
-    interpret,
     interpret_phases,
     link,
     parse_litmus,
@@ -30,7 +30,6 @@ from persistcheck.model import (
     history_to_execution,
     parallel_execution,
     sequence_execution,
-    thread_chains,
 )
 from persistcheck.px86 import P_TAG, px86_spec
 from persistcheck.libs import (
@@ -71,7 +70,6 @@ from persistcheck.libs import (
     queue_interface,
     reg_durlin_spec,
     _register_iface,
-    same_transaction,
     sc_prune_factory,
     weakreg_spec,
     MIRROR_K,

@@ -12,6 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from definitions import (
+    execution_canonical_hash,
+    execution_from_json,
+    execution_to_json,
+    prefix_immediate,
+    thread_chains,
+)
 from persistcheck.model import (
     BOT,
     CRASH,
@@ -30,20 +37,15 @@ from persistcheck.model import (
     down_sets,
     era_before,
     era_split,
-    execution_canonical_hash,
-    execution_from_json,
     execution_to_dot,
-    execution_to_json,
     history_to_execution,
     iso_eq,
     parallel_execution,
-    prefix_immediate,
     prefixes,
     restrict,
     seq_compose,
     sequence_execution,
     tag_set,
-    thread_chains,
     transitive_reduction,
 )
 from persistcheck.model import _iso_signatures

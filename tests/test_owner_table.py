@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 
 import hereditary_reference as ref
 import persistcheck.framework as framework
+import persistcheck.lang as lang
+import persistcheck.substitution as sub
 from persistcheck.framework import Collection, HereditaryChain, UnknownMethod, shared_verdicts
 from persistcheck.lang import (
     InterpConfig,
@@ -44,6 +46,8 @@ from persistcheck.libs import (
     T_TAG,
     counter_spec,
     durqueue_spec,
+    flit_impl,
+    flit_spec,
     lock_spec,
     lstrans_spec,
     ltrans_impl,
@@ -52,9 +56,11 @@ from persistcheck.libs import (
     sc_prune_factory,
     weakreg_spec,
 )
-from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution
+from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution, immediate_prefix_masks
 from persistcheck.px86 import D_TAG, P_TAG, px86_spec
 from persistcheck.sc import PFENCE
+from persistcheck.substitution import SemanticImpl
+from test_substitution import FLIT_CFG, _litmus_corpus
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -239,6 +245,48 @@ test_undo_low_walks_match_the_replaced_walks = _differential("undo_low")
 test_reg_queue_walks_match_the_replaced_walks = _differential("reg_queue")
 test_ltrans_walks_match_the_replaced_walks = _differential("ltrans")
 test_px86_walks_match_the_replaced_walks = _differential("px86")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(COLLECTIONS)).flatmap(_cases))
+def test_a_prefix_walks_as_its_own_execution(case):
+    # the hereditary walk reads a prefix through its table's mask and names
+    # the events of the prefix's own execution
+    coll, budget, xs = case
+    for x in xs:
+        try:
+            owners = framework.Owners(coll, x)
+        except UnknownMethod:
+            continue
+        for mask in [owners.full] + immediate_prefix_masks(x.hb_order.rows, owners.full):
+            p = owners.prefix(mask)
+            got = _outcome(framework.check_hereditarily_consistent, coll, p, budget=budget)
+            assert got == _outcome(framework.check_hereditarily_consistent, coll, p.execution, budget=budget)
+
+
+def test_verify_impl_builds_one_owner_table_per_refinement(monkeypatch):
+    # a refinement's hereditary check and its well-formedness transport
+    # share one table
+    px = Collection([px86_spec()])
+    refinements, tables = [], []
+    candidates, init = lang.candidate_refinements, framework.Owners.__init__
+
+    def counted_candidates(coll, g):
+        out = list(candidates(coll, g))
+        refinements.extend(out)
+        return iter(out)
+
+    def counted_init(self, coll, x):
+        init(self, coll, x)
+        if coll is px:
+            tables.append(x)
+
+    monkeypatch.setattr(lang, "candidate_refinements", counted_candidates)
+    monkeypatch.setattr(framework.Owners, "__init__", counted_init)
+    graph = _litmus_corpus("flit", 8, 1)
+    report = sub.verify_impl_bounded(SemanticImpl(flit_impl(), px, FLIT_CFG), Collection([flit_spec()]), px, graph)
+    assert report.records and all(r.wellformed_downward for r in report.records)
+    assert len(tables) == len(refinements)
 
 
 def test_wellformedness_raises_on_an_event_no_library_owns():

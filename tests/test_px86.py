@@ -17,6 +17,7 @@ from types import SimpleNamespace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from definitions import check_px86_axioms, flush, fo, is_irreflexive, mfence, sfence
 from eager_reference import linear_extensions
 from persistcheck.framework import BudgetExceeded
 from persistcheck.model import (
@@ -28,7 +29,6 @@ from persistcheck.model import (
     bits,
     closure,
     era_before,
-    is_irreflexive,
     seq_compose,
     sequence_execution,
     parallel_execution,
@@ -38,17 +38,12 @@ from persistcheck.px86 import (
     Px86Witness,
     _read_candidates,
     alloc,
-    check_px86_axioms,
     derive_sets,
-    flush,
-    fo,
     load,
-    mfence,
     px86_consistent,
     px86_spec,
     px86_value_flow,
     search_px86_witness,
-    sfence,
     store,
     upd,
     value_read,

@@ -27,6 +27,7 @@ import persistcheck.libs as libs
 import persistcheck.px86 as px86
 import test_owner_table as owner_table
 import test_substitution as substitution
+from definitions import check_px86_axioms, mfence
 from persistcheck.cli import RunConfig, cmd_check
 from persistcheck.framework import (
     Collection,
@@ -43,8 +44,6 @@ from persistcheck.px86 import (
     D_TAG,
     P_TAG,
     Px86Witness,
-    check_px86_axioms,
-    mfence,
     px86_consistent,
     px86_interface,
     px86_spec,

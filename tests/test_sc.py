@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import lin_reference
 import mask_reference
+from definitions import s_queue, s_weakreg
 from eager_reference import linear_extensions
 from persistcheck.framework import BudgetExceeded, Verdict
 
@@ -32,8 +33,6 @@ from persistcheck.sc import (
     completions_and_truncations,
     happens_before,
     iter_completions,
-    s_queue,
-    s_weakreg,
 )
 
 X, Y = 10, 11

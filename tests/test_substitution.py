@@ -19,6 +19,18 @@ from hypothesis import strategies as st
 import lift_reference
 import persistcheck.framework as framework
 import persistcheck.model as model
+from definitions import (
+    check_lifting_step,
+    existproj,
+    identity_impl,
+    interpret,
+    is_irreflexive,
+    is_plain_matching,
+    is_refined_matching,
+    lift_step,
+    pomset_bind,
+    set_bind,
+)
 from eager_reference import linear_extensions
 from persistcheck.framework import (
     BudgetExceeded,
@@ -59,7 +71,6 @@ from persistcheck.model import (
     PlainExecution,
     Pomset,
     closure,
-    is_irreflexive,
     iso_eq,
     parallel_execution,
     sequence_execution,
@@ -69,16 +80,9 @@ import persistcheck.substitution as sub
 from persistcheck.substitution import (
     SemanticImpl,
     check_global_preservation,
-    check_lifting_step,
     exec_bind,
-    existproj,
     find_plain_matching,
-    identity_impl,
-    is_plain_matching,
-    is_refined_matching,
     lift_chain,
-    pomset_bind,
-    set_bind,
     verify_impl_bounded,
 )
 
@@ -520,7 +524,7 @@ def test_verify_bound_counts_empty_and_capped_binds():
 def test_linking_semantics_proposition_instance():
     # the two ways of linking agree: interpreting P·I equals binding ⟦P⟧ with
     # ⟦I⟧, as sets of complete plain executions up to isomorphism
-    from persistcheck.lang import interpret, link, parse_litmus
+    from persistcheck.lang import link, parse_litmus
     from persistcheck.model import canonical_hash
 
     lit = parse_litmus(
@@ -1334,12 +1338,12 @@ def test_shared_refuted_step_restores_its_failure(monkeypatch):
     budgets = _counting_core(monkeypatch)
     xc, f, ga = _refuted_step()
     alone = []
-    assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, failure=alone) is None
+    assert lift_step(xc, f, ga, None, frozenset(), TOY, failure=alone) is None
     assert alone and budgets == [4_000]
     with shared_verdicts():
         first, again = [], ["stale"]
-        assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, failure=first) is None
-        assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, failure=again) is None
+        assert lift_step(xc, f, ga, None, frozenset(), TOY, failure=first) is None
+        assert lift_step(xc, f, ga, None, frozenset(), TOY, failure=again) is None
         assert first == again == alone
     # computed once in the scope, from the projection alone
     assert budgets == [4_000, 4_000]
@@ -1351,10 +1355,10 @@ def test_out_of_budget_step_is_computed_again(monkeypatch):
     with shared_verdicts():
         for _ in range(2):
             with pytest.raises(BudgetExceeded):
-                sub.lift_step(xc, f, ga, None, frozenset(), TOY, budget=0)
+                lift_step(xc, f, ga, None, frozenset(), TOY, budget=0)
         # a larger budget is a key of its own, decided and then kept
         for _ in range(2):
-            assert sub.lift_step(xc, f, ga, None, frozenset(), TOY, budget=1) is None
+            assert lift_step(xc, f, ga, None, frozenset(), TOY, budget=1) is None
     assert budgets == [0, 0, 1]
 
 
