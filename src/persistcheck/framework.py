@@ -133,11 +133,14 @@ class LibraryInterface:
     call_semantics: Optional[Callable] = None
     #: optional value flow: label -> (read, write), each a ``(loc, value)``
     #: pair or ``None``; a read value of ``BOT`` leaves the value open.
-    #: Declaring it is a contract that ``lang.interpret_phases`` relies on to
-    #: drop runs before they are checked: local consistency requires every
-    #: read to have a write at the same ``loc`` with the same value (any
-    #: value for ``BOT``), made by another event of this library in the
-    #: same era or an earlier one.
+    #: Declaring it is a contract that two readers rely on to drop work
+    #: before any check: ``lang.interpret_phases`` builds no unsourced run,
+    #: and ``substitution.verify_impl_bounded`` builds no refinement of an
+    #: unsourced concrete.  Local consistency requires every read to have a
+    #: write at the same ``loc`` with the same value (any value for
+    #: ``BOT``), made by another event of this library in the same era or
+    #: an earlier one, and the library's ``sw_candidates`` offer ∅ on a
+    #: graph with an unsourced read.
     value_flow: Optional[Callable[[Label], Tuple[Optional[Tuple], Optional[Tuple]]]] = None
 
     def __post_init__(self):

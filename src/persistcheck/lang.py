@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import framework
-from .framework import BudgetExceeded, Collection, UnknownMethod, _default_sw_hook, shared_verdicts
+from .framework import BudgetExceeded, Collection, UnknownMethod, _default_sw_hook, _default_tag_hook, shared_verdicts
 from .model import BOT, CRASH, Execution, Label, PlainExecution, parallel_execution, seq_compose, sequence_execution
 
 
@@ -616,6 +616,12 @@ class ValueFlow:
         self.coll = coll
         self._memo: Dict[Label, Tuple[Optional[tuple], Tuple[tuple, ...]]] = {}
 
+    @classmethod
+    def declared_by(cls, coll: Collection) -> Optional["ValueFlow"]:
+        """The value flow of ``coll``, or ``None`` if none of its libraries
+        declares one."""
+        return cls(coll) if any(s.interface.value_flow is not None for s in coll.specs()) else None
+
     def of(self, l: Label) -> Tuple[Optional[tuple], Tuple[tuple, ...]]:
         """The key ``l`` reads (or ``None``) and the keys it writes."""
         got = self._memo.get(l)
@@ -657,6 +663,13 @@ class ValueFlow:
                 pending.append((r, r in ws))
         return all(count.get(r, 0) > own for r, own in pending)
 
+    def sourced_in(self, g: PlainExecution) -> bool:
+        """:meth:`sourced` with each event in its own era, ``g.era_of()``,
+        whatever the order of ``g``'s labels: the events go era by era, each
+        era's crashes last."""
+        era, lab = g.era_of(), g.lab
+        return self.sourced([lab[e] for e in sorted(g.events, key=lambda e: (era[e], lab[e].is_crash))])
+
 
 def interpret_phases(
     phases: Sequence[Prog],
@@ -692,8 +705,7 @@ def interpret_phases(
             )
         )
     n = len(interps)
-    declared = any(s.interface.value_flow is not None for s in coll.specs())
-    flow = ValueFlow(coll) if complete_only and declared else None
+    flow = ValueFlow.declared_by(coll) if complete_only else None
     written = flow.writes([first.globals_trace]) if flow else set()
     # per era: (outcome env or None, the chosen thread runs)
     eras: List[List[Tuple[Optional[Dict[str, object]], Tuple[ThreadRun, ...]]]] = []
@@ -922,6 +934,21 @@ def candidate_refinements(coll: Collection, g: PlainExecution):
                 yield Execution(gt, sw)
             except ValueError:
                 continue
+
+
+def unsourced_refines_itself(coll: Collection) -> bool:
+    """Whether a graph ``g`` whose reads have no source in ``coll``'s value
+    flow is one of its own candidate refinements, ``Execution(g)`` with no
+    sw and no tags: no library of ``coll`` proposes tags, and each sw hook
+    is the default or one of a library that declares value flow, which
+    offers ∅ on such a graph (``LibraryInterface.value_flow``).  Another
+    hook need not offer the empty choice: ``libs._lock_sw_hook`` orders
+    every two critical sections of an era."""
+    return all(
+        s.tag_candidates is _default_tag_hook
+        and (s.sw_candidates is _default_sw_hook or s.interface.value_flow is not None)
+        for s in coll.specs()
+    )
 
 
 class Behaviors(set):

@@ -439,7 +439,21 @@ class Order:
         return len(self.rows)
 
     def is_acyclic(self) -> bool:
+        """Exact on closed rows only: a cycle of an unclosed relation need
+        not reach the diagonal."""
         return not any(row >> a & 1 for a, row in enumerate(self.rows))
+
+    def is_closed(self) -> bool:
+        """Whether the rows are transitively closed: each event's row holds
+        the rows of the events in it."""
+        rows = self.rows
+        for row in rows:
+            reach = 0
+            for b in bits(row):
+                reach |= rows[b]
+            if reach & ~row:
+                return False
+        return True
 
     def covers(self, a: int) -> int:
         """Row of the immediate successors of ``a`` (acyclic orders only)."""
@@ -844,8 +858,9 @@ class Execution:
 
     ``hb`` must be a strict order containing ``po ∪ sw``; violations are
     rejected at construction.  It is held as an :class:`Order` (``hb_order``):
-    given as edges it is closed, given as an ``Order`` it is taken as is, and
-    by default it is the closure of ``po ∪ sw``.
+    given as edges it is closed, given as an ``Order`` it is taken as is and
+    must be transitively closed, since acyclicity is read off its diagonal,
+    and by default it is the closure of ``po ∪ sw``.
     """
 
     __slots__ = ("plain", "sw", "hb_order")
@@ -861,6 +876,8 @@ class Execution:
             order = hb if isinstance(hb, Order) else Order.close(len(plain), hb, "hb")
         if len(order) != len(plain):
             raise ValueError("hb mentions unknown event")
+        if isinstance(hb, Order) and not order.is_closed():
+            raise ValueError("hb is not transitively closed")
         if not order.is_acyclic():
             raise ValueError("hb is cyclic")
         rows = order.rows

@@ -16,13 +16,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import lang
 from .framework import (
     BudgetExceeded,
     Collection,
     LibrarySpec,
+    Prefix,
     _prefix,
     check_consistent,
     check_hereditarily_consistent,
@@ -189,16 +190,11 @@ class SemanticImpl:
         self._cache[key] = graphs
         return graphs
 
-    def contains(self, label: Label, g: PlainExecution) -> bool:
-        """Membership of g (any thread labelling) in I(label): g is a chain
-        with a member's labels in po order."""
-        labels = _po_sequence(g)
-        return labels is not None and self._contains(label, labels)
-
     def _contains(self, label: Label, labels: Sequence[Label]) -> bool:
-        """``contains`` on a chain given by its labels in po order, against
-        the runs allocating from just below its first returned location (a
-        block that returns none matches the same runs at every base)."""
+        """Membership in I(label) of the chain whose labels, in po order and
+        with any threads, are ``labels``, against the runs allocating from
+        just below its first returned location (a block that returns none
+        matches the same runs at every base)."""
         locs = [l.ret for l in labels if l.method in self._alloc_methods and isinstance(l.ret, int)]
         loc_start = min(locs) - 1 if locs else self.config.loc_base
         key = (label.method, label.args, label.ret, loc_start)
@@ -648,6 +644,15 @@ class VerifyReport:
         return "\n".join(r.to_json() for r in self.records)
 
 
+def _refinements(coll: Collection, gc: PlainExecution) -> Iterator[Prefix]:
+    """The candidate refinements of ``gc``, built as they are asked for, each
+    with an owner table of its own that serves both of its checks.
+    ``candidate_refinements`` is looked up on its module when the first one
+    is asked for, so a patched or traced generator is the one called."""
+    for xc in lang.candidate_refinements(coll, gc):
+        yield _prefix(coll, xc)
+
+
 @shared_verdicts()
 def verify_impl_bounded(
     impl: SemanticImpl,
@@ -670,9 +675,23 @@ def verify_impl_bounded(
     record) and those with more than ``max_concrete`` concretes (only the
     first ``max_concrete`` are checked).  A graph whose bind runs out of
     interpreter runs gives one undecided record with no concrete.
+
+    A concrete whose reads have no source (``lang.ValueFlow.sourced_in``,
+    over the value flow that ``coll_low``'s libraries declare) builds no
+    refinement for the hereditary check: a refinement adds sw and tags,
+    never labels, so the declaring library's local check fails on every
+    one, and the record says "no hereditarily consistent concrete
+    refinement".  Where ``Execution(gc)``, with no sw and no tags, is one of
+    its refinements (``lang.unsourced_refines_itself``), the
+    well-formedness transport checks it first and builds the refinements
+    only if that check fails, so the verdict is the one over all of them.
+    A collection that declares no value flow treats every concrete as
+    sourced.
     """
     report = VerifyReport()
     empty = capped = 0
+    flow = lang.ValueFlow.declared_by(coll_low)
+    itself_first = lang.unsourced_refines_itself(coll_low)
 
     def undecided(rec: VerifyRecord, why: str) -> VerifyRecord:
         report.budget_hits += 1
@@ -695,10 +714,8 @@ def verify_impl_bounded(
         wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
         for ci, (gc, f) in enumerate(concretes):
             rec = VerifyRecord(gi, ci)
-            # looked up on its module, so a patched or traced generator is
-            # the one called; one owner table per refinement serves both of
-            # its checks
-            refinements = [_prefix(coll_low, xc) for xc in lang.candidate_refinements(coll_low, gc)]
+            sourced = flow is None or flow.sourced_in(gc)
+            refinements = list(_refinements(coll_low, gc)) if sourced else []
             # hereditary consistency upward
             found_consistent_low = False
             for xc in refinements:
@@ -732,7 +749,10 @@ def verify_impl_bounded(
                 undecided(rec, "well-formedness check hit budget")
             elif wf_high:
                 unknown = False
-                for xc0 in refinements:
+                wf_candidates = refinements if sourced else _refinements(coll_low, gc)
+                if not sourced and itself_first:
+                    wf_candidates = itertools.chain([Execution(gc)], wf_candidates)
+                for xc0 in wf_candidates:
                     v = check_immediately_wellformed(coll_low, xc0)
                     if v:
                         rec.wellformed_downward = True

@@ -26,7 +26,8 @@ module of ``persistcheck`` imports this one.
   ``pomset_bind`` (the bind P·I of a pomset with an implementation:
   each event replaced by its pomset, ordered lexicographically) and
   ``set_bind`` (its lifting to sets, up to isomorphism), ``identity_impl``
-  (the implementation mapping each call to itself), ``is_plain_matching``
+  (the implementation mapping each call to itself), ``contains`` (a
+  block's membership in its call's implementation), ``is_plain_matching``
   (plain matching: f surjective, ∃f⟨po_c⟩ = po_a, each block a member of its
   call's implementation), ``is_refined_matching`` (refined matching: both
   sides consistent, sw justified by projected hb, abstract hb determined by
@@ -81,6 +82,7 @@ from persistcheck.substitution import (
     _bind_rows,
     _hb_parts,
     _lift_projected,
+    _po_sequence,
     _project_link,
     _strip_thread,
     _unthreaded,
@@ -334,6 +336,13 @@ def identity_impl(coll: Collection, methods: Iterable[str]) -> SemanticImpl:
     return IdentityImpl(coll, methods)
 
 
+def contains(impl: SemanticImpl, label: Label, g: PlainExecution) -> bool:
+    """Membership of g (any thread labelling) in I(label): g is a chain with
+    a member's labels in po order."""
+    labels = _po_sequence(g)
+    return labels is not None and impl._contains(label, labels)
+
+
 def is_plain_matching(f: Mapping[int, int], gc: PlainExecution, ga: PlainExecution, impl: SemanticImpl) -> bool:
     if set(f.keys()) != set(gc.events):
         return False
@@ -346,7 +355,7 @@ def is_plain_matching(f: Mapping[int, int], gc: PlainExecution, ga: PlainExecuti
         block = gc.restrict_events(pre)
         lab = ga.lab[e]
         if impl.owns(lab):
-            if not impl.contains(lab, block):
+            if not contains(impl, lab, block):
                 return False
         else:
             if len(pre) != 1 or _unthreaded(gc.lab[pre[0]]) != _unthreaded(lab):

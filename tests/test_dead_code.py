@@ -4,8 +4,10 @@ Every top-level function, class and assignment of ``src/persistcheck`` must be
 named somewhere outside its own definition, in ``src/``, ``tests/`` or
 ``perfbench/`` (a word match, so a re-export, a test or a traced name counts).
 It must also be reached from a product root by name and attribute
-references: the CLI, the ``__init__`` exports, the names the benchmark
-mentions, or the case-study artifacts of ``AWAITING``.  A definition that only
+references, each resolved in the module that makes it (its own definitions,
+its ``from`` imports, ``m.name`` for a module ``m`` it imports): the CLI,
+the ``__init__`` exports, the ``m.name`` the benchmark mentions, or the
+case-study artifacts of ``AWAITING``.  A definition that only
 the tests use lives in ``tests/definitions.py``.
 Every method other than a dunder must be named as ``.method`` outside its own
 definition.  The shared verdicts memo has one way in: ``framework.shared_call``.
@@ -88,72 +90,132 @@ def test_every_definition_is_referenced():
     assert not unused, f"defined but never referenced: {unused}"
 
 
-def _references(node):
-    """The names a statement reads: its names, attributes and imported names."""
+def _source_module(node, stems):
+    """The module of ``persistcheck`` an import reads from, or None."""
+    name = node.module or ""
+    if node.level == 0:
+        if not name.startswith("persistcheck"):
+            return None
+        name = name[len("persistcheck") :].lstrip(".")
+    return name if name in stems else ("__init__" if not name else None)
+
+
+def _module_tables():
+    """Per module of ``src/persistcheck``: its parsed tree, its top-level
+    definitions (name -> nodes) and the names its ``from`` imports bind,
+    anywhere in it (name -> (module, the name there), or (module, None) for
+    a module bound by ``from . import m``)."""
+    stems = {p.stem for p in PACKAGE.glob("*.py")}
+    tables = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs, binds = {}, {}
+        for node in tree.body:
+            for name, is_method, _, _ in _definitions(ast.Module([node], [])):
+                if not is_method:
+                    defs.setdefault(name, []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _source_module(node, stems)
+                if source is None:
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if source == "__init__" and alias.name in stems:
+                        binds[bound] = (alias.name, None)
+                    else:
+                        binds[bound] = (source, alias.name)
+        tables[path.stem] = (tree, defs, binds)
+    return tables
+
+
+def _resolve(tables, module, name):
+    """The definition (module, name) that ``name`` read in ``module`` names:
+    the module's own, or the one its imports bind, followed through
+    re-exports; None for anything else."""
+    while module in tables:
+        _, defs, binds = tables[module]
+        if name in defs:
+            return module, name
+        if binds.get(name, (None, None))[1] is None:
+            return None
+        module, name = binds[name]
+    return None
+
+
+def _resolved_references(tables, module, node):
+    """The definitions a statement of ``module`` reads: a name through the
+    module's own definitions and imports, ``m.name`` through the module that
+    ``m`` binds, and each name an import inside the statement brings in."""
+    stems = set(tables)
+    binds = tables[module][2]
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name.rpartition(".")[2]
+            yield _resolve(tables, module, n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            source, name = binds.get(n.value.id, (None, None))
+            if name is None and source is not None:
+                yield _resolve(tables, source, n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            source = _source_module(n, stems)
+            for alias in n.names if source is not None else ():
+                yield _resolve(tables, source, alias.name)
 
 
-def _benchmark_mentions():
-    """The names ``perfbench/`` reads or spells in a string (a traced name)."""
-    names = set()
+def _benchmark_mentions(tables):
+    """The definitions ``perfbench/`` names as ``m.name``, in code
+    (``pc.m.name``) or in a string (a traced name such as
+    ``"model.Execution.restrict_events"``)."""
+    found = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names.update(_references(tree))
         for n in ast.walk(tree):
-            if isinstance(n, ast.Constant) and isinstance(n.value, str):
-                names.update(re.findall(r"\w+", n.value))
-    return names
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute):
+                found.add(_resolve(tables, n.value.attr, n.attr))
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                found.update(_resolve(tables, m, name) for m, name in re.findall(r"(\w+)\.(\w+)", n.value))
+    return found - {None}
 
 
-def _reached(definitions, roots):
-    """The defined names reached from ``roots``, a name reaching every
-    definition of that name in any module."""
+def _reached(tables, roots):
+    """The definitions (module, name) reached from ``roots``."""
     seen = set()
-    todo = [r for r in roots if r in definitions]
+    todo = list(roots)
     while todo:
-        name = todo.pop()
-        if name in seen:
+        key = todo.pop()
+        if key in seen:
             continue
-        seen.add(name)
-        for node in definitions[name]:
-            todo.extend(r for r in _references(node) if r in definitions and r not in seen)
+        seen.add(key)
+        module, name = key
+        for node in tables[module][1][name]:
+            todo.extend(r for r in _resolved_references(tables, module, node) if r is not None and r not in seen)
     return seen
 
 
 def test_every_definition_is_reached_from_a_product_root():
     # roots: all of cli and __main__, the names __init__ exports, the names
-    # the benchmark mentions, and what a module runs when imported
-    definitions = {}  # name -> its top-level definitions
-    where = {}  # name -> the modules that define it
-    roots = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    # the benchmark mentions, and what a module runs when imported.  A
+    # reference is resolved in its own module, so a definition is reached
+    # only through a reference that names it, not through another module's
+    # definition of the same name.
+    tables = _module_tables()
+    roots = _benchmark_mentions(tables)
+    for module, (tree, defs, _) in tables.items():
         for node in tree.body:
-            if path.stem in ("cli", "__main__"):
-                roots.update(_references(node))
-            if path.stem == "__init__":
-                if isinstance(node, ast.ImportFrom):
-                    roots.update(a.asname or a.name for a in node.names)
-                continue
-            names = [name for name, is_method, _, _ in _definitions(ast.Module([node], [])) if not is_method]
-            for name in names:
-                definitions.setdefault(name, []).append(node)
-                where.setdefault(name, []).append(path.stem)
-            if not names and not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots.update(_references(node))
-    roots |= _benchmark_mentions()
-    assert AWAITING <= set(definitions), f"AWAITING names no longer defined: {sorted(AWAITING - set(definitions))}"
-    early = sorted(AWAITING & _reached(definitions, roots))
+            is_definition = any(node in nodes for nodes in defs.values())
+            if module in ("cli", "__main__", "__init__") or not (
+                is_definition or isinstance(node, (ast.Import, ast.ImportFrom))
+            ):
+                roots.update(_resolved_references(tables, module, node))
+    roots.discard(None)
+    awaiting = {(m, name) for m, (_, defs, _) in tables.items() for name in defs if name in AWAITING}
+    missing = AWAITING - {name for _, name in awaiting}
+    assert not missing, f"AWAITING names no longer defined: {sorted(missing)}"
+    early = sorted(awaiting & _reached(tables, roots))
     assert not early, f"AWAITING names a product root reaches; take them out of AWAITING: {early}"
-    unreached = set(definitions) - _reached(definitions, roots | AWAITING)
-    listed = sorted(f"{m}: {name}" for name in unreached for m in where[name])
-    assert not listed, f"defined in src/ but reached from no product root (move to tests/definitions.py): {listed}"
+    defined = {(m, name) for m, (_, defs, _) in tables.items() for name in defs}
+    unreached = sorted(f"{m}: {name}" for m, name in defined - _reached(tables, roots | awaiting))
+    assert not unreached, f"defined in src/ but reached from no product root (move to tests/definitions.py): {unreached}"
 
 
 def _names_memo(node):

@@ -146,11 +146,16 @@ UNPERSISTED = _transactions({T_TAG})
 #: condition 10 holds: the source is persisted
 PERSISTED = _transactions({T_TAG, PTR_TAG})
 #: condition 11 cannot fire when hb is closed (nvo is contained in hb), so
-#: this hb is a cyclic order that is not closed, which ``Execution`` takes as
-#: given: two ⋆ events, each both end- and begin-tagged, each hb-before the other
-CYCLIC_HB = Execution(
-    PlainExecution([Label(STAR, (), None, frozenset({B_TAG, E_TAG}), t) for t in (0, 1)], []), (), Order([0b10, 0b01])
-)
+#: this hb is a cyclic order that is not closed, which the ``Execution``
+#: constructor rejects; it is set on the slots directly: two ⋆ events, each
+#: both end- and begin-tagged, each hb-before the other
+CYCLIC_HB = Execution.__new__(Execution)
+for _slot, _value in (
+    ("plain", PlainExecution([Label(STAR, (), None, frozenset({B_TAG, E_TAG}), t) for t in (0, 1)], [])),
+    ("sw", frozenset()),
+    ("hb_order", Order([0b10, 0b01])),
+):
+    object.__setattr__(CYCLIC_HB, _slot, _value)
 
 #: each predicate on rows with the pair-set one it replaced
 PREDICATES = [

@@ -267,6 +267,23 @@ def test_po_cyclic_rejected():
         PlainExecution([w(), r()], [(0, 1), (1, 0)])
 
 
+def test_an_unclosed_hb_order_is_rejected():
+    # each event hb-before the other: the rows leave the diagonal empty, so
+    # the acyclicity check alone would take this cyclic hb
+    with pytest.raises(ValueError, match="not transitively closed"):
+        Execution(PlainExecution([w(), r()], []), (), Order([0b10, 0b01]))
+    # an acyclic chain that leaves out 0 → 2
+    with pytest.raises(ValueError, match="not transitively closed"):
+        Execution(PlainExecution([w(), r(), w(2)], []), (), Order([0b010, 0b100, 0]))
+    assert Execution(PlainExecution([w(), r()], []), (), Order([0b10, 0])).hb == {(0, 1)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_is_closed_matches_the_closure(rows):
+    assert Order(rows).is_closed() == (Order.close_rows(rows).rows == tuple(rows))
+
+
 def test_incomplete_call_invariant():
     pending = Label("store", (1, 1), BOT, thread=0)
     with pytest.raises(ValueError):

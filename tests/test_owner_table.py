@@ -57,7 +57,7 @@ from persistcheck.libs import (
     weakreg_spec,
 )
 from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution, immediate_prefix_masks
-from persistcheck.px86 import D_TAG, P_TAG, px86_spec
+from persistcheck.px86 import D_TAG, P_TAG, _read_candidates, derive_sets, px86_spec
 from persistcheck.sc import PFENCE
 from persistcheck.substitution import SemanticImpl
 from test_substitution import FLIT_CFG, _litmus_corpus
@@ -266,7 +266,9 @@ def test_a_prefix_walks_as_its_own_execution(case):
 
 def test_verify_impl_builds_one_owner_table_per_refinement(monkeypatch):
     # a refinement's hereditary check and its well-formedness transport
-    # share one table
+    # share one table; a concrete whose reads have no source builds no
+    # refinement unless its own well-formedness check fails, and that check
+    # builds one table
     px = Collection([px86_spec()])
     refinements, tables = [], []
     candidates, init = lang.candidate_refinements, framework.Owners.__init__
@@ -284,9 +286,13 @@ def test_verify_impl_builds_one_owner_table_per_refinement(monkeypatch):
     monkeypatch.setattr(lang, "candidate_refinements", counted_candidates)
     monkeypatch.setattr(framework.Owners, "__init__", counted_init)
     graph = _litmus_corpus("flit", 8, 1)
-    report = sub.verify_impl_bounded(SemanticImpl(flit_impl(), px, FLIT_CFG), Collection([flit_spec()]), px, graph)
+    impl = SemanticImpl(flit_impl(), px, FLIT_CFG)
+    concretes = [Execution(gc) for ga in graph for gc, _ in sub.exec_bind(ga, impl, max_results=65)[:64]]
+    unsourced = sum(_read_candidates(x, derive_sets(x)) is None for x in concretes)
+    assert 0 < unsourced < len(concretes)
+    report = sub.verify_impl_bounded(impl, Collection([flit_spec()]), px, graph)
     assert report.records and all(r.wellformed_downward for r in report.records)
-    assert len(tables) == len(refinements)
+    assert len(tables) == len(refinements) + unsourced
 
 
 def test_wellformedness_raises_on_an_event_no_library_owns():

@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lift_reference
+import verify_reference
 import persistcheck.framework as framework
+import persistcheck.lang as lang
 import persistcheck.model as model
 from definitions import (
     check_lifting_step,
+    contains,
     existproj,
     identity_impl,
     interpret,
@@ -40,11 +43,13 @@ from persistcheck.framework import (
     Verdict,
     check_consistent,
     check_hereditarily_consistent,
+    check_immediately_wellformed,
     shared_verdicts,
 )
 from persistcheck.lang import (
     InterpConfig,
     SyntacticImpl,
+    ValueFlow,
     candidate_refinements,
     interpret_phases,
     interpret_toplevel,
@@ -56,6 +61,8 @@ from persistcheck.libs import (
     flit_impl,
     flit_impl_mutated_no_fo,
     flit_spec,
+    lock_spec,
+    ltrans_spec,
     mirror_spec,
     persistify_flit,
     persistify_flit_mutated,
@@ -75,7 +82,7 @@ from persistcheck.model import (
     parallel_execution,
     sequence_execution,
 )
-from persistcheck.px86 import px86_spec, store, load
+from persistcheck.px86 import _read_candidates, derive_sets, px86_spec, search_px86_witness, store, load
 import persistcheck.substitution as sub
 from persistcheck.substitution import (
     SemanticImpl,
@@ -982,8 +989,8 @@ def _ref_member(impl, call, block):
 def test_memoized_contains_matches_iso_path(drawn):
     impl, call, block = drawn
     want = _ref_member(impl, call, block)
-    assert impl.contains(call, block) == want
-    assert impl.contains(replace(call, thread=3), block) == want
+    assert contains(impl, call, block) == want
+    assert contains(impl, replace(call, thread=3), block) == want
 
 
 def test_pending_constructor_block_is_a_member():
@@ -994,8 +1001,8 @@ def test_pending_constructor_block_is_a_member():
     concretes = [gc for gc, _ in exec_bind(ga, impl)]
     pending = [gc for gc in concretes if not gc.lab[0].is_complete]
     assert len(pending) == 1 and pending[0].lab[0].method == "mnew"
-    assert impl.contains(call, pending[0])
-    assert not impl.contains(replace(call, ret=101), pending[0])
+    assert contains(impl, call, pending[0])
+    assert not contains(impl, replace(call, ret=101), pending[0])
     assert all(find_plain_matching(gc, ga, impl) == {0: 0} for gc in concretes)
     report = verify_impl_bounded(impl, REG_HIGH, MIRROR_LOW, [ga])
     assert len(report.records) == len(concretes)
@@ -1447,3 +1454,116 @@ def test_verify_interprets_each_call_once(case, monkeypatch):
         got = verify(SemanticImpl(make(), low, FLIT_CFG))
     assert inputs and len(inputs) == len(set(inputs))
     assert got == verify(_PerReturnImpl(make(), low, FLIT_CFG))
+
+
+# --------------------------------------------------------------------------
+# Unsourced concretes build no refinement
+# --------------------------------------------------------------------------
+
+
+def _crash_before_era0_write():
+    """An abstract graph whose crash has a smaller id than an era-0 event:
+    thread 1 reads 1 and thread 0 writes it, both before the crash, and the
+    write comes last in label order."""
+    labels = [
+        Label("fnew", (), 101, frozenset({"D"}), None),
+        Label("fread_p", (101,), 1, frozenset(), 1),
+        CRASH,
+        Label("fwrite_p", (101, 1), None, frozenset({"D"}), 0),
+    ]
+    return PlainExecution(labels, [(0, 1), (0, 3), (1, 2), (3, 2)])
+
+
+@pytest.mark.parametrize("crashes", [0, 1])
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
+def test_value_flow_sourcing_agrees_with_px86(case, crashes):
+    # a concrete is unsourced by the declared value flow, with each event in
+    # its own era, exactly when the Px86 search has no reads-from candidates
+    make, low, _, (directory, _, _), _ = DIFF_CASES[case]
+    impl, flow = SemanticImpl(make(), low, FLIT_CFG), ValueFlow(low)
+    odd = _crash_before_era0_write()
+    assert odd.era_of()[3] == 0
+    unsourced = 0
+    for ga in _crash_corpus(directory, crashes) + [odd]:
+        for gc, _ in exec_bind(ga, impl, max_results=65):
+            x = Execution(gc)
+            sourced = flow.sourced_in(gc)
+            assert sourced == (_read_candidates(x, derive_sets(x)) is not None)
+            if not sourced:
+                unsourced += 1
+                assert search_px86_witness(x) is None
+                # the concrete with no sw and no tags is one of its refinements
+                assert any(xc.plain is gc and not xc.sw for xc in candidate_refinements(low, gc))
+    assert unsourced
+    # in label order the write would fall in era 1 and leave the read
+    # unsourced
+    assert any(flow.sourced_in(gc) for gc, _ in exec_bind(odd, impl))
+
+
+@pytest.mark.parametrize("check_wf", [True, False])
+@pytest.mark.parametrize("crashes", [0, 1])
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
+def test_verify_records_match_the_loop_that_builds_every_refinement(case, crashes, check_wf):
+    make, low, high, (directory, _, _), _ = DIFF_CASES[case]
+    corpus = _crash_corpus(directory, crashes)
+
+    def verify(run):
+        rep = run(SemanticImpl(make(), low, FLIT_CFG), high, low, corpus, check_wf=check_wf)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    got = verify(verify_impl_bounded)
+    assert got == verify(verify_reference.verify_impl_bounded)
+    assert any(r["lifted"] for r in got[0])
+    if (case, crashes) == ("flit_no_fo", 0):
+        assert any(r["lifted"] is False for r in got[0])
+
+
+def test_only_hooks_that_offer_the_empty_choice_check_an_unsourced_concrete_on_itself():
+    assert lang.unsourced_refines_itself(PX)
+    # the lock hook orders the two critical sections either way and offers
+    # no sw-free choice; a tag hook may tag
+    sections = [Label(m, (1,), None, frozenset(), t) for t in (0, 1) for m in ("lacq", "lrel")]
+    assert frozenset() not in lock_spec().sw_candidates(PlainExecution(sections, [(0, 1), (2, 3)]))
+    assert not lang.unsourced_refines_itself(Collection([px86_spec(), lock_spec()]))
+    assert not lang.unsourced_refines_itself(Collection([px86_spec(), ltrans_spec()]))
+
+
+@pytest.mark.parametrize("check_wf", [True, False])
+def test_verify_records_match_where_an_unsourced_concrete_is_not_checked_on_itself(check_wf):
+    low = Collection([px86_spec(), lock_spec()])
+    corpus = _crash_corpus("flit", 0)
+
+    def verify(run):
+        rep = run(SemanticImpl(flit_impl(), low, FLIT_CFG), Collection([flit_spec()]), low, corpus, check_wf=check_wf)
+        return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+    got = verify(verify_impl_bounded)
+    assert got == verify(verify_reference.verify_impl_bounded)
+    assert any(r["lifted"] for r in got[0])
+
+
+def test_an_unsourced_wellformed_concrete_builds_no_refinement(monkeypatch):
+    # nothing writes the 1 that the read returns, so no concrete is sourced;
+    # each is immediately well-formed as it is, so none needs a refinement
+    ga = PlainExecution(
+        [Label("fnew", (), 101, frozenset({"D"}), None), Label("fread_p", (101,), 1, frozenset(), 0)], [(0, 1)]
+    )
+    impl = SemanticImpl(flit_impl(), PX, FLIT_CFG)
+    concretes = [gc for gc, _ in exec_bind(ga, impl)]
+    assert concretes and not any(ValueFlow(PX).sourced_in(gc) for gc in concretes)
+    assert all(check_immediately_wellformed(PX, Execution(gc)) for gc in concretes)
+    calls = []
+    candidates = lang.candidate_refinements
+
+    def spy(coll, g):
+        calls.append(g)
+        return candidates(coll, g)
+
+    monkeypatch.setattr(lang, "candidate_refinements", spy)
+    report = verify_impl_bounded(impl, Collection([flit_spec()]), PX, [ga])
+    assert not calls
+    assert len(report.records) == len(concretes)
+    assert all(
+        r.lifted is None and r.wellformed_downward and r.detail == "no hereditarily consistent concrete refinement"
+        for r in report.records
+    )
