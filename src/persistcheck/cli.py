@@ -29,11 +29,12 @@ from .lang import (
     Behaviors,
     CallCmd,
     InterpConfig,
+    LitmusFile,
     ParseError,
     behaviors,
     interpret_phases,
     interpret_toplevel,
-    parse,
+    parse_impl,
     parse_litmus,
     subterms,
 )
@@ -88,6 +89,18 @@ def _collection_for(names: Sequence[str], budget: int) -> Collection:
     return coll
 
 
+def _interp_config(
+    cfg: RunConfig, lit: Optional[LitmusFile] = None, manifest_opts: Optional[Dict] = None, prune_factory=None
+) -> InterpConfig:
+    """The interpreter config of one run.  Its domain joins the litmus
+    file's values, the flags' and the manifest's; its unroll bound is the
+    file's, else the manifest's, else the flag's."""
+    opts = manifest_opts or {}
+    domain = (tuple(lit.domain) if lit is not None else ()) + tuple(cfg.domain) + tuple(opts.get("domain", ()))
+    unroll = lit.unroll if lit is not None and lit.unroll is not None else (opts.get("unroll") or cfg.unroll)
+    return InterpConfig(domain=domain, unroll=unroll, max_runs=max(cfg.budget, 10_000), prune_factory=prune_factory)
+
+
 def _emit(record: Dict, cfg: RunConfig) -> None:
     if cfg.json_out:
         print(json.dumps(record, ensure_ascii=False))
@@ -124,14 +137,7 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
     except (KeyError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    domain = tuple(lit.domain) + tuple(cfg.domain) + tuple(manifest_opts.get("domain", ()))
-    unroll = lit.unroll if lit.unroll is not None else (manifest_opts.get("unroll") or cfg.unroll)
-    iconfig = InterpConfig(
-        domain=domain,
-        unroll=unroll,
-        max_runs=max(cfg.budget, 10_000),
-        prune_factory=sc_prune_factory(),
-    )
+    iconfig = _interp_config(cfg, lit, manifest_opts, sc_prune_factory())
     regs = sorted({r for ex in lit.expectations if ex.outcome for r, _ in ex.outcome})
     bound = ""  # set when the interpreter ran out of runs: no outcome is decided
     try:
@@ -201,7 +207,7 @@ def cmd_verify_impl(
 ) -> int:
     try:
         if Path(impl_name).exists():
-            impl_syn = parse(Path(impl_name).read_text(encoding="utf-8"), name=Path(impl_name).stem)
+            impl_syn = parse_impl(Path(impl_name).read_text(encoding="utf-8"), name=Path(impl_name).stem)
         else:
             impl_syn = builtin_impl(impl_name)
         high = _collection_for([spec_name], cfg.budget)
@@ -209,7 +215,7 @@ def cmd_verify_impl(
     except (KeyError, OSError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    iconfig = InterpConfig(domain=tuple(cfg.domain), unroll=cfg.unroll, max_runs=max(cfg.budget, 10_000))
+    iconfig = _interp_config(cfg)
     corpus = []
     skipped = 0  # corpus files whose interpretation ran out of runs
     if corpus_dir:
@@ -220,11 +226,7 @@ def cmd_verify_impl(
             except (KeyError, OSError, ParseError) as e:
                 print(f"error: {p.name}: {e}", file=sys.stderr)
                 return 2
-            lcfg = InterpConfig(
-                domain=tuple(lit.domain) + tuple(cfg.domain),
-                unroll=lit.unroll if lit.unroll is not None else cfg.unroll,
-                max_runs=max(cfg.budget, 10_000),
-            )
+            lcfg = _interp_config(cfg, lit)
             try:
                 if len(lit.phases) == 1:
                     # single-phase programs get restart-semantics crash variants

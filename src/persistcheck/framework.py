@@ -120,16 +120,16 @@ class LibraryInterface:
     tags_introduced: FrozenSet[str] = frozenset()
     tags_used: FrozenSet[str] = frozenset()
     method_tags: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
-    #: return kind per method, read only by the interpreter's default call
-    #: semantics: "value" (ranges over the candidate domain), "void" (null),
-    #: or "loc" (fresh locations, as many cells as ``loc`` gives the call,
-    #: returning the first); a method it leaves out takes the default,
-    #: "value".  The checkers do not read it: a pending call's return stays
-    #: open for its sequential spec to give.
-    returns: Mapping[str, str] = field(default_factory=dict)
+    #: the methods that return null.  With ``constructors`` it gives the
+    #: interpreter's default call semantics: a void call returns null, a
+    #: constructor takes as many fresh cells as ``loc`` gives it and returns
+    #: the first, and any other call each value of the candidate domain.
+    #: The checkers do not read it: a pending call's return stays open for
+    #: its sequential spec to give.
+    void: FrozenSet[str] = frozenset()
     #: optional interpreter hook: (method, argvalues, ctx) -> [(labels, ret)]
     #: where labels is a tuple of Label templates (thread filled in later),
-    #: or None for the default call semantics that ``returns`` gives.
+    #: or None for the default call semantics.
     call_semantics: Optional[Callable] = None
     #: optional value flow: label -> (read, write), each a ``(loc, value)``
     #: pair or ``None``; a read value of ``BOT`` leaves the value open.
@@ -146,6 +146,8 @@ class LibraryInterface:
     def __post_init__(self):
         if not set(self.constructors) <= set(self.methods):
             raise SpecError(f"{self.name}: constructors must be methods")
+        if not set(self.void) <= set(self.methods) - set(self.constructors):
+            raise SpecError(f"{self.name}: void names must be methods other than constructors")
 
     def owns(self, label: Label) -> bool:
         if label.is_crash or label.method is None:

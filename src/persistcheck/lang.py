@@ -368,10 +368,9 @@ class _Runner:
         ctx = CallCtx(self.domain, loc)
         opts = iface.call_semantics(method, argv, ctx) if iface.call_semantics is not None else None
         if opts is None:
-            kind = iface.returns.get(method, "value")
-            if kind == "void":
+            if method in iface.void:
                 rets = [None]
-            elif kind == "loc":
+            elif method in iface.constructors:
                 rets = [ctx.fresh_loc()]
                 # a constructor owns as many fresh cells as ``loc`` gives it
                 for _ in range(len(iface.loc(Label(method, argv, rets[0]))) - 1):
@@ -1341,15 +1340,3 @@ def parse_impl(text: str, name: str = "impl") -> SyntacticImpl:
             raise ParseError(f"unexpected line {line!r}", lineno)
     finish()
     return SyntacticImpl(name=name, methods=methods, globals=tuple(globals_))
-
-
-def parse(text: str, name: str = "") -> object:
-    """Litmus or implementation file, by leading keyword."""
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.split()[0] in ("impl", "method"):
-            return parse_impl(text, name or "impl")
-        break
-    return parse_litmus(text, name)

@@ -149,7 +149,7 @@ def weakreg_interface(with_pfence: bool = True) -> LibraryInterface:
         methods=methods,
         constructors=frozenset({"rnew"}),
         loc=cell_loc("rnew", ("rwrite", "rread")),
-        returns={"rnew": "loc", "rwrite": "void", PFENCE: "void", "rread": "value"},
+        void=frozenset({"rwrite", PFENCE} & methods.keys()),
     )
 
 
@@ -169,7 +169,7 @@ def queue_interface(name: str = "durqueue") -> LibraryInterface:
         methods=methods,
         constructors=frozenset({"qnew"}),
         loc=cell_loc("qnew", ("qpush", "qappend", "qpop")),
-        returns={"qnew": "loc", "qpush": "void", "qappend": "void", "qpop": "value"},
+        void=frozenset({"qpush", "qappend"}),
     )
 
 
@@ -215,7 +215,7 @@ def _register_iface() -> LibraryInterface:
         methods={"regnew": 0, "regwrite": 2, "regread": 1},
         constructors=frozenset({"regnew"}),
         loc=cell_loc("regnew", ("regwrite", "regread")),
-        returns={"regnew": "loc", "regwrite": "void", "regread": "value"},
+        void=frozenset({"regwrite"}),
     )
 
 
@@ -259,14 +259,7 @@ def flit_interface() -> LibraryInterface:
         loc=cell_loc("fnew", ("fread_p", "fread_v", "fwrite_p", "fwrite_v"), 2),
         tags_used=frozenset({P_TAG}),
         method_tags={m: frozenset({"D"}) for m in ("fwrite_p", "fwrite_v", "ffinish", "fnew")},
-        returns={
-            "fnew": "loc",
-            "fread_p": "value",
-            "fread_v": "value",
-            "fwrite_p": "void",
-            "fwrite_v": "void",
-            "ffinish": "void",
-        },
+        void=frozenset({"fwrite_p", "fwrite_v", "ffinish"}),
     )
 
 
@@ -420,7 +413,7 @@ MIRROR_K = 16
 
 def _mirror_call_semantics(method: str, args: Tuple, ctx):
     # a cas succeeds (1) or fails (0), whatever the domain; every other call
-    # takes the default that ``returns`` gives (None)
+    # takes the interface's default call semantics (None)
     if method == "mcas":
         return [((Label("mcas", args, r),), r) for r in (1, 0)]
     return None
@@ -434,7 +427,7 @@ def mirror_interface() -> LibraryInterface:
         loc=cell_loc("mnew", ("mrd", "mwr", "mcas"), 2),
         tags_used=frozenset({P_TAG}),
         method_tags={m: frozenset({"D"}) for m in ("mwr", "mcas", "mnew")},
-        returns={"mnew": "loc", "mrd": "value", "mwr": "void"},
+        void=frozenset({"mwr"}),
         call_semantics=_mirror_call_semantics,
     )
 
@@ -655,14 +648,7 @@ def ltrans_interface() -> LibraryInterface:
             "pt_begin": frozenset({B_TAG}),
             "pt_end": frozenset({E_TAG}),
         },
-        returns={
-            "pt_new": "loc",
-            "pt_begin": "void",
-            "pt_end": "void",
-            "pt_write": "void",
-            "pt_recover": "void",
-            "pt_read": "value",
-        },
+        void=frozenset({"pt_begin", "pt_end", "pt_write", "pt_recover"}),
     )
 
 
@@ -861,7 +847,7 @@ def lock_interface() -> LibraryInterface:
         methods=LOCK_METHODS,
         constructors=frozenset({"lnew"}),
         loc=cell_loc("lnew", ("lacq", "lrel")),
-        returns={"lnew": "loc", "lacq": "void", "lrel": "void"},
+        void=frozenset({"lacq", "lrel"}),
     )
 
 
@@ -936,7 +922,7 @@ def lstrans_interface() -> LibraryInterface:
         methods={"lpt_begin": 0, "lpt_end": 0},
         method_tags={"lpt_begin": frozenset({B_TAG}), "lpt_end": frozenset({E_TAG})},
         tags_used=frozenset({T_TAG, PTR_TAG, B_TAG, E_TAG}),
-        returns={"lpt_begin": "void", "lpt_end": "void"},
+        void=frozenset({"lpt_begin", "lpt_end"}),
     )
 
 
@@ -982,7 +968,7 @@ def counter_interface() -> LibraryInterface:
         loc=cell_loc("cnew", ("cinc", "cread")),
         tags_used=frozenset({T_TAG, PTR_TAG}),
         method_tags={"cinc": frozenset({T_TAG}), "cread": frozenset({T_TAG})},
-        returns={"cnew": "loc", "cinc": "void", "cread": "value"},
+        void=frozenset({"cinc"}),
     )
 
 
@@ -1035,7 +1021,7 @@ def mmcounter_interface() -> LibraryInterface:
             "mmmin": frozenset({T_TAG}),
             "mmmax": frozenset({T_TAG}),
         },
-        returns={"mmnew": "loc", "mmadd": "void", "mmmin": "value", "mmmax": "value"},
+        void=frozenset({"mmadd"}),
     )
 
 

@@ -101,11 +101,11 @@ _px86_loc = cell_loc("alloc", ("store", "load", "upd", "flush", "fo"))
 
 
 def px86_call_semantics(method: str, args: Tuple, ctx) -> Optional[List[Tuple[Tuple[Label, ...], object]]]:
-    """Interpreter hook for the calls ``returns`` cannot state: an update
-    returns the value it reads, allocation emits a zero-initializing store,
-    and the derived RMW forms faa/cas expand into update (or failed-read)
-    labels.  Every other call takes the default (None).  A faa delta that
-    is not an integer raises ``SpecError``."""
+    """Interpreter hook for the calls the default call semantics cannot
+    state: an update returns the value it reads, allocation emits a
+    zero-initializing store, and the derived RMW forms faa/cas expand into
+    update (or failed-read) labels.  Every other call takes the default
+    (None).  A faa delta that is not an integer raises ``SpecError``."""
     if method == "upd":
         return [((upd(args[0], args[1], args[2]),), args[1])]
     if method == "alloc":
@@ -143,13 +143,7 @@ def px86_interface() -> LibraryInterface:
         tags_introduced=frozenset({D_TAG, P_TAG}),
         tags_used=frozenset(),
         method_tags={m: frozenset({D_TAG}) for m in _DURABLE_METHODS},
-        returns={
-            "store": "void",
-            "flush": "void",
-            "fo": "void",
-            "mfence": "void",
-            "sfence": "void",
-        },
+        void=frozenset({"store", "flush", "fo", "mfence", "sfence"}),
         call_semantics=px86_call_semantics,
         value_flow=px86_value_flow,
     )

@@ -152,7 +152,7 @@ class SemanticImpl:
         prog = Prog(threads={0: body})
         return Interpretation(prog, self.coll_low, self.config, globals_env=env, loc_start=loc_start)
 
-    def executions(self, label: Label, loc_start: int = 100) -> List[PlainExecution]:
+    def executions(self, label: Label, loc_start: int) -> List[PlainExecution]:
         """Plain executions implementing the call.  Complete labels map to
         complete runs returning the label's value; incomplete labels map to
         every partial run.  Empty pomsets are excluded (bind drops events
@@ -211,19 +211,15 @@ class SemanticImpl:
 # --------------------------------------------------------------------------
 
 
-def exec_bind(
-    g: PlainExecution,
-    impl: SemanticImpl,
-    loc_base: int = 100,
-    max_results: int = 10_000,
-) -> List[Tuple[PlainExecution, Dict[int, int]]]:
+def exec_bind(g: PlainExecution, impl: SemanticImpl, max_results: int = 10_000) -> List[Tuple[PlainExecution, Dict[int, int]]]:
     """All plain executions obtained by replacing each implemented event of g
     with a member of its implementation (lexicographic order), one per choice
     of members, each with the plain matching that maps a concrete event to
     the abstract event whose block holds it.
     Non-library events and crashes pass through unchanged; inner events
     inherit the abstract event's thread.  Location bases are threaded through
-    events in id order so allocations line up with the abstract allocator.
+    events in id order from ``impl.config.loc_base``, so allocations line up
+    with the abstract allocator.
     A choice that breaks the incomplete-call condition of plain executions
     yields nothing.  The result is truncated (deterministically) at
     ``max_results``."""
@@ -265,7 +261,7 @@ def exec_bind(
         for inner, block, consumed in options(i, base):
             rec(i + 1, base + consumed, chosen + [(inner, block)])
 
-    rec(0, loc_base, [])
+    rec(0, impl.config.loc_base, [])
     return out
 
 

@@ -1,5 +1,5 @@
 """The interpreter hooks of px86 and Mirror as they were before a hook could
-answer None for "the default that ``returns`` gives", kept verbatim as test
+answer None for the default call semantics, kept verbatim as test
 references: each answers every method of its interface itself."""
 
 from __future__ import annotations

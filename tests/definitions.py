@@ -328,7 +328,7 @@ class IdentityImpl(SemanticImpl):
     def __init__(self, coll: Collection, methods: Iterable[str]):
         super().__init__(SyntacticImpl("identity", {m: ((), None) for m in methods}), coll)
 
-    def executions(self, label: Label, loc_start: int = 100) -> List[PlainExecution]:
+    def executions(self, label: Label, loc_start: int) -> List[PlainExecution]:
         return [PlainExecution([_strip_thread(label)], [])]
 
 

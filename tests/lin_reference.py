@@ -4,7 +4,7 @@ test references: ``check_linearizable`` (with its ``domain`` argument) and
 ``linearize`` they call, which returns ``(placed pairs or None, stats)``.
 
 A pending call is placed here once per guessed return: null for a void
-method (``VOID_METHODS``, or ``interface.returns``), else each value of a
+method (``VOID_METHODS``, or ``interface.void``), else each value of a
 domain (``mentioned_values``, or every argument and return of the
 execution, 0 and null).  A guessed return of a constructor can name a
 location that another call names, which is the one place where these
@@ -106,7 +106,7 @@ def execution_linearizable(
     options = []
     for e in members:
         l = x.lab[e]
-        rets = [l.ret] if l.is_complete else [None] if interface.returns.get(l.method) == "void" else domain
+        rets = [l.ret] if l.is_complete else [None] if l.method in interface.void else domain
         options.append([Call(l.method, l.args, r, l.thread, l.tags, e, e) for r in rets])
     try:
         lin, stats = linearize(preds, options, must, spec, budget, "linearization enumeration")

@@ -235,6 +235,13 @@ def test_verify_impl_unknown_name(capsys):
     assert run_cli(["verify-impl", "nope", "flit", "--over", "px86"]) == 2
 
 
+def test_verify_impl_reads_its_file_as_an_implementation(capsys):
+    # a litmus file given as the implementation is a parse error, not a crash
+    impl = str(LITMUS / "coherence.lit")
+    assert run_cli(["verify-impl", impl, "flit", "--over", "px86", "--corpus", str(LITMUS / "flit")]) == 2
+    assert "error: unexpected line 'collection px86'" in capsys.readouterr().err
+
+
 def test_check_unknown_method_exit_two(tmp_path, capsys):
     path = tmp_path / "q.lit"
     path.write_text("collection px86\nprogram\n  t0: qpush(1, 2)\n")

@@ -34,7 +34,7 @@ from persistcheck.lang import (
     interpret_phases,
     interpret_toplevel,
     link,
-    parse,
+    parse_impl,
     parse_litmus,
     parse_statements,
 )
@@ -85,7 +85,7 @@ def test_parse_error_carries_position():
 
 
 def test_parse_impl_file():
-    impl = parse(
+    impl = parse_impl(
         """
 impl toy
 method twice(a) := r := a + a; return r

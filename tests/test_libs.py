@@ -390,7 +390,7 @@ def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000,
             hb_local = x.hb_order.restrict(members)
             eras = [era[e] for e in members] if era_monotone else None
             pend = [e for e in members if not x.lab[e].is_complete]
-            choices = [[None] if interface.returns.get(x.lab[e].method) == "void" else domain for e in pend]
+            choices = [[None] if x.lab[e].method in interface.void else domain for e in pend]
             for rets in itertools.product(*choices):
                 retmap = dict(zip(pend, rets))
                 calls = []

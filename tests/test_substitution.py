@@ -206,7 +206,7 @@ def toy_iface():
     return LibraryInterface(
         name="toyreg",
         methods={"tset": 1, "tget": 0},
-        returns={"tset": "void", "tget": "value"},
+        void=frozenset({"tset"}),
     )
 
 
@@ -951,7 +951,7 @@ def _blocks(draw):
     permuted (po following them), so that both members and non-members of
     each call come up."""
     impl, calls = draw(st.sampled_from(_MEMBER_CASES))
-    run = draw(st.sampled_from(impl.executions(draw(st.sampled_from(calls)))))
+    run = draw(st.sampled_from(impl.executions(draw(st.sampled_from(calls)), impl.config.loc_base)))
     labels = run.labels()
     thread = draw(st.sampled_from([None, 0, 1]))
     labels = [replace(l, thread=thread) for l in labels]
@@ -1419,7 +1419,7 @@ class _PerReturnImpl(SemanticImpl):
     """``SemanticImpl`` interpreting a call once per return value, as it did
     before its interpretations were kept per (method, args, location base)."""
 
-    def executions(self, label, loc_start=100):
+    def executions(self, label, loc_start):
         key = (label.method, label.args, label.ret, loc_start)
         if key not in self._cache:
             it = self._interpret(label.method, label.args, loc_start)
