@@ -187,7 +187,11 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
     if cfg.dot_path:
         if outcomes:
             first = min(outcomes, key=repr)
-            Path(cfg.dot_path).write_text(execution_to_dot(outcomes.witness[first]), encoding="utf-8")
+            try:
+                Path(cfg.dot_path).write_text(execution_to_dot(outcomes.witness[first]), encoding="utf-8")
+            except OSError as e:
+                print(f"error: cannot write {cfg.dot_path}: {e.strerror or e}", file=sys.stderr)
+                return 2
         else:
             print(f"note: {lit.name}: {bound or 'no consistent execution'}, no DOT file written", file=sys.stderr)
     return 1 if "FAIL" in statuses else 3 if "UNKNOWN" in statuses else 0

@@ -496,15 +496,17 @@ class Prefix:
     """The prefix on the events of ``mask`` of an owner table's execution.
     ``check_consistent``, ``check_hereditarily_consistent`` and
     ``check_immediately_wellformed`` take it in place of an execution and ask
-    its table; the prefix execution itself is built only when read."""
+    its table.  Its exact key is read off the table's execution by the mask
+    (``Execution.key``); the prefix execution itself is built only when
+    read, and on the table's full mask it is the table's execution."""
 
     def __init__(self, owners: Owners, mask: int):
         self.owners, self.mask = owners, mask
 
     @cached_property
     def execution(self) -> Execution:
-        return self.owners.x.restrict_events(bits(self.mask))
-
+        owners = self.owners
+        return owners.x if self.mask == owners.full else owners.x.restrict_events(bits(self.mask))
 
 
 def _prefix(coll: Collection, x) -> Prefix:
@@ -567,14 +569,15 @@ def check_consistent(coll: Collection, x) -> Verdict:
 
     Inside a ``shared_verdicts`` scope the verdict goes through
     ``shared_call``, keyed by the collection (by identity) and the exact
-    execution's labels, po rows, sw edges and hb rows.  Outside a scope no
-    prefix execution is built."""
+    prefix execution's labels, po rows, sw edges and hb rows, read off the
+    owner table's execution by the prefix's mask (``Execution.key``).  The
+    prefix execution is built only when a computed verdict reads it: a
+    library check that is not ``Seeded``, a global predicate, or the name
+    of an sw edge that spans two libraries.  A kept verdict builds none."""
     p = _prefix(coll, x)
     if _VERDICTS.get() is None:
         return _check_consistent(coll, p)
-    g = p.execution
-    key = (coll, tuple(g.plain.labels()), g.plain.po_order.rows, g.sw, g.hb_order.rows)
-    return shared_call(key, lambda: _check_consistent(coll, p))
+    return shared_call((coll,) + p.owners.x.key(p.mask), lambda: _check_consistent(coll, p))
 
 
 def _check_consistent(coll: Collection, x) -> Verdict:

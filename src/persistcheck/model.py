@@ -927,6 +927,33 @@ class Execution:
         hb = sub.po_order if self.hb_order is self.plain.po_order else self.hb_order.restrict(keep_sorted)
         return Execution(sub, sw, hb)
 
+    def key(self, mask: int) -> Tuple[Tuple[Label, ...], Tuple[int, ...], Relation, Tuple[int, ...]]:
+        """The labels, po rows, sw edges and hb rows of
+        ``restrict_events(bits(mask))``, read off this execution's rows with
+        no execution built: this execution's own on the full mask.
+
+        ``restrict_events`` validates what it builds, and this skips that.
+        It loses no check on the masks the walks name: hb-prefixes, and a
+        library's projection of one, which keeps every crash of it.  Rows
+        cut from closed, acyclic rows stay closed and acyclic, and po ∪ sw
+        stays within hb.  An incomplete call's po-successors all lie
+        po-after one of its immediate successors, which are crashes; such a
+        mask keeps that crash with any successor it keeps, so the call's
+        immediate successors are still crashes."""
+        plain = self.plain
+        if mask == (1 << len(plain)) - 1:
+            return tuple(plain.labels()), plain.po_order.rows, self.sw, self.hb_order.rows
+        keep = list(bits(mask))
+        po = plain.po_order.restrict(keep).rows
+        hb = po if self.hb_order is plain.po_order else self.hb_order.restrict(keep).rows
+        # an event's new id is the number of kept events below it
+        sw = frozenset(
+            ((mask & (1 << a) - 1).bit_count(), (mask & (1 << b) - 1).bit_count())
+            for a, b in self.sw
+            if mask >> a & mask >> b & 1
+        )
+        return tuple(plain.lab[e] for e in keep), po, sw, hb
+
     def __repr__(self) -> str:
         return (
             f"Execution({self.plain.labels()!r}, po={sorted(self.plain.po_reduced)!r}, "

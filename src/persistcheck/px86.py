@@ -444,26 +444,39 @@ def search_px86_witness(
     return None
 
 
-def _search(x: Execution, budget: int) -> Tuple[Optional[Px86Witness], int]:
-    """``search_px86_witness(x, budget)`` and its steps, through ``shared_call``.
-    A kept search longer than ``budget`` raises as a new search would: the
-    search is deterministic and spends one step at a time."""
-    stats: Dict[str, int] = {}
-    key = (search_px86_witness, tuple(x.plain.labels()), x.plain.po_order.rows, x.hb_order.rows)
-    w, steps = shared_call(key, lambda: (search_px86_witness(x, budget, stats), stats["steps"]))
+def _search(x: Execution, budget: int, mask: Optional[int] = None) -> Tuple[Optional[Px86Witness], int]:
+    """``search_px86_witness`` of the projection of ``x`` on ``mask`` (all
+    of ``x`` by default) at ``budget``, and its steps, through
+    ``shared_call``.  The key is the projection's labels, po rows and hb
+    rows, read off ``x`` by the mask (``Execution.key``), so the projection
+    is built only when the search runs.  A kept search longer than
+    ``budget`` raises as a new search would: the search is deterministic
+    and spends one step at a time."""
+    full = (1 << len(x)) - 1
+    mask = full if mask is None else mask
+    labels, po, _, hb = x.key(mask)
+
+    def run() -> Tuple[Optional[Px86Witness], int]:
+        stats: Dict[str, int] = {}
+        y = x if mask == full else x.restrict_events(bits(mask))
+        return search_px86_witness(y, budget, stats), stats["steps"]
+
+    w, steps = shared_call((search_px86_witness, labels, po, hb), run)
     if steps > budget:
         raise BudgetExceeded({"steps": budget + 1})
     return w, steps
 
 
-def px86_consistent(x: Execution, budget: int = 200_000) -> Verdict:
-    """Whether a witness exists, by search.  The search runs once per exact
-    execution inside a ``shared_verdicts`` scope, shared with the sw hook
-    (``_search``); an OK or FAIL verdict's stats name the stage and the
-    steps of that search, whichever caller ran it.  ``px86_spec``'s check
-    gives this verdict on each projection that replays no seed."""
+def px86_consistent(x: Execution, budget: int = 200_000, mask: Optional[int] = None) -> Verdict:
+    """Whether a witness exists for the projection of ``x`` on ``mask`` (all
+    of ``x`` by default), by search.  The search runs once per exact
+    projection inside a ``shared_verdicts`` scope, shared with the sw hook
+    (``_search``), and a kept search builds no projection; an OK or FAIL
+    verdict's stats name the stage and the steps of that search, whichever
+    caller ran it.  ``px86_spec``'s check gives this verdict on each
+    projection that replays no seed."""
     try:
-        w, steps = _search(x, budget)
+        w, steps = _search(x, budget, mask)
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
     stats = {"stage": "px86 witness search", "steps": steps}
@@ -543,15 +556,16 @@ def px86_spec(budget: int = 200_000) -> LibrarySpec:
     """The Px86 library.  Its local check is ``Seeded``: it decides the
     projection on a mask by replaying the seed cut to the mask
     (:func:`px86_replay`; stage ``px86 replay``, no steps, not bounded by
-    ``budget``), and otherwise by :func:`px86_consistent` on the projection,
-    so an execution alone gets ``px86_consistent`` of it."""
+    ``budget``), and otherwise by :func:`px86_consistent` of ``x`` on the
+    mask, which builds the projection only to search it; so an execution
+    alone gets ``px86_consistent`` of it."""
 
     def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
         if seed is not None:
             w = px86_replay(mask, seed)
             if w is not None:
                 return Verdict.ok(witness=w, stats={"stage": "px86 replay", "steps": 0})
-        return px86_consistent(x if mask == (1 << len(x)) - 1 else x.restrict_events(bits(mask)), budget)
+        return px86_consistent(x, budget, mask)
 
     return LibrarySpec(
         interface=px86_interface(),

@@ -183,6 +183,16 @@ def test_check_dot_without_consistent_outcome_writes_nothing(tmp_path, capsys):
     assert "no consistent execution" in capsys.readouterr().err
 
 
+def test_check_dot_into_a_missing_directory_exit_two(tmp_path, capsys):
+    # exit 1 is a failed expectation: an unwritable DOT path is a usage error
+    dot = tmp_path / "missing" / "x.dot"
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--dot", str(dot)]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("[PASS]") == 3
+    assert err == f"error: cannot write {dot}: No such file or directory\n"
+    assert not dot.parent.exists()
+
+
 def test_worked_examples_exit_zero(capsys):
     assert run_cli(["worked-examples"]) == 0
     out = capsys.readouterr().out

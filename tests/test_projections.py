@@ -44,7 +44,7 @@ from persistcheck.libs import (
     sc_prune_factory,
     weakreg_spec,
 )
-from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution
+from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution, bits, immediate_prefix_masks
 from persistcheck.px86 import D_TAG, P_TAG, px86_spec
 from persistcheck.sc import PFENCE
 
@@ -170,6 +170,39 @@ def test_restrict_events_matches_the_parent_and_keeps_hb_as_po(x, data):
     # and so on down a chain of restrictions
     deeper = got.restrict_events(range(len(got) // 2))
     assert (deeper.hb_order is deeper.plain.po_order) == hb_is_po
+
+
+def _hb_prefixes(x):
+    """Every hb-prefix mask of ``x``."""
+    found, stack = set(), [(1 << len(x)) - 1]
+    while stack:
+        mask = stack.pop()
+        if mask not in found:
+            found.add(mask)
+            stack.extend(immediate_prefix_masks(x.hb_order.rows, mask))
+    return sorted(found)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(COLLECTIONS)), st.data())
+def test_a_key_read_by_mask_is_the_restriction_key(name, data):
+    # the walks name a prefix by its mask: ``Execution.key`` must read the
+    # exact key of the restriction off the rows, on every hb-prefix and on
+    # every library's projection of one, which keeps the crashes
+    x = data.draw(_executions(name))
+    specs = COLLECTIONS[name][0]()
+    keeps = [sum(1 << e for e in x.events if x.lab[e].is_crash or s.interface.owns(x.lab[e])) for s in specs]
+    # the same events with hb = po, as an execution with no sw keeps it
+    same = Execution(x.plain)
+    assert same.hb_order is same.plain.po_order
+    for y in (x, same):
+        prefixes = _hb_prefixes(y)
+        for mask in prefixes + [m & keep for m in prefixes for keep in keeps]:
+            labels, po, sw, hb = y.key(mask)
+            assert isinstance(sw, frozenset)
+            assert (labels, po, tuple(sorted(sw)), hb) == _exact(y.restrict_events(bits(mask)))
+        full = y.key((1 << len(y)) - 1)
+        assert full[1] is y.plain.po_order.rows and full[3] is y.hb_order.rows and full[2] is y.sw
 
 
 # --------------------------------------------------------------------------
