@@ -199,8 +199,6 @@ def derive_sets(x: Execution) -> DerivedSets:
         l = g.lab[e]
         if l.is_crash:
             continue
-        if l.method not in PX86_METHODS:
-            raise ValueError(f"not a px86 label: {l!r}")
         by_method[l.method] |= 1 << e
         ls = _px86_loc(l)
         loc[e] = lx = next(iter(ls)) if ls else None
@@ -353,42 +351,77 @@ def _against_eras(ds: DerivedSets, rows: Sequence[int]) -> bool:
     return any(row & col for row, col in zip(rows, ds.before))
 
 
-def _read_candidates(x: Execution, ds: DerivedSets) -> Optional[Dict[int, List[int]]]:
-    """Per read, the writes that may source it, or ``None`` if some read has
-    none.  It reads the declared value flow, as the interpreter's sourcing
-    check does, so the two cannot disagree on which runs are unsourced."""
-    flow = [px86_value_flow(l) for l in x.plain.labels()]
-    cands: Dict[int, List[int]] = {}
-    for r in bits(ds.R | ds.U):
-        _, v = flow[r][0]
+def _read_candidates(x: Execution, eb: Order) -> Optional[Dict[int, Tuple[int, List[int]]]]:
+    """Per read, the row of the other writes at its location that are not
+    era-after it (``eb``), and the list of those that may source it; or
+    ``None`` if some read's list is empty.  It reads the declared value
+    flow, as the interpreter's sourcing check does, so the two cannot
+    disagree on which runs are unsourced.  A label that is not Px86's raises
+    ``ValueError``."""
+    labels = x.plain.labels()
+    for l in labels:
+        if not l.is_crash and l.method not in PX86_METHODS:
+            raise ValueError(f"not a px86 label: {l!r}")
+    flow = [px86_value_flow(l) for l in labels]
+    at: Dict[object, int] = {}
+    for w, (_, written) in enumerate(flow):
+        if written is not None:
+            at[written[0]] = at.get(written[0], 0) | 1 << w
+    cands: Dict[int, Tuple[int, List[int]]] = {}
+    for r, (read, _) in enumerate(flow):
+        if read is None:
+            continue
+        loc, v = read
         # an unreturned load's value is unconstrained: any same-loc write
-        same = ds.WU & ds.same_loc[r] & ~(1 << r) & ~ds.eb.rows[r]
+        same = at.get(loc, 0) & ~(1 << r) & ~eb.rows[r]
         opts = [w for w in bits(same) if v is BOT or flow[w][1][1] == v]
         if not opts:
             return None
-        cands[r] = opts
+        cands[r] = (same, opts)
     return cands
+
+
+def _rf_candidates(x: Execution, eb: Order) -> Optional[Dict[int, List[int]]]:
+    """Per read, the sources :func:`_read_candidates` gives (``None`` where
+    it does) that program order does not refute, in order; a list may be
+    empty.  A read ``r`` reads no write po-after it (the rf edge closes a
+    cycle with the tso A3 forces), nor one po-before a write or update
+    ``w2`` at the location that is po-before ``r`` with no crash between,
+    read off ``eb`` (tso runs from the write to ``w2``, by A3/A5 within an
+    era and era-monotonicity across eras, so A2 fails).  A refuted choice
+    holds no witness, so the search's first witness does not change."""
+    cands = _read_candidates(x, eb)
+    if cands is None:
+        return None
+    po, ebr = x.plain.po_order.rows, eb.rows
+    kept: Dict[int, List[int]] = {}
+    for r, (same, opts) in cands.items():
+        last = sum(1 << w2 for w2 in bits(same) if (po[w2] & ~ebr[w2]) >> r & 1)
+        kept[r] = [w for w in opts if not (po[r] >> w & 1 or po[w] & last)]
+    return kept
 
 
 def search_px86_witness(
     x: Execution, budget: int = 200_000, stats: Optional[Dict[str, int]] = None
 ) -> Optional[Px86Witness]:
     """Deterministic backtracking search for a consistent witness.  Each
-    reads-from choice and each write order tried is one step; ``stats``, if
-    given, receives the ``steps`` spent.  The search reads the execution's
-    labels, po and hb, never sw on its own."""
+    reads-from choice that program order does not refute
+    (:func:`_rf_candidates`) and each write order tried is one step;
+    ``stats``, if given, receives the ``steps`` spent.  A read left with no
+    source ends the search at 0 steps, before any set-up.  The search reads
+    the execution's labels, po and hb, never sw on its own; a label that is
+    not Px86's raises ``ValueError``."""
     meter = {} if stats is None else stats
     meter["steps"] = 0
+    cands = _rf_candidates(x, era_order(x.plain))
+    if cands is None or not all(cands.values()):
+        return None
+    reads = sorted(cands)
     ds = derive_sets(x)
     era = x.plain.era_of()
     po = x.plain.po_order.rows
     eb = ds.eb.rows
     explicit_p = _mask(e for e in x.events if P_TAG in x.lab[e].tags)
-
-    cands = _read_candidates(x, ds)
-    if cands is None:
-        return None
-    reads = sorted(cands)
     wu = list(bits(ds.WU))
     wu_eras = [era[e] for e in wu]
     # per write, the row of the writes (by index in wu) of an earlier era
@@ -488,8 +521,9 @@ def px86_consistent(x: Execution, budget: int = 200_000, mask: Optional[int] = N
 def _px86_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate synchronizes-with sets: none, or the cross-thread reads-from
     edges of the first witness, searched through ``_search`` at 20,000
-    steps.  A search that runs out, or a label that is not Px86's (a
-    ``ValueError`` of ``derive_sets``), proposes no sw set."""
+    steps.  A search that runs out, or a label that is not Px86's (the
+    search's ``ValueError``, raised before any reads-from choice is cut),
+    proposes no sw set."""
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     try:
         w, _ = _search(Execution(g), 20_000)

@@ -288,7 +288,7 @@ def test_verify_impl_builds_one_owner_table_per_refinement(monkeypatch):
     graph = _litmus_corpus("flit", 8, 1)
     impl = SemanticImpl(flit_impl(), px, FLIT_CFG)
     concretes = [Execution(gc) for ga in graph for gc, _ in sub.exec_bind(ga, impl, max_results=65)[:64]]
-    unsourced = sum(_read_candidates(x, derive_sets(x)) is None for x in concretes)
+    unsourced = sum(_read_candidates(x, derive_sets(x).eb) is None for x in concretes)
     assert 0 < unsourced < len(concretes)
     report = sub.verify_impl_bounded(impl, Collection([flit_spec()]), px, graph)
     assert report.records and all(r.wellformed_downward for r in report.records)

@@ -14,6 +14,7 @@ import json
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from persistcheck.model import (
     BOT,
     CRASH,
     Execution,
+    Label,
     Order,
     PlainExecution,
     bits,
@@ -37,6 +39,7 @@ from persistcheck.px86 import (
     P_TAG,
     Px86Witness,
     _read_candidates,
+    _rf_candidates,
     alloc,
     derive_sets,
     load,
@@ -792,9 +795,9 @@ _DURABLE = ("store", "upd", "flush", "fo", "alloc")
 
 
 @st.composite
-def _px86_label(draw, thread):
+def _px86_label(draw, thread, locs):
     kind = draw(st.sampled_from(("store", "store", "load", "load", "upd", "flush", "fo", "mfence", "sfence", "alloc")))
-    x = draw(st.sampled_from((X, Y)))
+    x = draw(st.sampled_from(locs))
     v, v2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     l = {
         "store": lambda: store(x, v, thread),
@@ -812,8 +815,8 @@ def _px86_label(draw, thread):
 
 
 @st.composite
-def small_px86_executions(draw):
-    """At most 7 events, 0-1 crash, locations X and Y, random P tags; the
+def small_px86_executions(draw, locs=(X, Y)):
+    """At most 7 events, 0-1 crash, locations ``locs``, random P tags; the
     last call of a thread may be incomplete, and one sw edge between two
     threads may be added."""
     crash = draw(st.booleans())
@@ -821,7 +824,7 @@ def small_px86_executions(draw):
     for _ in range(draw(st.integers(1, 6 if crash else 7))):
         era = draw(st.integers(0, len(eras) - 1))
         t = draw(st.integers(0, len(eras[era]) - 1))
-        eras[era][t].append(draw(_px86_label(thread=2 * era + t)))
+        eras[era][t].append(draw(_px86_label(2 * era + t, locs)))
     for chains in eras:
         for chain in chains:
             if chain and draw(st.integers(0, 3)) == 0:
@@ -861,9 +864,17 @@ def _report(x, w):
 @example(Execution(parallel_execution([store(X, 1, thread=0)], [flush(X, thread=1)]), sw=[(0, 1)]))
 @example(Execution(sequence_execution([store(X, 0, thread=0), store(X, 1, thread=0), CRASH, load(X, 1, thread=1), load(X, 1, thread=1)])))
 def test_row_search_matches_pair_set_reference(x):
-    got = _outcome(search_px86_witness, x, 200_000)
+    stats = {}
+    got = _outcome(lambda y, b: search_px86_witness(y, b, stats), x, 200_000)
     assert got == _outcome(ref_search_px86_witness, x, 200_000)
-    assert _outcome(search_px86_witness, x, 1) == _outcome(ref_search_px86_witness, x, 1)
+    # the search skips the reads-from choices program order refutes, which
+    # the reference tries: it decides wherever the reference does, the same
+    # way, and spends no more steps
+    ref_1 = _outcome(ref_search_px86_witness, x, 1)
+    got_1 = _outcome(search_px86_witness, x, 1)
+    assert got_1 == ref_1 or (ref_1 == "budget" and got_1 == got)
+    if stats["steps"]:
+        assert _outcome(ref_search_px86_witness, x, stats["steps"] - 1) == "budget"
     if got is None or got == "budget":
         return
     w = Px86Witness(*got)
@@ -873,6 +884,129 @@ def test_row_search_matches_pair_set_reference(x):
     mutants += [replace(w, persisted=w.persisted - {e}) for e in w.persisted]
     for m in mutants:
         assert _report(x, m) == ref_check_px86_axioms(x, m)
+
+
+# --------------------------------------------------------------------------
+# Reads-from choices that program order refutes
+# --------------------------------------------------------------------------
+
+
+def _steps(v):
+    return dict(v.stats)["steps"]
+
+
+def test_read_of_an_overwritten_store_fails_at_no_step():
+    # store(X, 1) lies between the source and the load in one era: A2
+    x = Execution(sequence_execution([store(X, 0), store(X, 1), load(X, 0)]))
+    v = px86_consistent(x)
+    assert not v and not v.is_budget and _steps(v) == 0
+    assert px86_consistent(x, budget=1) == v
+
+
+def test_read_of_a_po_later_store_fails_at_no_step():
+    # the rf edge runs against the tso edge A3 forces from the load
+    x = Execution(sequence_execution([load(X, 1), store(X, 1)]))
+    v = px86_consistent(x)
+    assert not v and not v.is_budget and _steps(v) == 0
+    assert px86_consistent(x, budget=1) == v
+
+
+def test_overwrite_before_a_crash_keeps_the_older_source():
+    # A2 is same-era: after the crash the load may read the older store
+    x = Execution(sequence_execution([store(X, 0), store(X, 1), CRASH, load(X, 0, thread=1)]))
+    v = px86_consistent(x)
+    assert v and (0, 3) in v.witness.rf and _steps(v) > 0
+
+
+def test_no_crash_between_is_read_off_era_before():
+    # the crash is po-before the load but not after store(X, 1): the load is
+    # in a later era by number, yet no crash lies between the two, so A2
+    # still refutes store(X, 0)
+    g = PlainExecution([store(X, 0), store(X, 1), CRASH, load(X, 0, thread=1)], Order.close(4, [(0, 1), (1, 3), (2, 3)]))
+    assert g.era_of()[3] > g.era_of()[1]
+    v = px86_consistent(Execution(g))
+    assert not v and _steps(v) == 0
+    assert ref_search_px86_witness(Execution(g)) is None
+
+
+def test_a_foreign_label_raises_before_the_cut():
+    # the sw hook catches this ValueError; an unsourced load comes first
+    foreign = Label("enq", (1,), None, frozenset(), 0)
+    x = Execution(sequence_execution([load(X, 7), foreign]))
+    with pytest.raises(ValueError, match="not a px86 label"):
+        search_px86_witness(x)
+
+
+class _Sole:
+    """A read value that only a :class:`_Marked` written value equals."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Marked)
+
+    def __hash__(self):
+        return 0
+
+
+class _Marked:
+    """A written value that equals what it wraps, and :class:`_Sole`."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return isinstance(other, _Sole) or other == self.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+
+def _sole_source(x, w, r):
+    """``x`` with ``r`` reading a value that only ``w`` writes, every other
+    read unchanged: its witnesses are those of ``x`` that read ``r`` from
+    ``w``."""
+    lab = [x.lab[e] for e in x.events]
+    lw, lr = lab[w], lab[r]
+    lab[w] = replace(lw, args=lw.args[:-1] + (_Marked(lw.args[-1]),))
+    if lr.method == "load":
+        lab[r] = replace(lr, ret=_Sole())
+    else:
+        lab[r] = replace(lr, args=(lr.args[0], _Sole(), lr.args[2]))
+    return Execution(PlainExecution(lab, x.plain.po_order), x.sw, x.hb_order)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(small_px86_executions(locs=(X,)))
+@example(Execution(sequence_execution([store(X, 0), store(X, 1), load(X, 0)])))
+@example(Execution(sequence_execution([load(X, 1), store(X, 1)])))
+@example(Execution(sequence_execution([upd(X, 0, 1), store(X, 0), load(X, 1)])))
+@example(Execution(sequence_execution([store(X, 0), store(X, 1), CRASH, load(X, 0, thread=1)])))
+@example(Execution(PlainExecution([store(X, 0), store(X, 1), CRASH, load(X, 0, thread=1)], Order.close(4, [(0, 1), (1, 3), (2, 3)]))))
+def test_refuted_sources_are_the_rules_pairs_and_have_no_witness(x):
+    # the cut drops exactly the pairs its two rules name, stated here on
+    # pair sets, and the reference finds no witness reading r from w for any
+    # of them
+    eb = derive_sets(x).eb
+    flow = _read_candidates(x, eb)
+    kept = _rf_candidates(x, eb)
+    if flow is None:
+        assert kept is None
+        return
+    ds, po, ebp = _ref_sets(x), x.po, era_before(x.plain)
+    named = {
+        (w, r)
+        for r, (_, opts) in flow.items()
+        for w in opts
+        if (r, w) in po
+        or any((w, w2) in po and (w2, r) in po and (w2, r) not in ebp for w2 in ds.wux(ds.loc.get(r)))
+    }
+    dropped = {(w, r) for r, (_, opts) in flow.items() for w in opts if w not in kept[r]}
+    assert dropped == named
+    for w, r in dropped:
+        assert ref_search_px86_witness(_sole_source(x, w, r)) is None
+    # the relabelling keeps the witnesses that read r from w
+    found = ref_search_px86_witness(x)
+    for w, r in found.rf if found else ():
+        assert ref_search_px86_witness(_sole_source(x, w, r)) is not None
 
 
 # --------------------------------------------------------------------------
@@ -904,4 +1038,4 @@ def test_interpreter_sourcing_matches_read_candidates(x):
     from persistcheck.lang import ValueFlow
 
     flow = ValueFlow(Collection([px86_spec()]))
-    assert flow.sourced(x.plain.labels()) == (_read_candidates(x, derive_sets(x)) is not None)
+    assert flow.sourced(x.plain.labels()) == (_read_candidates(x, derive_sets(x).eb) is not None)

@@ -1488,7 +1488,7 @@ def test_value_flow_sourcing_agrees_with_px86(case, crashes):
         for gc, _ in exec_bind(ga, impl, max_results=65):
             x = Execution(gc)
             sourced = flow.sourced_in(gc)
-            assert sourced == (_read_candidates(x, derive_sets(x)) is not None)
+            assert sourced == (_read_candidates(x, derive_sets(x).eb) is not None)
             if not sourced:
                 unsourced += 1
                 assert search_px86_witness(x) is None
