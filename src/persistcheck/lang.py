@@ -662,13 +662,6 @@ class ValueFlow:
                 pending.append((r, r in ws))
         return all(count.get(r, 0) > own for r, own in pending)
 
-    def sourced_in(self, g: PlainExecution) -> bool:
-        """:meth:`sourced` with each event in its own era, ``g.era_of()``,
-        whatever the order of ``g``'s labels: the events go era by era, each
-        era's crashes last."""
-        era, lab = g.era_of(), g.lab
-        return self.sourced([lab[e] for e in sorted(g.events, key=lambda e: (era[e], lab[e].is_crash))])
-
 
 def interpret_phases(
     phases: Sequence[Prog],

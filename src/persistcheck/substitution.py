@@ -24,6 +24,7 @@ from .framework import (
     Collection,
     LibrarySpec,
     Prefix,
+    _always_ok,
     _prefix,
     check_consistent,
     check_hereditarily_consistent,
@@ -103,6 +104,67 @@ def _po_sequence(g: PlainExecution) -> Optional[List[Label]]:
     return [g.lab[at[k]] for k in reversed(range(len(g)))] if len(at) == len(g) else None
 
 
+class _Block:
+    """A member ``inner`` of an implementation as ``exec_bind`` places it,
+    with what it adds to a concrete's sourcing and encapsulation under the
+    implementation's low collection, worked out once per member:
+
+    * ``writes``: the value-flow keys its events write (``lang.ValueFlow``).
+    * ``needs``: per key that one of its events reads and no other of its
+      events writes, whether the block writes it (then only by that reader).
+    * ``ctors``: per constructor with locations, its library and locations.
+    * ``uses``: per use (a call with locations that is no constructor) that
+      no po-earlier constructor of the block covers, its library and
+      locations.
+    * ``owned``: every event is a crash or owned by a library.
+
+    Its labels on a thread (``on``) are built once per thread."""
+
+    __slots__ = ("rows", "allocs", "writes", "needs", "ctors", "uses", "owned", "_labels", "_on")
+
+    def __init__(self, inner: PlainExecution, impl: "SemanticImpl"):
+        coll = impl.coll_low
+        self.rows, self.allocs = inner.po_order.rows, impl.alloc_count(inner)
+        self._labels, self._on = inner.labels(), {}
+        flows = [impl._flow.of(l) for l in self._labels]
+        writers: Dict[tuple, int] = {}
+        for _, ws in flows:
+            for w in ws:
+                writers[w] = writers.get(w, 0) + 1
+        self.writes = frozenset(writers)
+        needs: Dict[tuple, bool] = {}
+        for r, ws in flows:
+            if r is not None and writers.get(r, 0) <= (r in ws):
+                needs[r] = r in ws
+        self.needs = tuple(needs.items())
+        ctors: List[Tuple[int, str, FrozenSet]] = []
+        uses: List[Tuple[int, str, FrozenSet]] = []
+        self.owned = True
+        for e, l in enumerate(self._labels):
+            spec = coll.owner_of(l)
+            if spec is None:
+                self.owned = self.owned and l.is_crash
+                continue
+            locs = spec.interface.locations(l)
+            if locs:
+                (ctors if l.method in spec.interface.constructors else uses).append((e, spec.name, locs))
+        self.ctors = tuple((lib, locs) for _, lib, locs in ctors)
+        self.uses = tuple(
+            (lib, locs)
+            for e, lib, locs in uses
+            if not any(clib == lib and locs <= clocs and self.rows[c] >> e & 1 for c, clib, clocs in ctors)
+        )
+
+    def on(self, thread: Optional[int]) -> Tuple[Label, ...]:
+        """Its labels, each call's on ``thread``."""
+        got = self._on.get(thread)
+        if got is None:
+            got = self._on[thread] = tuple(
+                l if l.is_crash or l.thread == thread else replace(l, thread=thread) for l in self._labels
+            )
+        return got
+
+
 class SemanticImpl:
     """A map from method-call labels to sets of plain executions, downward
     closed, realized by interpreting a syntactic implementation's bodies.
@@ -126,6 +188,9 @@ class SemanticImpl:
             m for s in coll_low.specs() for m in s.interface.constructors
         )
         self._cache: Dict[Tuple, List[PlainExecution]] = {}
+        #: per ``executions`` key, its members as the bind places them
+        self._blocks: Dict[Tuple, List[_Block]] = {}
+        self._flow = lang.ValueFlow(coll_low)
         #: per (method, args, location base), its interpretation's complete
         #: runs by return value
         self._returns: Dict[Tuple, Dict[object, List[PlainExecution]]] = {}
@@ -190,6 +255,15 @@ class SemanticImpl:
         self._cache[key] = graphs
         return graphs
 
+    def blocks(self, label: Label, loc_start: int) -> List[_Block]:
+        """The members of ``executions(label, loc_start)``, each as the bind
+        places it, kept beside them."""
+        key = (label.method, label.args, label.ret, loc_start)
+        got = self._blocks.get(key)
+        if got is None:
+            got = self._blocks[key] = [_Block(inner, self) for inner in self.executions(_strip_thread(label), loc_start)]
+        return got
+
     def _contains(self, label: Label, labels: Sequence[Label]) -> bool:
         """Membership in I(label) of the chain whose labels, in po order and
         with any threads, are ``labels``, against the runs allocating from
@@ -211,7 +285,12 @@ class SemanticImpl:
 # --------------------------------------------------------------------------
 
 
-def exec_bind(g: PlainExecution, impl: SemanticImpl, max_results: int = 10_000) -> List[Tuple[PlainExecution, Dict[int, int]]]:
+def exec_bind(
+    g: PlainExecution,
+    impl: SemanticImpl,
+    max_results: int = 10_000,
+    facts: Optional[List[Tuple[bool, Optional[bool]]]] = None,
+) -> List[Tuple[PlainExecution, Dict[int, int]]]:
     """All plain executions obtained by replacing each implemented event of g
     with a member of its implementation (lexicographic order), one per choice
     of members, each with the plain matching that maps a concrete event to
@@ -222,46 +301,99 @@ def exec_bind(g: PlainExecution, impl: SemanticImpl, max_results: int = 10_000) 
     with the abstract allocator.
     A choice that breaks the incomplete-call condition of plain executions
     yields nothing.  The result is truncated (deterministically) at
-    ``max_results``."""
+    ``max_results``.
+
+    ``facts``, if given, receives per concrete ``(sourced, encapsulated)``
+    under ``impl.coll_low``, decided from its blocks' facts (``_Block``) as
+    the choices are made:
+
+    * ``sourced``: each read has a write of its key (``lang.ValueFlow``) by
+      another event of its era or an earlier one.  A member holds no crash
+      (its body runs as one thread), so an inner event is in its abstract
+      event's era, ``g.era_of()``.  Per era, ``written`` counts by block the
+      keys written in it or earlier; a read that its block leaves unsourced
+      needs a count above the block's own write.
+    * ``encapsulated``: ``check_encapsulated`` of ``Execution(gc)``, whose hb
+      is po.  A use that no earlier constructor of its block covers needs
+      one in a block whose abstract event is po-before its own, and, as
+      constructors must be disjoint, that is the one ``ctor_at`` holds at
+      any of its locations.  A concrete with an event that no library owns
+      gets ``None``: its checks raise ``UnknownMethod``."""
     events = list(g.events)
+    labs = [g.lab[e] for e in events]
+    era = g.era_of()
+    eras = [era[e] for e in events]
+    last = max(eras, default=0)
+    po = g.po_order.rows
     out: List[Tuple[PlainExecution, Dict[int, int]]] = []
-    #: per (event index, location base): each member implementing the event,
-    #: its labels on the event's thread, and the locations it allocates
-    options_at: Dict[Tuple[int, int], List[Tuple[PlainExecution, Tuple[Label, ...], int]]] = {}
+    #: an event that passes through, as its one block
+    through = [None if impl.owns(l) else [_Block(PlainExecution([l], []), impl)] for l in labs]
+    #: the chosen blocks, each with its labels on its event's thread
+    chosen: List[Tuple[_Block, Tuple[Label, ...]]] = []
+    #: per era, the write keys of the chosen blocks of it or an earlier era,
+    #: with the number of blocks that write each
+    written: List[Dict[tuple, int]] = [{} for _ in range(last + 1)]
+    #: per constructor location: the event index of its block, its library
+    #: and its locations
+    ctor_at: Dict[object, Tuple[int, str, FrozenSet]] = {}
+    clashes = 0
 
-    def options(i: int, base: int) -> List[Tuple[PlainExecution, Tuple[Label, ...], int]]:
-        if (i, base) not in options_at:
-            lab = g.lab[events[i]]
-            if impl.owns(lab):
-                options_at[i, base] = [
-                    (
-                        inner,
-                        tuple(l if l.is_crash else replace(l, thread=lab.thread) for l in inner.labels()),
-                        impl.alloc_count(inner),
-                    )
-                    for inner in impl.executions(_strip_thread(lab), base)
-                ]
-            else:
-                inner = PlainExecution([lab], [])
-                options_at[i, base] = [(inner, (lab,), impl.alloc_count(inner))]
-        return options_at[i, base]
+    def sourced() -> bool:
+        return all(
+            written[eras[i]].get(r, 0) > own for i, (b, _) in enumerate(chosen) for r, own in b.needs
+        )
 
-    def rec(i: int, base: int, chosen: List[Tuple[PlainExecution, Tuple[Label, ...]]]):
+    def encapsulated() -> Optional[bool]:
+        if not all(b.owned for b, _ in chosen):
+            return None
+        if clashes:
+            return False
+        for i, (b, _) in enumerate(chosen):
+            for lib, locs in b.uses:
+                c = ctor_at.get(next(iter(locs)))
+                if c is None or c[1] != lib or not locs <= c[2] or not po[events[c[0]]] >> events[i] & 1:
+                    return False
+        return True
+
+    def rec(i: int, base: int):
+        nonlocal clashes
         if len(out) >= max_results:
             return
         if i == len(events):
             labels = [l for _, block in chosen for l in block]
             f = dict(enumerate(e for e, (_, block) in zip(events, chosen) for _ in block))
-            rows = _bind_rows(g.po_order.rows, [inner.po_order.rows for inner, _ in chosen])
+            rows = _bind_rows(po, [b.rows for b, _ in chosen])
             try:
                 out.append((PlainExecution(labels, Order(rows)), f))
             except ValueError:
-                pass
+                return
+            if facts is not None:
+                facts.append((sourced(), encapsulated()))
             return
-        for inner, block, consumed in options(i, base):
-            rec(i + 1, base + consumed, chosen + [(inner, block)])
+        for b in through[i] or impl.blocks(labs[i], base):
+            for counts in written[eras[i] :]:
+                for w in b.writes:
+                    counts[w] = counts.get(w, 0) + 1
+            placed, clashed = [], 0
+            for lib, locs in b.ctors:
+                for loc in locs:
+                    if loc in ctor_at:
+                        clashed += 1
+                    else:
+                        ctor_at[loc] = (i, lib, locs)
+                        placed.append(loc)
+            clashes += clashed
+            chosen.append((b, b.on(labs[i].thread)))
+            rec(i + 1, base + b.allocs)
+            chosen.pop()
+            clashes -= clashed
+            for loc in placed:
+                del ctor_at[loc]
+            for counts in written[eras[i] :]:
+                for w in b.writes:
+                    counts[w] -= 1
 
-    rec(0, impl.config.loc_base, [])
+    rec(0, impl.config.loc_base)
     return out
 
 
@@ -672,22 +804,36 @@ def verify_impl_bounded(
     first ``max_concrete`` are checked).  A graph whose bind runs out of
     interpreter runs gives one undecided record with no concrete.
 
-    A concrete whose reads have no source (``lang.ValueFlow.sourced_in``,
-    over the value flow that ``coll_low``'s libraries declare) builds no
-    refinement for the hereditary check: a refinement adds sw and tags,
-    never labels, so the declaring library's local check fails on every
-    one, and the record says "no hereditarily consistent concrete
-    refinement".  Where ``Execution(gc)``, with no sw and no tags, is one of
-    its refinements (``lang.unsourced_refines_itself``), the
+    The bind gives each concrete whether its reads have a source and
+    whether it is encapsulated (``exec_bind``'s ``facts``), under
+    ``coll_low``, which must therefore be ``impl.coll_low``.  An unsourced
+    concrete builds no refinement for the hereditary check: a refinement
+    adds sw and tags, never labels, so the declaring library's local check
+    fails on every one, and the record says "no hereditarily consistent
+    concrete refinement".  Where ``Execution(gc)``, with no sw and no tags,
+    is one of its refinements (``lang.unsourced_refines_itself``), the
     well-formedness transport checks it first and builds the refinements
     only if that check fails, so the verdict is the one over all of them.
-    A collection that declares no value flow treats every concrete as
-    sourced.
+    A collection that declares no value flow has every concrete sourced.
+
+    Where every library's well-formedness predicates are ``_always_ok``, as
+    for Px86, immediate well-formedness is encapsulation on hb.  A
+    refinement keeps the concrete's labels, up to tags that no location or
+    owner reads, and its hb ⊇ po, so a constructor po-before a use is
+    hb-before it: an encapsulated concrete transports well-formedness with
+    no check, as soon as it has a candidate (a refinement, or itself where
+    it is unsourced and checked on itself first).  Otherwise, and wherever a
+    library checks more than encapsulation, each candidate is checked in
+    turn until one is immediately well-formed.
     """
+    if coll_low is not impl.coll_low:
+        raise ValueError("coll_low must be the implementation's low collection")
     report = VerifyReport()
     empty = capped = 0
-    flow = lang.ValueFlow.declared_by(coll_low)
     itself_first = lang.unsourced_refines_itself(coll_low)
+    wf_is_encapsulation = all(s.local_wellformed is _always_ok for s in coll_low.specs()) and all(
+        s.global_wellformed is _always_ok for s in coll_low.tagdep()
+    )
 
     def undecided(rec: VerifyRecord, why: str) -> VerifyRecord:
         report.budget_hits += 1
@@ -696,8 +842,9 @@ def verify_impl_bounded(
         return rec
 
     for gi, ga in enumerate(corpus):
+        facts: List[Tuple[bool, Optional[bool]]] = []
         try:
-            concretes = exec_bind(ga, impl, max_results=max_concrete + 1)
+            concretes = exec_bind(ga, impl, max_results=max_concrete + 1, facts=facts)
         except BudgetExceeded:
             why = f"interpreting the implementation exceeded max_runs={impl.config.max_runs}"
             report.records.append(undecided(VerifyRecord(gi, None), why))
@@ -708,9 +855,8 @@ def verify_impl_bounded(
             del concretes[max_concrete:]
         # the abstract side of well-formedness transport, once per graph
         wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
-        for ci, (gc, f) in enumerate(concretes):
+        for ci, ((gc, f), (sourced, encapsulated)) in enumerate(zip(concretes, facts)):
             rec = VerifyRecord(gi, ci)
-            sourced = flow is None or flow.sourced_in(gc)
             refinements = list(_refinements(coll_low, gc)) if sourced else []
             # hereditary consistency upward
             found_consistent_low = False
@@ -743,6 +889,8 @@ def verify_impl_bounded(
             # level leaves the transport undecided
             if wf_high is not None and wf_high.is_budget:
                 undecided(rec, "well-formedness check hit budget")
+            elif wf_high and wf_is_encapsulation and encapsulated and (refinements or not sourced and itself_first):
+                rec.wellformed_downward = True
             elif wf_high:
                 unknown = False
                 wf_candidates = refinements if sourced else _refinements(coll_low, gc)

@@ -20,6 +20,9 @@ module of ``persistcheck`` imports this one.
   the Px86 axioms A1–A9, persisted-set closure and forcing, the cross-era
   axiom and era monotonicity, each evaluated for a given witness.
 * ``interpret``: the semantics ⟦P⟧ of a program, as its ``Interpretation``.
+* ``sourced_in``: whether every read of a plain execution has a write of
+  its key, under a collection's declared value flow, by another event of
+  its era or an earlier one (eras as ``era_of()`` counts them).
 * ``same_transaction``: the same-transaction relation of the transaction
   library, as pairs.
 * Substitution: ``existproj`` (∃f⟨r⟩, a relation projected along f),
@@ -46,7 +49,7 @@ import json
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from persistcheck.framework import Collection, Verdict, check_consistent
-from persistcheck.lang import InterpConfig, Interpretation, Prog, SyntacticImpl
+from persistcheck.lang import InterpConfig, Interpretation, Prog, SyntacticImpl, ValueFlow
 from persistcheck.libs import _transaction_rows
 from persistcheck.model import (
     BOT,
@@ -265,6 +268,14 @@ def check_px86_axioms(x: Execution, w: Px86Witness) -> Dict[str, Verdict]:
 
 def interpret(prog: Prog, coll: Collection, config: InterpConfig = InterpConfig()) -> Interpretation:
     return Interpretation(prog, coll, config)
+
+
+def sourced_in(flow: ValueFlow, g: PlainExecution) -> bool:
+    """``flow.sourced`` with each event in its own era, ``g.era_of()``,
+    whatever the order of ``g``'s labels: the events go era by era, each
+    era's crashes last."""
+    era, lab = g.era_of(), g.lab
+    return flow.sourced([lab[e] for e in sorted(g.events, key=lambda e: (era[e], lab[e].is_crash))])
 
 
 # --------------------------------------------------------------------------

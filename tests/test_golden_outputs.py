@@ -2,9 +2,10 @@
 
 Covers ``check --json`` on every ``litmus/**/*.lit`` file,
 ``worked-examples``, and ``verify-impl flit flit --over px86 --corpus
-litmus/flit``; stdout, stderr and exit code of each.  The ``verify-impl``
-report is large, so only its sha256 digest, its line count and its summary
-line are kept.  Every command runs in-process through ``cli.main``.
+litmus/flit`` with its ``flit_no_fo`` mutant in place of the first
+``flit``; stdout, stderr and exit code of each.  A ``verify-impl`` report
+is large, so only its sha256 digest, its line count and its summary line
+are kept.  Every command runs in-process through ``cli.main``.
 
 A change that is meant to alter one of these reports regenerates the files
 under ``tests/golden/`` with ``PYTHONPATH=src python
@@ -34,8 +35,9 @@ CASES = {
     **{f"check:{p}": ["check", p, "--json"] for p in LITMUS_FILES},
     "worked-examples": ["worked-examples"],
     "verify-impl:flit": ["verify-impl", "flit", "flit", "--over", "px86", "--corpus", "litmus/flit"],
+    "verify-impl:flit_no_fo": ["verify-impl", "flit_no_fo", "flit", "--over", "px86", "--corpus", "litmus/flit"],
 }
-DIGEST_ONLY = {"verify-impl:flit"}
+DIGEST_ONLY = {"verify-impl:flit", "verify-impl:flit_no_fo"}
 
 
 def _run(argv):

@@ -265,10 +265,9 @@ def test_a_prefix_walks_as_its_own_execution(case):
 
 
 def test_verify_impl_builds_one_owner_table_per_refinement(monkeypatch):
-    # a refinement's hereditary check and its well-formedness transport
-    # share one table; a concrete whose reads have no source builds no
-    # refinement unless its own well-formedness check fails, and that check
-    # builds one table
+    # a refinement's hereditary check builds one table; a concrete whose
+    # reads have no source builds no refinement, and an encapsulated one
+    # checks no well-formedness, so it builds no table either
     px = Collection([px86_spec()])
     refinements, tables = [], []
     candidates, init = lang.candidate_refinements, framework.Owners.__init__
@@ -292,7 +291,31 @@ def test_verify_impl_builds_one_owner_table_per_refinement(monkeypatch):
     assert 0 < unsourced < len(concretes)
     report = sub.verify_impl_bounded(impl, Collection([flit_spec()]), px, graph)
     assert report.records and all(r.wellformed_downward for r in report.records)
-    assert len(tables) == len(refinements) + unsourced
+    assert len(tables) == len(refinements)
+
+
+def test_verify_impl_checks_no_wellformedness_of_an_encapsulated_px86_concrete(monkeypatch):
+    # Px86 checks no well-formedness beyond encapsulation, which the bind
+    # decides: only the abstract side is checked, once per graph
+    px = Collection([px86_spec()])
+    graphs = _litmus_corpus("flit", 8, 2)
+    impl = SemanticImpl(flit_impl(), px, FLIT_CFG)
+    checked = []
+    check = sub.check_immediately_wellformed
+
+    def spy(coll, x):
+        checked.append(coll)
+        return check(coll, x)
+
+    monkeypatch.setattr(sub, "check_immediately_wellformed", spy)
+    high = Collection([flit_spec()])
+    report = sub.verify_impl_bounded(impl, high, px, graphs)
+    assert report.records and all(r.wellformed_downward for r in report.records)
+    assert checked == [high] * len(graphs)
+    facts = []
+    for ga in graphs:
+        sub.exec_bind(ga, impl, facts=facts)
+    assert len(facts) == len(report.records) and all(encapsulated for _, encapsulated in facts)
 
 
 def test_wellformedness_raises_on_an_event_no_library_owns():

@@ -33,6 +33,7 @@ from definitions import (
     lift_step,
     pomset_bind,
     set_bind,
+    sourced_in,
 )
 from eager_reference import linear_extensions
 from persistcheck.framework import (
@@ -82,7 +83,7 @@ from persistcheck.model import (
     parallel_execution,
     sequence_execution,
 )
-from persistcheck.px86 import _read_candidates, derive_sets, px86_spec, search_px86_witness, store, load
+from persistcheck.px86 import _read_candidates, alloc, derive_sets, px86_spec, search_px86_witness, store, load, upd
 import persistcheck.substitution as sub
 from persistcheck.substitution import (
     SemanticImpl,
@@ -1487,7 +1488,7 @@ def test_value_flow_sourcing_agrees_with_px86(case, crashes):
     for ga in _crash_corpus(directory, crashes) + [odd]:
         for gc, _ in exec_bind(ga, impl, max_results=65):
             x = Execution(gc)
-            sourced = flow.sourced_in(gc)
+            sourced = sourced_in(flow, gc)
             assert sourced == (_read_candidates(x, derive_sets(x).eb) is not None)
             if not sourced:
                 unsourced += 1
@@ -1497,7 +1498,116 @@ def test_value_flow_sourcing_agrees_with_px86(case, crashes):
     assert unsourced
     # in label order the write would fall in era 1 and leave the read
     # unsourced
-    assert any(flow.sourced_in(gc) for gc, _ in exec_bind(odd, impl))
+    assert any(sourced_in(flow, gc) for gc, _ in exec_bind(odd, impl))
+
+
+def _flit_fact_graphs():
+    """Abstract Flit graphs whose concretes the corpora do not reach: a
+    constructor and a use on two unordered threads, a use po-before its
+    constructor, and a read of 1 whose only write of 1 comes after a
+    crash."""
+    new = Label("fnew", (), 101, frozenset({"D"}), 0)
+    write = Label("fwrite_p", (101, 1), None, frozenset({"D"}), 0)
+    read = Label("fread_p", (101,), 1, frozenset(), 0)
+    return [
+        PlainExecution([new, replace(write, thread=1)], []),
+        PlainExecution([write, new], [(0, 1)]),
+        PlainExecution([new, read, CRASH, replace(write, thread=1)], [(0, 1), (1, 2), (2, 3)]),
+    ]
+
+
+def _fact_case(name):
+    """The implementation, low collection and corpus of a bind-facts case:
+    a Flit crash corpus (``flit-0`` to ``flit_no_fo-1``) with the graphs
+    above, a Px86 allocation of a cell that ``fnew`` allocates too and an
+    update that only it could source; an acceptance-6 register corpus over
+    Flit or over Mirror; or (``store_first``) an ``fnew`` that stores to
+    its first cell before it allocates it."""
+    if name == "store_first":
+        syn = flit_impl()
+        methods = dict(syn.methods, fnew=((), parse_statements("store(101, 0); r := alloc(); c := alloc(); return r")))
+        return lambda: SyntacticImpl(name, methods), PX, [sequence_execution([Label("fnew", (), 101, frozenset(), 0)])]
+    case, _, crashes = name.partition("-")
+    make, low, _, corpus_spec, _ = DIFF_CASES[case]
+    if not crashes:
+        return make, low, _cached_corpus(corpus_spec)
+    new = Label("fnew", (), 101, frozenset({"D"}), 0)
+    extra = _flit_fact_graphs() + [
+        PlainExecution([new, alloc(101)], [(0, 1)]),
+        PlainExecution([new, upd(101, 1, 1)], [(0, 1)]),
+        _crash_before_era0_write(),
+    ]
+    return make, low, _crash_corpus("flit", int(crashes)) + extra
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["flit-0", "flit-1", "flit_no_fo-0", "flit_no_fo-1", "reg_flit", "reg_flit_mut", "reg_mirror", "reg_mirror_mut", "store_first"],
+)
+def test_bind_facts_match_sourcing_and_encapsulation(name):
+    # each concrete's sourcing and encapsulation, as the bind decides them
+    # block by block, equal the checks that read the whole concrete
+    make, low, corpus = _fact_case(name)
+    impl, flow = SemanticImpl(make(), low, FLIT_CFG), ValueFlow(low)
+    seen = set()
+    for ga in corpus:
+        facts = []
+        concretes = exec_bind(ga, impl, max_results=65, facts=facts)
+        assert len(facts) == len(concretes)
+        for (gc, _), got in zip(concretes, facts):
+            want = (sourced_in(flow, gc), framework.check_encapsulated(low, Execution(gc)))
+            assert got == want, (ga, gc)
+            seen.add(want)
+    assert seen
+    # the Flit crash corpora reach every combination but an unsourced
+    # concrete that is not encapsulated
+    if "-" in name:
+        assert seen >= {(True, True), (False, True), (True, False)}
+    if name == "store_first":
+        assert seen == {(True, False)}
+
+
+def test_bind_leaves_encapsulation_open_for_an_event_no_library_owns():
+    # a toy call passes through to the concrete, where no Px86 library owns
+    # it: the bind names no encapsulation, and the transport still raises
+    # where its check reads the owner table
+    high = Collection([flit_spec(), toy_spec()])
+    ga = sequence_execution(
+        [Label("fnew", (), 101, frozenset({"D"}), 0), Label("fread_p", (101,), 1, frozenset(), 0), tlabel("tset", (1,))]
+    )
+    impl = SemanticImpl(flit_impl(), PX, FLIT_CFG)
+    facts = []
+    assert exec_bind(ga, impl, facts=facts)
+    assert facts and all(f == (False, None) for f in facts)
+    with pytest.raises(framework.UnknownMethod):
+        verify_impl_bounded(impl, high, PX, [ga])
+    # with no transport nothing reads the owner table
+    assert verify_impl_bounded(impl, high, PX, [ga], check_wf=False).records
+
+
+@pytest.mark.parametrize("check_wf", [True, False])
+def test_verify_records_match_the_loop_on_unencapsulated_concretes(check_wf):
+    # the Flit graphs above are not well-formed themselves, so their
+    # transport is never asked; the toy implementation, the last case,
+    # stores to cell 1, which nothing allocates, so no concrete of it is
+    # encapsulated and the transport fails on every one
+    toy = [sequence_execution([tlabel("tset", (1,)), tlabel("tget", (), 1)])]
+    cases = [(flit_impl(), Collection([flit_spec()]), _flit_fact_graphs()), (toy_impl(), TOY, toy)]
+    for syn, high, corpus in cases:
+
+        def verify(run):
+            rep = run(SemanticImpl(syn, PX, FLIT_CFG), high, PX, corpus, check_wf=check_wf)
+            return [vars(r) for r in rep.records], rep.budget_hits, rep.bound_note
+
+        got = verify(verify_impl_bounded)
+        assert got == verify(verify_reference.verify_impl_bounded)
+    assert {r["wellformed_downward"] for r in got[0]} == ({False} if check_wf else {None})
+
+
+def test_verify_needs_the_implementation_low_collection():
+    impl = SemanticImpl(flit_impl(), PX, FLIT_CFG)
+    with pytest.raises(ValueError, match="low collection"):
+        verify_impl_bounded(impl, Collection([flit_spec()]), Collection([px86_spec()]), [])
 
 
 @pytest.mark.parametrize("check_wf", [True, False])
@@ -1550,7 +1660,7 @@ def test_an_unsourced_wellformed_concrete_builds_no_refinement(monkeypatch):
     )
     impl = SemanticImpl(flit_impl(), PX, FLIT_CFG)
     concretes = [gc for gc, _ in exec_bind(ga, impl)]
-    assert concretes and not any(ValueFlow(PX).sourced_in(gc) for gc in concretes)
+    assert concretes and not any(sourced_in(ValueFlow(PX), gc) for gc in concretes)
     assert all(check_immediately_wellformed(PX, Execution(gc)) for gc in concretes)
     calls = []
     candidates = lang.candidate_refinements
