@@ -34,8 +34,6 @@ from .model import (
     Pomset,
     Ret,
     anonymize,
-    era_before,
-    era_split,
     history_to_execution,
     iso_eq,
     prefixes,

@@ -640,9 +640,9 @@ def check_hereditarily_consistent(
     as a ``Prefix`` of it, and a library's local verdict is computed once
     per projection, so dropping another library's event does not check it
     again.  A library whose check is ``Seeded`` reads ``x`` through its
-    projection's mask, so its hb predecessors and eras are derived once per
-    walk and no projection is built; it first replays its last OK witness of
-    the walk and searches only if that fails.  Any other library's
+    projection's mask, so its hb predecessors and era-before are derived
+    once per walk and no projection is built; it first replays its last OK
+    witness of the walk and searches only if that fails.  Any other library's
     projection is cut straight from ``x``.  The mask memo and the table
     live for this call only; the consistency verdicts of the prefixes are
     shared beyond it, with every other check of the same exact execution,

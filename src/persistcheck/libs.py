@@ -30,6 +30,7 @@ from .model import (
     Order,
     PlainExecution,
     bits,
+    same_era,
     tag_set,
 )
 from .px86 import P_TAG, px86_interface, px86_spec
@@ -43,7 +44,6 @@ from .sc import (
     S_WEAKREG,
     SequentialSpec,
     WEAKREG_METHODS,
-    era_preds,
     linearizations,
     linearize,
     weakreg_consistent_execution,
@@ -74,32 +74,36 @@ def _calls(g, *methods: str) -> int:
     return _mask(e for e in g.events if g.lab[e].method in methods)
 
 
-def _era_masks(g: PlainExecution) -> List[int]:
-    """The events of each era, as bit masks, in era order."""
-    era = g.era_of()
-    return [_mask(e for e in g.events if era[e] == k) for k in range(len(g.crash_events()) + 1)]
+def _era_groups(g: PlainExecution, events: int) -> List[int]:
+    """The ``events`` grouped by the events era-before them, as masks, the
+    groups with fewer such events first.  Where every crash is po-comparable
+    with every event, as in every execution the checker builds, each group
+    is the events of one era."""
+    before: Dict[int, int] = {}
+    preds = g.eb.preds()
+    for e in bits(events):
+        before[preds[e]] = before.get(preds[e], 0) | 1 << e
+    return [before[k] for k in sorted(before, key=lambda k: (k.bit_count(), k))]
 
 
 def execution_linearizable(
     x: Execution,
     spec: SequentialSpec,
-    keep: Optional[Callable[[Label, int, bool], str]] = None,
+    keep: Optional[Callable[[Label, bool], str]] = None,
     budget: int = 200_000,
-    era_monotone: bool = False,
     seed: Optional[Placement] = None,
     mask: Optional[int] = None,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
     sequential spec.
 
-    ``keep(label, era, is_last_era)`` returns "keep", "drop", or "optional"
-    per event (default: complete events kept, incomplete optional).  Dropped
-    and optional-dropped events vanish; a placed incomplete event keeps its
-    return open (⊥), so it takes the return ``spec``'s state gives.
-    ``era_monotone`` additionally pins events of earlier eras before later
-    ones (the persisted-prefix concatenation shape); plain durable
-    linearizability erases crashes, so only happens-before constrains
-    incomplete stragglers there.
+    ``keep(label, is_last_era)`` returns "keep", "drop", or "optional" per
+    event (default: complete events kept, incomplete optional); an event is
+    in the last era when no crash of ``mask`` is po-after it.  Dropped and
+    optional-dropped events vanish; a placed incomplete event keeps its
+    return open (⊥), so it takes the return ``spec``'s state gives.  An
+    event of an earlier era is era-before a later one, so it is po- and
+    hb-before it: happens-before alone orders the eras.
 
     It decides the projection on ``mask`` (default: every event), as
     ``framework.Seeded`` states.  One ``sc.linearize`` search over the kept
@@ -108,21 +112,19 @@ def execution_linearizable(
     event.  A ``seed`` is given as :func:`lin_placed` gives a witness, and
     replayed first.
     """
-    lab, era = x.lab, x.plain.era_of()
+    lab, po = x.lab, x.plain.po_order.rows
     mask = (1 << len(x)) - 1 if mask is None else mask
     crashes = mask & _mask(x.plain.crash_events())
-    last = crashes.bit_count()
     members = must = 0
     for e in bits(mask & ~crashes):
         l = lab[e]
-        mode = keep(l, era[e], era[e] == last) if keep else "keep" if l.is_complete else "optional"
+        mode = keep(l, not po[e] & crashes) if keep else "keep" if l.is_complete else "optional"
         if mode != "drop":
             members |= 1 << e
             must |= (mode == "keep") << e
     hb, preds = x.hb_order.preds(), [0] * len(x)
     for e in bits(members):
-        earlier = _mask(f for f in bits(members) if era[f] < era[e]) if era_monotone else 0
-        preds[e] = hb[e] & members | earlier
+        preds[e] = hb[e] & members
     options = [[lab[e]] if members >> e & 1 else () for e in x.events]
     if seed is not None:
         seed = [(e, lab[e]) for e, _ in seed if members >> e & 1]
@@ -270,19 +272,20 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
     before dependent writes, persistent writes before a finish-op persist,
     and P is an nvo prefix.
 
-    One era-monotone :func:`sc.linearizations` search places each write
+    One :func:`sc.linearizations` search over hb places each write
     persisted or not (as its P tag says, if any event has one) and checks
-    each read as it is placed: the state maps each location to the era and
-    value of its lin-latest write and the value of its lin-latest persisted
-    write.  The dependency and finish rules are checked on each sequence it
-    yields.  The budget counts candidates tried."""
+    each read as it is placed: the state maps each location to its lin-latest
+    write with its value and the value of its lin-latest persisted write.
+    A read sees the former if it is in the read's era.  hb holds era-before,
+    so a lin is era-monotone.  The dependency and finish rules are checked on
+    each sequence it yields.  The budget counts candidates tried."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    same = same_era(x.plain)
     lab = x.lab
     W = [e for e in ids if lab[e].method in ("fwrite_p", "fwrite_v")]
     WP = [e for e in W if lab[e].method == "fwrite_p"]
     RP = [e for e in ids if lab[e].method == "fread_p"]
-    writes, persistent, finishes = _mask(W), _mask(WP), _calls(x, "ffinish")
+    calls, writes, persistent, finishes = _mask(ids), _mask(W), _mask(WP), _calls(x, "ffinish")
     explicit = frozenset(e for e in ids if P_TAG in lab[e].tags)
     has_explicit = any(P_TAG in lab[e].tags for e in x.events)
     persists = {e: (e in explicit,) if has_explicit else (False, True) for e in W}
@@ -292,19 +295,19 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
         e, persist = cand
         l = lab[e]
         if l.method in ("fread_p", "fread_v"):
-            w_era, val, persisted = st.get(l.args[0], (None, 0, 0))
-            return st if l.ret is BOT or l.ret == (val if w_era == era[e] else persisted) else None
+            w, val, persisted = st.get(l.args[0], (None, 0, 0))
+            return st if l.ret is BOT or l.ret == (val if w is not None and same[e] >> w & 1 else persisted) else None
         if persist is None:
             return st
         loc, val = l.args
-        return {**st, loc: (era[e], val, val if persist else st.get(loc, (None, 0, 0))[2])}
+        return {**st, loc: (e, val, val if persist else st.get(loc, (None, 0, 0))[2])}
 
-    eras = _era_masks(x.plain)
-    po_se = [row & eras[era[a]] for a, row in enumerate(x.plain.po_order.rows)]
-    preds = era_preds(x.hb_order, [era[e] for e in x.events])
+    # a crash is in the era of each event beside it, so it is cut out
+    po_se = [row & same[a] & calls for a, row in enumerate(x.plain.po_order.rows)]
+    preds = x.hb_order.preds()
     stats = {"stage": "linearization enumeration"}
     try:
-        for placed in linearizations(preds, options, _mask(ids), SequentialSpec("flit", dict, step), budget, stats):
+        for placed in linearizations(preds, options, calls, SequentialSpec("flit", dict, step), budget, stats):
             lin = [e for _, (e, _) in placed]
             P = explicit if has_explicit else frozenset(e for _, (e, p) in placed if p)
             pos = {e: i for i, e in enumerate(lin)}
@@ -312,7 +315,7 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
             dep = list(po_se)
             for w in WP:
                 for r in RP:
-                    if lab[w].args[0] == lab[r].args[0] and pos[w] < pos[r] and (era[w] == era[r] or w in P):
+                    if lab[w].args[0] == lab[r].args[0] and pos[w] < pos[r] and (same[w] >> r & 1 or w in P):
                         dep[w] |= 1 << r
             dep = Order.close_rows(dep).rows
             # dep relates events in lin order only, so nvo is acyclic and
@@ -454,23 +457,22 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     persisted set; same-era write chains persist in order.
 
     The persist order reads only po, sw and which writes are complete, so it
-    is checked first.  Then the first sequence of one era-monotone
-    :func:`sc.linearizations` search is a witness; it checks each read as it
-    is placed: its value, and that the sw edges into it are exactly its
+    is checked first.  Then the first sequence of one :func:`sc.linearizations`
+    search over hb (which holds era-before) is a witness; it checks each read
+    as it is placed: its value, and that the sw edges into it are exactly its
     derived source.  The budget counts candidates tried."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    same = same_era(x.plain)
     lab = x.lab
     W = [e for e in ids if _mirror_is_write(lab[e])]
     R = {e for e in ids if _mirror_reads(lab[e])}
     P = frozenset(w for w in W if lab[w].is_complete)
     calls, writes, persisted = _mask(ids), _mask(W), _mask(P)
-    eras = _era_masks(x.plain)
     links = list(x.plain.po_order.rows)
     for a, b in x.sw:
         links[a] |= 1 << b
     # same-era po and sw among the calls, closed
-    chain = Order.close_rows([row & calls & eras[era[a]] if calls >> a & 1 else 0 for a, row in enumerate(links)]).rows
+    chain = Order.close_rows([row & calls & same[a] if calls >> a & 1 else 0 for a, row in enumerate(links)]).rows
     # the restriction of a closed order to the writes is closed
     nvo = Order([row & writes if writes >> a & 1 else 0 for a, row in enumerate(chain)])
     sw_into = {r: frozenset(a for a, b in x.sw if b == r) for r in R}
@@ -481,7 +483,7 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
         return Verdict.fail("no mirror witness (lin/nvo)", stats={"stage": stage, "nodes": 0, "memo_hits": 0})
 
     def step(st, e):
-        src, nxt = _mirror_step(lab, era, st, e)
+        src, nxt = _mirror_step(lab, same, st, e)
         l = lab[e]
         if e in R:
             seen = 0 if src is None else _mirror_written(lab[src])
@@ -493,43 +495,41 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
                 return None
         return nxt
 
-    preds = era_preds(x.hb_order, [era[e] for e in x.events])
     options = [[e] if calls >> e & 1 else () for e in x.events]
-    v = linearize(preds, options, calls, SequentialSpec("mirror", dict, step), budget, stage)
+    v = linearize(x.hb_order.preds(), options, calls, SequentialSpec("mirror", dict, step), budget, stage)
     return replace(v, witness={"lin": [e for _, e in v.witness], "nvo": sorted(nvo.pairs), "P": sorted(P)}) if v else v
 
 
-def _mirror_step(lab: Mapping[int, Label], era: Mapping[int, int], st: dict, e: int):
-    """Mirror's derived reads-from, one event of an era-monotone lin at a
-    time.  ``st`` maps each location to its lin-latest write and its
-    lin-latest completed (so persisted) write.  Returns the write ``e``
-    reads from (``None`` if ``e`` reads none) and the state after ``e``: a
-    read sees the latest write of its own era, else the latest completed
-    one."""
+def _mirror_step(lab: Mapping[int, Label], same: Sequence[int], st: dict, e: int):
+    """Mirror's derived reads-from, one event of a lin of po at a time.
+    ``st`` maps each location to its lin-latest write and its lin-latest
+    completed (so persisted) write.  Returns the write ``e`` reads from
+    (``None`` if ``e`` reads none) and the state after ``e``: a read sees
+    the latest write if it is in its era (``same[e]``, as
+    :func:`model.same_era` gives it), else the latest completed one."""
     l = lab[e]
     if not l.args:
         return None, st
     last, done = st.get(l.args[0], (None, None))
-    src = (last if last is not None and era[last] == era[e] else done) if _mirror_reads(l) else None
+    src = (last if last is not None and same[e] >> last & 1 else done) if _mirror_reads(l) else None
     if _mirror_is_write(l):
         st = {**st, l.args[0]: (e, e if l.is_complete else done)}
     return src, st
 
 
 def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
-    """Candidate sw sets: derived reads-from for each era-monotone lin of
-    po, the first 2,000 candidates tried."""
-    era = g.era_of()
+    """Candidate sw sets: derived reads-from for each lin of po (which
+    holds era-before), the first 2,000 candidates tried."""
+    same = same_era(g)
     calls = _mask(e for e in g.events if not g.lab[e].is_crash)
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     seen = set(out)
-    preds = era_preds(g.po_order, [era[e] for e in g.events])
     options = [[e] if calls >> e & 1 else () for e in g.events]
     try:
-        for lin in linearizations(preds, options, calls, ANY_ORDER, 2_000, {}):
+        for lin in linearizations(g.po_order.preds(), options, calls, ANY_ORDER, 2_000, {}):
             st, rf = {}, set()
             for _, e in lin:
-                src, st = _mirror_step(g.lab, era, st, e)
+                src, st = _mirror_step(g.lab, same, st, e)
                 if src is not None:
                     rf.add((src, e))
             rf = frozenset(rf)
@@ -712,8 +712,7 @@ def ltrans_local_consistent(x: Execution) -> Verdict:
     reads, reads access the most recent visible write (same era or
     persisted), and external reads come from persisted writes."""
     lab, hb, into = x.lab, x.hb_order.rows, x.hb_order.preds()
-    era, eras = x.plain.era_of(), _era_masks(x.plain)
-    st = _transaction_rows(x.plain)
+    same, st = same_era(x.plain), _transaction_rows(x.plain)
     writes, news = _calls(x, "pt_write"), _calls(x, "pt_new")
     persisted = _mask(tag_set(x, PTR_TAG))
     at: Dict[object, int] = {}  # location -> its writes and its allocation
@@ -725,7 +724,7 @@ def ltrans_local_consistent(x: Execution) -> Verdict:
         if l.ret is BOT:
             continue
         # the sources r may see: same era, persisted, or an allocation
-        visible = at.get(l.args[0], 0) & (eras[era[r]] | persisted | news)
+        visible = at.get(l.args[0], 0) & (same[r] | persisted | news)
         # cond 10: a source outside r's transaction must be persisted
         admissible = visible & (st[r] | into[r] & (persisted | news))
         # ... and write r's value with no visible source hb-between them
@@ -855,8 +854,7 @@ def lock_consistent(x: Execution) -> Verdict:
     """hb totally orders the lock events of each era into (acq·rel)*·acq?."""
     hb, into = x.hb_order.rows, x.hb_order.preds()
     locks = _calls(x, "lacq", "lrel")
-    for era in _era_masks(x.plain):
-        evs = locks & era
+    for evs in _era_groups(x.plain, locks):
         if any(evs & ~(hb[a] | into[a] | 1 << a) for a in bits(evs)):
             return Verdict.fail("lock events not totally hb-ordered")
         # the events in hb order alternate acquire, release, acquire, ...
@@ -872,10 +870,10 @@ def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     after all others, rel -> next acq edges proposed."""
     rows, locks = g.po_order.rows, _calls(g, "lacq", "lrel")
     options_per_era: List[List[FrozenSet[Tuple[int, int]]]] = []
-    for era in _era_masks(g):
+    for era in _era_groups(g, locks):
         sections: List[List[int]] = []
         by_thread: Dict[int, List[int]] = {}
-        for e in bits(locks & era):
+        for e in bits(era):
             by_thread.setdefault(g.lab[e].thread, []).append(e)
         for t, evs in sorted(by_thread.items(), key=lambda kv: repr(kv[0])):
             cur: List[int] = []
@@ -975,15 +973,14 @@ def counter_interface() -> LibraryInterface:
 def counter_consistent(x: Execution) -> Verdict:
     """A read returns the number of increments hb-before it that are visible
     (same era or persisted)."""
-    into = x.hb_order.preds()
-    era, eras = x.plain.era_of(), _era_masks(x.plain)
+    into, same = x.hb_order.preds(), same_era(x.plain)
     persisted, incs = _mask(tag_set(x, PTR_TAG)), _calls(x, "cinc")
     for r in bits(_calls(x, "cread")):
         l = x.lab[r]
         if l.ret is BOT:
             continue
         at = _mask(i for i in bits(incs) if x.lab[i].args[0] == l.args[0])
-        count = (at & into[r] & (eras[era[r]] | persisted)).bit_count()
+        count = (at & into[r] & (same[r] | persisted)).bit_count()
         if l.ret != count:
             return Verdict.fail(f"cread returned {l.ret}, expected {count}")
     return Verdict.ok()
@@ -1053,14 +1050,14 @@ def mmcounter_consistent(
     """Era-wise persisted-prefix linearization: events of earlier eras count
     only when persisted; the final era contributes everything."""
 
-    def keep(l: Label, era: int, last: bool) -> str:
+    def keep(l: Label, last: bool) -> str:
         if last:
             return "keep" if l.is_complete else "optional"
         if PTR_TAG in l.tags or l.method == "mmnew":
             return "keep" if l.is_complete else "optional"
         return "drop"
 
-    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True, seed=seed, mask=mask)
+    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, seed=seed, mask=mask)
 
 
 def mmcounter_spec(budget: int = 100_000) -> LibrarySpec:
@@ -1251,7 +1248,7 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     iface = replace(px86_interface(), name="scmem", tags_introduced=frozenset(), value_flow=None)
 
     def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
-        return execution_linearizable(x, S_MEM, budget=budget, era_monotone=True, seed=seed, mask=mask)
+        return execution_linearizable(x, S_MEM, budget=budget, seed=seed, mask=mask)
 
     return LibrarySpec(interface=iface, local_consistent=Seeded(check, lin_placed))
 

@@ -13,6 +13,17 @@ Every execution order is built here, as closed bit rows (:class:`Order`):
 chains, ``seq_compose`` (crash gluing included), ``history_to_execution``
 and the immediate-prefix step ``immediate_prefix_masks``.
 
+Eras are read off one relation, era-before: eb = po;[Crash];po, the pairs
+with a crash po-between them, which ``PlainExecution.eb`` builds once.  Two
+events are in the same era when neither is eb-before the other; an event is
+in the last era when no crash is po-after it.  eb is contained in po, and
+so in hb.  An execution built through the library API may hold a crash
+that is unordered with some event, and eb gives it its one meaning.  In
+the executions the checker builds every crash is po-comparable with every
+event: runs are glued through their crashes by ``seq_compose``, and
+``history_to_execution`` puts a call that is pending at a crash po- and
+hb-before that crash, so the call is in the era of its invocation.
+
 Everything here is immutable after construction and safe to share across
 threads.  Event identities are opaque dense integers; pomsets are identified
 up to label-preserving order-isomorphism, with a bounded isomorphism check
@@ -24,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -664,7 +674,7 @@ class PlainExecution:
     every po-immediate successor of an incomplete call is a crash event.
     """
 
-    __slots__ = ("events", "lab", "po_order", "_era")
+    __slots__ = ("events", "lab", "po_order", "_eb")
 
     def __init__(self, labels: Sequence[Label], po: Iterable[Edge] | Order):
         lab: Dict[int, Label] = {}
@@ -684,7 +694,7 @@ class PlainExecution:
         object.__setattr__(self, "events", tuple(range(len(labels))))
         object.__setattr__(self, "lab", lab)
         object.__setattr__(self, "po_order", order)
-        object.__setattr__(self, "_era", None)
+        object.__setattr__(self, "_eb", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PlainExecution is immutable")
@@ -712,16 +722,22 @@ class PlainExecution:
     def crash_events(self) -> List[int]:
         return [e for e in self.events if self.lab[e].is_crash]
 
-    def era_of(self) -> Mapping[int, int]:
-        """Era index of each event: the number of crashes strictly po-before
-        it.  Built on first use and kept, so it is read-only."""
-        if self._era is None:
-            era = dict.fromkeys(self.events, 0)
-            for c in self.crash_events():
-                for e in bits(self.po_order.rows[c]):
-                    era[e] += 1
-            object.__setattr__(self, "_era", MappingProxyType(era))
-        return self._era
+    @property
+    def eb(self) -> Order:
+        """Era-before, eb = po;[Crash];po, as a closed :class:`Order` (po is
+        closed, so eb is): ``eb.rows[a]`` holds the events po-after a crash
+        that is po-after ``a``, and ``eb.preds()`` the converse.  Built on
+        first use and kept."""
+        if self._eb is None:
+            rows, crashes = self.po_order.rows, sum(1 << c for c in self.crash_events())
+            later = []
+            for row in rows:
+                out = 0
+                for c in bits(row & crashes):
+                    out |= rows[c]
+                later.append(out)
+            object.__setattr__(self, "_eb", Order(later))
+        return self._eb
 
     def restrict_events(self, keep: Iterable[int]) -> "PlainExecution":
         """Sub-execution on a subset of events (ids renumbered densely); the
@@ -811,33 +827,11 @@ def prefixes(g: PlainExecution) -> List[PlainExecution]:
     return out
 
 
-def era_split(g: PlainExecution) -> List[PlainExecution]:
-    """Crash-free parts of G, in era order (crash events dropped)."""
-    if not g.events:
-        return [g]
-    era = g.era_of()
-    parts: List[List[int]] = [[] for _ in range(max(era.values()) + 2)]
-    for e in g.events:
-        if not g.lab[e].is_crash:
-            parts[era[e]].append(e)
-    n_eras = len(g.crash_events()) + 1
-    return [g.restrict_events(p) for p in parts[:n_eras]]
-
-
-def era_order(g: PlainExecution) -> Order:
-    """eb = po ; [Crash] ; po, as a closed order (po is closed, so eb is)."""
-    rows = g.po_order.rows
-    later = [0] * len(rows)
-    for c in g.crash_events():
-        for a, row in enumerate(rows):
-            if row >> c & 1:
-                later[a] |= rows[c]
-    return Order(later)
-
-
-def era_before(g: PlainExecution) -> Relation:
-    """eb = po ; [Crash] ; po, as pairs."""
-    return era_order(g).pairs
+def same_era(g: PlainExecution) -> Tuple[int, ...]:
+    """Per event, the row of the events in its era: those neither era-before
+    nor era-after it (``g.eb``), itself included."""
+    eb, full = g.eb, (1 << len(g)) - 1
+    return tuple(full & ~(row | col) for row, col in zip(eb.rows, eb.preds()))
 
 
 def tag_set(x, tag: str) -> FrozenSet[int]:
@@ -1002,9 +996,10 @@ def history_to_execution(h: History) -> Execution:
 
     Crash markers become crash events acting as both invocation and return,
     after the calls.  Both orders are closed rows built from the call spans:
-    an event's hb row holds the events that start after it ends; a call's po
-    row keeps the same-thread calls and crashes of that row, and all after
-    such a crash.
+    an event's hb row holds the events that start after it ends, and a call
+    pending at a crash ends just before the first crash after it starts; a
+    call's po row keeps the same-thread calls and crashes of its hb row, and
+    all after such a crash.
     """
     calls = h.calls()
     crash_positions = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
@@ -1020,6 +1015,10 @@ def history_to_execution(h: History) -> Execution:
     for k in reversed(range(len(spans))):
         later[k] = later[k + 1] | 1 << by_start[k]
     hb = [later[bisect_right(starts, end)] for _, end in spans]
+    for i, c in enumerate(calls):
+        k = len(calls) + bisect_right(crash_positions, c.start)
+        if not c.is_complete and k < len(spans):
+            hb[i] = 1 << k | hb[k]
     po = list(hb)
     for i, c in enumerate(calls):
         po[i] &= same_thread[c.thread] | crashes

@@ -54,9 +54,9 @@ from .model import (
     Order,
     PlainExecution,
     bits,
-    era_order,
+    same_era,
 )
-from .sc import ANY_ORDER, era_preds, linearizations
+from .sc import ANY_ORDER, linearizations
 
 D_TAG = "D"
 P_TAG = "P"
@@ -206,14 +206,11 @@ def derive_sets(x: Execution) -> DerivedSets:
     R, W, U, FL, FO, MF, SF, AL = (
         by_method[m] for m in ("load", "store", "upd", "flush", "fo", "mfence", "sfence", "alloc")
     )
-    eb = era_order(g)
-    before = tuple(eb.preds())
-    full = (1 << len(g)) - 1
-    se = tuple(full & ~(row | col) for row, col in zip(eb.rows, before))
+    eb, se = g.eb, same_era(g)
     # hb is acyclic and contains po, so no hb edge runs against po
     ehb = tuple(h & ~p for h, p in zip(x.hb_order.rows, g.po_order.rows))
     same_loc = tuple(at.get(loc.get(e), 0) for e in g.events)
-    return DerivedSets(R, W, U, FL, FO, MF, SF, W | U | FL | FO | AL, AL, loc, eb, before, se, ehb, same_loc)
+    return DerivedSets(R, W, U, FL, FO, MF, SF, W | U | FL | FO | AL, AL, loc, eb, eb.preds(), se, ehb, same_loc)
 
 
 def value_written(l: Label):
@@ -413,19 +410,17 @@ def search_px86_witness(
     not Px86's raises ``ValueError``."""
     meter = {} if stats is None else stats
     meter["steps"] = 0
-    cands = _rf_candidates(x, era_order(x.plain))
+    cands = _rf_candidates(x, x.plain.eb)
     if cands is None or not all(cands.values()):
         return None
     reads = sorted(cands)
     ds = derive_sets(x)
-    era = x.plain.era_of()
     po = x.plain.po_order.rows
     eb = ds.eb.rows
     explicit_p = _mask(e for e in x.events if P_TAG in x.lab[e].tags)
     wu = list(bits(ds.WU))
-    wu_eras = [era[e] for e in wu]
-    # per write, the row of the writes (by index in wu) of an earlier era
-    earlier = [_mask(j for j, ej in enumerate(wu_eras) if ej < ei) for ei in wu_eras]
+    # per write, the row of the writes (by index in wu) era-before it
+    eb_wu = ds.eb.restrict(wu).preds()
     forced = Order.close_rows(_forced_tso(x, ds))
     forced_p = _forced_persists(x, ds)
     all_wu = (1 << len(wu)) - 1
@@ -447,11 +442,12 @@ def search_px86_witness(
         base_wu = base.restrict(wu)
         # a forced edge among writes that points back in era order leaves no
         # era-monotone write order
-        if any(row & earlier[i] for i, row in enumerate(base_wu.rows)):
+        if any(row & eb_wu[i] for i, row in enumerate(base_wu.rows)):
             continue
         needed = _mask(w for w, r in rf if eb[w] >> r & 1) | forced_p
         # the era-monotone write orders, smallest first; ``spend`` counts those tried
-        for order in linearizations(era_preds(base_wu, wu_eras), [[e] for e in wu], all_wu, ANY_ORDER, math.inf, {}):
+        preds = [p | q for p, q in zip(base_wu.preds(), eb_wu)]
+        for order in linearizations(preds, [[e] for e in wu], all_wu, ANY_ORDER, math.inf, {}):
             spend()
             perm = [e for _, e in order]
             tso = base.extend(zip(perm, perm[1:]))

@@ -20,8 +20,8 @@ check is the execution check on ``history_to_execution(h)``, whose event
 ids are the history's call indices.  A pending call is an optional event
 with its return left open (⊥): the spec's step gives it the return its
 state holds, so no value domain is guessed.  For the weak register each
-crash ends its era with one more event, and each durable call of a
-non-last era is offered persisted and not persisted, so one step function
+crash ends its era with one more event, and each durable call with a crash
+po-after it is offered persisted and not persisted, so one step function
 folds the volatile and the persisted register state.  The eager
 :func:`iter_completions`, with the value domain of :func:`mentioned_values`
 and the null returns of ``VOID_METHODS``, is kept as the reference the
@@ -222,12 +222,6 @@ def completions_and_truncations(
 # --------------------------------------------------------------------------
 # Linearizability
 # --------------------------------------------------------------------------
-
-
-def era_preds(order: Order, eras: Sequence[int]) -> List[int]:
-    """The predecessor masks of ``order``, each event also after every event
-    of an earlier era: the ``preds`` of an era-monotone search."""
-    return [p | sum(1 << j for j, ej in enumerate(eras) if ej < ei) for p, ei in zip(order.preds(), eras)]
 
 
 def linearizations(
@@ -438,15 +432,17 @@ def weakreg_consistent_execution(
     ``mask`` end its eras in id order.
 
     One :func:`linearize` search decides it, over the calls of ``mask`` and
-    one event per crash: ``n+k`` (``n = len(x)``) ends era ``k`` and follows
-    every call of the eras up to ``k`` and every earlier crash.  A candidate
-    is a call with its persist choice: ``None`` in the last era and for
-    reads, persisted for a fence, persisted or not for ``rnew`` and
+    one event per crash: ``n+k`` (``n = len(x)``) ends era ``k``, after
+    every call po-before the ``k``-th crash and every earlier crash, and
+    before every call po-after that crash.  A candidate is a call with its
+    persist choice: ``None`` for a read and for a call with no crash
+    po-after it, persisted for a fence, persisted or not for ``rnew`` and
     ``rwrite``.  A state maps each location to its (volatile, persisted)
     value, and ``PFENCE`` to whether this era holds an unpersisted write; a
     crash makes the persisted values volatile.  Failed (placed mask, state)
-    pairs are memoized.  The budget counts candidate calls tried."""
-    n, lab, era = len(x), x.lab, x.plain.era_of()
+    pairs are memoized.  The budget counts candidate calls tried, and the
+    witness files each call under the number of crashes placed before it."""
+    n, lab, po = len(x), x.lab, x.plain.po_order.rows
     mask = (1 << n) - 1 if mask is None else mask
     crashes = [c for c in x.plain.crash_events() if mask >> c & 1]
     last = len(crashes)
@@ -462,16 +458,20 @@ def weakreg_consistent_execution(
         end = {c: n + k for k, c in enumerate(crashes)}
         seed = [(end[e], CRASH) if e in end else (e, (lab[e], p)) for e, p in seed if mask >> e & 1]
     preds = [p & members for p in x.hb_order.preds()]
-    # crash n+k follows every call of eras ≤ k and every earlier crash
-    preds += [sum(1 << i for i in called if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
+    preds += [((1 << k) - 1) << n for k in range(last)]
+    for k, c in enumerate(crashes):
+        for i in called:
+            if po[i] >> c & 1:
+                preds[n + k] |= 1 << i
+            elif po[c] >> i & 1:
+                preds[i] |= 1 << (n + k)
+    ends = sum(1 << c for c in crashes)
     options: List[Sequence[object]] = []
     for i, c in enumerate(calls):
-        if c is not None and era[i]:
-            preds[i] |= 1 << (n + era[i] - 1)
         if c is None or not c.is_complete and c.method != "rwrite":
             options.append(())
             continue
-        if era[i] == last or c.method == "rread":
+        if not po[i] & ends or c.method == "rread":
             persists = (None,)
         else:
             persists = (True,) if c.method == PFENCE else (True, False)
@@ -499,13 +499,16 @@ def weakreg_consistent_execution(
     if not v:
         return v
     placed = v.witness
-    lin: List[List[int]] = [[] for _ in range(last + 1)]
-    persisted: List[Set[int]] = [set() for _ in range(last + 1)]
+    lin: List[List[int]] = [[]]
+    persisted: List[Set[int]] = [set()]
     for i, cand in placed:
-        if i < n:
-            lin[era[i]].append(i)
-            if cand[1]:
-                persisted[era[i]].add(i)
+        if i >= n:
+            lin.append([])
+            persisted.append(set())
+            continue
+        lin[-1].append(i)
+        if cand[1]:
+            persisted[-1].add(i)
     mo = []
     for lin_i in lin:
         writes = [j for j in lin_i if calls[j].method == "rwrite"]
@@ -525,8 +528,9 @@ def weakreg_placed(x, mask: int, w: WeakRegWitness) -> Placement:
     and ``mask`` as its search placed it: per era the calls in volatile
     order, each with its persist choice, then the crash that ends the era."""
     crashes, last = [c for c in x.plain.crash_events() if mask >> c & 1], len(w.lin) - 1
+    po, ends = x.plain.po_order.rows, sum(1 << c for c in crashes)
     out: Placement = []
     for k, lin in enumerate(w.lin):
-        out += [(e, None if k == last or x.lab[e].method == "rread" else e in w.persisted[k]) for e in lin]
+        out += [(e, None if not po[e] & ends or x.lab[e].method == "rread" else e in w.persisted[k]) for e in lin]
         out += [(crashes[k], None)] if k < last else []
     return out

@@ -308,11 +308,13 @@ def exec_bind(
     the choices are made:
 
     * ``sourced``: each read has a write of its key (``lang.ValueFlow``) by
-      another event of its era or an earlier one.  A member holds no crash
-      (its body runs as one thread), so an inner event is in its abstract
-      event's era, ``g.era_of()``.  Per era, ``written`` counts by block the
-      keys written in it or earlier; a read that its block leaves unsourced
-      needs a count above the block's own write.
+      another event that is not era-after it, as Px86's reads-from
+      candidates have.  A member holds no crash (its body runs as one
+      thread), so an inner event is era-before another block's event as its
+      abstract event is, ``g.eb``.  ``written`` holds per key the events
+      whose chosen blocks write it; a read that its block leaves unsourced
+      needs such an event that is not era-after its own, nor its own when
+      the block writes the key only by the reader.
     * ``encapsulated``: ``check_encapsulated`` of ``Execution(gc)``, whose hb
       is po.  A use that no earlier constructor of its block covers needs
       one in a block whose abstract event is po-before its own, and, as
@@ -321,18 +323,14 @@ def exec_bind(
       gets ``None``: its checks raise ``UnknownMethod``."""
     events = list(g.events)
     labs = [g.lab[e] for e in events]
-    era = g.era_of()
-    eras = [era[e] for e in events]
-    last = max(eras, default=0)
-    po = g.po_order.rows
+    po, eb = g.po_order.rows, g.eb.rows
     out: List[Tuple[PlainExecution, Dict[int, int]]] = []
     #: an event that passes through, as its one block
     through = [None if impl.owns(l) else [_Block(PlainExecution([l], []), impl)] for l in labs]
     #: the chosen blocks, each with its labels on its event's thread
     chosen: List[Tuple[_Block, Tuple[Label, ...]]] = []
-    #: per era, the write keys of the chosen blocks of it or an earlier era,
-    #: with the number of blocks that write each
-    written: List[Dict[tuple, int]] = [{} for _ in range(last + 1)]
+    #: per write key, the row of the events whose chosen blocks write it
+    written: Dict[tuple, int] = {}
     #: per constructor location: the event index of its block, its library
     #: and its locations
     ctor_at: Dict[object, Tuple[int, str, FrozenSet]] = {}
@@ -340,7 +338,7 @@ def exec_bind(
 
     def sourced() -> bool:
         return all(
-            written[eras[i]].get(r, 0) > own for i, (b, _) in enumerate(chosen) for r, own in b.needs
+            written.get(r, 0) & ~eb[i] & ~(own << i) for i, (b, _) in enumerate(chosen) for r, own in b.needs
         )
 
     def encapsulated() -> Optional[bool]:
@@ -371,9 +369,8 @@ def exec_bind(
                 facts.append((sourced(), encapsulated()))
             return
         for b in through[i] or impl.blocks(labs[i], base):
-            for counts in written[eras[i] :]:
-                for w in b.writes:
-                    counts[w] = counts.get(w, 0) + 1
+            for w in b.writes:
+                written[w] = written.get(w, 0) | 1 << i
             placed, clashed = [], 0
             for lib, locs in b.ctors:
                 for loc in locs:
@@ -389,9 +386,8 @@ def exec_bind(
             clashes -= clashed
             for loc in placed:
                 del ctor_at[loc]
-            for counts in written[eras[i] :]:
-                for w in b.writes:
-                    counts[w] -= 1
+            for w in b.writes:
+                written[w] ^= 1 << i
 
     rec(0, impl.config.loc_base)
     return out
@@ -464,7 +460,7 @@ def find_plain_matching(
         return None
     if set(groups_a) - set(groups_c):
         return None
-    era = gc.era_of()
+    eb = gc.eb.rows
     spent = [0]
 
     def spend():
@@ -476,7 +472,7 @@ def find_plain_matching(
         """Whether the concrete block can implement the abstract event."""
         # a block across a crash cannot project onto po; restricting to it
         # would also cut an incomplete call from its crash
-        if era[block_ids[0]] != era[block_ids[-1]]:
+        if eb[block_ids[0]] >> block_ids[-1] & 1:
             return False
         lab = ga.lab[a]
         if impl.owns(lab):

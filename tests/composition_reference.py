@@ -3,13 +3,16 @@ kept verbatim as test references: the pair-set ``seq_compose``, the
 pair-scanning ``down_sets`` and ``history_to_execution``, the interpreter's
 hand-written ``build`` (here a function of the interpretation) and
 ``_glue_crash``, ``interpret_phases`` with its ``repr``-keyed deduplication,
-and the lock library's permutation sw hook."""
+and the lock library's permutation sw hook.  Two edits since: a call pending
+at a crash ends just before it in ``history_to_execution``, and the sw hook
+numbers the eras with ``definitions.era_numbers``."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from definitions import era_numbers
 from persistcheck.lang import (
     Collection,
     InterpConfig,
@@ -59,7 +62,9 @@ def down_sets(g: PlainExecution) -> List[FrozenSet[int]]:
 def history_to_execution(h: History) -> Execution:
     """Single-event calls with po per thread and hb = return-precedes-invocation.
 
-    Crash markers become crash events acting as both invocation and return.
+    Crash markers become crash events acting as both invocation and return,
+    and a call pending at a crash ends just before the first crash after it
+    starts.
     """
     calls = h.calls()
     crash_positions = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
@@ -68,7 +73,8 @@ def history_to_execution(h: History) -> Execution:
     threads: List[Optional[int]] = []
     for c in calls:
         labels.append(c.label())
-        spans.append((c.start, c.end))
+        end = c.end if c.is_complete else min((p - 0.5 for p in crash_positions if p > c.start), default=c.end)
+        spans.append((c.start, end))
         threads.append(c.thread)
     for p in crash_positions:
         labels.append(CRASH)
@@ -216,7 +222,7 @@ def interpret_phases(
 def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Interleavings of critical sections: per era, per-thread (acq[,rel])
     sections ordered every possible way, rel -> next acq edges proposed."""
-    era = g.era_of()
+    era = era_numbers(g)
     n_eras = len(g.crash_events()) + 1
     per_era_sections: List[List[List[int]]] = []
     for k in range(n_eras):

@@ -21,8 +21,10 @@ module of ``persistcheck`` imports this one.
   axiom and era monotonicity, each evaluated for a given witness.
 * ``interpret``: the semantics ⟦P⟧ of a program, as its ``Interpretation``.
 * ``sourced_in``: whether every read of a plain execution has a write of
-  its key, under a collection's declared value flow, by another event of
-  its era or an earlier one (eras as ``era_of()`` counts them).
+  its key, under a collection's declared value flow, by another event that
+  is not era-after it (era-before: a crash po-between).
+* ``era_numbers``: per event, the number of crashes po-before it, which
+  orders the eras wherever every crash is po-comparable with every event.
 * ``same_transaction``: the same-transaction relation of the transaction
   library, as pairs.
 * Substitution: ``existproj`` (∃f⟨r⟩, a relation projected along f),
@@ -270,12 +272,31 @@ def interpret(prog: Prog, coll: Collection, config: InterpConfig = InterpConfig(
     return Interpretation(prog, coll, config)
 
 
+def _era_before(g: PlainExecution) -> FrozenSet[Edge]:
+    """Era-before as pairs: ``(a, b)`` with a crash po-after ``a`` and
+    po-before ``b``."""
+    po = g.po
+    return frozenset((a, b) for a, c in po if g.lab[c].is_crash for b in g.events if (c, b) in po)
+
+
 def sourced_in(flow: ValueFlow, g: PlainExecution) -> bool:
-    """``flow.sourced`` with each event in its own era, ``g.era_of()``,
-    whatever the order of ``g``'s labels: the events go era by era, each
-    era's crashes last."""
-    era, lab = g.era_of(), g.lab
-    return flow.sourced([lab[e] for e in sorted(g.events, key=lambda e: (era[e], lab[e].is_crash))])
+    """Whether each read of ``g`` has a write of its key (``flow.of``) by
+    another event that is not era-after it."""
+    eb, keys = _era_before(g), {e: flow.of(g.lab[e]) for e in g.events}
+    return all(
+        any(w != r and (r, w) not in eb and key in keys[w][1] for w in g.events)
+        for r, (key, _) in keys.items()
+        if key is not None
+    )
+
+
+def era_numbers(g: PlainExecution) -> Dict[int, int]:
+    """Per event, the number of crashes po-before it.  Where every crash is
+    po-comparable with every event, as in the executions the checker builds,
+    two events have equal numbers iff they are in one era, and ``a``'s number
+    is below ``b``'s iff ``a`` is era-before ``b``."""
+    crashes = [c for c in g.events if g.lab[c].is_crash]
+    return {e: sum((c, e) in g.po for c in crashes) for e in g.events}
 
 
 # --------------------------------------------------------------------------

@@ -2,17 +2,26 @@
 test references: the linear-extension enumerator ``linear_extensions``, and
 Flit's and Mirror's checks and Mirror's sw hook, which loop over every
 linear extension (times every persisted set, for Flit) and check each as a
-whole."""
+whole.  Eras are numbered by ``definitions.era_numbers``, and
+``era_preds`` gives the predecessor rows of an era-monotone search on
+closed rows, for the snapshots that handed one to ``sc.linearizations``."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from definitions import era_numbers
 from persistcheck.framework import BudgetExceeded, Verdict
 from persistcheck.libs import _mirror_is_write, _mirror_reads, _mirror_written
 from persistcheck.model import BOT, Execution, Label, Order, PlainExecution
 from persistcheck.px86 import P_TAG
+
+
+def era_preds(order: Order, eras: Sequence[int]) -> List[int]:
+    """The predecessor masks of ``order``, each event also after every event
+    of an earlier era: the ``preds`` of an era-monotone search."""
+    return [p | sum(1 << j for j, ej in enumerate(eras) if ej < ei) for p, ei in zip(order.preds(), eras)]
 
 
 def linear_extensions(
@@ -72,7 +81,7 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
     before dependent writes, persistent writes before a finish-op persist,
     and P is an nvo prefix."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     lab = x.lab
     W = [e for e in ids if lab[e].method in ("fwrite_p", "fwrite_v")]
     WP = [e for e in ids if lab[e].method == "fwrite_p"]
@@ -167,7 +176,7 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     the derived latest-visible reads-from; completed writes are exactly the
     persisted set; same-era write chains persist in order."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     lab = x.lab
     W = [e for e in ids if _mirror_is_write(lab[e])]
     R = [e for e in ids if _mirror_reads(lab[e])]
@@ -248,7 +257,7 @@ def _mirror_reads_from(lab: Mapping[int, Label], era: Mapping[int, int], lin: Se
 def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate sw sets: derived reads-from for each era-monotone lin."""
     ids = [e for e in g.events if not g.lab[e].is_crash]
-    era = g.era_of()
+    era = era_numbers(g)
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     spent = [2_000]
     try:

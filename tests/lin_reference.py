@@ -8,7 +8,11 @@ method (``VOID_METHODS``, or ``interface.void``), else each value of a
 domain (``mentioned_values``, or every argument and return of the
 execution, 0 and null).  A guessed return of a constructor can name a
 location that another call names, which is the one place where these
-verdicts differ from the open-return checks."""
+verdicts differ from the open-return checks.
+
+One edit since: ``execution_linearizable``'s ``keep`` reads whether a crash
+is po-after the event, as the checker's does, and its ``era_monotone``
+option went with the checker's, whose pins happens-before already holds."""
 
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from persistcheck.sc import (
     VOID_METHODS,
     SequentialSpec,
     _returns_before_invokes,
-    era_preds,
     linearizations,
     mentioned_values,
 )
@@ -69,40 +72,36 @@ def execution_linearizable(
     x: Execution,
     spec: SequentialSpec,
     interface: LibraryInterface,
-    keep: Optional[Callable[[Label, int, bool], str]] = None,
+    keep: Optional[Callable[[Label, bool], str]] = None,
     budget: int = 200_000,
-    era_monotone: bool = False,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
     sequential spec.  Incomplete calls of methods ``interface`` declares void
     are completed with null only.
 
-    ``keep(label, era, is_last_era)`` returns "keep", "drop", or "optional"
-    per event (default: complete events kept, incomplete optional).  Dropped
-    and optional-dropped events vanish; optional incomplete events may also
-    be completed with any value the execution mentions (an argument or a
-    return), 0 or null.  ``era_monotone`` additionally pins
-    events of earlier eras before later ones (the persisted-prefix
-    concatenation shape); plain durable linearizability erases crashes, so
-    only happens-before constrains incomplete stragglers there.
+    ``keep(label, is_last_era)`` returns "keep", "drop", or "optional" per
+    event (default: complete events kept, incomplete optional); an event is
+    in the last era when no crash is po-after it.  Dropped and
+    optional-dropped events vanish; optional incomplete events may also be
+    completed with any value the execution mentions (an argument or a
+    return), 0 or null.
 
     One ``sc.linearize`` search over the kept and optional events decides
     it; the budget counts candidate calls tried.
     """
-    n_eras = len(x.plain.crash_events()) + 1
-    era = x.plain.era_of()
+    crashes = x.plain.crash_events()
     ids = [e for e in x.events if not x.lab[e].is_crash]
     labs = [x.lab[e] for e in ids]
     returned = [l.ret for l in labs if l.ret not in (BOT, None)]
     domain = list(dict.fromkeys([a for l in labs for a in l.args] + returned + [0, None]))
     modes = {
-        e: keep(l, era[e], era[e] == n_eras - 1) if keep else "keep" if l.is_complete else "optional"
+        e: keep(l, not any((e, c) in x.po for c in crashes)) if keep else "keep" if l.is_complete else "optional"
         for e, l in zip(ids, labs)
     }
     members = [e for e in ids if modes[e] != "drop"]
     must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
     hb = x.hb_order.restrict(members)
-    preds = era_preds(hb, [era[e] for e in members]) if era_monotone else hb.preds()
+    preds = hb.preds()
     options = []
     for e in members:
         l = x.lab[e]

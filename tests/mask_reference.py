@@ -4,14 +4,21 @@ a mask, kept verbatim as test references: ``Seeded``, the owner table's
 projection as an ``Execution`` and renumbered seeds into it and witnesses
 out of it, ``execution_linearizable`` with ``lin_placed``, and
 ``weakreg_consistent_execution`` with ``weakreg_placed`` and
-``_weakreg_linearize``.  The one change: ``Order.preds`` now returns a kept
-tuple, so ``_weakreg_linearize`` copies it before it appends the era ends.
+``_weakreg_linearize``.  Two changes: ``Order.preds`` now returns a kept
+tuple, so ``_weakreg_linearize`` copies it before it appends the era ends;
+and eras are read off program order to crashes, as the checks read them:
+an event is in the last era when no crash is po-after it, a crash's era
+end follows the calls po-before it and precedes those po-after it, and
+``execution_linearizable`` has no era pins (eras once numbered by counting
+crashes, which disagreed with era-before where a crash is unordered with
+an event).
 
 ``check_weakreg_consistent`` is the history set-up of the weak-register
 check before it became the execution check on ``history_to_execution(h)``:
-calls in invocation order, eras by bisecting the crash positions, and hb as
-returns-before-invokes.  It passes that order to ``_weakreg_linearize``,
-which takes the order where the replaced one took its ``preds``.
+calls in invocation order, each before the crashes after its invocation and
+after the others, and hb as returns-before-invokes.  It passes that order to
+``_weakreg_linearize``, which takes the order where the replaced one took
+its ``preds``.
 
 ``specs`` gives a library spec whose ``local_consistent`` is the reference
 check of the same library."""
@@ -33,7 +40,6 @@ from persistcheck.sc import (
     SequentialSpec,
     WeakRegWitness,
     _returns_before_invokes,
-    era_preds,
     linearize,
 )
 
@@ -96,40 +102,35 @@ class Owners(framework.Owners):
 def execution_linearizable(
     x: Execution,
     spec: SequentialSpec,
-    keep: Optional[Callable[[Label, int, bool], str]] = None,
+    keep: Optional[Callable[[Label, bool], str]] = None,
     budget: int = 200_000,
-    era_monotone: bool = False,
     seed: Optional[Placement] = None,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
     sequential spec.
 
-    ``keep(label, era, is_last_era)`` returns "keep", "drop", or "optional"
-    per event (default: complete events kept, incomplete optional).  Dropped
-    and optional-dropped events vanish; a placed incomplete event keeps its
+    ``keep(label, is_last_era)`` returns "keep", "drop", or "optional" per
+    event (default: complete events kept, incomplete optional); an event is
+    in the last era when no crash is po-after it.  Dropped and
+    optional-dropped events vanish; a placed incomplete event keeps its
     return open (⊥), so it takes the return ``spec``'s state gives.
-    ``era_monotone`` additionally pins events of earlier eras before later
-    ones (the persisted-prefix concatenation shape); plain durable
-    linearizability erases crashes, so only happens-before constrains
-    incomplete stragglers there.
 
     One ``sc.linearize`` search over the kept and optional events decides
     it; its witness lists the placed events.  The budget counts candidate
     calls tried, one per event.  A ``seed`` is given as :func:`lin_placed`
     gives a witness, and replayed first.
     """
-    n_eras = len(x.plain.crash_events()) + 1
-    era = x.plain.era_of()
+    crashes = x.plain.crash_events()
     ids = [e for e in x.events if not x.lab[e].is_crash]
     labs = [x.lab[e] for e in ids]
     modes = {
-        e: keep(l, era[e], era[e] == n_eras - 1) if keep else "keep" if l.is_complete else "optional"
+        e: keep(l, not any((e, c) in x.po for c in crashes)) if keep else "keep" if l.is_complete else "optional"
         for e, l in zip(ids, labs)
     }
     members = [e for e in ids if modes[e] != "drop"]
     must = sum(1 << i for i, e in enumerate(members) if modes[e] == "keep")
     hb = x.hb_order.restrict(members)
-    preds = era_preds(hb, [era[e] for e in members]) if era_monotone else hb.preds()
+    preds = hb.preds()
     if seed is not None:
         at = {e: i for i, e in enumerate(members)}
         seed = [(at[e], x.lab[e]) for e, _ in seed if e in at]
@@ -149,14 +150,15 @@ def weakreg_consistent_execution(
     events delimit eras; hb is the execution's primitive happens-before),
     after replaying a ``seed`` of the form :func:`weakreg_placed` gives."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era_of = x.plain.era_of()
     crashes = x.plain.crash_events()
     labels = [x.lab[e] for e in ids]
     if seed is not None:
         at = {e: i for i, e in enumerate(ids + crashes)}
         seed = [(at[e], CRASH if x.lab[e].is_crash else (x.lab[e], p)) for e, p in seed]
     hb = x.hb_order.restrict(ids)
-    return _weakreg_linearize(labels, [era_of[e] for e in ids], len(crashes) + 1, hb, with_pfence, budget, seed)
+    after = [sum(1 << k for k, c in enumerate(crashes) if (c, e) in x.po) for e in ids]
+    before = [sum(1 << k for k, c in enumerate(crashes) if (e, c) in x.po) for e in ids]
+    return _weakreg_linearize(labels, after, before, len(crashes), hb, with_pfence, budget, seed)
 
 
 def weakreg_placed(x, w: WeakRegWitness) -> Placement:
@@ -167,7 +169,9 @@ def weakreg_placed(x, w: WeakRegWitness) -> Placement:
     crashes, last = x.plain.crash_events(), len(w.lin) - 1
     out: Placement = []
     for k, lin in enumerate(w.lin):
-        out += [(ids[i], None if k == last or x.lab[ids[i]].method == "rread" else i in w.persisted[k]) for i in lin]
+        for i in lin:
+            ended = any((ids[i], c) in x.po for c in crashes)
+            out.append((ids[i], i in w.persisted[k] if ended and x.lab[ids[i]].method != "rread" else None))
         out += [(crashes[k], None)] if k < last else []
     return out
 
@@ -177,36 +181,42 @@ def check_weakreg_consistent(h: History, with_pfence: bool = False, budget: int 
     history's own set-up."""
     calls = h.calls()
     crashes = [i for i, e in enumerate(h.events) if isinstance(e, CrashEv)]
-    era = [bisect_right(crashes, c.inv_index) for c in calls]
-    return _weakreg_linearize(calls, era, len(crashes) + 1, _returns_before_invokes(calls), with_pfence, budget)
+    # a call precedes each crash after its invocation, and follows the others
+    after = [(1 << bisect_right(crashes, c.inv_index)) - 1 for c in calls]
+    before = [((1 << len(crashes)) - 1) & ~a for a in after]
+    return _weakreg_linearize(calls, after, before, len(crashes), _returns_before_invokes(calls), with_pfence, budget)
 
 
 def _weakreg_linearize(
-    calls: Sequence, era: List[int], n_eras: int, hb: Order, with_pfence: bool, budget: int, seed=None
+    calls: Sequence, after: List[int], before: List[int], n_crashes: int, hb: Order, with_pfence: bool, budget: int,
+    seed=None,
 ) -> Verdict:
     """One :func:`linearize` search over the calls ``0..n-1`` (history
     ``Call``s or execution ``Label``s) and the crash events, ``n+k`` ending
-    era ``k``.  A candidate is a call with its persist choice (``None`` in
-    the last era and for reads).  A state maps each location to its
-    (volatile, persisted) value, and ``PFENCE`` to whether this era holds an
-    unpersisted write; a crash makes the persisted values volatile.  Failed
-    (placed mask, state) pairs are memoized."""
+    era ``k``; ``after[i]`` and ``before[i]`` are the rows of the crashes
+    po-before and po-after call ``i``.  A candidate is a call with its
+    persist choice (``None`` for reads and for a call with no crash after
+    it).  A state maps each location to its (volatile, persisted) value,
+    and ``PFENCE`` to whether this era holds an unpersisted write; a crash
+    makes the persisted values volatile.  Failed (placed mask, state) pairs
+    are memoized.  Each call is filed under the number of crashes placed
+    before it."""
     for c in calls:
         if c.method not in WEAKREG_METHODS:
             raise ValueError(f"not a weak-register call: {c!r}")
         if c.method == PFENCE and not with_pfence:
             raise ValueError("history uses PFENCE but the fence rule is disabled")
-    n, last = len(calls), n_eras - 1
-    # crash n+k follows every call of eras ≤ k and every earlier crash
-    preds = list(hb.preds()) + [sum(1 << i for i in range(n) if era[i] <= k) | ((1 << k) - 1) << n for k in range(last)]
+    n, last = len(calls), n_crashes
+    # crash n+k follows every call po-before it and every earlier crash
+    ends = [sum(1 << i for i in range(n) if before[i] >> k & 1) | ((1 << k) - 1) << n for k in range(last)]
+    preds = list(hb.preds()) + ends
     options: List[List[object]] = []
     for i, c in enumerate(calls):
-        if era[i]:
-            preds[i] |= 1 << (n + era[i] - 1)
+        preds[i] |= after[i] << n
         if not c.is_complete and c.method != "rwrite":
             options.append([])
             continue
-        if era[i] == last or c.method == "rread":
+        if not before[i] or c.method == "rread":
             persists = (None,)
         else:
             persists = (True,) if c.method == PFENCE else (True, False)
@@ -234,13 +244,16 @@ def _weakreg_linearize(
     if not v:
         return v
     placed = v.witness
-    lin: List[List[int]] = [[] for _ in range(n_eras)]
-    persisted: List[Set[int]] = [set() for _ in range(n_eras)]
+    lin: List[List[int]] = [[] for _ in range(last + 1)]
+    persisted: List[Set[int]] = [set() for _ in range(last + 1)]
+    era = 0
     for i, cand in placed:
-        if i < n:
-            lin[era[i]].append(i)
+        if i >= n:
+            era += 1
+        else:
+            lin[era].append(i)
             if cand[1]:
-                persisted[era[i]].add(i)
+                persisted[era].add(i)
     mo = []
     for lin_i in lin:
         writes = [j for j in lin_i if calls[j].method == "rwrite"]
@@ -275,18 +288,18 @@ def _reg_lin_check(x: Execution, seed: Optional[Placement]) -> Verdict:
 
 
 def _mmcounter_check(x: Execution, budget: int = 100_000, seed: Optional[Placement] = None) -> Verdict:
-    def keep(l: Label, era: int, last: bool) -> str:
+    def keep(l: Label, last: bool) -> str:
         if last:
             return "keep" if l.is_complete else "optional"
         if PTR_TAG in l.tags or l.method == "mmnew":
             return "keep" if l.is_complete else "optional"
         return "drop"
 
-    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, era_monotone=True, seed=seed)
+    return execution_linearizable(x, S_MMCOUNTER, keep=keep, budget=budget, seed=seed)
 
 
 def _scmem_check(x: Execution, seed: Optional[Placement]) -> Verdict:
-    return execution_linearizable(x, S_MEM, budget=200_000, era_monotone=True, seed=seed)
+    return execution_linearizable(x, S_MEM, budget=200_000, seed=seed)
 
 
 CHECKS = {

@@ -3,7 +3,9 @@ verbatim as test references: the transaction library's same-transaction
 relation, conditions 1-14 and tag hook, the lock, lock-wrapped transaction
 and counter checks, Flit's and Mirror's checks, and the lock and Mirror sw
 hooks with their list-scanning deduplication.  Each reads ``x.po`` and
-``x.hb`` as pair sets and closes orders from pair edges."""
+``x.hb`` as pair sets and closes orders from pair edges.  Eras are
+numbered by ``definitions.era_numbers``, with Mirror's era-number
+``_mirror_step`` kept here, since the checks now read era-before."""
 
 from __future__ import annotations
 
@@ -20,12 +22,13 @@ from persistcheck.libs import (
     T_TAG,
     _mirror_is_write,
     _mirror_reads,
-    _mirror_step,
     _mirror_written,
 )
-from persistcheck.model import BOT, Execution, Order, PlainExecution
+from persistcheck.model import BOT, Execution, Label, Order, PlainExecution
 from persistcheck.px86 import P_TAG
-from persistcheck.sc import ANY_ORDER, SequentialSpec, era_preds, linearizations, linearize
+from definitions import era_numbers
+from eager_reference import era_preds
+from persistcheck.sc import ANY_ORDER, SequentialSpec, linearizations, linearize
 
 
 
@@ -43,7 +46,7 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
     write.  The dependency and finish rules are checked on each sequence it
     yields.  The budget counts candidates tried."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     lab = x.lab
     W = [e for e in ids if lab[e].method in ("fwrite_p", "fwrite_v")]
     WP = [e for e in W if lab[e].method == "fwrite_p"]
@@ -107,7 +110,7 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     is placed: its value, and that the sw edges into it are exactly its
     derived source.  The budget counts candidates tried."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     lab = x.lab
     W = [e for e in ids if _mirror_is_write(lab[e])]
     R = {e for e in ids if _mirror_reads(lab[e])}
@@ -141,11 +144,28 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     return replace(v, witness={"lin": [e for _, e in v.witness], "nvo": sorted(nvo.pairs), "P": sorted(P)}) if v else v
 
 
+def _mirror_step(lab: Mapping[int, Label], era: Mapping[int, int], st: dict, e: int):
+    """Mirror's derived reads-from, one event of an era-monotone lin at a
+    time.  ``st`` maps each location to its lin-latest write and its
+    lin-latest completed (so persisted) write.  Returns the write ``e``
+    reads from (``None`` if ``e`` reads none) and the state after ``e``: a
+    read sees the latest write of its own era, else the latest completed
+    one."""
+    l = lab[e]
+    if not l.args:
+        return None, st
+    last, done = st.get(l.args[0], (None, None))
+    src = (last if last is not None and era[last] == era[e] else done) if _mirror_reads(l) else None
+    if _mirror_is_write(l):
+        st = {**st, l.args[0]: (e, e if l.is_complete else done)}
+    return src, st
+
+
 def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Candidate sw sets: derived reads-from for each era-monotone lin of
     po, the first 2,000 candidates tried."""
     ids = [e for e in g.events if not g.lab[e].is_crash]
-    era = g.era_of()
+    era = era_numbers(g)
     out: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
     preds = era_preds(g.po_order.restrict(ids), [era[e] for e in ids])
     try:
@@ -252,7 +272,7 @@ def ltrans_local_consistent(x: Execution) -> Verdict:
     reads, reads access the most recent visible write (same era or
     persisted), and external reads come from persisted writes."""
     begins, ends, writes, reads, news, recovers, crashes = _ltrans_events(x)
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     hb = x.hb
     st = same_transaction(x)
     ptr = set(_tagged(x, PTR_TAG))
@@ -367,7 +387,7 @@ def _ltrans_tag_hook(g: PlainExecution) -> Sequence[Mapping[int, FrozenSet[str]]
 
 def lock_consistent(x: Execution) -> Verdict:
     """hb totally orders the lock events of each era into (acq·rel)*·acq?."""
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     n_eras = len(x.plain.crash_events()) + 1
     for k in range(n_eras):
         evs = [
@@ -397,7 +417,7 @@ def _lock_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     """Interleavings of critical sections: per era, the per-thread (acq[,rel])
     sections in every order that po allows, an open section (no release)
     after all others, rel -> next acq edges proposed."""
-    era = g.era_of()
+    era = era_numbers(g)
     rows = g.po_order.rows
     options_per_era: List[List[FrozenSet[Tuple[int, int]]]] = []
     for k in range(len(g.crash_events()) + 1):
@@ -449,7 +469,7 @@ def lstrans_wellformed(x: Execution) -> Verdict:
 def counter_consistent(x: Execution) -> Verdict:
     """A read returns the number of increments hb-before it that are visible
     (same era or persisted)."""
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     ptr = set(_tagged(x, PTR_TAG))
     for r in [e for e in x.events if x.lab[e].method == "cread"]:
         if x.lab[r].ret is BOT:

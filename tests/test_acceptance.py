@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 
-from definitions import pomset_bind
+from definitions import era_numbers, pomset_bind
 from persistcheck.framework import (
     Collection,
     LibraryInterface,
@@ -392,7 +392,7 @@ def _consistent_undo_runs(text, unroll=10, max_runs=600_000):
 def _commit_level(g):
     """Number of transactions whose commit record landed before the crash
     (pt_end fences before appending the sentinel)."""
-    era = g.era_of()
+    era = era_numbers(g)
     return sum(
         1
         for e in g.events

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import eager_reference as ref
 import pairs_reference
+from definitions import era_numbers
 from persistcheck.framework import BudgetExceeded
 from persistcheck.libs import _mirror_sw_hook, check_flit, check_mirror
 from persistcheck.model import BOT, CRASH, Execution, Label, PlainExecution
@@ -110,7 +111,7 @@ def _close(n, pairs):
 def _lin_holds(x, lin):
     """lin orders the calls of x, extends hb and keeps era order."""
     ids = [e for e in x.events if not x.lab[e].is_crash]
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     pos = {e: i for i, e in enumerate(lin)}
     assert sorted(lin) == ids
     assert all(pos[a] < pos[b] for a, b in x.hb if a in pos and b in pos)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from definitions import interpret, same_transaction, thread_chains
+from definitions import era_numbers, interpret, same_transaction, thread_chains
 from eager_reference import linear_extensions
 from persistcheck.framework import BudgetExceeded, Collection
 from persistcheck.lang import (
@@ -364,13 +364,12 @@ def test_durlin_queue_completed_push_survives():
     assert durqueue_spec().local_consistent(Execution(sequence_execution(labels4)))
 
 
-def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000, era_monotone=False):
+def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000):
     """The eager search that execution_linearizable replaced: every subset
     of the optional events, times every choice of returns for the incomplete
     ones, each with its own linear-extension search.  Returns True, False,
     or None (budget exceeded)."""
-    n_eras = len(x.plain.crash_events()) + 1
-    era = x.plain.era_of()
+    crashes = x.plain.crash_events()
     ids = [e for e in x.events if not x.lab[e].is_crash]
     values = [a for e in ids for a in x.lab[e].args] + [x.lab[e].ret for e in ids if x.lab[e].ret not in (BOT, None)]
     domain = []
@@ -380,7 +379,8 @@ def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000,
     modes = {}
     for e in ids:
         l = x.lab[e]
-        modes[e] = keep(l, era[e], era[e] == n_eras - 1) if keep else ("keep" if l.is_complete else "optional")
+        last = not any((e, c) in x.po for c in crashes)
+        modes[e] = keep(l, last) if keep else ("keep" if l.is_complete else "optional")
     base = [e for e in ids if modes[e] == "keep"]
     optional = [e for e in ids if modes[e] == "optional"]
     spent = [budget]
@@ -388,7 +388,6 @@ def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000,
         for included in itertools.combinations(optional, r):
             members = sorted(set(base) | set(included))
             hb_local = x.hb_order.restrict(members)
-            eras = [era[e] for e in members] if era_monotone else None
             pend = [e for e in members if not x.lab[e].is_complete]
             choices = [[None] if x.lab[e].method in interface.void else domain for e in pend]
             for rets in itertools.product(*choices):
@@ -399,7 +398,7 @@ def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000,
                     calls.append(Call(l.method, l.args, retmap.get(e, l.ret), l.thread, l.tags, e, e))
                 try:
                     for _ in linear_extensions(
-                        hb_local, eras, step=lambda st, i: spec.step(st, calls[i]), state=spec.init(), budget=spent
+                        hb_local, step=lambda st, i: spec.step(st, calls[i]), state=spec.init(), budget=spent
                     ):
                         return True
                 except BudgetExceeded:
@@ -407,7 +406,7 @@ def _eager_execution_linearizable(x, spec, interface, keep=None, budget=200_000,
     return False
 
 
-def _mmcounter_keep(l, era, last):
+def _mmcounter_keep(l, last):
     # mmcounter_consistent's rule: before the last era only constructors and
     # Ptr-tagged calls count
     if last or PTR_TAG in l.tags or l.method in ("regnew", "qnew"):
@@ -415,7 +414,7 @@ def _mmcounter_keep(l, era, last):
     return "drop"
 
 
-def _prefix_keep(l, era, last):
+def _prefix_keep(l, last):
     # every call of an earlier era may be left out, complete or not
     return "keep" if last and l.is_complete else "optional"
 
@@ -502,27 +501,27 @@ _SAME_SET_OTHER_STATE = ("reg", [_regwrite(1, 0), _regwrite(2, 1), _regread(1, 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_lin_executions(), st.sampled_from(sorted(_LIN_KEEPS)), st.booleans())
-@example(_DROPPED_STAYS_OUT, "default", False)
-@example(_SAME_SET_OTHER_STATE, "default", False)
-@example(_trap("reg"), "default", False)
-@example(_trap("reg"), "mmcounter", True)
-@example(_trap("queue"), "default", False)
-def test_lazy_execution_linearizable_differential(case, keep, era_monotone):
+@given(_lin_executions(), st.sampled_from(sorted(_LIN_KEEPS)))
+@example(_DROPPED_STAYS_OUT, "default")
+@example(_SAME_SET_OTHER_STATE, "default")
+@example(_trap("reg"), "default")
+@example(_trap("reg"), "mmcounter")
+@example(_trap("queue"), "default")
+def test_lazy_execution_linearizable_differential(case, keep):
     lib, labels, po, sw = case
     spec, iface, new = _LIN_LIBS[lib][:3]
     x = Execution(PlainExecution(labels, po), sw)
 
     # a pending constructor keeps its return open, so it names no location:
     # the eager search, which guesses its return, leaves it out
-    def eager_keep(l, era, last):
+    def eager_keep(l, last):
         if l.method == new and not l.is_complete:
             return "drop"
-        return _LIN_KEEPS[keep](l, era, last) if _LIN_KEEPS[keep] else "keep" if l.is_complete else "optional"
+        return _LIN_KEEPS[keep](l, last) if _LIN_KEEPS[keep] else "keep" if l.is_complete else "optional"
 
-    v = execution_linearizable(x, spec, keep=_LIN_KEEPS[keep], era_monotone=era_monotone)
+    v = execution_linearizable(x, spec, keep=_LIN_KEEPS[keep])
     assert not v.is_budget
-    want = _eager_execution_linearizable(x, spec, iface, keep=eager_keep, era_monotone=era_monotone)
+    want = _eager_execution_linearizable(x, spec, iface, keep=eager_keep)
     assert bool(v) == want, (labels, po, sw)
 
 
@@ -701,7 +700,7 @@ def _consistent_runs(text, unroll=8, max_runs=400_000):
 def _committed_before_crash(g):
     """The commit record landed pre-crash (pt_end fences before appending the
     sentinel, so a complete sentinel implies the fence completed)."""
-    era = g.era_of()
+    era = era_numbers(g)
     return any(
         g.lab[e].method == "qappend"
         and g.lab[e].args[1] == COMMITTED

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_reference import linear_extensions
+from eager_reference import era_preds, linear_extensions
 from persistcheck.framework import BudgetExceeded
 from persistcheck.libs import check_flit, check_mirror, durqueue_spec
 from persistcheck.model import CRASH, Execution, History, Inv, Label, Order, Ret, sequence_execution
@@ -20,7 +20,6 @@ from persistcheck.sc import (
     S_WEAKREG,
     SequentialSpec,
     check_linearizable,
-    era_preds,
     linearizations,
     weakreg_consistent_execution,
 )

@@ -7,7 +7,7 @@ what the replaced check gave on the projection cut as an ``Execution``
 renamed through the projection's ids, and the same placement left for the
 next seed.  Both must also hand ``sc.linearize`` the same problem, renamed.
 A walk must then build no projection for such a library, and derive the
-execution's hb predecessors and eras once.
+execution's hb predecessors and era-before at most once.
 """
 
 from __future__ import annotations
@@ -238,20 +238,20 @@ def test_unordered_crashes_are_consistent():
 
 @contextmanager
 def _derived(log):
-    """Each ``Order.preds`` and ``PlainExecution.era_of`` that computes
-    rather than returns a kept value appends its object to ``log``;
-    ``Execution`` construction appends ``"Execution"``."""
-    preds, era_of, init = model.Order.preds, model.PlainExecution.era_of, model.Execution.__init__
+    """Each ``Order.preds`` and ``PlainExecution.eb`` that computes rather
+    than returns a kept value appends its object to ``log``; ``Execution``
+    construction appends ``"Execution"``."""
+    preds, eb, init = model.Order.preds, model.PlainExecution.eb, model.Execution.__init__
 
     def counted_preds(self):
         if getattr(self, "_preds", None) is None:
             log.append(self)
         return preds(self)
 
-    def counted_era_of(self):
-        if getattr(self, "_era", None) is None:
+    def counted_eb(self):
+        if getattr(self, "_eb", None) is None:
             log.append(self)
-        return era_of(self)
+        return eb.fget(self)
 
     def counted_init(self, *args, **kwargs):
         log.append("Execution")
@@ -259,7 +259,7 @@ def _derived(log):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model.Order, "preds", counted_preds)
-        mp.setattr(model.PlainExecution, "era_of", counted_era_of)
+        mp.setattr(model.PlainExecution, "eb", property(counted_eb))
         mp.setattr(model.Execution, "__init__", counted_init)
         yield
 

@@ -35,8 +35,6 @@ from persistcheck.model import (
     canonical_hash,
     closure,
     down_sets,
-    era_before,
-    era_split,
     execution_to_dot,
     history_to_execution,
     iso_eq,
@@ -385,26 +383,22 @@ def test_prefixes_preserve_invariants():
 # --------------------------------------------------------------------------
 
 
-def test_era_split_crash_free():
+def test_era_before_crash_free():
     g = sequence_execution([w(), r(1)])
-    parts = era_split(g)
-    assert len(parts) == 1 and iso_eq(parts[0], g)
-    assert era_before(g) == frozenset()
+    assert g.eb.pairs == frozenset()
 
 
-def test_era_split_two_eras():
+def test_era_before_two_eras():
     g = sequence_execution([w(thread=0), CRASH, r(1, thread=1)])
-    parts = era_split(g)
-    assert len(parts) == 2
-    assert parts[0].labels() == [w(thread=0)]
-    assert parts[1].labels() == [r(1, thread=1)]
-    assert (0, 2) in era_before(g)
+    assert g.eb.pairs == frozenset({(0, 2)})
+    # built once and kept
+    assert g.eb is g.eb
 
 
 def test_era_before_oracle_three_eras():
     labels = [w(1, thread=0), CRASH, w(2, thread=1), CRASH, r(2, thread=2)]
     g = sequence_execution(labels)
-    assert era_before(g) == frozenset(oracle_eb(g))
+    assert g.eb.pairs == frozenset(oracle_eb(g))
     # same-era, as px86 derives it, on the same shape with px86 labels
     px = sequence_execution([store(1, 1, thread=0), CRASH, store(1, 2, thread=1), CRASH, load(1, 2, thread=2)])
     se = derive_sets(Execution(px)).se
@@ -568,27 +562,6 @@ def test_dot_export_mentions_all_events():
         assert f"e{e}" in dot
 
 
-def test_era_split_reconcat_superset():
-    # splitting at crashes and regluing with crash singletons reproduces a
-    # po-superset of the original
-    labels = [w(1, thread=0), r(1, thread=1), CRASH, w(2, thread=5)]
-    g = PlainExecution(labels, thread_chains(labels) + [(0, 2), (1, 2), (2, 3)])
-    parts = era_split(g)
-    glued = parts[0]
-    for part in parts[1:]:
-        glued = seq_compose(seq_compose(glued, sequence_execution([CRASH])), part)
-    assert len(glued) == len(g)
-    # map events by label occurrence order and compare po
-    def key(gr):
-        return [repr(gr.lab[e]) for e in gr.events]
-
-    order = {lbl: i for i, lbl in enumerate(key(g))}
-    mapping = {e: order[repr(glued.lab[e])] for e in glued.events}
-    original_po = set(g.po)
-    glued_po = {(mapping[a], mapping[b]) for a, b in glued.po}
-    assert original_po <= glued_po
-
-
 # --------------------------------------------------------------------------
 # Bit-row order kernel against the frozenset reference
 # --------------------------------------------------------------------------
@@ -671,9 +644,8 @@ def _assert_relations(x, po, sw, hb):
     assert x.plain.po_reduced == reference_reduction(po)
     assert x.sw == frozenset(sw)
     assert x.hb == reference_closure(hb)
-    assert era_before(x.plain) == frozenset(oracle_eb(x.plain))
-    crashes = [c for c in x.events if x.lab[c].is_crash]
-    assert dict(x.plain.era_of()) == {e: sum((c, e) in x.po for c in crashes) for e in x.events}
+    assert x.plain.eb.pairs == frozenset(oracle_eb(x.plain))
+    assert x.plain.eb.preds() == tuple(sum(1 << a for a, b in oracle_eb(x.plain) if b == e) for e in x.events)
     # iso signatures and hashes read off the rows equal the pair-scan ones
     assert _iso_signatures(x.events, x.plain.po_order, x.lab) == reference_iso_signatures(x.events, x.po, x.lab)
     union = reference_iso_signatures(x.events, set(x.po) | set(x.sw) | set(x.hb), x.lab)

@@ -174,14 +174,14 @@ _EXEC_LIBS = {
 _CONSTRUCTORS = {lib[2] for lib in _EXEC_LIBS.values()}
 
 
-def _mmcounter_keep(l, era, last):
+def _mmcounter_keep(l, last):
     # before the last era only constructors and Ptr-tagged calls count
     if last or "Ptr" in l.tags or l.method in _CONSTRUCTORS:
         return "keep" if l.is_complete else "optional"
     return "drop"
 
 
-def _prefix_keep(l, era, last):
+def _prefix_keep(l, last):
     # every call of an earlier era may be left out, complete or not
     return "keep" if last and l.is_complete else "optional"
 
@@ -190,10 +190,10 @@ _KEEPS = {"default": None, "mmcounter": _mmcounter_keep, "prefix": _prefix_keep}
 
 
 def _pending_ctors_dropped(keep):
-    def k(l, era, last):
+    def k(l, last):
         if l.method in _CONSTRUCTORS and not l.is_complete:
             return "drop"
-        return keep(l, era, last) if keep else "keep" if l.is_complete else "optional"
+        return keep(l, last) if keep else "keep" if l.is_complete else "optional"
 
     return k
 
@@ -241,16 +241,14 @@ _QUEUE_ADOPTED = ("queue", [Label("qpush", (201, 1), None, frozenset(), 0), Labe
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_executions(), st.sampled_from(sorted(_KEEPS)), st.booleans())
-@example(_QUEUE_ADOPTED, "default", False)
-def test_open_returns_match_reference_on_executions(case, keep, era_monotone):
+@given(_executions(), st.sampled_from(sorted(_KEEPS)))
+@example(_QUEUE_ADOPTED, "default")
+def test_open_returns_match_reference_on_executions(case, keep):
     lib, labels, po, sw = case
     spec, iface = _EXEC_LIBS[lib][:2]
     x = Execution(PlainExecution(labels, po), sw)
-    v = execution_linearizable(x, spec, keep=_KEEPS[keep], era_monotone=era_monotone)
-    want = lin_reference.execution_linearizable(
-        x, spec, iface, keep=_pending_ctors_dropped(_KEEPS[keep]), era_monotone=era_monotone
-    )
+    v = execution_linearizable(x, spec, keep=_KEEPS[keep])
+    want = lin_reference.execution_linearizable(x, spec, iface, keep=_pending_ctors_dropped(_KEEPS[keep]))
     assert not v.is_budget
     assert v.status == want.status, (labels, po, sw)
 

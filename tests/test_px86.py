@@ -11,6 +11,7 @@ Two independent oracles validate the axiomatic checker:
 
 import itertools
 import json
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from definitions import check_px86_axioms, flush, fo, is_irreflexive, mfence, sfence
+from definitions import check_px86_axioms, era_numbers, flush, fo, is_irreflexive, mfence, sfence, sourced_in
 from eager_reference import linear_extensions
-from persistcheck.framework import BudgetExceeded
+from persistcheck.framework import BudgetExceeded, Collection
+from persistcheck.libs import flit_impl
 from persistcheck.model import (
     BOT,
     CRASH,
@@ -30,7 +32,6 @@ from persistcheck.model import (
     PlainExecution,
     bits,
     closure,
-    era_before,
     seq_compose,
     sequence_execution,
     parallel_execution,
@@ -52,6 +53,8 @@ from persistcheck.px86 import (
     value_read,
     value_written,
 )
+from persistcheck.lang import ValueFlow
+from persistcheck.substitution import SemanticImpl, exec_bind
 
 X, Y = 1, 2
 
@@ -558,11 +561,68 @@ def _small_two_era_graphs():
     return graphs
 
 
+def _random_px86_label(rng, thread):
+    kind = rng.choice(("store", "store", "load", "load", "upd", "flush", "fo", "mfence", "sfence"))
+    x, v, v2 = rng.choice((X, Y)), rng.randint(0, 1), rng.randint(0, 1)
+    l = {
+        "store": lambda: store(x, v, thread),
+        "load": lambda: load(x, v, thread),
+        "upd": lambda: upd(x, v, v2, thread),
+        "flush": lambda: flush(x, thread),
+        "fo": lambda: fo(x, thread),
+        "mfence": lambda: mfence(thread),
+        "sfence": lambda: sfence(thread),
+    }[kind]()
+    return l.with_tags({P_TAG}) if kind in _DURABLE and rng.randrange(6) == 0 else l
+
+
+def _crash_shape(rng):
+    """Two threads of one to four Px86 calls in all and 0-2 crashes, each in
+    one thread's chain: at its head (one time in two, at least), between
+    two of its calls or at its end, so a crash need not be po-comparable
+    with the other thread's calls.  A call right before a crash is pending
+    at it one time in two, and a thread's last call one time in six."""
+    chains = [[], []]
+    for _ in range(rng.randint(1, 4)):
+        t = rng.randrange(2)
+        chains[t].append(_random_px86_label(rng, t))
+    for _ in range(rng.randint(0, 2)):
+        chain = rng.choice(chains)
+        chain.insert(rng.choice((0, rng.randint(0, len(chain)))), CRASH)
+    for chain in chains:
+        for i, l in enumerate(chain):
+            nxt = chain[i + 1] if i + 1 < len(chain) else None
+            if l.is_call and (nxt is None or nxt.is_crash) and rng.randrange(2 if nxt else 6) == 0:
+                chain[i] = replace(l, ret=BOT)
+    return Execution(parallel_execution(*chains))
+
+
 def test_new_axiom_matches_brute_force_on_two_era_graphs():
     for x in _small_two_era_graphs():
         got = bool(px86_consistent(x, budget=500_000))
         want = oracle_px86_consistent(x)
         assert got == want, f"disagreement on {x!r}"
+    # the search against the oracle, whose eras are era-before, on shapes
+    # whose crashes head a thread or leave a call pending
+    rng, headed, pending = random.Random(37), 0, 0
+    for _ in range(1_000):
+        x = _crash_shape(rng)
+        po = x.plain.po_order.rows
+        headed += any(not x.plain.po_order.preds()[c] and po[c] for c in x.plain.crash_events())
+        pending += any(not x.lab[e].is_complete and po[e] for e in x.events)
+        assert (search_px86_witness(x) is not None) == oracle_px86_consistent(x), f"disagreement on {x!r}"
+    assert headed > 300 and pending > 50
+
+
+def test_search_reads_a_store_after_a_crash_that_heads_another_thread():
+    # the crash heads thread 1 only, so no crash lies between its store and
+    # thread 0's calls: the load reads it, and tso places it between thread
+    # 0's stores
+    t0 = [store(1, 1, thread=0), load(2, 1, thread=0), store(1, 1, thread=0)]
+    x = Execution(parallel_execution(t0, [CRASH, store(2, 1, thread=1)]))
+    assert oracle_px86_consistent(x)
+    v = px86_consistent(x)
+    assert v and (4, 1) in v.witness.rf
 
 
 def test_completed_flush_forces_persistence():
@@ -602,7 +662,7 @@ def _ref_sets(x):
     implementation held them."""
     ds = derive_sets(x)
     classes = {k: frozenset(bits(getattr(ds, k))) for k in ("R", "W", "U", "FL", "FO", "MF", "SF", "D", "WU")}
-    eb = era_before(x.plain)
+    eb = x.plain.eb.pairs
     se = frozenset(
         (a, b) for a in x.events for b in x.events if (a, b) not in eb and (b, a) not in eb
     )
@@ -714,7 +774,7 @@ def ref_check_px86_axioms(x, w):
 
 def ref_search_px86_witness(x, budget=200_000):
     ds = _ref_sets(x)
-    era = x.plain.era_of()
+    era = era_numbers(x.plain)
     explicit_p = frozenset(e for e in x.events if P_TAG in x.lab[e].tags)
     cands = {}
     for r in sorted(ds.R | ds.U):
@@ -923,7 +983,7 @@ def test_no_crash_between_is_read_off_era_before():
     # in a later era by number, yet no crash lies between the two, so A2
     # still refutes store(X, 0)
     g = PlainExecution([store(X, 0), store(X, 1), CRASH, load(X, 0, thread=1)], Order.close(4, [(0, 1), (1, 3), (2, 3)]))
-    assert g.era_of()[3] > g.era_of()[1]
+    assert era_numbers(g)[3] > era_numbers(g)[1] and not g.eb.pairs
     v = px86_consistent(Execution(g))
     assert not v and _steps(v) == 0
     assert ref_search_px86_witness(Execution(g)) is None
@@ -991,7 +1051,7 @@ def test_refuted_sources_are_the_rules_pairs_and_have_no_witness(x):
     if flow is None:
         assert kept is None
         return
-    ds, po, ebp = _ref_sets(x), x.po, era_before(x.plain)
+    ds, po, ebp = _ref_sets(x), x.po, x.plain.eb.pairs
     named = {
         (w, r)
         for r, (_, opts) in flow.items()
@@ -1023,19 +1083,35 @@ def test_value_flow_declaration():
         assert px86_value_flow(l) == (None, None)
 
 
+_FLIT_OVER_PX86 = SemanticImpl(flit_impl(), Collection([px86_spec()]))
+
+
 @settings(max_examples=1000, deadline=None)
-@given(small_px86_executions())
+@given(st.one_of(small_px86_executions(), st.builds(_crash_shape, st.randoms(use_true_random=False))))
 # a pending load reads BOT; an update cannot source its own read; a read of
-# a write of the next era has no source
+# a write of the next era has no source, unless the crash heads only the
+# writer's thread
 @example(Execution(sequence_execution([store(X, 1, thread=0), load(X, BOT, thread=0)])))
 @example(Execution(sequence_execution([upd(X, 1, 1, thread=0)])))
 @example(Execution(sequence_execution([upd(X, 1, 1, thread=0, ret=BOT), store(X, 1, thread=0)])))
 @example(Execution(sequence_execution([load(X, 1, thread=0), CRASH, store(X, 1, thread=1)])))
+@example(Execution(parallel_execution([load(X, 1, thread=0)], [CRASH, store(X, 1, thread=1)])))
 def test_interpreter_sourcing_matches_read_candidates(x):
     # the interpreter drops exactly the runs whose reads the witness search
-    # finds no candidate write for
-    from persistcheck.framework import Collection
-    from persistcheck.lang import ValueFlow
-
+    # finds no candidate write for; on any shape, the sourcing by era-before
+    # agrees with the search
     flow = ValueFlow(Collection([px86_spec()]))
-    assert flow.sourced(x.plain.labels()) == (_read_candidates(x, derive_sets(x).eb) is not None)
+    want = _read_candidates(x, derive_sets(x).eb) is not None
+    assert sourced_in(flow, x.plain) == want
+    # a bind through Flit passes every Px86 event through, and its sourcing
+    # fact is the same
+    facts = []
+    assert len(exec_bind(x.plain, _FLIT_OVER_PX86, facts=facts)) == 1
+    assert facts[0][0] == want
+    # the interpreter's runs list each era's events, then the crash that
+    # ends it: each crash follows every event before it and precedes every
+    # event after it
+    po = x.plain.po_order.rows
+    crashes = x.plain.crash_events()
+    if all(po[a] >> c & 1 and po[c] >> b & 1 for c in crashes for a in range(c) for b in range(c + 1, len(x))):
+        assert flow.sourced(x.plain.labels()) == want

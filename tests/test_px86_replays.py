@@ -39,7 +39,7 @@ from persistcheck.framework import (
 )
 from persistcheck.lang import InterpConfig, candidate_refinements, interpret_phases, parse_litmus
 from persistcheck.libs import builtin_spec, sc_prune_factory
-from persistcheck.model import BOT, Execution, Label, PlainExecution, bits, era_order
+from persistcheck.model import BOT, Execution, Label, PlainExecution, bits
 from persistcheck.px86 import (
     D_TAG,
     P_TAG,
@@ -93,7 +93,7 @@ def _witness_errors(x: Execution, w: Px86Witness) -> list:
         errors.append("tso is not a strict order")
     wu = [e for e in events if lab[e].method in _WRITES]
     errors += [f"tso misses {a},{b}" for a in wu for b in wu if a < b and (a, b) not in tso and (b, a) not in tso]
-    eb = era_order(x.plain).rows
+    eb = x.plain.eb.rows
     for name, rel in (("rf", w.rf), ("tso", w.tso), ("nvo", w.nvo)):
         errors += [f"{name} edge ({a},{b}) points back in eras" for a, b in rel if eb[b] >> a & 1]
     errors += [f"persisted {e} is not durable" for e in w.persisted if lab[e].method not in _DURABLE]
