@@ -721,7 +721,9 @@ def interpret_phases(
     crash = sequence_execution([CRASH])
     out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []
 
-    def rec(i: int, acc: Optional[PlainExecution], acc_labels: Tuple[Label, ...]):
+    # ``head`` is the run of the earlier eras glued to the crash that ends
+    # them, composed once and shared by every run of the later eras
+    def rec(i: int, head: Optional[PlainExecution], acc_labels: Tuple[Label, ...]):
         for j, (env, combo) in enumerate(eras[i]):
             labels = acc_labels
             if flow:
@@ -731,11 +733,11 @@ def interpret_phases(
             if (i, j) not in graphs:
                 graphs[i, j] = interps[i].build(combo)
             g = graphs[i, j]
-            g = g if acc is None else seq_compose(acc, crash, g)
+            g = g if head is None else seq_compose(head, g)
             if i == n - 1:
                 out.append((env, g))
             else:
-                rec(i + 1, g, labels)
+                rec(i + 1, seq_compose(g, crash), labels)
 
     rec(0, None, ())
     return out
@@ -912,7 +914,7 @@ def apply_tags(g: PlainExecution, tags: Mapping[int, FrozenSet[str]]) -> PlainEx
         return g
     labels = [
         (l.with_tags(tags[e]) if e in tags and l.is_call else l)
-        for e, l in enumerate(g.labels())
+        for e, l in enumerate(g.lab)
     ]
     return PlainExecution(labels, g.po_order)
 

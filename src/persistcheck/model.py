@@ -42,7 +42,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -350,13 +349,38 @@ def bits(row: int) -> Iterator[int]:
         row ^= low
 
 
-def row_pairs(rows: Sequence[int], ids: Optional[Sequence] = None) -> Relation:
-    ids = range(len(rows)) if ids is None else ids
+#: ``_PAIRS[a][b]`` is the pair ``(a, b)``, for ``a`` and ``b`` below the
+#: largest relation size seen: as many tuples as two pair sets of a total
+#: order on that many events hold.  The table is only ever replaced whole,
+#: by a larger one holding the same pairs, so a reader needs no lock: two
+#: threads that grow it at once each install a complete table.
+_PAIRS: Tuple[Tuple[Edge, ...], ...] = ()
+
+
+def _pair_table(n: int) -> Tuple[Tuple[Edge, ...], ...]:
+    """The shared pair table, grown to at least ``n`` events."""
+    global _PAIRS
+    table = _PAIRS
+    m = len(table)
+    if n > m:
+        grown = [row + tuple((a, b) for b in range(m, n)) for a, row in enumerate(table)]
+        grown.extend(tuple((a, b) for b in range(n)) for a in range(m, n))
+        table = _PAIRS = tuple(grown)
+    return table
+
+
+def row_pairs(rows: Sequence[int]) -> Relation:
+    """The pairs of the relation with bit rows ``rows`` on the events
+    ``0..len(rows)-1``: ``(a, b)`` for each bit ``b`` of ``rows[a]``.  The
+    tuples are taken from one table shared by every relation, so a cached
+    pair set holds no tuple of its own."""
+    table = _pair_table(len(rows))
     out = []
     for a, row in enumerate(rows):
+        at = table[a]
         while row:  # the bits of ``row``, walked inline
             low = row & -row
-            out.append((ids[a], ids[low.bit_length() - 1]))
+            out.append(at[low.bit_length() - 1])
             row ^= low
     return frozenset(out)
 
@@ -526,14 +550,14 @@ def _dense_order(edges: Iterable[Edge]) -> Tuple[List, Order]:
 def closure(edges: Iterable[Edge]) -> Relation:
     """Transitive closure of a relation (Warshall on bit rows)."""
     ids, order = _dense_order(edges)
-    return row_pairs(order.rows, ids)
+    return frozenset((ids[a], ids[b]) for a, b in order.pairs)
 
 
 def transitive_reduction(edges: Iterable[Edge]) -> Relation:
     ids, order = _dense_order(edges)
     if not order.is_acyclic():
         raise ValueError("relation is cyclic")
-    return row_pairs([order.covers(a) for a in range(len(ids))], ids)
+    return frozenset((ids[a], ids[b]) for a, b in order.reduced)
 
 
 # --------------------------------------------------------------------------
@@ -544,22 +568,24 @@ def transitive_reduction(edges: Iterable[Edge]) -> Relation:
 class Pomset:
     """A finite pomset: dense integer carrier, strict partial order, labels.
 
-    The order ``po_order`` is an :class:`Order`: given as edges it is closed
-    at construction, given as an ``Order`` (already closed) it is taken as
-    is.  Equality (`iso_eq`) is label-preserving order-isomorphism; `==` on
-    the nose is deliberately not defined beyond identity of representation.
+    The events are ``range(n)`` and ``lab`` is the tuple of their labels,
+    event ``e``'s at index ``e``.  The order ``po_order`` is an
+    :class:`Order`: given as edges it is closed at construction, given as an
+    ``Order`` (already closed) it is taken as is.  Equality (`iso_eq`) is
+    label-preserving order-isomorphism; `==` on the nose is deliberately not
+    defined beyond identity of representation.
     """
 
     __slots__ = ("events", "lab", "po_order")
 
     def __init__(self, labels: Sequence, order: Iterable[Edge] | Order):
-        lab = {i: l for i, l in enumerate(labels)}
-        closed = order if isinstance(order, Order) else Order.close(len(labels), order)
+        lab = tuple(labels)
+        closed = order if isinstance(order, Order) else Order.close(len(lab), order)
         if len(closed) != len(lab):
             raise ValueError("order mentions unknown event")
         if not closed.is_acyclic():
             raise ValueError("relation is cyclic")
-        object.__setattr__(self, "events", tuple(range(len(labels))))
+        object.__setattr__(self, "events", range(len(lab)))
         object.__setattr__(self, "lab", lab)
         object.__setattr__(self, "po_order", closed)
 
@@ -578,7 +604,7 @@ class Pomset:
         return self.po_order.reduced
 
     def labels(self) -> List:
-        return [self.lab[e] for e in self.events]
+        return list(self.lab)
 
     def __repr__(self) -> str:
         return f"Pomset({self.labels()!r}, {sorted(self.reduced)!r})"
@@ -668,30 +694,32 @@ def find_isomorphism(p, q) -> Optional[Dict[int, int]]:
 class PlainExecution:
     """A crash-aware pomset of labels: events, program order, labelling.
 
-    The program order ``po_order`` is an :class:`Order`: given as edges it is
-    closed at construction, given as an ``Order`` (already closed) it is
-    taken as is.  Construction rejects a cyclic ``po`` and enforces that
-    every po-immediate successor of an incomplete call is a crash event.
+    The events are ``range(n)`` and ``lab`` is the tuple of their labels,
+    event ``e``'s at index ``e``, so an execution holds one label reference
+    per event and nothing per event id.  The program order ``po_order`` is
+    an :class:`Order`: given as edges it is closed at construction, given as
+    an ``Order`` (already closed) it is taken as is.  Construction rejects a
+    non-:class:`Label` label and a cyclic ``po``, and enforces that every
+    po-immediate successor of an incomplete call is a crash event.
     """
 
     __slots__ = ("events", "lab", "po_order", "_eb")
 
     def __init__(self, labels: Sequence[Label], po: Iterable[Edge] | Order):
-        lab: Dict[int, Label] = {}
-        for i, l in enumerate(labels):
+        lab = tuple(labels)
+        for l in lab:
             if not isinstance(l, Label):
                 raise TypeError(f"not a label: {l!r}")
-            lab[i] = l
         order = po if isinstance(po, Order) else Order.close(len(lab), po, "po")
         if len(order) != len(lab):
             raise ValueError("po mentions unknown event")
         if not order.is_acyclic():
             raise ValueError("relation is cyclic")
-        crashes = sum(1 << e for e, l in lab.items() if l.is_crash)
-        for a, l in lab.items():
+        crashes = sum(1 << e for e, l in enumerate(lab) if l.is_crash)
+        for a, l in enumerate(lab):
             if not l.is_complete and order.covers(a) & ~crashes:
                 raise ValueError(f"incomplete call {l!r} has non-crash immediate successor")
-        object.__setattr__(self, "events", tuple(range(len(labels))))
+        object.__setattr__(self, "events", range(len(lab)))
         object.__setattr__(self, "lab", lab)
         object.__setattr__(self, "po_order", order)
         object.__setattr__(self, "_eb", None)
@@ -711,16 +739,16 @@ class PlainExecution:
         return self.po_order.reduced
 
     def labels(self) -> List[Label]:
-        return [self.lab[e] for e in self.events]
+        return list(self.lab)
 
     def is_empty(self) -> bool:
         return not self.events
 
     def threads(self) -> List[int]:
-        return sorted({l.thread for l in self.lab.values() if l.thread is not None})
+        return sorted({l.thread for l in self.lab if l.thread is not None})
 
     def crash_events(self) -> List[int]:
-        return [e for e in self.events if self.lab[e].is_crash]
+        return [e for e, l in enumerate(self.lab) if l.is_crash]
 
     @property
     def eb(self) -> Order:
@@ -775,7 +803,7 @@ def seq_compose(*parts: PlainExecution) -> PlainExecution:
         every, after_crash = ((1 << len(g)) - 1) << n, crashes << n
         rows = [row | (every if row or labels[a].is_complete else after_crash) for a, row in enumerate(rows)]
         rows.extend(row << n for row in grows)
-        labels.extend(g.labels())
+        labels.extend(g.lab)
     return PlainExecution(labels, Order(rows))
 
 
@@ -861,8 +889,9 @@ class Execution:
 
     def __init__(self, plain: PlainExecution, sw: Iterable[Edge] = (), hb: Iterable[Edge] | Order | None = None):
         swf = frozenset(sw)
+        n = len(plain)
         for a, b in swf:
-            if a not in plain.lab or b not in plain.lab:
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("sw mentions unknown event")
         if hb is None:
             order = plain.po_order.extend(swf)
@@ -888,11 +917,11 @@ class Execution:
         raise AttributeError("Execution is immutable")
 
     @property
-    def events(self) -> Tuple[int, ...]:
+    def events(self) -> range:
         return self.plain.events
 
     @property
-    def lab(self) -> Mapping[int, Label]:
+    def lab(self) -> Tuple[Label, ...]:
         return self.plain.lab
 
     @property
@@ -936,7 +965,7 @@ class Execution:
         immediate successors are still crashes."""
         plain = self.plain
         if mask == (1 << len(plain)) - 1:
-            return tuple(plain.labels()), plain.po_order.rows, self.sw, self.hb_order.rows
+            return plain.lab, plain.po_order.rows, self.sw, self.hb_order.rows
         keep = list(bits(mask))
         po = plain.po_order.restrict(keep).rows
         hb = po if self.hb_order is plain.po_order else self.hb_order.restrict(keep).rows

@@ -265,11 +265,18 @@ class Px86Witness:
 
 def _forced_tso(x: Execution, ds: DerivedSets) -> List[int]:
     """Rows of the tso edges that A3-A6 force on same-era program order (the
-    reads-from edges of A1 depend on rf and are added by the search)."""
+    reads-from edges of A1 depend on rf and are added by the search).  A
+    crash is same-era with the events on both of its sides, so crashes are
+    kept out on both ends: tso orders calls only."""
     fences = ds.MF | ds.U
+    crashes = _mask(x.plain.crash_events())
     forced = []
     for a, (po_a, se_a) in enumerate(zip(x.plain.po_order.rows, ds.se)):
-        after, bit = po_a & se_a, 1 << a
+        bit = 1 << a
+        if bit & crashes:
+            forced.append(0)
+            continue
+        after = po_a & se_a & ~crashes
         row = after & (fences | ds.SF)  # A3, A4: into fences and updates
         if bit & (fences | ds.R):
             row |= after  # A3
@@ -355,7 +362,7 @@ def _read_candidates(x: Execution, eb: Order) -> Optional[Dict[int, Tuple[int, L
     flow, as the interpreter's sourcing check does, so the two cannot
     disagree on which runs are unsourced.  A label that is not Px86's raises
     ``ValueError``."""
-    labels = x.plain.labels()
+    labels = x.lab
     for l in labels:
         if not l.is_crash and l.method not in PX86_METHODS:
             raise ValueError(f"not a px86 label: {l!r}")

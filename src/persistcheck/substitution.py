@@ -551,9 +551,9 @@ def _lift_projected(
     out of budget raises, is never kept and writes nothing."""
     prev = None
     if prev_abs is not None:
-        prev = (tuple(prev_abs.plain.labels()), prev_abs.plain.po_order.rows, prev_abs.hb_order.rows, prev_abs.sw)
+        prev = (prev_abs.plain.lab, prev_abs.plain.po_order.rows, prev_abs.hb_order.rows, prev_abs.sw)
     key = (
-        _lift_core, coll_high, tuple(ga.labels()), ga.po_order.rows, budget,
+        _lift_core, coll_high, ga.lab, ga.po_order.rows, budget,
         image, proj_hb, proj_external, prev, prev_ids,
     )
     xa, why = shared_call(

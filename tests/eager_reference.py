@@ -232,7 +232,7 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     return Verdict.fail("no mirror witness (lin/nvo)")
 
 
-def _mirror_reads_from(lab: Mapping[int, Label], era: Mapping[int, int], lin: Sequence[int]) -> Dict[int, int]:
+def _mirror_reads_from(lab: Sequence[Label], era: Mapping[int, int], lin: Sequence[int]) -> Dict[int, int]:
     """Mirror's derived reads-from along the linearization ``lin``: each read
     reads the lin-latest earlier write to its location that it sees, one of
     its own era or a completed (so persisted) one."""

@@ -144,7 +144,7 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
     return replace(v, witness={"lin": [e for _, e in v.witness], "nvo": sorted(nvo.pairs), "P": sorted(P)}) if v else v
 
 
-def _mirror_step(lab: Mapping[int, Label], era: Mapping[int, int], st: dict, e: int):
+def _mirror_step(lab: Sequence[Label], era: Mapping[int, int], st: dict, e: int):
     """Mirror's derived reads-from, one event of an era-monotone lin at a
     time.  ``st`` maps each location to its lin-latest write and its
     lin-latest completed (so persisted) write.  Returns the write ``e``

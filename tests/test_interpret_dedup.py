@@ -4,7 +4,10 @@ the product, in place of deduplicating every glued execution afterwards.
 The runs it gives, in order, must equal those of the code it replaced
 (``interpret_reference``) on every ``litmus/**`` file, at unroll 2 and 4,
 with and without ``complete_only``, and on the four undo-log crash programs
-of the benchmark.
+of the benchmark.  The reference glues each run as the three-part
+composition ``seq_compose(acc, crash, era)``, where ``interpret_phases``
+composes ``acc;crash`` once per run of the earlier eras; the single-phase
+files are also run with one restart after a crash.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import pytest
 import interpret_reference as ref
 from persistcheck.cli import _collection_for
 from persistcheck.framework import Collection
-from persistcheck.lang import InterpConfig, interpret_phases, link_phases, parse_litmus
+from persistcheck.lang import InterpConfig, Prog, interpret_phases, link_phases, parse_litmus
 from persistcheck.libs import durqueue_spec, ltrans_impl, sc_prune_factory, weakreg_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 LITMUS = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "litmus").rglob("*.lit"))
+SINGLE_PHASE = [p for p in LITMUS if len(parse_litmus((ROOT / p).read_text(encoding="utf-8")).phases) == 1]
 
 
 def _runs(interpret, phases, coll, cfg, complete_only):
@@ -67,3 +71,17 @@ def test_undo_log_runs_equal_the_replaced_interpretation(shape):
     want = _runs(ref.interpret_phases, phases, low, cfg, True)
     assert want
     assert _runs(interpret_phases, phases, low, cfg, True) == want
+
+
+@pytest.mark.parametrize("path", SINGLE_PHASE)
+def test_restarted_runs_equal_the_three_part_composition(path):
+    # a single-phase file run with one restart after a crash, the gluing
+    # input the tests above do not make
+    lit = parse_litmus((ROOT / path).read_text(encoding="utf-8"), name=path)
+    phases = [lit.phases[0], Prog(threads=lit.phases[0].threads)]
+    coll = _collection_for(lit.collection, 100_000)
+    for unroll in (2, 4):
+        cfg = InterpConfig(domain=tuple(lit.domain), unroll=unroll, max_runs=100_000, prune_factory=sc_prune_factory())
+        want = _runs(ref.interpret_phases, phases, coll, cfg, True)
+        assert want
+        assert _runs(interpret_phases, phases, coll, cfg, True) == want

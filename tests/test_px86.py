@@ -614,6 +614,18 @@ def test_new_axiom_matches_brute_force_on_two_era_graphs():
     assert headed > 300 and pending > 50
 
 
+def test_no_witness_tso_names_a_crash():
+    # a crash is same-era with the events on both of its sides, and the tso
+    # that A3/A4 force once ran through it: mfence@t0 → Crash → mfence@t1
+    v = px86_consistent(Execution(sequence_execution([mfence(thread=0), CRASH, mfence(thread=1)])))
+    assert v and v.witness.tso == frozenset()
+    rng = random.Random(38)
+    for x in _small_two_era_graphs() + [_crash_shape(rng) for _ in range(300)]:
+        w = search_px86_witness(x, budget=500_000)
+        crashes = set(x.plain.crash_events())
+        assert w is None or not any(a in crashes or b in crashes for a, b in w.tso), f"{x!r}: {sorted(w.tso)}"
+
+
 def test_search_reads_a_store_after_a_crash_that_heads_another_thread():
     # the crash heads thread 1 only, so no crash lies between its store and
     # thread 0's calls: the load reads it, and tso places it between thread
@@ -678,7 +690,9 @@ def _ref_sets(x):
 
 
 def _ref_forced_tso(x, ds, rf):
-    po_se = {(a, b) for (a, b) in x.po if (a, b) in ds.se}
+    # a crash is same-era with both of its sides; tso orders calls only
+    calls = {e for e in x.events if x.lab[e].is_call}
+    po_se = {(a, b) for (a, b) in x.po if (a, b) in ds.se and a in calls and b in calls}
     forced = set()
     mf_u = ds.MF | ds.U
     for a, b in po_se:
