@@ -89,6 +89,15 @@ def _collection_for(names: Sequence[str], budget: int) -> Collection:
     return coll
 
 
+def _read_text(path) -> str:
+    """The text of ``path``; a file that is not UTF-8 raises ``OSError``,
+    as one that cannot be read does."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path} is not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
 def _interp_config(
     cfg: RunConfig, lit: Optional[LitmusFile] = None, manifest_opts: Optional[Dict] = None, prune_factory=None
 ) -> InterpConfig:
@@ -116,8 +125,7 @@ def _emit(record: Dict, cfg: RunConfig) -> None:
 
 def cmd_check(path: str, cfg: RunConfig) -> int:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        lit = parse_litmus(text, name=Path(path).name)
+        lit = parse_litmus(_read_text(path), name=Path(path).name)
     except (OSError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -211,7 +219,7 @@ def cmd_verify_impl(
 ) -> int:
     try:
         if Path(impl_name).exists():
-            impl_syn = parse_impl(Path(impl_name).read_text(encoding="utf-8"), name=Path(impl_name).stem)
+            impl_syn = parse_impl(_read_text(impl_name), name=Path(impl_name).stem)
         else:
             impl_syn = builtin_impl(impl_name)
         high = _collection_for([spec_name], cfg.budget)
@@ -225,7 +233,7 @@ def cmd_verify_impl(
     if corpus_dir:
         for p in sorted(Path(corpus_dir).glob("*.lit")):
             try:
-                lit = parse_litmus(p.read_text(encoding="utf-8"), name=p.name)
+                lit = parse_litmus(_read_text(p), name=p.name)
                 lit_coll = _collection_for(lit.collection, cfg.budget)
             except (KeyError, OSError, ParseError) as e:
                 print(f"error: {p.name}: {e}", file=sys.stderr)

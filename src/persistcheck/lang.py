@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import framework
 from .framework import BudgetExceeded, Collection, UnknownMethod, _default_sw_hook, _default_tag_hook, shared_verdicts
@@ -308,7 +308,8 @@ class InterpConfig:
     domain: Tuple = ()
     unroll: int = 8
     max_runs: int = 20_000
-    loc_base: int = 100
+    #: the location just below the first one a run allocates
+    loc_base: ClassVar[int] = 100
     #: optional sound prefix pruning: (collection, the Interpretations of the
     #: earlier phases) -> prune(trace) or None; a False from prune abandons
     #: the branch.  Only consulted for single-threaded phases (prefix traces
@@ -1174,12 +1175,9 @@ def parse_statements(text: str, line: int = 0):
 
 
 def _strip_comment(line: str) -> str:
-    out = []
-    for ch in line:
-        if ch == "%":
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+    """The line without trailing blanks, or "" for a comment: a line whose
+    first non-blank character is ``%`` (elsewhere ``%`` is modulo)."""
+    return "" if line.lstrip().startswith("%") else line.rstrip()
 
 
 def parse_litmus(text: str, name: str = "") -> LitmusFile:
@@ -1210,6 +1208,8 @@ def parse_litmus(text: str, name: str = "") -> LitmusFile:
                 raise ParseError(f"unroll must be one positive integer, found {line!r}", lineno)
             mode = None
         elif head == "globals":
+            if len(phases) > 1:
+                raise ParseError("globals after a crash: only the first phase may declare globals", lineno)
             mode = "globals"
         elif head == "program":
             mode = "program"

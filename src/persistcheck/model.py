@@ -1061,8 +1061,8 @@ def history_to_execution(h: History) -> Execution:
 # --------------------------------------------------------------------------
 
 
-def execution_to_dot(x: Execution, name: str = "execution") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+def execution_to_dot(x: Execution) -> str:
+    lines = ["digraph execution {", "  rankdir=TB;"]
     for e in x.events:
         l = x.lab[e]
         shape = "box" if l.is_crash else "ellipse"

@@ -5,7 +5,10 @@ relation (inverse total and functional on reads, updates included), a strict
 order ``tso`` total on writes-and-updates, a strict persist order ``nvo`` on
 durable events, and a persisted set ``P`` closed downward under ``nvo``,
 jointly satisfying the axioms A1..A9 plus the cross-era reads-from axiom
-(called ``new`` here).  All three relations must point forward in era order.
+(called ``new`` here).  All three relations point forward in era order, and
+the search needs no check of its own for it: a reads-from source is never
+era-after its read, and era-before lies within po and hb, so a tso or nvo
+edge against it closes a cycle of hb ∪ tso, which A1 rejects.
 
 The witness search is deterministic: reads-from candidates, write orders,
 and persisted sets are explored in a fixed order and the first witness wins.
@@ -78,8 +81,8 @@ _DURABLE_METHODS = frozenset({"store", "upd", "flush", "fo", "alloc"})
 # -- label constructors ------------------------------------------------------
 
 
-def store(x: int, v, thread: int = 0, ret=None) -> Label:
-    return Label("store", (x, v), ret, frozenset({D_TAG}), thread)
+def store(x: int, v, thread: int = 0) -> Label:
+    return Label("store", (x, v), None, frozenset({D_TAG}), thread)
 
 
 def load(x: int, v, thread: int = 0) -> Label:
@@ -163,10 +166,10 @@ class DerivedSets:
 
     A class is one row (bit ``e`` set iff event ``e`` is in it), a relation
     one row per event (bit ``b`` of ``rel[a]`` set iff ``(a, b)`` is in it).
-    ``eb`` is era-before, a closed :class:`Order`, and ``before`` its
-    converse; ``se`` is same-era (era-before neither way, so reflexive),
-    ``ehb`` external happens-before (hb without po), and ``same_loc[e]`` the
-    events at ``loc.get(e)`` (``None`` for events without a location).
+    ``eb`` is era-before, a closed :class:`Order`; ``se`` is same-era
+    (era-before neither way, so reflexive), ``ehb`` external happens-before
+    (hb without po), and ``same_loc[e]`` the events at ``loc.get(e)``
+    (``None`` for events without a location).
     """
 
     R: int
@@ -180,7 +183,6 @@ class DerivedSets:
     ALLOC: int
     loc: Mapping[int, Optional[int]]
     eb: Order
-    before: Tuple[int, ...]
     se: Tuple[int, ...]
     ehb: Tuple[int, ...]
     same_loc: Tuple[int, ...]
@@ -210,7 +212,7 @@ def derive_sets(x: Execution) -> DerivedSets:
     # hb is acyclic and contains po, so no hb edge runs against po
     ehb = tuple(h & ~p for h, p in zip(x.hb_order.rows, g.po_order.rows))
     same_loc = tuple(at.get(loc.get(e), 0) for e in g.events)
-    return DerivedSets(R, W, U, FL, FO, MF, SF, W | U | FL | FO | AL, AL, loc, eb, eb.preds(), se, ehb, same_loc)
+    return DerivedSets(R, W, U, FL, FO, MF, SF, W | U | FL | FO | AL, AL, loc, eb, se, ehb, same_loc)
 
 
 def value_written(l: Label):
@@ -350,11 +352,6 @@ def _cross_era(ds: DerivedSets, rf, nvo: Sequence[int], persisted: int) -> Optio
     return None
 
 
-def _against_eras(ds: DerivedSets, rows: Sequence[int]) -> bool:
-    """Whether the relation has an edge pointing back in era order."""
-    return any(row & col for row, col in zip(rows, ds.before))
-
-
 def _read_candidates(x: Execution, eb: Order) -> Optional[Dict[int, Tuple[int, List[int]]]]:
     """Per read, the row of the other writes at its location that are not
     era-after it (``eb``), and the list of those that may source it; or
@@ -432,17 +429,16 @@ def search_px86_witness(
     forced_p = _forced_persists(x, ds)
     all_wu = (1 << len(wu)) - 1
 
-    def spend(n: int = 1):
-        meter["steps"] += n
+    def spend():
+        meter["steps"] += 1
         if meter["steps"] > budget:
             raise BudgetExceeded({"steps": meter["steps"]})
 
     for rf_combo in itertools.product(*(cands[r] for r in reads)):
         spend()
         rf = frozenset((w, r) for r, w in zip(reads, rf_combo))
-        # A1: cross-era rf edges must be po edges, the others are in tso or po
-        if any(eb[w] >> r & 1 and not po[w] >> r & 1 for w, r in rf):
-            continue
+        # A1: rf lies in same-era tso or po, and base puts the rf edges po
+        # lacks in tso; a source era-before its read is po-before it (eb ⊆ po)
         base = forced.extend((w, r) for w, r in rf if not po[w] >> r & 1)
         if not base.is_acyclic():
             continue
@@ -458,14 +454,13 @@ def search_px86_witness(
             spend()
             perm = [e for _, e in order]
             tso = base.extend(zip(perm, perm[1:]))
-            if not tso.is_acyclic() or _against_eras(ds, tso.rows):
-                continue
+            # hb holds eb, so a tso cycle or a tso edge against eb is a cycle here
             hb_tso = Order.close_rows([h | t for h, t in zip(x.hb_order.rows, tso.rows)])
             if not hb_tso.is_acyclic() or _axiom_a2(x, ds, rf, tso.rows) is not None:
                 continue
+            # A7-A9 require edges of tso, hb and po;tso only: nvo lies
+            # within hb_tso, so it is acyclic and points forward in eras
             nvo = Order.close_rows(_nvo_required(x, ds, tso.rows))
-            if not nvo.is_acyclic() or _against_eras(ds, nvo.rows):
-                continue
             if explicit_p and needed & ~explicit_p:
                 continue
             # close P downward under nvo (closed, so one pass suffices)

@@ -299,8 +299,9 @@ def exec_bind(
     inherit the abstract event's thread.  Location bases are threaded through
     events in id order from ``impl.config.loc_base``, so allocations line up
     with the abstract allocator.
-    A choice that breaks the incomplete-call condition of plain executions
-    yields nothing.  The result is truncated (deterministically) at
+    Every choice is a plain execution: a pending call's member ends in its
+    one pending event, and the abstract call's po-successors are crashes,
+    which pass through.  The result is truncated (deterministically) at
     ``max_results``.
 
     ``facts``, if given, receives per concrete ``(sourced, encapsulated)``
@@ -361,10 +362,7 @@ def exec_bind(
             labels = [l for _, block in chosen for l in block]
             f = dict(enumerate(e for e, (_, block) in zip(events, chosen) for _ in block))
             rows = _bind_rows(po, [b.rows for b, _ in chosen])
-            try:
-                out.append((PlainExecution(labels, Order(rows)), f))
-            except ValueError:
-                return
+            out.append((PlainExecution(labels, Order(rows)), f))
             if facts is not None:
                 facts.append((sourced(), encapsulated()))
             return
@@ -594,13 +592,10 @@ def _lift_core(
     if len(cands) > 14:
         cands = [(a, b) for a in range(k) for b in bits(proj_hb[a] & ~po[a])]
     if prev_abs is not None:
-        # the new abstract execution must extend the previous one
+        # the new abstract execution must extend the previous one; its plain
+        # part is ga cut to the previous image, which this image holds
         keep = [ren[i] for i in sorted(prev_ids)]
         at = {old: new for new, old in enumerate(keep)}
-        plain_kept = (
-            [g_sub.lab[e] for e in keep] == prev_abs.plain.labels()
-            and g_sub.po_order.restrict(keep).rows == prev_abs.plain.po_order.rows
-        )
     spent = 0
     budgeted = False
     why: Optional[str] = None
@@ -613,8 +608,7 @@ def _lift_core(
             if not hb.is_acyclic():
                 continue
             if prev_abs is not None and not (
-                plain_kept
-                and hb.restrict(keep).rows == prev_abs.hb_order.rows
+                hb.restrict(keep).rows == prev_abs.hb_order.rows
                 and {(at[a], at[b]) for a, b in combo if a in at and b in at} == prev_abs.sw
             ):
                 continue

@@ -72,7 +72,6 @@ from persistcheck.model import (
 from persistcheck.px86 import (
     D_TAG,
     Px86Witness,
-    _against_eras,
     _axiom_a2,
     _cross_era,
     _forced_persists,
@@ -258,7 +257,9 @@ def check_px86_axioms(x: Execution, w: Px86Witness) -> Dict[str, Verdict]:
     bad = _cross_era(ds, rf, nvo, P)
     axiom("new", bad is None, f"cross-era read {bad}")
     rf_back = any(ds.eb.rows[b] >> a & 1 for a, b in rf)
-    era_ok = not (rf_back or _against_eras(ds, tso) or _against_eras(ds, nvo))
+    before = ds.eb.preds()
+    back = any(row & col for rel in (tso, nvo) for row, col in zip(rel, before))
+    era_ok = not (rf_back or back)
     axiom("era", era_ok, "relation points backwards in era order")
     return out
 

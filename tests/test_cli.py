@@ -280,6 +280,40 @@ def test_verify_impl_corpus_parse_error_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: broken.lit: ")
 
 
+def test_check_globals_after_a_crash_exit_two(tmp_path, capsys):
+    # only the first phase may declare globals
+    f = tmp_path / "late.lit"
+    f.write_text("collection px86\nprogram\n  t0: skip\ncrash\nglobals\n  x := alloc()\nprogram\n  t0: skip\n")
+    assert run_cli(["check", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: globals after a crash: only the first phase may declare globals (line 5, col 0)\n"
+    )
+
+
+NOT_UTF8 = b"collection px86\n% caf\xe9\n"
+
+
+def test_check_a_file_that_is_not_utf8_exit_two(tmp_path, capsys):
+    f = tmp_path / "latin1.lit"
+    f.write_bytes(NOT_UTF8)
+    assert run_cli(["check", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {f} is not UTF-8 (invalid continuation byte at byte 21)\n"
+
+
+def test_verify_impl_an_implementation_that_is_not_utf8_exit_two(tmp_path, capsys):
+    f = tmp_path / "latin1.impl"
+    f.write_bytes(NOT_UTF8)
+    assert run_cli(["verify-impl", str(f), "flit", "--over", "px86"]) == 2
+    assert capsys.readouterr().err == f"error: {f} is not UTF-8 (invalid continuation byte at byte 21)\n"
+
+
+def test_verify_impl_a_corpus_file_that_is_not_utf8_exit_two(tmp_path, capsys):
+    f = tmp_path / "latin1.lit"
+    f.write_bytes(NOT_UTF8)
+    assert run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: latin1.lit: {f} is not UTF-8 (invalid continuation byte at byte 21)\n"
+
+
 def test_verify_impl_empty_corpus(tmp_path, capsys):
     assert (
         run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(tmp_path)])

@@ -84,6 +84,16 @@ def test_parse_error_carries_position():
         parse_litmus("program\n t1: skip\n")  # missing collection
 
 
+def test_percent_is_modulo_outside_a_comment_line():
+    # a comment is a line whose first non-blank character is %
+    lit = parse_litmus("collection px86\n  % a comment\nprogram\n  t0: r := 7 % 4; store(x, r)\n")
+    assert lit.phases[0].threads[0] == Seq(
+        (Assign("r", Bin("%", Val(7), Val(4))), CallCmd(None, "store", (Reg("x"), Reg("r"))))
+    )
+    impl = parse_impl("% a comment\nmethod m(a) := r := a % 2\n  % another\n  return r\n")
+    assert impl.methods["m"][1] == Seq((Assign("r", Bin("%", Reg("a"), Val(2))), Return(Reg("r"))))
+
+
 def test_parse_impl_file():
     impl = parse_impl(
         """
