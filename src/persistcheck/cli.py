@@ -142,7 +142,7 @@ def cmd_check(path: str, cfg: RunConfig) -> int:
             coll, manifest_opts = load_manifest(cfg.manifest)
         else:
             coll = _collection_for(cfg.models or lit.collection, cfg.budget)
-    except (KeyError, OSError, ValueError) as e:
+    except (KeyError, OSError, ValueError, SpecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     iconfig = _interp_config(cfg, lit, manifest_opts, sc_prune_factory())
@@ -224,8 +224,11 @@ def cmd_verify_impl(
             impl_syn = builtin_impl(impl_name)
         high = _collection_for([spec_name], cfg.budget)
         low = _collection_for(over, cfg.budget)
-    except (KeyError, OSError, ParseError) as e:
+    except (KeyError, OSError, ParseError, SpecError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    if corpus_dir and not Path(corpus_dir).is_dir():
+        print(f"error: {corpus_dir} is not a directory", file=sys.stderr)
         return 2
     iconfig = _interp_config(cfg)
     corpus = []
@@ -235,7 +238,7 @@ def cmd_verify_impl(
             try:
                 lit = parse_litmus(_read_text(p), name=p.name)
                 lit_coll = _collection_for(lit.collection, cfg.budget)
-            except (KeyError, OSError, ParseError) as e:
+            except (KeyError, OSError, ParseError, SpecError) as e:
                 print(f"error: {p.name}: {e}", file=sys.stderr)
                 return 2
             lcfg = _interp_config(cfg, lit)

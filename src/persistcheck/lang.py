@@ -19,7 +19,10 @@ globals run once, before the first era, and every era shares their bindings
 instead give explicit crash-separated phases, which share the first phase's
 global bindings in the same way.  The interpreter builds no order of its
 own: a run is ``model.seq_compose`` of the globals chain and the parallel
-thread chains, and eras are glued as ``seq_compose(G1, Crash, G2)``.
+thread chains, and eras are glued as ``seq_compose(head, G2)``, where
+``head = seq_compose(G1, Crash)`` is composed once and shared by every run
+of the later eras.  The runs of one :func:`interpret_phases` call share
+their equal po rows: one ``int`` object per row value.
 
 Linking (and the persistification transformers of ``libs``) rewrite the
 syntax through two generic walks, :func:`subterms` and :func:`rewrite`,
@@ -37,7 +40,7 @@ from typing import Callable, ClassVar, Dict, FrozenSet, Iterable, Iterator, List
 
 from . import framework
 from .framework import BudgetExceeded, Collection, UnknownMethod, _default_sw_hook, _default_tag_hook, shared_verdicts
-from .model import BOT, CRASH, Execution, Label, PlainExecution, parallel_execution, seq_compose, sequence_execution
+from .model import BOT, CRASH, Execution, Label, PlainExecution, _seq_compose, parallel_execution, sequence_execution
 
 
 class ParseError(Exception):
@@ -559,10 +562,11 @@ class Interpretation:
         """The labels of the execution :meth:`build` makes, in its order."""
         return self.globals_trace + tuple(l for run in combo for l in run.trace)
 
-    def build(self, combo: Sequence[ThreadRun]) -> PlainExecution:
+    def build(self, combo: Sequence[ThreadRun], rows_seen: Optional[Dict[int, int]] = None) -> PlainExecution:
         """The execution of one run per thread (in thread-id order), after the
-        globals trace."""
-        return seq_compose(sequence_execution(self.globals_trace), parallel_execution(*(r.trace for r in combo)))
+        globals trace; its po rows are interned in ``rows_seen`` if given."""
+        parts = (sequence_execution(self.globals_trace), parallel_execution(*(r.trace for r in combo)))
+        return _seq_compose(parts, rows_seen)
 
     def complete_executions(self) -> List[Tuple[Dict[str, object], PlainExecution]]:
         """(outcome env, execution) for every all-threads-complete run."""
@@ -721,6 +725,9 @@ def interpret_phases(
     graphs: Dict[Tuple[int, int], PlainExecution] = {}
     crash = sequence_execution([CRASH])
     out: List[Tuple[Optional[Dict[str, object]], PlainExecution]] = []
+    # every run is built through one table of po rows, so that the runs
+    # share one ``int`` per row value; the table goes when the call returns
+    rows_seen: Dict[int, int] = {}
 
     # ``head`` is the run of the earlier eras glued to the crash that ends
     # them, composed once and shared by every run of the later eras
@@ -732,13 +739,13 @@ def interpret_phases(
                 if not flow.sourced(labels):
                     continue
             if (i, j) not in graphs:
-                graphs[i, j] = interps[i].build(combo)
+                graphs[i, j] = interps[i].build(combo, rows_seen)
             g = graphs[i, j]
-            g = g if head is None else seq_compose(head, g)
+            g = g if head is None else _seq_compose((head, g), rows_seen)
             if i == n - 1:
                 out.append((env, g))
             else:
-                rec(i + 1, seq_compose(g, crash), labels)
+                rec(i + 1, _seq_compose((g, crash), rows_seen), labels)
 
     rec(0, None, ())
     return out

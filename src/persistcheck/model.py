@@ -429,7 +429,11 @@ class Order:
     algorithm over the rows, and ``restrict`` masks and compacts the rows of
     an order that is already closed (the restriction of a closed relation is
     closed, so it is never closed again).  The pair set, the transitive
-    reduction and the converse rows are built on first use and cached.
+    reduction and the converse rows are built on first use and cached.  The
+    pair set is a frozenset, for membership and set algebra; the reduction
+    is a tuple in ``(a, b)`` order, its canonical form, so two equal
+    reductions are equal tuples.  Both take their pairs from the shared table
+    ``_PAIRS``, so a cached view holds no tuple of its own.
     """
 
     __slots__ = ("rows", "_pairs", "_reduced", "_preds")
@@ -437,7 +441,7 @@ class Order:
     def __init__(self, rows: Sequence[int]):
         self.rows = tuple(rows)
         self._pairs: Optional[Relation] = None
-        self._reduced: Optional[Relation] = None
+        self._reduced: Optional[Tuple[Edge, ...]] = None
         self._preds: Optional[Tuple[int, ...]] = None
 
     @classmethod
@@ -532,10 +536,25 @@ class Order:
         return self._pairs
 
     @property
-    def reduced(self) -> Relation:
-        """The transitive reduction, as pairs (acyclic orders only)."""
+    def reduced(self) -> Tuple[Edge, ...]:
+        """The transitive reduction, as the sorted tuple of its pairs (acyclic
+        orders only), built in one pass over the rows."""
         if self._reduced is None:
-            self._reduced = row_pairs([self.covers(a) for a in range(len(self.rows))])
+            rows = self.rows
+            table = _pair_table(len(rows))
+            out = []
+            for a, row in enumerate(rows):
+                later, rest = 0, row
+                while rest:  # what a's successors reach, as in covers
+                    low = rest & -rest
+                    later |= rows[low.bit_length() - 1]
+                    rest &= ~(later | low)
+                at, row = table[a], row & ~later
+                while row:
+                    low = row & -row
+                    out.append(at[low.bit_length() - 1])
+                    row ^= low
+            self._reduced = tuple(out)
         return self._reduced
 
 
@@ -600,14 +619,14 @@ class Pomset:
         return self.po_order.pairs
 
     @property
-    def reduced(self) -> Relation:
+    def reduced(self) -> Tuple[Edge, ...]:
         return self.po_order.reduced
 
     def labels(self) -> List:
         return list(self.lab)
 
     def __repr__(self) -> str:
-        return f"Pomset({self.labels()!r}, {sorted(self.reduced)!r})"
+        return f"Pomset({self.labels()!r}, {list(self.reduced)!r})"
 
 
 def _iso_signatures(events, order: Order, lab) -> Dict[int, tuple]:
@@ -735,7 +754,7 @@ class PlainExecution:
         return self.po_order.pairs
 
     @property
-    def po_reduced(self) -> Relation:
+    def po_reduced(self) -> Tuple[Edge, ...]:
         return self.po_order.reduced
 
     def labels(self) -> List[Label]:
@@ -777,7 +796,7 @@ class PlainExecution:
         return PlainExecution(labels, self.po_order.restrict(keep_sorted))
 
     def __repr__(self) -> str:
-        return f"PlainExecution({self.labels()!r}, po={sorted(self.po_reduced)!r})"
+        return f"PlainExecution({self.labels()!r}, po={list(self.po_reduced)!r})"
 
 
 def _chain_rows(n: int, base: int = 0) -> List[int]:
@@ -793,6 +812,14 @@ def seq_compose(*parts: PlainExecution) -> PlainExecution:
     successors are crashes); a maximal incomplete event precedes only the
     crashes of later parts and their successors.  The rows stay closed, so
     nothing is closed again."""
+    return _seq_compose(parts, None)
+
+
+def _seq_compose(parts: Sequence[PlainExecution], rows_seen: Optional[Dict[int, int]]) -> PlainExecution:
+    """:func:`seq_compose` of ``parts``; given ``rows_seen``, a table from
+    row value to the first row ``int`` of that value, each row of the result
+    is taken from it (and added to it), so that executions built through one
+    table share their equal rows."""
     labels: List[Label] = []
     rows: List[int] = []
     for g in parts:
@@ -804,6 +831,8 @@ def seq_compose(*parts: PlainExecution) -> PlainExecution:
         rows = [row | (every if row or labels[a].is_complete else after_crash) for a, row in enumerate(rows)]
         rows.extend(row << n for row in grows)
         labels.extend(g.lab)
+    if rows_seen is not None:
+        rows = [rows_seen.setdefault(row, row) for row in rows]
     return PlainExecution(labels, Order(rows))
 
 
@@ -979,7 +1008,7 @@ class Execution:
 
     def __repr__(self) -> str:
         return (
-            f"Execution({self.plain.labels()!r}, po={sorted(self.plain.po_reduced)!r}, "
+            f"Execution({self.plain.labels()!r}, po={list(self.plain.po_reduced)!r}, "
             f"sw={sorted(self.sw)!r})"
         )
 
@@ -1067,7 +1096,7 @@ def execution_to_dot(x: Execution) -> str:
         l = x.lab[e]
         shape = "box" if l.is_crash else "ellipse"
         lines.append(f'  e{e} [label="{e}: {l!r}", shape={shape}];')
-    for a, b in sorted(x.plain.po_reduced):
+    for a, b in x.plain.po_reduced:
         lines.append(f"  e{a} -> e{b};")
     for a, b in sorted(x.sw):
         lines.append(f'  e{a} -> e{b} [style=dashed, label="sw", constraint=false];')

@@ -321,6 +321,21 @@ def test_verify_impl_empty_corpus(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("corpus", ["missing", "file.lit"])
+def test_verify_impl_a_corpus_that_is_not_a_directory_exit_two(tmp_path, capsys, corpus):
+    (tmp_path / "file.lit").write_text((LITMUS / "sb.lit").read_text(encoding="utf-8"), encoding="utf-8")
+    path = tmp_path / corpus
+    assert run_cli(["verify-impl", "flit", "flit", "--over", "px86", "--corpus", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {path} is not a directory\n"
+
+
+def test_verify_impl_a_library_named_twice_in_over_exit_two(capsys):
+    assert run_cli(["verify-impl", "flit", "flit", "--over", "px86,px86", "--corpus", str(LITMUS / "flit")]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: library px86 already registered\n"
+
+
 def test_verify_impl_small_corpus(tmp_path, capsys):
     (tmp_path / "a.lit").write_text(
         """
@@ -578,6 +593,20 @@ def test_manifest_of_the_wrong_shape_exit_two(tmp_path, capsys, text, message):
     assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
     out, err = capsys.readouterr()
     assert not out and err == f"error: {message}\n"
+
+
+def test_manifest_naming_a_library_twice_exit_two(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"libraries": [{"name": "px86"}, {"name": "px86"}]}')
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: library px86 already registered\n"
+
+
+def test_model_named_twice_exit_two(capsys):
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--model", "px86", "--model", "px86"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: library px86 already registered\n"
 
 
 def test_model_override_flips_sb_verdict(capsys):
