@@ -191,30 +191,26 @@ def cell_loc(
 
 
 CheckFn = Callable[[Execution], Verdict]
-#: Placed ``(event, choice)`` pairs, in the order a search placed them.
-Placement = List[Tuple[int, object]]
 
 
 @dataclass(frozen=True)
 class Seeded:
     """A ``local_consistent`` that reads its projection through a mask and
-    replays a ``Placement`` before it searches.  ``check(x, mask=...,
-    seed=...)`` decides the projection of ``x`` on the events of ``mask``
-    (which holds every crash po-before one of them).  ``seed`` is ``None``
-    or what ``placed(x, other, witness)`` gives of an OK witness of the
-    projection on another mask: per event of ``other``, in ``x``'s ids, the
-    choice the witness made for it.  The check replays what the seed says
-    of ``mask``'s events, by a rule of its own, and searches only when that
-    gives no witness.  The linearization checks search ``x`` itself with no
-    candidate outside ``mask`` and replay the seed less the pairs that name
-    events they do not place (``sc.linearize``); Px86 replays the seed cut
-    to ``mask`` when the seed places every event of ``mask`` and sources
-    its every read there, and otherwise searches the projection
-    (``px86.px86_replay``).  Called on an execution alone, it checks all of
-    it with no seed."""
+    replays a seed before it searches.  ``check(x, mask=..., seed=...)``
+    decides the projection of ``x`` on the events of ``mask`` (which holds
+    every crash po-before one of them).  ``seed`` is ``None`` or ``(other,
+    witness)``: an OK witness the same check gave on the projection on
+    another mask ``other``.  Only the check reads its witness: it replays
+    what the witness says of ``mask``'s events, by a rule of its own, and
+    searches only when that gives no witness.  The linearization checks
+    search ``x`` itself with no candidate outside ``mask`` and replay the
+    witness less the events they do not place (``sc.linearize``); Px86
+    replays the witness cut to ``mask`` when ``other`` holds every event of
+    ``mask`` and the witness sources its every read there, and otherwise
+    searches the projection (``px86.px86_replay``).  Called on an execution alone, it
+    checks all of it with no seed."""
 
     check: Callable[..., Verdict]
-    placed: Callable[[Execution, int, object], Placement]
 
     def __call__(self, x: Execution) -> Verdict:
         return self.check(x, mask=(1 << len(x)) - 1, seed=None)
@@ -421,10 +417,10 @@ class Owners:
     that drops another library's event does not check this one again.  A
     ``Seeded`` check reads ``x`` itself through the projected mask, so no
     projection is built for it: it first replays its library's last OK
-    witness (``placed``, by events of ``x``), as a prefix's witness less one
-    hb-maximal event nearly always is one.  Any other check gets its
-    projection cut from ``x`` (``cut``).  A table lives as long as the check
-    or walk that built it."""
+    verdict, kept as the projected mask and the witness (``placed``), as a
+    prefix's witness less one hb-maximal event nearly always is one.  Any
+    other check gets its projection cut from ``x`` (``cut``).  A table
+    lives as long as the check or walk that built it."""
 
     def __init__(self, coll: Collection, x: Execution):
         self.coll, self.x = coll, x
@@ -447,7 +443,7 @@ class Owners:
             (a, b) for a, b in x.sw if owner[a] is not None and owner[b] is not None and owner[a] is not owner[b]
         )
         self.local: Dict[Tuple[str, int], Verdict] = {}
-        self.placed: Dict[str, Placement] = {}
+        self.placed: Dict[str, Tuple[int, object]] = {}
 
     def prefix(self, mask: int) -> "Prefix":
         return Prefix(self, mask)
@@ -488,7 +484,7 @@ class Owners:
             return check(self.cut(p, mask))
         v = check.check(self.x, mask=mask, seed=self.placed.get(spec.name))
         if v:
-            self.placed[spec.name] = check.placed(self.x, mask, v.witness)
+            self.placed[spec.name] = (mask, v.witness)
         return v
 
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .framework import BudgetExceeded, Collection, LibraryInterface, LibrarySpec, Placement, Seeded, Verdict, cell_loc
+from .framework import BudgetExceeded, Collection, DuplicateMethod, LibraryInterface, LibrarySpec, Seeded, Verdict, cell_loc
 from .lang import CallCmd, Return, Seq, SyntacticImpl, parse_statements, rewrite
 from .model import (
     BOT,
@@ -44,10 +44,10 @@ from .sc import (
     S_WEAKREG,
     SequentialSpec,
     WEAKREG_METHODS,
+    WeakRegWitness,
     linearizations,
     linearize,
     weakreg_consistent_execution,
-    weakreg_placed,
 )
 
 #: Reserved sentinel outside the user value domain (undo-log commit marker).
@@ -91,7 +91,7 @@ def execution_linearizable(
     spec: SequentialSpec,
     keep: Optional[Callable[[Label, bool], str]] = None,
     budget: int = 200_000,
-    seed: Optional[Placement] = None,
+    seed: Optional[Tuple[int, Sequence[int]]] = None,
     mask: Optional[int] = None,
 ) -> Verdict:
     """hb-linearizations of an execution's single-event calls into a
@@ -109,8 +109,9 @@ def execution_linearizable(
     ``framework.Seeded`` states.  One ``sc.linearize`` search over the kept
     and optional events, in ``x``'s own ids, decides it; its witness lists
     the placed events.  The budget counts candidate calls tried, one per
-    event.  A ``seed`` is given as :func:`lin_placed` gives a witness, and
-    replayed first.
+    event.  A ``seed`` ``(other, witness)``, an OK witness of this check on
+    the projection on ``other``, is replayed first: its events that this
+    check places, in order, each with its own label.
     """
     lab, po = x.lab, x.plain.po_order.rows
     mask = (1 << len(x)) - 1 if mask is None else mask
@@ -127,14 +128,9 @@ def execution_linearizable(
         preds[e] = hb[e] & members
     options = [[lab[e]] if members >> e & 1 else () for e in x.events]
     if seed is not None:
-        seed = [(e, lab[e]) for e, _ in seed if members >> e & 1]
+        seed = [(e, lab[e]) for e in seed[1] if members >> e & 1]
     v = linearize(preds, options, must, spec, budget, "linearization enumeration", seed)
     return replace(v, witness=[e for e, _ in v.witness]) if v else v
-
-
-def lin_placed(x: Execution, mask: int, witness: Sequence[int]) -> Placement:
-    """The witness of :func:`execution_linearizable`, its placed events."""
-    return [(e, None) for e in witness]
 
 
 # --------------------------------------------------------------------------
@@ -156,10 +152,10 @@ def weakreg_interface(with_pfence: bool = True) -> LibraryInterface:
 
 
 def weakreg_spec(budget: int = 500_000) -> LibrarySpec:
-    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+    def check(x: Execution, mask: int, seed: Optional[Tuple[int, WeakRegWitness]]) -> Verdict:
         return weakreg_consistent_execution(x, with_pfence=True, budget=budget, seed=seed, mask=mask)
 
-    return LibrarySpec(interface=weakreg_interface(), local_consistent=Seeded(check, weakreg_placed), seq=S_WEAKREG)
+    return LibrarySpec(interface=weakreg_interface(), local_consistent=Seeded(check), seq=S_WEAKREG)
 
 
 def queue_interface(name: str = "durqueue") -> LibraryInterface:
@@ -187,12 +183,12 @@ def make_lin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget:
     """Linearizability of hb as a library spec (crash-free executions; any
     crash is inconsistent for a purely volatile linearizable library)."""
 
-    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+    def check(x: Execution, mask: int, seed: Optional[Tuple[int, Sequence[int]]]) -> Verdict:
         if any(mask >> c & 1 for c in x.plain.crash_events()):
             return Verdict.fail("crash in a Lin(S) execution")
         return execution_linearizable(x, seq_spec, budget=budget, seed=seed, mask=mask)
 
-    return LibrarySpec(interface=interface, local_consistent=Seeded(check, lin_placed), seq=seq_spec)
+    return LibrarySpec(interface=interface, local_consistent=Seeded(check), seq=seq_spec)
 
 
 def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget: int = 200_000) -> LibrarySpec:
@@ -200,10 +196,10 @@ def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budg
     survive into the linearization; incomplete calls may be dropped or
     completed."""
 
-    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+    def check(x: Execution, mask: int, seed: Optional[Tuple[int, Sequence[int]]]) -> Verdict:
         return execution_linearizable(x, seq_spec, budget=budget, seed=seed, mask=mask)
 
-    return LibrarySpec(interface=interface, local_consistent=Seeded(check, lin_placed), seq=seq_spec)
+    return LibrarySpec(interface=interface, local_consistent=Seeded(check), seq=seq_spec)
 
 
 def durqueue_spec(budget: int = 200_000) -> LibrarySpec:
@@ -1044,7 +1040,7 @@ S_MMCOUNTER = SequentialSpec("mmcounter", dict, _s_mmcounter_step)
 
 
 def mmcounter_consistent(
-    x: Execution, budget: int = 100_000, seed: Optional[Placement] = None, mask: Optional[int] = None
+    x: Execution, budget: int = 100_000, seed: Optional[Tuple[int, Sequence[int]]] = None, mask: Optional[int] = None
 ) -> Verdict:
     """Era-wise persisted-prefix linearization: events of earlier eras count
     only when persisted; the final era contributes everything."""
@@ -1063,7 +1059,7 @@ def mmcounter_spec(budget: int = 100_000) -> LibrarySpec:
     return LibrarySpec(
         interface=mmcounter_interface(),
         deps=frozenset({"ltrans"}),
-        local_consistent=Seeded(partial(mmcounter_consistent, budget=budget), lin_placed),
+        local_consistent=Seeded(partial(mmcounter_consistent, budget=budget)),
         tag_candidates=_ltrans_tag_hook,
     )
 
@@ -1246,10 +1242,10 @@ def scmem_spec(budget: int = 200_000) -> LibrarySpec:
     # no value_flow: under SC a load of a location nothing wrote returns 0
     iface = replace(px86_interface(), name="scmem", tags_introduced=frozenset(), value_flow=None)
 
-    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+    def check(x: Execution, mask: int, seed: Optional[Tuple[int, Sequence[int]]]) -> Verdict:
         return execution_linearizable(x, S_MEM, budget=budget, seed=seed, mask=mask)
 
-    return LibrarySpec(interface=iface, local_consistent=Seeded(check, lin_placed))
+    return LibrarySpec(interface=iface, local_consistent=Seeded(check))
 
 
 def load_manifest(path) -> Tuple["Collection", dict]:
@@ -1260,8 +1256,10 @@ def load_manifest(path) -> Tuple["Collection", dict]:
     Returns the frozen-free collection plus the leftover interpreter options.
     A budget or unroll bound that is not positive raises ``ValueError``, as
     the ``--budget`` and ``--unroll`` flags do, and so does a manifest of
-    another shape; a library name ``builtin_spec`` does not know raises
-    ``UnknownName``, naming the manifest and the library's index.
+    another shape or a budget that is not an integer; a library name
+    ``builtin_spec`` does not know raises ``UnknownName``, and a library
+    named twice or whose methods clash with an earlier one's raises
+    ``DuplicateMethod``, each naming the manifest and the library's index.
     """
     import json
     from pathlib import Path
@@ -1281,14 +1279,15 @@ def load_manifest(path) -> Tuple["Collection", dict]:
             raise ValueError(f"manifest {path}: library {i} has no name")
         if not isinstance(entry["name"], str):
             raise ValueError(f"manifest {path}: the name of library {i} must be a string, found {entry['name']!r}")
-        budget = int(entry.get("budget", 100_000))
+        budget = entry.get("budget", 100_000)
+        if type(budget) is not int:
+            raise ValueError(f"manifest {path}: the budget of library {i} must be an integer, found {budget!r}")
         if budget <= 0:
             raise ValueError(f"budget of {entry['name']} must be positive")
         try:
-            spec = builtin_spec(entry["name"], budget=budget)
-        except UnknownName as e:
-            raise UnknownName(f"manifest {path}: library {i}: {e}") from None
-        coll.register(spec)
+            coll.register(builtin_spec(entry["name"], budget=budget))
+        except (UnknownName, DuplicateMethod) as e:
+            raise type(e)(f"manifest {path}: library {i}: {e}") from None
     unroll = data.get("unroll")
     if unroll is not None and type(unroll) is not int:
         raise ValueError(f"manifest unroll must be an integer, found {unroll!r}")

@@ -43,7 +43,6 @@ from .framework import (
     BudgetExceeded,
     LibraryInterface,
     LibrarySpec,
-    Placement,
     Seeded,
     SpecError,
     Verdict,
@@ -538,69 +537,56 @@ def _px86_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     return out
 
 
-def px86_placed(x: Execution, mask: int, w: Px86Witness) -> Placement:
-    """The witness ``w`` of the projection of ``x`` on ``mask``, given in the
-    projection's ids, per event of ``mask`` in ``x``'s ids: its rf source
-    (``None`` for an event that reads nothing), the rows of its tso and nvo
-    successors, and whether it is persisted."""
-    keep = list(bits(mask))
-    src = {keep[r]: keep[a] for a, r in w.rf}
-    tso, nvo = dict.fromkeys(keep, 0), dict.fromkeys(keep, 0)
-    for rows, rel in ((tso, w.tso), (nvo, w.nvo)):
-        for a, b in rel:
-            rows[keep[a]] |= 1 << keep[b]
-    persisted = {keep[e] for e in w.persisted}
-    return [(e, (src.get(e), tso[e], nvo[e], e in persisted)) for e in keep]
-
-
-def px86_replay(mask: int, seed: Placement) -> Optional[Px86Witness]:
-    """The witness of a ``seed`` (as :func:`px86_placed` gives one) cut to
+def px86_replay(other: int, w: Px86Witness, mask: int) -> Optional[Px86Witness]:
+    """The witness ``w`` of the projection on ``other``, in its ids, cut to
     the events of ``mask``, in the ids of the projection on ``mask``; or
-    ``None`` unless the seed places every event of ``mask`` and every read
+    ``None`` unless ``other`` holds every event of ``mask`` and every read
     of ``mask`` reads from an event of ``mask``.
 
-    The cut is a witness whenever the seed is one of a projection on a
-    superset of ``mask`` and ``mask`` holds every crash po-before its
-    events: the eras, the derived sets and hb of ``mask`` are those of the
-    seed's execution cut to it, every axiom is a condition on the events
-    and the relations it names, and the tso and nvo edges and the persists
-    that ``mask`` forces are among those the seed's execution forces."""
-    placed = dict(seed)
+    The cut is a witness whenever ``other`` is a superset of ``mask`` and
+    ``mask`` holds every crash po-before its events: the eras, the derived
+    sets and hb of ``mask`` are those of ``other``'s projection cut to it,
+    every axiom is a condition on the events and the relations it names,
+    and the tso and nvo edges and the persists that ``mask`` forces are
+    among those that ``other`` forces."""
+    if mask & ~other:
+        return None
     idx: Dict[int, int] = {}
-    for e in bits(mask):
-        choice = placed.get(e)
-        if choice is None or choice[0] is not None and not mask >> choice[0] & 1:
-            return None
-        idx[e] = len(idx)
-    rf, tso, nvo, persisted = [], [], [], []
-    for e, i in idx.items():
-        src, tso_row, nvo_row, p = placed[e]
-        if src is not None:
-            rf.append((idx[src], i))
-        tso += [(i, idx[b]) for b in bits(tso_row & mask)]
-        nvo += [(i, idx[b]) for b in bits(nvo_row & mask)]
-        if p:
-            persisted.append(i)
-    return Px86Witness(frozenset(rf), frozenset(tso), frozenset(nvo), frozenset(persisted))
+    for i, e in enumerate(bits(other)):
+        if mask >> e & 1:
+            idx[i] = len(idx)
+    rf = []
+    for a, r in w.rf:
+        if r in idx:
+            if a not in idx:
+                return None
+            rf.append((idx[a], idx[r]))
+    return Px86Witness(
+        frozenset(rf),
+        frozenset((idx[a], idx[b]) for a, b in w.tso if a in idx and b in idx),
+        frozenset((idx[a], idx[b]) for a, b in w.nvo if a in idx and b in idx),
+        frozenset(idx[e] for e in w.persisted if e in idx),
+    )
 
 
 def px86_spec(budget: int = 200_000) -> LibrarySpec:
     """The Px86 library.  Its local check is ``Seeded``: it decides the
-    projection on a mask by replaying the seed cut to the mask
-    (:func:`px86_replay`; stage ``px86 replay``, no steps, not bounded by
-    ``budget``), and otherwise by :func:`px86_consistent` of ``x`` on the
-    mask, which builds the projection only to search it; so an execution
-    alone gets ``px86_consistent`` of it."""
+    projection on a mask by replaying the seed's witness, given on the
+    projection on another mask, cut to this one (:func:`px86_replay`;
+    stage ``px86 replay``, no steps, not bounded by ``budget``), and
+    otherwise by :func:`px86_consistent` of ``x`` on the mask, which builds
+    the projection only to search it; so an execution alone gets
+    ``px86_consistent`` of it."""
 
-    def check(x: Execution, mask: int, seed: Optional[Placement]) -> Verdict:
+    def check(x: Execution, mask: int, seed: Optional[Tuple[int, Px86Witness]]) -> Verdict:
         if seed is not None:
-            w = px86_replay(mask, seed)
+            w = px86_replay(*seed, mask)
             if w is not None:
                 return Verdict.ok(witness=w, stats={"stage": "px86 replay", "steps": 0})
         return px86_consistent(x, budget, mask)
 
     return LibrarySpec(
         interface=px86_interface(),
-        local_consistent=Seeded(check, px86_placed),
+        local_consistent=Seeded(check),
         sw_candidates=_px86_sw_hook,
     )

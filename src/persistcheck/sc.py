@@ -35,10 +35,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .framework import BudgetExceeded, Placement, Verdict
+from .framework import BudgetExceeded, Verdict
 from .model import BOT, CRASH, Call, History, Inv, Label, Order, Ret, history_to_execution
 
 PFENCE = "pfence"
+
+#: Placed ``(event, choice)`` pairs, in the order a search placed them.
+Placement = List[Tuple[int, object]]
 
 WEAKREG_METHODS = {"rnew": 0, "rwrite": 2, "rread": 1, PFENCE: 0}
 QUEUE_METHODS = {"qnew": 0, "qpush": 2, "qpop": 1}
@@ -422,14 +425,21 @@ def check_weakreg_consistent(
 
 
 def weakreg_consistent_execution(
-    x, with_pfence: bool = False, budget: int = 500_000, seed: Optional[Placement] = None, mask: Optional[int] = None
+    x,
+    with_pfence: bool = False,
+    budget: int = 500_000,
+    seed: Optional[Tuple[int, WeakRegWitness]] = None,
+    mask: Optional[int] = None,
 ) -> Verdict:
     """Weak-register consistency of a single-event-call execution (crash
-    events delimit eras; hb is the execution's primitive happens-before),
-    after replaying a ``seed`` of the form :func:`weakreg_placed` gives.
+    events delimit eras; hb is the execution's primitive happens-before).
     It decides the projection on ``mask`` (default: every event), as
     ``framework.Seeded`` states, in ``x``'s own ids; the crashes of
-    ``mask`` end its eras in id order.
+    ``mask`` end its eras in id order.  A ``seed`` ``(other, w)``, an OK
+    witness of this check on the projection on ``other``, is replayed
+    first as its search placed it: per era of ``w`` the calls of ``mask``
+    in volatile order, each with the persist choice it had on ``other``,
+    then the end of the era when ``mask`` holds the crash that ends it.
 
     One :func:`linearize` search decides it, over the calls of ``mask`` and
     one event per crash: ``n+k`` (``n = len(x)``) ends era ``k``, after
@@ -455,8 +465,18 @@ def weakreg_consistent_execution(
             raise ValueError("history uses PFENCE but the fence rule is disabled")
     members = sum(1 << i for i in called)
     if seed is not None:
-        end = {c: n + k for k, c in enumerate(crashes)}
-        seed = [(end[e], CRASH) if e in end else (e, (lab[e], p)) for e, p in seed if mask >> e & 1]
+        other, w = seed
+        ended = [c for c in x.plain.crash_events() if other >> c & 1]
+        other_ends, end = sum(1 << c for c in ended), {c: n + k for k, c in enumerate(crashes)}
+        seed = []
+        for k, era in enumerate(w.lin):
+            seed += [
+                (e, (lab[e], None if not po[e] & other_ends or lab[e].method == "rread" else e in w.persisted[k]))
+                for e in era
+                if mask >> e & 1
+            ]
+            if k < len(ended) and mask >> ended[k] & 1:
+                seed.append((end[ended[k]], CRASH))
     preds = [p & members for p in x.hb_order.preds()]
     preds += [((1 << k) - 1) << n for k in range(last)]
     for k, c in enumerate(crashes):
@@ -522,15 +542,3 @@ def weakreg_consistent_execution(
     )
     return replace(v, witness=witness)
 
-
-def weakreg_placed(x, mask: int, w: WeakRegWitness) -> Placement:
-    """The witness ``w`` of :func:`weakreg_consistent_execution` on ``x``
-    and ``mask`` as its search placed it: per era the calls in volatile
-    order, each with its persist choice, then the crash that ends the era."""
-    crashes, last = [c for c in x.plain.crash_events() if mask >> c & 1], len(w.lin) - 1
-    po, ends = x.plain.po_order.rows, sum(1 << c for c in crashes)
-    out: Placement = []
-    for k, lin in enumerate(w.lin):
-        out += [(e, None if not po[e] & ends or x.lab[e].method == "rread" else e in w.persisted[k]) for e in lin]
-        out += [(crashes[k], None)] if k < last else []
-    return out

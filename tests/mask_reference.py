@@ -31,12 +31,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set
 
 from persistcheck import framework
-from persistcheck.framework import LibrarySpec, Placement, Prefix, Verdict, _always_ok
+from persistcheck.framework import LibrarySpec, Prefix, Verdict, _always_ok
 from persistcheck.libs import PTR_TAG, S_MEM, S_MMCOUNTER, S_QUEUE_ALIASED, S_REG_ABSTRACT
 from persistcheck.model import CRASH, CrashEv, Execution, History, Label, Order, anonymize, bits
 from persistcheck.sc import (
     PFENCE,
     WEAKREG_METHODS,
+    Placement,
     SequentialSpec,
     WeakRegWitness,
     _returns_before_invokes,

@@ -600,7 +600,25 @@ def test_manifest_naming_a_library_twice_exit_two(tmp_path, capsys):
     manifest.write_text('{"libraries": [{"name": "px86"}, {"name": "px86"}]}')
     assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
     out, err = capsys.readouterr()
-    assert not out and err == "error: library px86 already registered\n"
+    assert not out and err == f"error: manifest {manifest}: library 1: library px86 already registered\n"
+
+
+def test_manifest_naming_a_library_whose_methods_clash_exit_two(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"libraries": ["px86", "scmem"]}')
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: manifest {manifest}: library 1: method store of scmem clashes with px86\n"
+
+
+@pytest.mark.parametrize("budget", ['"50000"', "2.9", "true", '"abc"'])
+def test_manifest_rejects_a_budget_that_is_not_an_integer(tmp_path, capsys, budget):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(f'{{"libraries": ["weakreg", {{"name": "px86", "budget": {budget}}}]}}')
+    assert run_cli(["check", str(LITMUS / "sb.lit"), "--manifest", str(manifest)]) == 2
+    out, err = capsys.readouterr()
+    found = repr(json.loads(budget))
+    assert not out and err == f"error: manifest {manifest}: the budget of library 1 must be an integer, found {found}\n"
 
 
 def test_model_named_twice_exit_two(capsys):

@@ -11,6 +11,8 @@ case-study artifacts of ``AWAITING``.  A definition that only
 the tests use lives in ``tests/definitions.py``.
 Every method other than a dunder must be named as ``.method`` outside its own
 definition.  The shared verdicts memo has one way in: ``framework.shared_call``.
+The owner table's seeds (``Owners.placed``) are named only where the table
+keeps and hands them back, and ``framework.py`` names no witness format.
 Every name a module of ``src/persistcheck`` (``__init__.py`` aside) imports
 is used in that module.
 """
@@ -245,6 +247,45 @@ def test_only_shared_call_reads_or_writes_the_shared_verdicts_memo():
                 naming.update((path.stem, o) for o in owners)
     assert ("framework", "shared_call") in naming
     assert naming <= allowed, f"the shared verdicts memo is named outside shared_call: {sorted(naming - allowed)}"
+
+
+def _scoped(node, scope=()):
+    """Each node below ``node``, with the names of the classes and functions
+    around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield child, inner
+        yield from _scoped(child, inner)
+
+
+def test_only_the_owner_table_names_its_seeds_and_the_framework_no_witness_format():
+    # a seed is what a library's own check gave, and only that check reads
+    # it: the owner table keeps it and hands it back, and the framework
+    # knows no library's witness format
+    allowed = {("framework", "Owners.__init__"), ("framework", "Owners._local")}
+    naming, formats = set(), {"Placement"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "placed":
+                naming.add((path.stem, ".".join(scope)))
+            elif isinstance(node, ast.ClassDef) and node.name.endswith("Witness"):
+                formats.add(node.name)
+    assert ("framework", "Owners._local") in naming
+    assert naming <= allowed, f"the owner table's seeds are named outside it: {sorted(naming - allowed)}"
+    assert {"Px86Witness", "WeakRegWitness"} <= formats
+    named = set()
+    for node in ast.walk(ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named.add(node.name)
+    assert not named & formats, f"framework.py names a witness format: {sorted(named & formats)}"
 
 
 def test_no_interface_restates_what_its_hook_answers():

@@ -3,9 +3,13 @@
 A ``Seeded`` check gets the walked execution and the mask of its
 projection, and searches in the execution's own event ids.  It must give
 what the replaced check gave on the projection cut as an ``Execution``
-(``mask_reference``): the same status, reason and stats, the witness
-renamed through the projection's ids, and the same placement left for the
-next seed.  Both must also hand ``sc.linearize`` the same problem, renamed.
+(``mask_reference``): the same status, reason and stats, and the witness
+renamed through the projection's ids.  The table keeps the projection's
+mask and that witness for the next seed, and the placement converters it
+replaced (``placed_reference``) must make of them the placement the
+reference keeps.
+Seeded on both sides by the OK verdict of an unrelated prefix, both must
+also hand ``sc.linearize`` the same problem, renamed.
 A walk must then build no projection for such a library, and derive the
 execution's hb predecessors and era-before at most once.
 """
@@ -19,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mask_reference as ref
+import placed_reference
 import persistcheck.framework as framework
 import persistcheck.libs as libs
 import persistcheck.model as model
@@ -50,8 +55,7 @@ def _cases(draw, names):
     """Up to seven events of two libraries and crashes, with any forward po
     (a pending call precedes only crashes) and sw edges: crashes need not
     be po-ordered, nor calls follow them.  Also a mask of ``x`` whose
-    reference placement seeds the checks, and random seed pairs, which may
-    name crashes and ids past the last event."""
+    verdict seeds the checks."""
     pool = [m for name in names for m in POOLS[name]]
     n = draw(st.integers(0, 7))
     labels = []
@@ -71,8 +75,7 @@ def _cases(draw, names):
     po = [(a, b) for a, b in po if a < b and (labels[a].is_complete or labels[b].is_crash)]
     sw = [(a, b) for a, b in draw(st.lists(pairs, max_size=2)) if a < b]
     unrelated = draw(st.integers(0, (1 << n) - 1))
-    seed = draw(st.lists(st.tuples(st.integers(0, n + 1), st.sampled_from([None, True, False])), max_size=n + 2))
-    return labels, sorted(set(po)), sorted(set(sw)), unrelated, seed
+    return labels, sorted(set(po)), sorted(set(sw)), unrelated
 
 
 def _down(x, mask):
@@ -145,11 +148,13 @@ def _renamed_witness(w, ids, calls):
     return [ids[e] for e in w] if w is not None else None
 
 
-def _compare(spec, ref_spec, x, mask, tables, seed):
+def _compare(spec, ref_spec, x, mask, tables, seeds):
+    """``seeds`` is None or the seed of each table: an OK verdict's mask
+    and witness, and the reference's placement of it."""
     got_t, want_t = tables
     got_t.placed, want_t.placed = {}, {}
-    if seed is not None:
-        got_t.placed[spec.name], want_t.placed[spec.name] = list(seed), list(seed)
+    if seeds is not None:
+        got_t.placed[spec.name], want_t.placed[spec.name] = seeds
     got_log, want_log = [], []
     with _problems(want_log):
         want = want_t._local(ref_spec, want_t.cut(want_t.prefix(mask), mask), mask)
@@ -159,7 +164,7 @@ def _compare(spec, ref_spec, x, mask, tables, seed):
     ids = list(bits(mask))
     calls = [e for e in ids if not x.lab[e].is_crash]
     assert got.witness == _renamed_witness(want.witness, ids, calls)
-    assert got_t.placed == want_t.placed
+    assert {name: placed_reference.placement(x, name, *kept) for name, kept in got_t.placed.items()} == want_t.placed
     assert len(got_log) == len(want_log)
     if spec.name == "weakreg":
         # the reference numbers the calls, then the era ends
@@ -178,19 +183,21 @@ def _differential(name):
     ref_coll = Collection([ref.specs(s) for s in specs])
 
     def test(case):
-        labels, po, sw, unrelated, random_seed = case
+        labels, po, sw, unrelated = case
         x = Execution(PlainExecution(labels, po), sw)
         tables = framework.Owners(coll, x), ref.Owners(ref_coll, x)
         for spec, ref_spec in zip(coll.specs(), ref_coll.specs()):
             keeps = tables[0].keeps[spec.name]
-            # the placement a check of an unrelated prefix leaves behind
+            # the seed a check of an unrelated prefix leaves behind in each table
             u = _down(x, unrelated) & keeps
-            tables[1].placed = {}
+            tables[0].placed, tables[1].placed = {}, {}
+            tables[0]._local(spec, tables[0].prefix(u), u)
             tables[1]._local(ref_spec, tables[1].cut(tables[1].prefix(u), u), u)
-            left = tables[1].placed.get(spec.name)
+            got_left, want_left = tables[0].placed.get(spec.name), tables[1].placed.get(spec.name)
+            assert want_left == (got_left and placed_reference.placement(x, spec.name, *got_left))
             for mask in _masks(x):
-                for seed in (None, left, random_seed):
-                    _compare(spec, ref_spec, x, mask & keeps, tables, seed)
+                for seeds in (None, (got_left, want_left)) if got_left else (None,):
+                    _compare(spec, ref_spec, x, mask & keeps, tables, seeds)
 
     return test
 
@@ -206,10 +213,9 @@ UNORDERED_CRASHES = (
     [(0, 1), (2, 3), (3, 4), (4, 5)],
     [],
     0b11,
-    [(1, None), (2, None), (3, True), (7, None)],
 )
-# a seed naming only crashes of an execution with no calls
-ONLY_CRASHES = ([CRASH, CRASH], [], [], 0b11, [(0, None), (1, None), (2, None)])
+# a seed from an execution with no calls: the crashes alone
+ONLY_CRASHES = ([CRASH, CRASH], [], [], 0b11)
 
 
 def _test(name, *examples):
@@ -225,7 +231,7 @@ test_scmem_reg_match_the_projection_checks = _test("scmem+reg", ONLY_CRASHES)
 
 
 def test_unordered_crashes_are_consistent():
-    labels, po, sw, _, _ = UNORDERED_CRASHES
+    labels, po, sw, _ = UNORDERED_CRASHES
     x = Execution(PlainExecution(labels, po), sw)
     assert weakreg_spec().local_consistent(x)
     assert ref.CHECKS["weakreg"](x)

@@ -113,7 +113,7 @@ def _logged(spec: LibrarySpec, log: list) -> LibrarySpec:
         log.append((x, mask, seed, v))
         return v
 
-    return replace(spec, local_consistent=Seeded(check, seeded.placed))
+    return replace(spec, local_consistent=Seeded(check))
 
 
 def _replays(log):
@@ -227,9 +227,8 @@ def test_a_replay_is_a_witness_of_the_cut(data, case):
         v = px86_consistent(x.restrict_events(bits(outer)))
         if not v:
             continue
-        seed = check.placed(x, outer, v.witness)
         inner = data.draw(_masks(x)) & outer
-        got = check.check(x, mask=inner, seed=seed)
+        got = check.check(x, mask=inner, seed=(outer, v.witness))
         want = px86_consistent(x.restrict_events(bits(inner)))
         assert got.status == want.status
         if dict(got.stats)["stage"] == "px86 replay":
