@@ -227,6 +227,12 @@ def cmd_verify_impl(
     except (KeyError, OSError, ParseError, SpecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    # a spec method with no body passes through the bind, so --over must own it
+    unowned = [m for s in high.specs() for m in s.interface.methods if low.library_of(m) is None]
+    if any(m not in impl_syn.methods for m in unowned):
+        names = ", ".join(m for m in unowned if m not in impl_syn.methods)
+        print(f"error: {impl_syn.name} has no body for {names}, which no --over library owns", file=sys.stderr)
+        return 2
     if corpus_dir and not Path(corpus_dir).is_dir():
         print(f"error: {corpus_dir} is not a directory", file=sys.stderr)
         return 2

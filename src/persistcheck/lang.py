@@ -1327,6 +1327,8 @@ def parse_impl(text: str, name: str = "impl") -> SyntacticImpl:
             if not m:
                 raise ParseError(f"bad method declaration {line!r}", lineno)
             mname, ptext, body0 = m.groups()
+            if mname in methods:
+                raise ParseError(f"method {mname} is declared twice", lineno)
             params = tuple(p.strip() for p in ptext.split(",") if p.strip())
             cur = (mname, params, [body0])
             mode = "method"

@@ -193,8 +193,10 @@ def make_lin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget:
 
 def make_durlin_spec(seq_spec: SequentialSpec, interface: LibraryInterface, budget: int = 200_000) -> LibrarySpec:
     """Durable linearizability: crash markers erased, completed calls must
-    survive into the linearization; incomplete calls may be dropped or
-    completed."""
+    survive into the linearization, incomplete ones may be dropped.  A call
+    pending at a crash is hb-before it, so it takes effect before every later
+    event or not at all; ``sc.check_durably_linearizable`` lets it follow
+    them (ROADMAP item 20)."""
 
     def check(x: Execution, mask: int, seed: Optional[Tuple[int, Sequence[int]]]) -> Verdict:
         return execution_linearizable(x, seq_spec, budget=budget, seed=seed, mask=mask)

@@ -88,20 +88,9 @@ def _bind_rows(outer: Sequence[int], inners: Sequence[Sequence[int]]) -> List[in
 # --------------------------------------------------------------------------
 
 
-def _strip_thread(l: Label) -> Label:
-    return replace(l, thread=None) if l.thread is not None else l
-
-
 def _unthreaded(l: Label) -> Tuple:
-    """What identifies ``_strip_thread(l)``, without building it."""
+    """What identifies ``l`` up to its thread, without building a label."""
     return (l.method, l.args, l.ret, l.tags)
-
-
-def _po_sequence(g: PlainExecution) -> Optional[List[Label]]:
-    """g's labels in po order if g is a chain, else None: the po rows of a
-    chain of n events hold n-1, …, 0 successors."""
-    at = {row.bit_count(): e for e, row in enumerate(g.po_order.rows)}
-    return [g.lab[at[k]] for k in reversed(range(len(g)))] if len(at) == len(g) else None
 
 
 class _Block:
@@ -118,15 +107,16 @@ class _Block:
       locations.
     * ``owned``: every event is a crash or owned by a library.
 
-    Its labels on a thread (``on``) are built once per thread."""
+    ``labels`` are in po order, as the interpreter builds a thread's run;
+    its labels on a thread (``on``) are built once per thread."""
 
-    __slots__ = ("rows", "allocs", "writes", "needs", "ctors", "uses", "owned", "_labels", "_on")
+    __slots__ = ("rows", "allocs", "writes", "needs", "ctors", "uses", "owned", "labels", "_on")
 
     def __init__(self, inner: PlainExecution, impl: "SemanticImpl"):
         coll = impl.coll_low
         self.rows, self.allocs = inner.po_order.rows, impl.alloc_count(inner)
-        self._labels, self._on = inner.labels(), {}
-        flows = [impl._flow.of(l) for l in self._labels]
+        self.labels, self._on = inner.lab, {}
+        flows = [impl._flow.of(l) for l in self.labels]
         writers: Dict[tuple, int] = {}
         for _, ws in flows:
             for w in ws:
@@ -140,7 +130,7 @@ class _Block:
         ctors: List[Tuple[int, str, FrozenSet]] = []
         uses: List[Tuple[int, str, FrozenSet]] = []
         self.owned = True
-        for e, l in enumerate(self._labels):
+        for e, l in enumerate(self.labels):
             spec = coll.owner_of(l)
             if spec is None:
                 self.owned = self.owned and l.is_crash
@@ -160,7 +150,7 @@ class _Block:
         got = self._on.get(thread)
         if got is None:
             got = self._on[thread] = tuple(
-                l if l.is_crash or l.thread == thread else replace(l, thread=thread) for l in self._labels
+                l if l.is_crash or l.thread == thread else replace(l, thread=thread) for l in self.labels
             )
         return got
 
@@ -169,6 +159,9 @@ class SemanticImpl:
     """A map from method-call labels to sets of plain executions, downward
     closed, realized by interpreting a syntactic implementation's bodies.
     Each body runs as one thread, so every member is a chain.
+
+    Each body is interpreted once per arguments and location base
+    (``executions``), and its members are kept only as the bind's blocks.
 
     Implementations with private globals are not supported here (their state
     couples distinct calls); verify such libraries end to end through the
@@ -187,26 +180,19 @@ class SemanticImpl:
         self._alloc_methods = frozenset(
             m for s in coll_low.specs() for m in s.interface.constructors
         )
-        self._cache: Dict[Tuple, List[PlainExecution]] = {}
-        #: per ``executions`` key, its members as the bind places them
-        self._blocks: Dict[Tuple, List[_Block]] = {}
         self._flow = lang.ValueFlow(coll_low)
-        #: per (method, args, location base), its interpretation's complete
-        #: runs by return value
-        self._returns: Dict[Tuple, Dict[object, List[PlainExecution]]] = {}
-        #: per (method, args, location base), its interpretation
-        self._interps: Dict[Tuple, Interpretation] = {}
-        #: per (method, args, location base) whose interpretation ran out of
-        #: runs, the stats it raised with
-        self._exhausted: Dict[Tuple, Dict] = {}
-        #: per ``executions`` key, its members' labels without threads, in po order
-        self._members: Dict[Tuple, FrozenSet[Tuple]] = {}
+        #: per (method, args, location base), its interpretation, or the
+        #: stats of the ``BudgetExceeded`` it raised
+        self._runs: Dict[Tuple, object] = {}
+        #: per (method, args, return, location base), its members as the
+        #: bind places them
+        self._blocks: Dict[Tuple, List[_Block]] = {}
 
     def owns(self, label: Label) -> bool:
         return label.is_call and label.method in self.methods
 
     def alloc_count(self, g: PlainExecution) -> int:
-        return sum(1 for e in g.events if g.lab[e].method in self._alloc_methods)
+        return sum(1 for l in g.lab if l.method in self._alloc_methods)
 
     def _interpret(self, method: str, args: Tuple, loc_start: int) -> Interpretation:
         params, body = self.syn.methods[method]
@@ -218,66 +204,46 @@ class SemanticImpl:
         return Interpretation(prog, self.coll_low, self.config, globals_env=env, loc_start=loc_start)
 
     def executions(self, label: Label, loc_start: int) -> List[PlainExecution]:
-        """Plain executions implementing the call.  Complete labels map to
-        complete runs returning the label's value; incomplete labels map to
-        every partial run.  Empty pomsets are excluded (bind drops events
-        otherwise, breaking surjectivity of the matching).  The runs are kept
-        per label and location base.  The body does not read the return
-        value, so it is interpreted once per method, arguments and base, and
-        its complete runs are kept grouped by return value; an
-        interpretation that runs out of runs keeps its ``BudgetExceeded``,
-        which is raised again."""
-        if not self.owns(label):
-            raise ValueError(f"label {label!r} is not implemented by {self.syn.name}")
-        key = (label.method, label.args, label.ret, loc_start)
-        if key in self._cache:
-            return self._cache[key]
-        run_key = (label.method, label.args, loc_start)
-        if run_key in self._exhausted:
-            raise BudgetExceeded(self._exhausted[run_key])
-        it = self._interps.get(run_key)
+        """Plain executions implementing the call, whatever its thread.
+        Complete labels map to complete runs returning the label's value;
+        incomplete labels map to every partial run.  Empty pomsets are
+        excluded (bind drops events otherwise, breaking surjectivity of the
+        matching).  The body does not
+        read the return value, so it is interpreted once per method,
+        arguments and base; an interpretation that runs out of runs keeps
+        its stats, and raises ``BudgetExceeded`` with them again.  Only
+        ``blocks`` asks, once per label and base."""
+        key = (label.method, label.args, loc_start)
+        it = self._runs.get(key)
         if it is None:
             try:
-                it = self._interps[run_key] = self._interpret(label.method, label.args, loc_start)
+                it = self._interpret(label.method, label.args, loc_start)
             except BudgetExceeded as e:
-                self._exhausted[run_key] = e.stats
-                raise
-        if label.ret is BOT:
-            graphs = [g for g in it.partial_executions() if not g.is_empty()]
-        else:
-            want = label.ret
-            if run_key not in self._returns:
-                self._returns[run_key] = it.return_values()
-            graphs = []
-            for run_ret, gs in self._returns[run_key].items():
-                if run_ret == want:
-                    graphs.extend(g for g in gs if not g.is_empty())
-        self._cache[key] = graphs
-        return graphs
+                it = e.stats
+            self._runs[key] = it
+        if isinstance(it, dict):
+            raise BudgetExceeded(it)
+        graphs = it.partial_executions() if label.ret is BOT else it.return_values().get(label.ret, [])
+        return [g for g in graphs if not g.is_empty()]
 
     def blocks(self, label: Label, loc_start: int) -> List[_Block]:
         """The members of ``executions(label, loc_start)``, each as the bind
-        places it, kept beside them."""
+        places it, kept per label (up to its thread) and location base."""
         key = (label.method, label.args, label.ret, loc_start)
         got = self._blocks.get(key)
         if got is None:
-            got = self._blocks[key] = [_Block(inner, self) for inner in self.executions(_strip_thread(label), loc_start)]
+            got = self._blocks[key] = [_Block(inner, self) for inner in self.executions(label, loc_start)]
         return got
 
     def _contains(self, label: Label, labels: Sequence[Label]) -> bool:
         """Membership in I(label) of the chain whose labels, in po order and
-        with any threads, are ``labels``, against the runs allocating from
+        with any threads, are ``labels``, against the blocks allocating from
         just below its first returned location (a block that returns none
-        matches the same runs at every base)."""
+        matches the same members at every base)."""
         locs = [l.ret for l in labels if l.method in self._alloc_methods and isinstance(l.ret, int)]
         loc_start = min(locs) - 1 if locs else self.config.loc_base
-        key = (label.method, label.args, label.ret, loc_start)
-        members = self._members.get(key)
-        if members is None:
-            members = self._members[key] = frozenset(
-                tuple(map(_unthreaded, _po_sequence(run))) for run in self.executions(label, loc_start)
-            )
-        return tuple(map(_unthreaded, labels)) in members
+        want = tuple(map(_unthreaded, labels))
+        return any(tuple(map(_unthreaded, b.labels)) == want for b in self.blocks(label, loc_start))
 
 
 # --------------------------------------------------------------------------
@@ -304,6 +270,13 @@ def exec_bind(
     which pass through.  The result is truncated (deterministically) at
     ``max_results``.
 
+    First, one pass over the events in id order keeps the bases that some
+    choice for the earlier events reaches.  An event with no block at any
+    of them ends every choice, so the bind returns ``[]`` and loses no
+    concrete.  A ``BudgetExceeded`` ends the pass and the enumeration
+    decides; it asks blocks only at bases the pass reaches, so an empty bind
+    never runs out of runs, and one that runs out never comes out empty.
+
     ``facts``, if given, receives per concrete ``(sourced, encapsulated)``
     under ``impl.coll_low``, decided from its blocks' facts (``_Block``) as
     the choices are made:
@@ -322,18 +295,25 @@ def exec_bind(
       constructors must be disjoint, that is the one ``ctor_at`` holds at
       any of its locations.  A concrete with an event that no library owns
       gets ``None``: its checks raise ``UnknownMethod``."""
-    events = list(g.events)
-    labs = [g.lab[e] for e in events]
+    labs = g.lab
     po, eb = g.po_order.rows, g.eb.rows
     out: List[Tuple[PlainExecution, Dict[int, int]]] = []
     #: an event that passes through, as its one block
     through = [None if impl.owns(l) else [_Block(PlainExecution([l], []), impl)] for l in labs]
+    reach = {impl.config.loc_base}
+    try:
+        for i, l in enumerate(labs):
+            reach = {base + b.allocs for base in reach for b in through[i] or impl.blocks(l, base)}
+        if not reach:
+            return out
+    except BudgetExceeded:
+        pass
     #: the chosen blocks, each with its labels on its event's thread
     chosen: List[Tuple[_Block, Tuple[Label, ...]]] = []
     #: per write key, the row of the events whose chosen blocks write it
     written: Dict[tuple, int] = {}
-    #: per constructor location: the event index of its block, its library
-    #: and its locations
+    #: per constructor location: the event of its block, its library and its
+    #: locations
     ctor_at: Dict[object, Tuple[int, str, FrozenSet]] = {}
     clashes = 0
 
@@ -350,7 +330,7 @@ def exec_bind(
         for i, (b, _) in enumerate(chosen):
             for lib, locs in b.uses:
                 c = ctor_at.get(next(iter(locs)))
-                if c is None or c[1] != lib or not locs <= c[2] or not po[events[c[0]]] >> events[i] & 1:
+                if c is None or c[1] != lib or not locs <= c[2] or not po[c[0]] >> i & 1:
                     return False
         return True
 
@@ -358,9 +338,9 @@ def exec_bind(
         nonlocal clashes
         if len(out) >= max_results:
             return
-        if i == len(events):
+        if i == len(labs):
             labels = [l for _, block in chosen for l in block]
-            f = dict(enumerate(e for e, (_, block) in zip(events, chosen) for _ in block))
+            f = dict(enumerate(e for e, (_, block) in enumerate(chosen) for _ in block))
             rows = _bind_rows(po, [b.rows for b, _ in chosen])
             out.append((PlainExecution(labels, Order(rows)), f))
             if facts is not None:

@@ -32,7 +32,8 @@ module of ``persistcheck`` imports this one.
   each event replaced by its pomset, ordered lexicographically) and
   ``set_bind`` (its lifting to sets, up to isomorphism), ``identity_impl``
   (the implementation mapping each call to itself), ``contains`` (a
-  block's membership in its call's implementation), ``is_plain_matching``
+  block's membership in its call's implementation, read off its labels in
+  po order, ``_po_sequence``), ``is_plain_matching``
   (plain matching: f surjective, ∃f⟨po_c⟩ = po_a, each block a member of its
   call's implementation), ``is_refined_matching`` (refined matching: both
   sides consistent, sw justified by projected hb, abstract hb determined by
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from persistcheck.framework import Collection, Verdict, check_consistent
@@ -86,9 +88,7 @@ from persistcheck.substitution import (
     _bind_rows,
     _hb_parts,
     _lift_projected,
-    _po_sequence,
     _project_link,
-    _strip_thread,
     _unthreaded,
     _within,
 )
@@ -355,6 +355,10 @@ def set_bind(ps: Iterable[Pomset], g: Callable[[object], Sequence[Pomset]]) -> L
     return out
 
 
+def _strip_thread(l: Label) -> Label:
+    return replace(l, thread=None) if l.thread is not None else l
+
+
 class IdentityImpl(SemanticImpl):
     """The identity implementation: each call maps to its own singleton."""
 
@@ -367,6 +371,13 @@ class IdentityImpl(SemanticImpl):
 
 def identity_impl(coll: Collection, methods: Iterable[str]) -> SemanticImpl:
     return IdentityImpl(coll, methods)
+
+
+def _po_sequence(g: PlainExecution) -> Optional[List[Label]]:
+    """g's labels in po order if g is a chain, else None: the po rows of a
+    chain of n events hold n-1, …, 0 successors."""
+    at = {row.bit_count(): e for e, row in enumerate(g.po_order.rows)}
+    return [g.lab[at[k]] for k in reversed(range(len(g)))] if len(at) == len(g) else None
 
 
 def contains(impl: SemanticImpl, label: Label, g: PlainExecution) -> bool:

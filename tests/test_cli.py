@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import persistcheck.cli as cli
 from persistcheck.cli import main
 from persistcheck.framework import Collection
 from persistcheck.lang import InterpConfig
@@ -250,6 +251,38 @@ def test_verify_impl_reads_its_file_as_an_implementation(capsys):
     impl = str(LITMUS / "coherence.lit")
     assert run_cli(["verify-impl", impl, "flit", "--over", "px86", "--corpus", str(LITMUS / "flit")]) == 2
     assert "error: unexpected line 'collection px86'" in capsys.readouterr().err
+
+
+FLIT_BODIES = {
+    "fnew": "method fnew() := r := alloc(); c := alloc(); return r",
+    "fwrite_p": "method fwrite_p(l, v) := a := faa(l + 1, 1); store(l, v); fo(l); b := faa(l + 1, 0 - 1)",
+    "fwrite_v": "method fwrite_v(l, v) := sfence(); store(l, v)",
+    "fread_p": "method fread_p(l) := v := load(l); c := load(l + 1); if (c > 0) { fo(l) }; return v",
+    "fread_v": "method fread_v(l) := v := load(l); return v",
+    "ffinish": "method ffinish() := sfence()",
+}
+FLIT_FILE_ARGS = ["flit", "--over", "px86", "--corpus", str(LITMUS / "flit"), "--max-crashes", "0"]
+
+
+def test_verify_impl_a_method_declared_twice_exit_two(tmp_path, capsys):
+    # the one-alloc fnew given last no longer silently wins
+    impl = tmp_path / "twice.impl"
+    impl.write_text("\n".join(list(FLIT_BODIES.values()) + ["method fnew() := r := alloc(); return r"]) + "\n")
+    assert run_cli(["verify-impl", str(impl)] + FLIT_FILE_ARGS) == 2
+    assert capsys.readouterr().err == "error: method fnew is declared twice (line 7, col 0)\n"
+
+
+def test_verify_impl_a_spec_method_with_no_body_exit_two(tmp_path, capsys, monkeypatch):
+    # named before the corpus is interpreted, not as the event it leaves unowned
+    impl = tmp_path / "nowrite.impl"
+    impl.write_text("\n".join(v for m, v in FLIT_BODIES.items() if m != "fwrite_p") + "\n")
+
+    def interpret(*args, **kwargs):
+        raise AssertionError("corpus interpreted")
+
+    monkeypatch.setattr(cli, "interpret_toplevel", interpret)
+    assert run_cli(["verify-impl", str(impl)] + FLIT_FILE_ARGS) == 2
+    assert capsys.readouterr().err == "error: nowrite has no body for fwrite_p, which no --over library owns\n"
 
 
 def test_check_unknown_method_exit_two(tmp_path, capsys):

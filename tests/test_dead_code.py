@@ -13,6 +13,7 @@ Every method other than a dunder must be named as ``.method`` outside its own
 definition.  The shared verdicts memo has one way in: ``framework.shared_call``.
 The owner table's seeds (``Owners.placed``) are named only where the table
 keeps and hands them back, and ``framework.py`` names no witness format.
+Only ``SemanticImpl.blocks`` asks an implementation for its executions.
 Every name a module of ``src/persistcheck`` (``__init__.py`` aside) imports
 is used in that module.
 """
@@ -286,6 +287,17 @@ def test_only_the_owner_table_names_its_seeds_and_the_framework_no_witness_forma
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             named.add(node.name)
     assert not named & formats, f"framework.py names a witness format: {sorted(named & formats)}"
+
+
+def test_only_the_blocks_table_asks_for_executions():
+    # an implementation's members are kept once, as the bind's blocks: the
+    # table of blocks is the one reader of the graphs ``executions`` builds
+    asking = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "executions":
+                asking.add((path.stem, ".".join(scope)))
+    assert asking == {("substitution", "SemanticImpl.blocks")}, f"executions asked outside blocks: {sorted(asking)}"
 
 
 def test_no_interface_restates_what_its_hook_answers():

@@ -1196,7 +1196,7 @@ def ref_exec_bind(g, impl, loc_base=100, max_results=10_000):
         e = events[i]
         lab = g.lab[e]
         if impl.owns(lab):
-            options = impl.executions(sub._strip_thread(lab), base)
+            options = impl.executions(lab, base)
         else:
             options = [PlainExecution([lab], [])]
         for inner in options:
@@ -1419,7 +1419,12 @@ def test_verify_computes_each_lifting_step_once(monkeypatch):
 
 class _PerReturnImpl(SemanticImpl):
     """``SemanticImpl`` interpreting a call once per return value, as it did
-    before its interpretations were kept per (method, args, location base)."""
+    before its interpretations were kept per (method, args, location base),
+    with a cache of its own per label and base."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._cache = {}
 
     def executions(self, label, loc_start):
         key = (label.method, label.args, label.ret, loc_start)
