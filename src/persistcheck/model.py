@@ -309,17 +309,20 @@ class History:
     # -- structure ----------------------------------------------------------
 
     def calls(self) -> List[Call]:
-        """All calls of the history, in invocation order."""
-        out: List[Call] = []
-        open_call: Dict[int, int] = {}  # thread -> index into out
+        """All calls of the history, in invocation order, each built once
+        its return, if any, is known."""
+        ends: Dict[int, Tuple[int, object]] = {}  # invocation index -> (return index, value)
+        open_inv: Dict[int, int] = {}  # thread -> invocation index
         for i, e in enumerate(self.events):
             if isinstance(e, Inv):
-                open_call[e.thread] = len(out)
-                out.append(Call(e.method, e.args, BOT, e.thread, e.tags, i, None))
+                open_inv[e.thread] = i
             elif isinstance(e, Ret):
-                j = open_call.pop(e.thread)
-                c = out[j]
-                out[j] = Call(c.method, c.args, e.value, c.thread, c.tags, c.inv_index, i)
+                ends[open_inv.pop(e.thread)] = (i, e.value)
+        out: List[Call] = []
+        for i, e in enumerate(self.events):
+            if isinstance(e, Inv):
+                j, ret = ends.get(i, (None, BOT))
+                out.append(Call(e.method, e.args, ret, e.thread, e.tags, i, j))
         return out
 
     def eras(self) -> List["History"]:

@@ -19,7 +19,8 @@ search reads the execution's own event ids, and a history's weak-register
 check is the execution check on ``history_to_execution(h)``, whose event
 ids are the history's call indices.  A pending call is an optional event
 with its return left open (⊥): the spec's step gives it the return its
-state holds, so no value domain is guessed.  For the weak register each
+state holds, so no value domain is guessed, and one whose step keeps the
+state is never placed.  For the weak register each
 crash ends its era with one more event, and each durable call with a crash
 po-after it is offered persisted and not persisted, so one step function
 folds the volatile and the persisted register state.  The eager
@@ -89,11 +90,12 @@ class SequentialSpec:
     crash, an event id).  A call whose return is ⊥ (``BOT``, a pending call)
     takes the return its state gives: a step accepts ⊥ wherever it would
     accept some return, so a step that checks ``c.ret`` reads
-    ``c.ret is BOT or c.ret == ...``.
+    ``c.ret is BOT or c.ret == ...``.  A pending constructor names no
+    location, so its step keeps the state.
     A rejected prefix rejects all its extensions, so step-wise evaluation
     doubles as the pruning hook of :func:`linearizations`.  States are dicts
-    with hashable values, which the search memoizes, so a state must hold
-    everything the steps after it read."""
+    with hashable values, which the search memoizes and compares, so a state
+    must hold everything the steps after it read."""
 
     name: str
     init: Callable[[], object]
@@ -113,6 +115,8 @@ def _queue_step(state, c: CallLike, push_methods=("qpush",)):
     state = dict(state)
     if c.method == "qnew":
         x = c.ret
+        if x is BOT:
+            return state
         if x in state:
             return None
         state[x] = ((), 0, True)
@@ -139,7 +143,8 @@ S_QUEUE = SequentialSpec("queue", dict, _queue_step)
 def _register_step(state, c: CallLike):
     state = dict(state)
     if c.method == "rnew":
-        state[c.ret] = 0
+        if c.ret is not BOT:
+            state[c.ret] = 0
         return state
     if c.method == PFENCE:
         return state
@@ -247,6 +252,14 @@ def linearizations(
     names the ``stage``, counts ``nodes`` (candidates tried, one budget unit
     each) and ``memo_hits``; past the budget, ``BudgetExceeded`` carries it.
 
+    A candidate of an event outside ``must`` whose step keeps the state (a
+    pending read, a pending constructor) is tried but never placed.  Placing
+    it would leave ``must`` as far from placed as before and only drop it
+    and its unplaced predecessors, which the branch that leaves it out still
+    holds: each sequence below it, less it, is yielded without it.  So the
+    search yields, in order, exactly the sequences that place no such
+    candidate, and finds a sequence whenever one exists.
+
     The search is one generator with an explicit stack of open nodes.  A
     node walks only the unplaced events that have a candidate (the set bits
     of ``live & ~done``), in ascending order; the counters are kept in
@@ -293,7 +306,7 @@ def linearizations(
                 if nodes > budget:
                     raise BudgetExceeded({**stats, "nodes": nodes, "memo_hits": memo_hits})
                 nxt = step(st, c)
-                if nxt is None:
+                if nxt is None or not must >> i & 1 and nxt == st:
                     continue
                 placed = done | 1 << i | preds[i]
                 if placed & must == must:
@@ -320,7 +333,9 @@ def linearize(
 ) -> Verdict:
     """The first of :func:`linearizations` as a verdict with the search's
     stats: OK with the placed ``(event, candidate)`` pairs as witness, FAIL
-    when ``spec`` accepts no sequence, or budget-exceeded.
+    when ``spec`` accepts no sequence, or budget-exceeded.  A witness the
+    search finds places no optional event whose step keeps the state, and
+    the verdict is the one a search that placed such events would give.
 
     Such pairs given as ``seed`` are replayed first by the search's rules
     (each event placeable, each candidate one of its ``options``, each step
@@ -358,9 +373,11 @@ def check_linearizable(h: History, spec: SequentialSpec, budget: int = 200_000) 
     """Some sequentialization of h belongs to the sequential spec: one
     :func:`linearize` search in which a pending call may be left out or
     placed with its return open, so it takes the return the spec's state
-    gives (Herlihy & Wing 1990).  The witness lists the placed calls, a
-    pending one with return ⊥.  The budget counts candidate calls tried, one
-    per call."""
+    gives (Herlihy & Wing 1990).  A pending call whose step keeps the state,
+    such as a read or a constructor, is left out: placing it enables no call
+    that leaving it out does not, so no verdict changes.  The witness lists
+    the placed calls, a pending one with return ⊥.  The budget counts
+    candidate calls tried, one per call."""
     if h.crash_count():
         raise ValueError("linearizability is defined on crash-free histories")
     calls = h.calls()

@@ -25,6 +25,7 @@ from persistcheck.model import (
     BOT,
     CRASH,
     CRASH_EV,
+    Call,
     Execution,
     History,
     Inv,
@@ -50,6 +51,7 @@ from persistcheck.model import (
 )
 from persistcheck.model import _iso_signatures
 from persistcheck.px86 import derive_sets, load, store
+from test_acceptance import _random_history
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -238,6 +240,48 @@ def test_calls_and_incomplete():
     assert len(calls) == 2
     assert calls[0].ret is BOT and not calls[0].is_complete
     assert calls[1].ret == 3 and calls[1].ret_index == 2
+
+
+def _calls_built_twice(h):
+    """``History.calls`` as it was: each call built at its invocation and
+    built again at its return."""
+    out = []
+    open_call = {}  # thread -> index into out
+    for i, e in enumerate(h.events):
+        if isinstance(e, Inv):
+            open_call[e.thread] = len(out)
+            out.append(Call(e.method, e.args, BOT, e.thread, e.tags, i, None))
+        elif isinstance(e, Ret):
+            j = open_call.pop(e.thread)
+            c = out[j]
+            out[j] = Call(c.method, c.args, e.value, c.thread, c.tags, c.inv_index, i)
+    return out
+
+
+def test_calls_match_the_two_step_construction():
+    """On the 500 acceptance-2 histories, and on each joined to the next by
+    a crash (its pending calls stay pending, the next one's threads are
+    renumbered fresh), with tags on every third invocation."""
+    rng = random.Random(20260808)
+    hs = [_random_history(rng) for _ in range(500)]
+    tagged = [
+        History(
+            Inv(e.method, e.args, e.thread, frozenset({"P"})) if isinstance(e, Inv) and i % 3 == 0 else e
+            for i, e in enumerate(h.events)
+        )
+        for h in hs
+    ]
+    crashed = []
+    for a, b in zip(tagged, tagged[1:] + tagged[:1]):
+        t = 1 + max((e.thread for e in a.events), default=0)
+        later = [
+            Inv(e.method, e.args, e.thread + t, e.tags) if isinstance(e, Inv) else Ret(e.value, e.thread + t)
+            for e in b.events
+        ]
+        crashed.append(History(list(a.events) + [CRASH_EV] + later + [CRASH_EV]))
+    assert sum(h.crash_count() for h in crashed) == 1_000
+    for h in hs + tagged + crashed:
+        assert h.calls() == _calls_built_twice(h), h
 
 
 def test_eras_split():

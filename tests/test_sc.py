@@ -377,20 +377,38 @@ def test_linearizable_stats_on_every_verdict():
     assert dict(z.stats) == {"stage": "weakreg lin/nvo search", "nodes": 49, "memo_hits": 9}
 
 
-@pytest.mark.parametrize("k, nodes, memo_hits", [(0, 4, 0), (4, 113, 49), (8, 2_817, 1_793)])
-def test_pending_reads_budget_unit(k, nodes, memo_hits):
-    """The budget unit, one node per candidate tried: ``rwrite(10,1):None ·
-    rwrite(10,2) ∥ rread(10):0`` with k pending ``rread(10)`` calls invoked
-    before the read returns.  Each subset of the pending reads is searched
-    once, since the memo key holds the placed-or-dropped mask."""
-    h = History(
+def _pending_history(k, method="rread"):
+    """``rwrite(10,1):None · rwrite(10,2) ∥ rread(10):0`` with k pending
+    ``method`` calls (``rread(10)`` or ``rnew()``) invoked before the read
+    returns: inconsistent, since the read follows the first write."""
+    args = (X,) if method == "rread" else ()
+    return History(
         [Inv("rwrite", (X, 1), 0), Ret(None, 0), Inv("rwrite", (X, 2), 0), Inv("rread", (X,), 1)]
-        + [Inv("rread", (X,), 2 + j) for j in range(k)]
+        + [Inv(method, args, 2 + j) for j in range(k)]
         + [Ret(0, 1)]
     )
-    v = check_linearizable(h, S_WEAKREG)
+
+
+@pytest.mark.parametrize("k, nodes, memo_hits", [(0, 4, 0), (4, 12, 0), (8, 20, 0), (14, 32, 0)])
+def test_pending_reads_budget_unit(k, nodes, memo_hits):
+    """The budget unit, one node per candidate tried, on
+    :func:`_pending_history`.  A pending read keeps the state, so it is tried
+    once per opened node and never placed: each pending read adds two nodes,
+    one after the first write and one after the second."""
+    v = check_linearizable(_pending_history(k), S_WEAKREG)
     assert v.status == "inconsistent"
     assert dict(v.stats) == {"stage": "linearization search", "nodes": nodes, "memo_hits": memo_hits}
+
+
+@pytest.mark.parametrize("method", ["rread", "rnew"])
+@pytest.mark.parametrize("k", [14, 16])
+def test_pending_calls_that_keep_the_state_are_not_searched(method, k):
+    """k pending reads, or k pending constructors, which name no location,
+    leave the verdict inconsistent in fewer than 100 nodes at the default
+    budget; a search that placed them would try every subset of them."""
+    v = check_linearizable(_pending_history(k, method), S_WEAKREG)
+    assert v.status == "inconsistent"
+    assert dict(v.stats)["nodes"] < 100
 
 
 # --------------------------------------------------------------------------
