@@ -376,6 +376,15 @@ def cmd_worked_examples() -> int:
 # --------------------------------------------------------------------------
 
 
+def _library_names(text: str) -> List[str]:
+    """The library names of a comma-separated ``--over``; one that names none
+    is a usage error."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("names no library")
+    return names
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="persistcheck",
@@ -409,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-impl", help="bounded implementation verification over a corpus")
     pv.add_argument("impl", help="built-in implementation name or file")
     pv.add_argument("spec", help="abstract (implemented) library spec name")
-    pv.add_argument("--over", required=True, help="comma-separated low-level collection")
+    pv.add_argument("--over", required=True, type=_library_names, help="comma-separated low-level collection")
     pv.add_argument("--corpus", default=None, help="directory of abstract .lit programs")
     pv.add_argument("--max-events", type=int, default=64, help="largest corpus execution verified")
     pv.add_argument("--max-crashes", type=int, default=1, help="crashes added to each single-phase corpus program")
@@ -440,8 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "check":
         return cmd_check(args.file, cfg)
     if args.command == "verify-impl":
-        over = [s.strip() for s in args.over.split(",") if s.strip()]
-        return cmd_verify_impl(args.impl, args.spec, over, args.corpus, cfg)
+        return cmd_verify_impl(args.impl, args.spec, args.over, args.corpus, cfg)
     if args.command == "worked-examples":
         return cmd_worked_examples()
     return 2

@@ -521,18 +521,23 @@ _MISSING = object()
 
 
 @contextmanager
-def shared_verdicts() -> Iterator[None]:
+def shared_verdicts(memo: Optional[Dict[tuple, object]] = None) -> Iterator[None]:
     """A scope in which ``shared_call`` keeps what it computes: the verdicts
-    of ``check_consistent``, the Px86 witness searches and the lifting steps
-    of ``verify_impl_bounded``.  Every spec's budget is fixed when the spec
-    is built, so a kept verdict is the one the check would compute again.
-    The memo starts empty when the outermost scope opens and is dropped when
-    it closes; a nested scope uses the outer memo.  It also works as a
-    decorator, so each call of the decorated function is one scope."""
+    of ``check_consistent``, the Px86 witness searches, and the lifting steps
+    and hereditary verdicts of ``verify_impl_bounded``.  Every spec's budget
+    is fixed when the spec is built, so a kept verdict is the one the check
+    would compute again.  The outermost scope keeps its entries in ``memo``,
+    or in a new empty one: a caller that passes the same memo to each of its
+    scopes, as ``verify_impl_bounded`` passes its ``SemanticImpl``'s, shares
+    the entries between them, and the memo holds them, and the memory they
+    take, until the caller drops it.  Without a memo the entries are
+    dropped when the scope closes.  A nested scope uses the outer memo.  It
+    also works as a decorator, so each call of the decorated function is
+    one scope."""
     if _VERDICTS.get() is not None:
         yield
         return
-    token = _VERDICTS.set({})
+    token = _VERDICTS.set({} if memo is None else memo)
     try:
         yield
     finally:

@@ -178,9 +178,14 @@ CRASH_EV = CrashEv()
 HistoryEvent = object  # Inv | Ret | CrashEv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Call:
-    """One call of a history: an invocation plus its matching return, if any."""
+    """One call of a history: an invocation plus its matching return, if any.
+
+    Frozen, with an ``__init__`` that fills the instance dict in one update,
+    where the generated one spends an ``object.__setattr__`` per field:
+    ``History.calls`` builds one per invocation.  ``dataclasses.replace``,
+    equality, hashing and the fields are the dataclass's own."""
 
     method: str
     args: Tuple
@@ -189,6 +194,20 @@ class Call:
     tags: FrozenSet[str]
     inv_index: int
     ret_index: Optional[int]
+
+    def __init__(
+        self,
+        method: str,
+        args: Tuple,
+        ret: object,
+        thread: int,
+        tags: FrozenSet[str],
+        inv_index: int,
+        ret_index: Optional[int],
+    ):
+        self.__dict__.update(
+            method=method, args=args, ret=ret, thread=thread, tags=tags, inv_index=inv_index, ret_index=ret_index
+        )
 
     @property
     def is_complete(self) -> bool:

@@ -22,8 +22,10 @@ from . import lang
 from .framework import (
     BudgetExceeded,
     Collection,
+    HereditaryChain,
     LibrarySpec,
     Prefix,
+    Verdict,
     _always_ok,
     _prefix,
     check_consistent,
@@ -163,6 +165,13 @@ class SemanticImpl:
     Each body is interpreted once per arguments and location base
     (``executions``), and its members are kept only as the bind's blocks.
 
+    An implementation is one verification session: ``verdicts`` is the
+    ``shared_verdicts`` memo of every ``verify_impl_bounded`` call on it, so
+    checking a corpus graph by graph shares what one call over the corpus
+    shares.  The memo grows with every distinct consistency check, Px86
+    search, lifting step and hereditary verdict it keeps (no entry ran out
+    of budget); drop the implementation to drop the memo.
+
     Implementations with private globals are not supported here (their state
     couples distinct calls); verify such libraries end to end through the
     interpreter instead.
@@ -187,6 +196,8 @@ class SemanticImpl:
         #: per (method, args, return, location base), its members as the
         #: bind places them
         self._blocks: Dict[Tuple, List[_Block]] = {}
+        #: the shared verdicts of the calls of ``verify_impl_bounded`` on it
+        self.verdicts: Dict[tuple, object] = {}
 
     def owns(self, label: Label) -> bool:
         return label.is_call and label.method in self.methods
@@ -751,7 +762,28 @@ def _refinements(coll: Collection, gc: PlainExecution) -> Iterator[Prefix]:
         yield _prefix(coll, xc)
 
 
-@shared_verdicts()
+def _hereditary(coll: Collection, xc: Prefix, budget: int) -> Verdict:
+    """``check_hereditarily_consistent(coll, xc, budget=budget)`` through
+    ``shared_call``, keyed by the collection (by identity), the budget and
+    the exact key of ``xc`` (``Execution.key``): the refinements of distinct
+    concretes are often the same execution.  A kept OK verdict holds its
+    chain as the masks of its links, and its witness is rebuilt on ``xc``'s
+    own execution, whose events those are."""
+
+    def compute() -> Verdict:
+        v = check_hereditarily_consistent(coll, xc, budget=budget)
+        if not v:
+            return v
+        masks = tuple(sum(1 << e for e in s) for s in v.witness.subsets)
+        return Verdict(v.status, v.reason, masks, v.stats)
+
+    v = shared_call((_hereditary, coll, budget) + xc.owners.x.key(xc.mask), compute)
+    if not v:
+        return v
+    chain = HereditaryChain(subsets=[frozenset(bits(m)) for m in v.witness], source=xc.execution)
+    return Verdict(v.status, v.reason, chain, v.stats)
+
+
 def verify_impl_bounded(
     impl: SemanticImpl,
     coll_high: Collection,
@@ -795,6 +827,13 @@ def verify_impl_bounded(
     it is unsourced and checked on itself first).  Otherwise, and wherever a
     library checks more than encapsulation, each candidate is checked in
     turn until one is immediately well-formed.
+
+    The call opens a ``shared_verdicts`` scope on ``impl.verdicts``, which
+    lives as long as ``impl``: a later call on the same implementation gets
+    every decided consistency verdict, Px86 search, lifting step and
+    hereditary verdict (one per distinct refinement and budget) of the
+    earlier ones, and its records are those it would compute afresh.  The
+    memo's memory is held until ``impl`` is dropped.
     """
     if coll_low is not impl.coll_low:
         raise ValueError("coll_low must be the implementation's low collection")
@@ -811,74 +850,75 @@ def verify_impl_bounded(
         rec.detail = rec.detail or why
         return rec
 
-    for gi, ga in enumerate(corpus):
-        facts: List[Tuple[bool, Optional[bool]]] = []
-        try:
-            concretes = exec_bind(ga, impl, max_results=max_concrete + 1, facts=facts)
-        except BudgetExceeded:
-            why = f"interpreting the implementation exceeded max_runs={impl.config.max_runs}"
-            report.records.append(undecided(VerifyRecord(gi, None), why))
-            continue
-        empty += not concretes
-        if len(concretes) > max_concrete:
-            capped += 1
-            del concretes[max_concrete:]
-        # the abstract side of well-formedness transport, once per graph
-        wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
-        for ci, ((gc, f), (sourced, encapsulated)) in enumerate(zip(concretes, facts)):
-            rec = VerifyRecord(gi, ci)
-            refinements = list(_refinements(coll_low, gc)) if sourced else []
-            # hereditary consistency upward
-            found_consistent_low = False
-            for xc in refinements:
-                v = check_hereditarily_consistent(coll_low, xc, budget=budget)
-                if v.is_budget:
-                    undecided(rec, "hereditary consistency check hit budget")
-                    continue
-                if not v:
-                    continue
-                found_consistent_low = True
-                why: List[str] = []
-                try:
-                    chain = lift_chain(xc.execution, v.witness.subsets, f, ga, coll_high, budget=budget, failure=why)
-                except BudgetExceeded:
-                    undecided(rec, "lifting hit budget")
-                    continue
-                if chain is None:
-                    rec.lifted = False
-                    rec.detail = "no consistent abstract refinement lifts the chain" + (
-                        f" (last failure: {why[0]})" if why else ""
-                    )
-                    break
-                rec.witness_chain = len(chain)
-            if rec.lifted is None and found_consistent_low and not rec.undecided:
-                rec.lifted = True
-            if not found_consistent_low and not rec.detail:
-                rec.detail = "no hereditarily consistent concrete refinement"
-            # well-formedness downward: an out-of-budget check on either
-            # level leaves the transport undecided
-            if wf_high is not None and wf_high.is_budget:
-                undecided(rec, "well-formedness check hit budget")
-            elif wf_high and wf_is_encapsulation and encapsulated and (refinements or not sourced and itself_first):
-                rec.wellformed_downward = True
-            elif wf_high:
-                unknown = False
-                wf_candidates = refinements if sourced else _refinements(coll_low, gc)
-                if not sourced and itself_first:
-                    wf_candidates = itertools.chain([Execution(gc)], wf_candidates)
-                for xc0 in wf_candidates:
-                    v = check_immediately_wellformed(coll_low, xc0)
-                    if v:
-                        rec.wellformed_downward = True
+    with shared_verdicts(impl.verdicts):
+        for gi, ga in enumerate(corpus):
+            facts: List[Tuple[bool, Optional[bool]]] = []
+            try:
+                concretes = exec_bind(ga, impl, max_results=max_concrete + 1, facts=facts)
+            except BudgetExceeded:
+                why = f"interpreting the implementation exceeded max_runs={impl.config.max_runs}"
+                report.records.append(undecided(VerifyRecord(gi, None), why))
+                continue
+            empty += not concretes
+            if len(concretes) > max_concrete:
+                capped += 1
+                del concretes[max_concrete:]
+            # the abstract side of well-formedness transport, once per graph
+            wf_high = check_immediately_wellformed(coll_high, Execution(ga)) if check_wf and concretes else None
+            for ci, ((gc, f), (sourced, encapsulated)) in enumerate(zip(concretes, facts)):
+                rec = VerifyRecord(gi, ci)
+                refinements = list(_refinements(coll_low, gc)) if sourced else []
+                # hereditary consistency upward
+                found_consistent_low = False
+                for xc in refinements:
+                    v = _hereditary(coll_low, xc, budget)
+                    if v.is_budget:
+                        undecided(rec, "hereditary consistency check hit budget")
+                        continue
+                    if not v:
+                        continue
+                    found_consistent_low = True
+                    why: List[str] = []
+                    try:
+                        chain = lift_chain(xc.execution, v.witness.subsets, f, ga, coll_high, budget=budget, failure=why)
+                    except BudgetExceeded:
+                        undecided(rec, "lifting hit budget")
+                        continue
+                    if chain is None:
+                        rec.lifted = False
+                        rec.detail = "no consistent abstract refinement lifts the chain" + (
+                            f" (last failure: {why[0]})" if why else ""
+                        )
                         break
-                    unknown = unknown or v.is_budget
-                else:
-                    if unknown:
-                        undecided(rec, "well-formedness check hit budget")
+                    rec.witness_chain = len(chain)
+                if rec.lifted is None and found_consistent_low and not rec.undecided:
+                    rec.lifted = True
+                if not found_consistent_low and not rec.detail:
+                    rec.detail = "no hereditarily consistent concrete refinement"
+                # well-formedness downward: an out-of-budget check on either
+                # level leaves the transport undecided
+                if wf_high is not None and wf_high.is_budget:
+                    undecided(rec, "well-formedness check hit budget")
+                elif wf_high and wf_is_encapsulation and encapsulated and (refinements or not sourced and itself_first):
+                    rec.wellformed_downward = True
+                elif wf_high:
+                    unknown = False
+                    wf_candidates = refinements if sourced else _refinements(coll_low, gc)
+                    if not sourced and itself_first:
+                        wf_candidates = itertools.chain([Execution(gc)], wf_candidates)
+                    for xc0 in wf_candidates:
+                        v = check_immediately_wellformed(coll_low, xc0)
+                        if v:
+                            rec.wellformed_downward = True
+                            break
+                        unknown = unknown or v.is_budget
                     else:
-                        rec.wellformed_downward = False
-                        rec.detail = rec.detail or "immediate well-formedness does not transport"
-            report.records.append(rec)
+                        if unknown:
+                            undecided(rec, "well-formedness check hit budget")
+                        else:
+                            rec.wellformed_downward = False
+                            rec.detail = rec.detail or "immediate well-formedness does not transport"
+                report.records.append(rec)
     report.bound_note = (
         f"corpus={len(corpus)} graphs ({empty} bind to no concrete, {capped} over max_concrete), "
         f"max_concrete={max_concrete}, budget={budget}"

@@ -369,6 +369,15 @@ def test_verify_impl_a_library_named_twice_in_over_exit_two(capsys):
     assert not out and err == "error: library px86 already registered\n"
 
 
+@pytest.mark.parametrize("over", [",", " , ", ""])
+def test_verify_impl_an_over_that_names_no_library_is_a_usage_error(over, capsys):
+    # it used to reach the bind and fail there on the first method it met
+    assert run_cli(["verify-impl", "flit", "flit", "--over", over, "--corpus", str(LITMUS / "flit")]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage:")
+    assert err.endswith("error: argument --over: names no library\n")
+
+
 def test_verify_impl_small_corpus(tmp_path, capsys):
     (tmp_path / "a.lit").write_text(
         """

@@ -5,6 +5,7 @@ independent oracles at the top of this file (brute-force closure, down-set
 enumeration, quadratic scans) and then asserted against the implementation.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -282,6 +283,21 @@ def test_calls_match_the_two_step_construction():
     assert sum(h.crash_count() for h in crashed) == 1_000
     for h in hs + tagged + crashed:
         assert h.calls() == _calls_built_twice(h), h
+
+
+def test_call_keeps_the_frozen_dataclass_contract():
+    # its __init__ fills the instance dict at once; the rest is generated
+    c = Call("rwrite", (10, 1), None, 2, frozenset({"P"}), 3, 5)
+    names = ["method", "args", "ret", "thread", "tags", "inv_index", "ret_index"]
+    assert [f.name for f in dataclasses.fields(Call)] == names
+    assert vars(c) == dict(zip(names, ("rwrite", (10, 1), None, 2, frozenset({"P"}), 3, 5)))
+    same = Call(method="rwrite", args=(10, 1), ret=None, thread=2, tags=frozenset({"P"}), inv_index=3, ret_index=5)
+    assert c == same and hash(c) == hash(same) == hash(tuple(vars(c).values()))
+    assert c != dataclasses.replace(c, ret_index=None)
+    assert dataclasses.replace(c, method="regwrite") == Call("regwrite", (10, 1), None, 2, frozenset({"P"}), 3, 5)
+    assert repr(c) == "rwrite(10,1):None_t2"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.ret = 1
 
 
 def test_eras_split():

@@ -9,6 +9,7 @@ against pair-set reference copies on the litmus corpora.
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -1272,7 +1273,7 @@ def test_verify_records_equal_with_and_without_shared_verdicts(make, monkeypatch
     assert shared[0]
 
 
-def test_each_verify_call_starts_with_no_shared_verdicts():
+def test_each_semantic_impl_starts_with_no_shared_verdicts():
     calls = []
 
     def counting(x):
@@ -1287,10 +1288,88 @@ def test_each_verify_call_starts_with_no_shared_verdicts():
     per_call = len(calls) - first
     # the second graph repeats the first, so its checks are all shared
     assert report.ok and len(report.records) == 2 and per_call
-    verify_impl_bounded(iid, coll, coll, corpus[:1])
+    # so are they with a later call on the same implementation
+    assert verify_impl_bounded(iid, coll, coll, corpus[:1]).records == report.records[:1]
+    assert len(calls) - first == per_call
+    # a fresh implementation over the same collections computes them all again
+    again = verify_impl_bounded(identity_impl(coll, ["tset", "tget"]), coll, coll, corpus[:1])
+    assert again.records == report.records[:1]
     assert len(calls) - first == 2 * per_call
-    verify_impl_bounded(iid, coll, coll, corpus[:1])
-    assert len(calls) - first == 3 * per_call
+
+
+def _flit_crash_corpus(crashes):
+    """40 graphs spread over the complete runs ``verify-impl --corpus`` takes
+    from litmus/flit with ``crashes`` restarts."""
+    runs = _crash_corpus("flit", crashes)
+    return runs[:: max(1, len(runs) // 40)][:40]
+
+
+#: Px86 at its default budget, and at one so small that some of the
+#: searches of flit's refinements run out on the corpus with a crash
+_SPLIT_LOWS = (PX, Collection([px86_spec(budget=5)]))
+#: the benchmark's budget, and one at which hereditary walks and lifting
+#: steps run out
+_SPLIT_BUDGETS = (20_000, 7)
+_BOUND = re.compile(r"corpus=(\d+) graphs \((\d+) bind to no concrete, (\d+) over max_concrete\), (.*)")
+
+
+def _per_graph(impl_for, high, low, corpus, budget, order, check_wf):
+    """One ``verify_impl_bounded`` call per graph, in ``order``, each on the
+    implementation ``impl_for()`` gives; per graph, by index, its records,
+    budget hits and bound note."""
+    out = {}
+    for gi in order:
+        rep = verify_impl_bounded(impl_for(), high, low, [corpus[gi]], budget=budget, check_wf=check_wf)
+        out[gi] = ([vars(r) for r in rep.records], rep.budget_hits, rep.bound_note)
+    return [out[gi] for gi in range(len(corpus))]
+
+
+def _one_call(impl, high, low, corpus, budget, check_wf):
+    """One call over the whole corpus: its records per graph, as
+    ``_per_graph`` numbers them, its budget hits and its bound note."""
+    rep = verify_impl_bounded(impl, high, low, corpus, budget=budget, check_wf=check_wf)
+    records = [[] for _ in corpus]
+    for r in rep.records:
+        records[r.abstract_index].append(dict(vars(r), abstract_index=0))
+    return records, rep.budget_hits, rep.bound_note
+
+
+@pytest.mark.parametrize("crashes", [0, 1])
+@pytest.mark.parametrize("case", ["flit", "flit_no_fo"])
+def test_verify_records_equal_however_the_corpus_is_split(case, crashes):
+    # the shared verdicts live as long as the implementation: per-graph
+    # calls on one implementation, in either order and after calls at
+    # another budget, give what fresh implementations give, and so does one
+    # call over the corpus; so do the calls of every implementation inside
+    # one outer scope, whose memo they all share
+    make, _, high, _, check_wf = DIFF_CASES[case]
+    corpus = _flit_crash_corpus(crashes)
+    up, down = range(len(corpus)), range(len(corpus) - 1, -1, -1)
+    fresh = {}
+    for low in _SPLIT_LOWS:
+        for budget in _SPLIT_BUDGETS:
+            want = fresh[low, budget] = _per_graph(
+                lambda: SemanticImpl(make(), low, FLIT_CFG), high, low, corpus, budget, up, check_wf
+            )
+            records, hits, note = _one_call(SemanticImpl(make(), low, FLIT_CFG), high, low, corpus, budget, check_wf)
+            assert records == [rs for rs, _, _ in want] and hits == sum(h for _, h, _ in want)
+            # its bound note sums the graphs' counts
+            sums = [sum(int(_BOUND.fullmatch(n)[i]) for _, _, n in want) for i in (1, 2, 3)]
+            assert _BOUND.fullmatch(note).groups() == (*map(str, sums), _BOUND.fullmatch(want[0][2])[4])
+        impl = SemanticImpl(make(), low, FLIT_CFG)
+        # the larger budget first, so that its kept verdicts meet the smaller
+        for budget, order in zip(_SPLIT_BUDGETS * 2, (up, down, up, down)):
+            assert _per_graph(lambda: impl, high, low, corpus, budget, order, check_wf) == fresh[low, budget]
+    with shared_verdicts():
+        for low in _SPLIT_LOWS:
+            impl = SemanticImpl(make(), low, FLIT_CFG)
+            for budget, order in zip(_SPLIT_BUDGETS, (down, up)):
+                assert _per_graph(lambda: impl, high, low, corpus, budget, order, check_wf) == fresh[low, budget]
+    # the small budget makes searches run out, and the small Px86 budget
+    # changes some of flit's records: a key without the collection fails
+    assert all(sum(h for _, h, _ in fresh[low, _SPLIT_BUDGETS[1]]) for low in _SPLIT_LOWS)
+    if (case, crashes) == ("flit", 1):
+        assert fresh[_SPLIT_LOWS[0], _SPLIT_BUDGETS[0]] != fresh[_SPLIT_LOWS[1], _SPLIT_BUDGETS[0]]
 
 
 # --------------------------------------------------------------------------
