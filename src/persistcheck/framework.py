@@ -279,7 +279,9 @@ class Collection:
 
     def __init__(self, specs: Iterable[LibrarySpec] = ()):
         self._specs: Dict[str, LibrarySpec] = {}
-        self._method_owner: Dict[str, LibrarySpec] = {}
+        self._sorted: List[LibrarySpec] = []
+        #: per method name, the library declaring it and its arity
+        self._method_owner: Dict[str, Tuple[LibrarySpec, Optional[int]]] = {}
         self._frozen = False
         for s in specs:
             self.register(s)
@@ -292,7 +294,7 @@ class Collection:
         for m in spec.interface.methods:
             if m in self._method_owner:
                 raise DuplicateMethod(
-                    f"method {m} of {spec.name} clashes with {self._method_owner[m].name}"
+                    f"method {m} of {spec.name} clashes with {self._method_owner[m][0].name}"
                 )
         self._check_deps(spec)
         empty = Execution(PlainExecution([], []))
@@ -304,8 +306,9 @@ class Collection:
                 raise SpecError(f"{spec.name}.{pred_name} rejects the empty execution")
         # a spec that fails a check above is not registered
         self._specs[spec.name] = spec
-        for m in spec.interface.methods:
-            self._method_owner[m] = spec
+        self._sorted = [self._specs[k] for k in sorted(self._specs)]
+        for m, arity in spec.interface.methods.items():
+            self._method_owner[m] = (spec, arity)
         return self
 
     def _check_deps(self, spec: LibrarySpec) -> None:
@@ -339,7 +342,8 @@ class Collection:
         return self
 
     def specs(self) -> List[LibrarySpec]:
-        return [self._specs[k] for k in sorted(self._specs)]
+        """The libraries by name."""
+        return list(self._sorted)
 
     def lookup(self, name: str) -> LibrarySpec:
         if name not in self._specs:
@@ -351,15 +355,16 @@ class Collection:
 
     def library_of(self, method: str) -> Optional[LibrarySpec]:
         """The library declaring ``method`` by name, whatever the arity."""
-        return self._method_owner.get(method)
+        owner = self._method_owner.get(method)
+        return owner[0] if owner else None
 
     def owner_of(self, label: Label) -> Optional[LibrarySpec]:
         """The library declaring ``label``'s method with its arity; a crash
         (no method) and an anonymized ``⋆`` event have none."""
-        spec = self._method_owner.get(label.method)
-        if spec is None or label.method == "⋆":
+        owner = self._method_owner.get(label.method)
+        if owner is None or label.method == "⋆":
             return None
-        arity = spec.interface.methods[label.method]
+        spec, arity = owner
         return spec if arity is None or len(label.args) == arity else None
 
     def decorate(self, label: Label) -> Label:
@@ -392,15 +397,17 @@ def _as_execution(x) -> Execution:
 
 
 def _owned_events(coll: Collection, x: Execution) -> Dict[str, List[int]]:
+    """Per library, the events of ``x`` it owns, as ``coll.owner_of`` gives
+    them, read from its method table."""
     owned: Dict[str, List[int]] = {s.name: [] for s in coll.specs()}
-    for e in x.events:
-        l = x.lab[e]
+    table = coll._method_owner
+    for e, l in enumerate(x.lab):
         if l.is_crash:
             continue
-        spec = coll.owner_of(l)
-        if spec is None:
+        owner = table.get(l.method)
+        if owner is None or owner[1] is not None and len(l.args) != owner[1] or l.method == "⋆":
             raise UnknownMethod(f"event {e} with label {l!r} matches no interface")
-        owned[spec.name].append(e)
+        owned[owner[0].name].append(e)
     return owned
 
 
@@ -596,18 +603,27 @@ class HereditaryChain:
 
     Given ``source`` (X) in place of ``chain``, the chain is X restricted to
     each subset, built when ``chain`` is first read: callers that read only
-    ``subsets`` build nothing."""
+    ``subsets`` build nothing.  Given the subsets as ``masks`` of X's event
+    ids (a walk's links), ``subsets`` are built when first read: callers
+    that read only ``masks`` build no set."""
 
     def __init__(
         self,
         chain: Optional[List] = None,
         subsets: Optional[List[FrozenSet[int]]] = None,
         source: Optional[Execution] = None,
+        masks: Optional[Sequence[int]] = None,
     ):
         if chain is not None:
             self.chain = chain
-        self.subsets = subsets
+        if masks is None:
+            self.subsets = subsets
+        self.masks = masks
         self._source = source
+
+    @cached_property
+    def subsets(self) -> List[FrozenSet[int]]:
+        return [frozenset(bits(m)) for m in self.masks]
 
     @cached_property
     def chain(self) -> List:
@@ -648,9 +664,10 @@ def check_hereditarily_consistent(
     live for this call only; the consistency verdicts of the prefixes are
     shared beyond it, with every other check of the same exact execution,
     only inside a ``shared_verdicts`` scope.  The witness is the chain,
-    given by its subsets and built only when read.  A prefix whose
-    consistency check runs out of budget is neither consistent nor refuted:
-    unless a chain avoids it, the verdict is budget-exceeded.
+    given by the masks of its links in the ids of the prefix's own
+    execution; its subsets and executions are built only when read.  A
+    prefix whose consistency check runs out of budget is neither consistent
+    nor refuted: unless a chain avoids it, the verdict is budget-exceeded.
     """
     if isinstance(x, History):
         chain: List[History] = []
@@ -699,10 +716,11 @@ def check_hereditarily_consistent(
         if stalled:
             return stalled[0]
         return Verdict.fail("no consistent immediate-prefix chain", witness=None)
-    # the subsets name the events of the prefix's own execution
-    ids = {e: i for i, e in enumerate(bits(top.mask))}
-    subsets = [frozenset(ids[e] for e in bits(m)) for m in masks]
-    return Verdict.ok(witness=HereditaryChain(subsets=subsets, source=top.execution))
+    if top.mask != owners.full:
+        # the masks name the events of the prefix's own execution
+        ids = {e: i for i, e in enumerate(bits(top.mask))}
+        masks = [sum(1 << ids[e] for e in bits(m)) for m in masks]
+    return Verdict.ok(witness=HereditaryChain(masks=masks, source=top.execution))
 
 
 # --------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def execution_linearizable(
     options = [[lab[e]] if members >> e & 1 else () for e in x.events]
     if seed is not None:
         seed = [(e, lab[e]) for e in seed[1] if members >> e & 1]
-    v = linearize(preds, options, must, spec, budget, "linearization enumeration", seed)
+    v = linearize(preds, options, must, spec, budget, "linearization enumeration", seed, x.hb_order.rows)
     return replace(v, witness=[e for e, _ in v.witness]) if v else v
 
 
@@ -301,10 +301,10 @@ def check_flit(x: Execution, budget: int = 100_000) -> Verdict:
 
     # a crash is in the era of each event beside it, so it is cut out
     po_se = [row & same[a] & calls for a, row in enumerate(x.plain.po_order.rows)]
-    preds = x.hb_order.preds()
+    hb, spec = x.hb_order, SequentialSpec("flit", dict, step)
     stats = {"stage": "linearization enumeration"}
     try:
-        for placed in linearizations(preds, options, calls, SequentialSpec("flit", dict, step), budget, stats):
+        for placed in linearizations(hb.preds(), options, calls, spec, budget, stats, hb.rows):
             lin = [e for _, (e, _) in placed]
             P = explicit if has_explicit else frozenset(e for _, (e, p) in placed if p)
             pos = {e: i for i, e in enumerate(lin)}
@@ -493,7 +493,8 @@ def check_mirror(x: Execution, budget: int = 100_000) -> Verdict:
         return nxt
 
     options = [[e] if calls >> e & 1 else () for e in x.events]
-    v = linearize(x.hb_order.preds(), options, calls, SequentialSpec("mirror", dict, step), budget, stage)
+    hb = x.hb_order
+    v = linearize(hb.preds(), options, calls, SequentialSpec("mirror", dict, step), budget, stage, succs=hb.rows)
     return replace(v, witness={"lin": [e for _, e in v.witness], "nvo": sorted(nvo.pairs), "P": sorted(P)}) if v else v
 
 
@@ -523,7 +524,7 @@ def _mirror_sw_hook(g: PlainExecution) -> Sequence[FrozenSet[Tuple[int, int]]]:
     seen = set(out)
     options = [[e] if calls >> e & 1 else () for e in g.events]
     try:
-        for lin in linearizations(g.po_order.preds(), options, calls, ANY_ORDER, 2_000, {}):
+        for lin in linearizations(g.po_order.preds(), options, calls, ANY_ORDER, 2_000, {}, g.po_order.rows):
             st, rf = {}, set()
             for _, e in lin:
                 src, st = _mirror_step(g.lab, same, st, e)

@@ -422,8 +422,9 @@ def search_px86_witness(
     eb = ds.eb.rows
     explicit_p = _mask(e for e in x.events if P_TAG in x.lab[e].tags)
     wu = list(bits(ds.WU))
-    # per write, the row of the writes (by index in wu) era-before it
-    eb_wu = ds.eb.restrict(wu).preds()
+    # per write, the rows of the writes (by index in wu) era-before and era-after it
+    eb_w = ds.eb.restrict(wu)
+    eb_wu, wu_eb = eb_w.preds(), eb_w.rows
     forced = Order.close_rows(_forced_tso(x, ds))
     forced_p = _forced_persists(x, ds)
     all_wu = (1 << len(wu)) - 1
@@ -449,7 +450,8 @@ def search_px86_witness(
         needed = _mask(w for w, r in rf if eb[w] >> r & 1) | forced_p
         # the era-monotone write orders, smallest first; ``spend`` counts those tried
         preds = [p | q for p, q in zip(base_wu.preds(), eb_wu)]
-        for order in linearizations(preds, [[e] for e in wu], all_wu, ANY_ORDER, math.inf, {}):
+        succs = [s | t for s, t in zip(base_wu.rows, wu_eb)]
+        for order in linearizations(preds, [[e] for e in wu], all_wu, ANY_ORDER, math.inf, {}, succs):
             spend()
             perm = [e for _, e in order]
             tso = base.extend(zip(perm, perm[1:]))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .framework import BudgetExceeded, Verdict
-from .model import BOT, CRASH, Call, History, Inv, Label, Order, Ret, history_to_execution
+from .model import BOT, CRASH, Call, History, Inv, Label, Order, Ret, _transpose, history_to_execution
 
 PFENCE = "pfence"
 
@@ -239,6 +239,7 @@ def linearizations(
     spec: SequentialSpec,
     budget: float,
     stats: dict,
+    succs: Optional[Sequence[int]] = None,
 ) -> Iterator[List[Tuple[int, object]]]:
     """Depth-first search for the sequences in ``spec`` placing every event
     of the mask ``must`` and any others of ``0..n-1``, each at most once and
@@ -261,13 +262,23 @@ def linearizations(
     candidate, and finds a sequence whenever one exists.
 
     The search is one generator with an explicit stack of open nodes.  A
-    node walks only the unplaced events that have a candidate (the set bits
-    of ``live & ~done``), in ascending order; the counters are kept in
-    locals and written to ``stats`` at each yield and when the search ends,
-    whether it is exhausted, closed or raises."""
+    node scans the unplaced events that have a candidate (the set bits of
+    ``live & ~done``), in ascending order.  For an event ``p`` of ``must``,
+    ``succs[p]`` holds successors of ``p``: of its bits, those of events
+    with a candidate must be events ``j`` with ``p`` in ``preds[j]`` (the
+    converse of ``preds``, the default, or less).  When the scan meets an
+    event with an unplaced ``must`` predecessor, it takes the lowest such,
+    ``p``, and drops ``succs[p]`` from the rest of the node's scan: each of
+    them waits for ``p`` too, and ``p`` is not placed at this node.  So a
+    node skips a blocked event's successors in one step, and tries exactly
+    the candidates it tried when it tested each of them.  The counters are
+    kept in locals and written to ``stats`` at each yield and when the
+    search ends, whether it is exhausted, closed or raises."""
     stats.update(nodes=0, memo_hits=0)
     live = sum(1 << i for i, cands in enumerate(options) if cands)
     must_preds = [p & must for p in preds]
+    if succs is None:
+        succs = _transpose(preds)
     step = spec.step
 
     def search() -> Iterator[List[Tuple[int, object]]]:
@@ -289,7 +300,10 @@ def linearizations(
                     low = rest & -rest
                     rest ^= low
                     i = low.bit_length() - 1
-                    if not must_preds[i] & ~done:
+                    blocked = must_preds[i] & ~done
+                    if blocked:
+                        rest &= ~succs[(blocked & -blocked).bit_length() - 1]
+                    else:
                         cands, k = options[i], 0
                 if k == len(cands):
                     # every candidate of the current node is tried
@@ -330,6 +344,7 @@ def linearizations(
 def linearize(
     preds: Sequence[int], options: Sequence[Sequence[object]], must: int, spec: SequentialSpec, budget: int, stage: str,
     seed: Optional[Placement] = None,
+    succs: Optional[Sequence[int]] = None,
 ) -> Verdict:
     """The first of :func:`linearizations` as a verdict with the search's
     stats: OK with the placed ``(event, candidate)`` pairs as witness, FAIL
@@ -341,7 +356,8 @@ def linearize(
     (each event placeable, each candidate one of its ``options``, each step
     accepted) up to the pair that places ``must``.  A seed that replays is a
     witness: the verdict is OK, its stats of stage ``replay`` count one node
-    per pair, and no budget bounds them.  Otherwise the search runs."""
+    per pair, and no budget bounds them.  Otherwise the search runs, with
+    ``succs`` as :func:`linearizations` takes it."""
     if seed is not None:
         done, st, placed = 0, spec.init(), []
         for i, c in seed:
@@ -356,7 +372,7 @@ def linearize(
             return Verdict.ok(witness=placed, stats={"stage": "replay", "nodes": len(placed), "memo_hits": 0})
     stats = {"stage": stage}
     try:
-        lin = next(linearizations(preds, options, must, spec, budget, stats), None)
+        lin = next(linearizations(preds, options, must, spec, budget, stats, succs), None)
     except BudgetExceeded as e:
         return Verdict.budget(e.stats)
     if lin is None:
@@ -382,8 +398,8 @@ def check_linearizable(h: History, spec: SequentialSpec, budget: int = 200_000) 
         raise ValueError("linearizability is defined on crash-free histories")
     calls = h.calls()
     must = sum(1 << i for i, c in enumerate(calls) if c.is_complete)
-    preds = _returns_before_invokes(calls).preds()
-    v = linearize(preds, [[c] for c in calls], must, spec, budget, "linearization search")
+    order = _returns_before_invokes(calls)
+    v = linearize(order.preds(), [[c] for c in calls], must, spec, budget, "linearization search", succs=order.rows)
     return replace(v, witness=[c for _, c in v.witness]) if v else v
 
 
@@ -496,12 +512,16 @@ def weakreg_consistent_execution(
                 seed.append((end[ended[k]], CRASH))
     preds = [p & members for p in x.hb_order.preds()]
     preds += [((1 << k) - 1) << n for k in range(last)]
+    # the converse of preds on the events with a candidate: hb, and the
+    # later era ends and calls after its crash for an era end
+    succs = list(x.hb_order.rows) + [((1 << last) - 1) >> (k + 1) << (n + k + 1) for k in range(last)]
     for k, c in enumerate(crashes):
         for i in called:
             if po[i] >> c & 1:
                 preds[n + k] |= 1 << i
             elif po[c] >> i & 1:
                 preds[i] |= 1 << (n + k)
+                succs[n + k] |= 1 << i
     ends = sum(1 << c for c in crashes)
     options: List[Sequence[object]] = []
     for i, c in enumerate(calls):
@@ -532,7 +552,7 @@ def weakreg_consistent_execution(
         return st
 
     spec = SequentialSpec("weakreg k-sequentializations", dict, step)
-    v = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search", seed)
+    v = linearize(preds, options, must, spec, budget, "weakreg lin/nvo search", seed, succs)
     if not v:
         return v
     placed = v.witness

@@ -772,15 +772,12 @@ def _hereditary(coll: Collection, xc: Prefix, budget: int) -> Verdict:
 
     def compute() -> Verdict:
         v = check_hereditarily_consistent(coll, xc, budget=budget)
-        if not v:
-            return v
-        masks = tuple(sum(1 << e for e in s) for s in v.witness.subsets)
-        return Verdict(v.status, v.reason, masks, v.stats)
+        return Verdict(v.status, v.reason, tuple(v.witness.masks), v.stats) if v else v
 
     v = shared_call((_hereditary, coll, budget) + xc.owners.x.key(xc.mask), compute)
     if not v:
         return v
-    chain = HereditaryChain(subsets=[frozenset(bits(m)) for m in v.witness], source=xc.execution)
+    chain = HereditaryChain(masks=v.witness, source=xc.execution)
     return Verdict(v.status, v.reason, chain, v.stats)
 
 

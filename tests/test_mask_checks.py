@@ -99,9 +99,9 @@ def _problems(log):
     options, must, seed) to ``log``."""
     orig = sc.linearize
 
-    def logged(preds, options, must, spec, budget, stage, seed=None):
+    def logged(preds, options, must, spec, budget, stage, seed=None, succs=None):
         log.append((list(preds), [list(o) for o in options], must, seed))
-        return orig(preds, options, must, spec, budget, stage, seed)
+        return orig(preds, options, must, spec, budget, stage, seed, succs)
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (sc, libs, ref):

@@ -80,7 +80,7 @@ def _stubbed(log):
     once, and ``px86_consistent`` gives ``SEARCHED``: the replay rules are
     what is compared, not the searches."""
 
-    def logged(preds, options, must, spec, budget, stage, seed=None):
+    def logged(preds, options, must, spec, budget, stage, seed=None, succs=None):
         log.append((options, seed))
         return Verdict.fail("stub")
 

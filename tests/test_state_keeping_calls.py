@@ -77,8 +77,12 @@ def histories(draw, lib, max_crashes):
 
 @contextmanager
 def reference_kernel():
-    """Every search of ``sc`` and ``libs`` run by the reference."""
-    ref = kernel_reference.linearizations
+    """Every search of ``sc`` and ``libs`` run by the reference, which
+    takes no ``succs``: it tests every event it scans."""
+
+    def ref(preds, options, must, spec, budget, stats, succs=None):
+        return kernel_reference.linearizations(preds, options, must, spec, budget, stats)
+
     with mock.patch.object(sc, "linearizations", ref), mock.patch.object(libs, "linearizations", ref):
         yield
 
